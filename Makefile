@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci check build test race race-all chaos vet lint cover bench microbench experiments examples clean
+.PHONY: all ci check build test race race-all chaos vet lint cover bench bench-check microbench experiments examples clean
 
 all: check
 
@@ -10,9 +10,9 @@ all: check
 check: build lint test race
 
 # CI entry point: everything a merge must pass in one target — the default
-# verification path (build, lint, tests, scoped -race) plus the short
-# fault-injection chaos suite.
-ci: check chaos
+# verification path (build, lint, tests, scoped -race), the short
+# fault-injection chaos suite, and the benchmark module's own vet + tests.
+ci: check chaos bench-check
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,7 @@ test:
 
 # Race-check the packages with real concurrency — the HTTP service layer,
 # the WAL-backed ingest path, the catalog/executor underneath it, the
-# parallel join kernels, the shared
+# pooled packed join kernel, the shared
 # metric/span registry — plus the read-mostly data structures they share
 # across goroutines (geometry, curves, datasets, samples).
 race:
@@ -58,11 +58,19 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/... ./cmd/...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Machine-readable perf snapshot: runs the fixed estimator/join workload and
-# writes BENCH_<date>.json (latency percentiles, accuracy, serial-vs-parallel
-# join kernel comparison with a count-equality gate, engine counters).
+# The repository benchmark BENCHMARK.json declares: its four paper-scale
+# workloads against the in-process server, one JSON line of end-to-end
+# metrics each on stdout (bench/README.md has -seed, -seconds, -trace).
 bench:
-	$(GO) run ./cmd/benchrun -scale 0.1 -out .
+	@for w in join-paper estimate-mix mixed-rw multiway-window; do \
+		bash bench/run.sh -workload $$w || exit 1; \
+	done
+
+# bench/ is its own module (spatialsel/bench), so `go build ./...` and
+# `go test ./...` at the root never compile it: this is what catches a change
+# to a signature or metric name the benchmark driver pins. ~5 s.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One Go benchmark per paper figure panel plus ablations and extensions.
 # SPATIALSEL_BENCH_SCALE (default 0.02) scales dataset cardinalities.

@@ -1,6 +1,7 @@
 package spatialsel
 
 import (
+	"context"
 	"testing"
 
 	"spatialsel/internal/core"
@@ -14,10 +15,10 @@ import (
 	"spatialsel/internal/sweep"
 )
 
-// TestJoinEnginesAgree cross-validates the three exact join implementations
-// on every paper workload: the plane sweep, the R-tree synchronized
-// traversal (serial and parallel), and the partition-based join must report
-// identical counts.
+// TestJoinEnginesAgree cross-validates the exact join implementations on
+// every paper workload: the plane sweep, the R-tree synchronized traversal
+// (over pointer trees, and over their packed images with a pool of 4), and
+// the partition-based join must report identical counts.
 func TestJoinEnginesAgree(t *testing.T) {
 	for _, p := range datagen.PaperPairs(0.005) {
 		want := sweep.Count(p.A.Items, p.B.Items)
@@ -32,8 +33,12 @@ func TestJoinEnginesAgree(t *testing.T) {
 		if got := rtree.JoinCount(ta, tb); got != want {
 			t.Errorf("%s: rtree join %d != sweep %d", p.Name, got, want)
 		}
-		if got := rtree.JoinCountParallel(ta, tb, 4); got != want {
-			t.Errorf("%s: parallel rtree join %d != sweep %d", p.Name, got, want)
+		got := 0
+		if err := rtree.PackedJoinFuncParallelContext(context.Background(), rtree.Pack(ta), rtree.Pack(tb), 4, func(int, int) { got++ }); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: pooled packed join %d != sweep %d", p.Name, got, want)
 		}
 		if got := partjoin.Count(p.A.Items, p.B.Items, partjoin.Config{}); got != want {
 			t.Errorf("%s: partition join %d != sweep %d", p.Name, got, want)

@@ -506,8 +506,8 @@ func TestPublishSnapOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Stats: base.Stats}
-	s2 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Stats: base.Stats}
+	s1 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Packed: base.Packed, Stats: base.Stats}
+	s2 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Packed: base.Packed, Stats: base.Stats}
 	g2, err := tab.publishSnap(2, s2)
 	if err != nil {
 		t.Fatal(err)

@@ -33,9 +33,9 @@ var metricConstructors = map[string]bool{
 //
 //  1. Metric names passed to obs registry constructors must be snake_case
 //     string literals in a reserved engine namespace — the deterministic
-//     /metrics render sorts by name, dashboards and the committed
-//     BENCH_*.json snapshots key on these strings, and a misspelled or
-//     off-convention name silently forks a family.
+//     /metrics render sorts by name, dashboards and bench/'s per-layer
+//     attribution key on these strings, and a misspelled or off-convention
+//     name silently forks a family.
 //  2. Counter-kind names must end in _total (the Prometheus counter
 //     convention the whole exposition follows).
 //  3. Registry constructor calls must not sit inside loop bodies: each call

@@ -67,9 +67,9 @@ func RegisterTelemetry(r *obs.Registry) {
 }
 
 // RegisterPacked pins the packed-snapshot kernel's metric families as
-// conforming: the rtree packed build/join accounting, the executor's
-// kernel-selection counter, and the store's publish-time pack counter,
-// labeled exactly as those layers register them. (clean)
+// conforming: the rtree packed build/join accounting and the store's
+// publish-time pack counter, labeled exactly as those layers register them.
+// (clean)
 func RegisterPacked(r *obs.Registry) {
 	r.Counter("rtree_packed_builds_total", "packed snapshot images built")
 	r.FloatCounter("rtree_packed_build_seconds_total", "seconds spent packing")
@@ -78,7 +78,6 @@ func RegisterPacked(r *obs.Registry) {
 	r.Counter("rtree_packed_leaf_compares_total", "item lanes evaluated by the packed kernel")
 	r.Counter("rtree_packed_output_pairs_total", "pairs emitted by the packed kernel")
 	r.Counter("rtree_packed_cancel_polls_total", "cancellation polls in the packed kernel")
-	r.Counter("sdb_exec_packed_joins_total", "executor joins routed to the packed kernel")
 	r.Counter("sdbd_packed_publishes_total", "tables packed at publish time")
 }
 

@@ -1,0 +1,159 @@
+package rtree
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"spatialsel/internal/geom"
+	"spatialsel/internal/partjoin"
+	"spatialsel/internal/sweep"
+)
+
+// latticeRects draws n rectangles whose corners lie on a 1/32 lattice, a
+// third of them points and a third axis-parallel segments. Lattice corners
+// are exact in binary, so rectangles that meet only along an edge or at a
+// corner — and zero-area ones lying on another's boundary — are common
+// instead of measure-zero accidents.
+func latticeRects(n int, seed int64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]geom.Rect, n)
+	for i := range out {
+		x, y := float64(rng.Intn(30))/32, float64(rng.Intn(30))/32
+		w, h := float64(1+rng.Intn(2))/32, float64(1+rng.Intn(2))/32
+		switch i % 3 {
+		case 0:
+			w, h = 0, 0
+		case 1:
+			if rng.Intn(2) == 0 {
+				w = 0
+			} else {
+				h = 0
+			}
+		}
+		out[i] = geom.NewRect(x, y, x+w, y+h)
+	}
+	return out
+}
+
+// tiles returns the k×k partition of the unit square into closed squares:
+// neighbours share an edge, diagonal neighbours a corner, nothing overlaps.
+func tiles(k int) []geom.Rect {
+	out := make([]geom.Rect, 0, k*k)
+	s := 1 / float64(k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			out = append(out, geom.NewRect(float64(i)*s, float64(j)*s, float64(i+1)*s, float64(j+1)*s))
+		}
+	}
+	return out
+}
+
+// repeated returns n copies of each rect, interleaved.
+func repeated(n int, rects ...geom.Rect) []geom.Rect {
+	out := make([]geom.Rect, 0, n*len(rects))
+	for i := 0; i < n; i++ {
+		out = append(out, rects...)
+	}
+	return out
+}
+
+// TestExactJoinsAgree is the one differential oracle over every exact
+// rectangle join in the repository: the pointer R-tree join, the packed join
+// serial and with pools of 2 and 4, the plane sweep and the partition join
+// must each emit exactly the brute-force pair set — every pair once, none
+// twice — on ordinary inputs and on the shapes that break joins: empty and
+// disjoint sides, trees of different heights and builds, zero-area MBRs,
+// rectangles that only touch, and exact duplicates.
+func TestExactJoinsAgree(t *testing.T) {
+	allOverlap := func(n int, seed int64) []geom.Rect {
+		// Every rectangle covers the center: all n×m pairs intersect.
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]geom.Rect, n)
+		for i := range out {
+			out[i] = geom.NewRect(0.4-rng.Float64()*0.4, 0.4-rng.Float64()*0.4,
+				0.6+rng.Float64()*0.4, 0.6+rng.Float64()*0.4)
+		}
+		return out
+	}
+	shifted := func(rs []geom.Rect, dx float64) []geom.Rect {
+		out := make([]geom.Rect, len(rs))
+		for i, r := range rs {
+			out[i] = geom.NewRect(r.MinX+dx, r.MinY, r.MaxX+dx, r.MaxY)
+		}
+		return out
+	}
+	narrow := []Option{WithFanout(2, 8)}
+	for _, tc := range []struct {
+		name   string
+		as, bs []geom.Rect
+		load   func([]Item, ...Option) (*Tree, error)
+		opts   []Option
+	}{
+		{"uniform", randRects(4000, 300), randRects(3000, 301), BulkLoadSTR, narrow},
+		{"clustered", clusteredRects(3000, 300), clusteredRects(3000, 301), BulkLoadSTR, narrow},
+		{"asymmetric", randRects(8000, 230), randRects(300, 231), BulkLoadSTR, narrow},
+		{"all-overlapping", allOverlap(120, 300), allOverlap(80, 301), BulkLoadSTR, narrow},
+		{"single-item", randRects(1, 300), randRects(500, 301), BulkLoadSTR, narrow},
+		{"insert-built", randRects(3000, 232), randRects(2500, 233), BulkLoadInsert, []Option{WithFanout(2, 6)}},
+		{"wide-fanout", randRects(900, 35), randRects(800, 36), BulkLoadSTR, []Option{WithFanout(30, 100)}},
+		{"tall-short", randRects(2000, 110), randRects(5, 111), BulkLoadSTR, narrow},
+		{"short-tall", randRects(5, 111), randRects(2000, 110), BulkLoadSTR, narrow},
+		{"empty-full", nil, randRects(200, 302), BulkLoadSTR, nil},
+		{"full-empty", randRects(200, 302), nil, BulkLoadSTR, nil},
+		{"empty-empty", nil, nil, BulkLoadSTR, nil},
+		{"disjoint", randRects(300, 303), shifted(randRects(300, 304), 10), BulkLoadSTR, narrow},
+		{"zero-area", latticeRects(1500, 305), latticeRects(1200, 306), BulkLoadSTR, narrow},
+		{"touching-edges", tiles(16), tiles(8), BulkLoadSTR, narrow},
+		{"touching-shifted", tiles(16), shifted(tiles(16), 1), BulkLoadSTR, narrow},
+		{"exact-duplicates", repeated(150, geom.NewRect(0.25, 0.25, 0.5, 0.5), geom.NewRect(0.75, 0.75, 0.875, 0.875)),
+			repeated(100, geom.NewRect(0.25, 0.25, 0.5, 0.5), geom.NewRect(0.5, 0.5, 0.75, 0.75)), BulkLoadSTR, narrow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ta, err := tc.load(ItemsFromRects(tc.as), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := tc.load(ItemsFromRects(tc.bs), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pa, pb := Pack(ta), Pack(tb)
+			ctx := context.Background()
+			packedPool := func(workers int) func(func(a, b int)) error {
+				return func(emit func(a, b int)) error {
+					return PackedJoinFuncParallelContext(ctx, pa, pb, workers, emit)
+				}
+			}
+			want := bruteJoin(tc.as, tc.bs)
+			for _, impl := range []struct {
+				name string
+				run  func(emit func(a, b int)) error
+			}{
+				{"pointer", func(emit func(a, b int)) error { return JoinFuncContext(ctx, ta, tb, emit) }},
+				{"packed", func(emit func(a, b int)) error { return PackedJoinFuncContext(ctx, pa, pb, emit) }},
+				{"packed-2-workers", packedPool(2)},
+				{"packed-4-workers", packedPool(4)},
+				{"sweep", func(emit func(a, b int)) error { sweep.JoinFunc(tc.as, tc.bs, emit); return nil }},
+				{"partjoin", func(emit func(a, b int)) error {
+					partjoin.JoinFunc(tc.as, tc.bs, partjoin.Config{}, emit)
+					return nil
+				}},
+			} {
+				got := make(map[JoinPair]int, len(want))
+				if err := impl.run(func(a, b int) { got[JoinPair{A: a, B: b}]++ }); err != nil {
+					t.Fatalf("%s: %v", impl.name, err)
+				}
+				for _, p := range want {
+					if got[p] != 1 {
+						t.Fatalf("%s emitted pair %v %d times, want once (%v ∩ %v)",
+							impl.name, p, got[p], tc.as[p.A], tc.bs[p.B])
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s emitted %d distinct pairs, brute force finds %d", impl.name, len(got), len(want))
+				}
+			}
+		})
+	}
+}

@@ -8,21 +8,25 @@ import (
 	"spatialsel/internal/obs"
 )
 
-// Engine-level join counters. Each synchronized traversal accumulates into
-// plain ints on its joinRun and flushes here once at the end, so the hot
-// path pays no atomics per node or per pair.
-var (
-	mJoins = obs.Default.Counter("rtree_joins_total",
-		"Synchronized R-tree joins started.")
-	mJoinNodeVisits = obs.Default.Counter("rtree_join_node_visits_total",
-		"R-tree nodes visited by synchronized joins.")
-	mJoinLeafCompares = obs.Default.Counter("rtree_join_leaf_compares_total",
-		"Candidate MBR pairs examined by the join plane sweep.")
-	mJoinOutputPairs = obs.Default.Counter("rtree_join_output_pairs_total",
-		"Intersecting pairs emitted by synchronized joins.")
-	mJoinCancelPolls = obs.Default.Counter("rtree_join_cancel_polls_total",
-		"Context cancellation polls performed by synchronized joins.")
-)
+// joinCounters is one kernel family's engine-level counter set. Each
+// traversal accumulates into plain ints on its joinState and flushes here
+// once at the end, so the hot path pays no atomics per node or per pair.
+type joinCounters struct {
+	joins, nodeVisits, leafCompares, outputPairs, cancelPolls *obs.Counter
+}
+
+var pointerJoinCounters = joinCounters{
+	joins: obs.Default.Counter("rtree_joins_total",
+		"Synchronized R-tree joins started."),
+	nodeVisits: obs.Default.Counter("rtree_join_node_visits_total",
+		"R-tree nodes visited by synchronized joins."),
+	leafCompares: obs.Default.Counter("rtree_join_leaf_compares_total",
+		"Candidate MBR pairs examined by the join plane sweep."),
+	outputPairs: obs.Default.Counter("rtree_join_output_pairs_total",
+		"Intersecting pairs emitted by synchronized joins."),
+	cancelPolls: obs.Default.Counter("rtree_join_cancel_polls_total",
+		"Context cancellation polls performed by synchronized joins."),
+}
 
 // JoinPair is one result of a spatial join: the IDs of an intersecting pair,
 // A from the left tree and B from the right tree.
@@ -67,7 +71,7 @@ const cancelCheckInterval = 32
 // per batch of node visits and, when it is done, the traversal stops and the
 // context's error is returned. A nil error means the join ran to completion.
 func JoinFuncContext(ctx context.Context, a, b *Tree, emit func(aID, bID int)) error {
-	mJoins.Inc()
+	pointerJoinCounters.joins.Inc()
 	if a.root == nil || b.root == nil {
 		return nil
 	}
@@ -77,32 +81,20 @@ func JoinFuncContext(ctx context.Context, a, b *Tree, emit func(aID, bID int)) e
 		return nil
 	}
 	sp := obs.SpanFrom(ctx).Child("rtree.join")
-	j := &joinRun{ta: a, tb: b, ctx: ctx}
+	j := &joinRun{joinState: joinState{ctx: ctx}, ta: a, tb: b}
 	j.emit = func(pa, pb int) {
 		j.pairs++
 		emit(pa, pb)
 	}
 	j.joinNodes(a.root, b.root, clip)
-	mJoinNodeVisits.Add(uint64(j.visits))
-	mJoinLeafCompares.Add(uint64(j.compares))
-	mJoinOutputPairs.Add(uint64(j.pairs))
-	mJoinCancelPolls.Add(uint64(j.polls))
-	if sp != nil {
-		sp.Set("node_visits", float64(j.visits))
-		sp.Set("leaf_compares", float64(j.compares))
-		sp.Set("output_pairs", float64(j.pairs))
-		sp.Set("cancel_polls", float64(j.polls))
-		sp.End()
-	}
+	j.flush(&pointerJoinCounters, sp)
 	return j.err
 }
 
-// joinRun carries one synchronized traversal's state: the trees (for access
-// accounting), the emit callback, and the cancellation context with its
-// visit counter.
-type joinRun struct {
-	ta, tb   *Tree
-	emit     func(int, int)
+// joinState is what one join traversal carries whatever the node
+// representation (pointer tree or packed image): the cancellation context
+// with its visit counter, and the work totals flushed once at the end.
+type joinState struct {
 	ctx      context.Context
 	visits   int
 	polls    int
@@ -111,25 +103,50 @@ type joinRun struct {
 	err      error
 }
 
-// cancelled polls the run's context every cancelCheckInterval node visits;
-// once the context is done the run's error latches and every subsequent
-// call short-circuits true.
-func (j *joinRun) cancelled() bool {
-	if j.err != nil {
+// cancelled counts one node-pair visit and polls the run's context every
+// cancelCheckInterval of them; once the context is done the run's error
+// latches and every subsequent call short-circuits true.
+func (s *joinState) cancelled() bool {
+	if s.err != nil {
 		return true
 	}
-	if j.ctx == nil {
+	if s.ctx == nil {
 		return false
 	}
-	j.visits++
-	if j.visits%cancelCheckInterval == 0 {
-		j.polls++
-		if err := j.ctx.Err(); err != nil {
-			j.err = err
+	s.visits++
+	if s.visits%cancelCheckInterval == 0 {
+		s.polls++
+		if err := s.ctx.Err(); err != nil {
+			s.err = err
 			return true
 		}
 	}
 	return false
+}
+
+// flush adds the traversal's totals to its kernel family's counters and
+// closes the join's span (nil when the context carries no trace) with the
+// same totals as attributes.
+func (s *joinState) flush(c *joinCounters, sp *obs.Span) {
+	c.nodeVisits.Add(uint64(s.visits))
+	c.leafCompares.Add(uint64(s.compares))
+	c.outputPairs.Add(uint64(s.pairs))
+	c.cancelPolls.Add(uint64(s.polls))
+	if sp != nil {
+		sp.Set("node_visits", float64(s.visits))
+		sp.Set("leaf_compares", float64(s.compares))
+		sp.Set("output_pairs", float64(s.pairs))
+		sp.Set("cancel_polls", float64(s.polls))
+		sp.End()
+	}
+}
+
+// joinRun is one synchronized traversal of two pointer trees: the shared
+// state, the trees (for access accounting) and the emit callback.
+type joinRun struct {
+	joinState
+	ta, tb *Tree
+	emit   func(int, int)
 }
 
 // joinNodes joins two nodes known to have intersecting MBRs; clip is the

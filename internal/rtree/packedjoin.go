@@ -3,7 +3,6 @@ package rtree
 import (
 	"context"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,30 +10,19 @@ import (
 	"spatialsel/internal/obs"
 )
 
-// Packed-kernel join counters — the packed families mirror the pointer
+// Packed-kernel join counters — the packed family mirrors the pointer
 // kernel's, so dashboards can compare the two side by side.
-var (
-	mPackedJoins = obs.Default.Counter("rtree_packed_joins_total",
-		"Packed-image spatial joins started.")
-	mPackedNodeVisits = obs.Default.Counter("rtree_packed_node_visits_total",
-		"Node pairs visited by packed joins.")
-	mPackedLeafCompares = obs.Default.Counter("rtree_packed_leaf_compares_total",
-		"SoA predicate lanes evaluated by packed joins.")
-	mPackedOutputPairs = obs.Default.Counter("rtree_packed_output_pairs_total",
-		"Intersecting pairs emitted by packed joins.")
-	mPackedCancelPolls = obs.Default.Counter("rtree_packed_cancel_polls_total",
-		"Context cancellation polls performed by packed joins.")
-)
-
-// ResolveJoinWorkers maps a join worker knob onto the pool size the kernels
-// actually run with: values ≤ 0 select GOMAXPROCS, everything else is taken
-// as given. Exported so callers that label measurements (cmd/benchrun) report
-// the resolved count instead of the raw knob.
-func ResolveJoinWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
+var packedJoinCounters = joinCounters{
+	joins: obs.Default.Counter("rtree_packed_joins_total",
+		"Packed-image spatial joins started."),
+	nodeVisits: obs.Default.Counter("rtree_packed_node_visits_total",
+		"Node pairs visited by packed joins."),
+	leafCompares: obs.Default.Counter("rtree_packed_leaf_compares_total",
+		"SoA predicate lanes evaluated by packed joins."),
+	outputPairs: obs.Default.Counter("rtree_packed_output_pairs_total",
+		"Intersecting pairs emitted by packed joins."),
+	cancelPolls: obs.Default.Counter("rtree_packed_cancel_polls_total",
+		"Context cancellation polls performed by packed joins."),
 }
 
 // btou converts a predicate to 0/1 without introducing a branch the hot loop
@@ -84,39 +72,22 @@ func overlapMask(qxmin, qymin, qxmax, qymax float64, xmin, ymin, xmax, ymax []fl
 	return m
 }
 
-// packedJoinRun carries one packed traversal's state, mirroring joinRun: the
-// images, the emit callback, the cancellation context with its visit counter,
-// and local accounting flushed once at the end.
+// packedJoinRun is one traversal of two packed images: the shared state, the
+// images, the emit callback, and per-image node accesses, kept local and
+// flushed once at the end like the rest.
 type packedJoinRun struct {
+	joinState
 	pa, pb     *Packed
 	emit       func(int, int)
-	ctx        context.Context
-	visits     int
-	polls      int
-	compares   int
-	pairs      int
 	accA, accB int
-	err        error
 }
 
-// cancelled polls the run's context every cancelCheckInterval node-pair
-// visits; once the context is done the error latches.
-func (j *packedJoinRun) cancelled() bool {
-	if j.err != nil {
-		return true
-	}
-	if j.ctx == nil {
-		return false
-	}
-	j.visits++
-	if j.visits%cancelCheckInterval == 0 {
-		j.polls++
-		if err := j.ctx.Err(); err != nil {
-			j.err = err
-			return true
-		}
-	}
-	return false
+// flush publishes the run's totals: the shared counters and span, plus the
+// two images' access counters.
+func (j *packedJoinRun) flush(sp *obs.Span) {
+	j.joinState.flush(&packedJoinCounters, sp)
+	atomic.AddInt64(&j.pa.accesses, int64(j.accA))
+	atomic.AddInt64(&j.pb.accesses, int64(j.accB))
 }
 
 // nodeRect materializes node i's MBR from the planes.
@@ -295,7 +266,7 @@ func minf(a, b float64) float64 {
 // traversal and returns its error. Emission order is deterministic for
 // identical images.
 func PackedJoinFuncContext(ctx context.Context, a, b *Packed, emit func(aID, bID int)) error {
-	mPackedJoins.Inc()
+	packedJoinCounters.joins.Inc()
 	if a.NumNodes() == 0 || b.NumNodes() == 0 {
 		return nil
 	}
@@ -304,21 +275,9 @@ func PackedJoinFuncContext(ctx context.Context, a, b *Packed, emit func(aID, bID
 		return nil
 	}
 	sp := obs.SpanFrom(ctx).Child("rtree.packed_join")
-	j := &packedJoinRun{pa: a, pb: b, ctx: ctx, emit: emit}
+	j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b, emit: emit}
 	j.join(0, 0, clip)
-	mPackedNodeVisits.Add(uint64(j.visits))
-	mPackedLeafCompares.Add(uint64(j.compares))
-	mPackedOutputPairs.Add(uint64(j.pairs))
-	mPackedCancelPolls.Add(uint64(j.polls))
-	atomic.AddInt64(&a.accesses, int64(j.accA))
-	atomic.AddInt64(&b.accesses, int64(j.accB))
-	if sp != nil {
-		sp.Set("node_visits", float64(j.visits))
-		sp.Set("leaf_compares", float64(j.compares))
-		sp.Set("output_pairs", float64(j.pairs))
-		sp.Set("cancel_polls", float64(j.polls))
-		sp.End()
-	}
+	j.flush(sp)
 	return j.err
 }
 
@@ -330,17 +289,26 @@ func PackedJoinCount(a, b *Packed) int {
 	return n
 }
 
-// packedJoinTask is one independent unit of parallel packed-join work.
+// packedJoinTask is one independent unit of parallel join work: a node pair
+// whose subtree join is disjoint from every other task's.
 type packedJoinTask struct {
 	na, nb int32
 	clip   geom.Rect
 }
 
-// expandPackedJoinTasks expands the traversal's top levels serially into
-// independent node-pair tasks, breadth-first, splitting every expandable task
-// one level on its larger side per round until there are at least target
-// tasks — the index-addressed twin of expandJoinTasks. visA and visB count
-// the per-side expansion visits for the join's accounting.
+// taskTargetPerWorker is how many tasks the serial expansion aims to produce
+// per worker. More tasks than workers smooths load imbalance between dense
+// and sparse regions at negligible expansion cost.
+const taskTargetPerWorker = 8
+
+// expandPackedJoinTasks expands the synchronized traversal's top levels
+// serially into independent node-pair tasks, breadth-first, splitting every
+// expandable task one level on its larger side per round until there are at
+// least target tasks (or only leaf-leaf pairs remain). Task order is
+// deterministic: it depends only on the image shapes, never on scheduling.
+//
+// visA and visB count the nodes whose children the expansion examined, per
+// side, so the caller can fold expansion work into the join's accounting.
 func expandPackedJoinTasks(pa, pb *Packed, clip geom.Rect, target int) (tasks []packedJoinTask, visA, visB int) {
 	tasks = []packedJoinTask{{na: 0, nb: 0, clip: clip}}
 	for len(tasks) < target {
@@ -379,20 +347,32 @@ func expandPackedJoinTasks(pa, pb *Packed, clip geom.Rect, target int) (tasks []
 }
 
 // PackedJoinFuncParallelContext computes the same pair set as
-// PackedJoinFuncContext using a pool of workers, with the task-stealing
-// scheduler the pointer kernel uses: serial breadth-first expansion into
-// node-pair tasks, atomic-cursor claiming, per-task pair buffers replayed in
-// task order from the caller's goroutine (deterministic emission for a given
-// image pair and worker count), whole-join accounting flushed once.
+// PackedJoinFuncContext using a pool of workers. The traversal's top levels
+// are expanded serially into independent node-pair tasks; workers claim tasks
+// through an atomic cursor, each running the ordinary packed traversal on its
+// task's subtrees and buffering the emitted pairs per task. After the pool
+// finishes, the buffers are replayed into emit in task order, so for a given
+// image pair and worker count the emitted sequence is deterministic
+// regardless of scheduling (the task list granularity scales with the pool,
+// so different worker counts may order pairs differently while emitting the
+// same set) — and emit itself is always called from the caller's goroutine,
+// never concurrently.
 //
-// workers ≤ 0 selects GOMAXPROCS; workers == 1 falls back to the serial
-// PackedJoinFuncContext. Both images may be shared with concurrent readers.
+// workers is the pool size: the caller resolves any "auto" knob, and a pool
+// of one or less is the serial PackedJoinFuncContext (identical behavior and
+// emission order to a direct call).
+//
+// The context is polled inside every worker per batch of node visits, between
+// tasks, and between buffers of the final merge; when it is done the pool
+// stops promptly and the context's error is returned. Access accounting on
+// both images and the packed join counters are updated once, at the end, with
+// the sum of all workers' work plus the expansion's. Both images may be
+// shared with concurrent readers.
 func PackedJoinFuncParallelContext(ctx context.Context, a, b *Packed, workers int, emit func(aID, bID int)) error {
-	workers = ResolveJoinWorkers(workers)
-	if workers == 1 {
+	if workers <= 1 {
 		return PackedJoinFuncContext(ctx, a, b, emit)
 	}
-	mPackedJoins.Inc()
+	packedJoinCounters.joins.Inc()
 	if a.NumNodes() == 0 || b.NumNodes() == 0 {
 		return nil
 	}
@@ -404,78 +384,69 @@ func PackedJoinFuncParallelContext(ctx context.Context, a, b *Packed, workers in
 
 	tasks, expA, expB := expandPackedJoinTasks(a, b, clip, workers*taskTargetPerWorker)
 
+	// Per-task result buffers, indexed by task. Workers write only the slots
+	// they claimed, so the slice needs no lock; the deterministic merge below
+	// reads it after Wait.
 	results := make([][]JoinPair, len(tasks))
-	errs := make([]error, workers)
-	var cursor int64
-	var visits, polls, compares, pairs int64
-	accA, accB := int64(expA), int64(expB)
+	var cursor atomic.Int64
+	// Whole-join totals, seeded with the expansion's visits. Each worker
+	// accumulates in its own run across all the tasks it claims and adds that
+	// in once at exit.
+	total := packedJoinRun{joinState: joinState{visits: expA + expB}, pa: a, pb: b, accA: expA, accB: expB}
+	var mu sync.Mutex
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			var lv, lp, lc, lpairs, la, lb int
+			var buf []JoinPair
+			j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b}
+			j.emit = func(aID, bID int) {
+				buf = append(buf, JoinPair{A: aID, B: bID})
+			}
 			for {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
+				if j.err = ctx.Err(); j.err != nil {
 					break
 				}
-				i := atomic.AddInt64(&cursor, 1) - 1
+				i := cursor.Add(1) - 1
 				if i >= int64(len(tasks)) {
 					break
 				}
 				tk := tasks[i]
-				var buf []JoinPair
-				j := &packedJoinRun{pa: a, pb: b, ctx: ctx}
-				j.emit = func(pa, pb int) {
-					buf = append(buf, JoinPair{A: pa, B: pb})
-				}
+				buf = nil
 				j.join(tk.na, tk.nb, tk.clip)
-				lv += j.visits
-				lp += j.polls
-				lc += j.compares
-				lpairs += j.pairs
-				la += j.accA
-				lb += j.accB
 				if j.err != nil {
-					errs[w] = j.err
 					break
 				}
 				results[i] = buf
 			}
-			atomic.AddInt64(&visits, int64(lv))
-			atomic.AddInt64(&polls, int64(lp))
-			atomic.AddInt64(&compares, int64(lc))
-			atomic.AddInt64(&pairs, int64(lpairs))
-			atomic.AddInt64(&accA, int64(la))
-			atomic.AddInt64(&accB, int64(lb))
-		}(w)
+			mu.Lock()
+			defer mu.Unlock()
+			total.visits += j.visits
+			total.polls += j.polls
+			total.compares += j.compares
+			total.pairs += j.pairs
+			total.accA += j.accA
+			total.accB += j.accB
+			if total.err == nil {
+				total.err = j.err
+			}
+		}()
 	}
 	wg.Wait()
 
-	visits += int64(expA + expB)
-	mPackedNodeVisits.Add(uint64(visits))
-	mPackedLeafCompares.Add(uint64(compares))
-	mPackedOutputPairs.Add(uint64(pairs))
-	mPackedCancelPolls.Add(uint64(polls))
-	atomic.AddInt64(&a.accesses, accA)
-	atomic.AddInt64(&b.accesses, accB)
-	if sp != nil {
-		sp.Set("workers", float64(workers))
-		sp.Set("tasks", float64(len(tasks)))
-		sp.Set("node_visits", float64(visits))
-		sp.Set("leaf_compares", float64(compares))
-		sp.Set("output_pairs", float64(pairs))
-		sp.Set("cancel_polls", float64(polls))
-		sp.End()
+	sp.Set("workers", float64(workers))
+	sp.Set("tasks", float64(len(tasks)))
+	total.flush(sp)
+	if total.err != nil {
+		return total.err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	// Deterministic merge, polled per buffer like the pointer kernel's.
+	// Deterministic merge: replay each task's buffer in task order. A huge
+	// result set makes this loop long too, so it polls between buffers —
+	// cancellation mid-merge stops the replay with some pairs already
+	// emitted, the same partial-emission semantics as a cancelled serial
+	// join.
 	for _, buf := range results {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -485,13 +456,4 @@ func PackedJoinFuncParallelContext(ctx context.Context, a, b *Packed, workers in
 		}
 	}
 	return nil
-}
-
-// PackedJoinCountParallel computes the pair count with a worker pool;
-// workers ≤ 0 selects GOMAXPROCS.
-func PackedJoinCountParallel(a, b *Packed, workers int) int {
-	n := 0
-	// A background context cannot be cancelled, so the error is always nil.
-	_ = PackedJoinFuncParallelContext(context.Background(), a, b, workers, func(int, int) { n++ })
-	return n
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"spatialsel/internal/geom"
@@ -108,7 +109,8 @@ func TestPackedJoinParallelMatchesSerial(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 4, 8} {
+	// 0 and 1 pin the pool-size contract: no pool, the serial kernel.
+	for _, workers := range []int{0, 1, 2, 3, 4, 8} {
 		var got []JoinPair
 		err := PackedJoinFuncParallelContext(context.Background(), pa, pb, workers, func(a, b int) {
 			got = append(got, JoinPair{A: a, B: b})
@@ -174,21 +176,64 @@ func TestPackedJoinAccounting(t *testing.T) {
 	}
 	pa.ResetAccesses()
 	pb.ResetAccesses()
-	PackedJoinCountParallel(pa, pb, 4)
+	if err := PackedJoinFuncParallelContext(context.Background(), pa, pb, 4, func(int, int) {}); err != nil {
+		t.Fatal(err)
+	}
 	if pa.Accesses() == 0 || pb.Accesses() == 0 {
 		t.Fatalf("parallel join left accesses at %d/%d", pa.Accesses(), pb.Accesses())
 	}
 }
 
-func TestResolveJoinWorkers(t *testing.T) {
-	if got := ResolveJoinWorkers(3); got != 3 {
-		t.Fatalf("ResolveJoinWorkers(3) = %d", got)
+// TestPackedJoinSharedImageHammer runs pooled joins, serial joins and range
+// searches concurrently over the same two images; with -race this is the
+// read-sharing safety proof for the executor's usage, where every request
+// joins the one published image of each table.
+func TestPackedJoinSharedImageHammer(t *testing.T) {
+	_, pa := packOf(t, randRects(2500, 309))
+	_, pb := packOf(t, randRects(2500, 310))
+	want := PackedJoinCount(pa, pb)
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch g % 3 {
+			case 0: // pooled joins
+				for i := 0; i < 3; i++ {
+					n := 0
+					if err := PackedJoinFuncParallelContext(context.Background(), pa, pb, 4, func(int, int) { n++ }); err != nil {
+						errs[g] = err
+						return
+					}
+					if n != want {
+						errs[g] = errors.New("pooled count mismatch under concurrency")
+						return
+					}
+				}
+			case 1: // serial joins on the same images
+				for i := 0; i < 3; i++ {
+					if PackedJoinCount(pa, pb) != want {
+						errs[g] = errors.New("serial count mismatch under concurrency")
+						return
+					}
+				}
+			default: // range searches sharing the access counters
+				var buf []int
+				for i := 0; i < 200; i++ {
+					buf = pa.Search(geom.NewRect(0.2, 0.2, 0.4, 0.4), buf[:0])
+					buf = pb.Search(geom.NewRect(0.6, 0.1, 0.9, 0.5), buf[:0])
+				}
+			}
+		}(g)
 	}
-	if got := ResolveJoinWorkers(0); got < 1 {
-		t.Fatalf("ResolveJoinWorkers(0) = %d", got)
-	}
-	if got, want := ResolveJoinWorkers(-5), ResolveJoinWorkers(0); got != want {
-		t.Fatalf("ResolveJoinWorkers(-5) = %d, want %d", got, want)
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func (n *node) mbr() geom.Rect {
 // Tree is an R-tree. The zero value is not usable; construct with New or one
 // of the bulk loaders. Tree is not safe for concurrent mutation; concurrent
 // read-only use (Search, Join) is safe, including the access counter, which
-// is maintained atomically so parallel joins and sharded index probes can
+// is maintained atomically so concurrent joins and sharded index probes can
 // share a tree.
 type Tree struct {
 	root       *node

@@ -67,7 +67,7 @@ func TestExecuteWithoutTraceRecordsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := obs.Default.Snapshot()
-	for _, name := range []string{"sdb_exec_queries_total", "sdb_exec_rows_total", "sdb_exec_packed_joins_total", "rtree_packed_node_visits_total"} {
+	for _, name := range []string{"sdb_exec_queries_total", "sdb_exec_rows_total", "rtree_packed_node_visits_total"} {
 		if after[name] <= before[name] {
 			t.Errorf("%s did not advance: %v -> %v", name, before[name], after[name])
 		}

@@ -20,8 +20,6 @@ var (
 		"Result rows materialized by the executor, summed over operators.")
 	mExecProbeRows = obs.Default.Counter("sdb_exec_probe_rows_total",
 		"Index probes issued by extension steps.")
-	mExecPackedJoins = obs.Default.Counter("sdb_exec_packed_joins_total",
-		"First joins executed on the packed SoA kernel instead of the pointer tree.")
 )
 
 // relError is the paper's estimation error |est − actual| / actual; an
@@ -75,8 +73,9 @@ func (p *Plan) Execute() (*Result, error) {
 const cancelRowBatch = 256
 
 // Crossover sizes below which the auto (Workers == 0) executor stays serial:
-// goroutine + merge overhead beats the win on small inputs (measured with
-// cmd/benchrun's serial-vs-parallel comparison).
+// goroutine + merge overhead beats the win on small inputs (bench/ reports
+// the serial and pooled kernels as rtree.packed_join_ms and
+// rtree.packed_join_par_ms).
 const (
 	parallelJoinMinItems = 4096 // summed tree cardinalities, first join
 	parallelProbeMinRows = 2048 // intermediate rows, extension steps
@@ -152,18 +151,9 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	jctx, jcancel := context.WithCancel(jctx)
 	defer jcancel()
 	joinWorkers := resolveWorkers(p.Workers, baseTab.Len()+stepTab.Len(), parallelJoinMinItems)
-	// The packed SoA kernel engages when both sides carry a packed snapshot
-	// image (bulk-built tables and published snapshots always do); tables
-	// whose index mutates in place fall back to the pointer kernel
-	// transparently. Both kernels emit the identical pair set.
-	joinKernel := func(ctx context.Context, emit func(a, b int)) error {
-		if baseTab.Packed != nil && stepTab.Packed != nil {
-			mExecPackedJoins.Inc()
-			return rtree.PackedJoinFuncParallelContext(ctx, baseTab.Packed, stepTab.Packed, joinWorkers, emit)
-		}
-		return rtree.JoinFuncParallelContext(ctx, baseTab.Index, stepTab.Index, joinWorkers, emit)
-	}
-	jerr := joinKernel(jctx, func(a, b int) {
+	// Every catalogued table carries the packed image of its index
+	// (Catalog.Attach enforces it), so the packed kernel is the only first join.
+	jerr := rtree.PackedJoinFuncParallelContext(jctx, baseTab.Packed, stepTab.Packed, joinWorkers, func(a, b int) {
 		if ferr != nil {
 			return
 		}

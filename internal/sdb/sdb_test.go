@@ -63,6 +63,35 @@ func TestCatalogBasics(t *testing.T) {
 	}
 }
 
+// TestAttachRequiresPackedImage pins Table.Packed as an invariant: the
+// executor joins packed images only, so a hand-built table with an index and
+// no image is refused at the catalog's door, while Create always supplies one.
+func TestAttachRequiresPackedImage(t *testing.T) {
+	c, err := NewCatalogAtLevel(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := c.Create(datagen.Uniform("built", 500, 0.01, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Packed == nil || built.Packed.Len() != built.Index.Len() {
+		t.Fatalf("Create: packed image %v does not mirror the %d-item index", built.Packed, built.Index.Len())
+	}
+	bare := &Table{Name: "bare", Data: built.Data, Index: built.Index, Stats: built.Stats}
+	err = c.Attach(bare)
+	if err == nil || !strings.Contains(err.Error(), "packed image") || !strings.Contains(err.Error(), `"bare"`) {
+		t.Fatalf("Attach of an indexed table without a packed image: err = %v", err)
+	}
+	if _, err := c.Table("bare"); err == nil {
+		t.Fatal("rejected table was registered anyway")
+	}
+	bare.Packed = built.Packed
+	if err := c.Attach(bare); err != nil {
+		t.Fatalf("Attach with the image: %v", err)
+	}
+}
+
 func TestNewCatalogAtLevelValidation(t *testing.T) {
 	if _, err := NewCatalogAtLevel(-1); err == nil {
 		t.Fatal("negative level accepted")

@@ -103,7 +103,6 @@ func TestMetricsIncludeEngineSeries(t *testing.T) {
 	for _, name := range []string{
 		"rtree_packed_node_visits_total",
 		"rtree_packed_joins_total",
-		"sdb_exec_packed_joins_total",
 		"sdb_exec_rows_total",
 		"sdb_exec_queries_total",
 	} {

@@ -64,10 +64,25 @@ func (s *Server) writeOverloaded(w http.ResponseWriter, reason string) {
 	writeError(w, http.StatusServiceUnavailable, "query shed: %s; retry after %s", reason, ra)
 }
 
+// maxRequestWorkers bounds a request's workers field. The join kernel and the
+// probe pool size slices and start goroutines by it, so an unbounded value
+// would let one request exhaust memory and the scheduler.
+const maxRequestWorkers = 64
+
+// validWorkers reports whether a request's workers field is in
+// [0, maxRequestWorkers], answering 400 when it is not.
+func validWorkers(w http.ResponseWriter, workers int) bool {
+	if workers < 0 || workers > maxRequestWorkers {
+		writeError(w, http.StatusBadRequest, "workers must be in [0, %d], got %d", maxRequestWorkers, workers)
+		return false
+	}
+	return true
+}
+
 // resolveWorkers maps a request's workers field onto the effective executor
 // parallelism: 0 defers to the server default (sdbd -workers, itself 0 = auto
-// by default), anything else is used as given. Negative values are rejected
-// before this point.
+// by default), anything else is used as given. Out-of-range values are
+// rejected before this point.
 func (s *Server) resolveWorkers(requested int) int {
 	if requested != 0 {
 		return requested
@@ -326,8 +341,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, "workers must be ≥ 0, got %d", req.Workers)
+	if !validWorkers(w, req.Workers) {
 		return
 	}
 	start := time.Now()
@@ -611,8 +625,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, "workers must be ≥ 0, got %d", req.Workers)
+	if !validWorkers(w, req.Workers) {
 		return
 	}
 	start := time.Now()

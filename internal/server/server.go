@@ -249,7 +249,8 @@ func (s *Server) Ingest() *ingest.Manager { return s.ingest }
 func (s *Server) Telemetry() *telemetry.Telemetry { return s.telemetry }
 
 // Admission exposes the query admission controller, nil when disabled.
-// benchrun's overload scenario calibrates it; tests assert its counters.
+// bench/ reads its policy to replay the gate; tests calibrate it and assert
+// its counters.
 func (s *Server) Admission() *resilience.Controller { return s.admission }
 
 // ListenAndServe serves on addr until ctx is cancelled, then shuts down

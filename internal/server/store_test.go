@@ -107,6 +107,54 @@ func verifyPackedMirrors(tab *sdb.Table) (msg string, ok bool) {
 	return "", true
 }
 
+// TestStoreTablesCarryPackedImage pins the invariant the executor relies on
+// and sdb.Catalog.Attach enforces: both producers of catalogued tables hand
+// over the packed image of the index they attach — Register by building it,
+// Publish by packing the ingest path's snapshot, which arrives without one.
+func TestStoreTablesCarryPackedImage(t *testing.T) {
+	const level = 4
+	store, err := NewStore(level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered, _, err := store.Register(datagen.Uniform("x", 300, 0.02, 7), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, ok := verifyPackedMirrors(registered); !ok {
+		t.Fatalf("Register: %s", msg)
+	}
+
+	manager := ingest.NewManager(ingest.Options{
+		Level:  level,
+		Lookup: func(name string) (*sdb.Table, error) { return store.Snapshot().Catalog.Table(name) },
+		Publish: func(snap *sdb.Table) (uint64, error) {
+			if snap.Packed != nil {
+				t.Error("ingest snapshot arrived already packed: Publish's packing is not exercised")
+			}
+			return store.Publish(snap)
+		},
+	})
+	defer manager.Close()
+	live, err := manager.Table("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Apply(ingest.Mutation{Inserts: []geom.Rect{geom.NewRect(0.1, 0.1, 0.2, 0.2)}}); err != nil {
+		t.Fatal(err)
+	}
+	published, err := store.Snapshot().Catalog.Table("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if published == registered || published.Index.Len() != 301 {
+		t.Fatalf("Publish did not install the ingest snapshot (%d items)", published.Index.Len())
+	}
+	if msg, ok := verifyPackedMirrors(published); !ok {
+		t.Fatalf("Publish: %s", msg)
+	}
+}
+
 // TestStorePublishRepackRace hammers the snapshot-publish seam the packed
 // builder sits on: concurrent Apply batches race a Repack loop on a live
 // ingest table, every commit publishing into the store, while readers pin

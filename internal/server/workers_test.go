@@ -86,24 +86,34 @@ func TestEstimateWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkersValidation: negative workers is a client error on both the query
-// and estimate endpoints.
+// TestWorkersValidation: a workers value outside [0, maxRequestWorkers] is a
+// client error on both the query and estimate endpoints — negative, and so
+// large that honouring it would size a slice and a goroutine pool by it.
 func TestWorkersValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Level: 4})
 	createTable(t, ts.URL, "wa", "uniform", 100, 61, false)
 	createTable(t, ts.URL, "wb", "uniform", 100, 62, false)
 
-	var errResp errorResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", QueryRequest{
-		Tables:     []string{"wa", "wb"},
-		Predicates: [][2]string{{"wa", "wb"}},
-		Workers:    -1,
-	}, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("negative workers on query: status %d", code)
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate", EstimateRequest{
-		Left: "wa", Right: "wb", Workers: -2,
-	}, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("negative workers on estimate: status %d", code)
+	for _, tc := range []struct {
+		workers int
+		want    int
+	}{
+		{-1, http.StatusBadRequest},
+		{maxRequestWorkers, http.StatusOK},
+		{maxRequestWorkers + 1, http.StatusBadRequest},
+		{10_000_000, http.StatusBadRequest},
+	} {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", QueryRequest{
+			Tables:     []string{"wa", "wb"},
+			Predicates: [][2]string{{"wa", "wb"}},
+			Workers:    tc.workers,
+		}, nil); code != tc.want {
+			t.Errorf("workers=%d on query: status %d, want %d", tc.workers, code, tc.want)
+		}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate", EstimateRequest{
+			Left: "wa", Right: "wb", Method: "ph", Workers: tc.workers,
+		}, nil); code != tc.want {
+			t.Errorf("workers=%d on estimate: status %d, want %d", tc.workers, code, tc.want)
+		}
 	}
 }
