@@ -469,13 +469,6 @@ func BenchmarkSDBPlanAndExecute(b *testing.B) {
 			}
 		}
 	})
-	b.Run("plan-dp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.PlanDP(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("execute", func(b *testing.B) {
 		plan, err := c.Plan(q)
 		if err != nil {

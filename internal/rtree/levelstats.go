@@ -13,25 +13,38 @@ type LevelStat struct {
 	AvgArea   float64
 }
 
+// add counts one node's MBR into the level; until averageLevels runs the Avg
+// fields hold sums. Tree.LevelStats and Pack both accumulate through it, so
+// the recorded statistics and the walked ones come from the same arithmetic.
+func (ls *LevelStat) add(m geom.Rect) {
+	ls.Nodes++
+	ls.AvgWidth += m.Width()
+	ls.AvgHeight += m.Height()
+	ls.AvgArea += m.Area()
+}
+
+// averageLevels numbers the levels root-first and turns their sums into means.
+func averageLevels(levels []LevelStat) {
+	for i := range levels {
+		ls := &levels[i]
+		n := float64(ls.Nodes)
+		ls.Level = i + 1
+		ls.AvgWidth /= n
+		ls.AvgHeight /= n
+		ls.AvgArea /= n
+	}
+}
+
 // LevelStats walks the tree and returns one entry per level, root first.
 // An empty tree returns nil.
 func (t *Tree) LevelStats() []LevelStat {
 	if t.root == nil {
 		return nil
 	}
-	type acc struct {
-		nodes            int
-		sumW, sumH, sumA float64
-	}
-	levels := make([]acc, t.height)
+	out := make([]LevelStat, t.height)
 	var walk func(n *node, depth int)
 	walk = func(n *node, depth int) {
-		m := n.mbr()
-		a := &levels[depth-1]
-		a.nodes++
-		a.sumW += m.Width()
-		a.sumH += m.Height()
-		a.sumA += m.Area()
+		out[depth-1].add(n.mbr())
 		if n.leaf {
 			return
 		}
@@ -40,17 +53,7 @@ func (t *Tree) LevelStats() []LevelStat {
 		}
 	}
 	walk(t.root, 1)
-	out := make([]LevelStat, t.height)
-	for i, a := range levels {
-		n := float64(a.nodes)
-		out[i] = LevelStat{
-			Level:     i + 1,
-			Nodes:     a.nodes,
-			AvgWidth:  a.sumW / n,
-			AvgHeight: a.sumH / n,
-			AvgArea:   a.sumA / n,
-		}
-	}
+	averageLevels(out)
 	return out
 }
 

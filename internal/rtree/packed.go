@@ -68,6 +68,9 @@ type Packed struct {
 
 	size   int
 	height int
+	// levels holds the per-level node statistics, recorded while Pack visits
+	// every node, so cost models read them instead of walking a tree.
+	levels []LevelStat
 }
 
 // Pack builds the packed image of t. Cost is one full scan of the tree —
@@ -75,7 +78,7 @@ type Packed struct {
 // tree is only read. An empty tree packs to an empty image.
 func Pack(t *Tree) *Packed {
 	startTime := time.Now()
-	p := &Packed{size: t.size, height: t.height}
+	p := &Packed{size: t.size, height: t.height, levels: make([]LevelStat, t.height)}
 	if t.root == nil {
 		mPackedBuilds.Inc()
 		mPackedBuildSeconds.Add(time.Since(startTime).Seconds())
@@ -92,13 +95,20 @@ func Pack(t *Tree) *Packed {
 	curve := hilbert.MustNew(hilbert.MaxOrder, curveMBR)
 
 	// Breadth-first layout: visiting node i appends its children as one
-	// contiguous run, so start/count address them by id.
+	// contiguous run, so start/count address them by id. A level ends where
+	// the queue stood when its first node was visited, and its nodes arrive
+	// left to right — the order Tree.LevelStats sums them in.
 	queue := []*node{t.root}
+	depth, levelEnd := 0, 1
 	var keys []uint64
 	var perm []int
 	for qi := 0; qi < len(queue); qi++ {
+		if qi == levelEnd {
+			depth, levelEnd = depth+1, len(queue)
+		}
 		n := queue[qi]
 		m := n.mbr()
+		p.levels[depth].add(m)
 		p.nodeXMin = append(p.nodeXMin, m.MinX)
 		p.nodeYMin = append(p.nodeYMin, m.MinY)
 		p.nodeXMax = append(p.nodeXMax, m.MaxX)
@@ -136,6 +146,7 @@ func Pack(t *Tree) *Packed {
 			p.itemID = append(p.itemID, e.id)
 		}
 	}
+	averageLevels(p.levels)
 	ng := (len(p.itemID) + itemGroup - 1) / itemGroup
 	p.grpXMin = make([]float64, ng)
 	p.grpYMin = make([]float64, ng)
@@ -182,6 +193,11 @@ func (p *Packed) Height() int { return p.height }
 // NumNodes returns the number of nodes in the image.
 func (p *Packed) NumNodes() int { return len(p.leaf) }
 
+// LevelStats returns the source tree's Tree.LevelStats as recorded by Pack:
+// one entry per level, root first, empty for an empty image. The slice is
+// shared with the image and must not be modified.
+func (p *Packed) LevelStats() []LevelStat { return p.levels }
+
 // RootMBR returns the root node's MBR (the zero Rect when empty).
 func (p *Packed) RootMBR() geom.Rect {
 	if len(p.leaf) == 0 {
@@ -208,17 +224,22 @@ func (p *Packed) VisitItems(fn func(id int, r geom.Rect)) {
 }
 
 // Search appends the IDs of all items intersecting q to out — the packed
-// counterpart of Tree.Search, used by tests and spot checks; the join
-// kernels have their own traversals.
+// counterpart of Tree.Search and the executor's index probe for extension
+// steps; the join kernels have their own traversals.
 func (p *Packed) Search(q geom.Rect, out []int) []int {
 	if len(p.leaf) == 0 {
 		return out
 	}
-	return p.search(0, q, out)
+	// Node touches are counted locally and added once: the counter shares a
+	// cache line with the plane headers every concurrent probe reads.
+	visits := 0
+	out = p.search(0, q, out, &visits)
+	atomic.AddInt64(&p.accesses, int64(visits))
+	return out
 }
 
-func (p *Packed) search(n int32, q geom.Rect, out []int) []int {
-	atomic.AddInt64(&p.accesses, 1)
+func (p *Packed) search(n int32, q geom.Rect, out []int, visits *int) []int {
+	*visits++
 	s, c := p.start[n], p.count[n]
 	if p.leaf[n] {
 		for i := s; i < s+c; i++ {
@@ -232,7 +253,7 @@ func (p *Packed) search(n int32, q geom.Rect, out []int) []int {
 	for i := s; i < s+c; i++ {
 		if p.nodeXMin[i] <= q.MaxX && q.MinX <= p.nodeXMax[i] &&
 			p.nodeYMin[i] <= q.MaxY && q.MinY <= p.nodeYMax[i] {
-			out = p.search(i, q, out)
+			out = p.search(i, q, out, visits)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -18,38 +19,93 @@ func packOf(t *testing.T, rects []geom.Rect) (*Tree, *Packed) {
 	return tr, Pack(tr)
 }
 
+// requireSameLevelStats holds the statistics Pack recorded to the walk of the
+// source tree: same levels and node counts, averages within 1e-12.
+func requireSameLevelStats(t *testing.T, p *Packed, tr *Tree) {
+	t.Helper()
+	got, want := p.LevelStats(), tr.LevelStats()
+	if len(got) != len(want) {
+		t.Fatalf("LevelStats has %d levels, tree walk %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Level != w.Level || g.Nodes != w.Nodes ||
+			math.Abs(g.AvgWidth-w.AvgWidth) > 1e-12 || math.Abs(g.AvgHeight-w.AvgHeight) > 1e-12 ||
+			math.Abs(g.AvgArea-w.AvgArea) > 1e-12 {
+			t.Fatalf("LevelStats[%d] = %+v, tree walk %+v", i, g, w)
+		}
+	}
+}
+
 func TestPackMirrorsTree(t *testing.T) {
-	rects := randRects(2000, 7)
-	tr, p := packOf(t, rects)
-
-	if p.Len() != tr.Len() {
-		t.Fatalf("Len = %d, want %d", p.Len(), tr.Len())
-	}
-	if p.Height() != tr.Height() {
-		t.Fatalf("Height = %d, want %d", p.Height(), tr.Height())
-	}
-	if got, want := p.RootMBR(), tr.root.mbr(); got != want {
-		t.Fatalf("RootMBR = %v, want %v", got, want)
-	}
-	if p.NumNodes() != tr.ComputeStats().Nodes {
-		t.Fatalf("NumNodes = %d, want %d", p.NumNodes(), tr.ComputeStats().Nodes)
-	}
-
-	// Every item survives with its exact rect.
-	seen := make(map[int]geom.Rect, len(rects))
-	p.VisitItems(func(id int, r geom.Rect) {
-		if _, dup := seen[id]; dup {
-			t.Fatalf("item %d appears twice", id)
+	load := func(rects []geom.Rect, build func([]Item, ...Option) (*Tree, error), opts ...Option) *Tree {
+		tr, err := build(ItemsFromRects(rects), opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[id] = r
-	})
-	if len(seen) != len(rects) {
-		t.Fatalf("VisitItems yielded %d items, want %d", len(seen), len(rects))
+		return tr
 	}
-	for id, r := range seen {
-		if r != rects[id] {
-			t.Fatalf("item %d rect = %v, want %v", id, r, rects[id])
+	// Inputs differ in build, fanout and therefore height (4, 5, 5 and 2).
+	bulk, inserted := randRects(2000, 7), randRects(1500, 8)
+	thinned := load(inserted, BulkLoadInsert, WithFanout(2, 6))
+	live := make(map[int]geom.Rect, len(inserted))
+	for id, r := range inserted {
+		if id%3 == 0 {
+			live[id] = r
+		} else if !thinned.Delete(r, id) {
+			t.Fatalf("delete of item %d failed", id)
 		}
+	}
+	all := func(rects []geom.Rect) map[int]geom.Rect {
+		m := make(map[int]geom.Rect, len(rects))
+		for id, r := range rects {
+			m[id] = r
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name  string
+		tr    *Tree
+		items map[int]geom.Rect
+	}{
+		{"bulk-loaded", load(bulk, BulkLoadSTR, WithFanout(2, 8)), all(bulk)},
+		{"insert-built", load(inserted, BulkLoadInsert, WithFanout(2, 6)), all(inserted)},
+		{"post-delete", thinned, live},
+		{"wide-fanout", load(bulk[:900], BulkLoadSTR, WithFanout(30, 100)), all(bulk[:900])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, p := tc.tr, Pack(tc.tr)
+			if p.Len() != tr.Len() {
+				t.Fatalf("Len = %d, want %d", p.Len(), tr.Len())
+			}
+			if p.Height() != tr.Height() {
+				t.Fatalf("Height = %d, want %d", p.Height(), tr.Height())
+			}
+			if got, want := p.RootMBR(), tr.root.mbr(); got != want {
+				t.Fatalf("RootMBR = %v, want %v", got, want)
+			}
+			if p.NumNodes() != tr.ComputeStats().Nodes {
+				t.Fatalf("NumNodes = %d, want %d", p.NumNodes(), tr.ComputeStats().Nodes)
+			}
+			requireSameLevelStats(t, p, tr)
+
+			// Every item survives with its exact rect.
+			seen := make(map[int]geom.Rect, len(tc.items))
+			p.VisitItems(func(id int, r geom.Rect) {
+				if _, dup := seen[id]; dup {
+					t.Fatalf("item %d appears twice", id)
+				}
+				seen[id] = r
+			})
+			if len(seen) != len(tc.items) {
+				t.Fatalf("VisitItems yielded %d items, want %d", len(seen), len(tc.items))
+			}
+			for id, r := range seen {
+				if r != tc.items[id] {
+					t.Fatalf("item %d rect = %v, want %v", id, r, tc.items[id])
+				}
+			}
+		})
 	}
 }
 
@@ -62,6 +118,7 @@ func TestPackEmptyAndSingle(t *testing.T) {
 	if p.Len() != 0 || p.NumNodes() != 0 || p.Height() != 0 {
 		t.Fatalf("empty pack: len=%d nodes=%d height=%d", p.Len(), p.NumNodes(), p.Height())
 	}
+	requireSameLevelStats(t, p, empty)
 	if got := p.Search(geom.NewRect(0, 0, 1, 1), nil); len(got) != 0 {
 		t.Fatalf("empty search returned %v", got)
 	}
@@ -72,6 +129,7 @@ func TestPackEmptyAndSingle(t *testing.T) {
 	if ps.Len() != 1 {
 		t.Fatalf("single pack len = %d", ps.Len())
 	}
+	requireSameLevelStats(t, ps, one)
 	if got := ps.Search(geom.NewRect(0, 0, 1, 1), nil); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("single search = %v, want [42]", got)
 	}

@@ -47,10 +47,11 @@ type Table struct {
 	Data  *dataset.Dataset
 	Index *rtree.Tree
 	Stats *histogram.GHSummary
-	// Packed is the read-optimized SoA image of Index and the executor's only
-	// first-join input: Attach rejects an indexed table without one. It must
-	// mirror Index exactly — producers (BuildTable, the server's
-	// Store.Publish) build it from the same immutable tree they attach.
+	// Packed is the read-optimized SoA image of Index and the only index the
+	// read path (plan pricing, first join, extension probes) touches: Attach
+	// rejects a table without one. It must mirror Index exactly — producers
+	// (BuildTable, the server's Store.Publish) build it from the same
+	// immutable tree they attach.
 	Packed *rtree.Packed
 	// RawExtent is the dataset's extent before normalization to the unit
 	// square. The live-ingest path uses it to map incoming rectangles (given
@@ -122,13 +123,13 @@ func (c *Catalog) BuildTable(d *dataset.Dataset) (*Table, error) {
 
 // Attach registers a pre-built table (from BuildTable, or carried over from
 // another catalog snapshot). The table's statistics must match the catalog's
-// level, and its index must come with its packed image.
+// level, and it must carry its packed image.
 func (c *Catalog) Attach(t *Table) error {
 	if t.Name == "" {
 		return fmt.Errorf("sdb: table has no name")
 	}
-	if t.Index != nil && t.Packed == nil {
-		return fmt.Errorf("sdb: table %q has an index but no packed image (rtree.Pack it before attaching)", t.Name)
+	if t.Packed == nil {
+		return fmt.Errorf("sdb: table %q has no packed image (rtree.Pack its index before attaching)", t.Name)
 	}
 	if t.Stats.Level() != c.level {
 		return fmt.Errorf("sdb: table %q statistics at level %d, catalog at level %d",

@@ -2,7 +2,6 @@ package sdb
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,10 +59,11 @@ type Result struct {
 // Len returns the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// Execute runs the plan and materializes the result. The first join runs as
-// a synchronized R-tree join; every subsequent table is joined in by probing
-// its R-tree with the rectangle of each row's connecting item, verifying any
-// additional predicates directly.
+// Execute runs the plan, against the tables it was planned on, and
+// materializes the result. The first join runs as a synchronized R-tree join
+// over the two packed images; every subsequent table is joined in by probing
+// its packed image with the rectangle of each row's connecting item,
+// verifying any additional predicates directly.
 func (p *Plan) Execute() (*Result, error) {
 	return p.ExecuteContext(context.Background())
 }
@@ -102,7 +102,6 @@ func resolveWorkers(workers, size, crossover int) int {
 // during the index-probe steps, so a cancelled or timed-out context aborts a
 // large join promptly with the context's error.
 func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
-	c := p.catalog
 	q := p.query
 	mExecQueries.Inc()
 
@@ -111,17 +110,15 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	ctx, execSp := obs.StartSpan(ctx, "execute")
 	defer execSp.End()
 
-	// Per-table windows applied as row filters.
-	passes := func(table string, id int) (bool, error) {
+	// windowFilter returns a table's row filter: its window test, or
+	// accept-all when the query sets no window on it.
+	windowFilter := func(table string) func(id int) bool {
 		w, ok := q.Windows[table]
 		if !ok {
-			return true, nil
+			return func(int) bool { return true }
 		}
-		t, err := c.Table(table)
-		if err != nil {
-			return false, err
-		}
-		return t.Data.Items[id].Intersects(w), nil
+		items := p.tables[table].Data.Items
+		return func(id int) bool { return items[id].Intersects(w) }
 	}
 
 	// Column layout: base table first, then each step's table.
@@ -132,44 +129,16 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		cols = append(cols, s.Table)
 	}
 
-	// First join via synchronized R-tree traversal.
+	// First join via synchronized traversal of the two packed images; every
+	// catalogued table carries one (Catalog.Attach enforces it).
 	first := p.Steps[0]
-	baseTab, err := c.Table(p.Base)
-	if err != nil {
-		return nil, err
-	}
-	stepTab, err := c.Table(first.Table)
-	if err != nil {
-		return nil, err
-	}
+	baseTab, stepTab := p.tables[p.Base], p.tables[first.Table]
+	passBase, passStep := windowFilter(p.Base), windowFilter(first.Table)
 	var rows [][]int
-	var ferr error
 	jctx, joinSp := obs.StartSpan(ctx, "join "+p.Base+" ⋈ "+first.Table)
-	// A filter error inside the emit callback must not let the traversal run
-	// to completion: cancelling the join context aborts it at the next poll,
-	// and ferr (checked before jerr) carries the real cause out.
-	jctx, jcancel := context.WithCancel(jctx)
-	defer jcancel()
 	joinWorkers := resolveWorkers(p.Workers, baseTab.Len()+stepTab.Len(), parallelJoinMinItems)
-	// Every catalogued table carries the packed image of its index
-	// (Catalog.Attach enforces it), so the packed kernel is the only first join.
 	jerr := rtree.PackedJoinFuncParallelContext(jctx, baseTab.Packed, stepTab.Packed, joinWorkers, func(a, b int) {
-		if ferr != nil {
-			return
-		}
-		okA, err := passes(p.Base, a)
-		if err != nil {
-			ferr = err
-			jcancel()
-			return
-		}
-		okB, err := passes(first.Table, b)
-		if err != nil {
-			ferr = err
-			jcancel()
-			return
-		}
-		if okA && okB {
+		if passBase(a) && passStep(b) {
 			row := make([]int, len(cols))
 			for i := range row {
 				row[i] = -1
@@ -181,9 +150,6 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	annotateOperator(joinSp, first.EstRows, len(rows))
 	joinSp.End()
 	mExecRows.Add(uint64(len(rows)))
-	if ferr != nil {
-		return nil, ferr
-	}
 	if jerr != nil {
 		return nil, jerr
 	}
@@ -192,47 +158,52 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	// when the intermediate result is large enough.
 	var probe []int
 	for _, s := range p.Steps[1:] {
-		tab, err := c.Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
+		tab := p.tables[s.Table]
+		pass := windowFilter(s.Table)
 		_, stepSp := obs.StartSpan(ctx, "probe "+s.Table)
 		col := colOf[s.Table]
 
-		// extendRow probes the step's index with one row's connecting item
-		// (the first predicate) and appends every verified extension to dst.
-		// probeBuf is the caller's reusable search buffer — each goroutine
-		// owns its own, so the shared index is only ever read.
-		extendRow := func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int, error) {
-			drive, rest, err := splitPredicates(s, colOf, row, c, q)
-			if err != nil {
-				return probeBuf, dst, err
+		// The step's predicates, each resolved once to the joined column and
+		// table whose item a candidate must intersect. The first drives the
+		// index probe; the others are verified directly.
+		against := make([]joinedSide, len(s.Against))
+		for i, pred := range s.Against {
+			other := pred.Left
+			if other == s.Table {
+				other = pred.Right
 			}
-			probeBuf = tab.Index.Search(drive, probeBuf[:0])
+			against[i] = joinedSide{col: colOf[other], items: p.tables[other].Data.Items}
+		}
+
+		// extendRow probes the step's packed image with one row's connecting
+		// item and appends every verified extension to dst. probeBuf is the
+		// caller's reusable search buffer — each goroutine owns its own, so
+		// the shared image is only ever read.
+		extendRow := func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int) {
+			probeBuf = tab.Packed.Search(against[0].rect(row), probeBuf[:0])
+		candidates:
 			for _, cand := range probeBuf {
-				ok, err := passes(s.Table, cand)
-				if err != nil {
-					return probeBuf, dst, err
-				}
-				if !ok {
+				if !pass(cand) {
 					continue
 				}
-				if !verify(rest, tab.Data.Items[cand]) {
-					continue
+				for _, side := range against[1:] {
+					if !tab.Data.Items[cand].Intersects(side.rect(row)) {
+						continue candidates
+					}
 				}
 				out := make([]int, len(row))
 				copy(out, row)
 				out[col] = cand
 				dst = append(dst, out)
 			}
-			return probeBuf, dst, nil
+			return probeBuf, dst
 		}
 
 		var next [][]int
-		probes := 0
+		probes := len(rows)
 		if w := resolveWorkers(p.Workers, len(rows), parallelProbeMinRows); w > 1 {
-			next, probes, err = probeRowsParallel(ctx, rows, w, extendRow)
-			if err != nil {
+			var err error
+			if next, err = probeRowsParallel(ctx, rows, w, extendRow); err != nil {
 				return nil, err
 			}
 		} else {
@@ -242,10 +213,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 						return nil, err
 					}
 				}
-				probes++
-				if probe, next, err = extendRow(row, probe, next); err != nil {
-					return nil, err
-				}
+				probe, next = extendRow(row, probe, next)
 			}
 		}
 		rows = next
@@ -258,28 +226,31 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	return &Result{Columns: cols, Rows: rows}, nil
 }
 
+// joinedSide is one side of an extension step's predicate that is already in
+// the row: the column holding its item id and the table's items.
+type joinedSide struct {
+	col   int
+	items []geom.Rect
+}
+
+func (j joinedSide) rect(row []int) geom.Rect { return j.items[row[j.col]] }
+
 // probeRowsParallel runs extendRow over every row using w workers. Rows are
 // split into contiguous chunks claimed through an atomic cursor; each worker
 // extends its chunk into a private buffer, and the chunk buffers are
 // concatenated in chunk order, so the output row order is deterministic —
 // identical across runs and worker counts, though not identical to the serial
 // order of a different pool size. The context is polled per row batch inside
-// every chunk; the first error (by chunk order) wins and aborts the pool.
+// every chunk; a done context aborts the pool with the context's error.
 func probeRowsParallel(ctx context.Context, rows [][]int, w int,
-	extendRow func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int, error)) ([][]int, int, error) {
-	type chunkResult struct {
-		rows   [][]int
-		probes int
-		err    error
-	}
+	extendRow func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int)) ([][]int, error) {
 	chunk := (len(rows) + w*4 - 1) / (w * 4) // ~4 chunks per worker for balance
 	if chunk < cancelRowBatch {
 		chunk = cancelRowBatch
 	}
 	nChunks := (len(rows) + chunk - 1) / chunk
-	res := make([]chunkResult, nChunks)
+	res := make([][][]int, nChunks)
 	var cursor int64
-	var failed int32 // any chunk erred: stop claiming new chunks
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
@@ -287,9 +258,6 @@ func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 			defer wg.Done()
 			var probeBuf []int
 			for {
-				if atomic.LoadInt32(&failed) != 0 {
-					return
-				}
 				ci := atomic.AddInt64(&cursor, 1) - 1
 				if ci >= int64(nChunks) {
 					return
@@ -299,73 +267,26 @@ func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 				if hi > len(rows) {
 					hi = len(rows)
 				}
-				cr := chunkResult{}
+				var out [][]int
 				for ri := lo; ri < hi; ri++ {
-					if (ri-lo)%cancelRowBatch == 0 {
-						if cr.err = ctx.Err(); cr.err != nil {
-							break
-						}
+					if (ri-lo)%cancelRowBatch == 0 && ctx.Err() != nil {
+						return
 					}
-					cr.probes++
-					if probeBuf, cr.rows, cr.err = extendRow(rows[ri], probeBuf, cr.rows); cr.err != nil {
-						break
-					}
+					probeBuf, out = extendRow(rows[ri], probeBuf, out)
 				}
-				res[ci] = cr
-				if cr.err != nil {
-					atomic.StoreInt32(&failed, 1)
-					return
-				}
+				res[ci] = out
 			}
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	var out [][]int
-	probes := 0
-	for _, cr := range res {
-		if cr.err != nil {
-			return nil, 0, cr.err
-		}
-		probes += cr.probes
-		out = append(out, cr.rows...)
+	for _, chunkRows := range res {
+		out = append(out, chunkRows...)
 	}
-	return out, probes, nil
-}
-
-// splitPredicates resolves a step's predicates against a row: the first
-// becomes the index probe rectangle, the others become verification
-// rectangles that the candidate item must intersect.
-func splitPredicates(s Step, colOf map[string]int, row []int, c *Catalog, q Query) (drive geom.Rect, rest []geom.Rect, err error) {
-	for i, pred := range s.Against {
-		other := pred.Left
-		if other == s.Table {
-			other = pred.Right
-		}
-		tab, err := c.Table(other)
-		if err != nil {
-			return geom.Rect{}, nil, err
-		}
-		id := row[colOf[other]]
-		if id < 0 {
-			return geom.Rect{}, nil, fmt.Errorf("sdb: internal: predicate %s references unjoined table", pred)
-		}
-		r := tab.Data.Items[id]
-		if i == 0 {
-			drive = r
-		} else {
-			rest = append(rest, r)
-		}
-	}
-	return drive, rest, nil
-}
-
-func verify(rects []geom.Rect, candidate geom.Rect) bool {
-	for _, r := range rects {
-		if !candidate.Intersects(r) {
-			return false
-		}
-	}
-	return true
+	return out, nil
 }
 
 // Count plans and executes in one call, returning only the result

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"spatialsel/internal/datagen"
@@ -95,63 +94,64 @@ func TestExecuteContextParallelCancelled(t *testing.T) {
 	}
 }
 
-// TestExecuteContextFilterErrorAbortsJoin is the regression test for the
-// executor letting the full R-tree traversal run to completion after a filter
-// error: the first error inside the join's emit callback must cancel the join
-// context so the traversal stops within a poll interval, not after visiting
-// every node.
-func TestExecuteContextFilterErrorAbortsJoin(t *testing.T) {
+// TestExecuteRunsOnPlannedTables pins the plan's snapshot semantics: a plan
+// is bound to the tables it was planned on, so dropping them — and creating
+// different data under the same names — between Plan and Execute changes
+// neither the rows nor the outcome, serially or on a pool.
+func TestExecuteRunsOnPlannedTables(t *testing.T) {
 	c, err := NewCatalogAtLevel(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range []string{"a", "b"} {
-		if _, err := c.Create(datagen.Uniform(name, 8000, 0.01, int64(i+1))); err != nil {
+	names := []string{"a", "b", "c"}
+	for i, name := range names {
+		if _, err := c.Create(datagen.Uniform(name, 3000, 0.01, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ta, _ := c.Table("a")
-	tb, _ := c.Table("b")
-	q := Query{
-		Tables:     []string{"a", "b"},
-		Predicates: []Predicate{{Left: "a", Right: "b"}},
-		// A window covering everything forces the per-pair filter (and its
-		// catalog lookup) to run for every emitted pair.
-		Windows: map[string]geom.Rect{"a": geom.UnitSquare},
-	}
-	plan, err := c.Plan(q)
+	// Windows on the base and on the probed table exercise both row filters.
+	plan, err := c.Plan(Query{
+		Tables:     names,
+		Predicates: []Predicate{{Left: "a", Right: "b"}, {Left: "b", Right: "c"}},
+		Windows: map[string]geom.Rect{
+			"a": geom.NewRect(0, 0, 0.8, 0.8),
+			"c": geom.NewRect(0.1, 0.1, 1, 1),
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.Workers = 1 // the prompt-abort guarantee is about the serial traversal
-
-	// Baseline: how many node accesses a full execution costs. Catalog-built
-	// tables join on the packed kernel, so the accounting lives on the packed
-	// images.
-	ta.Packed.ResetAccesses()
-	tb.Packed.ResetAccesses()
-	if _, err := plan.ExecuteContext(context.Background()); err != nil {
+	before, err := plan.Execute()
+	if err != nil {
 		t.Fatal(err)
 	}
-	fullAcc := ta.Packed.Accesses() + tb.Packed.Accesses()
-	if fullAcc == 0 {
-		t.Fatal("full execution counted no node accesses")
+	want := rowKeys(before)
+	if len(want) == 0 {
+		t.Fatal("fixture produced no rows; test is vacuous")
 	}
 
-	// Dropping table "a" makes the first passes("a", id) lookup fail inside
-	// the emit callback, on (roughly) the first emitted pair.
-	if !c.Drop("a") {
-		t.Fatal("drop failed")
+	for i, name := range names {
+		if !c.Drop(name) {
+			t.Fatalf("drop %s failed", name)
+		}
+		if _, err := c.Create(datagen.Cluster(name, 500, 0.5, 0.5, 0.1, 0.01, int64(i+10))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ta.Packed.ResetAccesses()
-	tb.Packed.ResetAccesses()
-	_, err = plan.ExecuteContext(context.Background())
-	if err == nil || !strings.Contains(err.Error(), `unknown table "a"`) {
-		t.Fatalf("want unknown-table error, got %v", err)
-	}
-	abortAcc := ta.Packed.Accesses() + tb.Packed.Accesses()
-	if abortAcc*4 >= fullAcc {
-		t.Fatalf("filter error did not abort traversal promptly: %d accesses aborted vs %d full",
-			abortAcc, fullAcc)
+	for _, workers := range []int{1, 4} {
+		plan.Workers = workers
+		after, err := plan.ExecuteContext(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := rowKeys(after)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d rows after drop and re-create, %d before", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: row set diverges at %d: %s vs %s", workers, i, got[i], want[i])
+			}
+		}
 	}
 }

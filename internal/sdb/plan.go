@@ -8,6 +8,7 @@ import (
 
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
+	"spatialsel/internal/iomodel"
 )
 
 // Predicate is a spatial intersection join between two tables.
@@ -36,19 +37,30 @@ type Step struct {
 	EstRows float64 // estimated cardinality after this step
 }
 
-// Plan is an ordered execution strategy for a Query.
+// Plan is an ordered execution strategy for a Query, bound to the tables it
+// was planned on: executing or pricing it never consults the catalog again,
+// so a table dropped or replaced after planning does not change its answer.
 type Plan struct {
 	query   Query
 	Base    string // first table scanned
 	Steps   []Step
 	EstCost float64 // Σ estimated intermediate cardinalities
-	catalog *Catalog
+	tables  map[string]*Table
 
 	// Workers sets the executor's parallelism for the first R-tree join and
 	// the extension-step index probes: 0 (auto) uses GOMAXPROCS workers when
 	// the inputs are large enough to benefit and serial execution otherwise;
 	// 1 forces serial execution; values > 1 force that pool size.
 	Workers int
+}
+
+// JoinIO prices the plan's first join: the analytic I/O model's predicted
+// node accesses over the level statistics the two packed images recorded
+// when they were built. EXPLAIN reports it and the admission gate adds it to
+// the estimated result size.
+func (p *Plan) JoinIO() float64 {
+	return iomodel.JoinAccesses(p.tables[p.Base].Packed.LevelStats(),
+		p.tables[p.Steps[0].Table].Packed.LevelStats())
 }
 
 // Explain renders the plan with its estimates, optimizer-style.
@@ -74,38 +86,40 @@ func (p *Plan) Explain() string {
 	return b.String()
 }
 
-// validate checks the query's structural soundness against the catalog.
-func (c *Catalog) validate(q Query) error {
+// validate checks the query's structural soundness against the catalog and
+// returns the query's tables, each resolved exactly once.
+func (c *Catalog) validate(q Query) (map[string]*Table, error) {
 	if len(q.Tables) < 2 {
-		return fmt.Errorf("sdb: query needs at least two tables")
+		return nil, fmt.Errorf("sdb: query needs at least two tables")
 	}
-	seen := map[string]bool{}
-	for _, t := range q.Tables {
-		if seen[t] {
-			return fmt.Errorf("sdb: table %q listed twice (self joins need aliased copies)", t)
+	tables := make(map[string]*Table, len(q.Tables))
+	for _, name := range q.Tables {
+		if tables[name] != nil {
+			return nil, fmt.Errorf("sdb: table %q listed twice (self joins need aliased copies)", name)
 		}
-		seen[t] = true
-		if _, err := c.Table(t); err != nil {
-			return err
+		t, err := c.Table(name)
+		if err != nil {
+			return nil, err
 		}
+		tables[name] = t
 	}
 	if len(q.Predicates) == 0 {
-		return fmt.Errorf("sdb: query has no join predicates (Cartesian products are not supported)")
+		return nil, fmt.Errorf("sdb: query has no join predicates (Cartesian products are not supported)")
 	}
 	for _, p := range q.Predicates {
-		if !seen[p.Left] || !seen[p.Right] {
-			return fmt.Errorf("sdb: predicate %s references a table outside the query", p)
+		if tables[p.Left] == nil || tables[p.Right] == nil {
+			return nil, fmt.Errorf("sdb: predicate %s references a table outside the query", p)
 		}
 		if p.Left == p.Right {
-			return fmt.Errorf("sdb: predicate %s joins a table with itself", p)
+			return nil, fmt.Errorf("sdb: predicate %s joins a table with itself", p)
 		}
 	}
 	for t, w := range q.Windows {
-		if !seen[t] {
-			return fmt.Errorf("sdb: window on table %q outside the query", t)
+		if tables[t] == nil {
+			return nil, fmt.Errorf("sdb: window on table %q outside the query", t)
 		}
 		if !w.Valid() {
-			return fmt.Errorf("sdb: invalid window %v on %q", w, t)
+			return nil, fmt.Errorf("sdb: invalid window %v on %q", w, t)
 		}
 	}
 	// Connectivity: the predicate graph must span all tables.
@@ -127,18 +141,14 @@ func (c *Catalog) validate(q Query) error {
 		}
 	}
 	if len(visited) != len(q.Tables) {
-		return fmt.Errorf("sdb: join graph is disconnected")
+		return nil, fmt.Errorf("sdb: join graph is disconnected")
 	}
-	return nil
+	return tables, nil
 }
 
 // effectiveCard returns a table's planner cardinality: its size, reduced by
 // the estimated selectivity of its window filter if one is set.
-func (c *Catalog) effectiveCard(q Query, name string) (float64, error) {
-	t, err := c.Table(name)
-	if err != nil {
-		return 0, err
-	}
+func effectiveCard(q Query, name string, t *Table) float64 {
 	n := float64(t.Len())
 	if w, ok := q.Windows[name]; ok {
 		est := t.Stats.EstimateRange(w)
@@ -149,7 +159,7 @@ func (c *Catalog) effectiveCard(q Query, name string) (float64, error) {
 	if n < 1 {
 		n = 1 // avoid zero cardinalities destabilizing the cost model
 	}
-	return n, nil
+	return n
 }
 
 // Plan chooses a left-deep join order for q by greedy cost minimization:
@@ -157,8 +167,15 @@ func (c *Catalog) effectiveCard(q Query, name string) (float64, error) {
 // repeatedly join in the connected table that keeps the intermediate result
 // smallest. Selectivities come from the GH statistics; multiple predicates
 // joining the same table multiply (independence assumption, as in System R).
+//
+// Greedy is the only planner: under the Σ-intermediate-rows cost model the
+// final cardinality does not depend on the order, so for three tables greedy
+// is optimal, and an exhaustive left-deep search chose a different order on 2
+// of 3 120 four-table shapes over the paper's data (EXPERIMENTS.md, "Retired
+// planner").
 func (c *Catalog) Plan(q Query) (*Plan, error) {
-	if err := c.validate(q); err != nil {
+	tables, err := c.validate(q)
+	if err != nil {
 		return nil, err
 	}
 	gh, err := histogram.NewGH(c.level)
@@ -168,15 +185,11 @@ func (c *Catalog) Plan(q Query) (*Plan, error) {
 	// Pairwise selectivities per predicate.
 	sel := make(map[Predicate]float64, len(q.Predicates))
 	card := make(map[string]float64, len(q.Tables))
-	for _, t := range q.Tables {
-		if card[t], err = c.effectiveCard(q, t); err != nil {
-			return nil, err
-		}
+	for _, name := range q.Tables {
+		card[name] = effectiveCard(q, name, tables[name])
 	}
 	for _, p := range q.Predicates {
-		ta, _ := c.Table(p.Left)
-		tb, _ := c.Table(p.Right)
-		est, err := gh.Estimate(ta.Stats, tb.Stats)
+		est, err := gh.Estimate(tables[p.Left].Stats, tables[p.Right].Stats)
 		if err != nil {
 			return nil, err
 		}
@@ -197,9 +210,9 @@ func (c *Catalog) Plan(q Query) (*Plan, error) {
 	}
 	joined := map[string]bool{best.Left: true, best.Right: true}
 	plan := &Plan{
-		query:   q,
-		Base:    best.Left,
-		catalog: c,
+		query:  q,
+		Base:   best.Left,
+		tables: tables,
 		Steps: []Step{{
 			Table:   best.Right,
 			Against: []Predicate{best},

@@ -17,7 +17,6 @@ import (
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
-	"spatialsel/internal/iomodel"
 	"spatialsel/internal/obs"
 	"spatialsel/internal/sample"
 	"spatialsel/internal/sdb"
@@ -63,6 +62,11 @@ func (s *Server) writeOverloaded(w http.ResponseWriter, reason string) {
 	w.Header().Set("Retry-After", retryAfterSeconds(ra))
 	writeError(w, http.StatusServiceUnavailable, "query shed: %s; retry after %s", reason, ra)
 }
+
+// maxGeneratorItems bounds a generator spec's n — the generators allocate n
+// rectangles up front, so an unbounded value would let one request exhaust
+// memory. It is sized to the paper's largest table with room to spare.
+const maxGeneratorItems = 4_000_000
 
 // maxRequestWorkers bounds a request's workers field. The join kernel and the
 // probe pool size slices and start goroutines by it, so an unbounded value
@@ -142,7 +146,7 @@ func (s *Server) tableInfo(snap *Snapshot, t *sdb.Table) TableInfo {
 		Name:       t.Name,
 		Items:      t.Len(),
 		Generation: snap.Generation(t.Name),
-		TreeHeight: t.Index.Height(),
+		TreeHeight: t.Packed.Height(),
 		StatsLevel: t.Stats.Level(),
 		StatsBytes: t.Stats.SizeBytes(),
 		Coverage:   ds.Coverage,
@@ -184,8 +188,8 @@ func buildDataset(req *CreateTableRequest) (*dataset.Dataset, error) {
 }
 
 func generate(name string, g *GeneratorSpec) (*dataset.Dataset, error) {
-	if g.N <= 0 {
-		return nil, fmt.Errorf("generator n must be positive, got %d", g.N)
+	if g.N <= 0 || g.N > maxGeneratorItems {
+		return nil, fmt.Errorf("generator n must be in [1, %d], got %d", maxGeneratorItems, g.N)
 	}
 	switch g.Kind {
 	case "uniform":
@@ -562,25 +566,23 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	snap := s.store.Snapshot()
-	plan, err := snap.Catalog.Plan(qs.toQuery())
+	ri := telemetry.InfoFrom(r.Context())
+	ri.SetTables(qs.Tables)
+	plan, err := s.store.Snapshot().Catalog.Plan(qs.toQuery())
 	if err != nil {
 		writeError(w, statusForError(err), "%v", err)
 		return
 	}
 	resp := ExplainResponse{
-		Plan:    plan.Explain(),
-		Base:    plan.Base,
-		EstCost: plan.EstCost,
-		EstRows: plan.Steps[len(plan.Steps)-1].EstRows,
+		Plan:          plan.Explain(),
+		Base:          plan.Base,
+		EstCost:       plan.EstCost,
+		EstRows:       plan.Steps[len(plan.Steps)-1].EstRows,
+		ModeledJoinIO: plan.JoinIO(),
 	}
+	ri.SetEstRows(resp.EstRows)
 	for _, st := range plan.Steps {
 		resp.Steps = append(resp.Steps, ExplainStep{Table: st.Table, EstRows: st.EstRows})
-	}
-	base, err1 := snap.Catalog.Table(plan.Base)
-	first, err2 := snap.Catalog.Table(plan.Steps[0].Table)
-	if err1 == nil && err2 == nil {
-		resp.ModeledJoinIO = iomodel.JoinAccesses(base.Index.LevelStats(), first.Index.LevelStats())
 	}
 	resp.ElapsedMicros = time.Since(start).Microseconds()
 	writeJSON(w, http.StatusOK, resp)
@@ -668,6 +670,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, planSp := obs.StartSpan(ctx, "plan")
 	plan, err := snap.Catalog.Plan(q)
 	if err != nil {
+		planSp.End()
 		writeError(w, statusForError(err), "%v", err)
 		return
 	}
@@ -677,19 +680,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	planSp.End()
 
 	// Admission stage 2: the cost gate. The query's abstract cost is the
-	// GH estimate of the result size plus the I/O model's predicted index
-	// accesses for the driving join — the same numbers EXPLAIN reports —
+	// GH estimate of the result size plus the plan's own price for its
+	// driving join (Plan.JoinIO) — the same numbers EXPLAIN reports —
 	// priced with the calibrated ns/unit model. Work that cannot finish
 	// inside its deadline is shed at arrival instead of timing out after
 	// burning a worker pool; feasible-but-expensive work under pressure is
 	// downgraded to serial execution so it cannot monopolize the pool.
 	if s.admission != nil {
-		costUnits = estRows
-		base, errB := snap.Catalog.Table(plan.Base)
-		first, errF := snap.Catalog.Table(plan.Steps[0].Table)
-		if errB == nil && errF == nil {
-			costUnits += iomodel.JoinAccesses(base.Index.LevelStats(), first.Index.LevelStats())
-		}
+		costUnits = estRows + plan.JoinIO()
 		pred := s.admission.PredictCost(costUnits)
 		if dl, ok := ctx.Deadline(); ok && pred > time.Until(dl) {
 			shedByCost = true

@@ -13,6 +13,7 @@ import (
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/ingest"
+	"spatialsel/internal/iomodel"
 	"spatialsel/internal/sdb"
 )
 
@@ -122,6 +123,54 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 	if q.TotalRows == 0 {
 		t.Fatal("join over mutated table returned nothing")
+	}
+}
+
+// TestExplainPricesFromRecordedLevelStats: /v1/explain's modeled_join_io comes
+// from the level statistics the packed images recorded when they were built,
+// and must equal the I/O model over a fresh walk of the pointer trees — for
+// registered tables and again after an ingest batch re-published (and so
+// re-packed) one side.
+func TestExplainPricesFromRecordedLevelStats(t *testing.T) {
+	s, ts := newTestServer(t, Config{Level: 5})
+	createTable(t, ts.URL, "a", "uniform", 2000, 1, false)
+	createTable(t, ts.URL, "b", "cluster", 1500, 2, false)
+
+	explain := func() float64 {
+		t.Helper()
+		var resp ExplainResponse
+		if code := doJSON(t, "POST", ts.URL+"/v1/explain",
+			QuerySpec{Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}}}, &resp); code != http.StatusOK {
+			t.Fatalf("explain: %d", code)
+		}
+		snap := s.store.Snapshot()
+		base, err := snap.Catalog.Table(resp.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := snap.Catalog.Table(resp.Steps[0].Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := iomodel.JoinAccesses(base.Index.LevelStats(), first.Index.LevelStats())
+		if want <= 0 || math.Abs(resp.ModeledJoinIO-want) > 1e-9*want {
+			t.Fatalf("modeled_join_io = %g, I/O model over the pointer trees = %g", resp.ModeledJoinIO, want)
+		}
+		return resp.ModeledJoinIO
+	}
+	before := explain()
+
+	rng := rand.New(rand.NewSource(3))
+	items := make([][4]float64, 400)
+	for i := range items {
+		x, y := rng.Float64()*0.9, rng.Float64()*0.9
+		items[i] = [4]float64{x, y, x + 0.05, y + 0.05}
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/tables/a/insert", InsertRequest{Items: items}, nil); code != http.StatusOK {
+		t.Fatalf("insert: %d", code)
+	}
+	if after := explain(); after == before {
+		t.Fatalf("modeled_join_io still %g after 400 inserts: the re-packed image carries stale statistics", after)
 	}
 }
 

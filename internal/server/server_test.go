@@ -329,6 +329,34 @@ func TestRequestValidation(t *testing.T) {
 	createTable(t, ts.URL, "a", "uniform", 300, 9, true)
 }
 
+// TestGeneratorNBounded: a generator spec's n sizes an allocation, so it is
+// accepted only in [1, maxGeneratorItems]. The accepted bound is probed with
+// an unknown kind, which is rejected after n is checked and before anything
+// is allocated.
+func TestGeneratorNBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 4})
+	for _, tc := range []struct {
+		n         int
+		kind      string
+		wantError string
+	}{
+		{0, "uniform", "generator n must be in"},
+		{-1, "uniform", "generator n must be in"},
+		{maxGeneratorItems, "no-such-kind", "unknown generator kind"},
+		{maxGeneratorItems + 1, "uniform", "generator n must be in"},
+		{1 << 40, "uniform", "generator n must be in"},
+	} {
+		var resp errorResponse
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables", CreateTableRequest{
+			Name: "g", Generator: &GeneratorSpec{Kind: tc.kind, N: tc.n, Seed: 1},
+		}, &resp)
+		if code != http.StatusBadRequest || !strings.Contains(resp.Error, tc.wantError) {
+			t.Errorf("n=%d kind=%s: status %d error %q, want 400 with %q", tc.n, tc.kind, code, resp.Error, tc.wantError)
+		}
+	}
+	createTable(t, ts.URL, "g", "uniform", 1, 1, false)
+}
+
 // TestQueryTimeout checks that the per-request timeout propagates into the
 // executor as context cancellation and surfaces as 504.
 func TestQueryTimeout(t *testing.T) {

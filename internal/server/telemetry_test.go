@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -30,6 +31,16 @@ func telemetryTestConfig() Config {
 			},
 		},
 	}
+}
+
+// slowWriter takes 100 ms to accept a response header — a slow client. What
+// it is served is retained by the flight recorder as slow, and a span still
+// open when the handler answers reports those 100 ms as its own.
+type slowWriter struct{ *httptest.ResponseRecorder }
+
+func (w slowWriter) WriteHeader(code int) {
+	time.Sleep(100 * time.Millisecond)
+	w.ResponseRecorder.WriteHeader(code)
 }
 
 // TestTraceIDSanitized is the log-injection regression: client-supplied
@@ -282,6 +293,19 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	runQuery()
 	tick() // tick 4
 
+	// A query whose planning fails and an explain, each answered to a slow
+	// client so that both events are retained with their span trees.
+	for path, tables := range map[string][]string{
+		"/v1/query":   {"roads", "no-such-table"},
+		"/v1/explain": {"roads", "streams"},
+	} {
+		body, err := json.Marshal(QuerySpec{Tables: tables, Predicates: [][2]string{{tables[0], tables[1]}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Handler().ServeHTTP(slowWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	}
+
 	// A sequential burst of cheap requests: with SampleN=4, exactly every
 	// fourth fast success is retained, so of these 12 at most 3 survive.
 	for i := 0; i < 12; i++ {
@@ -380,7 +404,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	var errs RequestsResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/requests?errors=1", nil, &errs); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/requests?errors=1&route=/v1/estimate", nil, &errs); code != http.StatusOK {
 		t.Fatalf("requests (errors) status %d", code)
 	}
 	if len(errs.Events) != 1 {
@@ -388,6 +412,40 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	if ev := errs.Events[0]; ev.Status < 400 || ev.Reason != telemetry.ReasonError || ev.Spans == nil {
 		t.Errorf("error event status=%d reason=%q spans-nil=%v", ev.Status, ev.Reason, ev.Spans == nil)
+	}
+
+	// The failed query's plan span ended when planning did: it must not have
+	// absorbed the 100 ms the error response then took.
+	var failed RequestsResponse
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/requests?errors=1&route=/v1/query", nil, &failed); code != http.StatusOK {
+		t.Fatalf("requests (failed query) status %d", code)
+	}
+	if len(failed.Events) != 1 || failed.Events[0].Spans == nil || failed.Events[0].DurationMicros < 100_000 {
+		t.Fatalf("failed-query filter returned %+v, want the one slow-answered planning failure", failed.Events)
+	}
+	planSpans := 0
+	for _, sp := range failed.Events[0].Spans.Children {
+		if sp.Name == "plan" {
+			planSpans++
+			if sp.ElapsedMicros >= 50_000 {
+				t.Errorf("failed query's plan span reports %d µs: left open past the planning error", sp.ElapsedMicros)
+			}
+		}
+	}
+	if planSpans != 1 {
+		t.Errorf("failed query's span tree has %d plan spans, want 1", planSpans)
+	}
+
+	// Explain events are annotated like estimate and query events.
+	var explained RequestsResponse
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/requests?route=/v1/explain", nil, &explained); code != http.StatusOK {
+		t.Fatalf("requests (explain) status %d", code)
+	}
+	if len(explained.Events) != 1 {
+		t.Fatalf("explain filter returned %d events, want the one slow-answered explain", len(explained.Events))
+	}
+	if ev := explained.Events[0]; ev.Status != http.StatusOK || fmt.Sprint(ev.Tables) != "[roads streams]" || ev.EstRows == nil || *ev.EstRows <= 0 {
+		t.Errorf("explain event status=%d tables=%v est_rows=%v, want 200 with both annotations", ev.Status, ev.Tables, ev.EstRows)
 	}
 
 	var all RequestsResponse
