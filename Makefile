@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: all ci check build test race race-all chaos vet lint cover bench bench-check microbench experiments examples clean
+.PHONY: all ci check build test race race-all chaos vet lint cover bench bench-check bench-smoke microbench experiments examples clean
 
 all: check
 
 # Default verification path: compile everything, lint (go vet + sdbvet +
 # gofmt), run the full test suite, race-check the concurrent packages (the
 # HTTP server and the mini-DBMS it serves), then vet and test the benchmark
-# module, which pins signatures of this one and which nothing else compiles.
-check: build lint test race bench-check
+# module, which pins signatures of this one and which nothing else compiles,
+# and run it once, small, the way the benchmark pipeline does.
+check: build lint test race bench-check bench-smoke
 
 # CI entry point: everything a merge must pass in one target — the default
 # verification path (build, lint, tests, scoped -race, the benchmark module)
@@ -72,6 +73,25 @@ bench:
 # to a signature or metric name the benchmark driver pins. ~5 s.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-check compiles and unit-tests the driver; this runs it, through the
+# same bench/run.sh the pipeline uses: every workload with and without the
+# traced round, at a twentieth of the cardinalities for one timed round. A
+# non-zero exit or a result line without "correct":true fails. ~7 s.
+bench-smoke:
+	@mkdir -p .bench_build; \
+	for w in join-paper estimate-mix mixed-rw multiway-window; do \
+		for tr in 0 1; do \
+			if ! bash bench/run.sh -workload $$w -seed 1 -scale 0.05 -rounds 1 -trace $$tr \
+					>.bench_build/smoke.out 2>.bench_build/smoke.err || \
+					! tail -1 .bench_build/smoke.out | grep -q '"correct":true'; then \
+				echo "bench-smoke: $$w -trace $$tr failed:"; \
+				tail -5 .bench_build/smoke.err; tail -1 .bench_build/smoke.out | cut -c 1-200; \
+				exit 1; \
+			fi; \
+			echo "bench-smoke: $$w -trace $$tr ok"; \
+		done; \
+	done
 
 # One Go benchmark per paper figure panel plus ablations and extensions.
 # SPATIALSEL_BENCH_SCALE (default 0.02) scales dataset cardinalities.

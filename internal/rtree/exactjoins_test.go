@@ -58,13 +58,51 @@ func repeated(n int, rects ...geom.Rect) []geom.Rect {
 	return out
 }
 
+// joinWindows is the window pairs (nil = none) the windowed kernel is held to
+// "brute force, then filter" on, for inputs as ⋈ bs.
+func joinWindows(as, bs []geom.Rect) []struct {
+	name       string
+	winA, winB *geom.Rect
+} {
+	win := func(x1, y1, x2, y2 float64) *geom.Rect { r := geom.NewRect(x1, y1, x2, y2); return &r }
+	// A window that starts exactly on an a-item's right and top edges — the
+	// item only touches it, and touching counts — and a point window on a
+	// b-item's corner.
+	edge, point := win(0.25, 0.25, 0.5, 0.5), win(0.5, 0.5, 0.5, 0.5)
+	if len(as) > 0 {
+		edge = win(as[0].MaxX, as[0].MaxY, as[0].MaxX+0.25, as[0].MaxY+0.25)
+	}
+	if len(bs) > 0 {
+		point = win(bs[0].MinX, bs[0].MaxY, bs[0].MinX, bs[0].MaxY)
+	}
+	return []struct {
+		name       string
+		winA, winB *geom.Rect
+	}{
+		{"none", nil, nil},
+		{"a-only", win(0.1, 0.2, 0.6, 0.7), nil},
+		{"b-only", nil, win(0.3, 0.1, 0.9, 0.5)},
+		{"both", win(0.1, 0.2, 0.6, 0.7), win(0.3, 0.1, 0.9, 0.5)},
+		{"covering", win(-1, -1, 20, 20), win(-1, -1, 20, 20)},
+		{"missing", win(-5, -5, -4, -4), nil},
+		{"point", nil, point},
+		{"item-edge", edge, nil},
+		// Only pairs straddling the gap qualify, and they meet inside neither
+		// window: a kernel that shrank its clip by a window would lose them.
+		{"disjoint-from-each-other", win(0, 0, 0.48, 1), win(0.5, 0, 1, 1)},
+	}
+}
+
 // TestExactJoinsAgree is the one differential oracle over every exact
 // rectangle join in the repository: the pointer R-tree join, the packed join
 // serial and with pools of 2 and 4, the plane sweep and the partition join
 // must each emit exactly the brute-force pair set — every pair once, none
 // twice — on ordinary inputs and on the shapes that break joins: empty and
 // disjoint sides, trees of different heights and builds, zero-area MBRs,
-// rectangles that only touch, and exact duplicates.
+// rectangles that only touch, and exact duplicates. On every input the packed
+// kernel's batches must also be the callback drain's sequence, its windowed
+// form must equal "brute force, then filter", and its output counter must
+// advance by exactly the pairs it returned.
 func TestExactJoinsAgree(t *testing.T) {
 	allOverlap := func(n int, seed int64) []geom.Rect {
 		// Every rectangle covers the center: all n×m pairs intersect.
@@ -152,6 +190,55 @@ func TestExactJoinsAgree(t *testing.T) {
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%s emitted %d distinct pairs, brute force finds %d", impl.name, len(got), len(want))
+				}
+			}
+
+			for _, workers := range []int{1, 2, 4} {
+				for _, w := range joinWindows(tc.as, tc.bs) {
+					before := packedJoinCounters.outputPairs.Value()
+					batches, err := PackedJoinBatches(ctx, pa, pb, workers, w.winA, w.winB)
+					if err != nil {
+						t.Fatalf("workers=%d windows=%s: %v", workers, w.name, err)
+					}
+					var got []JoinPair
+					for _, batch := range batches {
+						got = append(got, batch...)
+					}
+					if n := packedJoinCounters.outputPairs.Value() - before; n != uint64(len(got)) {
+						t.Fatalf("workers=%d windows=%s: output counter advanced by %d for %d pairs", workers, w.name, n, len(got))
+					}
+					if w.winA == nil && w.winB == nil {
+						// The callback entry point is a drain of these batches.
+						var drained []JoinPair
+						if err := PackedJoinFuncParallelContext(ctx, pa, pb, workers, func(a, b int) {
+							drained = append(drained, JoinPair{A: a, B: b})
+						}); err != nil {
+							t.Fatal(err)
+						}
+						if len(drained) != len(got) {
+							t.Fatalf("workers=%d: drain emitted %d pairs, batches hold %d", workers, len(drained), len(got))
+						}
+						for i := range got {
+							if drained[i] != got[i] {
+								t.Fatalf("workers=%d: drain pair %d = %v, batches have %v", workers, i, drained[i], got[i])
+							}
+						}
+					}
+					var filtered []JoinPair
+					for _, p := range want {
+						if (w.winA == nil || tc.as[p.A].Intersects(*w.winA)) && (w.winB == nil || tc.bs[p.B].Intersects(*w.winB)) {
+							filtered = append(filtered, p)
+						}
+					}
+					if len(filtered) == 0 && tc.name == "uniform" && w.name != "missing" {
+						t.Fatalf("windows=%s select nothing on the uniform input; the case is vacuous", w.name)
+					}
+					// Equal lengths and equal sorted sequences: every filtered
+					// pair exactly once, nothing else.
+					if !pairsEqual(got, filtered) {
+						t.Fatalf("workers=%d windows=%s: kernel returned %d pairs, filter-after-join keeps %d",
+							workers, w.name, len(got), len(filtered))
+					}
 				}
 			}
 		})

@@ -35,11 +35,17 @@ func averageLevels(levels []LevelStat) {
 	}
 }
 
-// LevelStats walks the tree and returns one entry per level, root first.
-// An empty tree returns nil.
+// LevelStats returns one entry per level, root first, nil for an empty tree.
+// The first call after a mutation walks the whole tree; the result is kept
+// until the next Insert or Delete, so pricing a published (immutable) tree
+// per request is a field read, as it is for its packed image. The slice is
+// shared between callers and must not be modified.
 func (t *Tree) LevelStats() []LevelStat {
 	if t.root == nil {
 		return nil
+	}
+	if cached := t.levels.Load(); cached != nil {
+		return *cached
 	}
 	out := make([]LevelStat, t.height)
 	var walk func(n *node, depth int)
@@ -54,6 +60,9 @@ func (t *Tree) LevelStats() []LevelStat {
 	}
 	walk(t.root, 1)
 	averageLevels(out)
+	// Concurrent readers of an unchanging tree may each walk it once; they
+	// store equal slices.
+	t.levels.Store(&out)
 	return out
 }
 

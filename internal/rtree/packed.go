@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math/bits"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -238,22 +239,45 @@ func (p *Packed) Search(q geom.Rect, out []int) []int {
 	return out
 }
 
+// search is the probe traversal, evaluated like the join kernel's: an
+// internal node's child run and a leaf's item run go through overlapMask, and
+// a leaf walks its run at group granularity, skipping a whole group whose
+// bounding box misses q. Set bits are taken lowest first, so ids come back in
+// ascending slot order.
 func (p *Packed) search(n int32, q geom.Rect, out []int, visits *int) []int {
 	*visits++
-	s, c := p.start[n], p.count[n]
-	if p.leaf[n] {
-		for i := s; i < s+c; i++ {
-			if p.itemXMin[i] <= q.MaxX && q.MinX <= p.itemXMax[i] &&
-				p.itemYMin[i] <= q.MaxY && q.MinY <= p.itemYMax[i] {
-				out = append(out, p.itemID[i])
+	s, c := int(p.start[n]), int(p.count[n])
+	if !p.leaf[n] {
+		for base := 0; base < c; base += 64 {
+			w := c - base
+			if w > 64 {
+				w = 64
+			}
+			m := overlapMask(q.MinX, q.MinY, q.MaxX, q.MaxY,
+				p.nodeXMin, p.nodeYMin, p.nodeXMax, p.nodeYMax, s+base, w)
+			for m != 0 {
+				child := int32(s + base + bits.TrailingZeros64(m))
+				m &= m - 1
+				out = p.search(child, q, out, visits)
 			}
 		}
 		return out
 	}
-	for i := s; i < s+c; i++ {
-		if p.nodeXMin[i] <= q.MaxX && q.MinX <= p.nodeXMax[i] &&
-			p.nodeYMin[i] <= q.MaxY && q.MinY <= p.nodeYMax[i] {
-			out = p.search(i, q, out, visits)
+	if c == 0 {
+		return out
+	}
+	end := s + c
+	for g := s / itemGroup; g <= (end-1)/itemGroup; g++ {
+		if p.grpXMin[g] > q.MaxX || q.MinX > p.grpXMax[g] ||
+			p.grpYMin[g] > q.MaxY || q.MinY > p.grpYMax[g] {
+			continue
+		}
+		lo, hi := groupSpan(g, s, end)
+		m := overlapMask(q.MinX, q.MinY, q.MaxX, q.MaxY,
+			p.itemXMin, p.itemYMin, p.itemXMax, p.itemYMax, lo, hi-lo)
+		for m != 0 {
+			out = append(out, p.itemID[lo+bits.TrailingZeros64(m)])
+			m &= m - 1
 		}
 	}
 	return out

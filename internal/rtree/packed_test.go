@@ -2,9 +2,9 @@ package rtree
 
 import (
 	"math"
-	"sort"
 	"testing"
 
+	"spatialsel/internal/datagen"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/hilbert"
 )
@@ -135,18 +135,53 @@ func TestPackEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestPackedSearchMatchesTree holds the masked probe traversal to the pointer
+// tree's hit set on ordinary, degenerate (point, zero-width, zero-height),
+// all-covering and all-missing queries, over narrow and wider-than-a-mask-word
+// fanouts — and to its order contract: hits come back in ascending item slot,
+// which is what keeps the executor's probe-step row order stable.
 func TestPackedSearchMatchesTree(t *testing.T) {
-	rects := randRects(1500, 9)
-	tr, p := packOf(t, rects)
-	queries := randRects(64, 10)
-	for _, q := range queries {
-		want := tr.Search(q, nil)
-		got := p.Search(q, nil)
-		sort.Ints(want)
-		sort.Ints(got)
-		if !sortedEqual(got, want) {
-			t.Fatalf("query %v: packed %d hits, tree %d", q, len(got), len(want))
-		}
+	queries := append(randRects(64, 10), latticeRects(64, 12)...)
+	queries = append(queries,
+		geom.NewRect(-1, -1, 2, 2),         // covers everything
+		geom.NewRect(0.5, 0.5, 0.5, 0.5),   // point
+		geom.NewRect(0.25, 0, 0.25, 1),     // zero width, full height
+		geom.NewRect(0, 0.75, 1, 0.75),     // zero height, full width
+		geom.NewRect(5, 5, 6, 6),           // misses all data
+		geom.NewRect(-1, -1, 0, 0),         // touches the extent's corner only
+		geom.NewRect(0.5, 0.5, 0.53125, 1), // edges on the 1/32 lattice
+	)
+	for _, tc := range []struct {
+		name  string
+		rects []geom.Rect
+		opts  []Option
+	}{
+		{"uniform", randRects(1500, 9), []Option{WithFanout(2, 8)}},
+		{"zero-area", latticeRects(1500, 305), []Option{WithFanout(2, 8)}},
+		{"wide-fanout", randRects(9000, 35), []Option{WithFanout(30, 100)}},
+		{"single-leaf", randRects(5, 27), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := BulkLoadSTR(ItemsFromRects(tc.rects), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := Pack(tr)
+			slot := make(map[int]int, p.Len())
+			p.VisitItems(func(id int, _ geom.Rect) { slot[id] = len(slot) })
+			for _, q := range queries {
+				got := p.Search(q, nil)
+				for i := 1; i < len(got); i++ {
+					if slot[got[i-1]] >= slot[got[i]] {
+						t.Fatalf("query %v: hits %d,%d at slots %d,%d, want ascending",
+							q, got[i-1], got[i], slot[got[i-1]], slot[got[i]])
+					}
+				}
+				if want := tr.Search(q, nil); !sortedEqual(got, want) {
+					t.Fatalf("query %v: packed %d hits, tree %d", q, len(got), len(want))
+				}
+			}
+		})
 	}
 }
 
@@ -187,5 +222,22 @@ func TestPackHilbertLeafOrder(t *testing.T) {
 					n, i-1, i, kp, kc, p.itemID[i-1], p.itemID[i])
 			}
 		}
+	}
+}
+
+// BenchmarkPackedSearch is the executor's extension probe at the benchmark's
+// multiway-window scale: every SP point searched in SPG's packed image.
+func BenchmarkPackedSearch(b *testing.B) {
+	queries := datagen.SP(0.2).Items
+	tr, err := BulkLoadSTR(ItemsFromRects(datagen.SPG(0.2).Items))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Pack(tr)
+	var buf []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = p.Search(queries[i%len(queries)], buf[:0])
 	}
 }

@@ -73,13 +73,61 @@ func overlapMask(qxmin, qymin, qxmax, qymax float64, xmin, ymin, xmax, ymax []fl
 }
 
 // packedJoinRun is one traversal of two packed images: the shared state, the
-// images, the emit callback, and per-image node accesses, kept local and
-// flushed once at the end like the rest.
+// images, the optional per-side windows, the batches the traversal appends its
+// pairs to, and per-image node accesses, kept local and flushed once at the
+// end like the rest.
 type packedJoinRun struct {
 	joinState
-	pa, pb     *Packed
-	emit       func(int, int)
+	pa, pb *Packed
+	// winA and winB restrict the join to a-items meeting winA and b-items
+	// meeting winB (nil = unrestricted). A window prunes; it never shrinks a
+	// clip, because an item may meet its window outside the pair's clip.
+	winA, winB *geom.Rect
+	// out is the batch being filled and sealed the full ones before it, in
+	// order: a pair is written once and never copied to a larger buffer.
+	out    []JoinPair
+	sealed [][]JoinPair
+	// drain, when set, is handed every full batch in place of sealing it, and
+	// the batch is refilled: the serial callback entry point streams a join of
+	// any size through one small buffer.
+	drain      func([]JoinPair)
 	accA, accB int
+}
+
+// Batch capacities: a run's first batch is small, so a task that finds a
+// handful of pairs costs a few kilobytes, and each next one doubles up to a
+// size at which the per-batch costs no longer show.
+const (
+	minBatchPairs = 1 << 8
+	maxBatchPairs = 1 << 15
+)
+
+// spill disposes of the full batch out — sealed, or drained — and returns an
+// empty one to continue in.
+func (j *packedJoinRun) spill(out []JoinPair) []JoinPair {
+	n := minBatchPairs
+	if cap(out) > 0 {
+		if j.drain != nil {
+			j.drain(out)
+			return out[:0]
+		}
+		j.sealed = append(j.sealed, out)
+		if n = 2 * cap(out); n > maxBatchPairs {
+			n = maxBatchPairs
+		}
+	}
+	return make([]JoinPair, 0, n)
+}
+
+// take returns the batches filled since the last take, in order, and leaves
+// the run with none.
+func (j *packedJoinRun) take() [][]JoinPair {
+	batches := j.sealed
+	if len(j.out) > 0 {
+		batches = append(batches, j.out)
+	}
+	j.out, j.sealed = nil, nil
+	return batches
 }
 
 // flush publishes the run's totals: the shared counters and span, plus the
@@ -97,7 +145,14 @@ func (p *Packed) nodeRect(i int32) geom.Rect {
 
 // join joins two nodes known to have intersecting MBRs; clip is the
 // intersection of their MBRs. Mixed heights descend the internal side only.
+// A node whose own MBR misses its side's window holds no qualifying item, so
+// the pair is dropped before it counts as a visit; testing here covers
+// internal, mixed-height and expanded-task pairs alike.
 func (j *packedJoinRun) join(na, nb int32, clip geom.Rect) {
+	if j.winA != nil && !j.pa.nodeRect(na).Intersects(*j.winA) ||
+		j.winB != nil && !j.pb.nodeRect(nb).Intersects(*j.winB) {
+		return
+	}
 	if j.cancelled() {
 		return
 	}
@@ -196,14 +251,17 @@ func (j *packedJoinRun) joinInternal(na, nb int32, clip geom.Rect) {
 	}
 }
 
-// joinLeaves emits every intersecting item pair between two leaves. Each
-// a-item surviving the clip filter walks b's run at group granularity: the
-// group's bounding box (tight, thanks to Hilbert layout) rejects eight items
-// with one rect test, and only surviving groups pay the 8-wide item mask.
+// joinLeaves appends every intersecting item pair between two leaves to the
+// run's batch. Each a-item surviving the clip filter (and its window) walks
+// b's run at group granularity: the group's bounding box (tight, thanks to
+// Hilbert layout) rejects eight items with one rect test, and only surviving
+// groups pay the 8-wide item mask, ANDed with the same mask for b's window.
 // Sparse workloads — where most leaf pairs share a sliver of clip and almost
 // no items — prune at the group level instead of evaluating the whole run.
 func (j *packedJoinRun) joinLeaves(na, nb int32, clip geom.Rect) {
 	pa, pb := j.pa, j.pb
+	winA, winB := j.winA, j.winB
+	out := j.out
 	as, ac := int(pa.start[na]), int(pa.count[na])
 	bs, bc := int(pb.start[nb]), int(pb.count[nb])
 	if bc == 0 {
@@ -217,32 +275,51 @@ func (j *packedJoinRun) joinLeaves(na, nb int32, clip geom.Rect) {
 		if axmin > clip.MaxX || clip.MinX > axmax || aymin > clip.MaxY || clip.MinY > aymax {
 			continue
 		}
+		if winA != nil && (axmin > winA.MaxX || winA.MinX > axmax || aymin > winA.MaxY || winA.MinY > aymax) {
+			continue
+		}
 		aid := pa.itemID[i]
 		for g := g0; g <= g1; g++ {
 			if pb.grpXMin[g] > axmax || axmin > pb.grpXMax[g] ||
 				pb.grpYMin[g] > aymax || aymin > pb.grpYMax[g] {
 				continue
 			}
-			lo := g * itemGroup
-			if lo < bs {
-				lo = bs
-			}
-			hi := (g + 1) * itemGroup
-			if hi > bend {
-				hi = bend
-			}
+			lo, hi := groupSpan(g, bs, bend)
 			n := hi - lo
 			j.compares += n
 			m := overlapMask(axmin, aymin, axmax, aymax,
 				pb.itemXMin, pb.itemYMin, pb.itemXMax, pb.itemYMax, lo, n)
+			if winB != nil && m != 0 {
+				j.compares += n
+				m &= overlapMask(winB.MinX, winB.MinY, winB.MaxX, winB.MaxY,
+					pb.itemXMin, pb.itemYMin, pb.itemXMax, pb.itemYMax, lo, n)
+			}
+			j.pairs += bits.OnesCount64(m)
 			for m != 0 {
 				k := lo + bits.TrailingZeros64(m)
 				m &= m - 1
-				j.pairs++
-				j.emit(aid, pb.itemID[k])
+				if len(out) == cap(out) {
+					out = j.spill(out)
+				}
+				out = append(out, JoinPair{A: aid, B: pb.itemID[k]})
 			}
 		}
 	}
+	j.out = out
+}
+
+// groupSpan returns the item slots of group g that lie inside the leaf run
+// [s, end): groups align to the global item array, so a run's first and last
+// group may straddle its neighbours.
+func groupSpan(g, s, end int) (lo, hi int) {
+	lo, hi = g*itemGroup, (g+1)*itemGroup
+	if lo < s {
+		lo = s
+	}
+	if hi > end {
+		hi = end
+	}
+	return lo, hi
 }
 
 func maxf(a, b float64) float64 {
@@ -259,26 +336,147 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// PackedJoinFuncContext streams each intersecting (aID, bID) pair between two
-// packed images to emit, with the same synchronized-traversal semantics and
-// cancellation behavior as JoinFuncContext on pointer trees: the context is
-// polled once per batch of node-pair visits, and a done context stops the
-// traversal and returns its error. Emission order is deterministic for
-// identical images.
-func PackedJoinFuncContext(ctx context.Context, a, b *Packed, emit func(aID, bID int)) error {
+// PackedJoinBatches is the packed kernel's one entry point: it computes the
+// intersection join of two packed images — restricted, when winA or winB is
+// non-nil, to a-items meeting winA and b-items meeting winB, exactly the pairs
+// a filter after the full join would keep — and returns the pairs as batches.
+// Concatenated in slice order the batches are the join's emission sequence,
+// deterministic for identical images, windows and worker count; a consumer
+// that knows the total (the executor sizing its row slab) reads them in place,
+// with no per-pair call in between.
+//
+// workers is the pool size: the caller resolves any "auto" knob. A pool of
+// one or less runs the traversal on the caller's goroutine. A larger pool
+// expands the traversal's top levels serially into
+// independent node-pair tasks; workers claim tasks through an atomic cursor,
+// each running the same traversal on its task's subtrees into that task's own
+// batches, and the batches come back in task order regardless of scheduling
+// (the task list granularity scales with the pool, so different worker counts
+// may order pairs differently while producing the same set).
+//
+// The context is polled once per batch of node-pair visits inside every
+// traversal and between tasks; when it is done the join stops promptly and
+// returns no batches and the context's error. Access accounting on both
+// images and the packed join counters are updated once, at the end, with the
+// sum of all workers' work plus the expansion's. Both images may be shared
+// with concurrent readers.
+func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.Rect) ([][]JoinPair, error) {
+	if workers <= 1 {
+		return packedJoinSerial(ctx, a, b, winA, winB, nil)
+	}
+	clip, ok := packedJoinStart(a, b)
+	if !ok {
+		return nil, nil
+	}
+	sp := obs.SpanFrom(ctx).Child("rtree.packed_join_parallel")
+
+	tasks, expA, expB := expandPackedJoinTasks(a, b, clip, workers*taskTargetPerWorker)
+
+	// Per-task batches, indexed by task. Workers write only the slots they
+	// claimed, so the slice needs no lock; it is read after Wait.
+	perTask := make([][][]JoinPair, len(tasks))
+	var cursor atomic.Int64
+	// Whole-join totals, seeded with the expansion's visits. Each worker
+	// accumulates in its own run across all the tasks it claims and adds that
+	// in once at exit.
+	total := packedJoinRun{joinState: joinState{visits: expA + expB}, pa: a, pb: b, accA: expA, accB: expB}
+	var mu sync.Mutex
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b, winA: winA, winB: winB}
+			for {
+				if j.err = ctx.Err(); j.err != nil {
+					break
+				}
+				i := cursor.Add(1) - 1
+				if i >= int64(len(tasks)) {
+					break
+				}
+				tk := tasks[i]
+				j.join(tk.na, tk.nb, tk.clip)
+				if j.err != nil {
+					break
+				}
+				perTask[i] = j.take()
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			total.visits += j.visits
+			total.polls += j.polls
+			total.compares += j.compares
+			total.pairs += j.pairs
+			total.accA += j.accA
+			total.accB += j.accB
+			if total.err == nil {
+				total.err = j.err
+			}
+		}()
+	}
+	wg.Wait()
+
+	sp.Set("workers", float64(workers))
+	sp.Set("tasks", float64(len(tasks)))
+	total.flush(sp)
+	if total.err != nil {
+		return nil, total.err
+	}
+	var batches [][]JoinPair
+	for _, b := range perTask {
+		batches = append(batches, b...)
+	}
+	return batches, nil
+}
+
+// packedJoinStart counts one join and returns the root pair's clip; false
+// means the join is empty without a traversal.
+func packedJoinStart(a, b *Packed) (clip geom.Rect, ok bool) {
 	packedJoinCounters.joins.Inc()
 	if a.NumNodes() == 0 || b.NumNodes() == 0 {
-		return nil
+		return geom.Rect{}, false
 	}
-	clip, ok := a.RootMBR().Intersection(b.RootMBR())
+	return a.RootMBR().Intersection(b.RootMBR())
+}
+
+// packedJoinSerial runs the whole traversal on the caller's goroutine. With a
+// drain it hands every batch over — each full one as it fills, then the last,
+// partial one — and returns none.
+func packedJoinSerial(ctx context.Context, a, b *Packed, winA, winB *geom.Rect, drain func([]JoinPair)) ([][]JoinPair, error) {
+	clip, ok := packedJoinStart(a, b)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	sp := obs.SpanFrom(ctx).Child("rtree.packed_join")
-	j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b, emit: emit}
+	j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b, winA: winA, winB: winB, drain: drain}
 	j.join(0, 0, clip)
 	j.flush(sp)
-	return j.err
+	if j.err != nil {
+		return nil, j.err
+	}
+	if drain != nil {
+		drain(j.out)
+		return nil, nil
+	}
+	return j.take(), nil
+}
+
+// PackedJoinFuncContext streams each intersecting (aID, bID) pair between two
+// packed images to emit, with the same synchronized-traversal semantics and
+// cancellation behavior as JoinFuncContext on pointer trees: it drains the
+// serial run's batches as they fill, so a done context stops the traversal
+// with some pairs already emitted and returns its error. Emission order is
+// deterministic for identical images, and equal to the concatenation of
+// PackedJoinBatches' serial batches.
+func PackedJoinFuncContext(ctx context.Context, a, b *Packed, emit func(aID, bID int)) error {
+	_, err := packedJoinSerial(ctx, a, b, nil, nil, func(batch []JoinPair) {
+		for _, p := range batch {
+			emit(p.A, p.B)
+		}
+	})
+	return err
 }
 
 // PackedJoinCount returns the number of intersecting pairs between two packed
@@ -346,112 +544,30 @@ func expandPackedJoinTasks(pa, pb *Packed, clip geom.Rect, target int) (tasks []
 	return tasks, visA, visB
 }
 
-// PackedJoinFuncParallelContext computes the same pair set as
-// PackedJoinFuncContext using a pool of workers. The traversal's top levels
-// are expanded serially into independent node-pair tasks; workers claim tasks
-// through an atomic cursor, each running the ordinary packed traversal on its
-// task's subtrees and buffering the emitted pairs per task. After the pool
-// finishes, the buffers are replayed into emit in task order, so for a given
-// image pair and worker count the emitted sequence is deterministic
-// regardless of scheduling (the task list granularity scales with the pool,
-// so different worker counts may order pairs differently while emitting the
-// same set) — and emit itself is always called from the caller's goroutine,
-// never concurrently.
+// PackedJoinFuncParallelContext is the callback form of PackedJoinBatches for
+// consumers that want pairs one at a time: it runs the unwindowed join on a
+// pool of workers (one or less is the serial PackedJoinFuncContext, identical
+// in behavior and emission order to a direct call) and drains the batches into
+// emit in order, so for a given image pair and worker count the emitted
+// sequence is deterministic regardless of scheduling — and emit itself is
+// always called from the caller's goroutine, never concurrently.
 //
-// workers is the pool size: the caller resolves any "auto" knob, and a pool
-// of one or less is the serial PackedJoinFuncContext (identical behavior and
-// emission order to a direct call).
-//
-// The context is polled inside every worker per batch of node visits, between
-// tasks, and between buffers of the final merge; when it is done the pool
-// stops promptly and the context's error is returned. Access accounting on
-// both images and the packed join counters are updated once, at the end, with
-// the sum of all workers' work plus the expansion's. Both images may be
-// shared with concurrent readers.
+// A huge result set makes the drain long too, so it polls the context between
+// batches: cancellation mid-drain stops it with some pairs already emitted
+// and returns the context's error.
 func PackedJoinFuncParallelContext(ctx context.Context, a, b *Packed, workers int, emit func(aID, bID int)) error {
 	if workers <= 1 {
 		return PackedJoinFuncContext(ctx, a, b, emit)
 	}
-	packedJoinCounters.joins.Inc()
-	if a.NumNodes() == 0 || b.NumNodes() == 0 {
-		return nil
+	batches, err := PackedJoinBatches(ctx, a, b, workers, nil, nil)
+	if err != nil {
+		return err
 	}
-	clip, ok := a.RootMBR().Intersection(b.RootMBR())
-	if !ok {
-		return nil
-	}
-	sp := obs.SpanFrom(ctx).Child("rtree.packed_join_parallel")
-
-	tasks, expA, expB := expandPackedJoinTasks(a, b, clip, workers*taskTargetPerWorker)
-
-	// Per-task result buffers, indexed by task. Workers write only the slots
-	// they claimed, so the slice needs no lock; the deterministic merge below
-	// reads it after Wait.
-	results := make([][]JoinPair, len(tasks))
-	var cursor atomic.Int64
-	// Whole-join totals, seeded with the expansion's visits. Each worker
-	// accumulates in its own run across all the tasks it claims and adds that
-	// in once at exit.
-	total := packedJoinRun{joinState: joinState{visits: expA + expB}, pa: a, pb: b, accA: expA, accB: expB}
-	var mu sync.Mutex
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []JoinPair
-			j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b}
-			j.emit = func(aID, bID int) {
-				buf = append(buf, JoinPair{A: aID, B: bID})
-			}
-			for {
-				if j.err = ctx.Err(); j.err != nil {
-					break
-				}
-				i := cursor.Add(1) - 1
-				if i >= int64(len(tasks)) {
-					break
-				}
-				tk := tasks[i]
-				buf = nil
-				j.join(tk.na, tk.nb, tk.clip)
-				if j.err != nil {
-					break
-				}
-				results[i] = buf
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			total.visits += j.visits
-			total.polls += j.polls
-			total.compares += j.compares
-			total.pairs += j.pairs
-			total.accA += j.accA
-			total.accB += j.accB
-			if total.err == nil {
-				total.err = j.err
-			}
-		}()
-	}
-	wg.Wait()
-
-	sp.Set("workers", float64(workers))
-	sp.Set("tasks", float64(len(tasks)))
-	total.flush(sp)
-	if total.err != nil {
-		return total.err
-	}
-	// Deterministic merge: replay each task's buffer in task order. A huge
-	// result set makes this loop long too, so it polls between buffers —
-	// cancellation mid-merge stops the replay with some pairs already
-	// emitted, the same partial-emission semantics as a cancelled serial
-	// join.
-	for _, buf := range results {
+	for _, batch := range batches {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, p := range buf {
+		for _, p := range batch {
 			emit(p.A, p.B)
 		}
 	}

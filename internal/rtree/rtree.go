@@ -60,6 +60,8 @@ type Tree struct {
 	minEntries int
 	split      SplitPolicy
 	accesses   int64 // node touches since last ResetAccesses
+	// levels memoizes LevelStats between mutations (nil = not computed).
+	levels atomic.Pointer[[]LevelStat]
 }
 
 // Option configures a Tree.
@@ -118,6 +120,7 @@ func (t *Tree) touch(n *node) *node {
 
 // Insert adds one rectangle with its item ID.
 func (t *Tree) Insert(r geom.Rect, id int) {
+	t.levels.Store(nil)
 	if t.root == nil {
 		t.root = &node{leaf: true}
 		t.height = 1
@@ -348,6 +351,7 @@ func (t *Tree) Delete(r geom.Rect, id int) bool {
 	if leaf == nil {
 		return false
 	}
+	t.levels.Store(nil)
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
 	t.condense(leaf)

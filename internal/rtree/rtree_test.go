@@ -263,3 +263,43 @@ func TestComputeStats(t *testing.T) {
 		t.Errorf("empty stats = %+v", s)
 	}
 }
+
+// TestLevelStatsFollowMutations: LevelStats is memoized between mutations, so
+// after every Insert and Delete it must again equal a fresh walk — here the
+// walk of a clone, which starts without a memo.
+func TestLevelStatsFollowMutations(t *testing.T) {
+	rects := randRects(600, 77)
+	tr, err := BulkLoadSTR(ItemsFromRects(rects[:200]), WithFanout(2, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		got, want := tr.LevelStats(), tr.Clone().LevelStats()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d levels, fresh walk %d", when, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: level %d = %+v, fresh walk %+v", when, i, got[i], want[i])
+			}
+		}
+	}
+	check("after bulk load")
+	for id := 200; id < 600; id++ {
+		tr.Insert(rects[id], id)
+		if id%97 == 0 {
+			check("after inserts")
+		}
+	}
+	check("after all inserts")
+	for id := 0; id < 500; id++ {
+		if !tr.Delete(rects[id], id) {
+			t.Fatalf("delete of item %d failed", id)
+		}
+		if id%89 == 0 {
+			check("after deletes")
+		}
+	}
+	check("after all deletes")
+}

@@ -5,31 +5,13 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"spatialsel/internal/datagen"
 )
 
 // planFixture builds a catalog with three joined tables and returns a
 // three-way plan, large enough that execution takes measurable time.
 func planFixture(t *testing.T, n int) *Plan {
 	t.Helper()
-	c, err := NewCatalogAtLevel(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range []string{"a", "b", "c"} {
-		if _, err := c.Create(datagen.Uniform(name, n, 0.01, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plan, err := c.Plan(Query{
-		Tables:     []string{"a", "b", "c"},
-		Predicates: []Predicate{{Left: "a", Right: "b"}, {Left: "b", Right: "c"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan
+	return mustPlan(t, uniformCatalog(t, n, "a", "b", "c"), threeWay, 0)
 }
 
 func TestExecuteContextBackground(t *testing.T) {

@@ -101,6 +101,11 @@ func resolveWorkers(workers, size, crossover int) int {
 // the R-tree join (polled per node-visit batch) and polled per row batch
 // during the index-probe steps, so a cancelled or timed-out context aborts a
 // large join promptly with the context's error.
+//
+// Rows are carved from slabs, never allocated one by one: the first join's
+// out of one slab sized from the kernel's batches, each extension step's out
+// of per-goroutine arenas. Every row is a full-capacity slice, so appending to
+// one reallocates it instead of running into its neighbour.
 func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	q := p.query
 	mExecQueries.Inc()
@@ -110,15 +115,12 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	ctx, execSp := obs.StartSpan(ctx, "execute")
 	defer execSp.End()
 
-	// windowFilter returns a table's row filter: its window test, or
-	// accept-all when the query sets no window on it.
-	windowFilter := func(table string) func(id int) bool {
-		w, ok := q.Windows[table]
-		if !ok {
-			return func(int) bool { return true }
+	// window returns the query's window on a table, nil when it sets none.
+	window := func(table string) *geom.Rect {
+		if w, ok := q.Windows[table]; ok {
+			return &w
 		}
-		items := p.tables[table].Data.Items
-		return func(id int) bool { return items[id].Intersects(w) }
+		return nil
 	}
 
 	// Column layout: base table first, then each step's table.
@@ -128,25 +130,22 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		colOf[s.Table] = len(cols)
 		cols = append(cols, s.Table)
 	}
+	k := len(cols)
 
 	// First join via synchronized traversal of the two packed images; every
-	// catalogued table carries one (Catalog.Attach enforces it).
+	// catalogued table carries one (Catalog.Attach enforces it). The kernel
+	// applies both tables' windows inside the traversal and hands back pair
+	// batches; their total sizes the one slab every row is carved from.
 	first := p.Steps[0]
 	baseTab, stepTab := p.tables[p.Base], p.tables[first.Table]
-	passBase, passStep := windowFilter(p.Base), windowFilter(first.Table)
-	var rows [][]int
 	jctx, joinSp := obs.StartSpan(ctx, "join "+p.Base+" ⋈ "+first.Table)
 	joinWorkers := resolveWorkers(p.Workers, baseTab.Len()+stepTab.Len(), parallelJoinMinItems)
-	jerr := rtree.PackedJoinFuncParallelContext(jctx, baseTab.Packed, stepTab.Packed, joinWorkers, func(a, b int) {
-		if passBase(a) && passStep(b) {
-			row := make([]int, len(cols))
-			for i := range row {
-				row[i] = -1
-			}
-			row[0], row[1] = a, b
-			rows = append(rows, row)
-		}
-	})
+	batches, jerr := rtree.PackedJoinBatches(jctx, baseTab.Packed, stepTab.Packed, joinWorkers,
+		window(p.Base), window(first.Table))
+	var rows [][]int
+	if jerr == nil {
+		rows, jerr = rowsFromBatches(jctx, batches, k)
+	}
 	annotateOperator(joinSp, first.EstRows, len(rows))
 	joinSp.End()
 	mExecRows.Add(uint64(len(rows)))
@@ -156,10 +155,9 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 
 	// Extension steps: index probes per row, sharded across a worker pool
 	// when the intermediate result is large enough.
-	var probe []int
 	for _, s := range p.Steps[1:] {
 		tab := p.tables[s.Table]
-		pass := windowFilter(s.Table)
+		win := window(s.Table)
 		_, stepSp := obs.StartSpan(ctx, "probe "+s.Table)
 		col := colOf[s.Table]
 
@@ -176,14 +174,14 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		}
 
 		// extendRow probes the step's packed image with one row's connecting
-		// item and appends every verified extension to dst. probeBuf is the
-		// caller's reusable search buffer — each goroutine owns its own, so
+		// item and appends every verified extension to dst, carving the new
+		// rows from the caller's arena. Each goroutine owns its scratch, so
 		// the shared image is only ever read.
-		extendRow := func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int) {
-			probeBuf = tab.Packed.Search(against[0].rect(row), probeBuf[:0])
+		extendRow := func(row []int, sc *probeScratch, dst [][]int) [][]int {
+			sc.probe = tab.Packed.Search(against[0].rect(row), sc.probe[:0])
 		candidates:
-			for _, cand := range probeBuf {
-				if !pass(cand) {
+			for _, cand := range sc.probe {
+				if win != nil && !tab.Data.Items[cand].Intersects(*win) {
 					continue
 				}
 				for _, side := range against[1:] {
@@ -191,12 +189,12 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 						continue candidates
 					}
 				}
-				out := make([]int, len(row))
+				out := sc.newRow(k)
 				copy(out, row)
 				out[col] = cand
 				dst = append(dst, out)
 			}
-			return probeBuf, dst
+			return dst
 		}
 
 		var next [][]int
@@ -207,13 +205,14 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 				return nil, err
 			}
 		} else {
+			var sc probeScratch
 			for ri, row := range rows {
 				if ri%cancelRowBatch == 0 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
 				}
-				probe, next = extendRow(row, probe, next)
+				next = extendRow(row, &sc, next)
 			}
 		}
 		rows = next
@@ -226,6 +225,36 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	return &Result{Columns: cols, Rows: rows}, nil
 }
 
+// rowsFromBatches materializes the first join: one k-wide row per pair, in
+// batch order, the pair in columns 0 and 1 and -1 in the columns later steps
+// fill. All rows are carved from one slab and their headers from one array,
+// both sized exactly from the batch lengths. The context is polled between
+// batches.
+func rowsFromBatches(ctx context.Context, batches [][]rtree.JoinPair, k int) ([][]int, error) {
+	n := 0
+	for _, batch := range batches {
+		n += len(batch)
+	}
+	slab := make([]int, n*k)
+	rows := make([][]int, n)
+	i := 0
+	for _, batch := range batches {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for _, pair := range batch {
+			row := slab[i*k : (i+1)*k : (i+1)*k]
+			row[0], row[1] = pair.A, pair.B
+			for c := 2; c < k; c++ {
+				row[c] = -1
+			}
+			rows[i] = row
+			i++
+		}
+	}
+	return rows, nil
+}
+
 // joinedSide is one side of an extension step's predicate that is already in
 // the row: the column holding its item id and the table's items.
 type joinedSide struct {
@@ -235,6 +264,30 @@ type joinedSide struct {
 
 func (j joinedSide) rect(row []int) geom.Rect { return j.items[row[j.col]] }
 
+// arenaChunkRows is how many rows one arena chunk holds: large enough that a
+// step's allocations count chunks, not rows; small enough that the unused
+// tail of each goroutine's last chunk stays a few tens of kilobytes.
+const arenaChunkRows = 1024
+
+// probeScratch is what one goroutine reuses across the rows it extends: the
+// index-probe buffer and the arena chunk its output rows are carved from.
+type probeScratch struct {
+	probe []int
+	arena []int
+}
+
+// newRow carves a k-wide, full-capacity row from the arena, starting a fresh
+// chunk when the current one is used up. Chunks are never reused: the rows
+// carved from them belong to the result.
+func (sc *probeScratch) newRow(k int) []int {
+	if len(sc.arena) < k {
+		sc.arena = make([]int, arenaChunkRows*k)
+	}
+	row := sc.arena[:k:k]
+	sc.arena = sc.arena[k:]
+	return row
+}
+
 // probeRowsParallel runs extendRow over every row using w workers. Rows are
 // split into contiguous chunks claimed through an atomic cursor; each worker
 // extends its chunk into a private buffer, and the chunk buffers are
@@ -243,7 +296,7 @@ func (j joinedSide) rect(row []int) geom.Rect { return j.items[row[j.col]] }
 // order of a different pool size. The context is polled per row batch inside
 // every chunk; a done context aborts the pool with the context's error.
 func probeRowsParallel(ctx context.Context, rows [][]int, w int,
-	extendRow func(row []int, probeBuf []int, dst [][]int) ([]int, [][]int)) ([][]int, error) {
+	extendRow func(row []int, sc *probeScratch, dst [][]int) [][]int) ([][]int, error) {
 	chunk := (len(rows) + w*4 - 1) / (w * 4) // ~4 chunks per worker for balance
 	if chunk < cancelRowBatch {
 		chunk = cancelRowBatch
@@ -256,7 +309,7 @@ func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var probeBuf []int
+			var sc probeScratch
 			for {
 				ci := atomic.AddInt64(&cursor, 1) - 1
 				if ci >= int64(nChunks) {
@@ -272,7 +325,7 @@ func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 					if (ri-lo)%cancelRowBatch == 0 && ctx.Err() != nil {
 						return
 					}
-					probeBuf, out = extendRow(rows[ri], probeBuf, out)
+					out = extendRow(rows[ri], &sc, out)
 				}
 				res[ci] = out
 			}
@@ -282,7 +335,11 @@ func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var out [][]int
+	total := 0
+	for _, chunkRows := range res {
+		total += len(chunkRows)
+	}
+	out := make([][]int, 0, total)
 	for _, chunkRows := range res {
 		out = append(out, chunkRows...)
 	}

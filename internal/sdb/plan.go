@@ -87,8 +87,12 @@ func (p *Plan) Explain() string {
 }
 
 // validate checks the query's structural soundness against the catalog and
-// returns the query's tables, each resolved exactly once.
-func (c *Catalog) validate(q Query) (map[string]*Table, error) {
+// returns the query's tables, each resolved exactly once. It leaves q with
+// predicates that are equal up to side order collapsed onto their first
+// occurrence: a ⋈ b stated twice, or again as b ⋈ a, is one condition, and
+// every reader of the list — selectivities, EXPLAIN, the executor's per-step
+// checks — must count it once.
+func (c *Catalog) validate(q *Query) (map[string]*Table, error) {
 	if len(q.Tables) < 2 {
 		return nil, fmt.Errorf("sdb: query needs at least two tables")
 	}
@@ -106,6 +110,8 @@ func (c *Catalog) validate(q Query) (map[string]*Table, error) {
 	if len(q.Predicates) == 0 {
 		return nil, fmt.Errorf("sdb: query has no join predicates (Cartesian products are not supported)")
 	}
+	preds := make([]Predicate, 0, len(q.Predicates))
+	seen := make(map[Predicate]bool, len(q.Predicates))
 	for _, p := range q.Predicates {
 		if tables[p.Left] == nil || tables[p.Right] == nil {
 			return nil, fmt.Errorf("sdb: predicate %s references a table outside the query", p)
@@ -113,12 +119,24 @@ func (c *Catalog) validate(q Query) (map[string]*Table, error) {
 		if p.Left == p.Right {
 			return nil, fmt.Errorf("sdb: predicate %s joins a table with itself", p)
 		}
+		if !seen[p] && !seen[Predicate{Left: p.Right, Right: p.Left}] {
+			seen[p] = true
+			preds = append(preds, p)
+		}
 	}
-	for t, w := range q.Windows {
+	q.Predicates = preds
+	// Windows are checked in table-name order, so a query with several bad
+	// ones reports the same one every time.
+	windowed := make([]string, 0, len(q.Windows))
+	for t := range q.Windows {
+		windowed = append(windowed, t)
+	}
+	sort.Strings(windowed)
+	for _, t := range windowed {
 		if tables[t] == nil {
 			return nil, fmt.Errorf("sdb: window on table %q outside the query", t)
 		}
-		if !w.Valid() {
+		if w := q.Windows[t]; !w.Valid() {
 			return nil, fmt.Errorf("sdb: invalid window %v on %q", w, t)
 		}
 	}
@@ -174,7 +192,7 @@ func effectiveCard(q Query, name string, t *Table) float64 {
 // of 3 120 four-table shapes over the paper's data (EXPERIMENTS.md, "Retired
 // planner").
 func (c *Catalog) Plan(q Query) (*Plan, error) {
-	tables, err := c.validate(q)
+	tables, err := c.validate(&q)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sdb
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"spatialsel/internal/datagen"
@@ -16,7 +17,7 @@ import (
 // intermediate rows, GH selectivities, independent predicates — and returns
 // the cheapest order's cost: the exhaustive reference for the greedy Plan.
 func bestLeftDeepCost(t *testing.T, c *Catalog, q Query) float64 {
-	tables, err := c.validate(q)
+	tables, err := c.validate(&q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,4 +140,73 @@ func TestGreedyPlanAgainstEveryOrder(t *testing.T) {
 		}
 	}
 	t.Logf("worst four-table greedy/optimum cost ratio: %.3f on %s", worst4, worstShape)
+}
+
+// TestRepeatedPredicateCountsOnce: a join condition stated twice, or again
+// with its sides swapped, is still one condition. The plan of the padded
+// query must equal the plan of the plain one bit for bit — estimates, cost,
+// EXPLAIN text, the per-step predicate lists the executor verifies — and
+// return the same rows.
+func TestRepeatedPredicateCountsOnce(t *testing.T) {
+	c := uniformCatalog(t, 3000, "a", "b", "c")
+	plain := Query{Tables: []string{"a", "b", "c"}, Predicates: []Predicate{{"a", "b"}, {"b", "c"}}}
+	padded := plain
+	padded.Predicates = []Predicate{{"a", "b"}, {"b", "c"}, {"c", "b"}, {"b", "c"}, {"b", "a"}}
+	given := append([]Predicate(nil), padded.Predicates...)
+	want, err := c.Plan(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Plan(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(padded.Predicates) != fmt.Sprint(given) {
+		t.Fatalf("Plan rewrote the caller's predicate list: %v", padded.Predicates)
+	}
+	if got.Explain() != want.Explain() {
+		t.Fatalf("padded query plans differently:\n%s\nplain query:\n%s", got.Explain(), want.Explain())
+	}
+	if got.EstCost != want.EstCost {
+		t.Fatalf("EstCost = %g, plain query %g", got.EstCost, want.EstCost)
+	}
+	for i, s := range got.Steps {
+		if w := want.Steps[i]; s.EstRows != w.EstRows || fmt.Sprint(s.Against) != fmt.Sprint(w.Against) {
+			t.Fatalf("step %d = %+v, plain query %+v", i, s, w)
+		}
+	}
+	gotRes, err := got.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := want.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rowsEqual(gotRes.Rows, wantRes.Rows) || wantRes.Len() == 0 {
+		t.Fatalf("padded query returned %d rows, plain query %d", gotRes.Len(), wantRes.Len())
+	}
+	// The estimate stays an estimate of the answer (the parent planned 2e-6
+	// rows for this query).
+	if est := got.Steps[1].EstRows; est < float64(wantRes.Len())/2 || est > float64(wantRes.Len())*2 {
+		t.Fatalf("est_rows %g for %d actual rows", est, wantRes.Len())
+	}
+}
+
+// TestInvalidWindowReportedInNameOrder: with several invalid windows the
+// error names the first by table name, whatever order the map yields them in.
+func TestInvalidWindowReportedInNameOrder(t *testing.T) {
+	c := testCatalog(t)
+	bad := geom.Rect{MinX: 1, MaxX: 0, MinY: 0, MaxY: 1}
+	q := Query{
+		Tables:     []string{"hot", "warm", "cold"},
+		Predicates: []Predicate{{"hot", "warm"}, {"warm", "cold"}},
+		Windows:    map[string]geom.Rect{"hot": bad, "warm": bad, "cold": bad},
+	}
+	for i := 0; i < 32; i++ {
+		_, err := c.Plan(q)
+		if err == nil || !strings.Contains(err.Error(), `"cold"`) {
+			t.Fatalf("attempt %d: err = %v, want the invalid window on \"cold\"", i, err)
+		}
+	}
 }
