@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci check build test race race-all chaos vet lint cover bench bench-check bench-smoke microbench experiments examples clean
+.PHONY: all ci check build test race race-all chaos fuzz-smoke vet lint cover bench bench-check bench-smoke microbench experiments examples clean
 
 all: check
 
@@ -8,13 +8,16 @@ all: check
 # gofmt), run the full test suite, race-check the concurrent packages (the
 # HTTP server and the mini-DBMS it serves), then vet and test the benchmark
 # module, which pins signatures of this one and which nothing else compiles,
-# and run it once, small, the way the benchmark pipeline does.
+# and run it once, small, the way the benchmark pipeline does. Not part of
+# check, and run by ci: chaos (the fault-injection suite under -race) and
+# fuzz-smoke (every native fuzz target, 5 s each).
 check: build lint test race bench-check bench-smoke
 
 # CI entry point: everything a merge must pass in one target — the default
-# verification path (build, lint, tests, scoped -race, the benchmark module)
-# and the short fault-injection chaos suite.
-ci: check chaos
+# verification path (build, lint, tests, scoped -race, the benchmark module),
+# the short fault-injection chaos suite, and a few seconds of every fuzz
+# target.
+ci: check chaos fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +42,17 @@ race-all:
 # and degraded-mode contracts.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Degraded|Admission|WAL' ./internal/ingest/... ./internal/faultfs/... ./internal/resilience/... ./internal/server/...
+
+# Every native fuzz target in the tree (found by name, so a new one is
+# picked up without editing this file) for five seconds each, two workers: the
+# decoders that face untrusted bytes — .sds datasets, histogram files, every
+# HTTP request body — must not panic on any of them. A failing input is
+# written to the package's testdata/fuzz/ and then runs with `go test`.
+fuzz-smoke:
+	@grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' cmd internal | while IFS=: read -r file fn; do \
+		echo "fuzz-smoke: $$(dirname $$file) $${fn#func }"; \
+		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 5s -parallel 2 ./$$(dirname $$file) || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -57,18 +57,12 @@ func parseFlags(args []string) (*options, error) {
 	load := fs.String("load", "", "directory of .sds dataset files to preload as tables")
 	walDir := fs.String("wal-dir", "", "directory for per-table write-ahead logs (empty disables durable ingest)")
 	walRetry := fs.Int("wal-retry", 4, "max retries for transient WAL write/fsync failures (-1 disables retry)")
-	degradedReadOnly := fs.Bool("degraded-read-only", true, "on persistent WAL failure, flip the table to read-only degraded mode instead of poisoning it (false = fail-stop)")
 	admission := fs.Bool("admission", true, "enable the estimate-driven admission gate on /v1/query (adaptive concurrency limit + cost gate)")
 	maxInflight := fs.Int("max-inflight", 0, "cap on the adaptive query concurrency limit (0 = 4x GOMAXPROCS)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	enableExpvar := fs.Bool("expvar", false, "mount expvar at /debug/vars (off by default)")
 	enableTelemetry := fs.Bool("telemetry", true, "run the telemetry layer (time-series scraper, request flight recorder, drift watchdog) and mount /v1/debug/{timeseries,requests}")
-	telemetryInterval := fs.Duration("telemetry-interval", 10*time.Second, "telemetry scrape interval")
-	telemetryRing := fs.Int("telemetry-ring", 360, "samples retained per time series")
 	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "flight recorder always-retains requests at least this slow")
-	flightRing := fs.Int("flight-ring", 512, "request events retained by the flight recorder")
-	flightSample := fs.Int("flight-sample", 16, "keep 1 in N fast successful requests in the flight recorder")
-	driftThreshold := fs.Float64("drift-threshold", 0.25, "windowed p90 relative error above which the estimator-drift watchdog flags a table pair")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -87,19 +81,13 @@ func parseFlags(args []string) (*options, error) {
 			EnableExpvar:    *enableExpvar,
 			WALDir:          *walDir,
 			WALRetry:        resilience.RetryPolicy{Max: retryMax},
-			WALFailStop:     !*degradedReadOnly,
 			Admission:       *admission,
 			MaxInflight:     *maxInflight,
 			AdmissionTarget: *slowQuery,
 			EnableTelemetry: *enableTelemetry,
-			Telemetry: telemetry.Options{
-				Interval:   *telemetryInterval,
-				RingSize:   *telemetryRing,
-				SlowQuery:  *slowQuery,
-				FlightRing: *flightRing,
-				SampleN:    *flightSample,
-				Drift:      telemetry.DriftConfig{Threshold: *driftThreshold},
-			},
+			// Scrape interval, ring sizes, sampling stride and drift threshold
+			// take the telemetry package's defaults.
+			Telemetry: telemetry.Options{SlowQuery: *slowQuery},
 		},
 		addr:  *addr,
 		grace: *grace,

@@ -77,11 +77,8 @@ func TestResilienceFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Admission and degraded read-only mode default on; fail-stop is the
-	// opt-out spelling of -degraded-read-only=false.
-	if !opts.cfg.Admission || opts.cfg.WALFailStop {
-		t.Fatalf("defaults: admission=%v failstop=%v, want true/false",
-			opts.cfg.Admission, opts.cfg.WALFailStop)
+	if !opts.cfg.Admission {
+		t.Fatal("admission must default on")
 	}
 	if opts.cfg.MaxInflight != 0 {
 		t.Fatalf("max-inflight default = %d, want 0 (auto)", opts.cfg.MaxInflight)
@@ -94,13 +91,12 @@ func TestResilienceFlags(t *testing.T) {
 	}
 
 	opts, err = parseFlags([]string{
-		"-admission=false", "-max-inflight", "12",
-		"-wal-retry", "0", "-degraded-read-only=false", "-slow-query", "100ms",
+		"-admission=false", "-max-inflight", "12", "-wal-retry", "0", "-slow-query", "100ms",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.cfg.Admission || opts.cfg.MaxInflight != 12 || !opts.cfg.WALFailStop {
+	if opts.cfg.Admission || opts.cfg.MaxInflight != 12 {
 		t.Fatalf("resilience flags not threaded through: %+v", opts.cfg)
 	}
 	if opts.cfg.WALRetry.Max != -1 {
@@ -125,21 +121,25 @@ func TestTelemetryFlags(t *testing.T) {
 		t.Fatalf("slow-query default = %v", opts.cfg.Telemetry.SlowQuery)
 	}
 
-	opts, err = parseFlags([]string{
-		"-telemetry=false", "-telemetry-interval", "2s", "-telemetry-ring", "17",
-		"-slow-query", "75ms", "-flight-ring", "33", "-flight-sample", "5",
-		"-drift-threshold", "0.5",
-	})
+	opts, err = parseFlags([]string{"-telemetry=false", "-slow-query", "75ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.cfg.EnableTelemetry {
 		t.Fatal("-telemetry=false ignored")
 	}
-	tc := opts.cfg.Telemetry
-	if tc.Interval != 2*time.Second || tc.RingSize != 17 ||
-		tc.SlowQuery != 75*time.Millisecond || tc.FlightRing != 33 ||
-		tc.SampleN != 5 || tc.Drift.Threshold != 0.5 {
-		t.Fatalf("telemetry flags not threaded through: %+v", tc)
+	// Everything but the slow threshold is the telemetry package's default
+	// (the zero value): the flags that only ever restated those are gone.
+	if tc := opts.cfg.Telemetry; tc.SlowQuery != 75*time.Millisecond ||
+		tc.Interval != 0 || tc.RingSize != 0 || tc.FlightRing != 0 || tc.SampleN != 0 || tc.Drift.Threshold != 0 {
+		t.Fatalf("telemetry options = %+v, want only SlowQuery set", tc)
+	}
+	for _, gone := range []string{
+		"-telemetry-interval=2s", "-telemetry-ring=17", "-flight-ring=33",
+		"-flight-sample=5", "-drift-threshold=0.5", "-degraded-read-only=false",
+	} {
+		if _, err := parseFlags([]string{gone}); err == nil {
+			t.Errorf("removed flag %s still accepted", gone)
+		}
 	}
 }

@@ -191,26 +191,9 @@ func (s *shell) cmdCreate(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("bad seed %q", args[3])
 	}
-	var d *dataset.Dataset
-	switch kind {
-	case "uniform":
-		d = datagen.Uniform(name, n, 0.005, seed)
-	case "cluster":
-		d = datagen.Cluster(name, n, 0.4, 0.6, 0.1, 0.005, seed)
-	case "multicluster":
-		d = datagen.MultiCluster(name, n, 5, 0.05, 0.005, seed)
-	case "diagonal":
-		d = datagen.Diagonal(name, n, 0.05, 0.005, seed)
-	case "polyline":
-		d = datagen.PolylineTrace(name, n, 50, 0.004, seed)
-	case "tiling":
-		d = datagen.PolygonTiling(name, n, seed)
-	case "points":
-		d = datagen.Points(name, n, 20, 0.04, seed)
-	case "polygons":
-		d = datagen.HeavyTailedPolygons(name, n, 20, 0.05, 0.002, 1.4, seed)
-	default:
-		return fmt.Errorf("unknown kind %q", kind)
+	d, err := datagen.Generate(kind, name, n, datagen.ItemSize, seed)
+	if err != nil {
+		return err
 	}
 	if _, err := s.catalog.Create(d); err != nil {
 		return err

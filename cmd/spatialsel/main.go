@@ -179,23 +179,7 @@ func cmdGenerate(args []string, out io.Writer) error {
 		return fmt.Errorf("generate: -out is required")
 	}
 	var d *dataset.Dataset
-	switch strings.ToLower(*kind) {
-	case "uniform":
-		d = datagen.Uniform("uniform", *n, *size, *seed)
-	case "cluster":
-		d = datagen.Cluster("cluster", *n, 0.4, 0.7, 0.12, *size, *seed)
-	case "multicluster":
-		d = datagen.MultiCluster("multicluster", *n, 5, 0.05, *size, *seed)
-	case "diagonal":
-		d = datagen.Diagonal("diagonal", *n, 0.05, *size, *seed)
-	case "polyline":
-		d = datagen.PolylineTrace("polyline", *n, 50, 0.004, *seed)
-	case "tiling":
-		d = datagen.PolygonTiling("tiling", *n, *seed)
-	case "points":
-		d = datagen.Points("points", *n, 20, 0.04, *seed)
-	case "polygons":
-		d = datagen.HeavyTailedPolygons("polygons", *n, 20, 0.05, 0.002, 1.4, *seed)
+	switch k := strings.ToLower(*kind); k {
 	case "ts":
 		d = datagen.TS(*scale)
 	case "tcb":
@@ -213,7 +197,10 @@ func cmdGenerate(args []string, out io.Writer) error {
 	case "sura":
 		d = datagen.SURA(*scale)
 	default:
-		return fmt.Errorf("generate: unknown kind %q", *kind)
+		var err error
+		if d, err = datagen.Generate(k, k, *n, *size, *seed); err != nil {
+			return fmt.Errorf("generate: %w", err)
+		}
 	}
 	if err := dataset.SaveFile(*outPath, d); err != nil {
 		return err

@@ -13,8 +13,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"spatialsel/internal/dataset"
@@ -149,50 +147,4 @@ func Run(t Technique, a, b *dataset.Dataset, truth GroundTruth) (Result, error) 
 	res.Estimate = est
 	res.ErrorPct = RelativeError(est.Selectivity, truth.Selectivity)
 	return res, nil
-}
-
-// Registry maps technique names to constructors so the CLI and experiment
-// driver can instantiate techniques from flags.
-type Registry struct {
-	mu       sync.RWMutex
-	builders map[string]func() (Technique, error)
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{builders: make(map[string]func() (Technique, error))}
-}
-
-// Register adds a named constructor; registering a duplicate name is a
-// programming error and panics.
-func (r *Registry) Register(name string, build func() (Technique, error)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.builders[name]; dup {
-		panic(fmt.Sprintf("core: duplicate technique %q", name))
-	}
-	r.builders[name] = build
-}
-
-// New instantiates the named technique.
-func (r *Registry) New(name string) (Technique, error) {
-	r.mu.RLock()
-	build, ok := r.builders[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown technique %q (have %v)", name, r.Names())
-	}
-	return build()
-}
-
-// Names lists registered techniques in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.builders))
-	for n := range r.builders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

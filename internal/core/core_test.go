@@ -129,35 +129,6 @@ func TestRun(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Register("fake", func() (Technique, error) { return fakeTechnique{sel: 0.5}, nil })
-	r.Register("other", func() (Technique, error) { return fakeTechnique{sel: 0.1}, nil })
-
-	tech, err := r.New("fake")
-	if err != nil || tech.Name() != "fake" {
-		t.Fatalf("New(fake) = %v, %v", tech, err)
-	}
-	if _, err := r.New("missing"); err == nil {
-		t.Fatal("unknown technique accepted")
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "fake" || names[1] != "other" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Register("x", func() (Technique, error) { return fakeTechnique{}, nil })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	r.Register("x", func() (Technique, error) { return fakeTechnique{}, nil })
-}
-
 func TestGroundTruthTiming(t *testing.T) {
 	// JoinTime must be populated (non-negative; zero is possible on coarse
 	// clocks but elapsed wall time should at least not be negative).

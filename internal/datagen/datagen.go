@@ -18,6 +18,7 @@ package datagen
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -324,4 +325,34 @@ func HeavyTailedPolygons(name string, n, landmarks int, sigma, minSize, alpha fl
 		items[i] = clampRect(geom.NewRect(x-w/2, y-h/2, x+w/2, y+h/2))
 	}
 	return dataset.New(name, geom.UnitSquare, items)
+}
+
+// ItemSize is the maximum item extent sdbd and sdbsh generate tables with.
+const ItemSize = 0.005
+
+// Generate builds the synthetic dataset of the named kind — the one dispatch
+// behind sdbd's generator specs, sdbsh's create and `spatialsel generate`.
+// maxSize bounds item extents for the kinds that take one (uniform, cluster,
+// multicluster, diagonal); the others fix their own shape. n is not bounded
+// here: callers facing untrusted input validate it first.
+func Generate(kind, name string, n int, maxSize float64, seed int64) (*dataset.Dataset, error) {
+	switch kind {
+	case "uniform":
+		return Uniform(name, n, maxSize, seed), nil
+	case "cluster":
+		return Cluster(name, n, 0.4, 0.6, 0.1, maxSize, seed), nil
+	case "multicluster":
+		return MultiCluster(name, n, 5, 0.05, maxSize, seed), nil
+	case "diagonal":
+		return Diagonal(name, n, 0.05, maxSize, seed), nil
+	case "polyline":
+		return PolylineTrace(name, n, 50, 0.004, seed), nil
+	case "tiling":
+		return PolygonTiling(name, n, seed), nil
+	case "points":
+		return Points(name, n, 20, 0.04, seed), nil
+	case "polygons":
+		return HeavyTailedPolygons(name, n, 20, 0.05, 0.002, 1.4, seed), nil
+	}
+	return nil, fmt.Errorf("unknown generator kind %q (want uniform, cluster, multicluster, diagonal, polyline, tiling, points, polygons)", kind)
 }

@@ -279,3 +279,30 @@ func TestClampRect(t *testing.T) {
 		t.Fatal("clamped rect invalid")
 	}
 }
+
+// TestGenerate: the one dispatch knows all eight kinds, names the dataset as
+// asked, honours the item-size bound for the kinds that take one, and rejects
+// anything else.
+func TestGenerate(t *testing.T) {
+	for _, kind := range []string{"uniform", "cluster", "multicluster", "diagonal", "polyline", "tiling", "points", "polygons"} {
+		d, err := Generate(kind, "t_"+kind, 400, ItemSize, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		validate(t, d, 400)
+		if d.Name != "t_"+kind {
+			t.Errorf("%s: dataset named %q", kind, d.Name)
+		}
+	}
+	for _, kind := range []string{"uniform", "cluster", "multicluster", "diagonal"} {
+		d, _ := Generate(kind, kind, 400, 0.001, 3)
+		for _, r := range d.Items {
+			if r.Width() > 0.001+1e-12 || r.Height() > 0.001+1e-12 {
+				t.Fatalf("%s: item %v exceeds the 0.001 size bound", kind, r)
+			}
+		}
+	}
+	if _, err := Generate("voronoi", "v", 10, ItemSize, 1); err == nil {
+		t.Error("unknown kind accepted")
+	}
+}

@@ -1,7 +1,6 @@
 package histogram
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -70,36 +69,4 @@ func BuildGHParallel(d *dataset.Dataset, level, workers int) (core.Summary, erro
 		}
 	}
 	return &GHSummary{name: d.Name, n: d.Len(), level: level, cells: merged}, nil
-}
-
-// ParallelGH wraps BuildGHParallel as a core.Technique so it can be used
-// anywhere GH can; estimation is identical to GH's.
-type ParallelGH struct {
-	gh      *GH
-	workers int
-}
-
-// NewParallelGH returns a GH technique whose Build runs on the given number
-// of workers (≤ 0 for GOMAXPROCS).
-func NewParallelGH(level, workers int) (*ParallelGH, error) {
-	gh, err := NewGH(level)
-	if err != nil {
-		return nil, err
-	}
-	return &ParallelGH{gh: gh, workers: workers}, nil
-}
-
-// Name implements core.Technique.
-func (p *ParallelGH) Name() string {
-	return fmt.Sprintf("GH(h=%d,workers=%d)", p.gh.Level(), p.workers)
-}
-
-// Build implements core.Technique.
-func (p *ParallelGH) Build(d *dataset.Dataset) (core.Summary, error) {
-	return BuildGHParallel(d, p.gh.Level(), p.workers)
-}
-
-// Estimate implements core.Technique.
-func (p *ParallelGH) Estimate(a, b core.Summary) (core.Estimate, error) {
-	return p.gh.Estimate(a, b)
 }

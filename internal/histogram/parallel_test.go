@@ -46,41 +46,6 @@ func TestBuildGHParallelValidation(t *testing.T) {
 	}
 }
 
-func TestParallelGHTechnique(t *testing.T) {
-	if _, err := NewParallelGH(-1, 4); err == nil {
-		t.Fatal("bad level accepted")
-	}
-	p, err := NewParallelGH(5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != "GH(h=5,workers=4)" {
-		t.Fatalf("Name = %q", p.Name())
-	}
-	a := datagen.Cluster("a", 5000, 0.4, 0.7, 0.1, 0.01, 133)
-	b := datagen.Uniform("b", 5000, 0.01, 134)
-	sa, err := p.Build(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := p.Build(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	estPar, err := p.Estimate(sa, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Serial GH agrees.
-	gh := MustGH(5)
-	ga, _ := gh.Build(a)
-	gb, _ := gh.Build(b)
-	estSer, _ := gh.Estimate(ga, gb)
-	if math.Abs(estPar.PairCount-estSer.PairCount) > 1e-6*math.Max(1, estSer.PairCount) {
-		t.Fatalf("parallel estimate %g != serial %g", estPar.PairCount, estSer.PairCount)
-	}
-}
-
 func BenchmarkGHBuildParallel(b *testing.B) {
 	d := datagen.Uniform("d", 200000, 0.005, 135)
 	for _, workers := range []int{1, 2, 4} {

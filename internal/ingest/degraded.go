@@ -30,9 +30,6 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 func (t *Table) Degraded() (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stickyErr != nil {
-		return true, t.stickyErr
-	}
 	return t.degraded, t.degradedCause
 }
 
@@ -42,30 +39,22 @@ func (t *Table) degradedErrLocked() *DegradedError {
 	return &DegradedError{Table: t.name, RetryAfter: t.breaker.RetryAfter(), Err: t.degradedCause}
 }
 
-// enterDegraded records a persistent WAL commit failure. In the default
-// mode it trips the circuit breaker and flips the table read-only: queries
-// and estimates keep serving the last published snapshot (publication only
-// ever happens after a successful fsync, so nothing half-applied is ever
-// visible), while mutations fail fast with DegradedError until a half-open
-// probe commits a batch end to end. In fail-stop mode (-degraded-read-only
-// =false) the first failure poisons the table permanently — the pre-PR-8
-// behavior, kept for operators who prefer a loud crash-and-page over
-// limping along.
-func (t *Table) enterDegraded(cause error) {
+// enterDegraded records a persistent WAL commit failure: it trips the
+// circuit breaker and flips the table read-only, returning the DegradedError
+// the failed committer answers with. Queries and estimates keep serving the
+// last published snapshot (publication only ever happens after a successful
+// fsync, so nothing half-applied is ever visible), while mutations fail fast
+// until a half-open probe commits a batch end to end.
+func (t *Table) enterDegraded(cause error) *DegradedError {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.failStop {
-		if t.stickyErr == nil {
-			t.stickyErr = fmt.Errorf("ingest: %s: wal failed (fail-stop mode): %w", t.name, cause)
-		}
-		return
-	}
 	t.breaker.Failure()
 	t.degradedCause = cause
 	if !t.degraded {
 		t.degraded = true
 		mWALDegraded.Inc()
 	}
+	return t.degradedErrLocked()
 }
 
 // recoverLocked is the half-open probe's repair step: it discards the

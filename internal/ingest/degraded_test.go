@@ -14,19 +14,18 @@ import (
 
 // faultTable opens a mutation front over an injected filesystem with fast
 // retry/breaker policies suited to tests.
-func faultTable(t *testing.T, failStop bool) (*Table, *faultfs.Injector, *fakeStore, string) {
+func faultTable(t *testing.T) (*Table, *faultfs.Injector, *fakeStore, string) {
 	t.Helper()
 	base := buildTable(t, "ft", 300, 6, 11)
 	store := &fakeStore{}
 	inj := faultfs.NewInjector(faultfs.Disk(), 17)
 	walPath := filepath.Join(t.TempDir(), "ft.wal")
 	tbl, err := OpenTableOpts(base, 6, TableOptions{
-		WALPath:  walPath,
-		FS:       inj,
-		Retry:    resilience.RetryPolicy{Max: 1, Base: time.Microsecond, Cap: 10 * time.Microsecond},
-		Breaker:  resilience.BreakerPolicy{Failures: 1, Cooldown: time.Millisecond, MaxCooldown: 4 * time.Millisecond},
-		FailStop: failStop,
-		Seed:     5,
+		WALPath: walPath,
+		FS:      inj,
+		Retry:   resilience.RetryPolicy{Max: 1, Base: time.Microsecond, Cap: 10 * time.Microsecond},
+		Breaker: resilience.BreakerPolicy{Failures: 1, Cooldown: time.Millisecond, MaxCooldown: 4 * time.Millisecond},
+		Seed:    5,
 	}, store.publish)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +41,7 @@ func oneInsert() Mutation {
 }
 
 func TestDegradedModeEntryServesReadsAndRecovers(t *testing.T) {
-	tbl, inj, store, walPath := faultTable(t, false)
+	tbl, inj, store, walPath := faultTable(t)
 	defer tbl.Close()
 
 	// Healthy commit first.
@@ -124,7 +123,7 @@ func TestDegradedModeEntryServesReadsAndRecovers(t *testing.T) {
 }
 
 func TestDegradedModeProbeRespectsBreakerCooldown(t *testing.T) {
-	tbl, inj, _, _ := faultTable(t, false)
+	tbl, inj, _, _ := faultTable(t)
 	defer tbl.Close()
 	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
 	if _, err := tbl.Apply(oneInsert()); err == nil {
@@ -141,34 +140,8 @@ func TestDegradedModeProbeRespectsBreakerCooldown(t *testing.T) {
 	}
 }
 
-func TestFailStopModePoisonsPermanently(t *testing.T) {
-	tbl, inj, _, _ := faultTable(t, true)
-	defer tbl.Close()
-	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
-	_, err := tbl.Apply(oneInsert())
-	if err == nil {
-		t.Fatal("apply under fault should fail")
-	}
-	var derr *DegradedError
-	if errors.As(err, &derr) {
-		t.Fatalf("fail-stop mode returned DegradedError %v, want sticky poisoning", err)
-	}
-	// Even after the fault clears, the table stays poisoned: no silent
-	// self-healing in fail-stop mode.
-	inj.Clear()
-	time.Sleep(5 * time.Millisecond)
-	if _, err2 := tbl.Apply(oneInsert()); err2 == nil {
-		t.Fatal("fail-stop table must refuse mutations forever")
-	} else if errors.As(err2, &derr) {
-		t.Fatalf("fail-stop follow-up = %v, want sticky error", err2)
-	}
-	if down, cause := tbl.Degraded(); !down || cause == nil {
-		t.Fatalf("Degraded() = %v, %v; fail-stop tables report down with cause", down, cause)
-	}
-}
-
 func TestDegradedTableSkipsRepack(t *testing.T) {
-	tbl, inj, _, _ := faultTable(t, false)
+	tbl, inj, _, _ := faultTable(t)
 	defer tbl.Close()
 	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
 	if _, err := tbl.Apply(oneInsert()); err == nil {

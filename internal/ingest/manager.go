@@ -34,19 +34,15 @@ type Options struct {
 	Retry resilience.RetryPolicy
 	// Breaker paces degraded-mode write probes; zero values take defaults.
 	Breaker resilience.BreakerPolicy
-	// FailStop restores the pre-resilience behavior: the first persistent
-	// WAL failure poisons the table instead of degrading it read-only.
-	FailStop bool
 }
 
 // tableOptions assembles per-table durability options from the manager's.
 func (o *Options) tableOptions(walPath string) TableOptions {
 	return TableOptions{
-		WALPath:  walPath,
-		FS:       o.FS,
-		Retry:    o.Retry,
-		Breaker:  o.Breaker,
-		FailStop: o.FailStop,
+		WALPath: walPath,
+		FS:      o.FS,
+		Retry:   o.Retry,
+		Breaker: o.Breaker,
 	}
 }
 
@@ -63,10 +59,6 @@ type Manager struct {
 	// caller-provided Lookup callback) runs outside mu while still being paid
 	// once per table.
 	opening map[string]*tableOpen
-	// hints are tables the estimator-drift watchdog asked to re-pack: the
-	// next RepackPass treats a hinted table as degraded regardless of its
-	// tree shape. A hint survives until a successful re-pack consumes it.
-	hints map[string]bool
 }
 
 // tableOpen is one in-flight lazy open; waiters block on done, then read t
@@ -84,34 +76,7 @@ func NewManager(opts Options) *Manager {
 		opts:    opts,
 		tables:  make(map[string]*Table),
 		opening: make(map[string]*tableOpen),
-		hints:   make(map[string]bool),
 	}
-}
-
-// HintRepack flags a table for re-packing on the next pass — the
-// estimator-drift watchdog's handshake into the maintenance loop. Hinting a
-// table with no open mutation front is a no-op beyond recording the hint:
-// an unmutated table's statistics are exactly its build-time statistics, so
-// there is nothing a re-pack would refresh until mutations open it.
-func (m *Manager) HintRepack(name string) {
-	m.mu.Lock()
-	if !m.hints[name] {
-		m.hints[name] = true
-		mDriftHints.Inc()
-	}
-	m.mu.Unlock()
-}
-
-// PendingHints lists tables with an unconsumed drift hint, sorted.
-func (m *Manager) PendingHints() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.hints))
-	for n := range m.hints {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Table returns the mutation front for name, opening it on first use. The

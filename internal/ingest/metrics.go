@@ -25,8 +25,6 @@ var (
 		"Background read-tree re-packs completed.")
 	mRepackSeconds = obs.Default.FloatCounter("sdbd_ingest_repack_seconds_total",
 		"Cumulative time spent re-packing read trees.")
-	mDriftHints = obs.Default.Counter("sdbd_ingest_drift_hints_total",
-		"Re-pack hints received from the estimator-drift watchdog.")
 	mWALRetry = map[string]*obs.Counter{
 		"write":      obs.Default.Counter("sdbd_wal_retry_total", "WAL operation retries after transient failures, by operation.", obs.L("op", "write")),
 		"sync":       obs.Default.Counter("sdbd_wal_retry_total", "WAL operation retries after transient failures, by operation.", obs.L("op", "sync")),

@@ -40,16 +40,8 @@ func (p RepackPolicy) withDefaults() RepackPolicy {
 	return p
 }
 
-// ShouldRepack applies the policy to one degradation sample. A drift hint
-// from the estimator watchdog overrides the churn floor: the hint is direct
-// evidence (measured estimate-vs-actual error) that the table's maintained
-// statistics no longer describe its data, which is exactly what a re-pack
-// rebuilds — waiting for tree-shape degradation would let a drifted
-// estimator keep misplanning queries in the meantime.
+// ShouldRepack applies the policy to one degradation sample.
 func (p RepackPolicy) ShouldRepack(d Degradation) bool {
-	if d.DriftHint {
-		return true
-	}
 	if d.Churn < p.MinChurn {
 		return false
 	}
@@ -82,23 +74,12 @@ func (m *Manager) RepackPass(ctx context.Context) {
 		}
 		m.mu.Lock()
 		t := m.tables[name]
-		hinted := m.hints[name]
 		m.mu.Unlock()
-		if t == nil {
+		if t == nil || !m.opts.Repack.ShouldRepack(t.Degradation()) {
 			continue
 		}
-		d := t.Degradation()
-		d.DriftHint = hinted
-		if !m.opts.Repack.ShouldRepack(d) {
-			continue
-		}
-		// A re-pack failure leaves the table on its current (valid) tree;
-		// the next pass will retry (the hint, if any, stays pending). The
-		// error is not fatal to the loop.
-		if _, err := t.Repack(); err == nil && hinted {
-			m.mu.Lock()
-			delete(m.hints, name)
-			m.mu.Unlock()
-		}
+		// A re-pack failure leaves the table on its current (valid) tree and
+		// the next pass retries, so the error is not fatal to the loop.
+		_, _ = t.Repack()
 	}
 }

@@ -1,75 +1,25 @@
 package ingest
 
-import (
-	"context"
-	"math/rand"
-	"testing"
-	"time"
+import "testing"
 
-	"spatialsel/internal/geom"
-)
-
-func TestShouldRepackDriftHintOverridesChurnFloor(t *testing.T) {
+// TestShouldRepack pins the policy's two triggers and the churn floor under
+// them: below MinChurn nothing fires, above it either the churn ratio or the
+// write tree's overlap factor does.
+func TestShouldRepack(t *testing.T) {
 	p := RepackPolicy{}.withDefaults()
-	quiet := Degradation{Churn: 1, ChurnRatio: 0.001, Overlap: 0.01}
-	if p.ShouldRepack(quiet) {
-		t.Fatal("quiet table repacked without a hint")
-	}
-	quiet.DriftHint = true
-	if !p.ShouldRepack(quiet) {
-		t.Fatal("drift hint did not override the churn floor")
-	}
-}
-
-// TestRepackPassConsumesDriftHint walks the full watchdog→repack handshake at
-// the manager level: a hint on an otherwise-quiet table makes the next pass
-// re-pack it, a successful re-pack consumes the hint, and hints on tables
-// whose mutation front was never opened stay pending (there is nothing to
-// re-pack yet).
-func TestRepackPassConsumesDriftHint(t *testing.T) {
-	const level = 4
-	// A policy that would never fire on its own.
-	fx := newManagerFixture(t, "", level, RepackPolicy{
-		Interval: time.Hour,
-		MinChurn: 1 << 30,
-	})
-	fx.lookup["quiet"] = buildTable(t, "quiet", 100, level, 31)
-	tab := mustTable(t, fx.m, "quiet")
-	rng := rand.New(rand.NewSource(32))
-	for i := 0; i < 4; i++ {
-		if _, err := tab.Apply(Mutation{Inserts: []geom.Rect{rawRect(rng)}}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		d    Degradation
+		want bool
+	}{
+		{"quiet", Degradation{Churn: 1, ChurnRatio: 0.001, Overlap: 0.01}, false},
+		{"below floor despite ratio and overlap", Degradation{Churn: p.MinChurn - 1, ChurnRatio: 1, Overlap: 1}, false},
+		{"at floor, healthy", Degradation{Churn: p.MinChurn, ChurnRatio: 0.01, Overlap: 0.01}, false},
+		{"churn ratio", Degradation{Churn: p.MinChurn, ChurnRatio: p.MaxChurnRatio, Overlap: 0.01}, true},
+		{"overlap", Degradation{Churn: p.MinChurn, ChurnRatio: 0.01, Overlap: p.MaxOverlap}, true},
+	} {
+		if got := p.ShouldRepack(tc.d); got != tc.want {
+			t.Errorf("%s: ShouldRepack(%+v) = %v, want %v", tc.name, tc.d, got, tc.want)
 		}
-	}
-
-	before := mRepacks.Value()
-	hintsBefore := mDriftHints.Value()
-	fx.m.RepackPass(context.Background())
-	if mRepacks.Value() != before {
-		t.Fatal("policy fired without a hint — the fixture is not quiet")
-	}
-
-	fx.m.HintRepack("quiet")
-	fx.m.HintRepack("quiet") // second hint on a pending table is a no-op
-	fx.m.HintRepack("never-opened")
-	if got := mDriftHints.Value() - hintsBefore; got != 2 {
-		t.Fatalf("drift hint counter +%d, want +2 (one per newly pending table)", got)
-	}
-	if got := fx.m.PendingHints(); len(got) != 2 || got[0] != "never-opened" || got[1] != "quiet" {
-		t.Fatalf("pending hints = %v", got)
-	}
-
-	fx.m.RepackPass(context.Background())
-	if mRepacks.Value() != before+1 {
-		t.Fatalf("hinted pass ran %d re-packs, want 1", mRepacks.Value()-before)
-	}
-	// The consumed hint is gone; the never-opened table's hint stays armed.
-	if got := fx.m.PendingHints(); len(got) != 1 || got[0] != "never-opened" {
-		t.Fatalf("pending hints after pass = %v", got)
-	}
-	// And a second pass does not re-pack again off the consumed hint.
-	fx.m.RepackPass(context.Background())
-	if mRepacks.Value() != before+1 {
-		t.Fatal("consumed hint fired again")
 	}
 }

@@ -48,7 +48,6 @@ type Degradation struct {
 	Overlap    float64 // rtree.OverlapFactor of the write tree
 	Churn      int     // mutations applied since the last pack
 	ChurnRatio float64 // Churn / max(1, Live)
-	DriftHint  bool    // estimator-drift watchdog asked for a re-pack
 	Live       int     // live (non-tombstoned) items
 	Deadwood   int     // tombstoned ID slots
 }
@@ -78,12 +77,11 @@ type Table struct {
 	publish PublishFunc
 
 	// Resilience wiring (set at construction, immutable after).
-	walPath  string
-	fs       faultfs.FS
-	retryer  *resilience.Retryer
-	breaker  *resilience.Breaker
-	failStop bool
-	fsyncFn  func(time.Duration)
+	walPath string
+	fs      faultfs.FS
+	retryer *resilience.Retryer
+	breaker *resilience.Breaker
+	fsyncFn func(time.Duration)
 
 	mu        sync.Mutex // the apply critical section
 	cond      *sync.Cond // signaled when inflight drains or a re-pack ends
@@ -101,7 +99,6 @@ type Table struct {
 
 	degraded      bool  // read-only mode: WAL failed, breaker gating probes
 	degradedCause error // what tripped it
-	stickyErr     error // fail-stop mode: first failure, permanent
 
 	pubMu  sync.Mutex // serializes snapshot publication
 	pubSeq uint64     // highest sequence published
@@ -112,12 +109,11 @@ type Table struct {
 // zero value means no WAL (in-memory only); zero policies take the
 // resilience package defaults; a nil FS means the real disk.
 type TableOptions struct {
-	WALPath  string                   // "" disables durability
-	FS       faultfs.FS               // nil → faultfs.Disk()
-	Retry    resilience.RetryPolicy   // WAL write/fsync retry bounds
-	Breaker  resilience.BreakerPolicy // degraded-mode probe cadence
-	FailStop bool                     // poison on first WAL failure instead of degrading
-	Seed     int64                    // retry jitter seed (tests)
+	WALPath string                   // "" disables durability
+	FS      faultfs.FS               // nil → faultfs.Disk()
+	Retry   resilience.RetryPolicy   // WAL write/fsync retry bounds
+	Breaker resilience.BreakerPolicy // degraded-mode probe cadence
+	Seed    int64                    // retry jitter seed (tests)
 }
 
 // arm attaches the resilience plumbing to a freshly built table; callers
@@ -131,7 +127,6 @@ func (t *Table) arm(o TableOptions) {
 	t.fs = o.FS
 	t.retryer = resilience.NewRetryer(o.Retry, o.Seed)
 	t.breaker = resilience.NewBreaker(o.Breaker)
-	t.failStop = o.FailStop
 }
 
 // OpenTable wraps an existing read-only table (as registered in the serving
@@ -259,11 +254,6 @@ func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 	}
 
 	t.mu.Lock()
-	if t.stickyErr != nil {
-		err := t.stickyErr
-		t.mu.Unlock()
-		return ApplyResult{}, err
-	}
 	probing := false
 	if t.degraded {
 		if !t.breaker.Allow() {
@@ -328,16 +318,7 @@ func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 	if t.wal != nil {
 		if err := t.wal.Sync(seq); err != nil {
 			t.commitDone()
-			t.enterDegraded(err)
-			t.mu.Lock()
-			var ret error
-			if t.stickyErr != nil {
-				ret = t.stickyErr
-			} else {
-				ret = t.degradedErrLocked()
-			}
-			t.mu.Unlock()
-			return ApplyResult{}, ret
+			return ApplyResult{}, t.enterDegraded(err)
 		}
 	}
 	if probing || t.wal != nil {
@@ -425,7 +406,7 @@ func (t *Table) Degradation() Degradation {
 // truncate-on-repack step. Returns false when a re-pack was already running.
 func (t *Table) Repack() (bool, error) {
 	t.mu.Lock()
-	if t.repacking || t.degraded || t.stickyErr != nil {
+	if t.repacking || t.degraded {
 		// Degraded tables skip re-packs: the WAL checkpoint rewrite would
 		// need the very disk that just failed, and the probe path owns
 		// recovery.

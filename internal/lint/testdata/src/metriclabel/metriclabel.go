@@ -63,7 +63,6 @@ func RegisterTelemetry(r *obs.Registry) {
 	r.GaugeFunc("sdbd_estimate_rel_error_p90", "windowed p90 relative error",
 		func() float64 { return 0 }, obs.L("left", "roads"), obs.L("right", "streams"))
 	r.GaugeFunc("sdbd_estimate_drift_pairs", "flagged pairs", func() float64 { return 0 })
-	r.Counter("sdbd_ingest_drift_hints_total", "re-pack hints from the watchdog")
 }
 
 // RegisterPacked pins the packed-snapshot kernel's metric families as

@@ -333,21 +333,6 @@ func SnapshotMerged(regs ...*Registry) map[string]float64 {
 	return out
 }
 
-// SnapshotDelta subtracts prev from cur, keeping only the series that moved.
-// A series absent from prev counts from zero; a series absent from cur is
-// dropped (it no longer exists, there is nothing to attribute). Benchmark
-// harnesses use this to attribute a run's engine work; note the exact-zero
-// filter is intentional — an untouched counter has a bit-identical snapshot.
-func SnapshotDelta(prev, cur map[string]float64) map[string]float64 {
-	out := make(map[string]float64)
-	for name, v := range cur {
-		if d := v - prev[name]; d != 0 {
-			out[name] = d
-		}
-	}
-	return out
-}
-
 // RenderMerged renders several registries as one exposition, with all
 // families globally sorted by name. Families must not be split across
 // registries (same-name collisions render the first registry's family only).

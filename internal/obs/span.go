@@ -224,8 +224,6 @@ func (r *SpanReport) writeText(b *strings.Builder, depth int) {
 
 // ---- trace IDs ---------------------------------------------------------
 
-type traceIDKey struct{}
-
 var traceRNG = struct {
 	sync.Mutex
 	*rand.Rand
@@ -239,15 +237,4 @@ func NewTraceID() string {
 	traceRNG.Read(buf[:])
 	traceRNG.Unlock()
 	return hex.EncodeToString(buf[:])
-}
-
-// WithTraceID stamps the context with a request trace ID.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceIDKey{}, id)
-}
-
-// TraceID returns the context's trace ID, or "".
-func TraceID(ctx context.Context) string {
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
 }

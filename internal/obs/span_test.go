@@ -122,11 +122,4 @@ func TestTraceID(t *testing.T) {
 	if id == NewTraceID() {
 		t.Fatal("trace ids should differ")
 	}
-	ctx := WithTraceID(context.Background(), id)
-	if TraceID(ctx) != id {
-		t.Fatal("trace id lost in context")
-	}
-	if TraceID(context.Background()) != "" {
-		t.Fatal("no-id context must return empty")
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -191,25 +192,7 @@ func generate(name string, g *GeneratorSpec) (*dataset.Dataset, error) {
 	if g.N <= 0 || g.N > maxGeneratorItems {
 		return nil, fmt.Errorf("generator n must be in [1, %d], got %d", maxGeneratorItems, g.N)
 	}
-	switch g.Kind {
-	case "uniform":
-		return datagen.Uniform(name, g.N, 0.005, g.Seed), nil
-	case "cluster":
-		return datagen.Cluster(name, g.N, 0.4, 0.6, 0.1, 0.005, g.Seed), nil
-	case "multicluster":
-		return datagen.MultiCluster(name, g.N, 5, 0.05, 0.005, g.Seed), nil
-	case "diagonal":
-		return datagen.Diagonal(name, g.N, 0.05, 0.005, g.Seed), nil
-	case "polyline":
-		return datagen.PolylineTrace(name, g.N, 50, 0.004, g.Seed), nil
-	case "tiling":
-		return datagen.PolygonTiling(name, g.N, g.Seed), nil
-	case "points":
-		return datagen.Points(name, g.N, 20, 0.04, g.Seed), nil
-	case "polygons":
-		return datagen.HeavyTailedPolygons(name, g.N, 20, 0.05, 0.002, 1.4, g.Seed), nil
-	}
-	return nil, fmt.Errorf("unknown generator kind %q", g.Kind)
+	return datagen.Generate(g.Kind, name, g.N, datagen.ItemSize, g.Seed)
 }
 
 func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
@@ -350,10 +333,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	snap := s.store.Snapshot()
-	ri := telemetry.InfoFrom(r.Context())
+	ev := eventFrom(r.Context())
 
 	if len(req.Tables) > 0 {
-		ri.SetTables(req.Tables)
+		ev.Tables = req.Tables
 		qs := QuerySpec{Tables: req.Tables, Predicates: req.Predicates, Windows: req.Windows}
 		plan, err := snap.Catalog.Plan(qs.toQuery())
 		if err != nil {
@@ -361,7 +344,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		final := plan.Steps[len(plan.Steps)-1].EstRows
-		ri.SetEstRows(final)
+		ev.EstRows = &final
 		card := 1.0
 		for _, name := range req.Tables {
 			t, err := snap.Catalog.Table(name)
@@ -393,16 +376,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if method == "" {
 		method = "gh"
 	}
-	ri.SetTables([]string{req.Left, req.Right})
+	ev.Tables = []string{req.Left, req.Right}
 	workers := s.resolveWorkers(req.Workers)
-	ri.SetWorkers(workers)
+	ev.Workers = workers
 	est, cached, err := s.estimatePair(r.Context(), snap, req.Left, req.Right, method, req.Fraction, workers)
 	if err != nil {
 		writeError(w, statusForError(err), "%v", err)
 		return
 	}
-	ri.SetEstRows(est.PairCount)
-	ri.SetCacheHit(cached)
+	ev.EstRows = &est.PairCount
+	ev.CacheHit = cached
 	writeJSON(w, http.StatusOK, EstimateResponse{
 		Kind:          "pairwise",
 		Method:        method,
@@ -566,21 +549,22 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ri := telemetry.InfoFrom(r.Context())
-	ri.SetTables(qs.Tables)
+	ev := eventFrom(r.Context())
+	ev.Tables = qs.Tables
 	plan, err := s.store.Snapshot().Catalog.Plan(qs.toQuery())
 	if err != nil {
 		writeError(w, statusForError(err), "%v", err)
 		return
 	}
+	estRows := plan.Steps[len(plan.Steps)-1].EstRows
+	ev.EstRows = &estRows
 	resp := ExplainResponse{
 		Plan:          plan.Explain(),
 		Base:          plan.Base,
 		EstCost:       plan.EstCost,
-		EstRows:       plan.Steps[len(plan.Steps)-1].EstRows,
+		EstRows:       estRows,
 		ModeledJoinIO: plan.JoinIO(),
 	}
-	ri.SetEstRows(resp.EstRows)
 	for _, st := range plan.Steps {
 		resp.Steps = append(resp.Steps, ExplainStep{Table: st.Table, EstRows: st.EstRows})
 	}
@@ -632,7 +616,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	snap := s.store.Snapshot()
-	ri := telemetry.InfoFrom(r.Context())
+	ev := eventFrom(r.Context())
 	qs := QuerySpec{Tables: req.Tables, Predicates: req.Predicates, Windows: req.Windows}
 	q := qs.toQuery()
 
@@ -645,7 +629,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	if s.admission != nil {
 		if !s.admission.TryAcquire() {
-			ri.SetAdmission(telemetry.AdmissionShed)
+			ev.Admission = telemetry.AdmissionShed
 			s.writeOverloaded(w, "server at its concurrency limit")
 			return
 		}
@@ -658,13 +642,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	// ?analyze=1 installs a trace root; the executor's operator spans hang
-	// off it. Without the flag no trace exists and the engine's StartSpan
-	// calls are free.
+	// ?analyze=1 reports the "query" span's subtree; the executor's operator
+	// spans hang off it. A request has one trace root: with telemetry on the
+	// middleware already installed it and "query" opens under it, so the
+	// analyze payload and the retained flight event are the same tree; only a
+	// context without a trace gets a root here. Without the flag and without
+	// telemetry no trace exists and the engine's StartSpan calls are free.
 	ctx := r.Context()
-	var root *obs.Span
+	var analyze *obs.Span
 	if v := r.URL.Query().Get("analyze"); v == "1" || v == "true" {
-		ctx, root = obs.NewTrace(ctx, "query")
+		if obs.SpanFrom(ctx) == nil {
+			ctx, analyze = obs.NewTrace(ctx, "query")
+		} else {
+			ctx, analyze = obs.StartSpan(ctx, "query")
+		}
 	}
 
 	_, planSp := obs.StartSpan(ctx, "plan")
@@ -678,6 +669,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	planSp.Set("est_rows", estRows)
 	planSp.Set("est_cost", plan.EstCost)
 	planSp.End()
+	ev.Tables = append(make([]string, 0, len(req.Tables)), plan.Base)
+	for _, st := range plan.Steps {
+		ev.Tables = append(ev.Tables, st.Table)
+	}
+	ev.EstRows = &estRows
 
 	// Admission stage 2: the cost gate. The query's abstract cost is the
 	// GH estimate of the result size plus the plan's own price for its
@@ -691,7 +687,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		pred := s.admission.PredictCost(costUnits)
 		if dl, ok := ctx.Deadline(); ok && pred > time.Until(dl) {
 			shedByCost = true
-			ri.SetAdmission(telemetry.AdmissionShed)
+			ev.Admission = telemetry.AdmissionShed
 			s.writeOverloaded(w, fmt.Sprintf(
 				"predicted cost %s exceeds the request deadline", pred.Round(time.Millisecond)))
 			return
@@ -699,9 +695,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case pred > s.admission.Policy().Target && s.admission.UnderPressure():
 			degradedExec = true
-			ri.SetAdmission(telemetry.AdmissionDegraded)
+			ev.Admission = telemetry.AdmissionDegraded
 		default:
-			ri.SetAdmission(telemetry.AdmissionAdmitted)
+			ev.Admission = telemetry.AdmissionAdmitted
 		}
 	}
 
@@ -709,39 +705,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if degradedExec {
 		plan.Workers = 1
 	}
+	ev.Workers = plan.Workers
 	res, err := plan.ExecuteContext(ctx)
 	if err != nil {
 		writeError(w, statusForError(err), "%v", err)
 		return
 	}
-	root.End()
+	analyze.End()
 
-	// Close the estimation loop: every executed join feeds the live
-	// estimate-vs-actual error histogram with the planner's final
-	// cardinality estimate (which already accounts for windows) against the
-	// materialized row count — and, with telemetry on, the drift watchdog's
-	// windowed per-pair quantile sketches.
-	ri.SetTables(req.Tables)
-	ri.SetWorkers(plan.Workers)
-	ri.SetEstRows(estRows)
-	if actual := float64(res.Len()); actual > 0 {
-		d := estRows - actual
-		if d < 0 {
-			d = -d
-		}
-		rel := d / actual
-		s.metrics.RecordEstimateError(rel)
-		ri.SetRelError(rel)
-		if s.telemetry != nil {
-			// Multi-way plans attribute the error to the base⋈first pair:
-			// that first join dominates the plan's cardinality estimate, and
-			// for the common two-way query it names the whole query.
-			s.telemetry.Watchdog().Observe(
-				telemetry.PairOf(plan.Base, plan.Steps[0].Table), rel)
-		}
+	// Close the estimation loop: every executed join writes the paper's
+	// Estimation Error — the planner's final cardinality estimate (which
+	// already accounts for windows) against the materialized row count —
+	// into its record, once; finish feeds the error histogram and the drift
+	// watchdog from there.
+	total := res.Len()
+	ev.Rows = total
+	if total > 0 {
+		rel := math.Abs(estRows-float64(total)) / float64(total)
+		ev.RelError = &rel
 	}
 
-	total := res.Len()
 	offset := req.Offset
 	if offset < 0 {
 		offset = 0
@@ -757,7 +740,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if end > total {
 		end = total
 	}
-	ri.SetRows(total)
 	resp := QueryResponse{
 		Columns:       res.Columns,
 		Rows:          res.Rows[offset:end],
@@ -767,9 +749,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		EstRows:       estRows,
 		ElapsedMicros: time.Since(start).Microseconds(),
 	}
-	if root != nil {
-		resp.TraceID = obs.TraceID(ctx)
-		resp.Analyze = root.Report()
+	if analyze != nil {
+		resp.TraceID = ev.TraceID
+		resp.Analyze = analyze.Report()
 		resp.AnalyzeText = resp.Analyze.Text()
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -67,6 +67,8 @@ func rectsFromWire(items [][4]float64) []geom.Rect {
 // opened lazily on first use.
 func (s *Server) applyMutation(w http.ResponseWriter, r *http.Request, m ingest.Mutation) {
 	name := r.PathValue("name")
+	ev := eventFrom(r.Context())
+	ev.Tables = []string{name}
 	if _, err := s.store.Snapshot().Catalog.Table(name); err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -90,6 +92,7 @@ func (s *Server) applyMutation(w http.ResponseWriter, r *http.Request, m ingest.
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	ev.Rows = m.Records()
 	writeJSON(w, http.StatusOK, MutateResponse{
 		Table:      name,
 		IDs:        res.IDs,

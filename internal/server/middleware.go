@@ -23,11 +23,21 @@ func (w *statusRecorder) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// eventCtxKey carries the request's record from instrument to the handler.
+type eventCtxKey struct{}
+
+// eventFrom returns the request's record. Every handler is mounted through
+// route, so the record is always there; handlers write its fields directly.
+func eventFrom(ctx context.Context) *telemetry.Event {
+	return ctx.Value(eventCtxKey{}).(*telemetry.Event)
+}
+
 // instrument wraps a handler with the server's full middleware stack:
 // panic recovery, per-request timeout (threaded to handlers as context
-// cancellation), metrics, and structured request logging. route is the
-// stable label used for metrics and logs (e.g. "POST /v1/estimate") so that
-// path parameters do not explode the label space.
+// cancellation), and the request's record — created here, annotated by the
+// handler, consumed once by finish. route is the stable label used for
+// metrics and logs (e.g. "POST /v1/estimate") so that path parameters do not
+// explode the label space.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -46,16 +56,21 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		w.Header().Set("X-Trace-Id", traceID)
 
-		ctx := obs.WithTraceID(r.Context(), traceID)
-		// With telemetry on, every request carries a RequestInfo (handlers
-		// annotate it with tables, rows, estimate accuracy) and a span root,
-		// so retained flight-recorder entries come with their span trees.
-		// Span creation under a live root is cheap; the report is only
-		// materialized for retained events.
-		var ri *telemetry.RequestInfo
+		ev := &telemetry.Event{
+			UnixMS:  start.UnixMilli(),
+			TraceID: traceID,
+			Route:   route,
+			Method:  r.Method,
+			Path:    r.URL.Path,
+		}
+		ctx := context.WithValue(r.Context(), eventCtxKey{}, ev)
+		// With telemetry on, every request carries the one span root it will
+		// ever have, so retained flight-recorder entries come with their span
+		// trees; ?analyze=1 opens its span under it. Span creation under a
+		// live root is cheap; the report is only materialized for retained
+		// events.
 		var root *obs.Span
 		if s.telemetry != nil {
-			ctx, ri = telemetry.WithInfo(ctx)
 			ctx, root = obs.NewTrace(ctx, route)
 		}
 		if s.requestTimeout > 0 {
@@ -66,42 +81,50 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		r = r.WithContext(ctx)
 
 		defer func() {
-			p := recover()
-			if p != nil {
+			if p := recover(); p != nil {
+				ev.Panic = true
 				s.logger.Error("panic serving request",
 					"route", route, "trace_id", traceID, "panic", p, "stack", string(debug.Stack()))
 				// Best effort: the handler may have written already.
 				writeError(rec, http.StatusInternalServerError, "internal error")
 			}
-			elapsed := time.Since(start)
-			s.metrics.RecordRequest(route, rec.status, elapsed)
-			if s.telemetry != nil {
-				root.End()
-				ev := telemetry.Event{
-					UnixMS:         start.UnixMilli(),
-					TraceID:        traceID,
-					Route:          route,
-					Method:         r.Method,
-					Path:           r.URL.Path,
-					Status:         rec.status,
-					DurationMicros: elapsed.Microseconds(),
-					Panic:          p != nil,
-				}
-				ri.Fill(&ev)
-				s.telemetry.Flight().Record(ev, root.Report)
-			}
-			s.logger.Info("request",
-				"route", route,
-				"method", r.Method,
-				"path", r.URL.Path,
-				"status", rec.status,
-				"duration_ms", float64(elapsed.Microseconds())/1000,
-				"remote", r.RemoteAddr,
-				"trace_id", traceID,
-			)
+			ev.Status = rec.status
+			ev.DurationMicros = time.Since(start).Microseconds()
+			root.End()
+			s.finish(ev, root, r.RemoteAddr)
 		}()
 		h(rec, r)
 	}
+}
+
+// finish is the one consumer of a finished request's record: the route
+// counter and latency histogram, the estimate-error histogram, the drift
+// watchdog's sketch, the flight ring and the request log line are all read
+// off the same value. root is the request's span tree, nil with telemetry
+// off.
+func (s *Server) finish(ev *telemetry.Event, root *obs.Span, remote string) {
+	s.metrics.RecordRequest(ev.Route, ev.Status, time.Duration(ev.DurationMicros)*time.Microsecond)
+	if ev.RelError != nil {
+		s.metrics.RecordEstimateError(*ev.RelError)
+		if s.telemetry != nil {
+			// Multi-way plans attribute the error to the base⋈first pair:
+			// that first join dominates the plan's cardinality estimate, and
+			// for the common two-way query it names the whole query.
+			s.telemetry.Watchdog().Observe(telemetry.PairOf(ev.Tables[0], ev.Tables[1]), *ev.RelError)
+		}
+	}
+	if s.telemetry != nil {
+		s.telemetry.Flight().Record(*ev, root.Report)
+	}
+	s.logger.Info("request",
+		"route", ev.Route,
+		"method", ev.Method,
+		"path", ev.Path,
+		"status", ev.Status,
+		"duration_ms", float64(ev.DurationMicros)/1000,
+		"remote", remote,
+		"trace_id", ev.TraceID,
+	)
 }
 
 // sanitizeTraceID validates a client-supplied trace ID: 1–64 characters of

@@ -71,10 +71,6 @@ type Config struct {
 	WALRetry resilience.RetryPolicy
 	// WALBreaker paces degraded-mode write probes; zero values take defaults.
 	WALBreaker resilience.BreakerPolicy
-	// WALFailStop restores the pre-resilience behavior: the first persistent
-	// WAL failure poisons the table instead of flipping it into read-only
-	// degraded mode (sdbd -degraded-read-only=false).
-	WALFailStop bool
 	// EnableTelemetry turns on the continuous-evidence layer: a background
 	// metric scraper with ring-buffer history, a per-request flight recorder,
 	// and the estimator-drift watchdog, queryable at /v1/debug/timeseries and
@@ -138,12 +134,11 @@ func New(cfg Config) (*Server, error) {
 		Lookup: func(name string) (*sdb.Table, error) {
 			return store.Snapshot().Catalog.Table(name)
 		},
-		Publish:  store.Publish,
-		Repack:   cfg.Repack,
-		FS:       cfg.WALFS,
-		Retry:    cfg.WALRetry,
-		Breaker:  cfg.WALBreaker,
-		FailStop: cfg.WALFailStop,
+		Publish: store.Publish,
+		Repack:  cfg.Repack,
+		FS:      cfg.WALFS,
+		Retry:   cfg.WALRetry,
+		Breaker: cfg.WALBreaker,
 	})
 	s := &Server{
 		store:          store,
@@ -217,15 +212,13 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// onDrift is the watchdog's newly-crossed-pair callback: log the offending
-// pair and hint the ingest re-packer that both tables' statistics have
-// drifted past the threshold, so the next repack pass rebuilds them even if
-// tree-shape degradation alone would not have fired.
+// onDrift is the watchdog's newly-crossed-pair callback. It reports and
+// triggers nothing: a re-pack rebuilds the R-tree, not the histogram, and the
+// GH statistics are maintained incrementally and exactly, so there is no
+// rebuild that would change the estimate the pair is being flagged for.
 func (s *Server) onDrift(p telemetry.Pair, p90 float64) {
 	s.logger.Warn("estimator drift detected",
 		"left", p.Left, "right", p.Right, "rel_error_p90", p90)
-	s.ingest.HintRepack(p.Left)
-	s.ingest.HintRepack(p.Right)
 }
 
 func (s *Server) route(pattern string, h http.HandlerFunc) {

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"spatialsel/internal/obs"
 	"spatialsel/internal/telemetry"
 )
 
@@ -204,9 +206,8 @@ func TestTelemetryEndpointsGated(t *testing.T) {
 // manual scrape ticks, then checks the three telemetry surfaces together:
 // the time-series store (monotone counters, non-negative rates), the flight
 // recorder (slow and error retained with span trees, the fast bulk sampled),
-// and the drift watchdog (gauge past threshold, re-pack hint delivered to
-// the ingest manager). Run under -race this also exercises every
-// scrape-vs-observe interleaving.
+// and the drift watchdog (gauges past threshold, pair flagged). Run under
+// -race this also exercises every scrape-vs-observe interleaving.
 func TestTelemetryEndToEnd(t *testing.T) {
 	s, err := New(telemetryTestConfig())
 	if err != nil {
@@ -293,18 +294,34 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	runQuery()
 	tick() // tick 4
 
-	// A query whose planning fails and an explain, each answered to a slow
-	// client so that both events are retained with their span trees.
+	// slowServe answers one request to a slow client, so that its event is
+	// retained with its span tree whatever the sampling cursor says.
+	slowServe := func(target, traceID string, body any) *httptest.ResponseRecorder {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(raw))
+		req.Header.Set("X-Trace-Id", traceID)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(slowWriter{rec}, req)
+		return rec
+	}
+	// A query whose planning fails and an explain.
 	for path, tables := range map[string][]string{
 		"/v1/query":   {"roads", "no-such-table"},
 		"/v1/explain": {"roads", "streams"},
 	} {
-		body, err := json.Marshal(QuerySpec{Tables: tables, Predicates: [][2]string{{tables[0], tables[1]}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Handler().ServeHTTP(slowWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		slowServe(path, "", QuerySpec{Tables: tables, Predicates: [][2]string{{tables[0], tables[1]}}})
 	}
+	// One join without and with ?analyze=1, then an ingest batch.
+	join := QueryRequest{Tables: []string{"roads", "streams"}, Predicates: [][2]string{{"roads", "streams"}}, Limit: 10}
+	slowServe("/v1/query", "feed-0", join)
+	analyzedResp := slowServe("/v1/query?analyze=1", "feed-1", join)
+	slowServe("/v1/tables/streams/batch", "feed-2", BatchRequest{
+		Insert: [][4]float64{{0.2, 0.2, 0.21, 0.21}, {0.6, 0.6, 0.62, 0.61}},
+		Delete: []int{0, 1},
+	})
 
 	// A sequential burst of cheap requests: with SampleN=4, exactly every
 	// fourth fast success is retained, so of these 12 at most 3 survive.
@@ -448,6 +465,50 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("explain event status=%d tables=%v est_rows=%v, want 200 with both annotations", ev.Status, ev.Tables, ev.EstRows)
 	}
 
+	// One trace root per request: ?analyze=1 opens its "query" span under the
+	// middleware's root, so the retained event holds the same operator tree as
+	// the plain query's, and the analyze payload is that subtree.
+	byTrace := make(map[string]telemetry.Event)
+	for _, ev := range s.Telemetry().Flight().Query(telemetry.FlightQuery{}) {
+		byTrace[ev.TraceID] = ev
+	}
+	var shape func(rs []*obs.SpanReport) string
+	shape = func(rs []*obs.SpanReport) string {
+		var b strings.Builder
+		for _, r := range rs {
+			b.WriteString(r.Name + "(" + shape(r.Children) + ")")
+		}
+		return b.String()
+	}
+	plainEv, analyzedEv := byTrace["feed-0"], byTrace["feed-1"]
+	if plainEv.Spans == nil || analyzedEv.Spans == nil {
+		t.Fatalf("plain / analyzed query events not retained with spans: %+v / %+v", plainEv, analyzedEv)
+	}
+	ops := shape(plainEv.Spans.Children)
+	if !strings.HasPrefix(ops, "plan()execute(join ") || !strings.Contains(ops, "rtree.packed_join") {
+		t.Errorf("plain query's span tree = %s, want plan, execute → join → rtree.packed_join", ops)
+	}
+	if kids := analyzedEv.Spans.Children; len(kids) != 1 || kids[0].Name != "query" {
+		t.Fatalf("analyzed query's root has children %s, want the one query span", shape(kids))
+	}
+	analyzedTree := analyzedEv.Spans.Children[0]
+	if got := shape(analyzedTree.Children); got != ops {
+		t.Errorf("analyzed query's operators = %s, plain query's = %s", got, ops)
+	}
+	var analyzedBody QueryResponse
+	if err := json.Unmarshal(analyzedResp.Body.Bytes(), &analyzedBody); err != nil {
+		t.Fatalf("decode analyze response: %v", err)
+	}
+	if analyzedBody.TraceID != "feed-1" || !reflect.DeepEqual(analyzedBody.Analyze, analyzedTree) {
+		t.Errorf("analyze payload (trace %q) is not the retained event's subtree:\n%s\nvs\n%s",
+			analyzedBody.TraceID, analyzedBody.AnalyzeText, analyzedTree.Text())
+	}
+
+	// Writes are annotated too: the table and the batch's record count.
+	if ev := byTrace["feed-2"]; ev.Status != http.StatusOK || fmt.Sprint(ev.Tables) != "[streams]" || ev.Rows != 4 {
+		t.Errorf("batch event status=%d tables=%v rows=%d, want 200 [streams] 4", ev.Status, ev.Tables, ev.Rows)
+	}
+
 	var all RequestsResponse
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/requests", nil, &all); code != http.StatusOK {
 		t.Fatalf("requests status %d", code)
@@ -485,7 +546,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Error("query event missing est_rows / rel_error annotations")
 	}
 
-	// ---- drift watchdog → re-pack hint ---------------------------------------
+	// ---- drift watchdog -------------------------------------------------------
 
 	metrics := fetchMetrics(t, ts.URL)
 	p90 := metricValue(t, metrics, `sdbd_estimate_rel_error_p90{left="roads",right="streams"}`)
@@ -496,11 +557,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if n := metricValue(t, metrics, "sdbd_estimate_drift_pairs"); n != 1 {
 		t.Errorf("drift pair count %g, want 1", n)
 	}
-	hints := s.Ingest().PendingHints()
-	if fmt.Sprint(hints) != "[roads streams]" {
-		t.Errorf("pending re-pack hints = %v, want [roads streams]", hints)
-	}
-	if metricValue(t, metrics, "sdbd_ingest_drift_hints_total") != 2 {
-		t.Error("drift hint counter did not record both tables")
+	if flagged := s.Telemetry().Watchdog().Flagged(); fmt.Sprint(flagged) != "[roads⋈streams]" {
+		t.Errorf("flagged pairs = %v, want [roads⋈streams]", flagged)
 	}
 }

@@ -91,7 +91,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	flight := s.telemetry.Flight()
 	events := flight.Query(q)
 	if events == nil {
-		events = []telemetry.Event{} // render [] rather than null
+		events = make([]telemetry.Event, 0) // render [] rather than null
 	}
 	writeJSON(w, http.StatusOK, RequestsResponse{
 		NowUnixMS:       time.Now().UnixMilli(),

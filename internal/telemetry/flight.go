@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -11,10 +10,16 @@ import (
 	"spatialsel/internal/obs"
 )
 
-// Event is one request's "wide event": everything worth knowing about the
-// request in a single flat record, plus the span tree for retained entries.
-// One event per request replaces grepping three log lines and a metrics
-// scrape when reconstructing an incident.
+// Event is one request's "wide event" and its only record: the server's
+// middleware creates one per request, the handler writes what only it knows
+// (tables, rows, estimate, relative error, admission verdict) straight into
+// the fields, and one consumer derives the route metrics, the estimate-error
+// histogram, the drift watchdog's sample, the flight ring entry and the
+// request log line from the finished value — so no two of them can disagree.
+// The handler runs on the middleware's goroutine; nothing here is locked.
+//
+// Tables of an executed query are in plan order, base table first: the first
+// two name the join the watchdog attributes RelError to.
 type Event struct {
 	Seq            uint64          `json:"seq"`
 	UnixMS         int64           `json:"t_unix_ms"`
@@ -192,132 +197,4 @@ func (f *FlightRecorder) Query(q FlightQuery) []Event {
 	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
 	return out
-}
-
-// ---- per-request annotations -------------------------------------------
-
-// RequestInfo is the mutable carrier the middleware threads through the
-// request context so handlers can annotate the wide event with what only
-// they know (tables joined, rows returned, estimate accuracy, cache hits).
-// All setters are nil-safe, mirroring obs.Span: handler code calls them
-// unconditionally and pays nothing when telemetry is off.
-type RequestInfo struct {
-	mu        sync.Mutex
-	tables    []string
-	workers   int
-	admission string
-	rows      int
-	estRows   float64
-	hasEst    bool
-	relError  float64
-	hasRel    bool
-	cacheHit  bool
-}
-
-type infoCtxKey struct{}
-
-// WithInfo installs a fresh RequestInfo in the context.
-func WithInfo(ctx context.Context) (context.Context, *RequestInfo) {
-	ri := &RequestInfo{}
-	return context.WithValue(ctx, infoCtxKey{}, ri), ri
-}
-
-// InfoFrom returns the context's RequestInfo, or nil when telemetry is off.
-func InfoFrom(ctx context.Context) *RequestInfo {
-	ri, _ := ctx.Value(infoCtxKey{}).(*RequestInfo)
-	return ri
-}
-
-// SetTables records the tables the request touched.
-func (ri *RequestInfo) SetTables(tables []string) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.tables = append([]string(nil), tables...)
-	ri.mu.Unlock()
-}
-
-// SetWorkers records the resolved executor parallelism.
-func (ri *RequestInfo) SetWorkers(workers int) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.workers = workers
-	ri.mu.Unlock()
-}
-
-// SetAdmission records the admission gate's verdict for this request.
-func (ri *RequestInfo) SetAdmission(verdict string) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.admission = verdict
-	ri.mu.Unlock()
-}
-
-// SetRows records the materialized result size.
-func (ri *RequestInfo) SetRows(rows int) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.rows = rows
-	ri.mu.Unlock()
-}
-
-// SetEstRows records the planner's cardinality estimate.
-func (ri *RequestInfo) SetEstRows(est float64) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.estRows = est
-	ri.hasEst = true
-	ri.mu.Unlock()
-}
-
-// SetRelError records the estimate-vs-actual relative error.
-func (ri *RequestInfo) SetRelError(rel float64) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.relError = rel
-	ri.hasRel = true
-	ri.mu.Unlock()
-}
-
-// SetCacheHit records whether the estimate came from the cache.
-func (ri *RequestInfo) SetCacheHit(hit bool) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.cacheHit = hit
-	ri.mu.Unlock()
-}
-
-// Fill copies the annotations into the event. Nil-safe.
-func (ri *RequestInfo) Fill(ev *Event) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	ev.Tables = ri.tables
-	ev.Workers = ri.workers
-	ev.Admission = ri.admission
-	ev.Rows = ri.rows
-	if ri.hasEst {
-		v := ri.estRows
-		ev.EstRows = &v
-	}
-	if ri.hasRel {
-		v := ri.relError
-		ev.RelError = &v
-	}
-	ev.CacheHit = ri.cacheHit
 }

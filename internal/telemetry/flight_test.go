@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -122,42 +121,5 @@ func TestFlightRetentionMetrics(t *testing.T) {
 	}
 	if got := snap[`sdbd_telemetry_requests_retained_total{reason="sample"}`]; got != 1 {
 		t.Errorf("retained{sample} %g, want 1", got)
-	}
-}
-
-func TestRequestInfoAnnotations(t *testing.T) {
-	ctx, ri := WithInfo(context.Background())
-	if InfoFrom(ctx) != ri {
-		t.Fatal("InfoFrom did not return the installed RequestInfo")
-	}
-	ri.SetTables([]string{"roads", "lakes"})
-	ri.SetWorkers(4)
-	ri.SetRows(123)
-	ri.SetEstRows(120.5)
-	ri.SetRelError(0.02)
-	ri.SetCacheHit(true)
-
-	var ev Event
-	ri.Fill(&ev)
-	if len(ev.Tables) != 2 || ev.Tables[0] != "roads" {
-		t.Errorf("tables = %v", ev.Tables)
-	}
-	if ev.Workers != 4 || ev.Rows != 123 || !ev.CacheHit {
-		t.Errorf("workers/rows/cache = %d/%d/%v", ev.Workers, ev.Rows, ev.CacheHit)
-	}
-	if ev.EstRows == nil || *ev.EstRows != 120.5 {
-		t.Errorf("est_rows = %v", ev.EstRows)
-	}
-	if ev.RelError == nil || *ev.RelError != 0.02 {
-		t.Errorf("rel_error = %v", ev.RelError)
-	}
-
-	// Nil-safety: handlers call setters unconditionally when telemetry is off.
-	var nilRI *RequestInfo
-	nilRI.SetTables([]string{"x"})
-	nilRI.SetRelError(1)
-	nilRI.Fill(&ev)
-	if InfoFrom(context.Background()) != nil {
-		t.Error("InfoFrom on a bare context should be nil")
 	}
 }

@@ -13,7 +13,9 @@
 //     kept (with their span trees); the fast bulk is kept 1-in-N.
 //   - Watchdog, the estimator-drift monitor: windowed P² quantile sketches
 //     over per-table-pair relative error, exported as gauges and raising a
-//     drift flag that the ingest re-packer consumes as a repack hint.
+//     drift flag the server logs. The flag triggers nothing: the statistics
+//     are maintained incrementally and exactly, so a rebuild cannot move
+//     them — a flagged pair is one the estimator itself gets wrong.
 //
 // The pieces share one obs.Registry so the subsystem's own health
 // (scrape counts, retained events, drift flags) shows up in /metrics like
@@ -53,8 +55,7 @@ type Options struct {
 	Drift DriftConfig
 	// OnDrift is invoked from Tick, once per window, for every table pair
 	// whose p90 relative error newly crossed the drift threshold — the hook
-	// the server uses to log the offending pair and hint the ingest
-	// re-packer.
+	// the server uses to log the offending pair.
 	OnDrift func(Pair, float64)
 }
 

@@ -144,8 +144,8 @@ func (p Pair) String() string { return p.Left + "⋈" + p.Right }
 type DriftConfig struct {
 	// Threshold is the windowed p90 relative error above which a pair is
 	// flagged as drifting (default 0.25 — well outside the paper's
-	// few-percent headline, so a flag means the statistics are genuinely
-	// stale, not noisy).
+	// few-percent headline, so a flag means the estimator is genuinely off
+	// for that pair, not noisy).
 	Threshold float64
 	// MinSamples is the floor below which a window is not judged (default
 	// 20): a handful of joins is not evidence of drift.
@@ -190,7 +190,7 @@ type pairState struct {
 // Watchdog monitors estimator accuracy per table pair: every executed join
 // feeds its relative error in, every telemetry tick evaluates the windowed
 // p50/p90 sketches against the drift threshold, and newly crossed pairs are
-// reported for logging and re-pack hinting. All methods are safe for
+// reported for logging. All methods are safe for
 // concurrent use; Observe is on the query hot path and costs one mutex plus
 // constant-time sketch updates.
 type Watchdog struct {
@@ -281,7 +281,7 @@ func (w *Watchdog) registerPair(p Pair, st *pairState) {
 // Evaluate runs one tick's drift pass: pairs with enough samples get their
 // exported quantiles refreshed and are checked against the threshold; pairs
 // whose p90 newly crossed it are returned (sorted, deterministic) so the
-// caller can log and hint. Every WindowTicks ticks the sketches reset; a
+// caller can log them. Every WindowTicks ticks the sketches reset; a
 // flagged pair whose fresh window comes back healthy is unflagged then.
 func (w *Watchdog) Evaluate() []Drift {
 	w.mu.Lock()
