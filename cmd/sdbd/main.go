@@ -130,7 +130,7 @@ func run(args []string, logw *os.File) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// Background re-packer: rebuilds degraded write trees off the hot path.
+	// Background folder: rebuilds a mutated table's packed base off the hot path.
 	go srv.Ingest().Run(ctx)
 	defer srv.Ingest().Close()
 	// Telemetry scraper: samples /metrics state into the time-series store

@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"spatialsel/internal/faultfs"
+	"spatialsel/internal/geom"
 	"spatialsel/internal/resilience"
+	"spatialsel/internal/rtree"
+	"spatialsel/internal/sdb"
 )
 
 // TestChaosMixedTrafficUnderFaults drives concurrent mutation and read
@@ -19,8 +22,11 @@ import (
 //  1. No accepted batch is lost — every acknowledged insert is present in
 //     the state recovered from the WAL after the storm.
 //  2. No torn state is published — every snapshot readers observed is
-//     internally consistent (index size == statistics count), i.e.
-//     estimates are never served from a half-applied generation.
+//     internally consistent (index size == image size == statistics count),
+//     i.e. estimates are never served from a half-applied generation — and
+//     none is written to afterwards: a snapshot a reader holds across later
+//     batches, folds and degraded-mode rebuilds keeps giving the join count
+//     and search hits it gave when it was taken.
 //  3. The table enters degraded read-only mode under persistent faults and
 //     exits it once they clear, with reads served throughout.
 //  4. Post-recovery state matches a fault-free reference run of the same
@@ -48,6 +54,8 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 	if _, err := tbl.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	partner := partnerImage(t, 300, 23)
+	probe := geom.NewRect(0.05, 0.05, 0.7, 0.6)
 
 	// The storm: every third fsync fails, and one write in ten is torn
 	// short. Counts bound the storm so the run always drains.
@@ -61,6 +69,8 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 		sawDown  atomic.Bool
 		stop     atomic.Bool
 		torn     atomic.Int64 // reader-observed inconsistent snapshots
+		mutated  atomic.Int64 // held snapshots whose answers changed
+		reasked  atomic.Int64 // held snapshots re-checked
 	)
 
 	var readers, writersWG sync.WaitGroup
@@ -71,21 +81,48 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for !stop.Load() {
-				snap := store.snapshot()
-				if snap == nil {
-					continue
+			var held *sdb.Table
+			var heldPubs, heldJoins int
+			var heldHits []int
+			recheck := func() {
+				if rtree.PackedJoinCount(held.Packed, partner) != heldJoins || !sameIDs(held.Packed.Search(probe, nil), heldHits) {
+					mutated.Add(1)
 				}
-				if snap.Index.Len() != snap.Stats.ItemCount() {
+				reasked.Add(1)
+				held = nil
+			}
+			for !stop.Load() {
+				snap, pubs := store.current()
+				if snap.Index.Len() != snap.Stats.ItemCount() || snap.Packed.Len() != snap.Stats.ItemCount() {
 					torn.Add(1)
 					return
 				}
 				if down, _ := tbl.Degraded(); down {
 					sawDown.Store(true)
 				}
+				switch {
+				case held == nil:
+					held, heldPubs = snap, pubs
+					heldJoins, heldHits = rtree.PackedJoinCount(snap.Packed, partner), snap.Packed.Search(probe, nil)
+				case pubs >= heldPubs+8:
+					recheck()
+				}
+			}
+			if held != nil {
+				recheck()
 			}
 		}()
 	}
+	// A folder: new bases are swapped in throughout the storm (a fold whose
+	// checkpoint rewrite hits a fault still stands; a degraded table skips).
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for !stop.Load() {
+			_, _ = tbl.Repack()
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
 	// Writers: single-insert batches; acknowledged IDs are the ground truth
 	// the recovered state must contain.
 	for wr := 0; wr < writers; wr++ {
@@ -133,6 +170,9 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 
 	if torn.Load() != 0 {
 		t.Fatal("a reader observed an internally inconsistent published snapshot")
+	}
+	if mutated.Load() != 0 || reasked.Load() == 0 {
+		t.Fatalf("%d of %d held snapshots changed their answers after publication", mutated.Load(), reasked.Load())
 	}
 	if shed.Load() == 0 || !sawDown.Load() {
 		t.Fatalf("storm too gentle to exercise degraded mode: shed=%d sawDown=%v (tune fault rates)",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"spatialsel/internal/histogram"
 	"spatialsel/internal/rtree"
 )
 
@@ -74,72 +73,54 @@ func (t *Table) recoverLocked() error {
 		// t.wal stays closed; the next probe retries the reopen.
 		return fmt.Errorf("ingest: %s: degraded recovery: %w", t.name, err)
 	}
-	s, err := rebuildState(t.name, t.level, cp, batches)
+	st, err := rebuildState(t.name, t.level, cp, batches)
 	if err != nil {
 		w.Close()
 		return fmt.Errorf("ingest: %s: degraded recovery: %w", t.name, err)
 	}
 	w.SetFsyncObserver(t.fsyncFn)
 	t.wal = w
-	t.rawExtent = s.rawExtent
-	t.items = s.items
-	t.deleted = s.deleted
-	t.nLive = s.nLive
-	t.tree = s.tree
-	t.builder = s.builder
-	t.seq = s.seq
-	t.churn = s.churn
-	t.delta = nil
+	t.state = *st
+	t.catchUp = nil
 	return nil
 }
 
 // rebuildState reconstructs a table's write-side state from a checkpoint
 // plus replayed batches — shared by restart recovery (RecoverTable) and
-// degraded-mode recovery (recoverLocked). The returned Table is a bare
-// state holder: no WAL, publish hook, or breaker attached.
-func rebuildState(name string, level int, cp Checkpoint, batches []Batch) (*Table, error) {
-	t := &Table{
-		name:      name,
-		level:     level,
-		rawExtent: cp.RawExtent,
-		items:     cp.Items,
-		deleted:   make([]bool, len(cp.Items)),
-		seq:       cp.Seq,
+// degraded-mode recovery (recoverLocked). Replay touches only the item log
+// and the statistics; the indexes are built once, from the items that
+// survive it, so what comes back is a clean STR-packed base under an empty
+// overlay — a fold — however long the log was.
+func rebuildState(name string, level int, cp Checkpoint, batches []Batch) (*state, error) {
+	s := &state{
+		rawExtent:      cp.RawExtent,
+		items:          cp.Items,
+		deleted:        make([]bool, len(cp.Items)),
+		seq:            cp.Seq,
+		checkpointOwed: len(batches) > 0,
 	}
 	for _, id := range cp.Deleted {
-		if id < 0 || id >= len(t.deleted) {
+		if id < 0 || id >= len(s.deleted) {
 			return nil, fmt.Errorf("ingest: recover %s: tombstone %d out of range", name, id)
 		}
-		t.deleted[id] = true
+		s.deleted[id] = true
 	}
-	live := make([]rtree.Item, 0, len(t.items))
-	for id, r := range t.items {
-		if !t.deleted[id] {
-			live = append(live, rtree.Item{Rect: r, ID: id})
-		}
-	}
-	t.nLive = len(live)
-	var err error
-	if t.tree, err = rtree.BulkLoadSTR(live); err != nil {
+	if err := s.seedStats(name, level); err != nil {
 		return nil, fmt.Errorf("ingest: recover %s: %w", name, err)
 	}
-	if t.builder, err = histogram.NewGHBuilder(name, level); err != nil {
-		return nil, err
-	}
-	for _, it := range live {
-		if err := t.builder.Add(it.Rect); err != nil {
-			return nil, fmt.Errorf("ingest: recover %s: %w", name, err)
-		}
-	}
 	for _, b := range batches {
-		if b.Seq != t.seq+1 {
-			return nil, fmt.Errorf("ingest: recover %s: batch seq %d after %d (gap)", name, b.Seq, t.seq)
+		if b.Seq != s.seq+1 {
+			return nil, fmt.Errorf("ingest: recover %s: batch seq %d after %d (gap)", name, b.Seq, s.seq)
 		}
-		t.seq = b.Seq
-		if err := t.applyLocked(b); err != nil {
+		s.seq = b.Seq
+		if err := s.logLocked(b); err != nil {
 			return nil, fmt.Errorf("ingest: recover %s: replay seq %d: %w", name, b.Seq, err)
 		}
-		t.churn += b.Records()
 	}
-	return t, nil
+	var err error
+	if s.tree, err = rtree.BulkLoadSTR(s.liveItemsLocked()); err != nil {
+		return nil, fmt.Errorf("ingest: recover %s: %w", name, err)
+	}
+	s.ov = newOverlay(rtree.Pack(s.tree), len(s.items))
+	return s, nil
 }

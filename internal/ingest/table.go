@@ -9,6 +9,7 @@ import (
 	"spatialsel/internal/faultfs"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
+	"spatialsel/internal/obs"
 	"spatialsel/internal/resilience"
 	"spatialsel/internal/rtree"
 	"spatialsel/internal/sdb"
@@ -41,30 +42,35 @@ type ApplyResult struct {
 	Gen uint64
 }
 
-// Degradation is the re-pack trigger signal: how much the write tree's node
-// overlap has drifted from bulk-loaded quality, and how much churn the table
-// has absorbed since it was last packed.
+// Degradation is the fold trigger signal: how far the table has moved from
+// its packed base. Churn counts every mutation since the last fold, so it
+// bounds the overlay readers traverse beside the base (DeltaItems + Tombstones
+// ≤ Churn, equal unless an item was inserted and deleted between two folds)
+// and is also the number of records a restart replays from the WAL.
 type Degradation struct {
-	Overlap    float64 // rtree.OverlapFactor of the write tree
-	Churn      int     // mutations applied since the last pack
-	ChurnRatio float64 // Churn / max(1, Live)
+	Churn      int     // mutations applied since the last fold
+	ChurnRatio float64 // Churn / max(1, base slots)
+	DeltaItems int     // items in the overlay's delta
+	Tombstones int     // base slots the overlay marks deleted
 	Live       int     // live (non-tombstoned) items
 	Deadwood   int     // tombstoned ID slots
 }
 
-// deltaOp records one mutation applied while a re-pack is in flight, so the
-// freshly packed tree can be caught up before it is swapped in.
-type deltaOp struct {
+// catchUpOp records one mutation applied while a fold is in flight, so the
+// freshly packed base can be caught up before it is swapped in.
+type catchUpOp struct {
 	insert bool
 	id     int
 	rect   geom.Rect
 }
 
 // Table is the mutation front for one spatial table. It owns the write-side
-// state — a Guttman R-tree that absorbs inserts and deletes, an incrementally
+// state — the overlay on the packed base readers join against, a Guttman
+// R-tree that absorbs the same inserts and deletes, an incrementally
 // maintained GH statistics builder, and the append-only item log that assigns
-// IDs — and publishes an immutable snapshot (shared items view, cloned index,
-// statistics summary) through its PublishFunc after every committed batch.
+// IDs — and publishes an immutable snapshot (shared items view, base planes
+// under the current overlay, cloned index, statistics summary) through its
+// PublishFunc after every committed batch.
 //
 // Item IDs are indices into the append-only items slice and are never reused
 // or renumbered: deletes tombstone their slot, and both re-pack and restart
@@ -83,19 +89,14 @@ type Table struct {
 	breaker *resilience.Breaker
 	fsyncFn func(time.Duration)
 
-	mu        sync.Mutex // the apply critical section
-	cond      *sync.Cond // signaled when inflight drains or a re-pack ends
-	rawExtent geom.Rect
-	items     []geom.Rect // by ID; append-only
-	deleted   []bool      // tombstones, parallel to items
-	nLive     int
-	tree      *rtree.Tree
-	builder   *histogram.GHBuilder
-	seq       uint64
-	churn     int  // mutations since last pack
-	repacking bool // a re-pack is between its two critical sections
+	gDeltaItems, gTombstones *obs.Gauge // the published overlay's size
+
+	mu   sync.Mutex // the apply critical section
+	cond *sync.Cond // signaled when inflight drains or a fold ends
+	state
+	repacking bool // a fold is between its two critical sections
 	inflight  int  // committers between apply and acknowledgment
-	delta     []deltaOp
+	catchUp   []catchUpOp
 
 	degraded      bool  // read-only mode: WAL failed, breaker gating probes
 	degradedCause error // what tripped it
@@ -103,6 +104,28 @@ type Table struct {
 	pubMu  sync.Mutex // serializes snapshot publication
 	pubSeq uint64     // highest sequence published
 	pubGen uint64     // generation of that publication
+}
+
+// state is what a table's WAL determines: the item log, the statistics, and
+// the two indexes over the live items. Recovery rebuilds it whole.
+type state struct {
+	rawExtent geom.Rect
+	items     []geom.Rect // by ID; append-only
+	deleted   []bool      // tombstones, parallel to items
+	nLive     int
+	builder   *histogram.GHBuilder
+	seq       uint64
+	churn     int // mutations since the last fold
+	ov        *overlay
+	// checkpointOwed: the state was folded but the WAL still holds the batches
+	// that led to it — a fold whose checkpoint rewrite failed, or a recovery
+	// that replayed them. The next RepackPass retries the rewrite alone.
+	checkpointOwed bool
+	// tree holds the live items a second time, and every publish deep-clones
+	// it into sdb.Table.Index, because bench/ still reads Index on published
+	// live tables. ROADMAP item 1 (the [benchmark] PR) removes the field, this
+	// tree and the clone; until then nothing on the read path touches them.
+	tree *rtree.Tree
 }
 
 // TableOptions configures a table's durability and failure handling. The
@@ -123,6 +146,10 @@ func (t *Table) arm(o TableOptions) {
 		o.FS = faultfs.Disk()
 	}
 	t.cond = sync.NewCond(&t.mu)
+	t.gDeltaItems = obs.Default.Gauge("sdbd_ingest_delta_items",
+		"Items in the table's published delta image: inserts since the last fold.", obs.L("table", t.name))
+	t.gTombstones = obs.Default.Gauge("sdbd_ingest_tombstones",
+		"Base slots the table's published image marks deleted since the last fold.", obs.L("table", t.name))
 	t.walPath = o.WALPath
 	t.fs = o.FS
 	t.retryer = resilience.NewRetryer(o.Retry, o.Seed)
@@ -131,37 +158,59 @@ func (t *Table) arm(o TableOptions) {
 
 // OpenTable wraps an existing read-only table (as registered in the serving
 // store) with a mutation front on the real disk with default policies. The
-// write tree starts as a deep clone of the table's index, the GH builder is
-// seeded from its data, and — when walPath is non-empty — a fresh WAL is
-// created whose checkpoint captures the starting state, making the table
-// durable from this moment on.
+// table's packed image becomes the base (re-packed first if it already
+// carries an overlay: a snapshot another front published), the write tree
+// starts as a deep clone of its index, the GH builder is seeded from its data,
+// and — when walPath is non-empty — a fresh WAL is created whose checkpoint
+// captures the starting state, making the table durable from this moment on.
 func OpenTable(tbl *sdb.Table, level int, walPath string, publish PublishFunc) (*Table, error) {
 	return OpenTableOpts(tbl, level, TableOptions{WALPath: walPath}, publish)
 }
 
 // OpenTableOpts is OpenTable with explicit durability options.
 func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish PublishFunc) (*Table, error) {
-	builder, err := histogram.GHBuilderFrom(tbl.Data, level)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: open %s: %w", tbl.Name, err)
-	}
 	n := tbl.Data.Len()
 	items := make([]geom.Rect, n)
 	copy(items, tbl.Data.Items)
+	// The image says which slots of the item log are live: all of them in a
+	// registered table, not in a snapshot an ingest front published.
+	deleted := make([]bool, n)
+	for id := range deleted {
+		deleted[id] = true
+	}
+	stray := -1
+	tbl.Packed.VisitItems(func(id int, _ geom.Rect) {
+		if id < 0 || id >= n {
+			stray = id
+			return
+		}
+		deleted[id] = false
+	})
+	if stray != -1 {
+		return nil, fmt.Errorf("ingest: open %s: index holds item %d, the data %d items", tbl.Name, stray, n)
+	}
+	tree, base := tbl.Index.Clone(), tbl.Packed
+	if d, ts := base.Overlay(); d+ts > 0 {
+		base = rtree.Pack(tree)
+	}
 	t := &Table{
-		name:      tbl.Name,
-		level:     level,
-		publish:   publish,
-		rawExtent: tbl.RawExtent,
-		items:     items,
-		deleted:   make([]bool, n),
-		nLive:     n,
-		tree:      tbl.Index.Clone(),
-		builder:   builder,
+		name:    tbl.Name,
+		level:   level,
+		publish: publish,
+		state: state{
+			rawExtent: tbl.RawExtent,
+			items:     items,
+			deleted:   deleted,
+			ov:        newOverlay(base, n),
+			tree:      tree,
+		},
+	}
+	if err := t.seedStats(tbl.Name, level); err != nil {
+		return nil, fmt.Errorf("ingest: open %s: %w", tbl.Name, err)
 	}
 	t.arm(opts)
 	if opts.WALPath != "" {
-		w, err := CreateWALFS(t.fs, t.retryer, opts.WALPath, t.checkpointLocked())
+		w, err := CreateWALFS(t.fs, t.retryer, opts.WALPath, t.checkpointRecordLocked())
 		if err != nil {
 			return nil, fmt.Errorf("ingest: open %s: %w", tbl.Name, err)
 		}
@@ -172,9 +221,9 @@ func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish Publish
 
 // RecoverTable rebuilds a table's write-side state from its WAL alone on
 // the real disk with default policies: the checkpoint restores the item
-// log, the live items are bulk-loaded into a fresh tree and histogram, and
-// every intact batch record is replayed through the same code path that
-// applied it originally. The caller publishes the returned table's first
+// log, every intact batch record is replayed into it and the histogram, and
+// the live items that remain are bulk-loaded and packed into a fresh base
+// with an empty overlay. The caller publishes the returned table's first
 // snapshot (Snapshot) to make it readable.
 func RecoverTable(name string, level int, walPath string, publish PublishFunc) (*Table, error) {
 	return RecoverTableOpts(name, level, TableOptions{WALPath: walPath}, publish)
@@ -191,13 +240,12 @@ func RecoverTableOpts(name string, level int, opts TableOptions, publish Publish
 	if err != nil {
 		return nil, err
 	}
-	t, err := rebuildState(name, level, cp, batches)
+	st, err := rebuildState(name, level, cp, batches)
 	if err != nil {
 		w.Close()
 		return nil, err
 	}
-	t.wal = w
-	t.publish = publish
+	t := &Table{name: name, level: level, wal: w, publish: publish, state: *st}
 	t.arm(opts)
 	t.retryer = retryer // keep the Retryer the WAL was built with
 	return t, nil
@@ -324,7 +372,7 @@ func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 	if probing || t.wal != nil {
 		t.commitLanded(probing)
 	}
-	gen, err := t.publishSnap(seq, snap)
+	gen, err := t.publishSnap(seq, false, snap)
 	t.commitDone()
 	if err != nil {
 		return ApplyResult{}, err
@@ -374,57 +422,53 @@ func (t *Table) Snapshot() (uint64, error) {
 	seq := t.seq
 	snap := t.snapshotLocked()
 	t.mu.Unlock()
-	return t.publishSnap(seq, snap)
+	return t.publishSnap(seq, false, snap)
 }
 
-// Degradation samples the re-pack trigger signal. The overlap scan walks the
-// whole write tree under the apply lock, so callers should poll at a
-// maintenance cadence, not per request.
+// Degradation samples the fold trigger signal.
 func (t *Table) Degradation() Degradation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	live := t.nLive
-	if live < 1 {
-		live = 1
+	slots := t.ov.base.Len()
+	if slots < 1 {
+		slots = 1
 	}
 	return Degradation{
-		Overlap:    t.tree.OverlapFactor(),
 		Churn:      t.churn,
-		ChurnRatio: float64(t.churn) / float64(live),
+		ChurnRatio: float64(t.churn) / float64(slots),
+		DeltaItems: t.ov.delta.Len(),
+		Tombstones: t.ov.nDead,
 		Live:       t.nLive,
 		Deadwood:   len(t.items) - t.nLive,
 	}
 }
 
-// Repack rebuilds the read tree with an STR bulk load off the hot path. The
-// expensive pack runs outside the apply lock against a frozen view of the
-// live items; mutations that land meanwhile are recorded as a delta and
-// replayed into the packed tree before it is swapped in with a single
-// generation bump. Queries never block (they read published snapshots);
-// writers block only for the two short critical sections. With a WAL, the
-// swap also rewrites the log to a single checkpoint record — the
-// truncate-on-repack step. Returns false when a re-pack was already running.
+// Repack is the fold: it builds a new packed base from the live items off the
+// hot path and starts a fresh overlay on it. The STR bulk load and the pack run
+// outside the apply lock against a frozen view of the live items; mutations
+// that land meanwhile go to the current overlay as usual and are also logged,
+// and the log is replayed onto the new base — as its first tombstones and
+// delta items — before the swap, which publishes with a single generation
+// bump. Queries never block (they read published snapshots, whose planes a
+// fold leaves alone); writers block only for the two short critical sections.
+// With a WAL, the swap also rewrites the log to a single checkpoint record —
+// the truncate-on-fold step. Returns false when a fold was already running.
 func (t *Table) Repack() (bool, error) {
 	t.mu.Lock()
 	if t.repacking || t.degraded {
-		// Degraded tables skip re-packs: the WAL checkpoint rewrite would
-		// need the very disk that just failed, and the probe path owns
-		// recovery.
+		// Degraded tables skip folds: the WAL checkpoint rewrite would need
+		// the very disk that just failed, and the probe path owns recovery.
 		t.mu.Unlock()
 		return false, nil
 	}
 	t.repacking = true
-	t.delta = t.delta[:0]
-	live := make([]rtree.Item, 0, t.nLive)
-	for id, r := range t.items {
-		if !t.deleted[id] {
-			live = append(live, rtree.Item{Rect: r, ID: id})
-		}
-	}
+	t.catchUp = t.catchUp[:0]
+	nIDs := len(t.items)
+	live := t.liveItemsLocked()
 	t.mu.Unlock()
 
 	start := time.Now()
-	packed, err := rtree.BulkLoadSTR(live)
+	tree, err := rtree.BulkLoadSTR(live)
 	if err != nil {
 		t.mu.Lock()
 		t.repacking = false
@@ -432,46 +476,99 @@ func (t *Table) Repack() (bool, error) {
 		t.mu.Unlock()
 		return false, fmt.Errorf("ingest: repack %s: %w", t.name, err)
 	}
+	ov := newOverlay(rtree.Pack(tree), nIDs)
 
 	t.mu.Lock()
-	for _, op := range t.delta {
+	for _, op := range t.catchUp {
 		if op.insert {
-			packed.Insert(op.rect, op.id)
+			tree.Insert(op.rect, op.id)
+			ov.insert(op.id, op.rect)
 		} else {
-			packed.Delete(op.rect, op.id)
+			tree.Delete(op.rect, op.id)
+			ov.remove(op.id, op.rect)
 		}
 	}
-	t.delta = nil
+	t.churn = len(t.catchUp)
+	t.catchUp = nil
 	t.repacking = false
 	t.cond.Broadcast()
-	t.tree = packed
-	t.churn = 0
+	t.tree, t.ov = tree, ov
 	seq := t.seq
-	var werr error
-	if t.wal != nil {
-		// A failed checkpoint rewrite is non-destructive: the old log (its
-		// checkpoint plus the full batch history) still covers the packed
-		// state, so the re-pack stands and the truncation is retried on the
-		// next pass.
-		werr = t.wal.Checkpoint(t.checkpointLocked())
-	}
+	// A failed checkpoint rewrite is non-destructive: the old log (its
+	// checkpoint plus the full batch history) still covers the folded state,
+	// so the fold stands, its snapshot is published, and the truncation stays
+	// owed until a later pass gets it through.
+	werr := t.checkpointLocked()
 	snap := t.snapshotLocked()
 	t.mu.Unlock()
 
 	mRepacks.Inc()
 	mRepackSeconds.Add(time.Since(start).Seconds())
-	if werr != nil {
-		return true, werr
-	}
-	if _, err := t.publishSnap(seq, snap); err != nil {
+	if _, err := t.publishSnap(seq, true, snap); err != nil {
 		return true, err
 	}
-	return true, nil
+	return true, werr
+}
+
+// retryCheckpoint rewrites the WAL to a checkpoint when an earlier fold could
+// not; otherwise it does nothing.
+func (t *Table) retryCheckpoint() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.checkpointOwed || t.degraded {
+		return nil
+	}
+	return t.checkpointLocked()
+}
+
+// checkpointLocked rewrites the WAL to one checkpoint record of the current
+// state and records whether the rewrite is still owed.
+func (t *Table) checkpointLocked() error {
+	if t.wal == nil {
+		return nil
+	}
+	err := t.wal.Checkpoint(t.checkpointRecordLocked())
+	t.checkpointOwed = err != nil
+	return err
+}
+
+// seedStats counts the live items of the log and builds the statistics over
+// them, in id order.
+func (s *state) seedStats(name string, level int) error {
+	var err error
+	if s.builder, err = histogram.NewGHBuilder(name, level); err != nil {
+		return err
+	}
+	s.nLive = 0
+	for id, r := range s.items {
+		if s.deleted[id] {
+			continue
+		}
+		s.nLive++
+		if err := s.builder.Add(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// liveItemsLocked lists the live items by id.
+func (s *state) liveItemsLocked() []rtree.Item {
+	live := make([]rtree.Item, 0, s.nLive)
+	for id, r := range s.items {
+		if !s.deleted[id] {
+			live = append(live, rtree.Item{Rect: r, ID: id})
+		}
+	}
+	return live
 }
 
 // Close releases the WAL handle. Unsynced batches were never acknowledged,
-// so there is nothing to flush.
+// so there is nothing to flush. The overlay gauges go to zero with the front:
+// a dropped table must not keep reporting a distance to its next fold.
 func (t *Table) Close() error {
+	t.gDeltaItems.Set(0)
+	t.gTombstones.Set(0)
 	if t.wal == nil {
 		return nil
 	}
@@ -526,41 +623,56 @@ func (t *Table) validateDeletesLocked(ids []int) error {
 	return nil
 }
 
-// applyLocked folds one batch into the write-side state. It is shared by the
-// live apply path and WAL replay, so both produce identical state. An error
-// means an internal invariant broke (or a corrupt-but-CRC-valid log on
-// replay); the live path treats it as fatal for the batch.
-func (t *Table) applyLocked(b Batch) error {
+// logLocked folds one batch into the item log and the statistics — the part
+// of the state a WAL replay needs batch by batch. An error means an internal
+// invariant broke (or a corrupt-but-CRC-valid log on replay); the live path
+// treats it as fatal for the batch.
+func (s *state) logLocked(b Batch) error {
 	for _, in := range b.Inserts {
-		if in.ID != len(t.items) {
-			return fmt.Errorf("insert id %d does not extend item log (len %d)", in.ID, len(t.items))
+		if in.ID != len(s.items) {
+			return fmt.Errorf("insert id %d does not extend item log (len %d)", in.ID, len(s.items))
 		}
-		if err := t.builder.Add(in.Rect); err != nil {
+		if err := s.builder.Add(in.Rect); err != nil {
 			return err
 		}
-		t.items = append(t.items, in.Rect)
-		t.deleted = append(t.deleted, false)
+		s.items = append(s.items, in.Rect)
+		s.deleted = append(s.deleted, false)
+		s.nLive++
+	}
+	for _, id := range b.Deletes {
+		if id < 0 || id >= len(s.items) || s.deleted[id] {
+			return fmt.Errorf("delete of unknown or dead item %d", id)
+		}
+		if err := s.builder.Remove(s.items[id]); err != nil {
+			return err
+		}
+		s.deleted[id] = true
+		s.nLive--
+	}
+	return nil
+}
+
+// applyLocked folds one batch into the whole write-side state: the log and
+// statistics, then the overlay and the write tree, and the catch-up log of a
+// fold in flight.
+func (t *Table) applyLocked(b Batch) error {
+	if err := t.logLocked(b); err != nil {
+		return err
+	}
+	for _, in := range b.Inserts {
+		t.ov.insert(in.ID, in.Rect)
 		t.tree.Insert(in.Rect, in.ID)
-		t.nLive++
 		if t.repacking {
-			t.delta = append(t.delta, deltaOp{insert: true, id: in.ID, rect: in.Rect})
+			t.catchUp = append(t.catchUp, catchUpOp{insert: true, id: in.ID, rect: in.Rect})
 		}
 	}
 	for _, id := range b.Deletes {
-		if id < 0 || id >= len(t.items) || t.deleted[id] {
-			return fmt.Errorf("delete of unknown or dead item %d", id)
-		}
 		r := t.items[id]
-		if err := t.builder.Remove(r); err != nil {
-			return err
-		}
-		if !t.tree.Delete(r, id) {
+		if !t.ov.remove(id, r) || !t.tree.Delete(r, id) {
 			return fmt.Errorf("index lost item %d", id)
 		}
-		t.deleted[id] = true
-		t.nLive--
 		if t.repacking {
-			t.delta = append(t.delta, deltaOp{id: id, rect: r})
+			t.catchUp = append(t.catchUp, catchUpOp{id: id, rect: r})
 		}
 	}
 	return nil
@@ -569,24 +681,27 @@ func (t *Table) applyLocked(b Batch) error {
 // snapshotLocked assembles the immutable table snapshot readers will serve
 // from: a length-capped view of the append-only items slice (the writer only
 // ever appends past this length, never mutates below it, so sharing the
-// backing array is safe), a deep clone of the write tree, and a copied
-// statistics summary. Tombstoned slots stay in the items view — the executor
-// only reads Items[id] for IDs the index returns, and the index holds live
-// IDs only.
+// backing array is safe), the base planes under the overlay's current image,
+// a deep clone of the write tree, and a copied statistics summary. Tombstoned
+// slots stay in the items view — the executor only reads Items[id] for IDs the
+// index returns, and the index holds live IDs only.
 func (t *Table) snapshotLocked() *sdb.Table {
 	n := len(t.items)
 	view := t.items[:n:n]
+	t.gDeltaItems.Set(int64(t.ov.delta.Len()))
+	t.gTombstones.Set(int64(t.ov.nDead))
 	return &sdb.Table{
 		Name:      t.name,
 		Data:      dataset.New(t.name, geom.UnitSquare, view),
 		Index:     t.tree.Clone(),
+		Packed:    t.ov.image(),
 		Stats:     t.builder.Summary(),
 		RawExtent: t.rawExtent,
 	}
 }
 
-// checkpointLocked captures the full table state for a WAL checkpoint.
-func (t *Table) checkpointLocked() Checkpoint {
+// checkpointRecordLocked captures the full table state for a WAL checkpoint.
+func (t *Table) checkpointRecordLocked() Checkpoint {
 	items := make([]geom.Rect, len(t.items))
 	copy(items, t.items)
 	var del []int
@@ -602,11 +717,14 @@ func (t *Table) checkpointLocked() Checkpoint {
 // committers can finish out of order; whichever published last carries the
 // earlier batch's changes too (snapshots are built inside the apply critical
 // section, so snapshot content order matches sequence order), so the stale
-// publisher just reports the newer generation.
-func (t *Table) publishSnap(seq uint64, tbl *sdb.Table) (uint64, error) {
+// publisher just reports the newer generation. A fold's snapshot holds the
+// same items as the batch snapshot of its sequence on a new base, and
+// replaces it: readers stop paying for the overlay when the fold ends, not at
+// the next write.
+func (t *Table) publishSnap(seq uint64, folded bool, tbl *sdb.Table) (uint64, error) {
 	t.pubMu.Lock()
 	defer t.pubMu.Unlock()
-	if seq <= t.pubSeq && t.pubSeq > 0 {
+	if t.pubSeq > 0 && (seq < t.pubSeq || seq == t.pubSeq && !folded) {
 		return t.pubGen, nil
 	}
 	//lint:ignore lockorder pubMu exists to order publish handoffs by WAL seq; the callee is the store's snapshot installer, which takes only Store.mu and never re-enters the ingest layer

@@ -42,6 +42,13 @@ func (f *fakeStore) snapshot() *sdb.Table {
 	return f.last
 }
 
+// current returns the last published snapshot and how many there have been.
+func (f *fakeStore) current() (*sdb.Table, int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.last, f.pubs
+}
+
 // buildTable makes a registered-style read-only table over a raw extent.
 func buildTable(t *testing.T, name string, n int, level int, seed int64) *sdb.Table {
 	t.Helper()
@@ -508,11 +515,11 @@ func TestPublishSnapOrdering(t *testing.T) {
 	}
 	s1 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Packed: base.Packed, Stats: base.Stats}
 	s2 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Packed: base.Packed, Stats: base.Stats}
-	g2, err := tab.publishSnap(2, s2)
+	g2, err := tab.publishSnap(2, false, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := tab.publishSnap(1, s1)
+	g1, err := tab.publishSnap(1, false, s1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,6 +93,65 @@ func joinWindows(as, bs []geom.Rect) []struct {
 	}
 }
 
+// overlayShape says how one side's rectangles reach an image the way the
+// ingest front builds one: the first split(n) of them packed as planes, the
+// rest as a delta, and dead deciding which are deleted — by tombstone when
+// the item sits in the planes (slot ≥ 0), by leaving it out of the delta
+// otherwise (slot −1).
+type overlayShape struct {
+	name  string
+	split func(n int) int
+	dead  func(id, slot int) bool
+}
+
+var (
+	allInBase  = func(n int) int { return n }
+	twoThirds  = func(n int) int { return 2 * n / 3 }
+	plainShape = overlayShape{"plain", allInBase, func(int, int) bool { return false }}
+	bothShape  = overlayShape{"both", twoThirds, func(id, _ int) bool { return id%3 == 1 }}
+	// One tombstone in every group of the planes, walking through the eight
+	// lane positions — and so through every boundary group two leaves share.
+	lanesShape = overlayShape{"lanes", allInBase, func(_, slot int) bool { return slot%itemGroup == slot/itemGroup%itemGroup }}
+	// Every item of the planes is dead: the image is its delta.
+	baseDeadShape = overlayShape{"base-dead", func(n int) int { return n / 2 }, func(_, slot int) bool { return slot >= 0 }}
+	// Every delta item was deleted again, beside some tombstones.
+	deltaEmptiedShape = overlayShape{"delta-emptied", twoThirds, func(id, slot int) bool { return slot < 0 || id%5 == 0 }}
+	tombstonesShape   = overlayShape{"tombstones", allInBase, func(id, _ int) bool { return id%3 == 0 }}
+	deltaShape        = overlayShape{"delta", twoThirds, func(int, int) bool { return false }}
+)
+
+// build returns the shape's image of rects, ids being positions in rects, and
+// which ids it holds.
+func (sh overlayShape) build(t *testing.T, rects []geom.Rect, load func([]Item, ...Option) (*Tree, error), opts []Option) (*Packed, []bool) {
+	t.Helper()
+	k := sh.split(len(rects))
+	baseTree, err := load(ItemsFromRects(rects[:k]), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Pack(baseTree)
+	alive := make([]bool, len(rects))
+	dead := make([]uint64, (k+63)/64)
+	slot := 0
+	base.VisitItems(func(id int, _ geom.Rect) {
+		if alive[id] = !sh.dead(id, slot); !alive[id] {
+			dead[slot>>6] |= 1 << (uint(slot) & 63)
+		}
+		slot++
+	})
+	var added []Item
+	for id := k; id < len(rects); id++ {
+		if alive[id] = !sh.dead(id, -1); alive[id] {
+			added = append(added, Item{Rect: rects[id], ID: id})
+		}
+	}
+	deltaTree, err := load(added, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base.WithOverlay(dead, Pack(deltaTree)), alive
+}
+
 // TestExactJoinsAgree is the one differential oracle over every exact
 // rectangle join in the repository: the pointer R-tree join, the packed join
 // serial and with pools of 2 and 4, the plane sweep and the partition join
@@ -102,7 +161,11 @@ func joinWindows(as, bs []geom.Rect) []struct {
 // rectangles that only touch, and exact duplicates. On every input the packed
 // kernel's batches must also be the callback drain's sequence, its windowed
 // form must equal "brute force, then filter", and its output counter must
-// advance by exactly the pairs it returned.
+// advance by exactly the pairs it returned. The same holds when either side or
+// both reach the kernel as packed planes under an overlay — tombstones only,
+// a delta only, both, a tombstone in every lane position, planes with no live
+// item left, a delta deleted empty — against brute force over the items the
+// overlay leaves.
 func TestExactJoinsAgree(t *testing.T) {
 	allOverlap := func(n int, seed int64) []geom.Rect {
 		// Every rectangle covers the center: all n×m pairs intersect.
@@ -193,53 +256,84 @@ func TestExactJoinsAgree(t *testing.T) {
 				}
 			}
 
-			for _, workers := range []int{1, 2, 4} {
-				for _, w := range joinWindows(tc.as, tc.bs) {
-					before := packedJoinCounters.outputPairs.Value()
-					batches, err := PackedJoinBatches(ctx, pa, pb, workers, w.winA, w.winB)
-					if err != nil {
-						t.Fatalf("workers=%d windows=%s: %v", workers, w.name, err)
-					}
-					var got []JoinPair
-					for _, batch := range batches {
-						got = append(got, batch...)
-					}
-					if n := packedJoinCounters.outputPairs.Value() - before; n != uint64(len(got)) {
-						t.Fatalf("workers=%d windows=%s: output counter advanced by %d for %d pairs", workers, w.name, n, len(got))
-					}
-					if w.winA == nil && w.winB == nil {
-						// The callback entry point is a drain of these batches.
-						var drained []JoinPair
-						if err := PackedJoinFuncParallelContext(ctx, pa, pb, workers, func(a, b int) {
-							drained = append(drained, JoinPair{A: a, B: b})
-						}); err != nil {
-							t.Fatal(err)
+			// checkKernel holds the packed kernel on images ia ⋈ ib — which hold
+			// the a- and b-items keep admits — to every contract above, under
+			// each of the given windows and pool sizes 1, 2 and 4.
+			checkKernel := func(name string, ia, ib *Packed, keep func(JoinPair) bool, windows map[string]bool) {
+				for _, workers := range []int{1, 2, 4} {
+					for _, w := range joinWindows(tc.as, tc.bs) {
+						if windows != nil && !windows[w.name] {
+							continue
 						}
-						if len(drained) != len(got) {
-							t.Fatalf("workers=%d: drain emitted %d pairs, batches hold %d", workers, len(drained), len(got))
+						before := packedJoinCounters.outputPairs.Value()
+						batches, err := PackedJoinBatches(ctx, ia, ib, workers, w.winA, w.winB)
+						if err != nil {
+							t.Fatalf("%s workers=%d windows=%s: %v", name, workers, w.name, err)
 						}
-						for i := range got {
-							if drained[i] != got[i] {
-								t.Fatalf("workers=%d: drain pair %d = %v, batches have %v", workers, i, drained[i], got[i])
+						var got []JoinPair
+						for _, batch := range batches {
+							got = append(got, batch...)
+						}
+						if n := packedJoinCounters.outputPairs.Value() - before; n != uint64(len(got)) {
+							t.Fatalf("%s workers=%d windows=%s: output counter advanced by %d for %d pairs", name, workers, w.name, n, len(got))
+						}
+						if w.winA == nil && w.winB == nil {
+							// The callback entry point is a drain of these batches.
+							var drained []JoinPair
+							if err := PackedJoinFuncParallelContext(ctx, ia, ib, workers, func(a, b int) {
+								drained = append(drained, JoinPair{A: a, B: b})
+							}); err != nil {
+								t.Fatal(err)
+							}
+							if len(drained) != len(got) {
+								t.Fatalf("%s workers=%d: drain emitted %d pairs, batches hold %d", name, workers, len(drained), len(got))
+							}
+							for i := range got {
+								if drained[i] != got[i] {
+									t.Fatalf("%s workers=%d: drain pair %d = %v, batches have %v", name, workers, i, drained[i], got[i])
+								}
 							}
 						}
-					}
-					var filtered []JoinPair
-					for _, p := range want {
-						if (w.winA == nil || tc.as[p.A].Intersects(*w.winA)) && (w.winB == nil || tc.bs[p.B].Intersects(*w.winB)) {
-							filtered = append(filtered, p)
+						var filtered []JoinPair
+						for _, p := range want {
+							if keep(p) && (w.winA == nil || tc.as[p.A].Intersects(*w.winA)) && (w.winB == nil || tc.bs[p.B].Intersects(*w.winB)) {
+								filtered = append(filtered, p)
+							}
+						}
+						if len(filtered) == 0 && tc.name == "uniform" && w.name != "missing" {
+							t.Fatalf("%s windows=%s select nothing on the uniform input; the case is vacuous", name, w.name)
+						}
+						// Equal lengths and equal sorted sequences: every filtered
+						// pair exactly once, nothing else.
+						if !pairsEqual(got, filtered) {
+							t.Fatalf("%s workers=%d windows=%s: kernel returned %d pairs, filter-after-join keeps %d",
+								name, workers, w.name, len(got), len(filtered))
 						}
 					}
-					if len(filtered) == 0 && tc.name == "uniform" && w.name != "missing" {
-						t.Fatalf("windows=%s select nothing on the uniform input; the case is vacuous", w.name)
-					}
-					// Equal lengths and equal sorted sequences: every filtered
-					// pair exactly once, nothing else.
-					if !pairsEqual(got, filtered) {
-						t.Fatalf("workers=%d windows=%s: kernel returned %d pairs, filter-after-join keeps %d",
-							workers, w.name, len(got), len(filtered))
-					}
 				}
+			}
+			checkKernel("packed", pa, pb, func(JoinPair) bool { return true }, nil)
+
+			fewWindows := map[string]bool{"none": true, "both": true}
+			for _, sh := range []struct {
+				a, b    overlayShape
+				windows map[string]bool
+			}{
+				{tombstonesShape, plainShape, fewWindows},
+				{plainShape, tombstonesShape, fewWindows},
+				{deltaShape, plainShape, fewWindows},
+				{plainShape, deltaShape, fewWindows},
+				{bothShape, bothShape, nil},
+				{lanesShape, lanesShape, nil},
+				{baseDeadShape, deltaShape, fewWindows},
+				{deltaShape, baseDeadShape, fewWindows},
+				{deltaEmptiedShape, bothShape, fewWindows},
+				{bothShape, deltaEmptiedShape, fewWindows},
+			} {
+				oa, aliveA := sh.a.build(t, tc.as, tc.load, tc.opts)
+				ob, aliveB := sh.b.build(t, tc.bs, tc.load, tc.opts)
+				checkKernel(sh.a.name+"⋈"+sh.b.name, oa, ob,
+					func(p JoinPair) bool { return aliveA[p.A] && aliveB[p.B] }, sh.windows)
 			}
 		})
 	}

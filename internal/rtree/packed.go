@@ -18,6 +18,8 @@ var (
 		"Packed snapshot images built from Guttman trees.")
 	mPackedBuildSeconds = obs.Default.FloatCounter("rtree_packed_build_seconds_total",
 		"Seconds spent building packed snapshot images.")
+	mPackedBuildItems = obs.Default.Counter("rtree_packed_build_items_total",
+		"Item slots written by packed snapshot image builds.")
 )
 
 // Packed is a read-optimized, immutable image of an R-tree for published
@@ -30,8 +32,14 @@ var (
 //
 // A Packed is safe for concurrent readers (including the access counter,
 // which is atomic); it is never mutated after Pack returns. The mutable
-// Guttman tree remains the write side — re-pack or publish builds a fresh
-// image.
+// Guttman tree remains the write side.
+//
+// An image may carry an overlay (WithOverlay): tombstones over its own item
+// slots and a second, small image of items added since it was packed. The
+// planes are then shared with the image it was derived from, so publishing a
+// batch costs the overlay, not the table. Search, VisitItems, Len and the join
+// kernel see the overlaid item set; LevelStats, Height, NumNodes and RootMBR
+// keep describing the planes.
 type Packed struct {
 	accesses int64 // atomic; first field keeps it 64-bit aligned
 
@@ -72,6 +80,78 @@ type Packed struct {
 	// levels holds the per-level node statistics, recorded while Pack visits
 	// every node, so cost models read them instead of walking a tree.
 	levels []LevelStat
+
+	// The overlay, both nil on a freshly packed image. dead holds one bit per
+	// item slot (bit s&63 of word s>>6), set for nDead slots whose item is
+	// deleted; delta holds the items added since, and has no overlay itself.
+	dead  []uint64
+	nDead int
+	delta *Packed
+}
+
+// WithOverlay returns an image of p's item slots minus the ones whose bit is
+// set in dead, plus delta's items. It shares p's planes and ignores any
+// overlay p itself carries, so deriving from a derived image does not stack.
+// dead is indexed by item slot — the position at which VisitItems on an
+// overlay-free p reports the item — and has (slots+63)/64 words; nil means no
+// tombstones, a nil delta no additions. The result keeps both, so the caller
+// must not write to dead afterwards. It panics on a bitmap of the wrong length
+// and on a delta that carries an overlay: only a caller's bug produces either.
+func (p *Packed) WithOverlay(dead []uint64, delta *Packed) *Packed {
+	if dead != nil && len(dead) != (len(p.itemID)+63)/64 {
+		panic("rtree: WithOverlay: tombstone bitmap does not match the image's item slots")
+	}
+	if delta != nil && (delta.dead != nil || delta.delta != nil) {
+		panic("rtree: WithOverlay: delta image carries an overlay")
+	}
+	nDead := 0
+	for _, w := range dead {
+		nDead += bits.OnesCount64(w)
+	}
+	if nDead == 0 {
+		dead = nil
+	}
+	if delta != nil && delta.size == 0 {
+		delta = nil
+	}
+	q := &Packed{
+		nodeXMin: p.nodeXMin, nodeYMin: p.nodeYMin, nodeXMax: p.nodeXMax, nodeYMax: p.nodeYMax,
+		start: p.start, count: p.count, leaf: p.leaf,
+		itemXMin: p.itemXMin, itemYMin: p.itemYMin, itemXMax: p.itemXMax, itemYMax: p.itemYMax,
+		itemID:  p.itemID,
+		grpXMin: p.grpXMin, grpYMin: p.grpYMin, grpXMax: p.grpXMax, grpYMax: p.grpYMax,
+		size: len(p.itemID) - nDead, height: p.height, levels: p.levels,
+		dead: dead, nDead: nDead, delta: delta,
+	}
+	if delta != nil {
+		q.size += delta.size
+	}
+	return q
+}
+
+// Overlay reports what the image carries on top of its planes: the items in
+// its delta and the tombstoned slots. Both are zero on a freshly packed image.
+func (p *Packed) Overlay() (deltaItems, tombstones int) {
+	if p.delta != nil {
+		deltaItems = p.delta.size
+	}
+	return deltaItems, p.nDead
+}
+
+// SharesPlanes reports whether p and q are views of the same packed planes —
+// images derived from one Pack by WithOverlay, or the same image.
+func (p *Packed) SharesPlanes(q *Packed) bool {
+	return len(p.itemID) == len(q.itemID) && len(p.leaf) == len(q.leaf) &&
+		(len(p.leaf) == 0 || &p.leaf[0] == &q.leaf[0])
+}
+
+// slotDead reports whether item slot i is tombstoned in dead.
+func slotDead(dead []uint64, i int) bool { return dead[i>>6]>>(uint(i)&63)&1 != 0 }
+
+// deadLanes returns the tombstone bits of item group g, bit i for slot
+// g·itemGroup+i: the byte of the bitmap the group's eight slots occupy.
+func deadLanes(dead []uint64, g int) uint64 {
+	return dead[g>>3] >> (uint(g&7) * itemGroup) & (1<<itemGroup - 1)
 }
 
 // Pack builds the packed image of t. Cost is one full scan of the tree —
@@ -177,6 +257,7 @@ func Pack(t *Tree) *Packed {
 		p.grpXMin[g], p.grpYMin[g], p.grpXMax[g], p.grpYMax[g] = xm, ym, xM, yM
 	}
 	mPackedBuilds.Inc()
+	mPackedBuildItems.Add(uint64(len(p.itemID)))
 	mPackedBuildSeconds.Add(time.Since(startTime).Seconds())
 	return p
 }
@@ -185,13 +266,14 @@ func Pack(t *Tree) *Packed {
 // slots, matching the kernel's 8-wide unrolled mask step.
 const itemGroup = 8
 
-// Len returns the number of stored items.
+// Len returns the number of stored items: with an overlay, the live slots
+// plus the delta's items.
 func (p *Packed) Len() int { return p.size }
 
-// Height returns the number of levels (0 when empty).
+// Height returns the number of levels of the planes (0 when empty).
 func (p *Packed) Height() int { return p.height }
 
-// NumNodes returns the number of nodes in the image.
+// NumNodes returns the number of nodes in the planes.
 func (p *Packed) NumNodes() int { return len(p.leaf) }
 
 // LevelStats returns the source tree's Tree.LevelStats as recorded by Pack:
@@ -214,13 +296,20 @@ func (p *Packed) Accesses() int64 { return atomic.LoadInt64(&p.accesses) }
 // ResetAccesses zeroes the access counter.
 func (p *Packed) ResetAccesses() { atomic.StoreInt64(&p.accesses, 0) }
 
-// VisitItems calls fn for every stored item in leaf layout order. It exists
-// so consistency checks (tests, the snapshot-publish hammer) can compare a
-// packed image against the index it claims to mirror without reaching into
-// the planes.
+// VisitItems calls fn for every stored item: the planes' live items in slot
+// order — on an overlay-free image the i-th call is slot i, the index
+// WithOverlay's bitmap uses — then the delta's. Consistency checks compare an
+// image against the index it claims to mirror through it, and the ingest fold
+// reads the id-to-slot table off it, without reaching into the planes.
 func (p *Packed) VisitItems(fn func(id int, r geom.Rect)) {
 	for i, id := range p.itemID {
+		if p.dead != nil && slotDead(p.dead, i) {
+			continue
+		}
 		fn(id, geom.Rect{MinX: p.itemXMin[i], MinY: p.itemYMin[i], MaxX: p.itemXMax[i], MaxY: p.itemYMax[i]})
+	}
+	if p.delta != nil {
+		p.delta.VisitItems(fn)
 	}
 }
 
@@ -228,13 +317,15 @@ func (p *Packed) VisitItems(fn func(id int, r geom.Rect)) {
 // counterpart of Tree.Search and the executor's index probe for extension
 // steps; the join kernels have their own traversals.
 func (p *Packed) Search(q geom.Rect, out []int) []int {
-	if len(p.leaf) == 0 {
-		return out
-	}
 	// Node touches are counted locally and added once: the counter shares a
 	// cache line with the plane headers every concurrent probe reads.
 	visits := 0
-	out = p.search(0, q, out, &visits)
+	if len(p.leaf) > 0 {
+		out = p.search(0, q, out, &visits)
+	}
+	if p.delta != nil {
+		out = p.delta.search(0, q, out, &visits)
+	}
 	atomic.AddInt64(&p.accesses, int64(visits))
 	return out
 }
@@ -243,7 +334,7 @@ func (p *Packed) Search(q geom.Rect, out []int) []int {
 // internal node's child run and a leaf's item run go through overlapMask, and
 // a leaf walks its run at group granularity, skipping a whole group whose
 // bounding box misses q. Set bits are taken lowest first, so ids come back in
-// ascending slot order.
+// ascending slot order; tombstoned slots are masked out.
 func (p *Packed) search(n int32, q geom.Rect, out []int, visits *int) []int {
 	*visits++
 	s, c := int(p.start[n]), int(p.count[n])
@@ -275,6 +366,9 @@ func (p *Packed) search(n int32, q geom.Rect, out []int, visits *int) []int {
 		lo, hi := groupSpan(g, s, end)
 		m := overlapMask(q.MinX, q.MinY, q.MaxX, q.MaxY,
 			p.itemXMin, p.itemYMin, p.itemXMax, p.itemYMax, lo, hi-lo)
+		if p.dead != nil {
+			m &^= deadLanes(p.dead, g) >> uint(lo-g*itemGroup)
+		}
 		for m != 0 {
 			out = append(out, p.itemID[lo+bits.TrailingZeros64(m)])
 			m &= m - 1

@@ -241,3 +241,101 @@ func BenchmarkPackedSearch(b *testing.B) {
 		buf = p.Search(queries[i%len(queries)], buf[:0])
 	}
 }
+
+// TestOverlayImageMirrorsPack holds every overlay shape the join oracle uses
+// to the read surface beside the kernel: the image must answer Len, VisitItems
+// (as a set) and Search exactly as a fresh Pack of the surviving items does,
+// report its overlay's size, share the planes of the image it was derived from
+// and leave that image as it was.
+func TestOverlayImageMirrorsPack(t *testing.T) {
+	queries := append(randRects(48, 10), latticeRects(16, 12)...)
+	queries = append(queries, geom.NewRect(-1, -1, 2, 2), geom.NewRect(5, 5, 6, 6))
+	for _, tc := range []struct {
+		name  string
+		rects []geom.Rect
+		opts  []Option
+	}{
+		{"uniform", randRects(1500, 9), []Option{WithFanout(2, 8)}},
+		{"wide-fanout", randRects(3000, 35), []Option{WithFanout(30, 100)}},
+		{"single-leaf", randRects(5, 27), nil},
+		{"empty", nil, nil},
+	} {
+		for _, sh := range []overlayShape{plainShape, tombstonesShape, deltaShape, bothShape, lanesShape, baseDeadShape, deltaEmptiedShape} {
+			t.Run(tc.name+"/"+sh.name, func(t *testing.T) {
+				img, alive := sh.build(t, tc.rects, BulkLoadSTR, tc.opts)
+				var live []Item
+				tombstones, added := 0, 0
+				k := sh.split(len(tc.rects))
+				for id, r := range tc.rects {
+					switch {
+					case alive[id]:
+						live = append(live, Item{Rect: r, ID: id})
+						if id >= k {
+							added++
+						}
+					case id < k:
+						tombstones++
+					}
+				}
+				tr, err := BulkLoadSTR(live, tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := Pack(tr)
+
+				if img.Len() != want.Len() {
+					t.Fatalf("Len = %d, Pack of the survivors holds %d", img.Len(), want.Len())
+				}
+				if d, ts := img.Overlay(); d != added || ts != tombstones {
+					t.Fatalf("Overlay = (%d, %d), want (%d, %d)", d, ts, added, tombstones)
+				}
+				seen := make(map[int]bool, img.Len())
+				img.VisitItems(func(id int, r geom.Rect) {
+					if seen[id] || !alive[id] || tc.rects[id] != r {
+						t.Fatalf("VisitItems reported item %d (%v) twice, dead or with the wrong rect", id, r)
+					}
+					seen[id] = true
+				})
+				if len(seen) != want.Len() {
+					t.Fatalf("VisitItems reported %d items, want %d", len(seen), want.Len())
+				}
+				for _, q := range queries {
+					if got, ref := img.Search(q, nil), want.Search(q, nil); !sortedEqual(got, ref) {
+						t.Fatalf("query %v: overlay image %d hits, Pack of the survivors %d", q, len(got), len(ref))
+					}
+				}
+
+				// The image the overlay was laid over: same planes, every item.
+				base := img.WithOverlay(nil, nil)
+				if !base.SharesPlanes(img) || base.SharesPlanes(want) && want.Len() > 0 {
+					t.Fatal("SharesPlanes does not tell the derived image from a fresh Pack")
+				}
+				if d, ts := base.Overlay(); d != 0 || ts != 0 || base.Len() != k {
+					t.Fatalf("planes hold %d items under overlay (%d, %d), want %d under none", base.Len(), d, ts, k)
+				}
+			})
+		}
+	}
+}
+
+// TestWithOverlayRejectsMisuse: a bitmap that does not match the planes, or a
+// delta that itself carries an overlay, is a caller's bug and panics rather
+// than publishing an image that reads the wrong slots.
+func TestWithOverlayRejectsMisuse(t *testing.T) {
+	_, p := packOf(t, randRects(200, 3))
+	_, d := packOf(t, randRects(20, 4))
+	for name, f := range map[string]func(){
+		"short bitmap":     func() { p.WithOverlay(make([]uint64, 1), nil) },
+		"overlaid delta":   func() { p.WithOverlay(nil, d.WithOverlay(nil, d)) },
+		"tombstoned delta": func() { p.WithOverlay(nil, d.WithOverlay([]uint64{1}, nil)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: WithOverlay did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

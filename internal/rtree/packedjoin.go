@@ -74,10 +74,14 @@ func overlapMask(qxmin, qymin, qxmax, qymax float64, xmin, ymin, xmax, ymax []fl
 
 // packedJoinRun is one traversal of two packed images: the shared state, the
 // images, the optional per-side windows, the batches the traversal appends its
-// pairs to, and per-image node accesses, kept local and flushed once at the
-// end like the rest.
+// pairs to, and per-side node accesses, kept local and flushed once at the
+// end like the rest. A run outlives its image pair: the driver points pa and
+// pb at each part of a join in turn (packedJoinParts) and the totals and
+// batches carry over.
 type packedJoinRun struct {
 	joinState
+	// pa and pb are the planes being traversed; their tombstones are masked
+	// out at the leaves and their deltas are not followed.
 	pa, pb *Packed
 	// winA and winB restrict the join to a-items meeting winA and b-items
 	// meeting winB (nil = unrestricted). A window prunes; it never shrinks a
@@ -131,11 +135,12 @@ func (j *packedJoinRun) take() [][]JoinPair {
 }
 
 // flush publishes the run's totals: the shared counters and span, plus the
-// two images' access counters.
-func (j *packedJoinRun) flush(sp *obs.Span) {
+// access counters of the two images the join was asked for (a delta's node
+// touches count on the image that carries it).
+func (j *packedJoinRun) flush(sp *obs.Span, a, b *Packed) {
 	j.joinState.flush(&packedJoinCounters, sp)
-	atomic.AddInt64(&j.pa.accesses, int64(j.accA))
-	atomic.AddInt64(&j.pb.accesses, int64(j.accB))
+	atomic.AddInt64(&a.accesses, int64(j.accA))
+	atomic.AddInt64(&b.accesses, int64(j.accB))
 }
 
 // nodeRect materializes node i's MBR from the planes.
@@ -252,10 +257,11 @@ func (j *packedJoinRun) joinInternal(na, nb int32, clip geom.Rect) {
 }
 
 // joinLeaves appends every intersecting item pair between two leaves to the
-// run's batch. Each a-item surviving the clip filter (and its window) walks
-// b's run at group granularity: the group's bounding box (tight, thanks to
-// Hilbert layout) rejects eight items with one rect test, and only surviving
-// groups pay the 8-wide item mask, ANDed with the same mask for b's window.
+// run's batch. Each live a-item surviving the clip filter (and its window)
+// walks b's run at group granularity: the group's bounding box (tight, thanks
+// to Hilbert layout) rejects eight items with one rect test, and only
+// surviving groups pay the 8-wide item mask, ANDed with the same mask for b's
+// window and with the complement of the group's tombstone byte.
 // Sparse workloads — where most leaf pairs share a sliver of clip and almost
 // no items — prune at the group level instead of evaluating the whole run.
 func (j *packedJoinRun) joinLeaves(na, nb int32, clip geom.Rect) {
@@ -273,6 +279,12 @@ func (j *packedJoinRun) joinLeaves(na, nb int32, clip geom.Rect) {
 		axmin, aymin := pa.itemXMin[i], pa.itemYMin[i]
 		axmax, aymax := pa.itemXMax[i], pa.itemYMax[i]
 		if axmin > clip.MaxX || clip.MinX > axmax || aymin > clip.MaxY || clip.MinY > aymax {
+			continue
+		}
+		// Tombstones are read through the image here and below, not hoisted
+		// into locals: two more slices live across this loop cost the join of
+		// overlay-free images 3–4 % (EXPERIMENTS.md "O(batch) publish").
+		if pa.dead != nil && slotDead(pa.dead, i) {
 			continue
 		}
 		if winA != nil && (axmin > winA.MaxX || winA.MinX > axmax || aymin > winA.MaxY || winA.MinY > aymax) {
@@ -293,6 +305,9 @@ func (j *packedJoinRun) joinLeaves(na, nb int32, clip geom.Rect) {
 				j.compares += n
 				m &= overlapMask(winB.MinX, winB.MinY, winB.MaxX, winB.MaxY,
 					pb.itemXMin, pb.itemYMin, pb.itemXMax, pb.itemYMax, lo, n)
+			}
+			if m != 0 && pb.dead != nil {
+				m &^= deadLanes(pb.dead, g) >> uint(lo-g*itemGroup)
 			}
 			j.pairs += bits.OnesCount64(m)
 			for m != 0 {
@@ -345,9 +360,14 @@ func minf(a, b float64) float64 {
 // that knows the total (the executor sizing its row slab) reads them in place,
 // with no per-pair call in between.
 //
+// An image that carries an overlay joins as its planes, tombstones masked, and
+// then its delta — a small image like any other — so the join of two such
+// images is up to four traversals of the one kernel, emitted in the order
+// planes⋈planes, planes⋈delta, delta⋈planes, delta⋈delta (packedJoinParts).
+//
 // workers is the pool size: the caller resolves any "auto" knob. A pool of
 // one or less runs the traversal on the caller's goroutine. A larger pool
-// expands the traversal's top levels serially into
+// expands each part's top levels serially into
 // independent node-pair tasks; workers claim tasks through an atomic cursor,
 // each running the same traversal on its task's subtrees into that task's own
 // batches, and the batches come back in task order regardless of scheduling
@@ -364,13 +384,13 @@ func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, win
 	if workers <= 1 {
 		return packedJoinSerial(ctx, a, b, winA, winB, nil)
 	}
-	clip, ok := packedJoinStart(a, b)
-	if !ok {
+	parts := packedJoinParts(a, b)
+	if len(parts) == 0 {
 		return nil, nil
 	}
 	sp := obs.SpanFrom(ctx).Child("rtree.packed_join_parallel")
 
-	tasks, expA, expB := expandPackedJoinTasks(a, b, clip, workers*taskTargetPerWorker)
+	tasks, expA, expB := expandPackedJoinTasks(parts, workers*taskTargetPerWorker)
 
 	// Per-task batches, indexed by task. Workers write only the slots they
 	// claimed, so the slice needs no lock; it is read after Wait.
@@ -379,7 +399,7 @@ func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, win
 	// Whole-join totals, seeded with the expansion's visits. Each worker
 	// accumulates in its own run across all the tasks it claims and adds that
 	// in once at exit.
-	total := packedJoinRun{joinState: joinState{visits: expA + expB}, pa: a, pb: b, accA: expA, accB: expB}
+	total := packedJoinRun{joinState: joinState{visits: expA + expB}, accA: expA, accB: expB}
 	var mu sync.Mutex
 
 	var wg sync.WaitGroup
@@ -387,7 +407,7 @@ func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, win
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b, winA: winA, winB: winB}
+			j := &packedJoinRun{joinState: joinState{ctx: ctx}, winA: winA, winB: winB}
 			for {
 				if j.err = ctx.Err(); j.err != nil {
 					break
@@ -397,6 +417,7 @@ func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, win
 					break
 				}
 				tk := tasks[i]
+				j.pa, j.pb = tk.pa, tk.pb
 				j.join(tk.na, tk.nb, tk.clip)
 				if j.err != nil {
 					break
@@ -420,7 +441,7 @@ func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, win
 
 	sp.Set("workers", float64(workers))
 	sp.Set("tasks", float64(len(tasks)))
-	total.flush(sp)
+	total.flush(sp, a, b)
 	if total.err != nil {
 		return nil, total.err
 	}
@@ -431,28 +452,50 @@ func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, win
 	return batches, nil
 }
 
-// packedJoinStart counts one join and returns the root pair's clip; false
-// means the join is empty without a traversal.
-func packedJoinStart(a, b *Packed) (clip geom.Rect, ok bool) {
+// packedJoinTask is one independent unit of join work: a node pair of two
+// images' planes whose subtree join is disjoint from every other task's.
+type packedJoinTask struct {
+	pa, pb *Packed
+	na, nb int32
+	clip   geom.Rect
+}
+
+// packedJoinParts counts one join and returns the root tasks it decomposes
+// into, in emission order: the two images' planes, then — for a side that
+// carries a delta — planes⋈delta, delta⋈planes, delta⋈delta. A part with an
+// empty side or disjoint roots is left out; no part left means the join is
+// empty without a traversal. Two overlay-free images have one part.
+func packedJoinParts(a, b *Packed) []packedJoinTask {
 	packedJoinCounters.joins.Inc()
-	if a.NumNodes() == 0 || b.NumNodes() == 0 {
-		return geom.Rect{}, false
+	parts := make([]packedJoinTask, 0, 4)
+	for _, pa := range [2]*Packed{a, a.delta} {
+		for _, pb := range [2]*Packed{b, b.delta} {
+			if pa == nil || pb == nil || pa.NumNodes() == 0 || pb.NumNodes() == 0 {
+				continue
+			}
+			if clip, ok := pa.RootMBR().Intersection(pb.RootMBR()); ok {
+				parts = append(parts, packedJoinTask{pa: pa, pb: pb, clip: clip})
+			}
+		}
 	}
-	return a.RootMBR().Intersection(b.RootMBR())
+	return parts
 }
 
 // packedJoinSerial runs the whole traversal on the caller's goroutine. With a
 // drain it hands every batch over — each full one as it fills, then the last,
 // partial one — and returns none.
 func packedJoinSerial(ctx context.Context, a, b *Packed, winA, winB *geom.Rect, drain func([]JoinPair)) ([][]JoinPair, error) {
-	clip, ok := packedJoinStart(a, b)
-	if !ok {
+	parts := packedJoinParts(a, b)
+	if len(parts) == 0 {
 		return nil, nil
 	}
 	sp := obs.SpanFrom(ctx).Child("rtree.packed_join")
-	j := &packedJoinRun{joinState: joinState{ctx: ctx}, pa: a, pb: b, winA: winA, winB: winB, drain: drain}
-	j.join(0, 0, clip)
-	j.flush(sp)
+	j := &packedJoinRun{joinState: joinState{ctx: ctx}, winA: winA, winB: winB, drain: drain}
+	for _, part := range parts {
+		j.pa, j.pb = part.pa, part.pb
+		j.join(0, 0, part.clip)
+	}
+	j.flush(sp, a, b)
 	if j.err != nil {
 		return nil, j.err
 	}
@@ -487,61 +530,59 @@ func PackedJoinCount(a, b *Packed) int {
 	return n
 }
 
-// packedJoinTask is one independent unit of parallel join work: a node pair
-// whose subtree join is disjoint from every other task's.
-type packedJoinTask struct {
-	na, nb int32
-	clip   geom.Rect
-}
-
 // taskTargetPerWorker is how many tasks the serial expansion aims to produce
 // per worker. More tasks than workers smooths load imbalance between dense
 // and sparse regions at negligible expansion cost.
 const taskTargetPerWorker = 8
 
-// expandPackedJoinTasks expands the synchronized traversal's top levels
-// serially into independent node-pair tasks, breadth-first, splitting every
-// expandable task one level on its larger side per round until there are at
-// least target tasks (or only leaf-leaf pairs remain). Task order is
-// deterministic: it depends only on the image shapes, never on scheduling.
+// expandPackedJoinTasks expands the top levels of each part's synchronized
+// traversal serially into independent node-pair tasks, breadth-first,
+// splitting every expandable task one level on its larger side per round
+// until the part has at least target tasks (or only leaf-leaf pairs remain),
+// and returns the parts' tasks in part order. Task order is deterministic: it
+// depends only on the image shapes, never on scheduling.
 //
 // visA and visB count the nodes whose children the expansion examined, per
 // side, so the caller can fold expansion work into the join's accounting.
-func expandPackedJoinTasks(pa, pb *Packed, clip geom.Rect, target int) (tasks []packedJoinTask, visA, visB int) {
-	tasks = []packedJoinTask{{na: 0, nb: 0, clip: clip}}
-	for len(tasks) < target {
-		next := make([]packedJoinTask, 0, len(tasks)*4)
-		expanded := false
-		for _, tk := range tasks {
-			switch {
-			case !pa.leaf[tk.na] && (pb.leaf[tk.nb] || pa.count[tk.na] >= pb.count[tk.nb]):
-				visA++
-				s, c := pa.start[tk.na], pa.count[tk.na]
-				for i := s; i < s+c; i++ {
-					if sub, ok := pa.nodeRect(i).Intersection(tk.clip); ok {
-						next = append(next, packedJoinTask{na: i, nb: tk.nb, clip: sub})
+func expandPackedJoinTasks(parts []packedJoinTask, target int) (all []packedJoinTask, visA, visB int) {
+	for _, root := range parts {
+		pa, pb := root.pa, root.pb
+		tasks := []packedJoinTask{root}
+		for len(tasks) < target {
+			next := make([]packedJoinTask, 0, len(tasks)*4)
+			expanded := false
+			for _, tk := range tasks {
+				switch {
+				case !pa.leaf[tk.na] && (pb.leaf[tk.nb] || pa.count[tk.na] >= pb.count[tk.nb]):
+					visA++
+					s, c := pa.start[tk.na], pa.count[tk.na]
+					for i := s; i < s+c; i++ {
+						if sub, ok := pa.nodeRect(i).Intersection(tk.clip); ok {
+							next = append(next, packedJoinTask{pa: pa, pb: pb, na: i, nb: tk.nb, clip: sub})
+						}
 					}
-				}
-				expanded = true
-			case !pb.leaf[tk.nb]:
-				visB++
-				s, c := pb.start[tk.nb], pb.count[tk.nb]
-				for i := s; i < s+c; i++ {
-					if sub, ok := pb.nodeRect(i).Intersection(tk.clip); ok {
-						next = append(next, packedJoinTask{na: tk.na, nb: i, clip: sub})
+					expanded = true
+				case !pb.leaf[tk.nb]:
+					visB++
+					s, c := pb.start[tk.nb], pb.count[tk.nb]
+					for i := s; i < s+c; i++ {
+						if sub, ok := pb.nodeRect(i).Intersection(tk.clip); ok {
+							next = append(next, packedJoinTask{pa: pa, pb: pb, na: tk.na, nb: i, clip: sub})
+						}
 					}
+					expanded = true
+				default:
+					next = append(next, tk)
 				}
-				expanded = true
-			default:
-				next = append(next, tk)
+			}
+			tasks = next
+			if !expanded {
+				break
 			}
 		}
-		tasks = next
-		if !expanded {
-			break
-		}
+		all = append(all, tasks...)
 	}
-	return tasks, visA, visB
+	return all, visA, visB
 }
 
 // PackedJoinFuncParallelContext is the callback form of PackedJoinBatches for

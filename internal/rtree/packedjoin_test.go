@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
+	"spatialsel/internal/datagen"
 	"spatialsel/internal/geom"
 )
 
@@ -281,4 +283,37 @@ func BenchmarkPackedJoin(b *testing.B) {
 			PackedJoinCount(pa, pb)
 		}
 	})
+}
+
+// BenchmarkPackedJoinOverlay is what readers pay for an unfolded overlay: the
+// paper's SURA ⋈ SCRC at full cardinality, two workers, with SURA carrying k
+// tombstones and a delta of k uniform inserts — the shape mixed-rw's batches
+// give it. k = 0 is the overlay-free join the other sizes are read against
+// (EXPERIMENTS.md "O(batch) publish" derives the fold threshold from them).
+func BenchmarkPackedJoinOverlay(b *testing.B) {
+	sura, scrc := datagen.SURA(1).Items, datagen.SCRC(1).Items
+	ta, _ := BulkLoadSTR(ItemsFromRects(sura))
+	tb, _ := BulkLoadSTR(ItemsFromRects(scrc))
+	base, partner := Pack(ta), Pack(tb)
+	added := datagen.Uniform("added", 8000, 0.004, 9).Items
+	for _, k := range []int{0, 1000, 2000, 4000, 8000} {
+		b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
+			dead := make([]uint64, (len(sura)+63)/64)
+			for i := 0; i < k; i++ {
+				slot := uint(i) * uint(len(sura)/8000)
+				dead[slot>>6] |= 1 << (slot & 63)
+			}
+			delta := MustNew()
+			for i, r := range added[:k] {
+				delta.Insert(r, len(sura)+i)
+			}
+			img := base.WithOverlay(dead, Pack(delta))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := PackedJoinBatches(context.Background(), img, partner, 2, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -128,12 +128,17 @@ type CreateTableRequest struct {
 	Items     [][4]float64   `json:"items,omitempty"`
 }
 
-// TableInfo is the public summary of a registered table.
+// TableInfo is the public summary of a registered table. DeltaItems and
+// Tombstones size the overlay the served image carries since the table's last
+// fold — what every join and probe on it reads beside the packed base (both 0
+// for a table that was never mutated or has just been folded).
 type TableInfo struct {
 	Name       string  `json:"name"`
 	Items      int     `json:"items"`
 	Generation uint64  `json:"generation"`
 	TreeHeight int     `json:"tree_height"`
+	DeltaItems int     `json:"delta_items"`
+	Tombstones int     `json:"tombstones"`
 	StatsLevel int     `json:"stats_level"`
 	StatsBytes int64   `json:"stats_bytes"`
 	Coverage   float64 `json:"coverage"`
@@ -143,11 +148,14 @@ type TableInfo struct {
 
 func (s *Server) tableInfo(snap *Snapshot, t *sdb.Table) TableInfo {
 	ds := t.Data.ComputeStats()
+	deltaItems, tombstones := t.Packed.Overlay()
 	return TableInfo{
 		Name:       t.Name,
 		Items:      t.Len(),
 		Generation: snap.Generation(t.Name),
 		TreeHeight: t.Packed.Height(),
+		DeltaItems: deltaItems,
+		Tombstones: tombstones,
 		StatsLevel: t.Stats.Level(),
 		StatsBytes: t.Stats.SizeBytes(),
 		Coverage:   ds.Coverage,

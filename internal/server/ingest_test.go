@@ -1,11 +1,13 @@
 package server
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,6 +99,26 @@ func TestMutationEndpoints(t *testing.T) {
 	if got.Generation != mut.Generation {
 		t.Fatalf("table generation %d, last mutation %d", got.Generation, mut.Generation)
 	}
+	// Of the three inserts two were deleted again, out of the delta; the one
+	// registered item deleted is a tombstone on the base. The table info and
+	// the per-table gauges both say how far the table is from a fold.
+	if got.DeltaItems != 1 || got.Tombstones != 1 {
+		t.Fatalf("table info reports overlay (%d, %d), want (1, 1)", got.DeltaItems, got.Tombstones)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`sdbd_ingest_delta_items{table="a"} 1`, `sdbd_ingest_tombstones{table="a"} 1`} {
+		if !strings.Contains(string(metrics), want+"\n") {
+			t.Fatalf("/metrics lacks %q", want)
+		}
+	}
 
 	// Error paths: unknown table 404, invalid payloads 400.
 	var errResp errorResponse
@@ -128,15 +150,16 @@ func TestMutationEndpoints(t *testing.T) {
 
 // TestExplainPricesFromRecordedLevelStats: /v1/explain's modeled_join_io comes
 // from the level statistics the packed images recorded when they were built,
-// and must equal the I/O model over a fresh walk of the pointer trees — for
-// registered tables and again after an ingest batch re-published (and so
-// re-packed) one side.
+// and must equal the I/O model over a fresh walk of the pointer trees they
+// were built from — for registered tables and again after a fold re-packed one
+// side. Between the two, an ingest batch publishes the same base under an
+// overlay, and the price stays the base's.
 func TestExplainPricesFromRecordedLevelStats(t *testing.T) {
 	s, ts := newTestServer(t, Config{Level: 5})
 	createTable(t, ts.URL, "a", "uniform", 2000, 1, false)
 	createTable(t, ts.URL, "b", "cluster", 1500, 2, false)
 
-	explain := func() float64 {
+	explain := func(packedFromIndex bool) float64 {
 		t.Helper()
 		var resp ExplainResponse
 		if code := doJSON(t, "POST", ts.URL+"/v1/explain",
@@ -153,12 +176,12 @@ func TestExplainPricesFromRecordedLevelStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := iomodel.JoinAccesses(base.Index.LevelStats(), first.Index.LevelStats())
-		if want <= 0 || math.Abs(resp.ModeledJoinIO-want) > 1e-9*want {
+		if packedFromIndex && (want <= 0 || math.Abs(resp.ModeledJoinIO-want) > 1e-9*want) {
 			t.Fatalf("modeled_join_io = %g, I/O model over the pointer trees = %g", resp.ModeledJoinIO, want)
 		}
 		return resp.ModeledJoinIO
 	}
-	before := explain()
+	before := explain(true)
 
 	rng := rand.New(rand.NewSource(3))
 	items := make([][4]float64, 400)
@@ -169,8 +192,18 @@ func TestExplainPricesFromRecordedLevelStats(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v1/tables/a/insert", InsertRequest{Items: items}, nil); code != http.StatusOK {
 		t.Fatalf("insert: %d", code)
 	}
-	if after := explain(); after == before {
-		t.Fatalf("modeled_join_io still %g after 400 inserts: the re-packed image carries stale statistics", after)
+	if overlaid := explain(false); overlaid != before {
+		t.Fatalf("modeled_join_io moved %g -> %g on a batch that published the same base", before, overlaid)
+	}
+	tab, err := s.ingest.Table("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Repack(); err != nil {
+		t.Fatal(err)
+	}
+	if folded := explain(true); folded == before {
+		t.Fatalf("modeled_join_io still %g after folding 400 inserts: the new base carries stale statistics", folded)
 	}
 }
 

@@ -12,15 +12,8 @@ import (
 	"sync"
 
 	"spatialsel/internal/dataset"
-	"spatialsel/internal/obs"
-	"spatialsel/internal/rtree"
 	"spatialsel/internal/sdb"
 )
-
-// mPackedPublishes counts snapshot publications that built a packed SoA image
-// on the way in (publications arriving with one prebuilt are not re-packed).
-var mPackedPublishes = obs.Default.Counter("sdbd_packed_publishes_total",
-	"Snapshot publications that packed the table's index for the read path.")
 
 // Snapshot is an immutable view of the store at one point in time: a catalog
 // whose table set never changes, plus the generation number of each table.
@@ -110,20 +103,14 @@ func (s *Store) Register(d *dataset.Dataset, replace bool) (*sdb.Table, uint64, 
 
 // Publish installs a pre-built table, replacing any table of the same name,
 // and returns the new generation. This is the live-ingest publication path:
-// the ingest layer builds the table snapshot (shared items view, cloned
-// index, fresh statistics) outside any store lock, and Publish only performs
-// the copy-on-write snapshot swap plus the generation bump — which is what
-// invalidates the server's generation-keyed estimate cache for free.
+// the ingest layer builds the table snapshot (shared items view, packed base
+// under its overlay, fresh statistics) outside any store lock, and Publish
+// only performs the copy-on-write snapshot swap plus the generation bump —
+// which is what invalidates the server's generation-keyed estimate cache for
+// free. The packed image arrives inside the same *sdb.Table the bump
+// publishes, so an image from generation G can never appear under generation
+// G+1's key (pinned by TestStorePublishRepackRace).
 func (s *Store) Publish(t *sdb.Table) (uint64, error) {
-	// Pack the read-optimized image off-lock, before the swap, from the
-	// snapshot's own immutable index. Because the image derives from the same
-	// *sdb.Table that the generation bump below publishes, a packed image
-	// from generation G can never appear under generation G+1's key — the
-	// two travel together or not at all (pinned by TestStorePublishRepackRace).
-	if t.Packed == nil && t.Index != nil {
-		t.Packed = rtree.Pack(t.Index)
-		mPackedPublishes.Inc()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	next, err := s.rebuildLocked(s.snap, t.Name)

@@ -9,6 +9,7 @@ import (
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/ingest"
+	"spatialsel/internal/rtree"
 	"spatialsel/internal/sdb"
 )
 
@@ -75,11 +76,11 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 }
 
 // verifyPackedMirrors checks the invariant the packed-publication seam must
-// hold for every snapshot: the packed image and the pointer index a table
-// carries describe exactly the same item set. Publish builds the image from
-// the same immutable *sdb.Table it installs under the new generation, so a
-// packed image built from generation G can never surface under G+1's key —
-// any divergence here means that seam broke.
+// hold for every snapshot: the packed image — base planes, tombstones and
+// delta — and the pointer index a table carries describe exactly the same item
+// set. The image arrives inside the same immutable *sdb.Table that Publish
+// installs under the new generation, so an image from generation G can never
+// surface under G+1's key — any divergence here means that seam broke.
 func verifyPackedMirrors(tab *sdb.Table) (msg string, ok bool) {
 	if tab.Packed == nil {
 		return "published table has no packed image", false
@@ -87,16 +88,18 @@ func verifyPackedMirrors(tab *sdb.Table) (msg string, ok bool) {
 	if got, want := tab.Packed.Len(), tab.Index.Len(); got != want {
 		return "packed image has " + strconv.Itoa(got) + " items, index " + strconv.Itoa(want), false
 	}
-	if rootM, okM := tab.Index.RootMBR(); okM && tab.Packed.RootMBR() != rootM {
-		return "packed root MBR diverges from index", false
-	}
 	bad := ""
 	n := 0
+	seen := make(map[int]bool, tab.Packed.Len())
 	tab.Packed.VisitItems(func(id int, r geom.Rect) {
 		n++
 		if bad == "" && (id < 0 || id >= len(tab.Data.Items) || tab.Data.Items[id] != r) {
 			bad = "packed item " + strconv.Itoa(id) + " rect diverges from data"
 		}
+		if bad == "" && seen[id] {
+			bad = "packed item " + strconv.Itoa(id) + " visited twice"
+		}
+		seen[id] = true
 	})
 	if bad != "" {
 		return bad, false
@@ -110,7 +113,8 @@ func verifyPackedMirrors(tab *sdb.Table) (msg string, ok bool) {
 // TestStoreTablesCarryPackedImage pins the invariant the executor relies on
 // and sdb.Catalog.Attach enforces: both producers of catalogued tables hand
 // over the packed image of the index they attach — Register by building it,
-// Publish by packing the ingest path's snapshot, which arrives without one.
+// the ingest path by laying its overlay over the registered table's planes,
+// which Publish installs as they come.
 func TestStoreTablesCarryPackedImage(t *testing.T) {
 	const level = 4
 	store, err := NewStore(level)
@@ -129,8 +133,8 @@ func TestStoreTablesCarryPackedImage(t *testing.T) {
 		Level:  level,
 		Lookup: func(name string) (*sdb.Table, error) { return store.Snapshot().Catalog.Table(name) },
 		Publish: func(snap *sdb.Table) (uint64, error) {
-			if snap.Packed != nil {
-				t.Error("ingest snapshot arrived already packed: Publish's packing is not exercised")
+			if snap.Packed == nil {
+				t.Error("ingest snapshot arrived without a packed image")
 			}
 			return store.Publish(snap)
 		},
@@ -153,13 +157,55 @@ func TestStoreTablesCarryPackedImage(t *testing.T) {
 	if msg, ok := verifyPackedMirrors(published); !ok {
 		t.Fatalf("Publish: %s", msg)
 	}
+	if di, ts := published.Packed.Overlay(); di != 1 || ts != 0 || !published.Packed.SharesPlanes(registered.Packed) {
+		t.Fatalf("one insert published overlay (%d, %d) on planes of its own: the batch re-packed the table", di, ts)
+	}
+}
+
+// heldSnapshot is what a reader keeps of a table snapshot to prove, later,
+// that nobody wrote to it: the answers it gave when it was taken.
+type heldSnapshot struct {
+	tab   *sdb.Table
+	gen   uint64
+	folds int64
+	joins int
+	hits  []int
+}
+
+var heldProbe = geom.NewRect(0.1, 0.1, 0.6, 0.5)
+
+func holdSnapshot(tab *sdb.Table, partner *rtree.Packed, gen uint64, folds int64) *heldSnapshot {
+	return &heldSnapshot{tab: tab, gen: gen, folds: folds,
+		joins: rtree.PackedJoinCount(tab.Packed, partner), hits: tab.Packed.Search(heldProbe, nil)}
+}
+
+// changed re-asks the held snapshot its questions and reports the first answer
+// that differs — a later publish flipped a bit in, or a fold recycled the
+// planes of, an image a reader still holds.
+func (h *heldSnapshot) changed(partner *rtree.Packed) string {
+	if got := rtree.PackedJoinCount(h.tab.Packed, partner); got != h.joins {
+		return "join count " + strconv.Itoa(h.joins) + " -> " + strconv.Itoa(got)
+	}
+	got := h.tab.Packed.Search(heldProbe, nil)
+	if len(got) != len(h.hits) {
+		return "search hits " + strconv.Itoa(len(h.hits)) + " -> " + strconv.Itoa(len(got))
+	}
+	for i := range got {
+		if got[i] != h.hits[i] {
+			return "search hit " + strconv.Itoa(i) + " changed"
+		}
+	}
+	return ""
 }
 
 // TestStorePublishRepackRace hammers the snapshot-publish seam the packed
-// builder sits on: concurrent Apply batches race a Repack loop on a live
-// ingest table, every commit publishing into the store, while readers pin
-// generation↔packed-image consistency on each snapshot they observe. Run
-// under -race.
+// image crosses: concurrent Apply batches (inserts and deletes) race a fold
+// loop on a live ingest table, every commit publishing into the store, while
+// readers pin generation↔packed-image consistency on each snapshot they
+// observe — and hold on to some, re-checking the answers those gave after
+// later batches and at least one fold have been published: consecutive
+// snapshots share base planes and a fold builds new ones, so a write through
+// either would show up here. Run under -race.
 func TestStorePublishRepackRace(t *testing.T) {
 	const level = 4
 	store, err := NewStore(level)
@@ -169,6 +215,11 @@ func TestStorePublishRepackRace(t *testing.T) {
 	if _, _, err := store.Register(datagen.Uniform("x", 300, 0.02, 7), false); err != nil {
 		t.Fatal(err)
 	}
+	partnerTab, _, err := store.Register(datagen.Uniform("y", 200, 0.05, 8), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partner := partnerTab.Packed
 	manager := ingest.NewManager(ingest.Options{
 		Level:   level,
 		Lookup:  func(name string) (*sdb.Table, error) { return store.Snapshot().Catalog.Table(name) },
@@ -183,22 +234,30 @@ func TestStorePublishRepackRace(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var failed atomic.Bool
+	var folds, rechecked atomic.Int64
 
-	// Two mutators plus a dedicated re-pack loop: publications from Apply's
-	// group commit and from Repack's swap interleave freely.
+	// Two mutators plus a dedicated fold loop: publications from Apply's
+	// group commit and from Repack's swap interleave freely. Every third
+	// batch also deletes one of the registered items (each writer its own),
+	// so images carry tombstones as well as a delta.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
-		go func(seed float64) {
+		go func(w int) {
 			defer wg.Done()
+			seed := 0.05 * float64(w+1)
 			for i := 0; i < 120; i++ {
 				x := seed + float64(i%9)*0.05
 				y := float64(i%7) * 0.07
-				if _, err := tab.Apply(ingest.Mutation{Inserts: []geom.Rect{geom.NewRect(x, y, x+0.03, y+0.03)}}); err != nil {
+				m := ingest.Mutation{Inserts: []geom.Rect{geom.NewRect(x, y, x+0.03, y+0.03)}}
+				if i%3 == 0 {
+					m.Deletes = []int{w*150 + i/3}
+				}
+				if _, err := tab.Apply(m); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(0.05 * float64(w+1))
+		}(w)
 	}
 	wg.Add(1)
 	go func() {
@@ -208,20 +267,34 @@ func TestStorePublishRepackRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			folds.Add(1)
 		}
 	}()
 
 	// Readers: every observed snapshot must carry a packed image that
-	// mirrors its index, and generations must never regress.
+	// mirrors its index, generations must never regress, and a snapshot held
+	// across later batches and a fold must still give the answers it gave.
 	var readers sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		readers.Add(1)
 		go func(slot int) {
 			defer readers.Done()
 			var prevGen uint64
+			var held *heldSnapshot
+			recheck := func() {
+				if msg := held.changed(partner); msg != "" {
+					t.Errorf("reader %d: snapshot of generation %d changed after it was published: %s", slot, held.gen, msg)
+					failed.Store(true)
+				}
+				rechecked.Add(1)
+				held = nil
+			}
 			for {
 				select {
 				case <-stop:
+					if held != nil {
+						recheck()
+					}
 					return
 				default:
 				}
@@ -244,6 +317,12 @@ func TestStorePublishRepackRace(t *testing.T) {
 					failed.Store(true)
 					return
 				}
+				switch {
+				case held == nil:
+					held = holdSnapshot(tx, partner, gen, folds.Load())
+				case gen >= held.gen+4 && folds.Load() > held.folds:
+					recheck()
+				}
 			}
 		}(r)
 	}
@@ -254,16 +333,58 @@ func TestStorePublishRepackRace(t *testing.T) {
 	if failed.Load() {
 		return
 	}
-	// The final snapshot reflects all 240 inserts, packed and indexed alike.
-	tx, err := store.Snapshot().Catalog.Table("x")
-	if err != nil {
+	if rechecked.Load() < 8 {
+		t.Fatalf("readers re-checked %d held snapshots; the hold never spanned a fold", rechecked.Load())
+	}
+	// The final snapshot reflects all 240 inserts and 80 deletes, packed and
+	// indexed alike.
+	current := func() *sdb.Table {
+		t.Helper()
+		tx, err := store.Snapshot().Catalog.Table("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg, ok := verifyPackedMirrors(tx); !ok {
+			t.Fatal(msg)
+		}
+		return tx
+	}
+	if tx := current(); tx.Index.Len() != 300+240-80 {
+		t.Fatalf("final table has %d items, want %d", tx.Index.Len(), 300+240-80)
+	}
+
+	// What the readers raced for, in order: two batches publish over the same
+	// base planes, a fold over new ones, and none of it writes to a snapshot
+	// published before.
+	batch := func(del int) *sdb.Table {
+		t.Helper()
+		if _, err := tab.Apply(ingest.Mutation{Inserts: []geom.Rect{geom.NewRect(0.3, 0.3, 0.4, 0.4)}, Deletes: []int{del}}); err != nil {
+			t.Fatal(err)
+		}
+		return current()
+	}
+	first := batch(299)
+	h1 := holdSnapshot(first, partner, 0, 0)
+	second := batch(298)
+	h2 := holdSnapshot(second, partner, 0, 0)
+	if !first.Packed.SharesPlanes(second.Packed) {
+		t.Fatal("consecutive snapshots between two folds do not share their base planes")
+	}
+	if _, err := tab.Repack(); err != nil {
 		t.Fatal(err)
 	}
-	if msg, ok := verifyPackedMirrors(tx); !ok {
-		t.Fatal(msg)
+	folded := current()
+	if folded == second || folded.Packed.SharesPlanes(second.Packed) {
+		t.Fatal("the first snapshot after a fold still serves the pre-fold planes")
 	}
-	if tx.Index.Len() != 300+240 {
-		t.Fatalf("final table has %d items, want %d", tx.Index.Len(), 300+240)
+	if di, ts := folded.Packed.Overlay(); di != 0 || ts != 0 {
+		t.Fatalf("the first snapshot after a quiet fold carries overlay (%d, %d)", di, ts)
+	}
+	batch(297)
+	for i, h := range []*heldSnapshot{h1, h2} {
+		if msg := h.changed(partner); msg != "" {
+			t.Fatalf("pre-fold snapshot %d changed after later batches and a fold: %s", i+1, msg)
+		}
 	}
 }
 
