@@ -9,20 +9,33 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"time"
 
 	"spatialsel/internal/geom"
+	"spatialsel/internal/hilbert"
+	"spatialsel/internal/obs"
 )
+
+var mHilbertSorts = obs.Default.Counter("sample_hilbert_sorts_total",
+	"Hilbert orders computed: one per dataset value that sorted sampling touched.")
 
 // Dataset is an immutable-by-convention collection of MBRs. Name is a
 // human-readable identifier used in experiment output; Extent is the spatial
 // universe the items live in (items may touch but not exceed it after
-// Normalize).
+// Normalize). A Dataset is handled by pointer: it carries the once-guard of
+// its Hilbert order and must not be copied.
 type Dataset struct {
 	Name   string
 	Extent geom.Rect
 	Items  []geom.Rect
+
+	hilbertOnce  sync.Once
+	hilbertOrder []int32
 }
 
 // New returns a dataset over the given extent. The items slice is used
@@ -34,6 +47,51 @@ func New(name string, extent geom.Rect, items []geom.Rect) *Dataset {
 
 // Len returns the number of items.
 func (d *Dataset) Len() int { return len(d.Items) }
+
+// HilbertOrder returns the item indices sorted by the Hilbert value of each
+// item (a hilbert.MaxOrder curve over Extent, the unit square when Extent has
+// no area), ties broken by index, so the permutation is a function of the
+// data alone. It is computed by the first call — concurrent first callers
+// wait for the one sort — and lives as long as the dataset, which is what
+// makes it safe to keep: Extent and Items do not change after construction.
+// The slice is shared and must not be modified. built is the time this call
+// spent sorting, 0 on a lookup, for callers that account build time apart
+// from lookup time.
+func (d *Dataset) HilbertOrder() (order []int32, built time.Duration) {
+	d.hilbertOnce.Do(func() {
+		start := time.Now()
+		d.hilbertOrder = hilbertOrder(d.Extent, d.Items)
+		mHilbertSorts.Inc()
+		built = time.Since(start)
+	})
+	return d.hilbertOrder, built
+}
+
+func hilbertOrder(extent geom.Rect, items []geom.Rect) []int32 {
+	if extent.Area() <= 0 {
+		extent = geom.UnitSquare
+	}
+	curve := hilbert.MustNew(hilbert.MaxOrder, extent)
+	type keyed struct {
+		key uint64
+		idx int32
+	}
+	keys := make([]keyed, len(items))
+	for i, r := range items {
+		keys[i] = keyed{curve.RectIndex(r), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	order := make([]int32, len(keys))
+	for i, k := range keys {
+		order[i] = k.idx
+	}
+	return order
+}
 
 // Clone returns a deep copy of d.
 func (d *Dataset) Clone() *Dataset {

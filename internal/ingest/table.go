@@ -684,7 +684,8 @@ func (t *Table) applyLocked(b Batch) error {
 // backing array is safe), the base planes under the overlay's current image,
 // a deep clone of the write tree, and a copied statistics summary. Tombstoned
 // slots stay in the items view — the executor only reads Items[id] for IDs the
-// index returns, and the index holds live IDs only.
+// index returns, and the index holds live IDs only; the table's cardinality
+// and what estimators summarize come from the image (sdb.Table.Len, LiveData).
 func (t *Table) snapshotLocked() *sdb.Table {
 	n := len(t.items)
 	view := t.items[:n:n]

@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"spatialsel/internal/core"
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
-	"spatialsel/internal/hilbert"
 	"spatialsel/internal/obs"
 	"spatialsel/internal/rtree"
 	"spatialsel/internal/sweep"
@@ -214,54 +212,32 @@ func (t *Technique) draw(d *dataset.Dataset) []geom.Rect {
 		}
 		return out
 	case SS:
-		idx := hilbertOrder(d)
-		return systematic(d.Items, idx, n)
+		order, _ := d.HilbertOrder()
+		return systematic(d.Items, order, n)
 	default: // RS
-		idx := make([]int, d.Len())
-		for i := range idx {
-			idx[i] = i
-		}
-		return systematic(d.Items, idx, n)
+		return systematic(d.Items, nil, n)
 	}
 }
 
-// systematic takes every k-th item of items in the order given by idx,
-// k = ⌈N/n⌉, then tops up from the unvisited prefix offsets if the stride
-// undershoots the requested size.
-func systematic(items []geom.Rect, idx []int, n int) []geom.Rect {
+// systematic takes every k-th item of items in the given order (nil = as
+// stored), k = ⌈N/n⌉, then tops up from the unvisited prefix offsets if the
+// stride undershoots the requested size.
+func systematic(items []geom.Rect, order []int32, n int) []geom.Rect {
 	k := (len(items) + n - 1) / n
 	if k < 1 {
 		k = 1
 	}
 	out := make([]geom.Rect, 0, n)
-	for i := 0; i < len(idx) && len(out) < n; i += k {
-		out = append(out, items[idx[i]])
-	}
-	for off := 1; len(out) < n && off < k; off++ {
-		for i := off; i < len(idx) && len(out) < n; i += k {
-			out = append(out, items[idx[i]])
+	for off := 0; len(out) < n && off < k; off++ {
+		for i := off; i < len(items) && len(out) < n; i += k {
+			if order != nil {
+				out = append(out, items[order[i]])
+			} else {
+				out = append(out, items[i])
+			}
 		}
 	}
 	return out
-}
-
-// hilbertOrder returns dataset item indices sorted by Hilbert value.
-func hilbertOrder(d *dataset.Dataset) []int {
-	extent := d.Extent
-	if extent.Area() <= 0 {
-		extent = geom.UnitSquare
-	}
-	curve := hilbert.MustNew(hilbert.MaxOrder, extent)
-	keys := make([]uint64, d.Len())
-	for i, r := range d.Items {
-		keys[i] = curve.RectIndex(r)
-	}
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return keys[idx[i]] < keys[idx[j]] })
-	return idx
 }
 
 // Estimate implements core.Technique: join the samples and scale by the

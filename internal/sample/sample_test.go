@@ -3,13 +3,17 @@ package sample
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"spatialsel/internal/core"
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
+	"spatialsel/internal/hilbert"
+	"spatialsel/internal/obs"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -283,4 +287,173 @@ func TestFractionAccessor(t *testing.T) {
 	if got := MustNew(RS, 0.25).Fraction(); got != 0.25 {
 		t.Fatalf("Fraction = %g", got)
 	}
+}
+
+// parentSystematic is the stride as it was written before orders became
+// optional: an explicit index permutation, the base pass, then the top-up
+// passes. The tests below hold the nil-order and memoized-order paths to it
+// element for element.
+func parentSystematic(items []geom.Rect, idx []int, n int) []geom.Rect {
+	k := (len(items) + n - 1) / n
+	if k < 1 {
+		k = 1
+	}
+	out := make([]geom.Rect, 0, n)
+	for i := 0; i < len(idx) && len(out) < n; i += k {
+		out = append(out, items[idx[i]])
+	}
+	for off := 1; len(out) < n && off < k; off++ {
+		for i := off; i < len(idx) && len(out) < n; i += k {
+			out = append(out, items[idx[i]])
+		}
+	}
+	return out
+}
+
+func sampleOf(t *testing.T, m Method, n int, d *dataset.Dataset) []geom.Rect {
+	t.Helper()
+	s, err := MustNew(m, float64(n)/float64(d.Len())).Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.(*Summary).sample
+}
+
+func sameRects(a, b []geom.Rect) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// RS strides positions directly instead of an identity permutation; SS
+// strides the dataset's memoized Hilbert order. Both must draw exactly what
+// the explicit-permutation stride drew, including where the stride
+// undershoots and tops up (N not divisible by n) and at the ends (n = 1,
+// n = N).
+func TestSystematicMatchesExplicitPermutation(t *testing.T) {
+	for _, N := range []int{1, 7, 97, 1000, 1013} {
+		d := datagen.MultiCluster("d", N, 3, 0.05, 0.02, int64(N))
+		identity := make([]int, N)
+		for i := range identity {
+			identity[i] = i
+		}
+		// The order as the parent computed it, made a function of the data:
+		// Hilbert key, ties by index.
+		curve := hilbert.MustNew(hilbert.MaxOrder, d.Extent)
+		byHilbert := append([]int(nil), identity...)
+		sort.SliceStable(byHilbert, func(i, j int) bool {
+			return curve.RectIndex(d.Items[byHilbert[i]]) < curve.RectIndex(d.Items[byHilbert[j]])
+		})
+		for _, n := range []int{1, 2, 3, N / 3, N/2 + 1, N - 1, N} {
+			if n < 1 || n > N {
+				continue
+			}
+			if got, want := sampleOf(t, RS, n, d), parentSystematic(d.Items, identity, n); !sameRects(got, want) {
+				t.Errorf("RS N=%d n=%d: sample differs from the explicit identity stride", N, n)
+			}
+			if got, want := sampleOf(t, SS, n, d), parentSystematic(d.Items, byHilbert, n); !sameRects(got, want) {
+				t.Errorf("SS N=%d n=%d: sample differs from the explicit Hilbert stride", N, n)
+			}
+		}
+	}
+}
+
+// Equal Hilbert keys must not leave the order to the sort algorithm: a
+// dataset of duplicates comes back in index order.
+func TestHilbertOrderBreaksTiesByIndex(t *testing.T) {
+	items := make([]geom.Rect, 500)
+	for i := range items {
+		items[i] = geom.NewRect(0.4, 0.4, 0.5, 0.5)
+	}
+	order, _ := dataset.New("dup", geom.UnitSquare, items).HilbertOrder()
+	for i, v := range order {
+		if int(v) != i {
+			t.Fatalf("order[%d] = %d on all-equal keys, want index order", i, v)
+		}
+	}
+}
+
+// The Hilbert order is computed once per dataset value however many
+// goroutines touch it first, and every one of them sees the same slice.
+func TestHilbertOrderSingleFlight(t *testing.T) {
+	d := datagen.Uniform("d", 20000, 0.01, 5)
+	sorts := obs.Default.Counter("sample_hilbert_sorts_total", "")
+	before := sorts.Value()
+	const G = 32
+	var (
+		wg     sync.WaitGroup
+		firsts [G]*int32
+		builds [G]bool
+	)
+	start := make(chan struct{})
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			if _, err := MustNew(SS, 0.01).Build(d); err != nil {
+				t.Error(err)
+			}
+			order, built := d.HilbertOrder()
+			firsts[g], builds[g] = &order[0], built > 0
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if got := sorts.Value() - before; got != 1 {
+		t.Fatalf("%d goroutines first-touching one dataset sorted it %d times, want 1", G, got)
+	}
+	for g := 1; g < G; g++ {
+		if firsts[g] != firsts[0] {
+			t.Fatalf("goroutine %d saw a different order slice", g)
+		}
+		if builds[g] {
+			t.Errorf("goroutine %d's lookup after Build reported a build", g)
+		}
+	}
+}
+
+// BenchmarkEstimateSS is one SS estimate end to end (both samples drawn and
+// indexed, then joined) over two 100k-item datasets at a 1 % fraction: cold
+// pays both Hilbert sorts (a dataset value's first touch), warm strides the
+// memoized orders — build vs. lookup.
+func BenchmarkEstimateSS(b *testing.B) {
+	const n = 100_000
+	da := datagen.Uniform("a", n, 0.003, 1)
+	db := datagen.MultiCluster("b", n, 8, 0.05, 0.003, 2)
+	tech := MustNew(SS, 0.01)
+	estimate := func(a, c *dataset.Dataset) {
+		sa, err := tech.Build(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sb, err := tech.Build(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tech.Estimate(sa, sb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// A new Dataset value over the same items: nothing memoized.
+			estimate(dataset.New("a", da.Extent, da.Items), dataset.New("b", db.Extent, db.Items))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		estimate(da, db)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			estimate(da, db)
+		}
+	})
 }

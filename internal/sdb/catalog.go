@@ -41,7 +41,8 @@ const (
 )
 
 // Table is one spatial relation: its data, its R-tree index, and its
-// optimizer statistics.
+// optimizer statistics. It is immutable once built and handled by pointer
+// (the memo carries once-guards): a write or a replace publishes a new Table.
 type Table struct {
 	Name  string
 	Data  *dataset.Dataset
@@ -59,10 +60,14 @@ type Table struct {
 	// index and statistics live in; a zero rect means the table was built
 	// from pre-normalized data.
 	RawExtent geom.Rect
+
+	memo tableMemo
 }
 
-// Len returns the table's cardinality.
-func (t *Table) Len() int { return t.Data.Len() }
+// Len returns the table's cardinality: the items its packed image holds. On
+// a table the ingest path published that is the live count, not the length of
+// Data.Items, which keeps a slot for every id ever assigned.
+func (t *Table) Len() int { return t.Packed.Len() }
 
 // Catalog is a named collection of tables. It is safe for concurrent reads;
 // table creation and removal take an exclusive lock.

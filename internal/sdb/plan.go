@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
@@ -45,7 +46,10 @@ type Plan struct {
 	Base    string // first table scanned
 	Steps   []Step
 	EstCost float64 // Σ estimated intermediate cardinalities
-	tables  map[string]*Table
+	// StatsBuild is the time planning spent computing pair selectivities the
+	// tables did not already hold: 0 when every predicate was a lookup.
+	StatsBuild time.Duration
+	tables     map[string]*Table
 
 	// Workers sets the executor's parallelism for the first R-tree join and
 	// the extension-step index probes: 0 (auto) uses GOMAXPROCS workers when
@@ -206,12 +210,13 @@ func (c *Catalog) Plan(q Query) (*Plan, error) {
 	for _, name := range q.Tables {
 		card[name] = effectiveCard(q, name, tables[name])
 	}
+	var statsBuild time.Duration
 	for _, p := range q.Predicates {
-		est, err := gh.Estimate(tables[p.Left].Stats, tables[p.Right].Stats)
+		s, built, err := tables[p.Left].pairSelectivity(gh, tables[p.Right])
 		if err != nil {
 			return nil, err
 		}
-		s := est.Selectivity
+		statsBuild += built
 		if s <= 0 {
 			s = 1e-12 // keep the cost model strictly positive
 		}
@@ -228,9 +233,10 @@ func (c *Catalog) Plan(q Query) (*Plan, error) {
 	}
 	joined := map[string]bool{best.Left: true, best.Right: true}
 	plan := &Plan{
-		query:  q,
-		Base:   best.Left,
-		tables: tables,
+		query:      q,
+		Base:       best.Left,
+		StatsBuild: statsBuild,
+		tables:     tables,
 		Steps: []Step{{
 			Table:   best.Right,
 			Against: []Predicate{best},

@@ -147,7 +147,8 @@ type TableInfo struct {
 }
 
 func (s *Server) tableInfo(snap *Snapshot, t *sdb.Table) TableInfo {
-	ds := t.Data.ComputeStats()
+	live, _ := t.LiveData()
+	ds := live.ComputeStats()
 	deltaItems, tombstones := t.Packed.Overlay()
 	return TableInfo{
 		Name:       t.Name,
@@ -353,6 +354,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		final := plan.Steps[len(plan.Steps)-1].EstRows
 		ev.EstRows = &final
+		recordBuild(ev, "gh", plan.StatsBuild)
 		card := 1.0
 		for _, name := range req.Tables {
 			t, err := snap.Catalog.Table(name)
@@ -387,13 +389,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ev.Tables = []string{req.Left, req.Right}
 	workers := s.resolveWorkers(req.Workers)
 	ev.Workers = workers
-	est, cached, err := s.estimatePair(r.Context(), snap, req.Left, req.Right, method, req.Fraction, workers)
+	est, cached, built, err := s.estimatePair(r.Context(), snap, req.Left, req.Right, method, req.Fraction, workers)
 	if err != nil {
 		writeError(w, statusForError(err), "%v", err)
 		return
 	}
 	ev.EstRows = &est.PairCount
 	ev.CacheHit = cached
+	recordBuild(ev, method, built)
 	writeJSON(w, http.StatusOK, EstimateResponse{
 		Kind:          "pairwise",
 		Method:        method,
@@ -404,18 +407,29 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// recordBuild writes what a request spent building per-generation estimator
+// inputs into its record: nothing when every input was a lookup. A build
+// shorter than a microsecond still reads 1, so finish counts it.
+func recordBuild(ev *telemetry.Event, technique string, built time.Duration) {
+	if built > 0 {
+		ev.Estimator = technique
+		ev.EstBuildMicros = int64((built + time.Microsecond - 1) / time.Microsecond)
+	}
+}
+
 // estimatePair computes (or recalls) a pairwise selectivity estimate. The
 // cache key canonicalizes the table order — every supported estimator is
 // symmetric — and embeds the tables' generations, so a replaced table can
-// never serve a stale estimate.
-func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, method string, fraction float64, workers int) (core.Estimate, bool, error) {
+// never serve a stale estimate. built is the time a miss spent building
+// per-generation inputs, 0 when the tables already held them.
+func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, method string, fraction float64, workers int) (est core.Estimate, cached bool, built time.Duration, err error) {
 	ta, err := snap.Catalog.Table(left)
 	if err != nil {
-		return core.Estimate{}, false, err
+		return core.Estimate{}, false, 0, err
 	}
 	tb, err := snap.Catalog.Table(right)
 	if err != nil {
-		return core.Estimate{}, false, err
+		return core.Estimate{}, false, 0, err
 	}
 	if fraction <= 0 || fraction > 1 {
 		fraction = 0.1
@@ -434,99 +448,108 @@ func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, 
 		Method: methodKey, Level: s.store.Level(),
 	}
 	if est, ok := s.cache.Get(key); ok {
-		return est, true, nil
+		return est, true, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return core.Estimate{}, false, err
+		return core.Estimate{}, false, 0, err
 	}
-	est, err := computeEstimate(a, b, method, fraction, s.store.Level(), workers)
+	est, built, err = computeEstimate(a, b, method, fraction, s.store.Level(), workers)
 	if err != nil {
-		return core.Estimate{}, false, err
+		return core.Estimate{}, false, 0, err
 	}
 	s.cache.Put(key, est)
-	return est, false, nil
+	return est, false, built, nil
 }
 
-func computeEstimate(a, b *sdb.Table, method string, fraction float64, level, workers int) (core.Estimate, error) {
-	switch method {
-	case "gh":
+// computeEstimate answers a cache miss. What an estimator reads of a table is
+// a function of the table value, so the table holds it: gh reads the
+// statistics it was published with, ph and basicgh read the table's own
+// summary (built by the first request that wants it), and the sampling
+// methods draw from the table's live data — fresh per request, since their
+// summaries are keyed by a real-valued fraction, but striding a Hilbert order
+// the dataset computes once. A miss therefore costs one Estimate, plus the
+// draw for sampling.
+func computeEstimate(a, b *sdb.Table, method string, fraction float64, level, workers int) (core.Estimate, time.Duration, error) {
+	if method == "gh" {
 		gh, err := histogram.NewGH(level)
 		if err != nil {
-			return core.Estimate{}, err
+			return core.Estimate{}, 0, err
 		}
-		return gh.Estimate(a.Stats, b.Stats)
+		est, err := gh.Estimate(a.Stats, b.Stats)
+		return est, 0, err
+	}
+	var (
+		tech core.Technique
+		err  error
+	)
+	switch method {
 	case "basicgh":
-		t, err := histogram.NewBasicGH(level)
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		return buildAndEstimate(t, a, b, workers)
+		tech, err = histogram.NewBasicGH(level)
 	case "ph":
-		t, err := histogram.NewPH(level)
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		return buildAndEstimate(t, a, b, workers)
+		tech, err = histogram.NewPH(level)
 	case "rs", "rswr", "ss":
 		m := map[string]sample.Method{"rs": sample.RS, "rswr": sample.RSWR, "ss": sample.SS}[method]
 		// Fixed seed keeps sampling estimates deterministic and therefore
 		// cacheable: the same request always sees the same answer.
-		t, err := sample.New(m, fraction, sample.WithSeed(1))
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		return buildAndEstimate(t, a, b, workers)
+		tech, err = sample.New(m, fraction, sample.WithSeed(1))
+	default:
+		err = fmt.Errorf("unknown estimation method %q (want gh, basicgh, ph, rs, rswr, ss)", method)
 	}
-	return core.Estimate{}, fmt.Errorf("unknown estimation method %q (want gh, basicgh, ph, rs, rswr, ss)", method)
-}
-
-// buildAndEstimate builds both inputs' summaries — concurrently when the
-// workers knob (0 = auto) allows two goroutines — then estimates. Every
-// technique's Build is a pure function of its inputs (sampling draws from a
-// per-call PRNG seeded deterministically), so the parallel build returns
-// exactly the serial result.
-func buildAndEstimate(t core.Technique, a, b *sdb.Table, workers int) (core.Estimate, error) {
+	if err != nil {
+		return core.Estimate{}, 0, err
+	}
+	summarize := func(t *sdb.Table) (core.Summary, time.Duration, error) {
+		if method == "basicgh" || method == "ph" {
+			return t.HistogramSummary(method)
+		}
+		d, built := t.LiveData()
+		if method == "ss" {
+			_, sorted := d.HilbertOrder()
+			built += sorted
+		}
+		sum, err := tech.Build(d)
+		return sum, built, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sa, sb, err := buildSummaries(t, a, b, workers >= 2)
+	sa, sb, built, err := summarizeBoth(summarize, a, b, workers >= 2)
 	if err != nil {
-		return core.Estimate{}, err
+		return core.Estimate{}, 0, err
 	}
-	return t.Estimate(sa, sb)
+	est, err := tech.Estimate(sa, sb)
+	return est, built, err
 }
 
-func buildSummaries(t core.Technique, a, b *sdb.Table, concurrent bool) (core.Summary, core.Summary, error) {
-	if !concurrent {
-		sa, err := t.Build(a.Data)
-		if err != nil {
-			return nil, nil, err
-		}
-		sb, err := t.Build(b.Data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sa, sb, nil
-	}
+// summarizeBoth runs summarize on both inputs — concurrently when the
+// workers knob (0 = auto) allows two goroutines. Every summary is a pure
+// function of its table (sampling draws from a per-call PRNG seeded
+// deterministically), so the concurrent run returns exactly the serial
+// result; built is the sum over both sides.
+func summarizeBoth(summarize func(*sdb.Table) (core.Summary, time.Duration, error), a, b *sdb.Table, concurrent bool) (sa, sb core.Summary, built time.Duration, err error) {
 	var (
 		wg     sync.WaitGroup
-		sa, sb core.Summary
+		ba, bb time.Duration
 		ea, eb error
 	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sa, ea = t.Build(a.Data)
-	}()
-	sb, eb = t.Build(b.Data)
+	if concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sa, ba, ea = summarize(a)
+		}()
+	} else {
+		sa, ba, ea = summarize(a)
+	}
+	sb, bb, eb = summarize(b)
 	wg.Wait()
 	if ea != nil {
-		return nil, nil, ea
+		return nil, nil, 0, ea
 	}
 	if eb != nil {
-		return nil, nil, eb
+		return nil, nil, 0, eb
 	}
-	return sa, sb, nil
+	return sa, sb, ba + bb, nil
 }
 
 // ---- explain ----------------------------------------------------------
@@ -566,6 +589,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	estRows := plan.Steps[len(plan.Steps)-1].EstRows
 	ev.EstRows = &estRows
+	recordBuild(ev, "gh", plan.StatsBuild)
 	resp := ExplainResponse{
 		Plan:          plan.Explain(),
 		Base:          plan.Base,
@@ -682,6 +706,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ev.Tables = append(ev.Tables, st.Table)
 	}
 	ev.EstRows = &estRows
+	recordBuild(ev, "gh", plan.StatsBuild)
 
 	// Admission stage 2: the cost gate. The query's abstract cost is the
 	// GH estimate of the result size plus the plan's own price for its

@@ -62,6 +62,15 @@ func (m *Metrics) DecInflight() { m.inflight.Dec() }
 // really-executed join.
 func (m *Metrics) RecordEstimateError(relErr float64) { m.estErr.Observe(relErr) }
 
+// RecordEstimatorBuild counts one request that built a per-generation
+// estimator input instead of looking it up, by the technique that wanted it
+// ("gh" for the planner's pair selectivities).
+func (m *Metrics) RecordEstimatorBuild(technique string) {
+	m.reg.Counter("sdbd_estimator_builds_total",
+		"Requests that built a per-generation estimator input (table summary, Hilbert order, live view, planner selectivity) rather than looking it up, by technique.",
+		obs.L("technique", technique)).Inc()
+}
+
 // registerSampled installs render-time-sampled series for the cache and
 // table store. Called once from New; the closures pin the live objects.
 func (m *Metrics) registerSampled(cache *EstimateCache, store *Store) {

@@ -113,6 +113,9 @@ func (s *Server) finish(ev *telemetry.Event, root *obs.Span, remote string) {
 			s.telemetry.Watchdog().Observe(telemetry.PairOf(ev.Tables[0], ev.Tables[1]), *ev.RelError)
 		}
 	}
+	if ev.EstBuildMicros > 0 {
+		s.metrics.RecordEstimatorBuild(ev.Estimator)
+	}
 	if s.telemetry != nil {
 		s.telemetry.Flight().Record(*ev, root.Report)
 	}

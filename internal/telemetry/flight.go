@@ -20,6 +20,12 @@ import (
 //
 // Tables of an executed query are in plan order, base table first: the first
 // two name the join the watchdog attributes RelError to.
+//
+// Estimator and EstBuildMicros are set when the request built a
+// per-generation estimator input — a table's PH or BasicGH summary, its
+// live-items view or Hilbert order, a planner pair selectivity — that later
+// requests look up: the technique that wanted it and the time the build took.
+// Both are zero when every input was already held.
 type Event struct {
 	Seq            uint64          `json:"seq"`
 	UnixMS         int64           `json:"t_unix_ms"`
@@ -38,6 +44,8 @@ type Event struct {
 	EstRows        *float64        `json:"est_rows,omitempty"`
 	RelError       *float64        `json:"rel_error,omitempty"`
 	CacheHit       bool            `json:"cache_hit,omitempty"`
+	Estimator      string          `json:"estimator,omitempty"`
+	EstBuildMicros int64           `json:"est_build_micros,omitempty"`
 	Spans          *obs.SpanReport `json:"spans,omitempty"`
 }
 
