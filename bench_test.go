@@ -26,7 +26,6 @@ import (
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
 	"spatialsel/internal/iomodel"
-	"spatialsel/internal/partjoin"
 	"spatialsel/internal/rtree"
 	"spatialsel/internal/sample"
 	"spatialsel/internal/sdb"
@@ -300,9 +299,13 @@ func BenchmarkJoinEngines(b *testing.B) {
 			rtree.JoinCount(ta, tb)
 		}
 	})
-	b.Run("partition", func(b *testing.B) {
+	b.Run("packed", func(b *testing.B) {
+		ta, _ := rtree.BulkLoadSTR(rtree.ItemsFromRects(w.A.Items))
+		tb, _ := rtree.BulkLoadSTR(rtree.ItemsFromRects(w.B.Items))
+		pa, pb := rtree.Pack(ta), rtree.Pack(tb)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			partjoin.Count(w.A.Items, w.B.Items, partjoin.Config{})
+			rtree.PackedJoinCount(pa, pb)
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"spatialsel/internal/exact"
 	"spatialsel/internal/experiments"
 	"spatialsel/internal/histogram"
-	"spatialsel/internal/partjoin"
 	"spatialsel/internal/rtree"
 	"spatialsel/internal/sample"
 	"spatialsel/internal/sweep"
@@ -17,8 +16,8 @@ import (
 
 // TestJoinEnginesAgree cross-validates the exact join implementations on
 // every paper workload: the plane sweep, the R-tree synchronized traversal
-// (over pointer trees, and over their packed images with a pool of 4), and
-// the partition-based join must report identical counts.
+// over pointer trees and the tile sweep over their packed images with a pool
+// of 4 must report identical counts.
 func TestJoinEnginesAgree(t *testing.T) {
 	for _, p := range datagen.PaperPairs(0.005) {
 		want := sweep.Count(p.A.Items, p.B.Items)
@@ -39,9 +38,6 @@ func TestJoinEnginesAgree(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: pooled packed join %d != sweep %d", p.Name, got, want)
-		}
-		if got := partjoin.Count(p.A.Items, p.B.Items, partjoin.Config{}); got != want {
-			t.Errorf("%s: partition join %d != sweep %d", p.Name, got, want)
 		}
 	}
 }

@@ -61,17 +61,21 @@ func (c *Curve) Index(x, y uint32) uint64 {
 	if y >= c.side {
 		y = c.side - 1
 	}
+	// The loop is rot's step without its branches — which quadrant a point
+	// falls in is a coin flip at every level, and this runs per item on every
+	// bulk load, pack and sorted sample. Only the bits of x and y below s are
+	// read from here on, so flipping a coordinate (s-1-x) is an XOR of those
+	// bits, and flip and swap become masks: all ones when they apply.
 	var d uint64
-	for s := c.side / 2; s > 0; s /= 2 {
-		var rx, ry uint32
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
+	for shift := c.order; shift > 0; shift-- {
+		s := uint32(1) << (shift - 1)
+		rx, ry := x>>(shift-1)&1, y>>(shift-1)&1
 		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		x, y = rot(s, x, y, rx, ry)
+		swap := ry - 1               // ry == 0
+		flip := swap & -rx & (s - 1) // ry == 0 && rx == 1
+		x, y = x^flip, y^flip
+		t := (x ^ y) & swap
+		x, y = x^t, y^t
 	}
 	return d
 }

@@ -9,14 +9,12 @@ import (
 
 // floatEqScopes are the import-path fragments floateq applies to: the
 // numeric kernels where bit-exact float comparison is almost always a
-// rounding bug (geometry predicates, histogram cell math, the partition
-// join's grid arithmetic), plus the cmd tree, which formats and compares
+// rounding bug (geometry predicates, histogram cell math), plus the cmd tree, which formats and compares
 // results. The "lint/testdata" entry keeps the analyzer testable against its
 // corpus without widening the production scope.
 var floatEqScopes = []string{
 	"internal/geom",
 	"internal/histogram",
-	"internal/partjoin",
 	"/cmd/",
 	"lint/testdata",
 }

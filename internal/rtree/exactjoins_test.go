@@ -3,10 +3,10 @@ package rtree
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialsel/internal/geom"
-	"spatialsel/internal/partjoin"
 	"spatialsel/internal/sweep"
 )
 
@@ -36,6 +36,63 @@ func latticeRects(n int, seed int64) []geom.Rect {
 	return out
 }
 
+// tileLineRects draws n rectangles whose corners lie on the join grid's own
+// lines — multiples of 1/tileDim, exact in binary — a third of them points on
+// tile corners, a third segments along tile edges, the rest spanning one to
+// four tiles a side: every closed-interval boundary the tile assignment and
+// the sweep can disagree on, and replicated entries for tombstones to fall on.
+func tileLineRects(n int, seed int64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]geom.Rect, n)
+	for i := range out {
+		x, y := float64(rng.Intn(tileDim/4)), float64(rng.Intn(tileDim/4))
+		w, h := float64(rng.Intn(4)), float64(rng.Intn(4))
+		switch i % 3 {
+		case 0:
+			w, h = 0, 0
+		case 1:
+			if rng.Intn(2) == 0 {
+				w = 0
+			} else {
+				h = 0
+			}
+		}
+		out[i] = geom.NewRect(x/tileDim, y/tileDim, (x+w)/tileDim, (y+h)/tileDim)
+	}
+	return out
+}
+
+// spanningRects mixes small rectangles with ones spanning a strip of tiles, a
+// block of them and the whole unit square — a few of each, so some replicate
+// into thousands of tiles and, past the index's budget, land in the wide run.
+func spanningRects(n int, seed int64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	out := randRects(n, seed)
+	for i := 0; i < n; i += 7 {
+		x, y := rng.Float64()*0.5, rng.Float64()*0.5
+		switch i / 7 % 4 {
+		case 0:
+			out[i] = geom.NewRect(0, y, 1, y+0.001)
+		case 1:
+			out[i] = geom.NewRect(x, 0, x, 1)
+		case 2:
+			out[i] = geom.NewRect(x, y, x+0.4, y+0.45)
+		case 3:
+			out[i] = geom.NewRect(0, 0, 1, 1)
+		}
+	}
+	return out
+}
+
+// scaled maps rects drawn in the unit square onto [lo, hi]².
+func scaled(rs []geom.Rect, lo, hi float64) []geom.Rect {
+	out := make([]geom.Rect, len(rs))
+	for i, r := range rs {
+		out[i] = geom.NewRect(lo+r.MinX*(hi-lo), lo+r.MinY*(hi-lo), lo+r.MaxX*(hi-lo), lo+r.MaxY*(hi-lo))
+	}
+	return out
+}
+
 // tiles returns the k×k partition of the unit square into closed squares:
 // neighbours share an edge, diagonal neighbours a corner, nothing overlaps.
 func tiles(k int) []geom.Rect {
@@ -54,6 +111,18 @@ func repeated(n int, rects ...geom.Rect) []geom.Rect {
 	out := make([]geom.Rect, 0, n*len(rects))
 	for i := 0; i < n; i++ {
 		out = append(out, rects...)
+	}
+	return out
+}
+
+// pairsOf reads the kernel's batches of interleaved ids back as pairs, in
+// emission order.
+func pairsOf(batches [][]int) []JoinPair {
+	var out []JoinPair
+	for _, batch := range batches {
+		for i := 0; i < len(batch); i += 2 {
+			out = append(out, JoinPair{A: batch[i], B: batch[i+1]})
+		}
 	}
 	return out
 }
@@ -153,15 +222,18 @@ func (sh overlayShape) build(t *testing.T, rects []geom.Rect, load func([]Item, 
 }
 
 // TestExactJoinsAgree is the one differential oracle over every exact
-// rectangle join in the repository: the pointer R-tree join, the packed join
-// serial and with pools of 2 and 4, the plane sweep and the partition join
+// rectangle join in the repository: the pointer R-tree join, the packed
+// kernel's tile sweep serial and with pools of 2 and 4, and the plane sweep
 // must each emit exactly the brute-force pair set — every pair once, none
 // twice — on ordinary inputs and on the shapes that break joins: empty and
 // disjoint sides, trees of different heights and builds, zero-area MBRs,
-// rectangles that only touch, and exact duplicates. On every input the packed
+// rectangles that only touch, exact duplicates, and what breaks a grid:
+// corners on tile lines, items spanning the square, everything in one tile,
+// coordinates outside the unit square. On every input the packed
 // kernel's batches must also be the callback drain's sequence, its windowed
-// form must equal "brute force, then filter", and its output counter must
-// advance by exactly the pairs it returned. The same holds when either side or
+// form must equal "brute force, then filter", its emission order must be the
+// same for every pool size, and its output counter must advance by exactly the
+// pairs it returned. The same holds when either side or
 // both reach the kernel as packed planes under an overlay — tombstones only,
 // a delta only, both, a tombstone in every lane position, planes with no live
 // item left, a delta deleted empty — against brute force over the items the
@@ -207,6 +279,18 @@ func TestExactJoinsAgree(t *testing.T) {
 		{"zero-area", latticeRects(1500, 305), latticeRects(1200, 306), BulkLoadSTR, narrow},
 		{"touching-edges", tiles(16), tiles(8), BulkLoadSTR, narrow},
 		{"touching-shifted", tiles(16), shifted(tiles(16), 1), BulkLoadSTR, narrow},
+		// What a grid can get wrong and a tree cannot. Corners on the grid's
+		// own lines, zero-area items on tile corners included.
+		{"tile-lines", tileLineRects(1500, 307), tileLineRects(1200, 308), BulkLoadSTR, narrow},
+		// Items spanning many tiles and the whole square, replicated and wide.
+		{"spanning", spanningRects(250, 311), spanningRects(200, 312), BulkLoadSTR, narrow},
+		{"spanning-small", spanningRects(250, 311), randRects(600, 313), BulkLoadSTR, narrow},
+		// Every item in one tile: the sweep alone does the work.
+		{"one-tile", scaled(randRects(600, 314), 0.5, 0.5+1.0/tileDim-1e-9), scaled(randRects(500, 315), 0.5, 0.5+1.0/tileDim-1e-9), BulkLoadSTR, narrow},
+		// Coordinates outside the unit square clamp into the border tiles —
+		// slow there, never wrong — on one side, all four and the corners.
+		{"outside-unit", scaled(randRects(900, 316), -2, 3), scaled(randRects(800, 317), -2, 3), BulkLoadSTR, narrow},
+		{"extent-1000", scaled(randRects(700, 318), 0, 1000), scaled(randRects(600, 319), 0, 1000), BulkLoadSTR, narrow},
 		{"exact-duplicates", repeated(150, geom.NewRect(0.25, 0.25, 0.5, 0.5), geom.NewRect(0.75, 0.75, 0.875, 0.875)),
 			repeated(100, geom.NewRect(0.25, 0.25, 0.5, 0.5), geom.NewRect(0.5, 0.5, 0.75, 0.75)), BulkLoadSTR, narrow},
 	} {
@@ -236,10 +320,6 @@ func TestExactJoinsAgree(t *testing.T) {
 				{"packed-2-workers", packedPool(2)},
 				{"packed-4-workers", packedPool(4)},
 				{"sweep", func(emit func(a, b int)) error { sweep.JoinFunc(tc.as, tc.bs, emit); return nil }},
-				{"partjoin", func(emit func(a, b int)) error {
-					partjoin.JoinFunc(tc.as, tc.bs, partjoin.Config{}, emit)
-					return nil
-				}},
 			} {
 				got := make(map[JoinPair]int, len(want))
 				if err := impl.run(func(a, b int) { got[JoinPair{A: a, B: b}]++ }); err != nil {
@@ -260,6 +340,7 @@ func TestExactJoinsAgree(t *testing.T) {
 			// the a- and b-items keep admits — to every contract above, under
 			// each of the given windows and pool sizes 1, 2 and 4.
 			checkKernel := func(name string, ia, ib *Packed, keep func(JoinPair) bool, windows map[string]bool) {
+				serial := map[string][]JoinPair{} // by window, in emission order
 				for _, workers := range []int{1, 2, 4} {
 					for _, w := range joinWindows(tc.as, tc.bs) {
 						if windows != nil && !windows[w.name] {
@@ -270,12 +351,16 @@ func TestExactJoinsAgree(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s workers=%d windows=%s: %v", name, workers, w.name, err)
 						}
-						var got []JoinPair
-						for _, batch := range batches {
-							got = append(got, batch...)
-						}
+						got := pairsOf(batches)
 						if n := packedJoinCounters.outputPairs.Value() - before; n != uint64(len(got)) {
 							t.Fatalf("%s workers=%d windows=%s: output counter advanced by %d for %d pairs", name, workers, w.name, n, len(got))
+						}
+						// The order is a function of the images and the windows, not
+						// of the pool.
+						if workers == 1 {
+							serial[w.name] = append([]JoinPair(nil), got...)
+						} else if !slices.Equal(got, serial[w.name]) {
+							t.Fatalf("%s workers=%d windows=%s: emission order differs from the serial run's", name, workers, w.name)
 						}
 						if w.winA == nil && w.winB == nil {
 							// The callback entry point is a drain of these batches.

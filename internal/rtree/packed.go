@@ -1,8 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -75,6 +76,11 @@ type Packed struct {
 	grpXMax []float64
 	grpYMax []float64
 
+	// tiles indexes the item planes by grid tile for the join kernel (nil on
+	// an empty image); the node and group planes above serve Search, and
+	// levels the cost model.
+	tiles *tileIndex
+
 	size   int
 	height int
 	// levels holds the per-level node statistics, recorded while Pack visits
@@ -120,7 +126,8 @@ func (p *Packed) WithOverlay(dead []uint64, delta *Packed) *Packed {
 		itemXMin: p.itemXMin, itemYMin: p.itemYMin, itemXMax: p.itemXMax, itemYMax: p.itemYMax,
 		itemID:  p.itemID,
 		grpXMin: p.grpXMin, grpYMin: p.grpYMin, grpXMax: p.grpXMax, grpYMax: p.grpYMax,
-		size: len(p.itemID) - nDead, height: p.height, levels: p.levels,
+		tiles: p.tiles,
+		size:  len(p.itemID) - nDead, height: p.height, levels: p.levels,
 		dead: dead, nDead: nDead, delta: delta,
 	}
 	if delta != nil {
@@ -181,8 +188,18 @@ func Pack(t *Tree) *Packed {
 	// left to right — the order Tree.LevelStats sums them in.
 	queue := []*node{t.root}
 	depth, levelEnd := 0, 1
-	var keys []uint64
-	var perm []int
+	// The item planes' size is known, and they are most of the image: sized
+	// once, they are not grown and copied five times over on the way up.
+	p.itemXMin = make([]float64, 0, t.size)
+	p.itemYMin = make([]float64, 0, t.size)
+	p.itemXMax = make([]float64, 0, t.size)
+	p.itemYMax = make([]float64, 0, t.size)
+	p.itemID = make([]int, 0, t.size)
+	type keyed struct {
+		key uint64
+		e   *entry
+	}
+	var order []keyed
 	for qi := 0; qi < len(queue); qi++ {
 		if qi == levelEnd {
 			depth, levelEnd = depth+1, len(queue)
@@ -206,20 +223,18 @@ func Pack(t *Tree) *Packed {
 		p.start = append(p.start, int32(len(p.itemID)))
 		// Lay the leaf's entries out in ascending Hilbert order of their
 		// centers: neighbours on the curve are neighbours in memory.
-		keys = keys[:0]
-		perm = perm[:0]
+		order = order[:0]
 		for i := range n.entries {
-			keys = append(keys, curve.RectIndex(n.entries[i].rect))
-			perm = append(perm, i)
+			order = append(order, keyed{curve.RectIndex(n.entries[i].rect), &n.entries[i]})
 		}
-		sort.Slice(perm, func(a, b int) bool {
-			if keys[perm[a]] != keys[perm[b]] {
-				return keys[perm[a]] < keys[perm[b]]
+		slices.SortFunc(order, func(a, b keyed) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
 			}
-			return n.entries[perm[a]].id < n.entries[perm[b]].id
+			return cmp.Compare(a.e.id, b.e.id)
 		})
-		for _, i := range perm {
-			e := &n.entries[i]
+		for _, o := range order {
+			e := o.e
 			p.itemXMin = append(p.itemXMin, e.rect.MinX)
 			p.itemYMin = append(p.itemYMin, e.rect.MinY)
 			p.itemXMax = append(p.itemXMax, e.rect.MaxX)
@@ -256,6 +271,7 @@ func Pack(t *Tree) *Packed {
 		}
 		p.grpXMin[g], p.grpYMin[g], p.grpXMax[g], p.grpYMax[g] = xm, ym, xM, yM
 	}
+	p.tiles = buildTileIndex(p.itemXMin, p.itemYMin, p.itemXMax, p.itemYMax)
 	mPackedBuilds.Inc()
 	mPackedBuildItems.Add(uint64(len(p.itemID)))
 	mPackedBuildSeconds.Add(time.Since(startTime).Seconds())
@@ -375,4 +391,18 @@ func (p *Packed) search(n int32, q geom.Rect, out []int, visits *int) []int {
 		}
 	}
 	return out
+}
+
+// groupSpan returns the item slots of group g that lie inside the leaf run
+// [s, end): groups align to the global item array, so a run's first and last
+// group may straddle its neighbours.
+func groupSpan(g, s, end int) (lo, hi int) {
+	lo, hi = g*itemGroup, (g+1)*itemGroup
+	if lo < s {
+		lo = s
+	}
+	if hi > end {
+		hi = end
+	}
+	return lo, hi
 }

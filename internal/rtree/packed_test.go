@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spatialsel/internal/datagen"
+	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/hilbert"
 )
@@ -222,6 +223,29 @@ func TestPackHilbertLeafOrder(t *testing.T) {
 					n, i-1, i, kp, kc, p.itemID[i-1], p.itemID[i])
 			}
 		}
+	}
+}
+
+// BenchmarkPack is the build cost of a published image per paper table at
+// join-paper's scales, in ns per item — the tree walk, the per-leaf Hilbert
+// sort and the tile index — and the index's replication, in entries per item
+// (EXPERIMENTS.md "Tile sweep").
+func BenchmarkPack(b *testing.B) {
+	for _, d := range []*dataset.Dataset{
+		datagen.TS(1), datagen.TCB(1), datagen.SP(1), datagen.SPG(1),
+		datagen.SCRC(1), datagen.SURA(1), datagen.CAS(0.1), datagen.CAR(0.1),
+	} {
+		tr, err := BulkLoadSTR(ItemsFromRects(d.Items))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(d.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Pack(tr)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(d.Items)), "ns/item")
+			b.ReportMetric(float64(len(Pack(tr).tiles.keys))/float64(len(d.Items)), "entries/item")
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -167,22 +168,69 @@ func TestPackedJoinCancellation(t *testing.T) {
 	}
 }
 
+// TestPackedJoinAccounting pins what the kernel's counters and the images'
+// access counters mean now that the join is a sweep, against a count made
+// from the rectangles alone: a visit is a tile with items of both sides, a
+// compare is a y-test — one per pair of items in a tile whose x-extents
+// overlap — a pair is a result, and the context is polled every
+// cancelCheckInterval visits of a goroutine. Both images are charged the
+// visits. A pool does the same work, and polls at most once less per worker.
 func TestPackedJoinAccounting(t *testing.T) {
-	_, pa := packOf(t, randRects(1000, 47))
-	_, pb := packOf(t, randRects(900, 48))
-	pa.ResetAccesses()
-	pb.ResetAccesses()
-	PackedJoinCount(pa, pb)
-	if pa.Accesses() == 0 || pb.Accesses() == 0 {
-		t.Fatalf("serial join left accesses at %d/%d", pa.Accesses(), pb.Accesses())
+	as, bs := randRects(1000, 47), randRects(900, 48)
+	_, pa := packOf(t, as)
+	_, pb := packOf(t, bs)
+
+	inTile := func(rs []geom.Rect) [][]int {
+		out := make([][]int, numTiles)
+		for i, r := range rs {
+			for ty := tileOf(r.MinY); ty <= tileOf(r.MaxY); ty++ {
+				for tx := tileOf(r.MinX); tx <= tileOf(r.MaxX); tx++ {
+					out[ty*tileDim+tx] = append(out[ty*tileDim+tx], i)
+				}
+			}
+		}
+		return out
 	}
-	pa.ResetAccesses()
-	pb.ResetAccesses()
-	if err := PackedJoinFuncParallelContext(context.Background(), pa, pb, 4, func(int, int) {}); err != nil {
-		t.Fatal(err)
+	var visits, compares uint64
+	ta, tb := inTile(as), inTile(bs)
+	for t := range ta {
+		if len(ta[t]) == 0 || len(tb[t]) == 0 {
+			continue
+		}
+		visits++
+		for _, i := range ta[t] {
+			for _, k := range tb[t] {
+				if as[i].MinX <= bs[k].MaxX && bs[k].MinX <= as[i].MaxX {
+					compares++
+				}
+			}
+		}
 	}
-	if pa.Accesses() == 0 || pb.Accesses() == 0 {
-		t.Fatalf("parallel join left accesses at %d/%d", pa.Accesses(), pb.Accesses())
+	pairs := uint64(len(bruteJoin(as, bs)))
+
+	for _, workers := range []int{1, 4} {
+		c := &packedJoinCounters
+		v0, c0, p0, polls0 := c.nodeVisits.Value(), c.leafCompares.Value(), c.outputPairs.Value(), c.cancelPolls.Value()
+		pa.ResetAccesses()
+		pb.ResetAccesses()
+		if _, err := PackedJoinBatches(context.Background(), pa, pb, workers, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.nodeVisits.Value() - v0; got != visits {
+			t.Errorf("workers=%d: %d tiles swept, want %d", workers, got, visits)
+		}
+		if got := c.leafCompares.Value() - c0; got != compares {
+			t.Errorf("workers=%d: %d y-tests, want %d", workers, got, compares)
+		}
+		if got := c.outputPairs.Value() - p0; got != pairs {
+			t.Errorf("workers=%d: %d pairs, want %d", workers, got, pairs)
+		}
+		if got, most := c.cancelPolls.Value()-polls0, visits/cancelCheckInterval; got > most || got+uint64(workers) <= most {
+			t.Errorf("workers=%d: %d polls, want within %d below %d", workers, got, workers-1, most)
+		}
+		if pa.Accesses() != int64(visits) || pb.Accesses() != int64(visits) {
+			t.Errorf("workers=%d: accesses %d/%d, want %d on both", workers, pa.Accesses(), pb.Accesses(), visits)
+		}
 	}
 }
 
@@ -267,22 +315,47 @@ func TestOverlapMask(t *testing.T) {
 	}
 }
 
+// BenchmarkPackedJoin is the kernel number without bench/: the four paper
+// pairs at join-paper's scales (CAS ⋈ CAR at 0.1, the rest at 1), each as the
+// pointer join, the serial kernel and the kernel on a pool of GOMAXPROCS — so
+// `-cpu 1,2` reads the pool's speedup on fixed work (EXPERIMENTS.md "Tile
+// sweep") — and the uniform 20 000 ⋈ 20 000 the earlier snapshots recorded.
 func BenchmarkPackedJoin(b *testing.B) {
-	as := randRects(20000, 51)
-	bs := randRects(20000, 52)
-	ta, _ := BulkLoadSTR(ItemsFromRects(as))
-	tb, _ := BulkLoadSTR(ItemsFromRects(bs))
-	pa, pb := Pack(ta), Pack(tb)
-	b.Run("pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			JoinCount(ta, tb)
+	for _, in := range []struct {
+		name  string
+		scale float64 // of the named paper pair; 0 = the uniform input
+	}{{"uniform-20k", 0}, {"TS-TCB", 1}, {"SP-SPG", 1}, {"SCRC-SURA", 1}, {"CAS-CAR", 0.1}} {
+		name, as, bs := in.name, randRects(20000, 51), randRects(20000, 52)
+		if in.scale > 0 {
+			p, err := datagen.PairByName(name, in.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			as, bs = p.A.Items, p.B.Items
 		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			PackedJoinCount(pa, pb)
-		}
-	})
+		ta, _ := BulkLoadSTR(ItemsFromRects(as))
+		tb, _ := BulkLoadSTR(ItemsFromRects(bs))
+		pa, pb := Pack(ta), Pack(tb)
+		b.Run(name+"/pointer", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				JoinCount(ta, tb)
+			}
+		})
+		b.Run(name+"/packed", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := PackedJoinBatches(context.Background(), pa, pb, 1, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/packed-pool", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := PackedJoinBatches(context.Background(), pa, pb, runtime.GOMAXPROCS(0), nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkPackedJoinOverlay is what readers pay for an unfolded overlay: the
@@ -315,5 +388,34 @@ func BenchmarkPackedJoinOverlay(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPackedJoinCrossover is the measurement behind sdb's
+// parallelJoinMinItems: multiway-window's first join, SCRC ⋈ SURA under the
+// workload's 0.3-side window on SCRC's cluster and without it, at summed
+// cardinalities from 1 Ki to 40 000 (scale 0.2), serial against a pool of two.
+// Run with -cpu 2; EXPERIMENTS.md "Tile sweep" has the table.
+func BenchmarkPackedJoinCrossover(b *testing.B) {
+	win := geom.NewRect(0.35, 0.65, 0.65, 0.95)
+	for _, n := range []int{512, 1024, 2048, 4096, 8192, 12288, 16384, 20000} {
+		scale := float64(n) / datagen.CardSCRC
+		ta, _ := BulkLoadSTR(ItemsFromRects(datagen.SCRC(scale).Items))
+		tb, _ := BulkLoadSTR(ItemsFromRects(datagen.SURA(scale).Items))
+		pa, pb := Pack(ta), Pack(tb)
+		for _, w := range []struct {
+			name string
+			win  *geom.Rect
+		}{{"full", nil}, {"windowed", &win}} {
+			for _, workers := range []int{1, 2} {
+				b.Run(w.name+"/items="+strconv.Itoa(2*n)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := PackedJoinBatches(context.Background(), pa, pb, workers, w.win, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

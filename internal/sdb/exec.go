@@ -75,10 +75,13 @@ const cancelRowBatch = 256
 // Crossover sizes below which the auto (Workers == 0) executor stays serial:
 // goroutine + merge overhead beats the win on small inputs (bench/ reports
 // the serial and pooled kernels as rtree.packed_join_ms and
-// rtree.packed_join_par_ms).
+// rtree.packed_join_par_ms). The first join's was re-measured for the tile
+// sweep (rtree's BenchmarkPackedJoinCrossover, EXPERIMENTS.md "Tile sweep"):
+// a pool of two costs 20–50 µs to start and collect, which an unwindowed
+// SCRC ⋈ SURA earns back from 16 384 items on and a windowed one by 32 768.
 const (
-	parallelJoinMinItems = 4096 // summed tree cardinalities, first join
-	parallelProbeMinRows = 2048 // intermediate rows, extension steps
+	parallelJoinMinItems = 16384 // summed table cardinalities, first join
+	parallelProbeMinRows = 2048  // intermediate rows, extension steps
 )
 
 // resolveWorkers maps the plan's Workers knob onto an effective pool size for
@@ -102,10 +105,16 @@ func resolveWorkers(workers, size, crossover int) int {
 // during the index-probe steps, so a cancelled or timed-out context aborts a
 // large join promptly with the context's error.
 //
-// Rows are carved from slabs, never allocated one by one: the first join's
-// out of one slab sized from the kernel's batches, each extension step's out
-// of per-goroutine arenas. Every row is a full-capacity slice, so appending to
-// one reallocates it instead of running into its neighbour.
+// Rows are carved from slabs, never allocated one by one: a two-table result's
+// are the kernel's batches themselves, a longer query's first join's come out
+// of one slab sized from them, each extension step's out of per-goroutine
+// arenas. Every row is a full-capacity slice, so appending to one reallocates
+// it instead of running into its neighbour.
+//
+// Row order is a function of the plan, the tables' images and the windows:
+// the kernel's task list and the probe steps' chunk order do not depend on
+// Workers, so a pooled and a serial execution of one plan over one snapshot
+// return the same rows at the same positions.
 func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	q := p.query
 	mExecQueries.Inc()
@@ -132,10 +141,10 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	}
 	k := len(cols)
 
-	// First join via synchronized traversal of the two packed images; every
-	// catalogued table carries one (Catalog.Attach enforces it). The kernel
-	// applies both tables' windows inside the traversal and hands back pair
-	// batches; their total sizes the one slab every row is carved from.
+	// First join: the tile sweep of the two packed images; every catalogued
+	// table carries one (Catalog.Attach enforces it). The kernel applies both
+	// tables' windows itself and hands back pair batches, which the join's
+	// pool turns into rows.
 	first := p.Steps[0]
 	baseTab, stepTab := p.tables[p.Base], p.tables[first.Table]
 	jctx, joinSp := obs.StartSpan(ctx, "join "+p.Base+" ⋈ "+first.Table)
@@ -144,7 +153,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		window(p.Base), window(first.Table))
 	var rows [][]int
 	if jerr == nil {
-		rows, jerr = rowsFromBatches(jctx, batches, k)
+		rows = rowsFromBatches(batches, k, joinWorkers)
 	}
 	annotateOperator(joinSp, first.EstRows, len(rows))
 	joinSp.End()
@@ -226,33 +235,58 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 }
 
 // rowsFromBatches materializes the first join: one k-wide row per pair, in
-// batch order, the pair in columns 0 and 1 and -1 in the columns later steps
-// fill. All rows are carved from one slab and their headers from one array,
-// both sized exactly from the batch lengths. The context is polled between
-// batches.
-func rowsFromBatches(ctx context.Context, batches [][]rtree.JoinPair, k int) ([][]int, error) {
-	n := 0
-	for _, batch := range batches {
-		n += len(batch)
+// batch order. With two tables a row is its pair where the kernel wrote it —
+// the batches are the result's slab, and only the row headers are new; with
+// more, rows are carved from one slab sized from the batch lengths, the pair in
+// columns 0 and 1 and -1 in the columns later steps fill. Either way the
+// batches are filled in by a pool of workers, each batch's rows landing at the
+// positions the batches before it leave.
+func rowsFromBatches(batches [][]int, k, workers int) [][]int {
+	starts := make([]int, len(batches)+1)
+	for i, batch := range batches {
+		starts[i+1] = starts[i] + len(batch)/2
 	}
-	slab := make([]int, n*k)
-	rows := make([][]int, n)
-	i := 0
-	for _, batch := range batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, pair := range batch {
-			row := slab[i*k : (i+1)*k : (i+1)*k]
-			row[0], row[1] = pair.A, pair.B
-			for c := 2; c < k; c++ {
-				row[c] = -1
+	rows := make([][]int, starts[len(batches)])
+	var slab []int
+	if k > 2 {
+		slab = make([]int, len(rows)*k)
+	}
+	var cursor atomic.Int64
+	fill := func() {
+		for {
+			bi := int(cursor.Add(1) - 1)
+			if bi >= len(batches) {
+				return
 			}
-			rows[i] = row
-			i++
+			batch, out := batches[bi], rows[starts[bi]:starts[bi+1]]
+			if k == 2 {
+				for i := range out {
+					out[i] = batch[2*i : 2*i+2 : 2*i+2]
+				}
+				continue
+			}
+			rowSlab := slab[starts[bi]*k : starts[bi+1]*k]
+			for i := range out {
+				row := rowSlab[i*k : (i+1)*k : (i+1)*k]
+				row[0], row[1] = batch[2*i], batch[2*i+1]
+				for c := 2; c < k; c++ {
+					row[c] = -1
+				}
+				out[i] = row
+			}
 		}
 	}
-	return rows, nil
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill()
+		}()
+	}
+	fill()
+	wg.Wait()
+	return rows
 }
 
 // joinedSide is one side of an extension step's predicate that is already in
@@ -291,10 +325,10 @@ func (sc *probeScratch) newRow(k int) []int {
 // probeRowsParallel runs extendRow over every row using w workers. Rows are
 // split into contiguous chunks claimed through an atomic cursor; each worker
 // extends its chunk into a private buffer, and the chunk buffers are
-// concatenated in chunk order, so the output row order is deterministic —
-// identical across runs and worker counts, though not identical to the serial
-// order of a different pool size. The context is polled per row batch inside
-// every chunk; a done context aborts the pool with the context's error.
+// concatenated in chunk order, so the output is the rows' extensions in row
+// order — what the serial loop produces, whatever w is. The context is polled
+// per row batch inside every chunk; a done context aborts the pool with the
+// context's error.
 func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 	extendRow func(row []int, sc *probeScratch, dst [][]int) [][]int) ([][]int, error) {
 	chunk := (len(rows) + w*4 - 1) / (w * 4) // ~4 chunks per worker for balance

@@ -3,6 +3,7 @@ package sdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,9 +11,8 @@ import (
 	"spatialsel/internal/geom"
 )
 
-// rowKeys flattens result rows into sortable strings so serial and parallel
-// executions can be compared as sets (the parallel merge is deterministic for
-// a given pool size but orders rows differently than the serial traversal).
+// rowKeys flattens result rows into sortable strings so executions over
+// different snapshots can be compared as sets.
 func rowKeys(res *Result) []string {
 	keys := make([]string, 0, res.Len())
 	for _, row := range res.Rows {
@@ -22,33 +22,39 @@ func rowKeys(res *Result) []string {
 	return keys
 }
 
-// TestExecuteContextParallelMatchesSerial runs the same three-way plan
-// serially and with several forced pool sizes; every execution must produce
-// the identical row set.
+// TestExecuteContextParallelMatchesSerial runs two-, three- and four-table
+// plans, windowed and not, serially and with several pool sizes: every
+// execution must return the identical rows in the identical order — the
+// kernel's tasks and the probe steps' chunks do not depend on the pool — so
+// offset/limit over one snapshot page the same result whether or not
+// admission degraded the execution to one worker.
 func TestExecuteContextParallelMatchesSerial(t *testing.T) {
-	plan := planFixture(t, 3000)
-	plan.Workers = 1
-	serial, err := plan.ExecuteContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rowKeys(serial)
-	if len(want) == 0 {
-		t.Fatal("fixture produced no rows; test is vacuous")
-	}
-	for _, workers := range []int{0, 2, 4} {
-		plan.Workers = workers
-		got, err := plan.ExecuteContext(context.Background())
+	c := uniformCatalog(t, 20000, "a", "b", "c", "d")
+	fourWay := Query{Tables: []string{"a", "b", "c", "d"}, Predicates: []Predicate{{"a", "b"}, {"b", "c"}, {"c", "d"}}}
+	windowed := threeWay
+	windowed.Windows = map[string]geom.Rect{"a": geom.NewRect(0.1, 0.1, 0.8, 0.7), "c": geom.NewRect(0.2, 0, 1, 0.9)}
+	for _, q := range []Query{twoWay, threeWay, fourWay, windowed} {
+		plan := mustPlan(t, c, q, 1)
+		serial, err := plan.ExecuteContext(context.Background())
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		keys := rowKeys(got)
-		if len(keys) != len(want) {
-			t.Fatalf("workers=%d: %d rows, serial %d", workers, len(keys), len(want))
+		if serial.Len() == 0 {
+			t.Fatal("fixture produced no rows; test is vacuous")
 		}
-		for i := range want {
-			if keys[i] != want[i] {
-				t.Fatalf("workers=%d: row set diverges at %d: %s vs %s", workers, i, keys[i], want[i])
+		for _, workers := range []int{0, 2, 4} {
+			plan.Workers = workers
+			got, err := plan.ExecuteContext(context.Background())
+			if err != nil {
+				t.Fatalf("%d tables, workers=%d: %v", len(q.Tables), workers, err)
+			}
+			if got.Len() != serial.Len() {
+				t.Fatalf("%d tables, workers=%d: %d rows, serial %d", len(q.Tables), workers, got.Len(), serial.Len())
+			}
+			for i, row := range serial.Rows {
+				if !slices.Equal(got.Rows[i], row) {
+					t.Fatalf("%d tables, workers=%d: row %d is %v, serial has %v", len(q.Tables), workers, i, got.Rows[i], row)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package sdb
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -117,6 +118,37 @@ func TestExecuteAllocationsDoNotScaleWithRows(t *testing.T) {
 						n, len(q.Tables), workers, allocs, rows, limit)
 				}
 			}
+		}
+	}
+}
+
+// TestTwoTableResultIsTheKernelsBatches: a two-table result's rows alias the
+// kernel's pair batches — 16 B of batch and a 24 B header per row — instead
+// of being copied into a second slab (16 B more, what the executor did before
+// the batches were flat). Measured on this fixture, 1.2 M rows: 40.2 B per row
+// at one worker and at two — the 40 B plus the batches' unused tails, the task
+// list and the kernel's scratch. The ceiling is taken from that run: a tenth
+// above it, and well under the copying executor's 56 B, so the aliasing cannot
+// silently regress.
+func TestTwoTableResultIsTheKernelsBatches(t *testing.T) {
+	const ceiling = 44.0
+	c := uniformCatalog(t, 110000, "a", "b")
+	for _, workers := range []int{1, 2} {
+		plan := mustPlan(t, c, twoWay, workers)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := plan.Execute()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() < 1_000_000 {
+			t.Fatalf("fixture produced %d rows, want a million", res.Len())
+		}
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Len())
+		t.Logf("workers=%d: %d rows, %.1f B allocated per row", workers, res.Len(), perRow)
+		if perRow > ceiling {
+			t.Fatalf("workers=%d: %.1f B allocated per row, ceiling %.0f", workers, perRow, ceiling)
 		}
 	}
 }

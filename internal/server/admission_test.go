@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +126,64 @@ func TestAdmissionDowngradesToSerialUnderPressure(t *testing.T) {
 			t.Fatal("query event never reached the flight recorder")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPagesDoNotDependOnDegradation pages a two- and a three-table result
+// twice over one snapshot — once admitted onto the pool, once downgraded to
+// serial execution by the cost gate — and must read the same pages: the row
+// order is a function of the plan and the tables' images, not of the worker
+// count, so offset/limit neither skip nor repeat rows when pressure comes and
+// goes between a client's requests.
+func TestPagesDoNotDependOnDegradation(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Admission:       true,
+		MaxInflight:     2,
+		AdmissionTarget: time.Nanosecond, // every priced query is "expensive"
+		Workers:         4,
+	})
+	createTable(t, ts.URL, "qa", "uniform", 12000, 1, false)
+	createTable(t, ts.URL, "qb", "uniform", 12000, 2, false)
+	createTable(t, ts.URL, "qc", "uniform", 12000, 3, false)
+
+	done := uint64(0)
+	pages := func(q QueryRequest, nsPerUnit float64) [][][]int {
+		var out [][][]int
+		for q.Offset, q.Limit = 0, 250; ; q.Offset += q.Limit {
+			// An unpriced model admits onto the pool; a priced one, with one
+			// of two slots taken by the query itself, downgrades. The previous
+			// request's release recalibrates, so wait it out first.
+			waitCounter(t, s.Admission().Admitted, done)
+			s.Admission().Calibrate(nsPerUnit)
+			var qr QueryResponse
+			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", q, &qr); code != http.StatusOK {
+				t.Fatalf("query at offset %d: status %d", q.Offset, code)
+			}
+			done++
+			out = append(out, qr.Rows)
+			if !qr.Truncated {
+				return out
+			}
+		}
+	}
+	for _, q := range []QueryRequest{
+		pairQuery(),
+		{Tables: []string{"qa", "qb", "qc"}, Predicates: [][2]string{{"qa", "qb"}, {"qb", "qc"}}},
+	} {
+		degradedBefore := s.Admission().Degraded()
+		pooled := pages(q, 0)
+		waitCounter(t, s.Admission().Admitted, done)
+		if got := s.Admission().Degraded(); got != degradedBefore {
+			t.Fatalf("%d tables: %d of the pooled pages were downgraded", len(q.Tables), got-degradedBefore)
+		}
+		degraded := pages(q, 10)
+		waitCounter(t, s.Admission().Degraded, degradedBefore+uint64(len(degraded)))
+		if len(pooled) < 3 {
+			t.Fatalf("%d tables: result fits %d pages; the test wants several", len(q.Tables), len(pooled))
+		}
+		if !reflect.DeepEqual(pooled, degraded) {
+			t.Fatalf("%d tables: pages read under degradation differ from the pooled ones", len(q.Tables))
+		}
 	}
 }
 

@@ -1,8 +1,14 @@
 // Package sweep implements a sort-based plane-sweep rectangle-intersection
 // join in the style of Preparata–Shamos. It is the library's exact
-// ground-truth join: experiments compute true selectivities with it, and it
-// doubles as the no-index baseline the paper's "Est. Time 1" scenario builds
-// R-trees to beat.
+// ground-truth join: experiments compute true selectivities with it, the
+// benchmark's verifier holds every served query's total_rows to its Count,
+// the tests hold every other exact join to it, and it doubles as the no-index
+// baseline the paper's "Est. Time 1" scenario builds R-trees to beat. It is
+// not a served path: no query's rows come from it — the executor's join is
+// rtree.PackedJoinBatches, a sweep per grid tile over a prebuilt index — and
+// the only requests that reach it are sampling estimates, which count the join
+// of their two small samples with it. With brute force and the pointer R-tree
+// join it is one of three independent oracles; keep it index-free and simple.
 //
 // The algorithm sorts both inputs by MinX and sweeps a vertical line across
 // the plane. When the line reaches a rectangle's left edge, the rectangle is
