@@ -439,7 +439,9 @@ func encodeCheckpoint(cp Checkpoint) []byte {
 // It returns the byte length of the intact prefix; a torn tail (short
 // header, short payload, or CRC mismatch on the final record) is reported
 // via goodLen < len(data) rather than as an error. Corruption followed by
-// more intact records is an error: that is not a crash signature.
+// more intact records is an error: that is not a crash signature. The
+// batches returned are always a prefix, in order, of the ones in the file,
+// and no intact record lies past goodLen (FuzzParseWAL).
 func parseWAL(data []byte) (cp Checkpoint, batches []Batch, goodLen int64, err error) {
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != string(walMagic[:]) {
 		return cp, nil, 0, fmt.Errorf("bad magic (not a WAL file)")
@@ -463,6 +465,13 @@ func parseWAL(data []byte) (cp Checkpoint, batches []Batch, goodLen int64, err e
 			// which the temp+rename protocol rules out.
 			if !sawCheckpoint {
 				return cp, nil, 0, fmt.Errorf("checkpoint record torn or missing")
+			}
+			// A length field damaged into something longer than the rest of
+			// the file reads as a short payload, the tail's signature, however
+			// many acknowledged batches follow it: a tail is torn only if no
+			// intact record starts anywhere after it.
+			if at := intactRecordAfter(data, off); at >= 0 {
+				return cp, nil, 0, fmt.Errorf("corrupt record at offset %d (intact record follows at %d)", off, at)
 			}
 			return cp, batches, int64(off), nil
 		}
@@ -508,6 +517,19 @@ func nextRecord(data []byte, off int) (payload []byte, next int, ok bool) {
 		return nil, 0, false
 	}
 	return payload, off + 8 + n, true
+}
+
+// intactRecordAfter returns the first offset past off at which an intact
+// record frame starts, or -1. What it scans is the failed record at off up to
+// the end of the file — one record's bytes when that is a torn tail — and a
+// frame's checksum is only computed where its length fits the file.
+func intactRecordAfter(data []byte, off int) int {
+	for at := off + 1; at+8 < len(data); at++ {
+		if _, _, ok := nextRecord(data, at); ok {
+			return at
+		}
+	}
+	return -1
 }
 
 // reader walks a payload with bounds checking; failed stays sticky.

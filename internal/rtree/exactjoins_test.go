@@ -178,9 +178,9 @@ var (
 	twoThirds  = func(n int) int { return 2 * n / 3 }
 	plainShape = overlayShape{"plain", allInBase, func(int, int) bool { return false }}
 	bothShape  = overlayShape{"both", twoThirds, func(id, _ int) bool { return id%3 == 1 }}
-	// One tombstone in every group of the planes, walking through the eight
-	// lane positions — and so through every boundary group two leaves share.
-	lanesShape = overlayShape{"lanes", allInBase, func(_, slot int) bool { return slot%itemGroup == slot/itemGroup%itemGroup }}
+	// One tombstone in every eight slots of the planes, walking through the
+	// eight positions — and so through every byte of the bitmap's words.
+	lanesShape = overlayShape{"lanes", allInBase, func(_, slot int) bool { const lanes = 8; return slot%lanes == slot/lanes%lanes }}
 	// Every item of the planes is dead: the image is its delta.
 	baseDeadShape = overlayShape{"base-dead", func(n int) int { return n / 2 }, func(_, slot int) bool { return slot >= 0 }}
 	// Every delta item was deleted again, beside some tombstones.

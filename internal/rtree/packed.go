@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"spatialsel/internal/geom"
@@ -23,69 +22,44 @@ var (
 		"Item slots written by packed snapshot image builds.")
 )
 
-// Packed is a read-optimized, immutable image of an R-tree for published
-// snapshots: the same topology as the source tree, flattened into contiguous
-// structure-of-arrays planes. Node MBRs live in four parallel []float64
-// planes (one per coordinate), children are addressed by index instead of
-// pointer, and leaf entries are laid out in contiguous per-leaf runs sorted
-// in ascending Hilbert order of their centers, so the join kernel streams
-// cache lines instead of chasing pointers.
+// Packed is a read-optimized, immutable image of a table's items for published
+// snapshots — what the paper draws: the item MBRs in four parallel []float64
+// planes (one per coordinate) beside their ids, laid out leaf by leaf of the
+// source tree and within a leaf in ascending Hilbert order of their centers,
+// and one grid over them (tileIndex) that both the join kernel and Search read.
+// Of the R-tree it was packed from an image keeps no topology, only what the
+// cost model asks for: the per-level node statistics, the height, the node
+// count and the root MBR, recorded while Pack walks the tree.
 //
-// A Packed is safe for concurrent readers (including the access counter,
-// which is atomic); it is never mutated after Pack returns. The mutable
-// Guttman tree remains the write side.
+// A Packed is safe for concurrent readers; it is never mutated after Pack
+// returns. The mutable Guttman tree remains the write side.
 //
 // An image may carry an overlay (WithOverlay): tombstones over its own item
 // slots and a second, small image of items added since it was packed. The
 // planes are then shared with the image it was derived from, so publishing a
 // batch costs the overlay, not the table. Search, VisitItems, Len and the join
 // kernel see the overlaid item set; LevelStats, Height, NumNodes and RootMBR
-// keep describing the planes.
+// keep describing the tree the planes were packed from.
 type Packed struct {
-	accesses int64 // atomic; first field keeps it 64-bit aligned
-
-	// Node planes, indexed by node id in breadth-first order (root = 0), so
-	// every node's children occupy one contiguous id run.
-	nodeXMin []float64
-	nodeYMin []float64
-	nodeXMax []float64
-	nodeYMax []float64
-	// start/count address a node's children: for internal nodes a run of
-	// node ids, for leaves a run of item slots.
-	start []int32
-	count []int32
-	leaf  []bool
-
-	// Item planes: leaf entry MBRs and ids, grouped per leaf.
+	// Item planes: entry MBRs and ids, indexed by item slot.
 	itemXMin []float64
 	itemYMin []float64
 	itemXMax []float64
 	itemYMax []float64
 	itemID   []int
 
-	// Group planes: the bounding box of every aligned run of itemGroup item
-	// slots (group g covers slots [g·itemGroup, (g+1)·itemGroup)). Because
-	// leaf items sit in Hilbert order, consecutive slots are spatial
-	// neighbours and group boxes stay tight, so the join kernel prunes a
-	// whole group with one rect test before evaluating any item lanes —
-	// an implicit extra tree level that costs four floats per eight items.
-	// Groups are aligned to the global item array, not to leaf runs; a
-	// boundary group spanning two leaves just has a slightly looser box.
-	grpXMin []float64
-	grpYMin []float64
-	grpXMax []float64
-	grpYMax []float64
-
-	// tiles indexes the item planes by grid tile for the join kernel (nil on
-	// an empty image); the node and group planes above serve Search, and
-	// levels the cost model.
+	// tiles indexes the item planes by grid tile, for the join kernel and for
+	// Search (nil on an empty image).
 	tiles *tileIndex
 
-	size   int
-	height int
-	// levels holds the per-level node statistics, recorded while Pack visits
-	// every node, so cost models read them instead of walking a tree.
-	levels []LevelStat
+	size int
+	// What Pack recorded of the source tree while visiting every node, so cost
+	// models read it instead of walking a tree: the height, the node count, the
+	// root's MBR and the per-level node statistics.
+	height  int
+	nodes   int
+	rootMBR geom.Rect
+	levels  []LevelStat
 
 	// The overlay, both nil on a freshly packed image. dead holds one bit per
 	// item slot (bit s&63 of word s>>6), set for nDead slots whose item is
@@ -121,13 +95,10 @@ func (p *Packed) WithOverlay(dead []uint64, delta *Packed) *Packed {
 		delta = nil
 	}
 	q := &Packed{
-		nodeXMin: p.nodeXMin, nodeYMin: p.nodeYMin, nodeXMax: p.nodeXMax, nodeYMax: p.nodeYMax,
-		start: p.start, count: p.count, leaf: p.leaf,
 		itemXMin: p.itemXMin, itemYMin: p.itemYMin, itemXMax: p.itemXMax, itemYMax: p.itemYMax,
-		itemID:  p.itemID,
-		grpXMin: p.grpXMin, grpYMin: p.grpYMin, grpXMax: p.grpXMax, grpYMax: p.grpYMax,
-		tiles: p.tiles,
-		size:  len(p.itemID) - nDead, height: p.height, levels: p.levels,
+		itemID: p.itemID,
+		tiles:  p.tiles,
+		size:   len(p.itemID) - nDead, height: p.height, nodes: p.nodes, rootMBR: p.rootMBR, levels: p.levels,
 		dead: dead, nDead: nDead, delta: delta,
 	}
 	if delta != nil {
@@ -148,22 +119,15 @@ func (p *Packed) Overlay() (deltaItems, tombstones int) {
 // SharesPlanes reports whether p and q are views of the same packed planes —
 // images derived from one Pack by WithOverlay, or the same image.
 func (p *Packed) SharesPlanes(q *Packed) bool {
-	return len(p.itemID) == len(q.itemID) && len(p.leaf) == len(q.leaf) &&
-		(len(p.leaf) == 0 || &p.leaf[0] == &q.leaf[0])
+	return len(p.itemID) == len(q.itemID) && (len(p.itemID) == 0 || &p.itemID[0] == &q.itemID[0])
 }
 
 // slotDead reports whether item slot i is tombstoned in dead.
 func slotDead(dead []uint64, i int) bool { return dead[i>>6]>>(uint(i)&63)&1 != 0 }
 
-// deadLanes returns the tombstone bits of item group g, bit i for slot
-// g·itemGroup+i: the byte of the bitmap the group's eight slots occupy.
-func deadLanes(dead []uint64, g int) uint64 {
-	return dead[g>>3] >> (uint(g&7) * itemGroup) & (1<<itemGroup - 1)
-}
-
 // Pack builds the packed image of t. Cost is one full scan of the tree —
-// O(n) like Clone — plus a per-leaf Hilbert sort of its entries; the source
-// tree is only read. An empty tree packs to an empty image.
+// O(n) like Clone — plus a per-leaf Hilbert sort of its entries and the tile
+// index; the source tree is only read. An empty tree packs to an empty image.
 func Pack(t *Tree) *Packed {
 	startTime := time.Now()
 	p := &Packed{size: t.size, height: t.height, levels: make([]LevelStat, t.height)}
@@ -175,19 +139,13 @@ func Pack(t *Tree) *Packed {
 
 	// Hilbert curve over the root MBR orders each leaf's entries; degenerate
 	// extents get a hair of slack exactly like the bulk loader.
-	rootMBR := t.root.mbr()
-	curveMBR := rootMBR
+	p.rootMBR = t.root.mbr()
+	curveMBR := p.rootMBR
 	if curveMBR.Area() <= 0 {
 		curveMBR = curveMBR.Expand(1e-9)
 	}
 	curve := hilbert.MustNew(hilbert.MaxOrder, curveMBR)
 
-	// Breadth-first layout: visiting node i appends its children as one
-	// contiguous run, so start/count address them by id. A level ends where
-	// the queue stood when its first node was visited, and its nodes arrive
-	// left to right — the order Tree.LevelStats sums them in.
-	queue := []*node{t.root}
-	depth, levelEnd := 0, 1
 	// The item planes' size is known, and they are most of the image: sized
 	// once, they are not grown and copied five times over on the way up.
 	p.itemXMin = make([]float64, 0, t.size)
@@ -200,27 +158,19 @@ func Pack(t *Tree) *Packed {
 		e   *entry
 	}
 	var order []keyed
-	for qi := 0; qi < len(queue); qi++ {
-		if qi == levelEnd {
-			depth, levelEnd = depth+1, len(queue)
-		}
-		n := queue[qi]
-		m := n.mbr()
-		p.levels[depth].add(m)
-		p.nodeXMin = append(p.nodeXMin, m.MinX)
-		p.nodeYMin = append(p.nodeYMin, m.MinY)
-		p.nodeXMax = append(p.nodeXMax, m.MaxX)
-		p.nodeYMax = append(p.nodeYMax, m.MaxY)
-		p.leaf = append(p.leaf, n.leaf)
-		p.count = append(p.count, int32(len(n.entries)))
+	// Depth-first, children left to right: a level's nodes arrive in the order
+	// Tree.LevelStats sums them in, and the leaves — all on the last level —
+	// in the order their items take slots.
+	var walk func(n *node, depth int)
+	walk = func(n *node, depth int) {
+		p.nodes++
+		p.levels[depth].add(n.mbr())
 		if !n.leaf {
-			p.start = append(p.start, int32(len(queue)))
 			for i := range n.entries {
-				queue = append(queue, n.entries[i].child)
+				walk(n.entries[i].child, depth+1)
 			}
-			continue
+			return
 		}
-		p.start = append(p.start, int32(len(p.itemID)))
 		// Lay the leaf's entries out in ascending Hilbert order of their
 		// centers: neighbours on the curve are neighbours in memory.
 		order = order[:0]
@@ -242,35 +192,8 @@ func Pack(t *Tree) *Packed {
 			p.itemID = append(p.itemID, e.id)
 		}
 	}
+	walk(t.root, 0)
 	averageLevels(p.levels)
-	ng := (len(p.itemID) + itemGroup - 1) / itemGroup
-	p.grpXMin = make([]float64, ng)
-	p.grpYMin = make([]float64, ng)
-	p.grpXMax = make([]float64, ng)
-	p.grpYMax = make([]float64, ng)
-	for g := 0; g < ng; g++ {
-		lo := g * itemGroup
-		hi := lo + itemGroup
-		if hi > len(p.itemID) {
-			hi = len(p.itemID)
-		}
-		xm, ym, xM, yM := p.itemXMin[lo], p.itemYMin[lo], p.itemXMax[lo], p.itemYMax[lo]
-		for i := lo + 1; i < hi; i++ {
-			if p.itemXMin[i] < xm {
-				xm = p.itemXMin[i]
-			}
-			if p.itemYMin[i] < ym {
-				ym = p.itemYMin[i]
-			}
-			if p.itemXMax[i] > xM {
-				xM = p.itemXMax[i]
-			}
-			if p.itemYMax[i] > yM {
-				yM = p.itemYMax[i]
-			}
-		}
-		p.grpXMin[g], p.grpYMin[g], p.grpXMax[g], p.grpYMax[g] = xm, ym, xM, yM
-	}
 	p.tiles = buildTileIndex(p.itemXMin, p.itemYMin, p.itemXMax, p.itemYMax)
 	mPackedBuilds.Inc()
 	mPackedBuildItems.Add(uint64(len(p.itemID)))
@@ -278,39 +201,24 @@ func Pack(t *Tree) *Packed {
 	return p
 }
 
-// itemGroup is the group-plane granularity: one bounding box per 8 item
-// slots, matching the kernel's 8-wide unrolled mask step.
-const itemGroup = 8
-
 // Len returns the number of stored items: with an overlay, the live slots
 // plus the delta's items.
 func (p *Packed) Len() int { return p.size }
 
-// Height returns the number of levels of the planes (0 when empty).
+// Height returns the number of levels of the source tree (0 when empty).
 func (p *Packed) Height() int { return p.height }
 
-// NumNodes returns the number of nodes in the planes.
-func (p *Packed) NumNodes() int { return len(p.leaf) }
+// NumNodes returns the number of nodes of the source tree.
+func (p *Packed) NumNodes() int { return p.nodes }
 
 // LevelStats returns the source tree's Tree.LevelStats as recorded by Pack:
 // one entry per level, root first, empty for an empty image. The slice is
 // shared with the image and must not be modified.
 func (p *Packed) LevelStats() []LevelStat { return p.levels }
 
-// RootMBR returns the root node's MBR (the zero Rect when empty).
-func (p *Packed) RootMBR() geom.Rect {
-	if len(p.leaf) == 0 {
-		return geom.Rect{}
-	}
-	return geom.Rect{MinX: p.nodeXMin[0], MinY: p.nodeYMin[0], MaxX: p.nodeXMax[0], MaxY: p.nodeYMax[0]}
-}
-
-// Accesses returns the number of node touches since construction or the last
-// ResetAccesses — the same page-read proxy the pointer tree counts.
-func (p *Packed) Accesses() int64 { return atomic.LoadInt64(&p.accesses) }
-
-// ResetAccesses zeroes the access counter.
-func (p *Packed) ResetAccesses() { atomic.StoreInt64(&p.accesses, 0) }
+// RootMBR returns the source tree's root MBR — the bounding box of the planes'
+// items — and the zero Rect when empty.
+func (p *Packed) RootMBR() geom.Rect { return p.rootMBR }
 
 // VisitItems calls fn for every stored item: the planes' live items in slot
 // order — on an overlay-free image the i-th call is slot i, the index
@@ -329,80 +237,73 @@ func (p *Packed) VisitItems(fn func(id int, r geom.Rect)) {
 	}
 }
 
-// Search appends the IDs of all items intersecting q to out — the packed
-// counterpart of Tree.Search and the executor's index probe for extension
-// steps; the join kernels have their own traversals.
+// Search appends the IDs of all items intersecting q to out, each once — the
+// executor's index probe for extension steps. It reads the tile index the join
+// kernel sweeps: for every tile q's range meets, the run is scanned while
+// xmin ≤ q.MaxX (runs are sorted by xmin) and the other three sides tested
+// through the slot. An item replicated into several of those tiles is reported
+// from one of them only, by the kernel's reference-point rule with q's own
+// range supplying the second pair of start bits: the tile where the item
+// starts or q's range starts, in x and in y — integers only, so the test
+// cannot disagree with the tile assignment on a boundary or in a clamped
+// border tile. The wide run, whose items are stored once, is scanned once.
+//
+// Order: the planes' hits, then the delta's; within an image tile by tile,
+// row-major, within a tile by (xmin, slot), the wide run's hits last. It is a
+// function of the image and q alone.
+//
+// Cost follows the entries of the tiles q meets: right for the executor's
+// probes — item rectangles, one to four tiles — and 1.5–1.9× a tree descent's
+// for window-sized queries, which nothing issues (DESIGN.md "Probes").
 func (p *Packed) Search(q geom.Rect, out []int) []int {
-	// Node touches are counted locally and added once: the counter shares a
-	// cache line with the plane headers every concurrent probe reads.
-	visits := 0
-	if len(p.leaf) > 0 {
-		out = p.search(0, q, out, &visits)
-	}
+	out = p.searchPlanes(q, out)
 	if p.delta != nil {
-		out = p.delta.search(0, q, out, &visits)
+		out = p.delta.searchPlanes(q, out)
 	}
-	atomic.AddInt64(&p.accesses, int64(visits))
 	return out
 }
 
-// search is the probe traversal, evaluated like the join kernel's: an
-// internal node's child run and a leaf's item run go through overlapMask, and
-// a leaf walks its run at group granularity, skipping a whole group whose
-// bounding box misses q. Set bits are taken lowest first, so ids come back in
-// ascending slot order; tombstoned slots are masked out.
-func (p *Packed) search(n int32, q geom.Rect, out []int, visits *int) []int {
-	*visits++
-	s, c := int(p.start[n]), int(p.count[n])
-	if !p.leaf[n] {
-		for base := 0; base < c; base += 64 {
-			w := c - base
-			if w > 64 {
-				w = 64
+// searchPlanes is Search over the image's own planes, tombstones skipped.
+func (p *Packed) searchPlanes(q geom.Rect, out []int) []int {
+	ix := p.tiles
+	if ix == nil {
+		return out
+	}
+	x0, x1, y0, y1 := tileOf(q.MinX), tileOf(q.MaxX), tileOf(q.MinY), tileOf(q.MaxY)
+	for ty := y0; ty <= y1; ty++ {
+		for tx := x0; tx <= x1; tx++ {
+			var have uint32
+			if tx == x0 {
+				have |= startsX
 			}
-			m := overlapMask(q.MinX, q.MinY, q.MaxX, q.MaxY,
-				p.nodeXMin, p.nodeYMin, p.nodeXMax, p.nodeYMax, s+base, w)
-			for m != 0 {
-				child := int32(s + base + bits.TrailingZeros64(m))
-				m &= m - 1
-				out = p.search(child, q, out, visits)
+			if ty == y0 {
+				have |= startsY
 			}
+			keys, refs := ix.run(ty*tileDim + tx)
+			out = p.scanRun(q, keys, refs, have, out)
 		}
-		return out
 	}
-	if c == 0 {
-		return out
-	}
-	end := s + c
-	for g := s / itemGroup; g <= (end-1)/itemGroup; g++ {
-		if p.grpXMin[g] > q.MaxX || q.MinX > p.grpXMax[g] ||
-			p.grpYMin[g] > q.MaxY || q.MinY > p.grpYMax[g] {
+	keys, refs := ix.run(numTiles)
+	return p.scanRun(q, keys, refs, startsX|startsY, out)
+}
+
+// scanRun appends the live items of one run that intersect q and whose start
+// bits, ORed with have, are both set.
+func (p *Packed) scanRun(q geom.Rect, keys []float64, refs []uint32, have uint32, out []int) []int {
+	for i, xmin := range keys {
+		if xmin > q.MaxX {
+			break
+		}
+		r := refs[i] | have
+		if r&(startsX|startsY) != startsX|startsY {
 			continue
 		}
-		lo, hi := groupSpan(g, s, end)
-		m := overlapMask(q.MinX, q.MinY, q.MaxX, q.MaxY,
-			p.itemXMin, p.itemYMin, p.itemXMax, p.itemYMax, lo, hi-lo)
-		if p.dead != nil {
-			m &^= deadLanes(p.dead, g) >> uint(lo-g*itemGroup)
+		s := int(r >> refShift)
+		if p.itemXMax[s] < q.MinX || p.itemYMin[s] > q.MaxY || p.itemYMax[s] < q.MinY ||
+			p.dead != nil && slotDead(p.dead, s) {
+			continue
 		}
-		for m != 0 {
-			out = append(out, p.itemID[lo+bits.TrailingZeros64(m)])
-			m &= m - 1
-		}
+		out = append(out, p.itemID[s])
 	}
 	return out
-}
-
-// groupSpan returns the item slots of group g that lie inside the leaf run
-// [s, end): groups align to the global item array, so a run's first and last
-// group may straddle its neighbours.
-func groupSpan(g, s, end int) (lo, hi int) {
-	lo, hi = g*itemGroup, (g+1)*itemGroup
-	if lo < s {
-		lo = s
-	}
-	if hi > end {
-		hi = end
-	}
-	return lo, hi
 }

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
 	"testing"
 
 	"spatialsel/internal/datagen"
@@ -136,11 +138,77 @@ func TestPackEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestPackedSearchMatchesTree holds the masked probe traversal to the pointer
-// tree's hit set on ordinary, degenerate (point, zero-width, zero-height),
-// all-covering and all-missing queries, over narrow and wider-than-a-mask-word
-// fanouts — and to its order contract: hits come back in ascending item slot,
-// which is what keeps the executor's probe-step row order stable.
+// gridQueries returns the queries aimed at what is new about a grid probe:
+// edges exactly on tile lines, zero-area queries on a tile corner and along a
+// tile edge, queries reaching outside the unit square or lying outside it — so
+// their range clamps into the border tiles — and one over the whole of a
+// [0, 1000]² table.
+func gridQueries() []geom.Rect {
+	const d = tileDim
+	return []geom.Rect{
+		geom.NewRect(3.0/d, 5.0/d, 7.0/d, 6.0/d),     // every edge on a tile line
+		geom.NewRect(16.0/d, 16.0/d, 17.0/d, 17.0/d), // exactly one tile, closed
+		geom.NewRect(8.0/d, 8.0/d, 8.0/d, 8.0/d),     // zero area, on a tile corner
+		geom.NewRect(0, 9.0/d, 1, 9.0/d),             // zero height, along a tile line
+		geom.NewRect(10.0/d, 0.1, 10.0/d, 0.9),       // zero width, along a tile line
+		geom.NewRect(-0.5, 0.2, 0.25, 0.3),           // reaches out on the left
+		geom.NewRect(0.9, 0.9, 1.5, 1.5),             // reaches out at the top right corner
+		geom.NewRect(-2, -2, -1, 3),                  // left of the square: first column only
+		geom.NewRect(1.5, 1.5, 2.5, 2.5),             // beyond the top right corner: last tile only
+		geom.NewRect(1, 1, 1, 1),                     // the square's far corner
+		geom.NewRect(0, 0, 1000, 1000),               // everything, of any extent
+		geom.NewRect(250, 250, 500, 260),             // inside a [0, 1000]² table
+	}
+}
+
+// requireSearchOrder holds one Search's hits to the documented order: the
+// planes' before the delta's, and within an image by reporting tile, row-major
+// — the tile where the item's range or q's starts, in y and in x — then by
+// (xmin, slot), the wide run's items last.
+func requireSearchOrder(t *testing.T, p *Packed, q geom.Rect, got []int) {
+	t.Helper()
+	type key struct {
+		image, wide, ty, tx int
+		xmin                float64
+		slot                int
+	}
+	keys := make(map[int]key, p.Len())
+	for image, img := range []*Packed{p, p.delta} {
+		if img == nil || img.tiles == nil {
+			continue
+		}
+		wide := map[int]bool{}
+		for _, r := range img.tiles.wide() {
+			wide[int(r>>refShift)] = true
+		}
+		for slot, id := range img.itemID {
+			k := key{image: image, xmin: img.itemXMin[slot], slot: slot}
+			if wide[slot] {
+				k.wide = 1
+			} else {
+				k.ty = max(tileOf(img.itemYMin[slot]), tileOf(q.MinY))
+				k.tx = max(tileOf(img.itemXMin[slot]), tileOf(q.MinX))
+			}
+			keys[id] = k
+		}
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := keys[got[i-1]], keys[got[i]]
+		if c := cmp.Or(cmp.Compare(a.image, b.image), cmp.Compare(a.wide, b.wide), cmp.Compare(a.ty, b.ty),
+			cmp.Compare(a.tx, b.tx), cmp.Compare(a.xmin, b.xmin), cmp.Compare(a.slot, b.slot)); c >= 0 {
+			t.Fatalf("query %v: hits %d, %d come as %+v, %+v: out of order", q, got[i-1], got[i], a, b)
+		}
+	}
+}
+
+// TestPackedSearchMatchesTree holds the tile probe to the pointer tree's hit
+// set — equal as sorted sequences, so no id twice: a duplicate is the failure
+// a grid has and a tree does not — on ordinary, degenerate (point, zero-width,
+// zero-height), all-covering and all-missing queries and on the grid's own
+// cases, over tables that sit inside the unit square, on its tile lines,
+// outside it, in a [0, 1000]² extent (everything clamps into the border
+// tiles), and one with enough extent-sized rectangles to populate the wide
+// run — and to the order contract Search documents.
 func TestPackedSearchMatchesTree(t *testing.T) {
 	queries := append(randRects(64, 10), latticeRects(64, 12)...)
 	queries = append(queries,
@@ -152,15 +220,22 @@ func TestPackedSearchMatchesTree(t *testing.T) {
 		geom.NewRect(-1, -1, 0, 0),         // touches the extent's corner only
 		geom.NewRect(0.5, 0.5, 0.53125, 1), // edges on the 1/32 lattice
 	)
+	queries = append(queries, gridQueries()...)
+	queries = append(queries, tileLineRects(48, 14)...)
 	for _, tc := range []struct {
 		name  string
 		rects []geom.Rect
 		opts  []Option
+		wide  bool
 	}{
-		{"uniform", randRects(1500, 9), []Option{WithFanout(2, 8)}},
-		{"zero-area", latticeRects(1500, 305), []Option{WithFanout(2, 8)}},
-		{"wide-fanout", randRects(9000, 35), []Option{WithFanout(30, 100)}},
-		{"single-leaf", randRects(5, 27), nil},
+		{"uniform", randRects(1500, 9), []Option{WithFanout(2, 8)}, false},
+		{"zero-area", latticeRects(1500, 305), []Option{WithFanout(2, 8)}, false},
+		{"wide-fanout", randRects(9000, 35), []Option{WithFanout(30, 100)}, false},
+		{"single-leaf", randRects(5, 27), nil, false},
+		{"tile-lines", tileLineRects(1500, 307), []Option{WithFanout(2, 8)}, false},
+		{"spanning", spanningRects(250, 311), []Option{WithFanout(2, 8)}, true},
+		{"outside-unit", scaled(randRects(900, 316), -2, 3), []Option{WithFanout(2, 8)}, false},
+		{"extent-1000", scaled(randRects(700, 318), 0, 1000), []Option{WithFanout(2, 8)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, err := BulkLoadSTR(ItemsFromRects(tc.rects), tc.opts...)
@@ -168,16 +243,16 @@ func TestPackedSearchMatchesTree(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := Pack(tr)
-			slot := make(map[int]int, p.Len())
-			p.VisitItems(func(id int, _ geom.Rect) { slot[id] = len(slot) })
-			for _, q := range queries {
+			if got := len(p.tiles.wide()) > 0; got != tc.wide {
+				t.Fatalf("image has wide items: %v, the case wants %v", got, tc.wide)
+			}
+			qs := queries
+			if tc.name == "extent-1000" {
+				qs = append(scaled(randRects(32, 15), 0, 1000), queries...)
+			}
+			for _, q := range qs {
 				got := p.Search(q, nil)
-				for i := 1; i < len(got); i++ {
-					if slot[got[i-1]] >= slot[got[i]] {
-						t.Fatalf("query %v: hits %d,%d at slots %d,%d, want ascending",
-							q, got[i-1], got[i], slot[got[i-1]], slot[got[i]])
-					}
-				}
+				requireSearchOrder(t, p, q, got)
 				if want := tr.Search(q, nil); !sortedEqual(got, want) {
 					t.Fatalf("query %v: packed %d hits, tree %d", q, len(got), len(want))
 				}
@@ -186,21 +261,9 @@ func TestPackedSearchMatchesTree(t *testing.T) {
 	}
 }
 
-func TestPackedSearchCountsAccesses(t *testing.T) {
-	rects := randRects(500, 11)
-	_, p := packOf(t, rects)
-	p.ResetAccesses()
-	if p.Accesses() != 0 {
-		t.Fatal("ResetAccesses did not zero counter")
-	}
-	p.Search(geom.NewRect(0, 0, 1, 1), nil)
-	if p.Accesses() != int64(p.NumNodes()) {
-		t.Fatalf("full-extent search touched %d nodes, want %d", p.Accesses(), p.NumNodes())
-	}
-}
-
-// TestPackHilbertLeafOrder pins the read-optimized layout: within every leaf
-// run, items ascend by Hilbert key of their rect (ties by id).
+// TestPackHilbertLeafOrder pins the read-optimized layout: the source tree's
+// leaves take consecutive runs of slots, left to right, and within every run
+// items ascend by Hilbert key of their rect (ties by id).
 func TestPackHilbertLeafOrder(t *testing.T) {
 	rects := clusteredRects(1200, 13)
 	tr, p := packOf(t, rects)
@@ -209,20 +272,40 @@ func TestPackHilbertLeafOrder(t *testing.T) {
 		curveMBR = curveMBR.Expand(1e-9)
 	}
 	curve := hilbert.MustNew(hilbert.MaxOrder, curveMBR)
-	for n := 0; n < p.NumNodes(); n++ {
-		if !p.leaf[n] {
-			continue
+	var ids []int
+	var rs []geom.Rect
+	p.VisitItems(func(id int, r geom.Rect) { ids, rs = append(ids, id), append(rs, r) })
+	s := 0
+	var walk func(n *node)
+	walk = func(n *node) {
+		if !n.leaf {
+			for _, e := range n.entries {
+				walk(e.child)
+			}
+			return
 		}
-		s, c := int(p.start[n]), int(p.count[n])
-		for i := s + 1; i < s+c; i++ {
-			prev := geom.Rect{MinX: p.itemXMin[i-1], MinY: p.itemYMin[i-1], MaxX: p.itemXMax[i-1], MaxY: p.itemYMax[i-1]}
-			cur := geom.Rect{MinX: p.itemXMin[i], MinY: p.itemYMin[i], MaxX: p.itemXMax[i], MaxY: p.itemYMax[i]}
-			kp, kc := curve.RectIndex(prev), curve.RectIndex(cur)
-			if kp > kc || (kp == kc && p.itemID[i-1] >= p.itemID[i]) {
-				t.Fatalf("leaf %d: items %d,%d out of Hilbert order (keys %d,%d ids %d,%d)",
-					n, i-1, i, kp, kc, p.itemID[i-1], p.itemID[i])
+		inLeaf := make(map[int]bool, len(n.entries))
+		for _, e := range n.entries {
+			inLeaf[e.id] = true
+		}
+		for i := s; i < s+len(n.entries); i++ {
+			if !inLeaf[ids[i]] {
+				t.Fatalf("slot %d holds item %d, not one of the leaf's whose run starts at %d", i, ids[i], s)
+			}
+			if i == s {
+				continue
+			}
+			kp, kc := curve.RectIndex(rs[i-1]), curve.RectIndex(rs[i])
+			if kp > kc || (kp == kc && ids[i-1] >= ids[i]) {
+				t.Fatalf("leaf run at %d: items %d,%d out of Hilbert order (keys %d,%d ids %d,%d)",
+					s, i-1, i, kp, kc, ids[i-1], ids[i])
 			}
 		}
+		s += len(n.entries)
+	}
+	walk(tr.root)
+	if s != len(ids) {
+		t.Fatalf("the tree's leaves hold %d items, the image %d", s, len(ids))
 	}
 }
 
@@ -249,31 +332,73 @@ func BenchmarkPack(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedSearch is the executor's extension probe at the benchmark's
-// multiway-window scale: every SP point searched in SPG's packed image.
+// BenchmarkPackedSearch says where the probe stands without bench/: every
+// rectangle of one table searched in the other's image, hits per probe
+// reported. The first three lanes are multiway-window's extension steps at
+// its scale (item rectangles, one to four tiles each) and a pair at full
+// scale; uniform-20k is a table of larger items (sides ≤ 0.05, ×17.6
+// replication) probed with its like. The last two — a query 0.1 on a side
+// over 20 000 small items, 0.3 on a side over 200 000 — are window-sized
+// queries, where scanning every entry of the tiles met takes 1.5–1.9× what a
+// tree descent did (EXPERIMENTS.md "Tile probes"). They are outside the
+// executor's traffic: a window is applied inside the first-join kernel and as
+// a per-candidate filter of extension steps, never as a Search.
 func BenchmarkPackedSearch(b *testing.B) {
-	queries := datagen.SP(0.2).Items
-	tr, err := BulkLoadSTR(ItemsFromRects(datagen.SPG(0.2).Items))
-	if err != nil {
-		b.Fatal(err)
+	sized := func(n int, maxSide float64, seed int64) []geom.Rect {
+		return datagen.Uniform("uniform", n, maxSide, seed).Items
 	}
-	p := Pack(tr)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = p.Search(queries[i%len(queries)], buf[:0])
+	squares := func(n int, side float64, seed int64) []geom.Rect {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]geom.Rect, n)
+		for i := range out {
+			x, y := rng.Float64()*(1-side), rng.Float64()*(1-side)
+			out[i] = geom.NewRect(x, y, x+side, y+side)
+		}
+		return out
+	}
+	for _, lane := range []struct {
+		name           string
+		queries, items []geom.Rect
+	}{
+		{"SP-SPG-0.2", datagen.SP(0.2).Items, datagen.SPG(0.2).Items},
+		{"SCRC-SURA-1", datagen.SCRC(1).Items, datagen.SURA(1).Items},
+		{"TS-TCB-1", datagen.TS(1).Items, datagen.TCB(1).Items},
+		{"uniform-20k-side-0.05", sized(20000, 0.05, 61), sized(20000, 0.05, 62)},
+		{"window-0.1-over-20k", squares(1000, 0.1, 63), sized(20000, 0.004, 64)},
+		{"window-0.3-over-200k", squares(200, 0.3, 65), sized(200000, 0.004, 66)},
+	} {
+		b.Run(lane.name, func(b *testing.B) {
+			tr, err := BulkLoadSTR(ItemsFromRects(lane.items))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := Pack(tr)
+			var buf []int
+			hits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = p.Search(lane.queries[i%len(lane.queries)], buf[:0])
+				hits += len(buf)
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
 	}
 }
 
 // TestOverlayImageMirrorsPack holds every overlay shape the join oracle uses
 // to the read surface beside the kernel: the image must answer Len, VisitItems
-// (as a set) and Search exactly as a fresh Pack of the surviving items does,
-// report its overlay's size, share the planes of the image it was derived from
-// and leave that image as it was.
+// (as a set) and Search exactly as a fresh Pack of the surviving items does —
+// each id once, in the documented order — report its overlay's size, share the
+// planes of the image it was derived from and leave that image as it was. The
+// tables beyond the first four are the grid's: tombstones falling on entries
+// replicated into several tiles and into the wide run, everything clamped into
+// the border tiles; base-dead makes every hit a delta-only hit.
 func TestOverlayImageMirrorsPack(t *testing.T) {
 	queries := append(randRects(48, 10), latticeRects(16, 12)...)
 	queries = append(queries, geom.NewRect(-1, -1, 2, 2), geom.NewRect(5, 5, 6, 6))
+	queries = append(queries, gridQueries()...)
+	queries = append(queries, tileLineRects(24, 14)...)
 	for _, tc := range []struct {
 		name  string
 		rects []geom.Rect
@@ -283,6 +408,10 @@ func TestOverlayImageMirrorsPack(t *testing.T) {
 		{"wide-fanout", randRects(3000, 35), []Option{WithFanout(30, 100)}},
 		{"single-leaf", randRects(5, 27), nil},
 		{"empty", nil, nil},
+		{"tile-lines", tileLineRects(1500, 307), []Option{WithFanout(2, 8)}},
+		{"spanning", spanningRects(250, 311), []Option{WithFanout(2, 8)}},
+		{"outside-unit", scaled(randRects(900, 316), -2, 3), []Option{WithFanout(2, 8)}},
+		{"extent-1000", scaled(randRects(700, 318), 0, 1000), []Option{WithFanout(2, 8)}},
 	} {
 		for _, sh := range []overlayShape{plainShape, tombstonesShape, deltaShape, bothShape, lanesShape, baseDeadShape, deltaEmptiedShape} {
 			t.Run(tc.name+"/"+sh.name, func(t *testing.T) {
@@ -324,7 +453,9 @@ func TestOverlayImageMirrorsPack(t *testing.T) {
 					t.Fatalf("VisitItems reported %d items, want %d", len(seen), want.Len())
 				}
 				for _, q := range queries {
-					if got, ref := img.Search(q, nil), want.Search(q, nil); !sortedEqual(got, ref) {
+					got := img.Search(q, nil)
+					requireSearchOrder(t, img, q, got)
+					if ref := want.Search(q, nil); !sortedEqual(got, ref) {
 						t.Fatalf("query %v: overlay image %d hits, Pack of the survivors %d", q, len(got), len(ref))
 					}
 				}

@@ -34,44 +34,6 @@ func btou(b bool) uint64 {
 	return 0
 }
 
-// lane is one branchless closed-rectangle intersection test against a SoA
-// slot: 1 when the query rect and the slot rect share at least a boundary
-// point.
-func lane(qxmin, qymin, qxmax, qymax, xmin, ymin, xmax, ymax float64) uint64 {
-	return btou(xmin <= qxmax) & btou(qxmin <= xmax) &
-		btou(ymin <= qymax) & btou(qymin <= ymax)
-}
-
-// overlapMask evaluates the query rect against n consecutive SoA slots
-// starting at lo (n ≤ 64) and returns the intersection bitmask, bit i for
-// slot lo+i. The loop runs 8 lanes per step with no data-dependent branches,
-// so the compiler keeps the four query coordinates in registers and the four
-// planes stream sequentially through the cache.
-func overlapMask(qxmin, qymin, qxmax, qymax float64, xmin, ymin, xmax, ymax []float64, lo, n int) uint64 {
-	xm := xmin[lo : lo+n : lo+n]
-	ym := ymin[lo : lo+n : lo+n]
-	xM := xmax[lo : lo+n : lo+n]
-	yM := ymax[lo : lo+n : lo+n]
-	var m uint64
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		var w uint64
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j], ym[j], xM[j], yM[j])
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j+1], ym[j+1], xM[j+1], yM[j+1]) << 1
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j+2], ym[j+2], xM[j+2], yM[j+2]) << 2
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j+3], ym[j+3], xM[j+3], yM[j+3]) << 3
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j+4], ym[j+4], xM[j+4], yM[j+4]) << 4
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j+5], ym[j+5], xM[j+5], yM[j+5]) << 5
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j+6], ym[j+6], xM[j+6], yM[j+6]) << 6
-		w |= lane(qxmin, qymin, qxmax, qymax, xm[j+7], ym[j+7], xM[j+7], yM[j+7]) << 7
-		m |= w << uint(j)
-	}
-	for ; j < n; j++ {
-		m |= lane(qxmin, qymin, qxmax, qymax, xm[j], ym[j], xM[j], yM[j]) << uint(j)
-	}
-	return m
-}
-
 // tilePart is one (a-side, b-side) combination a join decomposes into: the
 // planes or the delta of each image, and of each its tile runs or its wide
 // run, with the rectangle of tiles to sweep. A part's pairs are disjoint from
@@ -394,8 +356,8 @@ func (j *tileJoinRun) sweep(pa, pb *Packed, ak []float64, ar []uint32, bk []floa
 //
 // The context is polled once per cancelCheckInterval swept tiles and between
 // tasks; when it is done the join stops promptly and returns no batches and
-// the context's error. Access accounting on both images and the packed join
-// counters are updated once, at the end, with the sum of all workers' work.
+// the context's error. The packed join counters are updated once, at the end,
+// with the sum of all workers' work.
 // Both images may be shared with concurrent readers.
 func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.Rect) ([][]int, error) {
 	return tileJoin(ctx, a, b, workers, winA, winB, nil)
@@ -471,8 +433,6 @@ func tileJoin(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.R
 	}
 	sp.Set("tasks", float64(len(tasks)))
 	total.flush(&packedJoinCounters, sp)
-	atomic.AddInt64(&a.accesses, int64(total.visits))
-	atomic.AddInt64(&b.accesses, int64(total.visits))
 	if total.err != nil {
 		return nil, total.err
 	}

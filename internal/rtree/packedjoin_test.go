@@ -3,7 +3,6 @@ package rtree
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
@@ -168,13 +167,12 @@ func TestPackedJoinCancellation(t *testing.T) {
 	}
 }
 
-// TestPackedJoinAccounting pins what the kernel's counters and the images'
-// access counters mean now that the join is a sweep, against a count made
-// from the rectangles alone: a visit is a tile with items of both sides, a
-// compare is a y-test — one per pair of items in a tile whose x-extents
-// overlap — a pair is a result, and the context is polled every
-// cancelCheckInterval visits of a goroutine. Both images are charged the
-// visits. A pool does the same work, and polls at most once less per worker.
+// TestPackedJoinAccounting pins what the kernel's counters mean now that the
+// join is a sweep, against a count made from the rectangles alone: a visit is
+// a tile with items of both sides, a compare is a y-test — one per pair of
+// items in a tile whose x-extents overlap — a pair is a result, and the
+// context is polled every cancelCheckInterval visits of a goroutine. A pool
+// does the same work, and polls at most once less per worker.
 func TestPackedJoinAccounting(t *testing.T) {
 	as, bs := randRects(1000, 47), randRects(900, 48)
 	_, pa := packOf(t, as)
@@ -211,8 +209,6 @@ func TestPackedJoinAccounting(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := &packedJoinCounters
 		v0, c0, p0, polls0 := c.nodeVisits.Value(), c.leafCompares.Value(), c.outputPairs.Value(), c.cancelPolls.Value()
-		pa.ResetAccesses()
-		pb.ResetAccesses()
 		if _, err := PackedJoinBatches(context.Background(), pa, pb, workers, nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -227,9 +223,6 @@ func TestPackedJoinAccounting(t *testing.T) {
 		}
 		if got, most := c.cancelPolls.Value()-polls0, visits/cancelCheckInterval; got > most || got+uint64(workers) <= most {
 			t.Errorf("workers=%d: %d polls, want within %d below %d", workers, got, workers-1, most)
-		}
-		if pa.Accesses() != int64(visits) || pb.Accesses() != int64(visits) {
-			t.Errorf("workers=%d: accesses %d/%d, want %d on both", workers, pa.Accesses(), pb.Accesses(), visits)
 		}
 	}
 }
@@ -270,7 +263,7 @@ func TestPackedJoinSharedImageHammer(t *testing.T) {
 						return
 					}
 				}
-			default: // range searches sharing the access counters
+			default: // range searches over the same tile runs
 				var buf []int
 				for i := 0; i < 200; i++ {
 					buf = pa.Search(geom.NewRect(0.2, 0.2, 0.4, 0.4), buf[:0])
@@ -283,34 +276,6 @@ func TestPackedJoinSharedImageHammer(t *testing.T) {
 	for g, err := range errs {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
-		}
-	}
-}
-
-func TestOverlapMask(t *testing.T) {
-	rng := rand.New(rand.NewSource(49))
-	const n = 64
-	var xm, ym, xM, yM [n]float64
-	rects := make([]geom.Rect, n)
-	for i := range rects {
-		x, y := rng.Float64(), rng.Float64()
-		rects[i] = geom.NewRect(x, y, x+rng.Float64()*0.2, y+rng.Float64()*0.2)
-		xm[i], ym[i], xM[i], yM[i] = rects[i].MinX, rects[i].MinY, rects[i].MaxX, rects[i].MaxY
-	}
-	for trial := 0; trial < 200; trial++ {
-		x, y := rng.Float64(), rng.Float64()
-		q := geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
-		width := 1 + rng.Intn(n)
-		lo := rng.Intn(n - width + 1)
-		m := overlapMask(q.MinX, q.MinY, q.MaxX, q.MaxY, xm[:], ym[:], xM[:], yM[:], lo, width)
-		for i := 0; i < width; i++ {
-			want := q.Intersects(rects[lo+i])
-			if got := m>>uint(i)&1 == 1; got != want {
-				t.Fatalf("trial %d lane %d: mask=%v want %v (q=%v r=%v)", trial, i, got, want, q, rects[lo+i])
-			}
-		}
-		if width < 64 && m>>uint(width) != 0 {
-			t.Fatalf("trial %d: mask has bits above width %d: %b", trial, width, m)
 		}
 	}
 }

@@ -83,7 +83,10 @@ func (in fuzzJoinInput) image(t *testing.T, side int) *Packed {
 
 // FuzzTileJoin holds the tile sweep to brute force on inputs aimed at the
 // grid: the kernel's pairs, serial and pooled, are exactly the intersecting
-// live pairs that meet their windows — each once — in one order.
+// live pairs that meet their windows — each once — in one order. The probe
+// reads the same runs, so the same images hold it too: side b's image searched
+// with every side-a rectangle and both windows returns exactly the live
+// b-items meeting the query, no id twice.
 func FuzzTileJoin(f *testing.F) {
 	rec := func(x0, y0, x1, y1 [2]byte, flags byte) []byte {
 		return []byte{x0[0], x0[1], y0[0], y0[1], x1[0], x1[1], y1[0], y1[1], flags}
@@ -118,6 +121,24 @@ func FuzzTileJoin(f *testing.F) {
 					(in.winA == nil || ra.Intersects(*in.winA)) && (in.winB == nil || rb.Intersects(*in.winB)) {
 					want = append(want, JoinPair{A: a, B: b})
 				}
+			}
+		}
+		queries := slices.Clone(in.rects[0])
+		for _, win := range []*geom.Rect{in.winA, in.winB} {
+			if win != nil {
+				queries = append(queries, *win)
+			}
+		}
+		for _, q := range queries {
+			var hits []int
+			for b, rb := range in.rects[1] {
+				if rb.Intersects(q) && !in.dead[1][b] {
+					hits = append(hits, b)
+				}
+			}
+			// Equal lengths and equal sorted sequences: a duplicate fails.
+			if got := ib.Search(q, nil); !sortedEqual(got, hits) {
+				t.Fatalf("Search(%v) returned %v, brute force over the live items %v (b=%v)", q, got, hits, in.rects[1])
 			}
 		}
 		var serial []JoinPair

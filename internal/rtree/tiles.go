@@ -6,7 +6,8 @@ import (
 	"slices"
 )
 
-// tileDim is the number of tiles per side of the grid the join kernel sweeps:
+// tileDim is the number of tiles per side of the grid the join kernel sweeps
+// and Search probes:
 // the 2^7 × 2^7 grid of the unit square the default statistics level draws
 // (PAPER.md §3.2). It is a constant of the image format, not a setting: two
 // images join tile by tile only because they were cut on the same lines.
@@ -40,20 +41,22 @@ const (
 	refShift = 2
 )
 
-// tileIndex is the join kernel's view of an image's items: for every tile the
-// run of items meeting it, sorted by xmin. An entry is a sort key — the
-// item's xmin, contiguous so the sweep's merge reads nothing else — and a
-// reference: the item's slot in the image's item planes shifted left by
-// refShift, plus the two start bits. The other three coordinates and the id
-// are read through the slot: the planes are in Hilbert order, so the slots of
-// one tile's run are neighbours in memory, and an entry costs 12 bytes per
-// tile the item meets instead of a second copy of the rectangle.
+// tileIndex is an image's one spatial index, read by the join kernel and by
+// Search: for every tile the run of items meeting it, sorted by xmin. An entry
+// is a sort key — the item's xmin, contiguous so the sweep's merge reads
+// nothing else — and a reference: the item's slot in the image's item planes
+// shifted left by refShift, plus the two start bits. The other three
+// coordinates and the id are read through the slot: the planes are in Hilbert
+// order, so the slots of one tile's run are neighbours in memory, and an entry
+// costs 12 bytes per tile the item meets instead of a second copy of the
+// rectangle.
 //
 // Run t = ty·tileDim + tx occupies [off[t], off[t+1]) of keys and refs; run
 // numTiles, the last, is the wide run: the items that meet so many tiles that
 // replicating them would pass the index's size budget (none, on data whose
 // items are small against the extent). They are stored once, with no start
-// bits, and the kernel sweeps them against every tile of the other image.
+// bits; the kernel sweeps them against every tile of the other image, and a
+// probe scans them once.
 type tileIndex struct {
 	off  []uint32
 	keys []float64

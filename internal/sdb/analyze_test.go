@@ -75,13 +75,13 @@ func TestExecuteWithoutTraceRecordsCounters(t *testing.T) {
 }
 
 func TestRelError(t *testing.T) {
-	if got := relError(110, 100); got != 0.1 {
-		t.Fatalf("relError(110,100) = %g, want 0.1", got)
+	if got := RelError(110, 100); got != 0.1 {
+		t.Fatalf("RelError(110,100) = %g, want 0.1", got)
 	}
-	if got := relError(90, 100); got != 0.1 {
-		t.Fatalf("relError(90,100) = %g, want 0.1", got)
+	if got := RelError(90, 100); got != 0.1 {
+		t.Fatalf("RelError(90,100) = %g, want 0.1", got)
 	}
-	if got := relError(5, 0); got != 5 {
-		t.Fatalf("relError(5,0) = %g, want 5 (denominator clamps to 1)", got)
+	if got := RelError(5, 0); got != 5 {
+		t.Fatalf("RelError(5,0) = %g, want 5 (denominator clamps to 1)", got)
 	}
 }

@@ -4,12 +4,13 @@
 // on these analysis techniques").
 //
 // It provides a catalog of spatial tables, each carrying its dataset, an
-// R-tree index, and a Geometric Histogram as optimizer statistics; a
-// cost-based planner that orders multi-way spatial intersection joins using
-// GH selectivity estimates and the analytic I/O model; and an executor that
-// runs the chosen plan with R-tree joins and index probes. Estimates decide
-// the order, exact algorithms produce the answer — the division of labor of
-// a real query optimizer.
+// R-tree index with its packed image, and a Geometric Histogram as optimizer
+// statistics; a cost-based planner that orders multi-way spatial intersection
+// joins using GH selectivity estimates and the analytic I/O model; and an
+// executor that runs the chosen plan over the packed images' one grid — a
+// tile sweep for the first join, tile probes for every later table. Estimates
+// decide the order, exact algorithms produce the answer — the division of
+// labor of a real query optimizer.
 package sdb
 
 import (
@@ -48,11 +49,12 @@ type Table struct {
 	Data  *dataset.Dataset
 	Index *rtree.Tree
 	Stats *histogram.GHSummary
-	// Packed is the read-optimized SoA image of Index and the only index the
-	// read path (plan pricing, first join, extension probes) touches: Attach
-	// rejects a table without one. It must mirror Index exactly — producers
-	// (BuildTable, the server's Store.Publish) build it from the same
-	// immutable tree they attach.
+	// Packed is the read-optimized image of Index's items — Hilbert-ordered
+	// planes under one grid, plus the level statistics of the tree it was
+	// packed from — and the only index the read path (plan pricing, first
+	// join, extension probes) touches: Attach rejects a table without one. It
+	// must hold exactly Index's items — producers (BuildTable, the server's
+	// Store.Publish) build it from the same immutable tree they attach.
 	Packed *rtree.Packed
 	// RawExtent is the dataset's extent before normalization to the unit
 	// square. The live-ingest path uses it to map incoming rectangles (given

@@ -21,10 +21,11 @@ var (
 		"Index probes issued by extension steps.")
 )
 
-// relError is the paper's estimation error |est − actual| / actual; an
+// RelError is the paper's estimation error |est − actual| / actual; an
 // actual of zero reports the estimate itself (the error against 1), keeping
-// the value finite for empty joins.
-func relError(est, actual float64) float64 {
+// the value finite for empty joins. It is the one definition: the operator
+// spans of EXPLAIN ANALYZE and the server's per-request record both write it.
+func RelError(est, actual float64) float64 {
 	den := actual
 	if den <= 0 {
 		den = 1
@@ -45,7 +46,7 @@ func annotateOperator(sp *obs.Span, estRows float64, rows int) {
 	}
 	sp.Set("est_rows", estRows)
 	sp.Set("rows", float64(rows))
-	sp.Set("rel_error", relError(estRows, float64(rows)))
+	sp.Set("rel_error", RelError(estRows, float64(rows)))
 }
 
 // Result is a materialized join result: one column of item indices per
@@ -60,10 +61,10 @@ type Result struct {
 func (r *Result) Len() int { return len(r.Rows) }
 
 // Execute runs the plan, against the tables it was planned on, and
-// materializes the result. The first join runs as a synchronized R-tree join
-// over the two packed images; every subsequent table is joined in by probing
-// its packed image with the rectangle of each row's connecting item,
-// verifying any additional predicates directly.
+// materializes the result. The first join is a sweep of the two packed images'
+// tile runs; every subsequent table is joined in by probing its packed image —
+// the same runs, in the few tiles the rectangle meets — with the rectangle of
+// each row's connecting item, verifying any additional predicates directly.
 func (p *Plan) Execute() (*Result, error) {
 	return p.ExecuteContext(context.Background())
 }
@@ -79,6 +80,11 @@ const cancelRowBatch = 256
 // sweep (rtree's BenchmarkPackedJoinCrossover, EXPERIMENTS.md "Tile sweep"):
 // a pool of two costs 20–50 µs to start and collect, which an unwindowed
 // SCRC ⋈ SURA earns back from 16 384 items on and a windowed one by 32 768.
+// The extension steps' was re-measured on the tile probe and kept
+// (BenchmarkProbeStepCrossover, EXPERIMENTS.md "Tile probes"): a row costs
+// 110–125 ns to extend, the same pool is a loss at 512 rows (+60 %), a wash at
+// 1 024 and ahead in every run from 2 048 on (−15 %, −22 % at 4 096); raised to
+// 4 096, multiway-window lost 3 % ops/s in 7 of 8 pairs.
 const (
 	parallelJoinMinItems = 16384 // summed table cardinalities, first join
 	parallelProbeMinRows = 2048  // intermediate rows, extension steps
@@ -101,9 +107,9 @@ func resolveWorkers(workers, size, crossover int) int {
 }
 
 // ExecuteContext is Execute with cancellation: the context is threaded into
-// the R-tree join (polled per node-visit batch) and polled per row batch
-// during the index-probe steps, so a cancelled or timed-out context aborts a
-// large join promptly with the context's error.
+// the first join's sweep (polled per batch of swept tiles and between its
+// tasks) and polled per row batch during the index-probe steps, so a cancelled
+// or timed-out context aborts a large join promptly with the context's error.
 //
 // Rows are carved from slabs, never allocated one by one: a two-table result's
 // are the kernel's batches themselves, a longer query's first join's come out

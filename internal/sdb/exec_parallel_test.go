@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"spatialsel/internal/datagen"
+	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
+	"spatialsel/internal/obs"
 )
 
 // rowKeys flattens result rows into sortable strings so executions over
@@ -158,6 +160,50 @@ func TestExecuteRunsOnPlannedTables(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: row set diverges at %d: %s vs %s", workers, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// BenchmarkProbeStepCrossover is the measurement behind parallelProbeMinRows:
+// multiway-window's chain SCRC – SURA – SPG, the first two tables scaled so
+// that their join hands the extension step from about 512 to about 32 768
+// rows (reported as probe_rows) and SPG at the workload's scale 0.2, serial
+// against a pool of two. The probe step alone is read off its operator span
+// (probe-ns/op): Workers sizes the first join's pool too, and that has its own
+// crossover. Run with -cpu 2; EXPERIMENTS.md "Tile probes" has the table.
+func BenchmarkProbeStepCrossover(b *testing.B) {
+	for _, n := range []int{5700, 8100, 11500, 16200, 23000, 32500, 46000} {
+		c := NewCatalog()
+		for _, d := range []*dataset.Dataset{
+			datagen.SCRC(float64(n) / datagen.CardSCRC), datagen.SURA(float64(n) / datagen.CardSURA), datagen.SPG(0.2),
+		} {
+			if _, err := c.Create(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		plan, err := c.Plan(Query{Tables: []string{"SCRC", "SURA", "SPG"}, Predicates: []Predicate{{"SCRC", "SURA"}, {"SURA", "SPG"}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(plan.Steps) != 2 || plan.Steps[1].Table != "SPG" {
+			b.Fatalf("plan from %s over %+v does not probe SPG last", plan.Base, plan.Steps)
+		}
+		for _, workers := range []int{1, 2} {
+			plan.Workers = workers
+			b.Run(fmt.Sprintf("items=%d/workers=%d", n, workers), func(b *testing.B) {
+				var probeMicros, probeRows float64
+				for i := 0; i < b.N; i++ {
+					ctx, root := obs.NewTrace(context.Background(), "bench")
+					if _, err := plan.ExecuteContext(ctx); err != nil {
+						b.Fatal(err)
+					}
+					probe := root.Report().Children[0].Children[1]
+					probeMicros += float64(probe.ElapsedMicros)
+					probeRows = probe.Attrs["probe_rows"].(float64)
+				}
+				b.ReportMetric(probeMicros*1e3/float64(b.N), "probe-ns/op")
+				b.ReportMetric(probeRows, "probe_rows")
+			})
 		}
 	}
 }

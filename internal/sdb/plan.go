@@ -51,8 +51,8 @@ type Plan struct {
 	StatsBuild time.Duration
 	tables     map[string]*Table
 
-	// Workers sets the executor's parallelism for the first R-tree join and
-	// the extension-step index probes: 0 (auto) uses GOMAXPROCS workers when
+	// Workers sets the executor's parallelism for the first join's tile sweep
+	// and the extension-step index probes: 0 (auto) uses GOMAXPROCS workers when
 	// the inputs are large enough to benefit and serial execution otherwise;
 	// 1 forces serial execution; values > 1 force that pool size.
 	Workers int

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -561,7 +560,8 @@ type ExplainStep struct {
 }
 
 // ExplainResponse is the planner's output plus the analytic I/O model's
-// prediction for the plan's R-tree join, so clients see estimated result
+// prediction for the plan's first join — priced as an R-tree join over the
+// level statistics the two images recorded — so clients see estimated result
 // size and modeled physical cost side by side.
 type ExplainResponse struct {
 	Plan          string        `json:"plan"`
@@ -616,7 +616,8 @@ type QueryRequest struct {
 	Offset     int                   `json:"offset,omitempty"`
 	// Workers sets this query's executor parallelism: 0 uses the server
 	// default (sdbd -workers), 1 forces serial execution, larger values force
-	// that pool size for the R-tree join and the extension-step probes.
+	// that pool size for the first join's tile sweep and the extension-step
+	// probes. Rows and their order do not depend on it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -746,17 +747,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	analyze.End()
 
-	// Close the estimation loop: every executed join writes the paper's
-	// Estimation Error — the planner's final cardinality estimate (which
-	// already accounts for windows) against the materialized row count —
-	// into its record, once; finish feeds the error histogram and the drift
-	// watchdog from there.
+	// Close the estimation loop: every executed join — one that returned
+	// nothing included, the estimate scored against 1 — writes the paper's
+	// Estimation Error, the planner's final cardinality estimate (which
+	// already accounts for windows) against the materialized row count, into
+	// its record, once, as the last operator's span has it; finish feeds the
+	// error histogram and the drift watchdog from there.
 	total := res.Len()
 	ev.Rows = total
-	if total > 0 {
-		rel := math.Abs(estRows-float64(total)) / float64(total)
-		ev.RelError = &rel
-	}
+	rel := sdb.RelError(estRows, float64(total))
+	ev.RelError = &rel
 
 	offset := req.Offset
 	if offset < 0 {

@@ -318,6 +318,15 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	join := QueryRequest{Tables: []string{"roads", "streams"}, Predicates: [][2]string{{"roads", "streams"}}, Limit: 10}
 	slowServe("/v1/query", "feed-0", join)
 	analyzedResp := slowServe("/v1/query?analyze=1", "feed-1", join)
+	// A join whose windows cannot meet returns nothing, and its estimate is
+	// scored all the same (against 1).
+	scored := metricValue(t, fetchMetrics(t, ts.URL), "sdbd_estimate_rel_error_count")
+	disjoint := join
+	disjoint.Windows = map[string][4]float64{"roads": {0, 0, 0.2, 0.2}, "streams": {0.8, 0.8, 1, 1}}
+	emptyResp := slowServe("/v1/query?analyze=1", "feed-3", disjoint)
+	if n := metricValue(t, fetchMetrics(t, ts.URL), "sdbd_estimate_rel_error_count"); n != scored+1 {
+		t.Errorf("sdbd_estimate_rel_error_count went %g → %g over an empty join, want one more observation", scored, n)
+	}
 	slowServe("/v1/tables/streams/batch", "feed-2", BatchRequest{
 		Insert: [][4]float64{{0.2, 0.2, 0.21, 0.21}, {0.6, 0.6, 0.62, 0.61}},
 		Delete: []int{0, 1},
@@ -502,6 +511,19 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if analyzedBody.TraceID != "feed-1" || !reflect.DeepEqual(analyzedBody.Analyze, analyzedTree) {
 		t.Errorf("analyze payload (trace %q) is not the retained event's subtree:\n%s\nvs\n%s",
 			analyzedBody.TraceID, analyzedBody.AnalyzeText, analyzedTree.Text())
+	}
+
+	// The empty join's record carries the error its last operator span reports.
+	var emptyBody QueryResponse
+	if err := json.Unmarshal(emptyResp.Body.Bytes(), &emptyBody); err != nil {
+		t.Fatalf("decode empty join's response: %v", err)
+	}
+	lastOp := emptyBody.Analyze.Children[1].Children
+	opErr, _ := lastOp[len(lastOp)-1].Attrs["rel_error"].(float64)
+	if ev := byTrace["feed-3"]; emptyBody.TotalRows != 0 || ev.Rows != 0 || ev.RelError == nil ||
+		*ev.RelError != opErr || opErr != emptyBody.EstRows || opErr <= 0 {
+		t.Errorf("empty join: total_rows=%d est_rows=%g, event rows=%d rel_error=%v, last operator's rel_error=%g; want the estimate scored against 1 in both",
+			emptyBody.TotalRows, emptyBody.EstRows, ev.Rows, ev.RelError, opErr)
 	}
 
 	// Writes are annotated too: the table and the batch's record count.
