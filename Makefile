@@ -54,20 +54,18 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 5s -parallel 2 ./$$(dirname $$file) || exit 1; \
 	done
 
+# Stock go vet, then the project's own analyzer suite (sdbvet: ctxpoll,
+# floateq, maporder syntactically, plus the flow-sensitive lockorder and
+# unlockpath on internal/lint/cfg). -stale-ignores makes a //lint:ignore that
+# no longer suppresses anything a finding too, so dead suppressions cannot
+# accumulate. Deliberate violations are annotated in source with
+# //lint:ignore <analyzer> <reason>.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/sdbvet -stale-ignores ./...
 
-# Full lint gate: stock go vet, the project's own analyzer suite (sdbvet:
-# ctxpoll, atomicfield, maporder, metriclabel, floateq syntactically, plus
-# the flow-sensitive lockorder, unlockpath, fsyncorder, publishmut on
-# internal/lint/cfg), and a gofmt check that fails on any unformatted file.
-# -stale-ignores makes a //lint:ignore that no longer suppresses anything a
-# finding too, so dead suppressions cannot accumulate. Deliberate violations
-# are annotated in source with //lint:ignore <analyzer> <reason>.
-lint: build
-	$(GO) vet ./...
-	$(GO) run ./cmd/sdbvet -stale-ignores ./...
+# Full lint gate: vet, and a gofmt check that fails on any unformatted file.
+lint: build vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then echo "gofmt: unformatted files:"; echo "$$fmtout"; exit 1; fi
 
 cover:

@@ -97,7 +97,7 @@ func (s *shell) exec(line string, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(out, "%-16s %8d items, R-tree height %d, stats GH(h=%d)\n",
-				name, t.Len(), t.Index.Height(), s.catalog.StatisticsLevelUsed())
+				name, t.Len(), t.Packed.Height(), s.catalog.StatisticsLevelUsed())
 		}
 		return nil
 	case "create":

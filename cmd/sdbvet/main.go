@@ -1,13 +1,13 @@
 // Command sdbvet runs the project's static-analysis suite (internal/lint)
-// over the repository: nine analyzers that machine-check the engine's
-// concurrency, determinism, durability, and metrics invariants — five
-// syntactic ones plus four flow-sensitive ones built on the internal/lint/cfg
-// control-flow graphs. It is wired into `make lint` (and thus `make check`),
-// so a violation fails the build.
+// over the repository: five analyzers that machine-check the engine's
+// concurrency and determinism invariants — three syntactic ones (ctxpoll,
+// floateq, maporder) plus two flow-sensitive ones (lockorder, unlockpath)
+// built on the internal/lint/cfg control-flow graphs. It is wired into
+// `make lint` (and thus `make check`), so a violation fails the build.
 //
 //	$ go run ./cmd/sdbvet ./...
 //	$ go run ./cmd/sdbvet -disable floateq ./internal/rtree
-//	$ go run ./cmd/sdbvet -json -stale-ignores ./...
+//	$ go run ./cmd/sdbvet -stale-ignores ./...
 //	$ go run ./cmd/sdbvet -list
 //
 // Packages load and analyze in parallel (bounded by GOMAXPROCS); output is
@@ -19,9 +19,8 @@
 // -stale-ignores additionally reports directives that suppress nothing.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. Diagnostics go
-// to stdout — one per line, file:line:col: analyzer: message, or one JSON
-// object per line with -json — and the one-line summary and errors go to
-// stderr.
+// to stdout, one per line (file:line:col: analyzer: message); the one-line
+// summary and errors go to stderr.
 package main
 
 import (
@@ -45,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON Lines (one object per line)")
 	stale := fs.Bool("stale-ignores", false, "also report //lint:ignore directives that suppress nothing")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -88,14 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res := lint.RunOpts(pkgs, analyzers, lint.Options{StaleIgnores: *stale, Workers: workers})
 	res.Relativize(loader.Root)
-	if *jsonOut {
-		if err := res.WriteJSON(stdout); err != nil {
-			fmt.Fprintln(stderr, "sdbvet:", err)
-			return 2
-		}
-	} else {
-		res.Write(stdout)
-	}
+	res.Write(stdout)
 	fmt.Fprintln(stderr, res.Summary())
 	if len(res.Diagnostics) > 0 {
 		return 1

@@ -1,10 +1,13 @@
 // Package ingest turns the read-only engine into a read/write system under
 // sustained mutation traffic. It follows the read/write split of adaptive
-// spatial join systems: every table keeps a mutation-friendly Guttman R-tree
-// and an incrementally-maintained Geometric Histogram on the write side,
-// publishes immutable snapshots for readers after every batch, and re-packs
-// the read tree with an STR bulk load in the background once insertion churn
-// has degraded node overlap.
+// spatial join systems: readers join an immutable packed base, and every
+// table keeps on the write side an overlay on that base — tombstones over its
+// slots and a small tree of the items inserted since — beside an
+// incrementally-maintained Geometric Histogram. Each batch publishes a
+// snapshot that shares the base and carries the overlay, so a write costs its
+// batch, not the table; in the background a fold builds a new base (an STR
+// bulk load of the live items) and starts an empty overlay once the churn
+// since the last fold passes a share of the base (RepackPolicy).
 //
 // Durability comes from a per-table write-ahead log: length-prefixed,
 // CRC-checked records holding one checkpoint (the table's full state) at the

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -209,5 +212,132 @@ func TestWALCheckpointRetriesRename(t *testing.T) {
 	_, got, batches, err := OpenWAL(path)
 	if err != nil || got.Seq != 4 || len(batches) != 0 {
 		t.Fatalf("reopen = cp %d, %d batches, %v; want truncated to cp 4", got.Seq, len(batches), err)
+	}
+}
+
+// opLog is a recording faultfs.FS: it notes every open, write, sync, rename
+// and remove as "<op> <file name>" before forwarding the call, so an op an
+// injected fault fails is in the log too.
+type opLog struct {
+	faultfs.FS
+	mu  sync.Mutex
+	ops []string
+}
+
+func (l *opLog) note(op, path string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ops = append(l.ops, op+" "+filepath.Base(path))
+}
+
+// take returns the ops recorded so far and clears the log.
+func (l *opLog) take() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ops := strings.Join(l.ops, ", ")
+	l.ops = nil
+	return ops
+}
+
+func (l *opLog) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	l.note("open", name)
+	f, err := l.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &opLogFile{File: f, log: l, name: name}, nil
+}
+
+func (l *opLog) Rename(oldpath, newpath string) error {
+	l.note("rename", oldpath)
+	return l.FS.Rename(oldpath, newpath)
+}
+
+func (l *opLog) Remove(name string) error {
+	l.note("remove", name)
+	return l.FS.Remove(name)
+}
+
+type opLogFile struct {
+	faultfs.File
+	log  *opLog
+	name string
+}
+
+func (f *opLogFile) Write(p []byte) (int, error) {
+	f.log.note("write", f.name)
+	return f.File.Write(p)
+}
+
+func (f *opLogFile) Sync() error {
+	f.log.note("sync", f.name)
+	return f.File.Sync()
+}
+
+// The checkpoint file's durability protocol is write → Sync → Rename: the
+// rename publishes the temp file's content, so it may only land once that
+// content is on disk, and a failed fsync must fail the call before any rename,
+// leaving the path as it was. Both callers of writeCheckpointFile are held to
+// the exact op sequence on the temp path.
+func TestWALCheckpointSyncsBeforeRename(t *testing.T) {
+	cases := []struct {
+		name string
+		// prepare sets the path up and returns the call under test.
+		prepare func(t *testing.T, fs faultfs.FS, path string) func() error
+	}{
+		{"create", func(t *testing.T, fs faultfs.FS, path string) func() error {
+			return func() error {
+				w, err := CreateWALFS(fs, noRetry(), path, testCheckpoint())
+				if err == nil {
+					t.Cleanup(func() { w.Close() })
+				}
+				return err
+			}
+		}},
+		{"checkpoint", func(t *testing.T, fs faultfs.FS, path string) func() error {
+			w, err := CreateWALFS(fs, noRetry(), path, testCheckpoint())
+			if err != nil {
+				t.Fatalf("CreateWALFS: %v", err)
+			}
+			t.Cleanup(func() { w.Close() })
+			return func() error {
+				return w.Checkpoint(Checkpoint{Seq: 4, RawExtent: testCheckpoint().RawExtent, Items: []geom.Rect{geom.NewRect(0, 0, 1, 1)}})
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, syncFails := range []bool{false, true} {
+			name, want := tc.name, "open t.wal.tmp, write t.wal.tmp, sync t.wal.tmp, rename t.wal.tmp"
+			if syncFails {
+				name, want = tc.name+" fsync fails", "open t.wal.tmp, write t.wal.tmp, sync t.wal.tmp, remove t.wal.tmp"
+			}
+			t.Run(name, func(t *testing.T) {
+				inj := faultfs.NewInjector(faultfs.Disk(), 42)
+				rec := &opLog{FS: inj}
+				path := filepath.Join(t.TempDir(), "t.wal")
+				call := tc.prepare(t, rec, path)
+				rec.take()
+				before, _ := os.ReadFile(path) // nil before a create
+				if syncFails {
+					inj.Add(faultfs.Fault{Op: faultfs.OpSync, Path: ".tmp"})
+				}
+				err := call()
+				if got := rec.take(); got != want {
+					t.Errorf("ops = %s\nwant  %s", got, want)
+				}
+				if !syncFails {
+					if err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+					return
+				}
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Errorf("%s = %v, want the injected fsync failure", tc.name, err)
+				}
+				if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+					t.Errorf("%s changed after its temp file's fsync failed: %d bytes, was %d", path, len(after), len(before))
+				}
+			})
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package cfg builds per-function control-flow graphs from the standard
 // library's go/ast — no golang.org/x/tools — for the flow-sensitive sdbvet
-// analyzers (lockorder, unlockpath, fsyncorder, publishmut). The graph is
-// deliberately small: basic blocks of non-nested statements and expressions,
-// edges for if/for/range/switch/select/goto/defer-relevant control flow, a
-// synthetic entry and exit, and a forward-dataflow fixpoint engine on top
+// analyzers (lockorder, unlockpath). The graph is deliberately small: basic
+// blocks of non-nested statements and expressions, edges for
+// if/for/range/switch/select/goto/defer-relevant control flow, a synthetic
+// entry and exit, and a forward-dataflow fixpoint engine on top
 // (dataflow.go).
 //
 // Two properties the analyzers rely on:

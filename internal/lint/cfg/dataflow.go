@@ -1,9 +1,8 @@
 package cfg
 
 // Lattice describes the fact domain of a forward dataflow problem. The
-// analyzers' facts are small maps (held locks, file-handle states), so the
-// engine works with explicit Clone/Join/Equal functions rather than demanding
-// immutability.
+// analyzers' facts are small maps (held locks), so the engine works with
+// explicit Clone/Join/Equal functions rather than demanding immutability.
 type Lattice[F any] struct {
 	Bottom func() F       // the no-information fact (empty set)
 	Clone  func(F) F      // independent copy; Join may mutate its first arg

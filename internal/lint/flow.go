@@ -13,9 +13,9 @@ import (
 )
 
 // This file holds the helpers shared by the flow-sensitive analyzers
-// (lockorder, unlockpath, fsyncorder, publishmut): enumerating the function
-// bodies of a package, canonicalizing mutex identities, and classifying
-// calls, all on top of the internal/lint/cfg graphs.
+// (lockorder, unlockpath): enumerating the function bodies of a package,
+// canonicalizing mutex identities, and classifying calls, all on top of the
+// internal/lint/cfg graphs.
 
 // fnBody is one analyzable function: a declaration or a function literal.
 // Literals are analyzed as functions in their own right — they run on their
@@ -222,18 +222,6 @@ func shortPos(pass *Pass, pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
-// calleeName returns the bare name a call dispatches on ("Publish" for both
-// s.Publish(t) and publish(t)), or "" when the callee is anonymous.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
 // staticCallee resolves a call to the *types.Func it statically dispatches
 // to, or nil for dynamic calls (function values, stored closures) and
 // builtins/conversions.
@@ -288,17 +276,6 @@ func dynamicCallee(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return exprText(fun), true
 	}
 	return "", false
-}
-
-// pkgPathHasAny reports whether the package import path contains one of the
-// fragments — the scoping idiom the per-subsystem analyzers share.
-func pkgPathHasAny(path string, fragments []string) bool {
-	for _, f := range fragments {
-		if strings.Contains(path, f) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- held-lock dataflow -------------------------------------------------

@@ -1,16 +1,18 @@
 // Package lint is a from-scratch static-analysis framework on the standard
 // library's go/ast, go/parser, and go/types — no golang.org/x/tools — plus
-// the project-specific analyzers that machine-check the engine's concurrency,
-// determinism, and metrics invariants (the bug classes PRs 2–4 fixed by
-// hand: unpolled cancellation loops, mixed atomic/plain field access,
-// map-iteration-order leaking into output, off-convention metric names).
+// the project's five analyzers: unpolled cancellation loops (ctxpoll),
+// map-iteration order leaking into output (maporder), exact float comparison
+// (floateq), and mutex acquisition order and release paths (lockorder,
+// unlockpath, on the internal/lint/cfg control-flow graphs). An analyzer is
+// here because it has found bugs in this engine that nothing cheaper would
+// have; invariants a type, the compiler or one test can hold are held there
+// instead. DESIGN.md "Static analysis" lists which mechanism holds what.
 //
 // The cmd/sdbvet command is the CLI front end; `make lint` runs it over the
 // whole repository on every check.
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -61,14 +63,10 @@ type Analyzer struct {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		AtomicField(),
 		CtxPoll(),
 		FloatEq(),
-		FsyncOrder(),
 		LockOrder(),
 		MapOrder(),
-		MetricLabel(),
-		PublishMut(),
 		UnlockPath(),
 	}
 }
@@ -305,35 +303,6 @@ func (r *Result) Write(w io.Writer) {
 	for _, d := range r.Diagnostics {
 		fmt.Fprintln(w, d.String())
 	}
-}
-
-// jsonDiagnostic fixes the field order of machine-readable output; struct
-// field order is encoding order, so the format is stable by construction.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON prints each diagnostic as one JSON object per line (JSON Lines),
-// in the same order as Write. An empty result writes nothing.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, d := range r.Diagnostics {
-		jd := jsonDiagnostic{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		}
-		if err := enc.Encode(jd); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Summary is the one-line health report `make lint` logs: scanned volume,

@@ -17,7 +17,7 @@ import (
 // Package is one loaded, parsed, and type-checked package: the unit the
 // analyzers run over. Test files (*_test.go) are excluded — the invariants
 // sdbvet enforces are production-code properties, and tests deliberately do
-// things like compare floats exactly or register throwaway metric names.
+// things like compare floats exactly.
 type Package struct {
 	Path  string // import path, e.g. spatialsel/internal/rtree
 	Dir   string // absolute directory
@@ -76,10 +76,6 @@ func NewLoader(dir string) (*Loader, error) {
 		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}, nil
 }
-
-// Fset returns the loader's shared file set; all package positions resolve
-// against it.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // findModule walks up from dir to the first go.mod and reads its module path.
 func findModule(dir string) (root, modPath string, err error) {

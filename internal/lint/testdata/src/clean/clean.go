@@ -16,16 +16,16 @@ type Row struct {
 	Hits int64
 }
 
-// Counter is accessed exclusively through sync/atomic.
+// Counter is a typed atomic: a plain access does not compile.
 type Counter struct {
-	n int64
+	n atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { atomic.AddInt64(&c.n, 1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Load reads the current value.
-func (c *Counter) Load() int64 { return atomic.LoadInt64(&c.n) }
+func (c *Counter) Load() int64 { return c.n.Load() }
 
 // Scan polls ctx once per batch like the engine's join kernels.
 func Scan(ctx context.Context, rows []Row, c *Counter) error {

@@ -11,11 +11,12 @@ import (
 	"spatialsel/internal/obs"
 )
 
-// Packed build counters: snapshot publication packs a tree per generation
-// bump, so build cost is a serving-path number worth watching.
+// Packed build counters. Registering a table and folding one pack the whole
+// table (an STR bulk load); a publish packs only its overlay's delta tree, so
+// on the write path the items counter grows with the batches, not the table.
 var (
 	mPackedBuilds = obs.Default.Counter("rtree_packed_builds_total",
-		"Packed snapshot images built from Guttman trees.")
+		"Packed images built: a table's base at registration and at each fold, its delta at each publish.")
 	mPackedBuildSeconds = obs.Default.FloatCounter("rtree_packed_build_seconds_total",
 		"Seconds spent building packed snapshot images.")
 	mPackedBuildItems = obs.Default.Counter("rtree_packed_build_items_total",
@@ -32,7 +33,8 @@ var (
 // count and the root MBR, recorded while Pack walks the tree.
 //
 // A Packed is safe for concurrent readers; it is never mutated after Pack
-// returns. The mutable Guttman tree remains the write side.
+// returns. The write side is the ingest front's overlay, which derives the
+// next image from this one (WithOverlay) rather than writing to it.
 //
 // An image may carry an overlay (WithOverlay): tombstones over its own item
 // slots and a second, small image of items added since it was packed. The

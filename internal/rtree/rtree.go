@@ -59,7 +59,7 @@ type Tree struct {
 	maxEntries int
 	minEntries int
 	split      SplitPolicy
-	accesses   int64 // node touches since last ResetAccesses
+	accesses   atomic.Int64 // node touches since last ResetAccesses
 	// levels memoizes LevelStats between mutations (nil = not computed).
 	levels atomic.Pointer[[]LevelStat]
 }
@@ -108,13 +108,13 @@ func (t *Tree) Height() int { return t.height }
 
 // Accesses returns the number of node touches since construction or the last
 // ResetAccesses. One touch approximates one page read.
-func (t *Tree) Accesses() int64 { return atomic.LoadInt64(&t.accesses) }
+func (t *Tree) Accesses() int64 { return t.accesses.Load() }
 
 // ResetAccesses zeroes the access counter.
-func (t *Tree) ResetAccesses() { atomic.StoreInt64(&t.accesses, 0) }
+func (t *Tree) ResetAccesses() { t.accesses.Store(0) }
 
 func (t *Tree) touch(n *node) *node {
-	atomic.AddInt64(&t.accesses, 1)
+	t.accesses.Add(1)
 	return n
 }
 

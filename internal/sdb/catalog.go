@@ -53,8 +53,11 @@ type Table struct {
 	// planes under one grid, plus the level statistics of the tree it was
 	// packed from — and the only index the read path (plan pricing, first
 	// join, extension probes) touches: Attach rejects a table without one. It
-	// must hold exactly Index's items — producers (BuildTable, the server's
-	// Store.Publish) build it from the same immutable tree they attach.
+	// must hold exactly Index's items. Producers build both before the table
+	// is attached — BuildTable packs the tree it bulk-loads; the ingest front
+	// derives the image from its base and overlay and clones the tree that
+	// absorbed the same batches — and the server's Store.Publish only swaps
+	// the finished table in.
 	Packed *rtree.Packed
 	// RawExtent is the dataset's extent before normalization to the unit
 	// square. The live-ingest path uses it to map incoming rectangles (given
@@ -136,7 +139,7 @@ func (c *Catalog) Attach(t *Table) error {
 		return fmt.Errorf("sdb: table has no name")
 	}
 	if t.Packed == nil {
-		return fmt.Errorf("sdb: table %q has no packed image (rtree.Pack its index before attaching)", t.Name)
+		return fmt.Errorf("sdb: table %q has no packed image (build it with BuildTable, or rtree.Pack its index, before attaching)", t.Name)
 	}
 	if t.Stats.Level() != c.level {
 		return fmt.Errorf("sdb: table %q statistics at level %d, catalog at level %d",

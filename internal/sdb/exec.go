@@ -343,7 +343,7 @@ func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 	}
 	nChunks := (len(rows) + chunk - 1) / chunk
 	res := make([][][]int, nChunks)
-	var cursor int64
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
@@ -351,7 +351,7 @@ func probeRowsParallel(ctx context.Context, rows [][]int, w int,
 			defer wg.Done()
 			var sc probeScratch
 			for {
-				ci := atomic.AddInt64(&cursor, 1) - 1
+				ci := cursor.Add(1) - 1
 				if ci >= int64(nChunks) {
 					return
 				}

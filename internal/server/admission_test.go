@@ -91,6 +91,59 @@ func TestAdmissionConcurrencyLimitSheds(t *testing.T) {
 	}
 }
 
+// A query that cannot be planned answers 400 without touching the admission
+// controller: it was never admitted, so it neither counts as "admitted and
+// executed" nor feeds its microsecond latency to the AIMD limit as evidence of
+// headroom.
+func TestAdmissionIgnoresUnplannableQueries(t *testing.T) {
+	s, ts := newTestServer(t, Config{Admission: true, MaxInflight: 8})
+	createTable(t, ts.URL, "qa", "uniform", 200, 1, false)
+	createTable(t, ts.URL, "qb", "uniform", 200, 2, false)
+	createTable(t, ts.URL, "qc", "uniform", 200, 3, false)
+	unplannable := []QueryRequest{
+		{Tables: []string{"qa", "nope"}, Predicates: [][2]string{{"qa", "nope"}}},   // unknown table
+		{Tables: []string{"qa", "qb", "qc"}, Predicates: [][2]string{{"qa", "qb"}}}, // disconnected join graph
+	}
+	refuseAll := func() {
+		t.Helper()
+		for i := 0; i < 25; i++ {
+			for _, q := range unplannable {
+				if resp := postJSON(t, ts.URL+"/v1/query", q); resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("unplannable query %v = %d, want 400", q.Tables, resp.StatusCode)
+				}
+			}
+		}
+	}
+
+	refuseAll()
+	// The one query that executes is the one admission: a slot is released in
+	// the handler's defer, so by the time this later request has released
+	// its own, any slot a 400 had held would have been counted too.
+	if resp := postJSON(t, ts.URL+"/v1/query", pairQuery()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("plannable query = %d, want 200", resp.StatusCode)
+	}
+	waitCounter(t, s.Admission().Admitted, 1)
+
+	// Force a multiplicative decrease so an additive increase would show
+	// (at the cap it is invisible): the 400s must leave the limit where it is.
+	if !s.Admission().TryAcquire() {
+		t.Fatal("could not take a slot on an idle server")
+	}
+	s.Admission().ReleaseDone(time.Hour, 0, false)
+	limit := s.Admission().Limit()
+	if limit >= 8 {
+		t.Fatalf("limit %g after a forced decrease, want below the cap of 8", limit)
+	}
+	refuseAll()
+	fetchMetrics(t, ts.URL) // one more round trip behind the last 400's handler
+	if got := s.Admission().Limit(); got != limit {
+		t.Fatalf("limit moved %g -> %g on unplannable queries", limit, got)
+	}
+	if got := s.Admission().Admitted(); got != 2 {
+		t.Fatalf("admitted = %d, want 2 (one query, one forced release)", got)
+	}
+}
+
 func TestAdmissionDowngradesToSerialUnderPressure(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Admission:       true,

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialsel/internal/obs"
 )
@@ -137,6 +139,81 @@ func TestMetricsIncludeEngineSeries(t *testing.T) {
 		if j == len(b) {
 			t.Fatalf("series %q absent or reordered in second scrape", name)
 		}
+	}
+}
+
+// TestMetricsExpositionNames holds every family /metrics renders to the
+// exposition's naming contract — snake_case, a reserved namespace, counters
+// end in _total — which dashboards and bench/'s per-layer attribution key on.
+// This package links every engine package, so after each route has served one
+// request with admission and telemetry on, the render carries every family
+// the daemon can expose; a route added without a request here fails too.
+func TestMetricsExpositionNames(t *testing.T) {
+	// The first name segments the exposition reserves: the mini-DBMS (sdb),
+	// the daemon (sdbd), the index (rtree) and the paper's two estimator
+	// families (GH/PH roll up under histogram_* with a technique label; gh and
+	// ph cover code that labels at the family level).
+	namespaces := map[string]bool{
+		"sdb": true, "sdbd": true, "rtree": true,
+		"gh": true, "ph": true, "histogram": true, "sample": true,
+	}
+	snakeCase := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+	cfg := telemetryTestConfig()
+	cfg.Level = 5
+	cfg.Admission = true
+	cfg.WALDir = t.TempDir()
+	s, ts := newTestServer(t, cfg)
+	createTable(t, ts.URL, "a", "uniform", 400, 1, false)
+	createTable(t, ts.URL, "b", "uniform", 400, 2, false)
+	join := QueryRequest{Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}}}
+	for _, req := range []struct {
+		method, path string
+		body         any
+	}{
+		{"GET", "/healthz", nil},
+		{"GET", "/v1/tables", nil},
+		{"GET", "/v1/tables/a", nil},
+		{"POST", "/v1/tables/a/insert", InsertRequest{Items: [][4]float64{{0.1, 0.1, 0.2, 0.2}}}},
+		{"POST", "/v1/tables/a/delete", DeleteRequest{IDs: []int{0}}},
+		{"POST", "/v1/tables/a/batch", BatchRequest{Insert: [][4]float64{{0.3, 0.3, 0.4, 0.4}}, Delete: []int{1}}},
+		{"POST", "/v1/estimate", EstimateRequest{Left: "a", Right: "b", Method: "ss"}},
+		{"POST", "/v1/explain", join},
+		{"POST", "/v1/query", join},
+		{"DELETE", "/v1/tables/b", nil},
+		{"GET", "/metrics", nil},
+	} {
+		if code := doJSON(t, req.method, ts.URL+req.path, req.body, nil); code >= 300 {
+			t.Fatalf("%s %s: status %d", req.method, req.path, code)
+		}
+	}
+	s.Telemetry().Tick(time.Now())
+
+	metrics := fetchMetrics(t, ts.URL)
+	for _, route := range s.routes {
+		if !strings.Contains(metrics, `route="`+route+`"`) {
+			t.Errorf("route %s served no request: its series are missing from the render under test", route)
+		}
+	}
+	families := 0
+	for _, line := range strings.Split(metrics, "\n") {
+		rest, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		families++
+		name, kind, _ := strings.Cut(rest, " ")
+		switch ns, _, _ := strings.Cut(name, "_"); {
+		case !snakeCase.MatchString(name):
+			t.Errorf("metric %q is not snake_case ([a-z0-9_], starting with a letter)", name)
+		case !namespaces[ns]:
+			t.Errorf("metric %q is outside the reserved namespaces (sdb, sdbd, rtree, gh, ph, histogram, sample)", name)
+		case kind == "counter" && !strings.HasSuffix(name, "_total"):
+			t.Errorf("counter %q must end in _total", name)
+		}
+	}
+	if families == 0 {
+		t.Fatalf("no # TYPE lines in the render:\n%s", metrics)
 	}
 }
 

@@ -653,28 +653,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qs := QuerySpec{Tables: req.Tables, Predicates: req.Predicates, Windows: req.Windows}
 	q := qs.toQuery()
 
-	// Admission stage 1: the adaptive concurrency limit. A refusal here is
-	// pure backpressure — the query was never priced or planned.
-	var (
-		shedByCost   bool
-		costUnits    float64
-		degradedExec bool
-	)
-	if s.admission != nil {
-		if !s.admission.TryAcquire() {
-			ev.Admission = telemetry.AdmissionShed
-			s.writeOverloaded(w, "server at its concurrency limit")
-			return
-		}
-		defer func() {
-			if shedByCost {
-				s.admission.ReleaseShed()
-			} else {
-				s.admission.ReleaseDone(time.Since(start), costUnits, degradedExec)
-			}
-		}()
-	}
-
 	// ?analyze=1 reports the "query" span's subtree; the executor's operator
 	// spans hang off it. A request has one trace root: with telemetry on the
 	// middleware already installed it and "query" opens under it, so the
@@ -709,14 +687,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ev.EstRows = &estRows
 	recordBuild(ev, "gh", plan.StatsBuild)
 
-	// Admission stage 2: the cost gate. The query's abstract cost is the
-	// GH estimate of the result size plus the plan's own price for its
+	// Admission comes after planning (microseconds on memoized
+	// selectivities): a request that cannot be planned answered 400 above
+	// without touching the controller, so a slot is only ever held — and
+	// ReleaseDone's latency signal only ever fed — by a query that executes.
+	//
+	// Stage 1 is the adaptive concurrency limit; a refusal is pure
+	// backpressure. Stage 2 is the cost gate. The query's abstract cost is
+	// the GH estimate of the result size plus the plan's own price for its
 	// driving join (Plan.JoinIO) — the same numbers EXPLAIN reports —
 	// priced with the calibrated ns/unit model. Work that cannot finish
 	// inside its deadline is shed at arrival instead of timing out after
 	// burning a worker pool; feasible-but-expensive work under pressure is
 	// downgraded to serial execution so it cannot monopolize the pool.
+	var degradedExec bool
 	if s.admission != nil {
+		if !s.admission.TryAcquire() {
+			ev.Admission = telemetry.AdmissionShed
+			s.writeOverloaded(w, "server at its concurrency limit")
+			return
+		}
+		var (
+			shedByCost bool
+			costUnits  float64
+		)
+		defer func() {
+			if shedByCost {
+				s.admission.ReleaseShed()
+			} else {
+				s.admission.ReleaseDone(time.Since(start), costUnits, degradedExec)
+			}
+		}()
 		costUnits = estRows + plan.JoinIO()
 		pred := s.admission.PredictCost(costUnits)
 		if dl, ok := ctx.Deadline(); ok && pred > time.Until(dl) {

@@ -6,8 +6,10 @@
 // baseline the paper's "Est. Time 1" scenario builds R-trees to beat. It is
 // not a served path: no query's rows come from it — the executor's join is
 // rtree.PackedJoinBatches, a sweep per grid tile over a prebuilt index — and
-// the only requests that reach it are sampling estimates, which count the join
-// of their two small samples with it. With brute force and the pointer R-tree
+// no request reaches it: the server's sampling estimates keep sample's default
+// RTreeJoin strategy (an R-tree per sample, joined by the pointer join), and
+// sample.SweepJoin, which counts the two samples' join here, is selected only
+// by an ablation benchmark and tests. With brute force and the pointer R-tree
 // join it is one of three independent oracles; keep it index-free and simple.
 //
 // The algorithm sorts both inputs by MinX and sweeps a vertical line across

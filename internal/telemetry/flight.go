@@ -80,7 +80,7 @@ type FlightRecorder struct {
 	// fast counts fast, successful requests (the sampling cursor). Atomic so
 	// the retention decision — and span materialization for retained events —
 	// happens before mu is taken: the unretained bulk never touches the lock.
-	fast uint64
+	fast atomic.Uint64
 
 	mu   sync.Mutex
 	buf  []Event
@@ -141,7 +141,7 @@ func (f *FlightRecorder) Record(ev Event, spans func() *obs.SpanReport) bool {
 	case ev.DurationMicros >= f.slow.Microseconds():
 		ev.Reason = ReasonSlow
 	default:
-		if (atomic.AddUint64(&f.fast, 1)-1)%f.sampleN != 0 {
+		if (f.fast.Add(1)-1)%f.sampleN != 0 {
 			return false
 		}
 		ev.Reason = ReasonSample

@@ -143,9 +143,10 @@ func (s *Store) Tick(now time.Time) {
 }
 
 // seriesKind classifies a series by the exposition naming convention the
-// metriclabel analyzer enforces: counters end in _total, and histogram
-// snapshots contribute monotone _sum/_count entries. Everything else is a
-// gauge. The name may carry a canonical label suffix ("name{a=\"b\"}").
+// server's TestMetricsExpositionNames enforces: counters end in _total, and
+// histogram snapshots contribute monotone _sum/_count entries. Everything
+// else is a gauge. The name may carry a canonical label suffix
+// ("name{a=\"b\"}").
 func seriesKind(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
 		name = name[:i]
