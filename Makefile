@@ -9,15 +9,15 @@ all: check
 # HTTP server and the mini-DBMS it serves), then vet and test the benchmark
 # module, which pins signatures of this one and which nothing else compiles,
 # and run it once, small, the way the benchmark pipeline does. Not part of
-# check, and run by ci: chaos (the fault-injection suite under -race) and
-# fuzz-smoke (every native fuzz target, 5 s each).
+# check, and run by ci: chaos (the fault-injection suite under -race),
+# fuzz-smoke (every native fuzz target, 5 s each) and examples.
 check: build lint test race bench-check bench-smoke
 
 # CI entry point: everything a merge must pass in one target — the default
 # verification path (build, lint, tests, scoped -race, the benchmark module),
-# the short fault-injection chaos suite, and a few seconds of every fuzz
-# target.
-ci: check chaos fuzz-smoke
+# the short fault-injection chaos suite, a few seconds of every fuzz target,
+# and one run of every example program.
+ci: check chaos fuzz-smoke examples
 
 build:
 	$(GO) build ./...
@@ -114,15 +114,13 @@ microbench:
 experiments:
 	$(GO) run ./cmd/experiments -fig all -scale 0.1 -level 9
 
+# Run every example program (found by directory, so a new one is picked up
+# without editing this file); a non-zero exit fails the target.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/queryplanner
-	$(GO) run ./examples/approxcount
-	$(GO) run ./examples/correlation
-	$(GO) run ./examples/maintenance
-	$(GO) run ./examples/distancejoin
-	$(GO) run ./examples/minidb
-	$(GO) run ./examples/twostep
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -20,9 +20,7 @@ import (
 
 	"spatialsel/internal/core"
 	"spatialsel/internal/datagen"
-	"spatialsel/internal/exact"
 	"spatialsel/internal/experiments"
-	"spatialsel/internal/fractal"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
 	"spatialsel/internal/iomodel"
@@ -278,9 +276,8 @@ func benchmarkRTreeBuild(b *testing.B, load func([]rtree.Item, ...rtree.Option) 
 	}
 }
 
-func BenchmarkAblationRTreeBuildSTR(b *testing.B)     { benchmarkRTreeBuild(b, rtree.BulkLoadSTR) }
-func BenchmarkAblationRTreeBuildHilbert(b *testing.B) { benchmarkRTreeBuild(b, rtree.BulkLoadHilbert) }
-func BenchmarkAblationRTreeBuildInsert(b *testing.B)  { benchmarkRTreeBuild(b, rtree.BulkLoadInsert) }
+func BenchmarkAblationRTreeBuildSTR(b *testing.B)    { benchmarkRTreeBuild(b, rtree.BulkLoadSTR) }
+func BenchmarkAblationRTreeBuildInsert(b *testing.B) { benchmarkRTreeBuild(b, rtree.BulkLoadInsert) }
 
 // --- Exact-join engine comparison (cross-validation baselines) ---
 
@@ -368,7 +365,7 @@ func BenchmarkRangeEstimate(b *testing.B) {
 	par := parRaw.(*histogram.ParametricSummary)
 	tree, _ := rtree.BulkLoadSTR(rtree.ItemsFromRects(w.A.Items))
 
-	actual := float64(tree.Count(q))
+	actual := float64(len(tree.Search(q, nil)))
 	b.Run("GH", func(b *testing.B) {
 		var est float64
 		for i := 0; i < b.N; i++ {
@@ -391,54 +388,26 @@ func BenchmarkRangeEstimate(b *testing.B) {
 		b.ReportMetric(core.RelativeError(est, actual), "err%")
 	})
 	b.Run("RTreeExact", func(b *testing.B) {
+		var out []int
 		for i := 0; i < b.N; i++ {
-			tree.Count(q)
+			out = tree.Search(q, out[:0])
 		}
 	})
 }
 
-// BenchmarkFractalFit measures the one-time power-law fitting cost on point
-// data, plus the per-ε evaluation (which is effectively free).
-func BenchmarkFractalFit(b *testing.B) {
-	pts := datagen.Points("p", 50000, 25, 0.04, 300)
-	b.Run("self", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fractal.NewSelfJoin(pts, 2, 7); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	other := datagen.Points("q", 50000, 25, 0.04, 301)
-	b.Run("cross", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fractal.NewCrossJoin(pts, other, 2, 7); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sj, err := fractal.NewSelfJoin(pts, 2, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("evaluate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sj.EstimatePairs(0.01)
-		}
-	})
-}
-
-// BenchmarkIOModel compares the analytic node-access prediction with an
-// actual execution, reporting the prediction/measurement ratio.
+// BenchmarkIOModel compares the analytic join-access prediction the planner
+// prices with (Plan.JoinIO) against an actual synchronized traversal,
+// reporting the prediction/measurement ratio.
 func BenchmarkIOModel(b *testing.B) {
 	w := workloadByName(b, "SCRC-SURA")
-	tree, _ := rtree.BulkLoadSTR(rtree.ItemsFromRects(w.B.Items))
-	levels := tree.LevelStats()
-	q := geom.NewRect(0.2, 0.2, 0.5, 0.5)
-	measured := float64(iomodel.MeasureRangeAccesses(tree, q))
+	ta, _ := rtree.BulkLoadSTR(rtree.ItemsFromRects(w.A.Items))
+	tb, _ := rtree.BulkLoadSTR(rtree.ItemsFromRects(w.B.Items))
+	la, lb := ta.LevelStats(), tb.LevelStats()
+	measured := float64(iomodel.MeasureJoinAccesses(ta, tb))
 	b.ResetTimer()
 	var predicted float64
 	for i := 0; i < b.N; i++ {
-		predicted = iomodel.RangeAccesses(levels, q)
+		predicted = iomodel.JoinAccesses(la, lb)
 	}
 	if measured > 0 {
 		b.ReportMetric(predicted/measured, "pred/meas")
@@ -484,29 +453,6 @@ func BenchmarkSDBPlanAndExecute(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkRefinement measures the two-step join: filter cost vs refinement
-// cost, with the false-hit ratio as a metric.
-func BenchmarkRefinement(b *testing.B) {
-	rivers, err := exact.NewLayer("rivers", exact.GenPolylines(3000, 8, 0.01, 410))
-	if err != nil {
-		b.Fatal(err)
-	}
-	parcels, err := exact.NewLayer("parcels", exact.GenPolygons(4000, 7, 0.01, 411))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := exact.Join(rivers, parcels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = res.FalseHitRatio()
-	}
-	b.ReportMetric(ratio*100, "falseHit%")
 }
 
 // BenchmarkGHMaintenance measures the per-update cost of keeping a GH

@@ -135,8 +135,6 @@ func (s *shell) exec(line string, out io.Writer) error {
 		return nil
 	case "estimate":
 		return s.cmdEstimate(fields[1:], out)
-	case "nearest":
-		return s.cmdNearest(fields[1:], out)
 	case "explain", "query":
 		q, err := parseQuery(fields[1:])
 		if err != nil {
@@ -171,7 +169,6 @@ const helpText = `commands:
   load <dir>                        replace the catalog with a saved one
   estimate join <a> <b>             predicted join size from statistics
   estimate range <t> x0,y0,x1,y1    predicted window-query cardinality
-  nearest <t> <x,y> <k>             k nearest items to a point (exact, via R-tree)
   explain <t1,t2,...> on a~b c~d [window <t> x0,y0,x1,y1]
                                     show the optimizer's plan
   query   <t1,t2,...> on a~b ...    plan and execute
@@ -249,29 +246,6 @@ func (s *shell) cmdEstimate(args []string, out io.Writer) error {
 		return nil
 	}
 	return fmt.Errorf("unknown estimate %q", args[0])
-}
-
-func (s *shell) cmdNearest(args []string, out io.Writer) error {
-	if len(args) != 3 {
-		return fmt.Errorf("usage: nearest <table> <x,y> <k>")
-	}
-	t, err := s.catalog.Table(args[0])
-	if err != nil {
-		return err
-	}
-	var x, y float64
-	if _, err := fmt.Sscanf(args[1], "%f,%f", &x, &y); err != nil {
-		return fmt.Errorf("bad point %q (want x,y)", args[1])
-	}
-	k, err := strconv.Atoi(args[2])
-	if err != nil || k <= 0 {
-		return fmt.Errorf("bad k %q", args[2])
-	}
-	ids := t.Index.Nearest(geom.Point{X: x, Y: y}, k)
-	for rank, id := range ids {
-		fmt.Fprintf(out, "%2d. item %6d %v\n", rank+1, id, t.Data.Items[id])
-	}
-	return nil
 }
 
 // parseQuery parses "t1,t2,t3 on a~b b~c [window t x0,y0,x1,y1]...".

@@ -154,24 +154,6 @@ func TestQueryParsing(t *testing.T) {
 	}
 }
 
-func TestNearestCommand(t *testing.T) {
-	out := script(t,
-		"create a uniform 500 1",
-		"nearest a 0.5,0.5 3",
-		"nearest a 0.5,0.5 0",
-		"nearest a half,0.5 3",
-		"nearest missing 0.5,0.5 3",
-		"nearest a",
-		"quit",
-	)
-	if !strings.Contains(out, " 1. item") || !strings.Contains(out, " 3. item") {
-		t.Errorf("nearest output missing ranks:\n%s", out)
-	}
-	if got := strings.Count(out, "error:"); got != 4 {
-		t.Errorf("expected 4 errors, saw %d:\n%s", got, out)
-	}
-}
-
 func TestStrictModeAbortsOnFirstError(t *testing.T) {
 	sh := newShell(sdb.NewCatalog())
 	sh.strict = true

@@ -24,7 +24,6 @@ import (
 	"spatialsel/internal/core"
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/dataset"
-	"spatialsel/internal/fractal"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
 	"spatialsel/internal/sample"
@@ -57,8 +56,6 @@ func run(args []string, out io.Writer) error {
 		return cmdSampleEstimate(args[1:], out)
 	case "range-estimate":
 		return cmdRangeEstimate(args[1:], out)
-	case "distance-estimate":
-		return cmdDistanceEstimate(args[1:], out)
 	case "help", "-h", "--help":
 		printUsage(out)
 		return nil
@@ -66,7 +63,7 @@ func run(args []string, out io.Writer) error {
 	return usageError(args[0])
 }
 
-const subcommands = "generate|stats|join|build|estimate|sample-estimate|range-estimate|distance-estimate"
+const subcommands = "generate|stats|join|build|estimate|sample-estimate|range-estimate"
 
 func usageError(cmd string) error {
 	if cmd == "" {
@@ -86,7 +83,6 @@ subcommands:
   estimate         estimate selectivity from two histogram files (-tech, -level, -a, -b)
   sample-estimate  estimate via sampling directly from datasets (-method, -frac, -a, -b)
   range-estimate   estimate a range query's result size from a histogram file (-hist, -window)
-  distance-estimate estimate an epsilon distance join on point data (-a, -b, -eps)
 `)
 }
 
@@ -120,47 +116,6 @@ func cmdRangeEstimate(args []string, out io.Writer) error {
 	if n := s.ItemCount(); n > 0 {
 		fmt.Fprintf(out, "est. sel.:     %.6e\n", est/float64(n))
 	}
-	return nil
-}
-
-func cmdDistanceEstimate(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("distance-estimate", flag.ContinueOnError)
-	aPath := fs.String("a", "", "left point-dataset file")
-	bPath := fs.String("b", "", "right point-dataset file (omit for a self join)")
-	eps := fs.Float64("eps", 0.01, "L-infinity join distance")
-	minLevel := fs.Int("min-level", 2, "coarsest box-counting level")
-	maxLevel := fs.Int("max-level", 7, "finest box-counting level")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *aPath == "" {
-		return fmt.Errorf("distance-estimate: -a is required")
-	}
-	a, err := dataset.LoadFile(*aPath)
-	if err != nil {
-		return err
-	}
-	if *bPath == "" {
-		sj, err := fractal.NewSelfJoin(a, *minLevel, *maxLevel)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "correlation dimension D2: %.3f\n", sj.Dimension())
-		fmt.Fprintf(out, "est. pairs (eps=%g):      %.1f\n", *eps, sj.EstimatePairs(*eps))
-		fmt.Fprintf(out, "est. selectivity:         %.6e\n", sj.EstimateSelectivity(*eps))
-		return nil
-	}
-	b, err := dataset.LoadFile(*bPath)
-	if err != nil {
-		return err
-	}
-	cj, err := fractal.NewCrossJoin(a, b, *minLevel, *maxLevel)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "pair-count exponent E: %.3f\n", cj.Exponent())
-	fmt.Fprintf(out, "est. pairs (eps=%g):   %.1f\n", *eps, cj.EstimatePairs(*eps))
-	fmt.Fprintf(out, "est. selectivity:      %.6e\n", cj.EstimateSelectivity(*eps))
 	return nil
 }
 

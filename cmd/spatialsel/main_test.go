@@ -167,26 +167,6 @@ func TestRangeEstimate(t *testing.T) {
 	runErr(t, "range-estimate", "-hist", filepath.Join(dir, "missing.shf"), "-window", "0,0,1,1")
 }
 
-func TestDistanceEstimate(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.sds")
-	b := filepath.Join(dir, "b.sds")
-	runOK(t, "generate", "-kind", "points", "-n", "3000", "-seed", "5", "-out", a)
-	runOK(t, "generate", "-kind", "points", "-n", "3000", "-seed", "6", "-out", b)
-	out := runOK(t, "distance-estimate", "-a", a, "-eps", "0.01")
-	if !strings.Contains(out, "correlation dimension") {
-		t.Fatalf("self-join output: %q", out)
-	}
-	out = runOK(t, "distance-estimate", "-a", a, "-b", b, "-eps", "0.01")
-	if !strings.Contains(out, "pair-count exponent") {
-		t.Fatalf("cross-join output: %q", out)
-	}
-	runErr(t, "distance-estimate")
-	runErr(t, "distance-estimate", "-a", a, "-min-level", "9", "-max-level", "3")
-	runErr(t, "distance-estimate", "-a", filepath.Join(dir, "missing.sds"))
-	runErr(t, "distance-estimate", "-a", a, "-b", filepath.Join(dir, "missing.sds"))
-}
-
 func TestSampleEstimateAsymmetricFractions(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.sds")

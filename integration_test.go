@@ -6,7 +6,6 @@ import (
 
 	"spatialsel/internal/core"
 	"spatialsel/internal/datagen"
-	"spatialsel/internal/exact"
 	"spatialsel/internal/experiments"
 	"spatialsel/internal/histogram"
 	"spatialsel/internal/rtree"
@@ -121,49 +120,6 @@ func TestHistogramFileWorkflow(t *testing.T) {
 	}
 	if est != want {
 		t.Fatalf("estimate from files %+v != in-memory %+v", est, want)
-	}
-}
-
-// TestTwoStepPipeline integrates filter estimation, filter execution and
-// refinement: the GH estimate must land near the filter-step candidate
-// count, and refinement must never increase the result.
-func TestTwoStepPipeline(t *testing.T) {
-	rivers, err := exact.NewLayer("rivers", exact.GenPolylines(1500, 6, 0.01, 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parcels, err := exact.NewLayer("parcels", exact.GenPolygons(2000, 7, 0.01, 501))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gh := histogram.MustGH(6)
-	hr, err := gh.Build(rivers.MBRs.Normalize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := gh.Build(parcels.MBRs.Normalize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := gh.Estimate(hr, hp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exact.Join(rivers, parcels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Candidates == 0 {
-		t.Fatal("test setup: no candidates")
-	}
-	if errPct := core.RelativeError(est.PairCount, float64(res.Candidates)); errPct > 15 {
-		t.Errorf("filter estimate off by %.1f%%", errPct)
-	}
-	if len(res.Pairs) > res.Candidates {
-		t.Error("refinement grew the result")
-	}
-	if res.FalseHitRatio() <= 0 {
-		t.Error("no false hits on thin polylines is implausible")
 	}
 }
 

@@ -39,22 +39,6 @@ func NewRect(x1, y1, x2, y2 float64) Rect {
 	return Rect{MinX: x1, MinY: y1, MaxX: x2, MaxY: y2}
 }
 
-// RectFromPoints returns the MBR of the given points. It panics if pts is
-// empty, since there is no meaningful empty MBR.
-func RectFromPoints(pts ...Point) Rect {
-	if len(pts) == 0 {
-		panic("geom: RectFromPoints with no points")
-	}
-	r := Rect{MinX: pts[0].X, MinY: pts[0].Y, MaxX: pts[0].X, MaxY: pts[0].Y}
-	for _, p := range pts[1:] {
-		r.MinX = math.Min(r.MinX, p.X)
-		r.MinY = math.Min(r.MinY, p.Y)
-		r.MaxX = math.Max(r.MaxX, p.X)
-		r.MaxY = math.Max(r.MaxY, p.Y)
-	}
-	return r
-}
-
 // UnitSquare is the [0,1]×[0,1] spatial extent used as the default universe.
 var UnitSquare = Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 
@@ -77,9 +61,6 @@ func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 // Area returns the area of r. Degenerate rectangles (lines, points) have
 // area zero but still participate in intersection tests.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Perimeter returns the perimeter of r.
-func (r Rect) Perimeter() float64 { return 2 * (r.Width() + r.Height()) }
 
 // Center returns the center point of r.
 func (r Rect) Center() Point {

@@ -18,23 +18,6 @@ func TestNewRectNormalizes(t *testing.T) {
 	}
 }
 
-func TestRectFromPoints(t *testing.T) {
-	r := RectFromPoints(Point{1, 5}, Point{3, 2}, Point{2, 9})
-	want := Rect{MinX: 1, MinY: 2, MaxX: 3, MaxY: 9}
-	if r != want {
-		t.Fatalf("RectFromPoints = %v, want %v", r, want)
-	}
-}
-
-func TestRectFromPointsPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RectFromPoints() did not panic on empty input")
-		}
-	}()
-	RectFromPoints()
-}
-
 func TestValid(t *testing.T) {
 	tests := []struct {
 		r    Rect
@@ -64,9 +47,6 @@ func TestBasicMeasures(t *testing.T) {
 	}
 	if got := r.Area(); got != 12 {
 		t.Errorf("Area = %g, want 12", got)
-	}
-	if got := r.Perimeter(); got != 14 {
-		t.Errorf("Perimeter = %g, want 14", got)
 	}
 	if got := r.Center(); got != (Point{2.5, 4}) {
 		t.Errorf("Center = %v, want (2.5,4)", got)

@@ -110,6 +110,109 @@ func TestGHBuilderRemoveRestores(t *testing.T) {
 	}
 }
 
+// TestGHBuilderRandomInterleavings is the property behind the ingest front's
+// per-record maintenance: whatever order Adds and Removes arrive in, the
+// builder holds the histogram GH.Build computes from the survivors. Per seed
+// (levels 3–7) a builder starts from a random dataset, then 600 steps
+// interleave Adds of fresh items with Removes drawn from the live set —
+// starting items included — over points, sub-cell boxes and boxes spanning
+// many cells, checked every 150 steps.
+//
+// C and the item count must match exactly: corners are whole ±1 steps. O, H
+// and V cannot be bit-for-bit, because x + a − a ≠ x in float64: adding a
+// rounds away low bits of the cell sum x that subtracting a does not restore,
+// and the batch build never saw a at all. They, and Estimate against a fixed
+// partner histogram, must agree to 1e-9 relative (to at least one cell's
+// worth, so a cell the batch leaves at 0 may carry the builder's dust).
+func TestGHBuilderRandomInterleavings(t *testing.T) {
+	randomItem := func(rng *rand.Rand) geom.Rect {
+		x, y := rng.Float64(), rng.Float64()
+		var w, h float64
+		switch rng.Intn(3) {
+		case 1:
+			w, h = rng.Float64()*0.01, rng.Float64()*0.01
+		case 2:
+			w, h = rng.Float64()*0.5, rng.Float64()*0.5
+		}
+		return geom.NewRect(x, y, math.Min(x+w, 1), math.Min(y+h, 1))
+	}
+	randomItems := func(rng *rand.Rand, n int) []geom.Rect {
+		items := make([]geom.Rect, n)
+		for i := range items {
+			items[i] = randomItem(rng)
+		}
+		return items
+	}
+	agree := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-9*math.Max(1, math.Max(math.Abs(got), math.Abs(want)))
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		level := 3 + int(seed%5)
+		gh := MustGH(level)
+		partner, err := gh.Build(dataset.New("partner", geom.UnitSquare, randomItems(rng, 400)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := randomItems(rng, 100+rng.Intn(200))
+		b, err := GHBuilderFrom(dataset.New("live", geom.UnitSquare, live), level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(step int) {
+			t.Helper()
+			batchRaw, err := gh.Build(dataset.New("live", geom.UnitSquare, append([]geom.Rect(nil), live...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, inc := batchRaw.(*GHSummary), b.Summary()
+			if inc.ItemCount() != batch.ItemCount() || inc.ItemCount() != len(live) {
+				t.Fatalf("seed %d level %d step %d: builder holds %d items, batch %d, live %d",
+					seed, level, step, inc.ItemCount(), batch.ItemCount(), len(live))
+			}
+			for i, c := range inc.cells {
+				want := batch.cells[i]
+				if c.C != want.C {
+					t.Fatalf("seed %d level %d step %d cell %d: C = %g, batch %g", seed, level, step, i, c.C, want.C)
+				}
+				if !agree(c.O, want.O) || !agree(c.H, want.H) || !agree(c.V, want.V) {
+					t.Fatalf("seed %d level %d step %d cell %d: builder %+v, batch %+v", seed, level, step, i, c, want)
+				}
+			}
+			got, err := gh.Estimate(inc, partner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := gh.Estimate(batch, partner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !agree(got.PairCount, want.PairCount) || !agree(got.Selectivity, want.Selectivity) {
+				t.Fatalf("seed %d level %d step %d: builder estimate %+v, batch %+v", seed, level, step, got, want)
+			}
+		}
+		for step := 1; step <= 600; step++ {
+			if len(live) == 0 || rng.Intn(2) == 0 {
+				r := randomItem(rng)
+				if err := b.Add(r); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, r)
+			} else {
+				k := rng.Intn(len(live))
+				if err := b.Remove(live[k]); err != nil {
+					t.Fatalf("seed %d step %d: Remove(%v): %v", seed, step, live[k], err)
+				}
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if step%150 == 0 {
+				check(step)
+			}
+		}
+	}
+}
+
 // TestGHBuilderRemoveUnderflow verifies the Remove contract: removing a
 // rectangle that was never added is detected via its corner counts and
 // rejected without mutating the histogram.

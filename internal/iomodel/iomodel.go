@@ -1,12 +1,11 @@
-// Package iomodel predicts the I/O cost (node accesses) of R-tree
-// operations analytically, in the tradition of the cost models of Kamel–
-// Faloutsos, Theodoridis et al. and Huang et al. that the paper cites as
-// companions to selectivity estimation ([12], [25]) and names as future
-// work. Predictions use only the per-level node statistics of the trees —
-// never the data — so a query optimizer can weigh index scans against joins
-// before touching a page.
+// Package iomodel predicts the I/O cost (node accesses) of an R-tree join
+// analytically, in the tradition of the cost models of Kamel–Faloutsos,
+// Theodoridis et al. and Huang et al. that the paper cites as companions to
+// selectivity estimation ([12], [25]) and names as future work. Predictions
+// use only the per-level node statistics of the two trees — never the data —
+// so the planner can price a join (sdb.Plan.JoinIO) before touching a page.
 //
-// The models assume node MBRs are uniformly positioned in the unit extent,
+// The model assumes node MBRs are uniformly positioned in the unit extent,
 // the same assumption the Kamel–Faloutsos range formula makes for data
 // rectangles. On packed trees over reasonably uniform data the predictions
 // land within a small constant of measured accesses; on heavily skewed data
@@ -14,42 +13,7 @@
 // does — which is the motivation for histogram-based refinements.
 package iomodel
 
-import (
-	"math"
-
-	"spatialsel/internal/geom"
-	"spatialsel/internal/rtree"
-)
-
-// RangeAccesses predicts the number of node accesses an intersection range
-// query q performs against a tree with the given per-level statistics. A
-// node is read iff its MBR intersects q; for a W×H rectangle uniformly
-// placed in the unit square that happens with probability
-// min(1, (W+w)·(H+h)) — the Minkowski-sum argument of Kamel and Faloutsos.
-func RangeAccesses(levels []rtree.LevelStat, q geom.Rect) float64 {
-	q, ok := q.Intersection(geom.UnitSquare)
-	if !ok {
-		return 0
-	}
-	w, h := q.Width(), q.Height()
-	var total float64
-	for _, l := range levels {
-		p := (l.AvgWidth + w) * (l.AvgHeight + h)
-		if p > 1 {
-			p = 1
-		}
-		total += float64(l.Nodes) * p
-	}
-	return total
-}
-
-// MeasureRangeAccesses runs the query and returns the tree's actual node
-// touches, for validating the model.
-func MeasureRangeAccesses(t *rtree.Tree, q geom.Rect) int64 {
-	t.ResetAccesses()
-	t.Count(q)
-	return t.Accesses()
-}
+import "spatialsel/internal/rtree"
 
 // JoinAccesses predicts the total node accesses of a synchronized-traversal
 // join between two trees. Levels are aligned from the root; when heights
@@ -93,15 +57,6 @@ func MeasureJoinAccesses(a, b *rtree.Tree) int64 {
 	b.ResetAccesses()
 	rtree.JoinCount(a, b)
 	return a.Accesses() + b.Accesses()
-}
-
-// PageReadCost converts node accesses to an estimated elapsed time given a
-// per-page read latency — the final step a cost-based optimizer performs.
-func PageReadCost(accesses float64, perPage float64) float64 {
-	if accesses < 0 || math.IsNaN(accesses) {
-		return 0
-	}
-	return accesses * perPage
 }
 
 func min(a, b int) int {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"spatialsel/internal/geom"
-	"spatialsel/internal/hilbert"
 )
 
 // Item pairs a rectangle with its caller-assigned ID for bulk loading.
@@ -39,27 +38,7 @@ func BulkLoadSTR(items []Item, opts ...Option) (*Tree, error) {
 	for i, it := range items {
 		entries[i] = entry{rect: it.Rect, id: it.ID}
 	}
-	t.buildPacked(entries, true, strOrder)
-	t.size = len(items)
-	return t, nil
-}
-
-// BulkLoadHilbert builds a tree by packing items in ascending Hilbert order
-// of their MBR centers (Kamel–Faloutsos). This is the packing the paper's
-// Sorted Sampling is aligned with.
-func BulkLoadHilbert(items []Item, opts ...Option) (*Tree, error) {
-	t, err := New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	if len(items) == 0 {
-		return t, nil
-	}
-	entries := make([]entry, len(items))
-	for i, it := range items {
-		entries[i] = entry{rect: it.Rect, id: it.ID}
-	}
-	t.buildPacked(entries, true, hilbertOrder)
+	t.buildPacked(entries)
 	t.size = len(items)
 	return t, nil
 }
@@ -77,9 +56,6 @@ func BulkLoadInsert(items []Item, opts ...Option) (*Tree, error) {
 	}
 	return t, nil
 }
-
-// orderFunc reorders entries in place for packing.
-type orderFunc func(entries []entry, nodeCap int)
 
 // strOrder implements the STR tile ordering.
 func strOrder(entries []entry, nodeCap int) {
@@ -105,41 +81,11 @@ func strOrder(entries []entry, nodeCap int) {
 	}
 }
 
-// hilbertOrder sorts entries by the Hilbert value of their centers.
-func hilbertOrder(entries []entry, _ int) {
-	mbr := entries[0].rect
-	for _, e := range entries[1:] {
-		mbr = mbr.Union(e.rect)
-	}
-	if mbr.Area() <= 0 {
-		mbr = mbr.Expand(1e-9)
-	}
-	curve := hilbert.MustNew(hilbert.MaxOrder, mbr)
-	keys := make([]uint64, len(entries))
-	for i, e := range entries {
-		keys[i] = curve.RectIndex(e.rect)
-	}
-	sort.Sort(&keyedEntries{entries: entries, keys: keys})
-}
-
-type keyedEntries struct {
-	entries []entry
-	keys    []uint64
-}
-
-func (k *keyedEntries) Len() int           { return len(k.entries) }
-func (k *keyedEntries) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
-func (k *keyedEntries) Swap(i, j int) {
-	k.entries[i], k.entries[j] = k.entries[j], k.entries[i]
-	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
-}
-
-// buildPacked packs ordered entries into leaves and repeats upward until a
-// single root remains.
-func (t *Tree) buildPacked(entries []entry, leaf bool, order orderFunc) {
-	order(entries, t.maxEntries)
-	level := entries
-	isLeaf := leaf
+// buildPacked packs entries in STR order into leaves and repeats upward
+// until a single root remains.
+func (t *Tree) buildPacked(entries []entry) {
+	strOrder(entries, t.maxEntries)
+	level, isLeaf := entries, true
 	t.height = 0
 	for {
 		t.height++

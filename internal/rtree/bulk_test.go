@@ -55,7 +55,6 @@ func (t *Tree) checkInvariantsPacked() error {
 
 func TestBulkLoaders(t *testing.T) {
 	testBulkLoader(t, "STR", BulkLoadSTR)
-	testBulkLoader(t, "Hilbert", BulkLoadHilbert)
 	testBulkLoader(t, "Insert", BulkLoadInsert)
 }
 
@@ -64,17 +63,14 @@ func TestBulkLoadInvalidOptions(t *testing.T) {
 	if _, err := BulkLoadSTR(items, WithFanout(0, 0)); err == nil {
 		t.Error("STR accepted bad fanout")
 	}
-	if _, err := BulkLoadHilbert(items, WithFanout(0, 0)); err == nil {
-		t.Error("Hilbert accepted bad fanout")
-	}
 	if _, err := BulkLoadInsert(items, WithFanout(0, 0)); err == nil {
 		t.Error("Insert accepted bad fanout")
 	}
 }
 
 func TestBulkLoadFillFactor(t *testing.T) {
-	// STR and Hilbert packing should produce nearly full leaves —
-	// substantially fuller than insertion builds.
+	// STR packing should produce nearly full leaves — substantially fuller
+	// than insertion builds.
 	items := ItemsFromRects(randRects(5000, 41))
 	str, _ := BulkLoadSTR(items)
 	ins, _ := BulkLoadInsert(items)
@@ -88,21 +84,21 @@ func TestBulkLoadFillFactor(t *testing.T) {
 }
 
 func TestBulkLoadDegenerateAllSamePoint(t *testing.T) {
-	// All items identical (zero-area universe) must not panic the Hilbert
-	// loader, which guards against a zero-area MBR.
+	// All items identical (zero-area universe): STR's center sorts and the
+	// quadratic split's area ties must still build a searchable tree.
 	items := make([]Item, 100)
 	for i := range items {
 		items[i] = Item{Rect: geom.NewRect(0.5, 0.5, 0.5, 0.5), ID: i}
 	}
 	for name, load := range map[string]func([]Item, ...Option) (*Tree, error){
-		"STR": BulkLoadSTR, "Hilbert": BulkLoadHilbert,
+		"STR": BulkLoadSTR, "Insert": BulkLoadInsert,
 	} {
 		tr, err := load(items)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := tr.Count(geom.NewRect(0.5, 0.5, 0.5, 0.5)); got != 100 {
-			t.Fatalf("%s: Count = %d, want 100", name, got)
+		if got := len(tr.Search(geom.NewRect(0.5, 0.5, 0.5, 0.5), nil)); got != 100 {
+			t.Fatalf("%s: Search found %d, want 100", name, got)
 		}
 	}
 }

@@ -14,7 +14,6 @@ func (t *Tree) Clone() *Tree {
 		height:     t.height,
 		maxEntries: t.maxEntries,
 		minEntries: t.minEntries,
-		split:      t.split,
 	}
 	if t.root != nil {
 		c.root = cloneNode(t.root)

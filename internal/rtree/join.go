@@ -268,16 +268,3 @@ func filterByClip(es []entry, clip geom.Rect) []*entry {
 	}
 	return out
 }
-
-// SelfJoin reports all intersecting pairs within a single tree, excluding
-// identity pairs and emitting each unordered pair once (with aID < bID under
-// integer comparison when IDs are distinct).
-func SelfJoin(t *Tree) []JoinPair {
-	var out []JoinPair
-	JoinFunc(t, t, func(a, b int) {
-		if a < b {
-			out = append(out, JoinPair{A: a, B: b})
-		}
-	})
-	return out
-}

@@ -125,23 +125,6 @@ func TestJoinEmptyAndDisjoint(t *testing.T) {
 	}
 }
 
-func TestSelfJoin(t *testing.T) {
-	rects := randRects(400, 130)
-	tr, _ := BulkLoadSTR(ItemsFromRects(rects), WithFanout(2, 8))
-	got := SelfJoin(tr)
-	var want []JoinPair
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			if rects[i].Intersects(rects[j]) {
-				want = append(want, JoinPair{A: i, B: j})
-			}
-		}
-	}
-	if !pairsEqual(got, want) {
-		t.Fatalf("SelfJoin: got %d pairs, want %d", len(got), len(want))
-	}
-}
-
 func TestJoinCountsAccesses(t *testing.T) {
 	as := randRects(1000, 140)
 	bs := randRects(1000, 141)
@@ -156,7 +139,8 @@ func TestJoinCountsAccesses(t *testing.T) {
 }
 
 // TestPropJoinMatchesBrute fuzzes clustered layouts (heavier overlap than
-// uniform) against the reference join.
+// uniform) against the reference join, over two differently shaped trees: an
+// insertion-built one at fanout 4 and an STR-packed one at fanout 6.
 func TestPropJoinMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(150))
 	f := func() bool {
@@ -172,7 +156,7 @@ func TestPropJoinMatchesBrute(t *testing.T) {
 			return out
 		}
 		as, bs := mk(), mk()
-		ta, _ := BulkLoadHilbert(ItemsFromRects(as), WithFanout(2, 6))
+		ta, _ := BulkLoadInsert(ItemsFromRects(as), WithFanout(2, 4))
 		tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(2, 6))
 		return pairsEqual(Join(ta, tb), bruteJoin(as, bs))
 	}

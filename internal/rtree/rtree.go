@@ -1,8 +1,9 @@
 // Package rtree implements the R-tree of Guttman (SIGMOD 1984) for 2-D
-// rectangles, with quadratic-split insertion, deletion, range search, two
-// bulk-loading methods (Sort-Tile-Recursive and Hilbert packing, the latter
-// following Kamel–Faloutsos), and the synchronized-traversal spatial join of
-// Brinkhoff, Kriegel and Seeger (SIGMOD 1993).
+// rectangles, with quadratic-split insertion, deletion, range search,
+// Sort-Tile-Recursive bulk loading, and the synchronized-traversal spatial
+// join of Brinkhoff, Kriegel and Seeger (SIGMOD 1993). Pack freezes a tree
+// into the read-only image the served joins and probes run on (packed.go,
+// packedjoin.go).
 //
 // The tree stores opaque integer item IDs alongside their MBRs; callers keep
 // the actual objects. Node accesses are counted so experiments can report
@@ -58,7 +59,6 @@ type Tree struct {
 	height     int // number of levels; 0 for empty tree
 	maxEntries int
 	minEntries int
-	split      SplitPolicy
 	accesses   atomic.Int64 // node touches since last ResetAccesses
 	// levels memoizes LevelStats between mutations (nil = not computed).
 	levels atomic.Pointer[[]LevelStat]
@@ -155,7 +155,7 @@ func (t *Tree) rebuildPathAndSplit(target *node) {
 		if len(n.entries) <= t.maxEntries {
 			break
 		}
-		left, right := t.dispatchSplit(n)
+		left, right := t.splitNode(n)
 		if i == 0 {
 			// Root split: grow the tree.
 			t.root = &node{
@@ -313,31 +313,6 @@ func (t *Tree) search(n *node, q geom.Rect, out []int) []int {
 		}
 	}
 	return out
-}
-
-// Count returns the number of items intersecting q without materializing
-// their IDs.
-func (t *Tree) Count(q geom.Rect) int {
-	if t.root == nil {
-		return 0
-	}
-	return t.count(t.root, q)
-}
-
-func (t *Tree) count(n *node, q geom.Rect) int {
-	t.touch(n)
-	c := 0
-	for _, e := range n.entries {
-		if !e.rect.Intersects(q) {
-			continue
-		}
-		if n.leaf {
-			c++
-		} else {
-			c += t.count(e.child, q)
-		}
-	}
-	return c
 }
 
 // Delete removes one item with exactly the given rectangle and ID, returning

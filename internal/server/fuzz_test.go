@@ -34,6 +34,9 @@ var fuzzSeeds = []string{
 	`{"name":"inline","items":[[0.1,0.1,0.2,0.2],[0.15,0.15,0.3,0.3]]}`,
 	`{"name":"g","generator":{"kind":"no-such-kind","n":4000000,"seed":1}}`,
 	`{"name":"g","generator":{"kind":"uniform","n":0}}`,
+	`{"name":"p","items":[[0.1,0.1,0.1,0.1]]}`,
+	// The removed file source: an unknown field, never a path sdbd opens.
+	`{"name":"x","file":"/etc/hostname"}`,
 	// POST /v1/estimate (pairwise and multi-way)
 	`{"left":"roads","right":"streams"}`,
 	`{"left":"roads","right":"streams","method":"ph","fraction":0.2,"workers":2}`,
@@ -64,15 +67,15 @@ var fuzzSeeds = []string{
 
 // heavyCreate reports whether body, posted to /v1/tables, would build a table
 // too large for a fuzz iteration (generators allocate n rectangles and bulk
-// load them; the server's own cap is four million) or read a server-side
-// file. The harness skips that one route for such a body; the cap itself is
-// covered by TestGeneratorNBounded.
+// load them; the server's own cap is four million). The harness skips that
+// one route for such a body; the cap itself is covered by
+// TestGeneratorNBounded.
 func heavyCreate(body []byte) bool {
 	var req CreateTableRequest
 	if json.Unmarshal(body, &req) != nil {
 		return false
 	}
-	return req.File != "" || (req.Generator != nil && req.Generator.N > 2000)
+	return req.Generator != nil && req.Generator.N > 2000
 }
 
 // FuzzRequestBodies posts arbitrary bytes to every POST route of a server

@@ -118,12 +118,12 @@ type GeneratorSpec struct {
 }
 
 // CreateTableRequest registers a table from exactly one source: a generator
-// spec, a server-side dataset file, or inline rectangles.
+// spec or inline rectangles. Server-side files are loaded by the operator
+// (sdbd -load), never named by a client.
 type CreateTableRequest struct {
 	Name      string         `json:"name"`
 	Replace   bool           `json:"replace,omitempty"`
 	Generator *GeneratorSpec `json:"generator,omitempty"`
-	File      string         `json:"file,omitempty"`
 	Items     [][4]float64   `json:"items,omitempty"`
 }
 
@@ -166,34 +166,19 @@ func (s *Server) tableInfo(snap *Snapshot, t *sdb.Table) TableInfo {
 
 // buildDataset materializes the request's dataset source.
 func buildDataset(req *CreateTableRequest) (*dataset.Dataset, error) {
-	sources := 0
-	for _, set := range []bool{req.Generator != nil, req.File != "", len(req.Items) > 0} {
-		if set {
-			sources++
-		}
+	if (req.Generator != nil) == (len(req.Items) > 0) {
+		return nil, fmt.Errorf("exactly one of generator, items must be given")
 	}
-	if sources != 1 {
-		return nil, fmt.Errorf("exactly one of generator, file, items must be given")
-	}
-	switch {
-	case req.Generator != nil:
+	if req.Generator != nil {
 		return generate(req.Name, req.Generator)
-	case req.File != "":
-		d, err := dataset.LoadFile(req.File)
-		if err != nil {
-			return nil, err
-		}
-		d.Name = req.Name
-		return d, nil
-	default:
-		items := make([]geom.Rect, len(req.Items))
-		extent := geom.NewRect(req.Items[0][0], req.Items[0][1], req.Items[0][2], req.Items[0][3])
-		for i, r := range req.Items {
-			items[i] = geom.NewRect(r[0], r[1], r[2], r[3])
-			extent = extent.Union(items[i])
-		}
-		return dataset.New(req.Name, extent, items), nil
 	}
+	items := make([]geom.Rect, len(req.Items))
+	extent := geom.NewRect(req.Items[0][0], req.Items[0][1], req.Items[0][2], req.Items[0][3])
+	for i, r := range req.Items {
+		items[i] = geom.NewRect(r[0], r[1], r[2], r[3])
+		extent = extent.Union(items[i])
+	}
+	return dataset.New(req.Name, extent, items), nil
 }
 
 func generate(name string, g *GeneratorSpec) (*dataset.Dataset, error) {
@@ -220,7 +205,13 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 	}
 	t, _, err := s.store.Register(d, req.Replace)
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		// Only a taken name is a conflict; a dataset that does not build
+		// (e.g. a zero-area extent) is the client's bad request.
+		code := http.StatusBadRequest
+		if errors.Is(err, ErrTableExists) {
+			code = http.StatusConflict
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
 	if req.Replace {

@@ -357,6 +357,33 @@ func TestGeneratorNBounded(t *testing.T) {
 	createTable(t, ts.URL, "g", "uniform", 1, 1, false)
 }
 
+// TestCreateTableStatus: only a taken name is a 409. A dataset that does not
+// build — inline items whose union has zero area fail Dataset.Validate — is
+// the client's 400, even under a taken name, and so is a "file" source, which
+// the API does not have. Cases run in order on one server.
+func TestCreateTableStatus(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 4})
+	for _, tc := range []struct {
+		body      string
+		want      int
+		wantError string
+	}{
+		{`{"name":"p","items":[[0.1,0.1,0.1,0.1]]}`, http.StatusBadRequest, "invalid extent"},
+		{`{"name":"h","items":[[0.1,0.5,0.2,0.5],[0.3,0.5,0.6,0.5]]}`, http.StatusBadRequest, "invalid extent"},
+		{`{"name":"x","file":"/etc/hostname"}`, http.StatusBadRequest, "unknown field"},
+		{`{"name":"t","items":[[0.1,0.1,0.2,0.2]]}`, http.StatusCreated, ""},
+		{`{"name":"t","items":[[0.1,0.1,0.2,0.2]]}`, http.StatusConflict, "already exists"},
+		{`{"name":"t","items":[[0.1,0.1,0.1,0.1]]}`, http.StatusBadRequest, "invalid extent"},
+		{`{"name":"t","replace":true,"items":[[0.1,0.1,0.3,0.3]]}`, http.StatusCreated, ""},
+	} {
+		var resp errorResponse
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables", json.RawMessage(tc.body), &resp)
+		if code != tc.want || !strings.Contains(resp.Error, tc.wantError) {
+			t.Errorf("POST %s: status %d error %q, want %d with %q", tc.body, code, resp.Error, tc.want, tc.wantError)
+		}
+	}
+}
+
 // TestQueryTimeout checks that the per-request timeout propagates into the
 // executor as context cancellation and surfaces as 504.
 func TestQueryTimeout(t *testing.T) {

@@ -8,6 +8,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -30,6 +31,10 @@ type Snapshot struct {
 // table always carries a new generation — cache keys embedding generations
 // go stale automatically.
 func (s *Snapshot) Generation(name string) uint64 { return s.gens[name] }
+
+// ErrTableExists is wrapped by Register when the name is taken and replace is
+// false; any other Register error means the dataset did not build.
+var ErrTableExists = errors.New("table already exists")
 
 // Store wraps the sdb catalog with copy-on-write registration. Reads take a
 // brief RLock to fetch the current snapshot pointer; writes build the new
@@ -85,7 +90,7 @@ func (s *Store) Register(d *dataset.Dataset, replace bool) (*sdb.Table, uint64, 
 	defer s.mu.Unlock()
 	old := s.snap
 	if _, exists := old.gens[t.Name]; exists && !replace {
-		return nil, 0, fmt.Errorf("server: table %q already exists (set replace to swap it)", t.Name)
+		return nil, 0, fmt.Errorf("server: table %q: %w (set replace to swap it)", t.Name, ErrTableExists)
 	}
 	next, err := s.rebuildLocked(old, t.Name)
 	if err != nil {

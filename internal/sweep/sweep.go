@@ -101,15 +101,3 @@ func Selectivity(as, bs []geom.Rect) float64 {
 	}
 	return float64(Count(as, bs)) / (float64(len(as)) * float64(len(bs)))
 }
-
-// SelfCount returns the number of unordered intersecting pairs within rs,
-// excluding self-pairs.
-func SelfCount(rs []geom.Rect) int {
-	n := 0
-	JoinFunc(rs, rs, func(a, b int) {
-		if a < b {
-			n++
-		}
-	})
-	return n
-}

@@ -112,21 +112,6 @@ func TestJoinIdenticalInputs(t *testing.T) {
 	}
 }
 
-func TestSelfCount(t *testing.T) {
-	rs := randRects(300, 5, 0.1)
-	want := 0
-	for i := 0; i < len(rs); i++ {
-		for j := i + 1; j < len(rs); j++ {
-			if rs[i].Intersects(rs[j]) {
-				want++
-			}
-		}
-	}
-	if got := SelfCount(rs); got != want {
-		t.Fatalf("SelfCount = %d, want %d", got, want)
-	}
-}
-
 func TestSelectivity(t *testing.T) {
 	as := []geom.Rect{geom.NewRect(0, 0, 1, 1)}
 	bs := []geom.Rect{geom.NewRect(0.5, 0.5, 1, 1), geom.NewRect(2, 2, 3, 3)}
