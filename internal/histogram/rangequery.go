@@ -1,6 +1,8 @@
 package histogram
 
 import (
+	"math"
+
 	"spatialsel/internal/core"
 	"spatialsel/internal/geom"
 )
@@ -13,7 +15,11 @@ import (
 //   - A GH summary treats the query window as a one-rectangle dataset and
 //     counts expected intersection points against it per cell (Eqn. 5 with
 //     the query's exact C/O/H/V contributions instead of a second
-//     histogram).
+//     histogram). Those separate by axis — in cell (i, j), C = nv·nh,
+//     O = ix·iy/cellArea, H = nh·ix/cw, V = nv·iy/ch, from the window's
+//     clipped extent and side count per column (ix, nv) and row (iy, nh) —
+//     so the cells are walked row by row off per-column terms, each product
+//     the float64 the one-cell derivation gives (ghCellParamsOf, in tests).
 //   - A PH summary applies the Kamel–Faloutsos expected-intersection formula
 //     per cell, separately for the contained and boundary-crossing groups.
 //   - A Parametric summary applies the global Kamel–Faloutsos formula,
@@ -31,17 +37,53 @@ func (s *GHSummary) EstimateRange(q geom.Rect) float64 {
 		return 0
 	}
 	grid := MustGrid(s.level)
+	cw, ch := grid.CellWidth(), grid.CellHeight()
+	// Only cells the query touches can contribute (its corners, edges and
+	// area are all confined to them); a clipped window meets all of its range.
+	i0, i1, j0, j1 := grid.CellRange(q)
+	// The cell area is a power of two, so multiplying by its reciprocal
+	// rounds exactly as dividing by it does.
+	perArea := 1 / grid.CellArea()
+	var buf [128]windowSpan // a level-7 row; no allocation up to there
+	cols := buf[:0]
+	if n := i1 - i0 + 1; n > len(buf) {
+		cols = make([]windowSpan, 0, n)
+	}
+	for i := i0; i <= i1; i++ {
+		cols = append(cols, spanOf(q.MinX, q.MaxX, cw, i, i0, i1))
+	}
 	var ip float64
-	// Only cells the query touches can contribute (the query's corners,
-	// edges and area are all confined to them); compute the query's exact
-	// per-cell parameters on the fly rather than materializing a histogram.
-	grid.VisitCells(q, func(i, j int, inter geom.Rect) {
-		cq := ghCellParamsOf(grid, q, i, j, inter)
-		cd := &s.cells[grid.CellIndex(i, j)]
-		ip += cq.C*cd.O + cd.C*cq.O + cq.H*cd.V + cd.H*cq.V
-	})
+	for j := j0; j <= j1; j++ {
+		row := spanOf(q.MinY, q.MaxY, ch, j, j0, j1)
+		cells := s.cells[grid.CellIndex(i0, j):][:len(cols)] // none if inverted
+		for k := range cells {
+			cd, col := &cells[k], &cols[k]
+			cq := ghCell{C: col.edges * row.edges, O: col.in * row.in * perArea, H: row.edges * col.ratio, V: col.edges * row.ratio}
+			ip += cq.C*cd.O + cd.C*cq.O + cq.H*cd.V + cd.H*cq.V
+		}
+	}
 	// Four intersection points per intersecting pair.
 	return ip / 4
+}
+
+// windowSpan is a window's share of one grid column (or row): its clipped
+// extent, that extent over the cell side when positive, and how many of its
+// sides across the axis lie there (0–2).
+type windowSpan struct{ in, ratio, edges float64 }
+
+// spanOf is the window [lo, hi]'s span of cell k of its range [k0, k1], as
+// geom.Rect.Intersection and applyGHItem compute it.
+func spanOf(lo, hi, side float64, k, k0, k1 int) windowSpan {
+	w := windowSpan{in: math.Min(hi, float64(k+1)*side) - math.Max(lo, float64(k)*side)}
+	if w.in > 0 {
+		w.ratio = w.in / side
+	}
+	for _, end := range [2]int{k0, k1} {
+		if k == end {
+			w.edges++
+		}
+	}
+	return w
 }
 
 // EstimateRange returns the expected number of s's dataset rectangles
@@ -84,35 +126,6 @@ func (s *ParametricSummary) EstimateRange(q geom.Rect) float64 {
 	// is the area of the Minkowski-expanded query clipped to the placement
 	// domain of the rectangle's min corner.
 	return float64(s.stats.N) * uniformIntersectProb(geom.UnitSquare, q, s.stats.AvgWidth, s.stats.AvgHeight)
-}
-
-// ghCellParamsOf computes one rectangle's exact Table-2 contributions to a
-// single cell (i, j), with inter = r ∩ cell already known. It mirrors
-// applyGHItem restricted to one cell.
-func ghCellParamsOf(grid Grid, r geom.Rect, i, j int, inter geom.Rect) ghCell {
-	var c ghCell
-	for _, p := range r.Corners() {
-		if pi, pj := grid.CellOf(p.X, p.Y); pi == i && pj == j {
-			c.C++
-		}
-	}
-	c.O = inter.Area() / grid.CellArea()
-	cell := grid.CellRect(i, j)
-	for _, y := range [2]float64{r.MinY, r.MaxY} {
-		if _, ej := grid.CellOf(r.MinX, y); ej == j {
-			if l := minf(r.MaxX, cell.MaxX) - maxf(r.MinX, cell.MinX); l > 0 {
-				c.H += l / grid.CellWidth()
-			}
-		}
-	}
-	for _, x := range [2]float64{r.MinX, r.MaxX} {
-		if ei, _ := grid.CellOf(x, r.MinY); ei == i {
-			if l := minf(r.MaxY, cell.MaxY) - maxf(r.MinY, cell.MinY); l > 0 {
-				c.V += l / grid.CellHeight()
-			}
-		}
-	}
-	return c
 }
 
 // clipUnit clips q to the unit square, reporting false for windows entirely

@@ -246,8 +246,8 @@ func (m *Manager) walPath(name string) (string, error) {
 	if m.opts.Dir == "" {
 		return "", nil
 	}
-	if name == "" || !safeName(name) {
-		return "", fmt.Errorf("ingest: table name %q not usable as a WAL file name (use letters, digits, '_', '-')", name)
+	if err := CheckTableName(name); err != nil {
+		return "", fmt.Errorf("ingest: %w", err)
 	}
 	if err := os.MkdirAll(m.opts.Dir, 0o755); err != nil {
 		return "", err
@@ -255,14 +255,21 @@ func (m *Manager) walPath(name string) (string, error) {
 	return filepath.Join(m.opts.Dir, name+".wal"), nil
 }
 
-// safeName reports whether name is a plain identifier-like file name.
-func safeName(name string) bool {
+// CheckTableName reports an error unless name is a plain identifier-like
+// file name: non-empty, ASCII letters, digits, '_' and '-' only. A table's
+// WAL file is named after it, so the server refuses any other name when the
+// table is created rather than when its first write needs the file.
+func CheckTableName(name string) error {
+	ok := name != ""
 	for _, c := range name {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == '-':
 		default:
-			return false
+			ok = false
 		}
 	}
-	return true
+	if !ok {
+		return fmt.Errorf("table name %q not usable as a WAL file name (use letters, digits, '_', '-')", name)
+	}
+	return nil
 }

@@ -174,24 +174,44 @@ func NewRegistry() *Registry {
 var Default = NewRegistry()
 
 // labelKey renders labels in canonical (name-sorted) form; instruments with
-// the same name and label set are the same series.
+// the same name and label set are the same series. Values are escaped as the
+// Prometheus text format requires — backslash, double quote and line feed as
+// \\, \" and \n — and every other byte is written as it is. It runs on every
+// request (RecordRequest), so it sorts the two or three labels in place on
+// the stack and writes into one presized buffer.
 func labelKey(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
+	var buf [4]Label
+	ls := append(buf[:0], labels...)
+	size := 1
+	for i := range ls {
+		size += len(ls[i].Name) + len(ls[i].Value) + 4 // {name="value" or ,name="value"
+		for j := i; j > 0 && ls[j].Name < ls[j-1].Name; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
 	var b strings.Builder
-	b.WriteByte('{')
+	b.Grow(size)
 	for i, l := range ls {
-		if i > 0 {
+		if i == 0 {
+			b.WriteByte('{')
+		} else {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Name, l.Value)
+		b.WriteString(l.Name)
+		b.WriteString(`="`)
+		b.WriteString(labelEscaper.Replace(l.Value))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
+
+// labelEscaper escapes a label value for the text format; it returns a value
+// with nothing to escape as it is, without copying.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // get returns the family's series for the label set, creating family and
 // series as needed. A name reused with a different kind panics: that is a

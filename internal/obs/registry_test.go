@@ -49,6 +49,30 @@ func TestLabeledSeriesAreDistinct(t *testing.T) {
 	}
 }
 
+// A label value is escaped the way the Prometheus text format reads it back:
+// backslash, double quote and line feed only; a tab, a NUL or a byte that is
+// not UTF-8 is written as it is (Go's %q would write \t, \x00 and \xff, which
+// the format does not define). Values that need no escaping render as before.
+func TestLabelValuesEscapedAsTextFormat(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("odd_total", "h", L("v", "a\tb\x00c\"d\\e\nf\xffü"), L("k", "x")).Inc()
+	r.Counter("plain_total", "h", L("route", "POST /v1/query"), L("code", "200")).Inc()
+	r.Histogram("odd_seconds", "h", []float64{1}, L("left", "a\tb")).Observe(0.5)
+	out := r.Render()
+	for _, want := range []string{
+		"odd_total{k=\"x\",v=\"a\tb\x00c\\\"d\\\\e\\nf\xffü\"} 1\n",
+		`plain_total{code="200",route="POST /v1/query"} 1` + "\n",
+		"odd_seconds_bucket{left=\"a\tb\",le=\"1\"} 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
+	}
+	if got := labelKey([]Label{L("b", "2"), L("c", "3"), L("a", `"`)}); got != `{a="\"",b="2",c="3"}` {
+		t.Errorf("labelKey = %s", got)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "h", []float64{0.1, 1, 10})

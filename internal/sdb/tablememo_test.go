@@ -343,17 +343,27 @@ func BenchmarkPlanWindowed(b *testing.B) {
 			}
 		}
 	})
-	b.Run("warm", func(b *testing.B) {
-		c := attach(false)
-		if _, err := c.Plan(q); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	warm := func(q Query) func(*testing.B) {
+		return func(b *testing.B) {
+			c := attach(false)
 			if _, err := c.Plan(q); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Plan(q); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-	})
+	}
+	b.Run("warm", warm(q))
+	// The benchmark workloads' shape: one 0.3-side window on one table of a
+	// three- or four-table chain, the window pricing most of the plan.
+	window := map[string]geom.Rect{"b": geom.NewRect(0.2, 0.35, 0.5, 0.65)}
+	b.Run("warm/chain3-window0.3", warm(Query{Tables: []string{"a", "b", "c"},
+		Predicates: []Predicate{{"a", "b"}, {"b", "c"}}, Windows: window}))
+	b.Run("warm/chain4-window0.3", warm(Query{Tables: []string{"a", "b", "c", "d"},
+		Predicates: []Predicate{{"a", "b"}, {"b", "c"}, {"c", "d"}}, Windows: window}))
 }

@@ -37,6 +37,8 @@ var fuzzSeeds = []string{
 	`{"name":"p","items":[[0.1,0.1,0.1,0.1]]}`,
 	// The removed file source: an unknown field, never a path sdbd opens.
 	`{"name":"x","file":"/etc/hostname"}`,
+	// A name no WAL file can carry was created, then its first write was a 500.
+	`{"name":"a\tb","items":[[0.1,0.1,0.2,0.2],[0.15,0.15,0.3,0.3]]}`,
 	// POST /v1/estimate (pairwise and multi-way)
 	`{"left":"roads","right":"streams"}`,
 	`{"left":"roads","right":"streams","method":"ph","fraction":0.2}`,

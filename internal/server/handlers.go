@@ -15,6 +15,7 @@ import (
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
+	"spatialsel/internal/ingest"
 	"spatialsel/internal/obs"
 	"spatialsel/internal/sample"
 	"spatialsel/internal/sdb"
@@ -169,8 +170,11 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "table name is required")
+	// The name becomes the table's WAL file name on its first write; a name
+	// that cannot (the empty one included) is the client's error now, not a
+	// server fault then.
+	if err := ingest.CheckTableName(req.Name); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	d, err := buildDataset(&req)

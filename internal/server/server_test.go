@@ -421,6 +421,32 @@ func TestCreateTableStatus(t *testing.T) {
 	}
 }
 
+// TestCreateTableRefusesUnwritableNames: a table is named after its WAL
+// file, so a name with any byte other than letters, digits, '_' and '-' is
+// the client's 400 at creation — not a 201 whose first write then fails with
+// a 500. A plain name is created and written.
+func TestCreateTableRefusesUnwritableNames(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 4, WALDir: t.TempDir()})
+	for _, name := range []string{"a\tb", "../evil", "a.b", "a b", "ü", "a/b", "a\x00"} {
+		var resp errorResponse
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables", CreateTableRequest{Name: name, Items: gridItems(3)}, &resp)
+		if code != http.StatusBadRequest || !strings.Contains(resp.Error, "not usable") {
+			t.Errorf("create %q: status %d error %q, want 400 naming the rule", name, code, resp.Error)
+		}
+	}
+	var list struct{ Tables []TableInfo }
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/tables", nil, &list); code != http.StatusOK || len(list.Tables) != 0 {
+		t.Fatalf("after refused creates: status %d, tables %+v, want none", code, list.Tables)
+	}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables", CreateTableRequest{Name: "a_B-9", Items: gridItems(3)}, nil); code != http.StatusCreated {
+		t.Fatalf("create a_B-9: status %d", code)
+	}
+	var mut MutateResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables/a_B-9/batch", BatchRequest{Insert: [][4]float64{{1, 1, 2, 2}}}, &mut); code != http.StatusOK || !mut.Durable {
+		t.Fatalf("batch into a_B-9: status %d, %+v, want a durable 200", code, mut)
+	}
+}
+
 // TestQueryTimeout checks that the per-request timeout propagates into the
 // executor as context cancellation and surfaces as 504.
 func TestQueryTimeout(t *testing.T) {
