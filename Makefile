@@ -71,11 +71,17 @@ lint: build vet
 
 # The served binary must not link the R-tree I/O model: the server prices the
 # tile sweep it runs (sdb.Plan.JoinWork), and iomodel stays only for bench/'s
-# layer replay. Fails when `go list -deps ./cmd/sdbd` names it.
+# layer replay. Fails when `go list -deps ./cmd/sdbd` names it. And the HTTP
+# layer builds no estimator: sdb.Table.Estimate computes and remembers every
+# pairwise estimate, so ./internal/server must not import histogram or sample
+# itself (its tests may).
 deps-check:
-	@deps=$$($(GO) list -deps ./cmd/sdbd) || exit 1; \
-	if echo "$$deps" | grep -qx 'spatialsel/internal/iomodel'; then \
+	@deps=$$($(GO) list -deps -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./cmd/sdbd) || exit 1; \
+	if echo "$$deps" | grep -q '^spatialsel/internal/iomodel:'; then \
 		echo "deps-check: ./cmd/sdbd imports spatialsel/internal/iomodel"; exit 1; \
+	fi; \
+	if echo "$$deps" | grep -E '^spatialsel/internal/server:' | grep -qE ' spatialsel/internal/(histogram|sample)( |$$)'; then \
+		echo "deps-check: ./internal/server imports spatialsel/internal/histogram or sample (estimators are built in sdb)"; exit 1; \
 	fi
 
 cover:

@@ -49,7 +49,6 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("sdbd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	level := fs.Int("level", 0, "GH statistics level (0 = paper default, level 7)")
-	cacheSize := fs.Int("cache", 256, "estimator cache capacity (entries)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout (0 disables)")
 	maxRows := fs.Int("max-rows", 10000, "max result rows per query response")
 	workers := fs.Int("workers", 0, "default executor parallelism (0 = auto from GOMAXPROCS, 1 = serial)")
@@ -73,7 +72,6 @@ func parseFlags(args []string) (*options, error) {
 	opts := &options{
 		cfg: server.Config{
 			Level:           *level,
-			CacheSize:       *cacheSize,
 			RequestTimeout:  *timeout,
 			MaxResultRows:   *maxRows,
 			Workers:         *workers,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +70,34 @@ func TestPreload(t *testing.T) {
 	}
 	if err := preload(srv, filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing dir accepted")
+	}
+}
+
+// TestPreloadRefusesUnwritableNames: a table is named after its file, and the
+// name must be usable as a WAL file name. "a b.sds" used to load as table "a
+// b", whose first write under -wal-dir then answered 500.
+func TestPreloadRefusesUnwritableNames(t *testing.T) {
+	dir := t.TempDir()
+	if err := dataset.SaveFile(filepath.Join(dir, "a b.sds"), datagen.Uniform("x", 200, 0.01, 1)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Level: 4, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := preload(srv, dir); err == nil || !strings.Contains(err.Error(), "not usable") {
+		t.Fatalf("preload of %q: error %v, want the table-name rule", "a b.sds", err)
+	}
+	if names := srv.Store().Snapshot().Catalog.Names(); len(names) != 0 {
+		t.Fatalf("refused preload registered %v", names)
+	}
+}
+
+// TestCacheFlagGone: estimates are remembered on their tables, so there is no
+// estimate cache to size and -cache is an unknown flag.
+func TestCacheFlagGone(t *testing.T) {
+	if _, err := parseFlags([]string{"-cache", "16"}); err == nil {
+		t.Fatal("removed flag -cache still accepted")
 	}
 }
 

@@ -291,9 +291,9 @@ func (t *Table) SetFsyncObserver(fn func(time.Duration)) {
 
 // Apply commits one mutation batch: validate, assign IDs, append to the WAL,
 // apply to the write tree and the statistics builder inside one critical
-// section, group-commit fsync, then publish the new snapshot. The store
-// generation bump that publication performs is what invalidates the server's
-// generation-keyed estimate cache.
+// section, group-commit fsync, then publish the new snapshot. The snapshot is
+// a new table value with new statistics, so no estimate remembered against
+// the old one (sdb.Table.Estimate) is answered for it.
 //
 // When the table is in degraded mode, Apply either fails fast with
 // DegradedError (breaker closed to probes) or — when the breaker grants the

@@ -259,7 +259,7 @@ func Load(dir string, level int) (*Catalog, error) {
 }
 
 // EstimateJoinSize predicts the result cardinality of tableA ⋈ tableB from
-// statistics alone.
+// statistics alone: gh's Table.Estimate, remembered on tableA.
 func (c *Catalog) EstimateJoinSize(a, b string) (float64, error) {
 	ta, err := c.Table(a)
 	if err != nil {
@@ -269,15 +269,8 @@ func (c *Catalog) EstimateJoinSize(a, b string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	gh, err := histogram.NewGH(c.level)
-	if err != nil {
-		return 0, err
-	}
-	est, err := gh.Estimate(ta.Stats, tb.Stats)
-	if err != nil {
-		return 0, err
-	}
-	return est.PairCount, nil
+	est, _, _, err := ta.Estimate("gh", tb, 0)
+	return est.PairCount, err
 }
 
 // EstimateRangeCount predicts how many of a table's items intersect the

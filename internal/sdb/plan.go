@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"spatialsel/internal/geom"
-	"spatialsel/internal/histogram"
 	"spatialsel/internal/rtree"
 )
 
@@ -46,8 +45,9 @@ type Plan struct {
 	Base    string // first table scanned
 	Steps   []Step
 	EstCost float64 // Σ estimated intermediate cardinalities
-	// StatsBuild is the time planning spent computing pair selectivities the
-	// tables did not already hold: 0 when every predicate was a lookup.
+	// StatsBuild is the time planning spent computing pair estimates the
+	// tables did not already hold (Table.Estimate's misses): 0 when every
+	// predicate was a lookup.
 	StatsBuild time.Duration
 	tables     map[string]*Table
 
@@ -208,10 +208,6 @@ func (c *Catalog) Plan(q Query) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	gh, err := histogram.NewGH(c.level)
-	if err != nil {
-		return nil, err
-	}
 	// Pairwise selectivities per predicate.
 	sel := make(map[Predicate]float64, len(q.Predicates))
 	card := make(map[string]float64, len(q.Tables))
@@ -220,11 +216,12 @@ func (c *Catalog) Plan(q Query) (*Plan, error) {
 	}
 	var statsBuild time.Duration
 	for _, p := range q.Predicates {
-		s, built, err := tables[p.Left].pairSelectivity(gh, tables[p.Right])
+		est, _, took, err := tables[p.Left].Estimate("gh", tables[p.Right], 0)
 		if err != nil {
 			return nil, err
 		}
-		statsBuild += built
+		statsBuild += took
+		s := est.Selectivity
 		if s <= 0 {
 			s = 1e-12 // keep the cost model strictly positive
 		}

@@ -1,6 +1,7 @@
 package sdb
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
 	"spatialsel/internal/obs"
+	"spatialsel/internal/sample"
 )
 
 // unmemoized returns a new table value over t's data, index, image and
@@ -102,13 +104,12 @@ func TestPlanMemoWarmEqualsCold(t *testing.T) {
 		t.Fatalf("warm plans differ from cold:\n%+v\n%+v", cold, warm)
 	}
 	// The memoized selectivity is gh.Estimate in the predicate's argument order.
-	gh := histogram.MustGH(level)
-	want, err := gh.Estimate(tabs[1].Stats, tabs[0].Stats)
+	want, err := histogram.MustGH(level).Estimate(tabs[1].Stats, tabs[0].Stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, built, _ := tabs[1].pairSelectivity(gh, tabs[0]); got != want.Selectivity || built != 0 {
-		t.Fatalf("memoized selectivity b⋈a = %v (built %v), gh.Estimate = %v", got, built, want.Selectivity)
+	if got, hit, took, _ := tabs[1].Estimate("gh", tabs[0], 0); got != want || !hit || took != 0 {
+		t.Fatalf("memoized b⋈a = %+v (hit %v, took %v), gh.Estimate = %+v", got, hit, took, want)
 	}
 
 	// Replace b: a, c and d keep their warm memos, which still name the old b.
@@ -127,9 +128,124 @@ func TestPlanMemoWarmEqualsCold(t *testing.T) {
 	}
 }
 
-// A static table planned against a partner that publishes generation after
-// generation keeps one selectivity — the newest — and does not keep the
-// statistics of the generations before it alive.
+var estimateMethods = []string{"gh", "basicgh", "ph", "rs", "rswr", "ss"}
+
+// freshEstimate answers a pairwise estimate the way the library does with
+// nothing memoized: the technique built anew over copies of the tables' live
+// data (new Dataset values, so no Hilbert order either).
+func freshEstimate(t *testing.T, a, b *Table, method string, fraction float64) core.Estimate {
+	t.Helper()
+	level := a.Stats.Level()
+	var tech core.Technique
+	switch method {
+	case "gh":
+		est, err := histogram.MustGH(level).Estimate(a.Stats, b.Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	case "basicgh":
+		tech = histogram.MustBasicGH(level)
+	case "ph":
+		tech = histogram.MustPH(level)
+	default:
+		if fraction == 0 {
+			fraction = DefaultSampleFraction
+		}
+		tech = sample.MustNew(samplingMethods[method], fraction, sample.WithSeed(1))
+	}
+	build := func(x *Table) core.Summary {
+		live, _ := x.LiveData()
+		s, err := tech.Build(live.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sa, sb := build(a), build(b)
+	est, err := tech.Estimate(sa, sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+func sameBits(x, y core.Estimate) bool {
+	return math.Float64bits(x.PairCount) == math.Float64bits(y.PairCount) &&
+		math.Float64bits(x.Selectivity) == math.Float64bits(y.Selectivity)
+}
+
+// Cold ≡ warm ≡ fresh, bit for bit: for every ordered pair of four tables and
+// every method, the first Estimate (which builds what the tables lack), the
+// second (a memo hit) and a fresh Technique.Build + Estimate over cloned data
+// give the same estimate.
+func TestTableEstimateWarmEqualsFresh(t *testing.T) {
+	const level = 6
+	tabs := memoTables(t, level)
+	for _, a := range tabs {
+		for _, b := range tabs {
+			if a == b {
+				continue
+			}
+			for _, method := range estimateMethods {
+				fraction := 0.0
+				if _, ok := samplingMethods[method]; ok {
+					fraction = 0.037
+				}
+				want := freshEstimate(t, a, b, method, fraction)
+				for _, pass := range []string{"cold", "warm"} {
+					got, hit, took, err := a.Estimate(method, b, fraction)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got, want) {
+						t.Errorf("%s %s⋈%s (%s): %+v, fresh %+v", method, a.Name, b.Name, pass, got, want)
+					}
+					if warm := pass == "warm"; hit != warm || (took == 0) != warm {
+						t.Errorf("%s %s⋈%s (%s): hit %v took %v", method, a.Name, b.Name, pass, hit, took)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Estimate refuses what it would misread: a fraction given to a method that
+// does not sample, a table joined with itself, and a method it does not know.
+// A sampling method's fraction 0 is the default, the same entry as 0.1.
+func TestEstimateRefusesMisreadArguments(t *testing.T) {
+	tabs := memoTables(t, 5)
+	a, b := tabs[0], tabs[1]
+	for _, c := range []struct {
+		method   string
+		partner  *Table
+		fraction float64
+	}{
+		{"gh", b, 0.5}, {"ph", b, 0.2}, {"basicgh", b, 1}, {"gh", a, 0}, {"ss", a, 0.2}, {"nope", b, 0},
+	} {
+		if _, _, _, err := a.Estimate(c.method, c.partner, c.fraction); err == nil {
+			t.Errorf("%s %s⋈%s fraction %g: no error", c.method, a.Name, c.partner.Name, c.fraction)
+		}
+	}
+	if len(a.memo.pairs) != 0 {
+		t.Fatalf("refused estimates left %d memo entries", len(a.memo.pairs))
+	}
+	dflt, _, _, err := a.Estimate("rs", b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tenth, hit, _, _ := a.Estimate("rs", b, DefaultSampleFraction); !hit || !sameBits(tenth, dflt) {
+		t.Fatalf("fraction %g after fraction 0: %+v (hit %v), want the default's %+v from the memo", DefaultSampleFraction, tenth, hit, dflt)
+	}
+	if third, hit, _, _ := a.Estimate("rs", b, 0.3); hit || !sameBits(third, freshEstimate(t, a, b, "rs", 0.3)) {
+		t.Fatalf("fraction 0.3 after 0.1: %+v (hit %v), want a fresh sample", third, hit)
+	}
+}
+
+// A static table estimated against a partner that publishes generation after
+// generation — by the planner and under every method, each sampling estimate
+// with its own fraction — keeps one estimate per method, the newest, and does
+// not keep the statistics of the generations before it alive.
 func TestPairSelectivityHoldsNewestPartnerOnly(t *testing.T) {
 	const level, generations = 4, 200
 	scratch, _ := NewCatalogAtLevel(level)
@@ -148,9 +264,26 @@ func TestPairSelectivityHoldsNewestPartnerOnly(t *testing.T) {
 		if _, err := catalogOf(t, level, static, live).Plan(q); err != nil {
 			t.Fatal(err)
 		}
+		for _, method := range estimateMethods {
+			fraction := 0.0
+			if _, ok := samplingMethods[method]; ok {
+				fraction = 0.2 + float64(g)*1e-3
+			}
+			if _, _, _, err := static.Estimate(method, live, fraction); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if n := len(static.memo.sel); n != 1 {
-		t.Fatalf("static table holds %d selectivity entries after %d partner generations, want 1", n, generations)
+	if n := len(static.memo.pairs); n != len(estimateMethods) {
+		t.Fatalf("static table holds %d estimates after %d partner generations under %d methods, want one per method", n, generations, len(estimateMethods))
+	}
+	for k, e := range static.memo.pairs {
+		if k.partner != "live" {
+			t.Errorf("entry %+v names a partner never asked about", k)
+		}
+		if _, ok := samplingMethods[k.method]; ok && e.fraction != 0.2+float64(generations-1)*1e-3 {
+			t.Errorf("%s entry holds fraction %g, want the newest", k.method, e.fraction)
+		}
 	}
 	for i := 0; i < 5 && collected.Load() < generations-1; i++ {
 		runtime.GC()
@@ -161,17 +294,18 @@ func TestPairSelectivityHoldsNewestPartnerOnly(t *testing.T) {
 	runtime.KeepAlive(static)
 }
 
-// However many requests touch a table's PH summary first, it is built once
-// and they all get that one value.
+// However many estimates touch a table's PH summary first, it is built once
+// and every estimate reads that one value: 32 goroutines estimating a⋈b build
+// one summary per table and all answer the same.
 func TestHistogramSummarySingleFlight(t *testing.T) {
-	tab := memoTables(t, 6)[2]
+	tabs := memoTables(t, 6)
+	a, b := tabs[2], tabs[3]
 	builds := obs.Default.Counter("histogram_builds_total", "", obs.L("technique", "ph"))
 	before := builds.Value()
 	const G = 32
 	var (
-		wg    sync.WaitGroup
-		got   [G]core.Summary
-		built atomic.Int32
+		wg  sync.WaitGroup
+		got [G]core.Estimate
 	)
 	start := make(chan struct{})
 	for g := 0; g < G; g++ {
@@ -179,31 +313,22 @@ func TestHistogramSummarySingleFlight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			s, d, err := tab.HistogramSummary("ph")
+			est, _, _, err := a.Estimate("ph", b, 0)
 			if err != nil {
 				t.Error(err)
 			}
-			if d > 0 {
-				built.Add(1)
-			}
-			got[g] = s
+			got[g] = est
 		}(g)
 	}
 	close(start)
 	wg.Wait()
-	if n := builds.Value() - before; n != 1 {
-		t.Fatalf("%d goroutines first-touching one table built its PH summary %d times, want 1", G, n)
-	}
-	if n := built.Load(); n != 1 {
-		t.Fatalf("%d callers reported a build, want exactly the one that ran it", n)
+	if n := builds.Value() - before; n != 2 {
+		t.Fatalf("%d goroutines first-touching two tables built PH summaries %d times, want 2", G, n)
 	}
 	for g := 1; g < G; g++ {
-		if got[g] != got[0] {
-			t.Fatalf("goroutine %d got a different summary value", g)
+		if !sameBits(got[g], got[0]) {
+			t.Fatalf("goroutine %d got %+v, goroutine 0 %+v", g, got[g], got[0])
 		}
-	}
-	if _, _, err := tab.HistogramSummary("rs"); err == nil {
-		t.Fatal("a sampling method was given a per-table summary")
 	}
 }
 
@@ -254,7 +379,11 @@ func TestLenAndLiveDataFollowTheImage(t *testing.T) {
 		t.Fatal("second LiveData call rebuilt the view")
 	}
 	for _, method := range []string{"ph", "basicgh"} {
-		got, _, err := churned.HistogramSummary(method)
+		x, err := estimatorFor(method, level, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := x.summary(churned)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +402,8 @@ func TestLenAndLiveDataFollowTheImage(t *testing.T) {
 }
 
 // BenchmarkEstimatePH is a ph estimate of two 100k-item tables: cold builds
-// both tables' summaries (a table value's first touch), warm looks them up.
+// both tables' summaries (a table value's first touch), warm answers from the
+// memo.
 func BenchmarkEstimatePH(b *testing.B) {
 	c := NewCatalog()
 	ta, err := c.BuildTable(datagen.Uniform("a", 100_000, 0.003, 1))
@@ -284,17 +414,8 @@ func BenchmarkEstimatePH(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ph := histogram.MustPH(StatisticsLevel)
 	estimate := func(x, y *Table) {
-		sx, _, err := x.HistogramSummary("ph")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sy, _, err := y.HistogramSummary("ph")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ph.Estimate(sx, sy); err != nil {
+		if _, _, _, err := x.Estimate("ph", y, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

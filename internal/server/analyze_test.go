@@ -217,6 +217,63 @@ func TestMetricsExpositionNames(t *testing.T) {
 	}
 }
 
+// TestBenchMetricFamiliesRender pins the /metrics families the benchmark
+// (bench/) reads by name (bench/trace.go:253–254 the estimate memo's hits and
+// misses, 267–268 the admission verdicts, 272 executor rows, 295–298 the join
+// kernels' counters, 311 folds). bench/ reads a family that is missing as 0
+// without complaint, so a rename would silently zero its per-layer numbers:
+// after traffic that touches each layer, on a server with admission on and a
+// WAL directory as the benchmark runs it, every family must render.
+func TestBenchMetricFamiliesRender(t *testing.T) {
+	s, ts := newTestServer(t, Config{Level: 5, Admission: true, WALDir: t.TempDir()})
+	createTable(t, ts.URL, "a", "uniform", 600, 1, false)
+	createTable(t, ts.URL, "b", "uniform", 600, 2, false)
+	join := QueryRequest{Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}}}
+	for _, req := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/estimate", EstimateRequest{Left: "a", Right: "b"}},
+		{"/v1/estimate", EstimateRequest{Left: "b", Right: "a"}},
+		{"/v1/query", join},
+		{"/v1/tables/a/batch", BatchRequest{Insert: [][4]float64{{0.3, 0.3, 0.4, 0.4}}, Delete: []int{1}}},
+	} {
+		if code := doJSON(t, http.MethodPost, ts.URL+req.path, req.body, nil); code != http.StatusOK {
+			t.Fatalf("POST %s: status %d", req.path, code)
+		}
+	}
+	tab, err := s.ingest.Table("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Repack(); err != nil {
+		t.Fatal(err)
+	}
+
+	metrics := fetchMetrics(t, ts.URL)
+	for _, family := range []string{
+		"sdbd_estimate_cache_hits_total",
+		"sdbd_estimate_cache_misses_total",
+		"sdbd_admission_shed_total",
+		"sdbd_admission_degraded_total",
+		"sdb_exec_rows_total",
+		"rtree_packed_node_visits_total",
+		"rtree_packed_output_pairs_total",
+		"rtree_packed_leaf_compares_total",
+		"rtree_join_node_visits_total",
+		"rtree_join_output_pairs_total",
+		"rtree_join_leaf_compares_total",
+		"sdbd_ingest_repacks_total",
+	} {
+		if !strings.Contains(metrics, "# TYPE "+family+" counter\n") {
+			t.Errorf("family %s does not render as a counter", family)
+		}
+	}
+	if hits, misses := metricValue(t, metrics, "sdbd_estimate_cache_hits_total"), metricValue(t, metrics, "sdbd_estimate_cache_misses_total"); hits != 1 || misses != 1 {
+		t.Errorf("estimate memo: hits %g misses %g, want 1 and 1 (b⋈a is a⋈b's entry)", hits, misses)
+	}
+}
+
 // TestDebugEndpointsGated: pprof and expvar must 404 by default and serve
 // when enabled.
 func TestDebugEndpointsGated(t *testing.T) {

@@ -48,6 +48,12 @@ var fuzzSeeds = []string{
 	`{"method":"ss","left":"roads","right":"streams","fraction":-0.5}`,
 	`{"left":"roads","right":"ghost"}`,
 	`{"left":"roads","right":"streams","method":"nope"}`,
+	// Bodies that were answered by ignoring part of them, or by joining a
+	// table with itself.
+	`{"tables":["roads","streams"],"predicates":[["roads","streams"]],"method":"ph"}`,
+	`{"left":"roads","right":"streams","windows":{"roads":[0,0,0.5,0.5]}}`,
+	`{"left":"roads","right":"streams","method":"gh","fraction":0.5}`,
+	`{"left":"roads","right":"roads"}`,
 	// POST /v1/explain, /v1/query, /v1/estimate
 	`{"tables":["roads","streams"],"predicates":[["roads","streams"]]}`,
 	`{"tables":["roads","streams"],"predicates":[["roads","streams"]],"limit":10}`,

@@ -7,17 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
-	"spatialsel/internal/core"
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
-	"spatialsel/internal/histogram"
-	"spatialsel/internal/ingest"
 	"spatialsel/internal/obs"
-	"spatialsel/internal/sample"
 	"spatialsel/internal/sdb"
 	"spatialsel/internal/telemetry"
 )
@@ -170,13 +165,6 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The name becomes the table's WAL file name on its first write; a name
-	// that cannot (the empty one included) is the client's error now, not a
-	// server fault then.
-	if err := ingest.CheckTableName(req.Name); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	d, err := buildDataset(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -184,8 +172,9 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 	}
 	t, _, err := s.store.Register(d, req.Replace)
 	if err != nil {
-		// Only a taken name is a conflict; a dataset that does not build
-		// (e.g. a zero-area extent) is the client's bad request.
+		// Only a taken name is a conflict; a name no WAL file can carry or a
+		// dataset that does not build (e.g. a zero-area extent) is the
+		// client's bad request.
 		code := http.StatusBadRequest
 		if errors.Is(err, ErrTableExists) {
 			code = http.StatusConflict
@@ -270,8 +259,8 @@ func (qs *QuerySpec) toQuery() sdb.Query {
 // ---- estimate ---------------------------------------------------------
 
 // EstimateRequest asks for a join-selectivity estimate: either pairwise
-// (left/right + method) or multi-way (a QuerySpec, estimated through the
-// planner's GH statistics).
+// (left/right, method, fraction) or multi-way (a QuerySpec, estimated through
+// the planner's GH statistics) — a body with fields of both is a 400.
 type EstimateRequest struct {
 	Left     string  `json:"left,omitempty"`
 	Right    string  `json:"right,omitempty"`
@@ -283,7 +272,8 @@ type EstimateRequest struct {
 	Windows    map[string][4]float64 `json:"windows,omitempty"`
 }
 
-// EstimateResponse carries the estimate plus provenance (method, cache).
+// EstimateResponse carries the estimate plus provenance: the method, and
+// whether the table memo answered it (cached) instead of an estimator.
 type EstimateResponse struct {
 	Kind          string  `json:"kind"` // "pairwise" or "multiway"
 	Method        string  `json:"method"`
@@ -300,6 +290,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// A body is one kind of estimate or the other: the fields of the kind not
+	// asked for would be ignored, so a body naming both is refused.
+	pairwise := req.Left != "" || req.Right != "" || req.Method != "" || req.Fraction != 0
+	if pairwise && (len(req.Tables) > 0 || len(req.Predicates) > 0 || len(req.Windows) > 0) {
+		writeError(w, http.StatusBadRequest, "left, right, method and fraction ask for a pairwise estimate; tables, predicates and windows for a multi-way one: give one kind")
+		return
+	}
 	if req.Fraction < 0 || req.Fraction > 1 {
 		writeError(w, http.StatusBadRequest, "fraction must be in (0, 1], or 0 for the default 0.1; got %g", req.Fraction)
 		return
@@ -308,7 +305,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Snapshot()
 	ev := eventFrom(r.Context())
 
-	if len(req.Tables) > 0 {
+	if !pairwise {
 		ev.Tables = req.Tables
 		qs := QuerySpec{Tables: req.Tables, Predicates: req.Predicates, Windows: req.Windows}
 		plan, err := snap.Catalog.Plan(qs.toQuery())
@@ -351,138 +348,47 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		method = "gh"
 	}
 	ev.Tables = []string{req.Left, req.Right}
-	est, cached, built, err := s.estimatePair(r.Context(), snap, req.Left, req.Right, method, req.Fraction)
+	a, err := snap.Catalog.Table(req.Left)
 	if err != nil {
-		writeError(w, statusForError(err), "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	b, err := snap.Catalog.Table(req.Right)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// Every estimator here is symmetric, so the pair is estimated in name
+	// order and a⋈b and b⋈a share one memo entry.
+	if a.Name > b.Name {
+		a, b = b, a
+	}
+	est, hit, took, err := a.Estimate(method, b, req.Fraction)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ev.EstRows = &est.PairCount
-	ev.CacheHit = cached
-	recordBuild(ev, method, built)
+	ev.CacheHit = &hit
+	recordBuild(ev, method, took)
 	writeJSON(w, http.StatusOK, EstimateResponse{
 		Kind:          "pairwise",
 		Method:        method,
 		PairCount:     est.PairCount,
 		Selectivity:   est.Selectivity,
-		Cached:        cached,
+		Cached:        hit,
 		ElapsedMicros: time.Since(start).Microseconds(),
 	})
 }
 
-// recordBuild writes what a request spent building per-generation estimator
-// inputs into its record: nothing when every input was a lookup. A build
-// shorter than a microsecond still reads 1, so finish counts it.
+// recordBuild writes what a request spent computing estimates the tables did
+// not already hold into its record: nothing when every estimate was a lookup.
+// A miss shorter than a microsecond still reads 1, so finish counts it.
 func recordBuild(ev *telemetry.Event, technique string, built time.Duration) {
 	if built > 0 {
 		ev.Estimator = technique
 		ev.EstBuildMicros = int64((built + time.Microsecond - 1) / time.Microsecond)
 	}
-}
-
-// estimatePair computes (or recalls) a pairwise selectivity estimate. The
-// cache key canonicalizes the table order — every supported estimator is
-// symmetric — and embeds the tables' generations, so a replaced table can
-// never serve a stale estimate. built is the time a miss spent building
-// per-generation inputs, 0 when the tables already held them. A fraction of 0
-// is the default, 0.1; the handler has rejected any outside [0, 1].
-func (s *Server) estimatePair(ctx context.Context, snap *Snapshot, left, right, method string, fraction float64) (est core.Estimate, cached bool, built time.Duration, err error) {
-	ta, err := snap.Catalog.Table(left)
-	if err != nil {
-		return core.Estimate{}, false, 0, err
-	}
-	tb, err := snap.Catalog.Table(right)
-	if err != nil {
-		return core.Estimate{}, false, 0, err
-	}
-	if fraction == 0 {
-		fraction = 0.1
-	}
-	methodKey := method
-	if method == "rs" || method == "rswr" || method == "ss" {
-		methodKey = fmt.Sprintf("%s:%g", method, fraction)
-	}
-	a, b := ta, tb
-	if strings.Compare(a.Name, b.Name) > 0 {
-		a, b = b, a
-	}
-	key := CacheKey{
-		Left: a.Name, Right: b.Name,
-		GenL: snap.Generation(a.Name), GenR: snap.Generation(b.Name),
-		Method: methodKey, Level: s.store.Level(),
-	}
-	if est, ok := s.cache.Get(key); ok {
-		return est, true, 0, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return core.Estimate{}, false, 0, err
-	}
-	est, built, err = computeEstimate(a, b, method, fraction, s.store.Level())
-	if err != nil {
-		return core.Estimate{}, false, 0, err
-	}
-	s.cache.Put(key, est)
-	return est, false, built, nil
-}
-
-// computeEstimate answers a cache miss. What an estimator reads of a table is
-// a function of the table value, so the table holds it: gh reads the
-// statistics it was published with, ph and basicgh read the table's own
-// summary (built by the first request that wants it), and the sampling
-// methods draw from the table's live data — fresh per request, since their
-// summaries are keyed by a real-valued fraction, but striding a Hilbert order
-// the dataset computes once — and build no index. A miss therefore costs one
-// Estimate, plus the two draws for sampling.
-func computeEstimate(a, b *sdb.Table, method string, fraction float64, level int) (core.Estimate, time.Duration, error) {
-	if method == "gh" {
-		gh, err := histogram.NewGH(level)
-		if err != nil {
-			return core.Estimate{}, 0, err
-		}
-		est, err := gh.Estimate(a.Stats, b.Stats)
-		return est, 0, err
-	}
-	var (
-		tech core.Technique
-		err  error
-	)
-	switch method {
-	case "basicgh":
-		tech, err = histogram.NewBasicGH(level)
-	case "ph":
-		tech, err = histogram.NewPH(level)
-	case "rs", "rswr", "ss":
-		m := map[string]sample.Method{"rs": sample.RS, "rswr": sample.RSWR, "ss": sample.SS}[method]
-		// Fixed seed keeps sampling estimates deterministic and therefore
-		// cacheable: the same request always sees the same answer.
-		tech, err = sample.New(m, fraction, sample.WithSeed(1))
-	default:
-		err = fmt.Errorf("unknown estimation method %q (want gh, basicgh, ph, rs, rswr, ss)", method)
-	}
-	if err != nil {
-		return core.Estimate{}, 0, err
-	}
-	summarize := func(t *sdb.Table) (core.Summary, time.Duration, error) {
-		if method == "basicgh" || method == "ph" {
-			return t.HistogramSummary(method)
-		}
-		d, built := t.LiveData()
-		if method == "ss" {
-			_, sorted := d.HilbertOrder()
-			built += sorted
-		}
-		sum, err := tech.Build(d)
-		return sum, built, err
-	}
-	sa, ba, err := summarize(a)
-	if err != nil {
-		return core.Estimate{}, 0, err
-	}
-	sb, bb, err := summarize(b)
-	if err != nil {
-		return core.Estimate{}, 0, err
-	}
-	est, err := tech.Estimate(sa, sb)
-	return est, ba + bb, err
 }
 
 // ---- explain ----------------------------------------------------------

@@ -34,8 +34,8 @@ func gridItems(n int) [][4]float64 {
 }
 
 // TestMutationEndpoints drives the write path over HTTP: insert, delete, and
-// batch against a created table, with the estimate cache invalidating across
-// generations.
+// batch against a created table, with each write's new table value
+// computing its estimates afresh.
 func TestMutationEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Level: 5})
 
@@ -65,13 +65,13 @@ func TestMutationEndpoints(t *testing.T) {
 		t.Fatal("durable without -wal-dir")
 	}
 
-	// The estimate must change (cache invalidated by the generation bump).
+	// The estimate must change (the write published new statistics).
 	var est2 EstimateResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", EstimateRequest{Left: "a", Right: "b"}, &est2); code != http.StatusOK {
 		t.Fatal("estimate after insert failed")
 	}
 	if est2.Cached {
-		t.Fatal("estimate served from cache after mutation")
+		t.Fatal("estimate served from the memo after mutation")
 	}
 	if est2.PairCount <= est1.PairCount {
 		t.Fatalf("estimate did not grow after insert: %g -> %g", est1.PairCount, est2.PairCount)

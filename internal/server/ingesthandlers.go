@@ -32,8 +32,9 @@ type BatchRequest struct {
 }
 
 // MutateResponse reports a committed batch. Generation is the store
-// generation whose snapshot contains the batch — estimate-cache entries
-// keyed on earlier generations are stale from this point on.
+// generation whose snapshot contains the batch: the table value it published
+// holds no estimate computed from an earlier one, so the next estimate naming
+// the table is computed afresh.
 type MutateResponse struct {
 	Table      string `json:"table"`
 	IDs        []int  `json:"ids,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"spatialsel/internal/core"
@@ -25,18 +26,22 @@ import (
 var memoMethods = []string{"gh", "basicgh", "ph", "rs", "rswr", "ss"}
 
 // libraryEstimate answers a pairwise estimate the way the library does with
-// nothing memoized: the technique built anew over copies of the tables' data
-// (new Dataset values, so no Hilbert order either).
+// nothing memoized: the technique built anew over copies of the tables' live
+// data (new Dataset values, so no Hilbert order either).
 func libraryEstimate(t *testing.T, a, b *sdb.Table, method string, fraction float64, level int) core.Estimate {
 	t.Helper()
+	est, err := freshEstimate(a, b, method, fraction, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+func freshEstimate(a, b *sdb.Table, method string, fraction float64, level int) (core.Estimate, error) {
 	var tech core.Technique
 	switch method {
 	case "gh":
-		est, err := histogram.MustGH(level).Estimate(a.Stats, b.Stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return est
+		return histogram.MustGH(level).Estimate(a.Stats, b.Stats)
 	case "basicgh":
 		tech = histogram.MustBasicGH(level)
 	case "ph":
@@ -45,19 +50,17 @@ func libraryEstimate(t *testing.T, a, b *sdb.Table, method string, fraction floa
 		m := map[string]sample.Method{"rs": sample.RS, "rswr": sample.RSWR, "ss": sample.SS}[method]
 		tech = sample.MustNew(m, fraction, sample.WithSeed(1))
 	}
-	sa, err := tech.Build(a.Data.Clone())
+	la, _ := a.LiveData()
+	sa, err := tech.Build(la.Clone())
 	if err != nil {
-		t.Fatal(err)
+		return core.Estimate{}, err
 	}
-	sb, err := tech.Build(b.Data.Clone())
+	lb, _ := b.LiveData()
+	sb, err := tech.Build(lb.Clone())
 	if err != nil {
-		t.Fatal(err)
+		return core.Estimate{}, err
 	}
-	est, err := tech.Estimate(sa, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return est
+	return tech.Estimate(sa, sb)
 }
 
 func tableOf(t *testing.T, s *Server, name string) *sdb.Table {
@@ -67,48 +70,6 @@ func tableOf(t *testing.T, s *Server, name string) *sdb.Table {
 		t.Fatal(err)
 	}
 	return tab
-}
-
-// Warm ≡ cold ≡ library, bit for bit: for every pair of four generated tables
-// and every method, a miss answered from the tables' memos — on first touch
-// and again once everything is held — is exactly a fresh Technique.Build +
-// Estimate over fresh copies of the data.
-func TestComputeEstimateWarmEqualsFresh(t *testing.T) {
-	const level, fraction = 6, 0.037
-	s, err := New(Config{Level: level})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"a", "b", "c", "d"}
-	for i, kind := range []string{"uniform", "multicluster", "polyline", "polygons"} {
-		d, err := datagen.Generate(kind, names[i], 2500+300*i, datagen.ItemSize, int64(40+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.store.Register(d, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, na := range names {
-		for _, nb := range names[i+1:] {
-			a, b := tableOf(t, s, na), tableOf(t, s, nb)
-			for _, method := range memoMethods {
-				want := libraryEstimate(t, a, b, method, fraction, level)
-				for _, pass := range []string{"first", "warm"} {
-					got, built, err := computeEstimate(a, b, method, fraction, level)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("%s %s⋈%s (%s): %+v, library %+v", method, na, nb, pass, got, want)
-					}
-					if pass == "warm" && built != 0 {
-						t.Errorf("%s %s⋈%s: warm call reports %v of building", method, na, nb, built)
-					}
-				}
-			}
-		}
-	}
 }
 
 func estimateOver(t *testing.T, base string, req EstimateRequest) EstimateResponse {
@@ -246,8 +207,12 @@ func TestEstimatorsSeeLiveRowsOnly(t *testing.T) {
 			t.Fatalf("%s: Data.Len = %d: the dead slots are gone and this test shows nothing", stage, tab.Data.Len())
 		}
 		for _, method := range []string{"ph", "basicgh", "rs", "ss"} {
-			got := estimateOver(t, ts.URL, EstimateRequest{Left: "live", Right: "static", Method: method, Fraction: 0.11})
-			want := estimateOver(t, ts.URL, EstimateRequest{Left: "fresh", Right: "static", Method: method, Fraction: 0.11})
+			fraction := 0.11
+			if method == "ph" || method == "basicgh" {
+				fraction = 0
+			}
+			got := estimateOver(t, ts.URL, EstimateRequest{Left: "live", Right: "static", Method: method, Fraction: fraction})
+			want := estimateOver(t, ts.URL, EstimateRequest{Left: "fresh", Right: "static", Method: method, Fraction: fraction})
 			if got.PairCount != want.PairCount || got.Selectivity != want.Selectivity {
 				t.Errorf("%s: %s on the churned table = (%g, %g), on its survivors (%g, %g)",
 					stage, method, got.PairCount, got.Selectivity, want.PairCount, want.Selectivity)
@@ -341,8 +306,9 @@ func TestWarmSSRequestIsSampleSized(t *testing.T) {
 	}
 }
 
-// The request record says whether a request built a per-generation input or
-// looked everything up, and the builds counter is derived from it.
+// The request record says whether a request computed an estimate or looked it
+// up, and the builds counter is derived from it: every miss records its time,
+// whatever it had to build, and a hit records none.
 func TestEstimatorBuildIsRecorded(t *testing.T) {
 	s, ts := newTestServer(t, Config{Level: 5, EnableTelemetry: true, Telemetry: telemetry.Options{SampleN: 1}})
 	for i, name := range []string{"a", "b", "c"} {
@@ -365,39 +331,211 @@ func TestEstimatorBuildIsRecorded(t *testing.T) {
 		return 0
 	}
 
-	// a⋈b builds two summaries, a⋈c one, b⋈c none — though all three miss
-	// the estimate cache.
+	// a⋈b builds two summaries, a⋈c one, b⋈c none — but all three compute
+	// their estimate, so each is a miss with its time recorded; a⋈b again is
+	// a hit and records nothing.
 	for i, c := range []struct {
 		left, right string
-		built       bool
-	}{{"a", "b", true}, {"a", "c", true}, {"b", "c", false}} {
-		if resp := estimateOver(t, ts.URL, EstimateRequest{Left: c.left, Right: c.right, Method: "ph"}); resp.Cached {
-			t.Fatalf("ph %s⋈%s served from the estimate cache", c.left, c.right)
+		hit         bool
+	}{{"a", "b", false}, {"a", "c", false}, {"b", "c", false}, {"b", "a", true}} {
+		if resp := estimateOver(t, ts.URL, EstimateRequest{Left: c.left, Right: c.right, Method: "ph"}); resp.Cached != c.hit {
+			t.Fatalf("ph %s⋈%s: cached %v, want %v", c.left, c.right, resp.Cached, c.hit)
 		}
 		ev := last("/v1/estimate")
-		if (ev.EstBuildMicros > 0) != c.built || (ev.Estimator == "ph") != c.built {
-			t.Errorf("ph %s⋈%s: event estimator=%q est_build_micros=%d, want built=%v", c.left, c.right, ev.Estimator, ev.EstBuildMicros, c.built)
+		if ev.CacheHit == nil || *ev.CacheHit != c.hit {
+			t.Errorf("ph %s⋈%s: event cache_hit %v, want %v", c.left, c.right, ev.CacheHit, c.hit)
 		}
-		if got, want := builds("ph"), float64(min(i+1, 2)); got != want {
+		if (ev.EstBuildMicros > 0) == c.hit || (ev.Estimator == "ph") == c.hit {
+			t.Errorf("ph %s⋈%s: event estimator=%q est_build_micros=%d, want a miss's time: %v", c.left, c.right, ev.Estimator, ev.EstBuildMicros, !c.hit)
+		}
+		if got, want := builds("ph"), float64(min(i+1, 3)); got != want {
 			t.Errorf("after ph %s⋈%s: sdbd_estimator_builds_total{ph} = %g, want %g", c.left, c.right, got, want)
 		}
 	}
-	// The planner's pair selectivity: computed by the first plan of a pair,
-	// read by the second, whichever endpoint plans.
+	// gh follows the same rule: the first pairwise gh estimate is a miss.
+	estimateOver(t, ts.URL, EstimateRequest{Left: "a", Right: "b"})
+	if ev := last("/v1/estimate"); ev.EstBuildMicros == 0 || ev.Estimator != "gh" {
+		t.Errorf("first gh a⋈b: estimator=%q est_build_micros=%d, want a miss's time", ev.Estimator, ev.EstBuildMicros)
+	}
+	// The planner estimates a⋈b in the predicate's order, on the same memo
+	// entry as the pairwise gh estimate above: the plan looks it up.
 	q := QuerySpec{Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}}}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", q, nil); code != http.StatusOK {
 		t.Fatalf("explain: %d", code)
 	}
+	if ev := last("/v1/explain"); ev.EstBuildMicros != 0 || ev.Estimator != "" || ev.CacheHit != nil {
+		t.Errorf("plan of a⋈b after its estimate: estimator=%q est_build_micros=%d cache_hit=%v, want a lookup and no pairwise record", ev.Estimator, ev.EstBuildMicros, ev.CacheHit)
+	}
+	// b⋈a in that order is another entry: computed by the first plan, read by
+	// the second, whichever endpoint plans.
+	q = QuerySpec{Tables: []string{"b", "c"}, Predicates: [][2]string{{"c", "b"}}}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/explain", q, nil); code != http.StatusOK {
+		t.Fatalf("explain: %d", code)
+	}
 	if ev := last("/v1/explain"); ev.EstBuildMicros == 0 || ev.Estimator != "gh" {
-		t.Errorf("first plan of a⋈b: estimator=%q est_build_micros=%d, want a gh build", ev.Estimator, ev.EstBuildMicros)
+		t.Errorf("first plan of c⋈b: estimator=%q est_build_micros=%d, want a gh miss", ev.Estimator, ev.EstBuildMicros)
 	}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", q, nil); code != http.StatusOK {
 		t.Fatalf("query: %d", code)
 	}
 	if ev := last("/v1/query"); ev.EstBuildMicros != 0 || ev.Estimator != "" {
-		t.Errorf("second plan of a⋈b: estimator=%q est_build_micros=%d, want a lookup", ev.Estimator, ev.EstBuildMicros)
+		t.Errorf("second plan of c⋈b: estimator=%q est_build_micros=%d, want a lookup", ev.Estimator, ev.EstBuildMicros)
 	}
-	if got := builds("gh"); got != 1 {
-		t.Errorf("sdbd_estimator_builds_total{gh} = %g, want 1", got)
+	if got := builds("gh"); got != 2 {
+		t.Errorf("sdbd_estimator_builds_total{gh} = %g, want 2", got)
 	}
+	if got, want := metricValue(t, fetchMetrics(t, ts.URL), "sdbd_estimate_cache_misses_total"), 4.0; got != want {
+		t.Errorf("sdbd_estimate_cache_misses_total = %g, want %g: plans are not pairwise estimates", got, want)
+	}
+}
+
+// TestCacheInvalidationOverHTTP: register, estimate (miss), estimate (hit from
+// the table memo), replace the table, estimate (miss again), write to the
+// other table, estimate (miss) — asserted through the response's cached flag
+// and the /metrics hit/miss counters.
+func TestCacheInvalidationOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 5})
+	createTable(t, ts.URL, "a", "uniform", 800, 1, false)
+	createTable(t, ts.URL, "b", "uniform", 800, 2, false)
+
+	estimate := func() EstimateResponse {
+		t.Helper()
+		var est EstimateResponse
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate",
+			EstimateRequest{Left: "a", Right: "b"}, &est); code != 200 {
+			t.Fatalf("estimate: status %d", code)
+		}
+		return est
+	}
+	counters := func() (hits, misses float64) {
+		t.Helper()
+		m := fetchMetrics(t, ts.URL)
+		return metricValue(t, m, "sdbd_estimate_cache_hits_total"),
+			metricValue(t, m, "sdbd_estimate_cache_misses_total")
+	}
+
+	first := estimate()
+	if first.Cached {
+		t.Fatal("first estimate should miss")
+	}
+	if hits, misses := counters(); hits != 0 || misses != 1 {
+		t.Fatalf("after first estimate: hits=%v misses=%v", hits, misses)
+	}
+
+	second := estimate()
+	if !second.Cached || second.PairCount != first.PairCount {
+		t.Fatalf("second estimate should hit with identical value: %+v", second)
+	}
+	if hits, misses := counters(); hits != 1 || misses != 1 {
+		t.Fatalf("after second estimate: hits=%v misses=%v", hits, misses)
+	}
+
+	// Replace table a with different data: the new table value holds no
+	// memo, so the estimate is computed again.
+	createTable(t, ts.URL, "a", "uniform", 800, 99, true)
+
+	third := estimate()
+	if third.Cached {
+		t.Fatal("estimate after replace must miss")
+	}
+	if hits, misses := counters(); hits != 1 || misses != 2 {
+		t.Fatalf("after replace: hits=%v misses=%v", hits, misses)
+	}
+	if third.PairCount == first.PairCount {
+		t.Log("note: replaced table produced identical estimate (possible but unlikely)")
+	}
+	if again := estimate(); !again.Cached || again.PairCount != third.PairCount {
+		t.Fatalf("estimate after replace, twice: %+v, want a hit on %+v", again, third)
+	}
+
+	// Write to b, the partner a's memo entry names: b's new statistics
+	// displace the entry.
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables/b/insert", InsertRequest{Items: [][4]float64{{0.4, 0.4, 0.5, 0.5}}}, nil); code != http.StatusOK {
+		t.Fatalf("insert: status %d", code)
+	}
+	if written := estimate(); written.Cached {
+		t.Fatal("estimate after a write must miss")
+	}
+	if hits, misses := counters(); hits != 2 || misses != 3 {
+		t.Fatalf("after write: hits=%v misses=%v", hits, misses)
+	}
+}
+
+// Estimates race a writer: one goroutine per method estimates a ⋈ b, and b ⋈
+// a, on whatever snapshot is current while batches of inserts and deletes
+// publish new generations of a. Every answer — computed, or read from a memo
+// another goroutine filled — equals a fresh computation on the snapshot it was
+// asked of. Run under -race (make race), this is also the memo's data-race
+// check.
+func TestEstimatesUnderConcurrentWrites(t *testing.T) {
+	const level, batches, rounds = 5, 12, 30
+	s, ts := newTestServer(t, Config{Level: level})
+	createTable(t, ts.URL, "a", "uniform", 1500, 1, false)
+	createTable(t, ts.URL, "b", "cluster", 1200, 2, false)
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < batches; i++ {
+			x := 0.05 * float64(i)
+			body, _ := json.Marshal(BatchRequest{Insert: [][4]float64{{x, x, x + 0.1, x + 0.1}, {0.5, x, 0.6, x + 0.05}}, Delete: []int{2 * i, 2*i + 1}})
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tables/a/batch", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Errorf("batch %d: status %d: %s", i, rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	for _, method := range memoMethods {
+		fraction := 0.0
+		if method == "rs" || method == "rswr" || method == "ss" {
+			fraction = 0.3
+		}
+		wg.Add(1)
+		go func(method string, fraction float64) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				snap := s.store.Snapshot()
+				a, errA := snap.Catalog.Table("a")
+				b, errB := snap.Catalog.Table("b")
+				if errA != nil || errB != nil {
+					t.Errorf("snapshot lost a table: %v %v", errA, errB)
+					return
+				}
+				for _, p := range [][2]*sdb.Table{{a, b}, {b, a}} {
+					got, _, _, err := p[0].Estimate(method, p[1], fraction)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					f := fraction
+					if f == 0 && method != "gh" && method != "ph" && method != "basicgh" {
+						f = sdb.DefaultSampleFraction
+					}
+					want, err := freshEstimate(p[0], p[1], method, f, level)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if math.Float64bits(got.PairCount) != math.Float64bits(want.PairCount) ||
+						math.Float64bits(got.Selectivity) != math.Float64bits(want.Selectivity) {
+						t.Errorf("%s %s⋈%s on a snapshot: %+v, fresh %+v", method, p[0].Name, p[1].Name, got, want)
+						return
+					}
+				}
+				select {
+				case <-done:
+					if i > 3 {
+						return
+					}
+				default:
+				}
+			}
+		}(method, fraction)
+	}
+	wg.Wait()
 }

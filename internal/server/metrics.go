@@ -24,10 +24,12 @@ var errorBuckets = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5}
 // the whole stack. All methods are safe for concurrent use, and Render
 // output is deterministic: families and series are emitted in sorted order.
 type Metrics struct {
-	reg      *obs.Registry
-	extra    []*obs.Registry // merged into Render after reg (e.g. telemetry)
-	inflight *obs.Gauge
-	estErr   *obs.Histogram
+	reg        *obs.Registry
+	extra      []*obs.Registry // merged into Render after reg (e.g. telemetry)
+	inflight   *obs.Gauge
+	estErr     *obs.Histogram
+	memoHits   *obs.Counter
+	memoMisses *obs.Counter
 }
 
 // NewMetrics returns an empty registry.
@@ -37,6 +39,10 @@ func NewMetrics() *Metrics {
 		"Requests currently being served.")
 	m.estErr = m.reg.Histogram("sdbd_estimate_rel_error",
 		"Estimate-vs-actual |est-actual|/actual over executed joins.", errorBuckets)
+	m.memoHits = m.reg.Counter("sdbd_estimate_cache_hits_total",
+		"Pairwise /v1/estimate requests answered from the table memo.")
+	m.memoMisses = m.reg.Counter("sdbd_estimate_cache_misses_total",
+		"Pairwise /v1/estimate requests that computed their estimate.")
 	return m
 }
 
@@ -62,24 +68,28 @@ func (m *Metrics) DecInflight() { m.inflight.Dec() }
 // really-executed join.
 func (m *Metrics) RecordEstimateError(relErr float64) { m.estErr.Observe(relErr) }
 
-// RecordEstimatorBuild counts one request that built a per-generation
-// estimator input instead of looking it up, by the technique that wanted it
-// ("gh" for the planner's pair selectivities).
+// RecordEstimatorBuild counts one request that computed a pair estimate its
+// tables did not hold instead of looking it up, by technique ("gh" for the
+// planner's).
 func (m *Metrics) RecordEstimatorBuild(technique string) {
 	m.reg.Counter("sdbd_estimator_builds_total",
-		"Requests that built a per-generation estimator input (table summary, Hilbert order, live view, planner selectivity) rather than looking it up, by technique.",
+		"Requests that computed a pair estimate (and any table summary, Hilbert order or live view it needed) rather than looking it up, by technique.",
 		obs.L("technique", technique)).Inc()
 }
 
-// registerSampled installs render-time-sampled series for the cache and
-// table store. Called once from New; the closures pin the live objects.
-func (m *Metrics) registerSampled(cache *EstimateCache, store *Store) {
-	m.reg.CounterFunc("sdbd_estimate_cache_hits_total", "Estimator cache hits.",
-		func() float64 { h, _ := cache.Counters(); return float64(h) })
-	m.reg.CounterFunc("sdbd_estimate_cache_misses_total", "Estimator cache misses.",
-		func() float64 { _, mi := cache.Counters(); return float64(mi) })
-	m.reg.GaugeFunc("sdbd_estimate_cache_entries", "Estimator cache current size.",
-		func() float64 { return float64(cache.Len()) })
+// RecordEstimateLookup counts one pairwise estimate: answered from the table
+// memo, or computed.
+func (m *Metrics) RecordEstimateLookup(hit bool) {
+	if hit {
+		m.memoHits.Inc()
+	} else {
+		m.memoMisses.Inc()
+	}
+}
+
+// registerSampled installs the render-time-sampled table count. Called once
+// from New; the closure pins the store.
+func (m *Metrics) registerSampled(store *Store) {
 	m.reg.GaugeFunc("sdbd_tables", "Registered tables.",
 		func() float64 { return float64(len(store.Snapshot().Catalog.Names())) })
 }

@@ -98,7 +98,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // finish is the one consumer of a finished request's record: the route
-// counter and latency histogram, the estimate-error histogram, the drift
+// counter and latency histogram, the estimate memo's hit and miss counters and
+// the estimator-build counter, the estimate-error histogram, the drift
 // watchdog's sketch, the flight ring and the request log line are all read
 // off the same value. root is the request's span tree, nil with telemetry
 // off.
@@ -112,6 +113,9 @@ func (s *Server) finish(ev *telemetry.Event, root *obs.Span, remote string) {
 			// for the common two-way query it names the whole query.
 			s.telemetry.Watchdog().Observe(telemetry.PairOf(ev.Tables[0], ev.Tables[1]), *ev.RelError)
 		}
+	}
+	if ev.CacheHit != nil {
+		s.metrics.RecordEstimateLookup(*ev.CacheHit)
 	}
 	if ev.EstBuildMicros > 0 {
 		s.metrics.RecordEstimatorBuild(ev.Estimator)

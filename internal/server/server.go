@@ -21,7 +21,10 @@ type Config struct {
 	// Level is the GH statistics level for every table (default
 	// sdb.StatisticsLevel, the paper's recommended level 7).
 	Level int
-	// CacheSize bounds the estimator LRU cache (default 256 entries).
+	// CacheSize is ignored: estimates are remembered on their tables
+	// (sdb.Table.Estimate), one per table pair and method, so there is no
+	// cache to size. It stays only because the benchmark (bench/run.go)
+	// still sets it; ROADMAP item 1, the PR that updates bench/, removes it.
 	CacheSize int
 	// RequestTimeout cancels a request's context after this long; the
 	// cancellation propagates into the join executor. 0 keeps the package
@@ -89,7 +92,6 @@ type Config struct {
 type Server struct {
 	store          *Store
 	ingest         *ingest.Manager
-	cache          *EstimateCache
 	metrics        *Metrics
 	admission      *resilience.Controller // nil when disabled
 	telemetry      *telemetry.Telemetry   // nil when disabled
@@ -106,9 +108,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Level == 0 {
 		cfg.Level = sdb.StatisticsLevel
-	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 256
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
@@ -143,7 +142,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		store:          store,
 		ingest:         manager,
-		cache:          NewEstimateCache(cfg.CacheSize),
 		metrics:        NewMetrics(),
 		logger:         cfg.Logger,
 		requestTimeout: cfg.RequestTimeout,
@@ -152,7 +150,7 @@ func New(cfg Config) (*Server, error) {
 		mux:            http.NewServeMux(),
 		started:        time.Now(),
 	}
-	s.metrics.registerSampled(s.cache, s.store)
+	s.metrics.registerSampled(s.store)
 	s.metrics.registerIngest(manager)
 	if cfg.Admission {
 		target := cfg.AdmissionTarget

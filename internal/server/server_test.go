@@ -110,7 +110,7 @@ func metricValue(t *testing.T, metrics, name string) float64 {
 // TestEndToEnd mirrors the paper's workflow over HTTP: register two polyline
 // tables (the TIGER-like workload), estimate, explain, execute — then check
 // the level-7 GH estimate lands within a loose band of the executed result
-// and the cache hit shows up on /metrics.
+// and the memo hit shows up on /metrics.
 func TestEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -135,7 +135,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("table info: %+v", info)
 	}
 
-	// Estimate: first call misses the cache, second hits.
+	// Estimate: the first call computes, the second is answered by the memo.
 	var est, est2 EstimateResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate",
 		EstimateRequest{Left: "roads", Right: "streams"}, &est); code != 200 {
@@ -149,7 +149,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("estimate: status %d", code)
 	}
 	if !est2.Cached || est2.PairCount != est.PairCount {
-		t.Fatalf("second estimate should be a cache hit with the same value: %+v vs %+v", est, est2)
+		t.Fatalf("second estimate should be a memo hit with the same value: %+v vs %+v", est, est2)
 	}
 
 	// Explain: plan text plus the first join's modeled tile-run entries.
@@ -188,7 +188,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("GH estimate %.0f outside loose band of actual %d", est.PairCount, qr.TotalRows)
 	}
 
-	// Metrics observable: the cache hit, the request counters, and the
+	// Metrics observable: the memo hit, the request counters, and the
 	// estimate-vs-actual sample the query recorded.
 	metrics := fetchMetrics(t, ts.URL)
 	if hits := metricValue(t, metrics, "sdbd_estimate_cache_hits_total"); hits < 1 {
@@ -220,9 +220,13 @@ func TestEstimateMethods(t *testing.T) {
 	// baseline), so it only has to produce a positive count; the others
 	// should land within an order of magnitude of revised GH.
 	for _, method := range []string{"basicgh", "ph", "rs", "rswr", "ss"} {
+		fraction := 0.2
+		if method == "basicgh" || method == "ph" {
+			fraction = 0 // they do not sample, and refuse a fraction
+		}
 		var est EstimateResponse
 		code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate",
-			EstimateRequest{Left: "a", Right: "b", Method: method, Fraction: 0.2}, &est)
+			EstimateRequest{Left: "a", Right: "b", Method: method, Fraction: fraction}, &est)
 		if code != 200 {
 			t.Fatalf("estimate %s: status %d", method, code)
 		}
@@ -275,6 +279,44 @@ func TestEstimateFractionValidation(t *testing.T) {
 	_, dflt := estimate("rs", 0)
 	if code, tenth := estimate("rs", 0.1); code != http.StatusOK || tenth.PairCount != dflt.PairCount {
 		t.Fatalf("fraction 0 estimated %g pairs, fraction 0.1 %g (status %d): 0 must mean the default", dflt.PairCount, tenth.PairCount, code)
+	}
+}
+
+// TestEstimateRefusesMisreadBodies: /v1/estimate answers 400 for a body it
+// would otherwise answer by ignoring part of it — pairwise fields beside
+// multi-way ones, a sampling fraction given to a method that does not sample —
+// or by counting every item with itself. Each was a 200 before the rule.
+func TestEstimateRefusesMisreadBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 5})
+	createTable(t, ts.URL, "a", "uniform", 800, 1, false)
+	createTable(t, ts.URL, "b", "uniform", 800, 2, false)
+	for _, body := range []string{
+		`{"tables":["a","b"],"predicates":[["a","b"]],"method":"ph"}`,
+		`{"tables":["a","b"],"predicates":[["a","b"]],"left":"a"}`,
+		`{"tables":["a","b"],"predicates":[["a","b"]],"fraction":0.2}`,
+		`{"left":"a","right":"b","windows":{"a":[0,0,0.5,0.5]}}`,
+		`{"left":"a","right":"b","predicates":[["a","b"]]}`,
+		`{"left":"a","right":"b","fraction":0.5}`,
+		`{"left":"a","right":"b","method":"gh","fraction":0.1}`,
+		`{"left":"a","right":"b","method":"ph","fraction":0.2}`,
+		`{"left":"a","right":"b","method":"basicgh","fraction":1}`,
+		`{"left":"a","right":"a"}`,
+		`{"left":"b","right":"b","method":"ss","fraction":0.3}`,
+	} {
+		var resp errorResponse
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate", json.RawMessage(body), &resp); code != http.StatusBadRequest || resp.Error == "" {
+			t.Errorf("POST %s: status %d error %q, want 400", body, code, resp.Error)
+		}
+	}
+	// The same requests with the extra field dropped are answered.
+	for _, body := range []string{
+		`{"tables":["a","b"],"predicates":[["a","b"]],"windows":{"a":[0,0,0.5,0.5]}}`,
+		`{"left":"a","right":"b","method":"ph"}`,
+		`{"left":"a","right":"b","method":"rs","fraction":0.2}`,
+	} {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/estimate", json.RawMessage(body), nil); code != http.StatusOK {
+			t.Errorf("POST %s: status %d, want 200", body, code)
+		}
 	}
 }
 
@@ -474,7 +516,7 @@ func TestQueryTimeout(t *testing.T) {
 // TestConcurrentLoad fires 32+ concurrent estimate/query/replace requests at
 // a shared catalog — the acceptance criterion for `go test -race`.
 func TestConcurrentLoad(t *testing.T) {
-	_, ts := newTestServer(t, Config{Level: 5, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Level: 5})
 	createTable(t, ts.URL, "a", "uniform", 1200, 1, false)
 	createTable(t, ts.URL, "b", "uniform", 1200, 2, false)
 

@@ -2,8 +2,9 @@
 // statistics, planner, executor — as a concurrent HTTP JSON API. The paper's
 // selling point is that a GH estimate costs ~1% of the join it predicts;
 // this layer puts that property behind a network endpoint that answers "how
-// big is this join?" at interactive latency, with an LRU estimate cache,
-// per-request timeouts threaded into the join executor as context
+// big is this join?" at interactive latency — an estimate is computed once per
+// pair of table generations and remembered on the table (sdb.Table.Estimate) —
+// with per-request timeouts threaded into the join executor as context
 // cancellation, and stdlib-only metrics.
 package server
 
@@ -13,6 +14,7 @@ import (
 	"sync"
 
 	"spatialsel/internal/dataset"
+	"spatialsel/internal/ingest"
 	"spatialsel/internal/sdb"
 )
 
@@ -27,9 +29,9 @@ type Snapshot struct {
 }
 
 // Generation returns the table's registration generation (0 if absent).
-// Generations increase monotonically across the whole store, so a replaced
-// table always carries a new generation — cache keys embedding generations
-// go stale automatically.
+// Generations increase monotonically across the whole store, so a replaced or
+// written table always carries a new generation; clients read it to tell two
+// versions of a table apart (TableInfo, MutateResponse).
 func (s *Snapshot) Generation(name string) uint64 { return s.gens[name] }
 
 // ErrTableExists is wrapped by Register when the name is taken and replace is
@@ -74,7 +76,15 @@ func (s *Store) Snapshot() *Snapshot {
 // dataset's name. With replace false a duplicate name is an error; with
 // replace true an existing table is swapped out atomically. The returned
 // generation uniquely identifies this registration.
+//
+// The name becomes the table's WAL file name on its first write, so a name
+// that cannot be one (the empty one included) is refused here, on every path
+// that registers a table — HTTP create and sdbd -load alike — instead of
+// failing that write with a server fault.
 func (s *Store) Register(d *dataset.Dataset, replace bool) (*sdb.Table, uint64, error) {
+	if err := ingest.CheckTableName(d.Name); err != nil {
+		return nil, 0, err
+	}
 	// Heavy work (normalize, pack, histogram build) runs lock-free on a
 	// scratch catalog at the store's level.
 	scratch, err := sdb.NewCatalogAtLevel(s.level)
@@ -110,11 +120,12 @@ func (s *Store) Register(d *dataset.Dataset, replace bool) (*sdb.Table, uint64, 
 // and returns the new generation. This is the live-ingest publication path:
 // the ingest layer builds the table snapshot (shared items view, packed base
 // under its overlay, fresh statistics) outside any store lock, and Publish
-// only performs the copy-on-write snapshot swap plus the generation bump —
-// which is what invalidates the server's generation-keyed estimate cache for
-// free. The packed image arrives inside the same *sdb.Table the bump
-// publishes, so an image from generation G can never appear under generation
-// G+1's key (pinned by TestStorePublishRepackRace).
+// only performs the copy-on-write snapshot swap plus the generation bump. The
+// new table value starts with empty memos and carries new statistics, so no
+// estimate computed from the old value is answered for it. The packed image
+// arrives inside the same *sdb.Table the bump publishes, so an image from
+// generation G can never appear under generation G+1 (pinned by
+// TestStorePublishRepackRace).
 func (s *Store) Publish(t *sdb.Table) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

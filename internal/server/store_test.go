@@ -2,6 +2,7 @@ package server
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,28 @@ import (
 	"spatialsel/internal/rtree"
 	"spatialsel/internal/sdb"
 )
+
+// TestRegisterRefusesUnwritableNames: every path that registers a table goes
+// through Register, so the WAL-file-name rule is held there — a name the
+// first write could not log is refused at registration, and the store is left
+// as it was.
+func TestRegisterRefusesUnwritableNames(t *testing.T) {
+	s, err := NewStore(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a b", "", "a.b", "../x", "a\tb"} {
+		if _, _, err := s.Register(datagen.Uniform(name, 50, 0.01, 1), false); err == nil || !strings.Contains(err.Error(), "not usable") {
+			t.Errorf("Register(%q): error %v, want the table-name rule", name, err)
+		}
+	}
+	if names := s.Snapshot().Catalog.Names(); len(names) != 0 {
+		t.Fatalf("refused registrations left tables %v", names)
+	}
+	if _, _, err := s.Register(datagen.Uniform("a_B-9", 50, 0.01, 1), false); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestStoreSnapshotIsolation(t *testing.T) {
 	s, err := NewStore(5)
