@@ -59,8 +59,7 @@ func parseFlags(args []string) (*options, error) {
 	admission := fs.Bool("admission", true, "enable the estimate-driven admission gate on /v1/query (adaptive concurrency limit + cost gate)")
 	maxInflight := fs.Int("max-inflight", 0, "cap on the adaptive query concurrency limit (0 = 4x GOMAXPROCS)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-	enableExpvar := fs.Bool("expvar", false, "mount expvar at /debug/vars (off by default)")
-	enableTelemetry := fs.Bool("telemetry", true, "run the telemetry layer (time-series scraper, request flight recorder, drift watchdog) and mount /v1/debug/{timeseries,requests}")
+	enableTelemetry := fs.Bool("telemetry", true, "run the telemetry layer (time-series scraper, request flight recorder) and mount /v1/debug/{timeseries,requests}")
 	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "flight recorder always-retains requests at least this slow")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -76,15 +75,14 @@ func parseFlags(args []string) (*options, error) {
 			MaxResultRows:   *maxRows,
 			Workers:         *workers,
 			EnablePprof:     *enablePprof,
-			EnableExpvar:    *enableExpvar,
 			WALDir:          *walDir,
 			WALRetry:        resilience.RetryPolicy{Max: retryMax},
 			Admission:       *admission,
 			MaxInflight:     *maxInflight,
 			AdmissionTarget: *slowQuery,
 			EnableTelemetry: *enableTelemetry,
-			// Scrape interval, ring sizes, sampling stride and drift threshold
-			// take the telemetry package's defaults.
+			// Scrape interval, ring sizes and sampling stride take the
+			// telemetry package's defaults.
 			Telemetry: telemetry.Options{SlowQuery: *slowQuery},
 		},
 		addr:  *addr,
@@ -136,8 +134,7 @@ func run(args []string, logw *os.File) error {
 	go srv.Telemetry().Run(ctx)
 	logger.Info("sdbd listening", "addr", opts.addr, "stats_level", srv.Store().Level(),
 		"workers", opts.cfg.Workers, "wal_dir", opts.cfg.WALDir,
-		"pprof", opts.cfg.EnablePprof, "expvar", opts.cfg.EnableExpvar,
-		"telemetry", opts.cfg.EnableTelemetry)
+		"pprof", opts.cfg.EnablePprof, "telemetry", opts.cfg.EnableTelemetry)
 	err = srv.ListenAndServe(ctx, opts.addr, opts.grace)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil

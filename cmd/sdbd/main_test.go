@@ -22,17 +22,15 @@ func TestDebugEndpointsOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.cfg.EnablePprof || opts.cfg.EnableExpvar {
-		t.Fatalf("debug endpoints must default off, got pprof=%v expvar=%v",
-			opts.cfg.EnablePprof, opts.cfg.EnableExpvar)
+	if opts.cfg.EnablePprof {
+		t.Fatal("pprof must default off")
 	}
-	opts, err = parseFlags([]string{"-pprof", "-expvar"})
+	opts, err = parseFlags([]string{"-pprof"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.cfg.EnablePprof || !opts.cfg.EnableExpvar {
-		t.Fatalf("flags did not enable debug endpoints: pprof=%v expvar=%v",
-			opts.cfg.EnablePprof, opts.cfg.EnableExpvar)
+	if !opts.cfg.EnablePprof {
+		t.Fatal("-pprof did not enable the profiling endpoints")
 	}
 }
 
@@ -101,6 +99,15 @@ func TestCacheFlagGone(t *testing.T) {
 	}
 }
 
+// TestExpvarFlagGone: /metrics is the one exposition and -pprof covers heap
+// and memstats, so there is no /debug/vars to mount and -expvar is an unknown
+// flag.
+func TestExpvarFlagGone(t *testing.T) {
+	if _, err := parseFlags([]string{"-expvar"}); err == nil {
+		t.Fatal("removed flag -expvar still accepted")
+	}
+}
+
 func TestResilienceFlags(t *testing.T) {
 	opts, err := parseFlags(nil)
 	if err != nil {
@@ -141,7 +148,7 @@ func TestTelemetryFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unlike pprof/expvar, telemetry defaults on: it is the production
+	// Unlike pprof, telemetry defaults on: it is the production
 	// observability surface, not a debug tap.
 	if !opts.cfg.EnableTelemetry {
 		t.Fatal("telemetry must default on")

@@ -88,7 +88,7 @@ func (g *GH) Build(d *dataset.Dataset) (core.Summary, error) {
 	grid := g.grid
 	cells := make([]ghCell, grid.Cells())
 	accumulateGH(grid, nd.Items, cells)
-	recordBuild("gh", start, d.Len())
+	recordBuild("gh", start)
 	return &GHSummary{name: d.Name, n: d.Len(), level: grid.Level(), cells: cells}, nil
 }
 
@@ -138,7 +138,7 @@ func (g *GH) Estimate(a, b core.Summary) (core.Estimate, error) {
 		ca, cb := &sa.cells[idx], &sb.cells[idx]
 		ip += ca.C*cb.O + cb.C*ca.O + ca.H*cb.V + cb.H*ca.V
 	}
-	recordEstimate("gh", len(sa.cells))
+	recordEstimate("gh")
 	return core.NewEstimate(ip/4, sa.n, sb.n), nil
 }
 
@@ -209,7 +209,7 @@ func (s *BasicGHSummary) SizeBytes() int64 { return int64(len(s.cells))*32 + 24 
 // Build implements core.Technique.
 func (g *BasicGH) Build(d *dataset.Dataset) (core.Summary, error) {
 	start := time.Now()
-	defer func() { recordBuild("basicgh", start, d.Len()) }()
+	defer func() { recordBuild("basicgh", start) }()
 	nd := d.Normalize()
 	grid := g.grid
 	cells := make([]basicCell, grid.Cells())
@@ -263,6 +263,6 @@ func (g *BasicGH) Estimate(a, b core.Summary) (core.Estimate, error) {
 		ca, cb := &sa.cells[idx], &sb.cells[idx]
 		ip += ca.C*cb.I + ca.I*cb.C + ca.V*cb.H + ca.H*cb.V
 	}
-	recordEstimate("basicgh", len(sa.cells))
+	recordEstimate("basicgh")
 	return core.NewEstimate(ip/4, sa.n, sb.n), nil
 }

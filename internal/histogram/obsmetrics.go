@@ -20,26 +20,18 @@ var (
 		"basicgh": obs.Default.FloatCounter("histogram_build_seconds_total", "Cumulative histogram build time by technique.", obs.L("technique", "basicgh")),
 		"ph":      obs.Default.FloatCounter("histogram_build_seconds_total", "Cumulative histogram build time by technique.", obs.L("technique", "ph")),
 	}
-	mBuildItems = obs.Default.Counter("histogram_build_items_total",
-		"Dataset items scanned by histogram builds.")
 	mEstimates = map[string]*obs.Counter{
 		"gh":      obs.Default.Counter("histogram_estimates_total", "Histogram join estimates by technique.", obs.L("technique", "gh")),
 		"basicgh": obs.Default.Counter("histogram_estimates_total", "Histogram join estimates by technique.", obs.L("technique", "basicgh")),
 		"ph":      obs.Default.Counter("histogram_estimates_total", "Histogram join estimates by technique.", obs.L("technique", "ph")),
 	}
-	mEstimateCells = obs.Default.Counter("histogram_estimate_cells_total",
-		"Grid cells touched by histogram estimates.")
 )
 
 // recordBuild flushes one Build call's accounting.
-func recordBuild(technique string, start time.Time, items int) {
+func recordBuild(technique string, start time.Time) {
 	mBuilds[technique].Inc()
 	mBuildSeconds[technique].Add(time.Since(start).Seconds())
-	mBuildItems.Add(uint64(items))
 }
 
 // recordEstimate flushes one Estimate call's accounting.
-func recordEstimate(technique string, cells int) {
-	mEstimates[technique].Inc()
-	mEstimateCells.Add(uint64(cells))
-}
+func recordEstimate(technique string) { mEstimates[technique].Inc() }

@@ -109,7 +109,7 @@ func (s *PHSummary) AvgSpan() float64 { return s.avgSpan }
 // accumulating the Table-1 parameters.
 func (p *PH) Build(d *dataset.Dataset) (core.Summary, error) {
 	start := time.Now()
-	defer func() { recordBuild("ph", start, d.Len()) }()
+	defer func() { recordBuild("ph", start) }()
 	nd := d.Normalize()
 	g := p.grid
 	cells := make([]phCell, g.Cells())
@@ -190,7 +190,7 @@ func (p *PH) Estimate(a, b core.Summary) (core.Estimate, error) {
 	if p.spanCorrection {
 		sumD /= (sa.avgSpan + sb.avgSpan) / 2
 	}
-	recordEstimate("ph", len(sa.cells))
+	recordEstimate("ph")
 	return core.NewEstimate(sumABC+sumD, sa.n, sb.n), nil
 }
 

@@ -72,6 +72,9 @@ type tableOpen struct {
 // NewManager returns a manager with no open tables.
 func NewManager(opts Options) *Manager {
 	opts.Repack = opts.Repack.withDefaults()
+	if opts.FS == nil {
+		opts.FS = faultfs.Disk()
+	}
 	return &Manager{
 		opts:    opts,
 		tables:  make(map[string]*Table),
@@ -148,9 +151,10 @@ func (m *Manager) DegradedTables() []string {
 	return names
 }
 
-// Forget closes a table's mutation front and deletes its WAL — the
-// drop-table path. Missing state is not an error: most tables are never
-// mutated and have nothing to forget.
+// Forget closes a table's mutation front and deletes its WAL through the
+// manager's filesystem — the drop-table path. Missing state is not an error:
+// most tables are never mutated and have nothing to forget. A WAL that cannot
+// be removed is: Recover would bring the table back at the next start.
 func (m *Manager) Forget(name string) error {
 	m.mu.Lock()
 	t := m.tables[name]
@@ -160,14 +164,14 @@ func (m *Manager) Forget(name string) error {
 	if t != nil {
 		err = t.Close()
 		if t.WALPath() != "" {
-			if rmErr := os.Remove(t.WALPath()); rmErr != nil && err == nil {
+			if rmErr := m.opts.FS.Remove(t.WALPath()); rmErr != nil && err == nil {
 				err = rmErr
 			}
 		}
 		return err
 	}
 	if p, pathErr := m.walPath(name); pathErr == nil && p != "" {
-		if rmErr := os.Remove(p); rmErr != nil && !os.IsNotExist(rmErr) {
+		if rmErr := m.opts.FS.Remove(p); rmErr != nil && !os.IsNotExist(rmErr) {
 			err = rmErr
 		}
 	}

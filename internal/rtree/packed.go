@@ -4,24 +4,17 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"time"
 
 	"spatialsel/internal/geom"
 	"spatialsel/internal/hilbert"
 	"spatialsel/internal/obs"
 )
 
-// Packed build counters. Registering a table and folding one pack the whole
-// table; a publish packs only its overlay's delta items, so on the write path
-// the items counter grows with the batches, not the table.
-var (
-	mPackedBuilds = obs.Default.Counter("rtree_packed_builds_total",
-		"Packed images built: a table's base at registration and at each fold, its delta at each publish.")
-	mPackedBuildSeconds = obs.Default.FloatCounter("rtree_packed_build_seconds_total",
-		"Seconds spent building packed snapshot images.")
-	mPackedBuildItems = obs.Default.Counter("rtree_packed_build_items_total",
-		"Item slots written by packed snapshot image builds.")
-)
+// mPackedBuildItems counts packed item slots written. Registering a table and
+// folding one pack the whole table; a publish packs only its overlay's delta
+// items, so on the write path it grows with the batches, not the table.
+var mPackedBuildItems = obs.Default.Counter("rtree_packed_build_items_total",
+	"Item slots written by packed snapshot image builds.")
 
 // Packed is a read-optimized, immutable image of a table's items for published
 // snapshots — what the paper draws: the item MBRs in four parallel []float64
@@ -127,7 +120,6 @@ func slotDead(dead []uint64, i int) bool { return dead[i>>6]>>(uint(i)&63)&1 != 
 // keys, a sort and the index; items is only read. No items pack to an empty
 // image.
 func PackItems(items []Item) *Packed {
-	startTime := time.Now()
 	n := len(items)
 	p := &Packed{size: n}
 	if n > 0 {
@@ -170,9 +162,7 @@ func PackItems(items []Item) *Packed {
 		}
 		p.tiles = buildTileIndex(p.itemXMin, p.itemYMin, p.itemXMax, p.itemYMax)
 	}
-	mPackedBuilds.Inc()
 	mPackedBuildItems.Add(uint64(n))
-	mPackedBuildSeconds.Add(time.Since(startTime).Seconds())
 	return p
 }
 

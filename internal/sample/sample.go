@@ -27,18 +27,9 @@ import (
 	"spatialsel/internal/sweep"
 )
 
-// Engine-level sampling counters: how many items the estimators draw and how
-// many sample-join hits their estimates observe before scaling.
-var (
-	mSampleBuilds = obs.Default.Counter("sample_builds_total",
-		"Sampling summaries built.")
-	mSampleDraws = obs.Default.Counter("sample_draws_total",
-		"Items drawn into samples across builds.")
-	mSampleEstimates = obs.Default.Counter("sample_estimates_total",
-		"Sampling-based join estimates computed.")
-	mSampleJoinHits = obs.Default.Counter("sample_join_hits_total",
-		"Intersecting sample pairs observed during estimates.")
-)
+// mSampleDraws counts the items the sampling estimators draw.
+var mSampleDraws = obs.Default.Counter("sample_draws_total",
+	"Items drawn into samples across builds.")
 
 // Method selects how sample items are picked.
 type Method int
@@ -141,7 +132,6 @@ func (t *Technique) Build(d *dataset.Dataset) (core.Summary, error) {
 		return nil, fmt.Errorf("sample: dataset %q is empty", d.Name)
 	}
 	smp := t.draw(d)
-	mSampleBuilds.Inc()
 	mSampleDraws.Add(uint64(len(smp)))
 	return &Summary{
 		name:     d.Name,
@@ -209,8 +199,6 @@ func (t *Technique) Estimate(a, b core.Summary) (core.Estimate, error) {
 		return core.Estimate{}, core.ErrSummaryMismatch
 	}
 	count := sweep.Count(sa.sample, sb.sample)
-	mSampleEstimates.Inc()
-	mSampleJoinHits.Add(uint64(count))
 	if sa.achieved == 0 || sb.achieved == 0 {
 		return core.Estimate{}, fmt.Errorf("sample: zero achieved fraction")
 	}

@@ -17,8 +17,6 @@ var (
 		"Plans executed.")
 	mExecRows = obs.Default.Counter("sdb_exec_rows_total",
 		"Result rows materialized by the executor, summed over operators.")
-	mExecProbeRows = obs.Default.Counter("sdb_exec_probe_rows_total",
-		"Index probes issued by extension steps.")
 )
 
 // RelError is the paper's estimation error |est − actual| / actual; an
@@ -226,7 +224,6 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		stepSp.Set("probe_rows", float64(probes))
 		stepSp.End()
 		mExecRows.Add(uint64(len(rows)))
-		mExecProbeRows.Add(uint64(probes))
 	}
 	return &Result{Columns: cols, Rows: rows}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -312,5 +314,43 @@ func TestWALDegradedModeOverHTTP(t *testing.T) {
 	}
 	if got := s.Ingest().DegradedTables(); len(got) != 0 {
 		t.Fatalf("DegradedTables after recovery = %v, want none", got)
+	}
+}
+
+// TestDropTableWALRemoveFault: a dropped table's WAL is removed through the
+// WAL filesystem, so a failed remove is seen — and answered 500, since Recover
+// brings the table back from the WAL left on disk at the next start.
+func TestDropTableWALRemoveFault(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.Disk(), 5)
+	_, ts := newTestServer(t, Config{WALDir: dir, WALFS: inj})
+	createTable(t, ts.URL, "wd", "uniform", 300, 3, false)
+	if resp := postJSON(t, ts.URL+"/v1/tables/wd/insert", InsertRequest{Items: [][4]float64{{0.1, 0.1, 0.2, 0.2}}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert = %d, want 200", resp.StatusCode)
+	}
+	wal := filepath.Join(dir, "wd.wal")
+	if _, err := os.Stat(wal); err != nil {
+		t.Fatalf("no WAL after a mutation: %v", err)
+	}
+
+	inj.Add(faultfs.Fault{Op: faultfs.OpRemove, Path: "wd.wal"})
+	var body map[string]string
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/tables/wd", nil, &body); code != http.StatusInternalServerError || !strings.Contains(body["error"], "returns on restart") {
+		t.Fatalf("DELETE with a failing WAL remove = %d %v, want 500 saying the table returns on restart", code, body)
+	}
+	if inj.Injected(faultfs.OpRemove) != 1 {
+		t.Fatalf("the remove fault fired %d times, want 1: Forget bypassed the WAL filesystem", inj.Injected(faultfs.OpRemove))
+	}
+	if _, err := os.Stat(wal); err != nil {
+		t.Fatalf("WAL gone after a failed remove: %v", err)
+	}
+
+	// What the 500 warns of: the next start recovers the table.
+	s2, err := New(Config{WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Ingest().Recover(); err != nil || len(got) != 1 || got[0] != "wd" {
+		t.Fatalf("Recover = %v, %v; want [wd]", got, err)
 	}
 }

@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -144,9 +148,12 @@ func TestMetricsIncludeEngineSeries(t *testing.T) {
 
 // TestMetricsExpositionNames holds every family /metrics renders to the
 // exposition's naming contract — snake_case, a reserved namespace, counters
-// end in _total — which dashboards and bench/'s per-layer attribution key on.
-// This package links every engine package, so after each route has served one
-// request with admission and telemetry on, the render carries every family
+// end in _total — which dashboards and bench/'s per-layer attribution key on,
+// and to the committed family list (testdata/metric_families.txt), whose
+// every line names what reads that family: a family added without a line
+// fails, and so does a listed family that stops rendering. This package links
+// every engine package, so after each route has served one request with
+// admission, telemetry and a WAL directory on, the render carries every family
 // the daemon can expose; a route added without a request here fails too.
 func TestMetricsExpositionNames(t *testing.T) {
 	// The first name segments the exposition reserves: the mini-DBMS (sdb),
@@ -195,6 +202,7 @@ func TestMetricsExpositionNames(t *testing.T) {
 			t.Errorf("route %s served no request: its series are missing from the render under test", route)
 		}
 	}
+	listed := readFamilyList(t)
 	families := 0
 	for _, line := range strings.Split(metrics, "\n") {
 		rest, ok := strings.CutPrefix(line, "# TYPE ")
@@ -203,6 +211,13 @@ func TestMetricsExpositionNames(t *testing.T) {
 		}
 		families++
 		name, kind, _ := strings.Cut(rest, " ")
+		switch want, ok := listed[name]; {
+		case !ok:
+			t.Errorf("family %s (%s) renders but testdata/metric_families.txt has no line naming what reads it", name, kind)
+		case want != kind:
+			t.Errorf("family %s renders as a %s, listed as a %s", name, kind, want)
+		}
+		delete(listed, name)
 		switch ns, _, _ := strings.Cut(name, "_"); {
 		case !snakeCase.MatchString(name):
 			t.Errorf("metric %q is not snake_case ([a-z0-9_], starting with a letter)", name)
@@ -214,6 +229,126 @@ func TestMetricsExpositionNames(t *testing.T) {
 	}
 	if families == 0 {
 		t.Fatalf("no # TYPE lines in the render:\n%s", metrics)
+	}
+	for name := range listed {
+		t.Errorf("listed family %s no longer renders: take its line out of testdata/metric_families.txt", name)
+	}
+}
+
+// readFamilyList parses testdata/metric_families.txt into family → kind. Each
+// line is "name kind reader…"; a line without a reader is an error.
+func readFamilyList(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "metric_families.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]string{}
+	for i, line := range strings.Split(string(raw), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 3 {
+			t.Fatalf("metric_families.txt:%d: %q names no reader", i+1, line)
+		}
+		if _, dup := families[fields[0]]; dup {
+			t.Fatalf("metric_families.txt:%d: %s listed twice", i+1, fields[0])
+		}
+		families[fields[0]] = fields[1]
+	}
+	return families
+}
+
+// TestEstimateErrorPerPair: every executed query adds its estimate's error
+// once, to the series of the plan's base⋈first pair, ordered by name. On a
+// server with telemetry, admission and a WAL directory, /metrics renders one
+// series per pair and none of the removed drift-watchdog or engine families.
+func TestEstimateErrorPerPair(t *testing.T) {
+	cfg := telemetryTestConfig()
+	cfg.Level = 5
+	cfg.Admission = true
+	cfg.WALDir = t.TempDir()
+	s, ts := newTestServer(t, cfg)
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		createTable(t, ts.URL, name, "polyline", 600, int64(i+1), false)
+	}
+	counts := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, line := range strings.Split(fetchMetrics(t, ts.URL), "\n") {
+			if rest, ok := strings.CutPrefix(line, "sdbd_estimate_rel_error_count"); ok {
+				labels, v, _ := strings.Cut(rest, " ")
+				n, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("parse %q: %v", line, err)
+				}
+				out[labels] = n
+			}
+		}
+		return out
+	}
+	executed := 0
+	query := func(q QueryRequest) {
+		t.Helper()
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", q, nil); code != http.StatusOK {
+			t.Fatalf("query %v: status %d", q.Tables, code)
+		}
+		executed++
+	}
+	const ab = `{left="a",right="b"}`
+
+	// a⋈b and b⋈a are one series.
+	query(QueryRequest{Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}}})
+	query(QueryRequest{Tables: []string{"b", "a"}, Predicates: [][2]string{{"b", "a"}}})
+	if got := counts(); got[ab] != 2 || len(got) != 1 {
+		t.Errorf("after a⋈b and b⋈a: counts %v, want only %s at 2", got, ab)
+	}
+
+	// A 3-table chain adds to its (base, first) pair, whichever order the
+	// planner picks.
+	chain := QueryRequest{Tables: []string{"c", "d", "e"}, Predicates: [][2]string{{"c", "d"}, {"d", "e"}}}
+	plan, err := s.store.Snapshot().Catalog.Plan((&QuerySpec{Tables: chain.Tables, Predicates: chain.Predicates}).toQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, right := plan.Base, plan.Steps[0].Table
+	if right < left {
+		left, right = right, left
+	}
+	query(chain)
+	pair := fmt.Sprintf(`{left=%q,right=%q}`, left, right)
+	if got := counts(); got[pair] != 1 || got[ab] != 2 || len(got) != 2 {
+		t.Errorf("after the chain planned %s⋈%s first: counts %v, want %s at 1 beside %s", plan.Base, plan.Steps[0].Table, got, pair, ab)
+	}
+
+	// A windowed join that returns nothing is scored all the same, once.
+	query(QueryRequest{
+		Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}},
+		Windows: map[string][4]float64{"a": {0, 0, 0.2, 0.2}, "b": {0.8, 0.8, 1, 1}},
+	})
+	got := counts()
+	if got[ab] != 3 {
+		t.Errorf("an empty windowed join took %s from 2 to %g, want 3", ab, got[ab])
+	}
+	total := 0.0
+	for _, n := range got {
+		total += n
+	}
+	if total != float64(executed) {
+		t.Errorf("error counts sum to %g over %v, want one per executed query (%d)", total, got, executed)
+	}
+
+	s.Telemetry().Tick(time.Now())
+	metrics := fetchMetrics(t, ts.URL)
+	for _, gone := range []string{
+		"sdbd_estimate_rel_error_p50", "sdbd_estimate_rel_error_p90", "sdbd_estimate_drift_pairs",
+		"histogram_build_items_total", "histogram_estimate_cells_total",
+		"sample_builds_total", "sample_estimates_total", "sample_join_hits_total",
+		"sdb_exec_probe_rows_total", "rtree_packed_builds_total", "rtree_packed_build_seconds_total",
+	} {
+		if strings.Contains(metrics, "# TYPE "+gone+" ") {
+			t.Errorf("removed family %s still renders", gone)
+		}
 	}
 }
 
@@ -274,30 +409,32 @@ func TestBenchMetricFamiliesRender(t *testing.T) {
 	}
 }
 
-// TestDebugEndpointsGated: pprof and expvar must 404 by default and serve
-// when enabled.
+// TestDebugEndpointsGated: pprof must 404 by default and serve when enabled,
+// and /debug/vars is served under no config: /metrics is the one exposition.
 func TestDebugEndpointsGated(t *testing.T) {
-	_, off := newTestServer(t, Config{Level: 4})
-	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
-		resp, err := http.Get(off.URL + path)
+	status := func(base, path string) int {
+		t.Helper()
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s should 404 when disabled, got %d", path, resp.StatusCode)
-		}
+		return resp.StatusCode
 	}
-
-	_, on := newTestServer(t, Config{Level: 4, EnablePprof: true, EnableExpvar: true})
-	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
-		resp, err := http.Get(on.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s should serve when enabled, got %d", path, resp.StatusCode)
+	_, off := newTestServer(t, Config{Level: 4})
+	if code := status(off.URL, "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("/debug/pprof/ should 404 when disabled, got %d", code)
+	}
+	_, on := newTestServer(t, Config{Level: 4, EnablePprof: true})
+	if code := status(on.URL, "/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("/debug/pprof/ should serve when enabled, got %d", code)
+	}
+	tcfg := telemetryTestConfig()
+	tcfg.EnablePprof, tcfg.Admission, tcfg.WALDir = true, true, t.TempDir()
+	_, all := newTestServer(t, tcfg)
+	for _, base := range []string{off.URL, on.URL, all.URL} {
+		if code := status(base, "/debug/vars"); code != http.StatusNotFound {
+			t.Errorf("%s/debug/vars answered %d, want 404", base, code)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,6 +77,9 @@ var fuzzSeeds = []string{
 	`{}`,
 	// Not JSON objects at all.
 	``, `{`, `null`, `[]`, `{"unknown":1}`, `{"tables":7}`,
+	// A negative offset or limit was clamped to a page the body did not ask for.
+	`{"tables":["roads","streams"],"predicates":[["roads","streams"]],"offset":-5}`,
+	`{"tables":["roads","streams"],"predicates":[["roads","streams"]],"limit":-1}`,
 }
 
 // heavyCreate reports whether body, posted to /v1/tables, would build a table
@@ -141,6 +146,45 @@ func FuzzRequestBodies(f *testing.F) {
 			}
 			if got := observed() - before; got != 1 {
 				t.Errorf("POST %s %q: flight recorder observed %g requests, want 1", route, body, got)
+			}
+		}
+	})
+}
+
+// FuzzDebugQueries sends arbitrary query-string values to both telemetry
+// debug routes of a server that has ticked once. Whatever the values, each
+// answer is 200 or 400 with a JSON body. The debug routes are mounted without
+// the middleware's panic recovery, so a panic fails the run.
+func FuzzDebugQueries(f *testing.F) {
+	for _, seed := range [][6]string{
+		{"", "", "", "", "", ""},
+		{"sdbd_estimate_rel_error", "5m", "/v1/query", "0", "1", "10"},
+		{"sdbd_requests_total,sdbd_telemetry_", "-5m", "POST", "NaN", "true", "-1"},
+		{"sdbd_", "1e300", "", "1e300", "0", "1e300"},
+		{strings.Repeat("s", 10000), "NaN", "GET /healthz", "-1", "yes", "NaN"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4], seed[5])
+	}
+	s, err := New(telemetryTestConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	s.Telemetry().Tick(time.Now())
+
+	f.Fuzz(func(t *testing.T, series, window, route, minMS, errors, limit string) {
+		query := url.Values{
+			"series": {series}, "window": {window}, "route": {route},
+			"min_ms": {minMS}, "errors": {errors}, "limit": {limit},
+		}.Encode()
+		for _, path := range []string{"/v1/debug/timeseries", "/v1/debug/requests"} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path+"?"+query, nil))
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+				t.Errorf("GET %s?%s: status %d: %s", path, query, rec.Code, rec.Body)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" || !json.Valid(rec.Body.Bytes()) {
+				t.Errorf("GET %s?%s: response is not JSON (Content-Type %q): %s", path, query, ct, rec.Body)
 			}
 		}
 	})

@@ -228,7 +228,9 @@ func (s *Server) handleDropTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.ingest.Forget(name); err != nil {
-		s.logger.Warn("forget mutation front", "table", name, "error", err)
+		writeError(w, http.StatusInternalServerError,
+			"table %q is dropped but its write-ahead log could not be removed (%v): the table returns on restart", name, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
 }
@@ -447,7 +449,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // ---- query ------------------------------------------------------------
 
 // QueryRequest executes a join query with pagination over the materialized
-// result.
+// result. Limit and Offset must not be negative; a Limit of 0 or above the
+// server's cap (sdbd -max-rows) serves the cap, and an Offset past the end
+// serves an empty page.
 type QueryRequest struct {
 	Tables     []string              `json:"tables"`
 	Predicates [][2]string           `json:"predicates"`
@@ -486,6 +490,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Workers < 0 || req.Workers > maxRequestWorkers {
 		writeError(w, http.StatusBadRequest, "workers must be in [0, %d], got %d", maxRequestWorkers, req.Workers)
+		return
+	}
+	if req.Offset < 0 || req.Limit < 0 {
+		writeError(w, http.StatusBadRequest, "offset and limit must not be negative, got offset %d limit %d", req.Offset, req.Limit)
 		return
 	}
 	start := time.Now()
@@ -598,20 +606,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// nothing included, the estimate scored against 1 — writes the paper's
 	// Estimation Error, the planner's final cardinality estimate (which
 	// already accounts for windows) against the materialized row count, into
-	// its record, once, as the last operator's span has it; finish feeds the
-	// error histogram and the drift watchdog from there.
+	// its record, once, as the last operator's span has it; finish adds it to
+	// the plan's base⋈first pair in the error histogram.
 	total := res.Len()
 	ev.Rows = total
 	rel := sdb.RelError(estRows, float64(total))
 	ev.RelError = &rel
 
-	offset := req.Offset
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
+	offset := min(req.Offset, total)
 	limit := req.Limit
 	if limit <= 0 || limit > s.maxResultRows {
 		limit = s.maxResultRows

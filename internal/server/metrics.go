@@ -27,7 +27,6 @@ type Metrics struct {
 	reg        *obs.Registry
 	extra      []*obs.Registry // merged into Render after reg (e.g. telemetry)
 	inflight   *obs.Gauge
-	estErr     *obs.Histogram
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
 }
@@ -37,8 +36,6 @@ func NewMetrics() *Metrics {
 	m := &Metrics{reg: obs.NewRegistry()}
 	m.inflight = m.reg.Gauge("sdbd_inflight_requests",
 		"Requests currently being served.")
-	m.estErr = m.reg.Histogram("sdbd_estimate_rel_error",
-		"Estimate-vs-actual |est-actual|/actual over executed joins.", errorBuckets)
 	m.memoHits = m.reg.Counter("sdbd_estimate_cache_hits_total",
 		"Pairwise /v1/estimate requests answered from the table memo.")
 	m.memoMisses = m.reg.Counter("sdbd_estimate_cache_misses_total",
@@ -65,8 +62,16 @@ func (m *Metrics) DecInflight() { m.inflight.Dec() }
 
 // RecordEstimateError adds one observed |estimate − actual| / actual sample
 // (the paper's Estimation Error, as a fraction rather than percent) from a
-// really-executed join.
-func (m *Metrics) RecordEstimateError(relErr float64) { m.estErr.Observe(relErr) }
+// really-executed join to its table pair's series. The pair is ordered by
+// name, so a⋈b and b⋈a are one series.
+func (m *Metrics) RecordEstimateError(left, right string, relErr float64) {
+	if right < left {
+		left, right = right, left
+	}
+	m.reg.Histogram("sdbd_estimate_rel_error",
+		"Estimate-vs-actual |est-actual|/actual over executed joins, by the plan's first table pair (names in order).",
+		errorBuckets, obs.L("left", left), obs.L("right", right)).Observe(relErr)
+}
 
 // RecordEstimatorBuild counts one request that computed a pair estimate its
 // tables did not hold instead of looking it up, by technique ("gh" for the

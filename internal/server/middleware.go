@@ -99,20 +99,16 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 
 // finish is the one consumer of a finished request's record: the route
 // counter and latency histogram, the estimate memo's hit and miss counters and
-// the estimator-build counter, the estimate-error histogram, the drift
-// watchdog's sketch, the flight ring and the request log line are all read
-// off the same value. root is the request's span tree, nil with telemetry
-// off.
+// the estimator-build counter, the per-pair estimate-error histogram, the
+// flight ring and the request log line are all read off the same value. root
+// is the request's span tree, nil with telemetry off.
 func (s *Server) finish(ev *telemetry.Event, root *obs.Span, remote string) {
 	s.metrics.RecordRequest(ev.Route, ev.Status, time.Duration(ev.DurationMicros)*time.Microsecond)
 	if ev.RelError != nil {
-		s.metrics.RecordEstimateError(*ev.RelError)
-		if s.telemetry != nil {
-			// Multi-way plans attribute the error to the base⋈first pair:
-			// that first join dominates the plan's cardinality estimate, and
-			// for the common two-way query it names the whole query.
-			s.telemetry.Watchdog().Observe(telemetry.PairOf(ev.Tables[0], ev.Tables[1]), *ev.RelError)
-		}
+		// Multi-way plans attribute the error to the base⋈first pair: that
+		// first join dominates the plan's cardinality estimate, and for the
+		// common two-way query it names the whole query.
+		s.metrics.RecordEstimateError(ev.Tables[0], ev.Tables[1], *ev.RelError)
 	}
 	if ev.CacheHit != nil {
 		s.metrics.RecordEstimateLookup(*ev.CacheHit)

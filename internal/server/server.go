@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"expvar"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -45,9 +44,6 @@ type Config struct {
 	// default: profiling endpoints expose internals and cost CPU, so they
 	// are strictly opt-in (sdbd -pprof).
 	EnablePprof bool
-	// EnableExpvar mounts the expvar handler at /debug/vars. Off by
-	// default, opt-in via sdbd -expvar.
-	EnableExpvar bool
 	// WALDir is where per-table write-ahead logs live (sdbd -wal-dir). Empty
 	// disables durability: mutation endpoints still work, but mutated tables
 	// do not survive a restart.
@@ -75,15 +71,16 @@ type Config struct {
 	// WALBreaker paces degraded-mode write probes; zero values take defaults.
 	WALBreaker resilience.BreakerPolicy
 	// EnableTelemetry turns on the continuous-evidence layer: a background
-	// metric scraper with ring-buffer history, a per-request flight recorder,
-	// and the estimator-drift watchdog, queryable at /v1/debug/timeseries and
+	// metric scraper with ring-buffer history (which makes a window of the
+	// per-pair sdbd_estimate_rel_error series a recent mean error) and a
+	// per-request flight recorder, queryable at /v1/debug/timeseries and
 	// /v1/debug/requests. The query endpoints are mounted only when this is
 	// set (same opt-in discipline as pprof). The caller still owns the scrape
 	// loop: run Telemetry().Run in a goroutine (sdbd does).
 	EnableTelemetry bool
 	// Telemetry tunes the telemetry layer (scrape interval, ring sizes, slow
-	// threshold, drift policy). The Snapshot and OnDrift fields are owned by
-	// the server and overwritten. Ignored unless EnableTelemetry is set.
+	// threshold). The Snapshot field is owned by the server and overwritten.
+	// Ignored unless EnableTelemetry is set.
 	Telemetry telemetry.Options
 }
 
@@ -171,7 +168,6 @@ func New(cfg Config) (*Server, error) {
 		topts.Snapshot = func() map[string]float64 {
 			return obs.SnapshotMerged(s.metrics.reg, s.telemetry.Registry(), obs.Default)
 		}
-		topts.OnDrift = s.onDrift
 		s.telemetry = telemetry.New(topts)
 		s.metrics.merge(s.telemetry.Registry())
 	}
@@ -197,9 +193,6 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	if cfg.EnableExpvar {
-		s.mux.Handle("GET /debug/vars", expvar.Handler())
-	}
 	// Telemetry query endpoints are gated like pprof (mounted only when the
 	// subsystem is on) and mounted raw: querying history should not pollute
 	// the route counters or the flight ring it is reading.
@@ -208,15 +201,6 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("GET /v1/debug/requests", s.handleDebugRequests)
 	}
 	return s, nil
-}
-
-// onDrift is the watchdog's newly-crossed-pair callback. It reports and
-// triggers nothing: a re-pack rebuilds the packed image, not the histogram,
-// and the GH statistics are maintained incrementally and exactly, so there is
-// no rebuild that would change the estimate the pair is being flagged for.
-func (s *Server) onDrift(p telemetry.Pair, p90 float64) {
-	s.logger.Warn("estimator drift detected",
-		"left", p.Left, "right", p.Right, "rel_error_p90", p90)
 }
 
 func (s *Server) route(pattern string, h http.HandlerFunc) {

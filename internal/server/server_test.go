@@ -194,7 +194,7 @@ func TestEndToEnd(t *testing.T) {
 	if hits := metricValue(t, metrics, "sdbd_estimate_cache_hits_total"); hits < 1 {
 		t.Fatalf("cache hits = %v, want >= 1\n%s", hits, metrics)
 	}
-	if n := metricValue(t, metrics, "sdbd_estimate_rel_error_count"); n != 1 {
+	if n := metricValue(t, metrics, `sdbd_estimate_rel_error_count{left="roads",right="streams"}`); n != 1 {
 		t.Fatalf("estimate error samples = %v, want 1", n)
 	}
 	// Labels render in canonical (sorted-key) order.

@@ -17,20 +17,14 @@ import (
 	"spatialsel/internal/telemetry"
 )
 
-// telemetryTestConfig is the tuned-for-tests telemetry setup: a tiny drift
-// threshold so the natural GH estimation error on generated tables counts as
-// "drift", a low slow threshold, and a small sampling stride.
+// telemetryTestConfig is the tuned-for-tests telemetry setup: a low slow
+// threshold and a small sampling stride.
 func telemetryTestConfig() Config {
 	return Config{
 		EnableTelemetry: true,
 		Telemetry: telemetry.Options{
 			SlowQuery: 40 * time.Millisecond,
 			SampleN:   4,
-			Drift: telemetry.DriftConfig{
-				Threshold:   1e-9,
-				MinSamples:  3,
-				WindowTicks: 1000, // never rotate during a test
-			},
 		},
 	}
 }
@@ -237,13 +231,38 @@ func TestDebugRequestsMinMSBounds(t *testing.T) {
 	}
 }
 
+// TestDebugTimeseriesWindowBounds: window must parse as a non-negative
+// duration. -5m used to parse, and Store.Query reads a window ≤ 0 as none, so
+// it answered with the whole history.
+func TestDebugTimeseriesWindowBounds(t *testing.T) {
+	s, ts := newTestServer(t, telemetryTestConfig())
+	s.Telemetry().Tick(time.Now())
+	for _, tc := range []struct {
+		window string
+		want   int
+	}{
+		{"-5m", http.StatusBadRequest},
+		{"-1ns", http.StatusBadRequest},
+		{"NaN", http.StatusBadRequest},
+		{"1e300", http.StatusBadRequest},
+		{"5", http.StatusBadRequest},
+		{"0", http.StatusOK},
+		{"5m", http.StatusOK},
+		{"", http.StatusOK},
+	} {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/timeseries?window="+tc.window, nil, nil); code != tc.want {
+			t.Errorf("window=%q: status %d, want %d", tc.window, code, tc.want)
+		}
+	}
+}
+
 // TestTelemetryEndToEnd drives mixed traffic — fast queries, a slow request
 // above the threshold, an error, concurrent ingest batches — across several
 // manual scrape ticks, then checks the three telemetry surfaces together:
 // the time-series store (monotone counters, non-negative rates), the flight
 // recorder (slow and error retained with span trees, the fast bulk sampled),
-// and the drift watchdog (gauges past threshold, pair flagged). Run under
-// -race this also exercises every scrape-vs-observe interleaving.
+// and the per-pair estimate error (its windowed series match /metrics). Run
+// under -race this also exercises every scrape-vs-observe interleaving.
 func TestTelemetryEndToEnd(t *testing.T) {
 	s, err := New(telemetryTestConfig())
 	if err != nil {
@@ -274,7 +293,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	tick := func() { s.Telemetry().Tick(time.Now()) }
 	tick() // tick 1: baseline before traffic
 
-	// Mixed concurrent phase: joins (feeding the watchdog), ingest batches,
+	// Mixed concurrent phase: joins (feeding the error histogram), ingest batches,
 	// the slow request, and one error — all in flight together.
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -324,7 +343,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}()
 	wg.Wait()
 
-	tick() // tick 2: sees the traffic counters and evaluates drift
+	tick() // tick 2: sees the traffic counters
 	runQuery()
 	tick() // tick 3
 	runQuery()
@@ -356,11 +375,11 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	analyzedResp := slowServe("/v1/query?analyze=1", "feed-1", join)
 	// A join whose windows cannot meet returns nothing, and its estimate is
 	// scored all the same (against 1).
-	scored := metricValue(t, fetchMetrics(t, ts.URL), "sdbd_estimate_rel_error_count")
+	scored := metricValue(t, fetchMetrics(t, ts.URL), `sdbd_estimate_rel_error_count{left="roads",right="streams"}`)
 	disjoint := join
 	disjoint.Windows = map[string][4]float64{"roads": {0, 0, 0.2, 0.2}, "streams": {0.8, 0.8, 1, 1}}
 	emptyResp := slowServe("/v1/query?analyze=1", "feed-3", disjoint)
-	if n := metricValue(t, fetchMetrics(t, ts.URL), "sdbd_estimate_rel_error_count"); n != scored+1 {
+	if n := metricValue(t, fetchMetrics(t, ts.URL), `sdbd_estimate_rel_error_count{left="roads",right="streams"}`); n != scored+1 {
 		t.Errorf("sdbd_estimate_rel_error_count went %g → %g over an empty join, want one more observation", scored, n)
 	}
 	slowServe("/v1/tables/streams/batch", "feed-2", BatchRequest{
@@ -604,18 +623,28 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Error("query event missing est_rows / rel_error annotations")
 	}
 
-	// ---- drift watchdog -------------------------------------------------------
+	// ---- per-pair estimate error over a window -------------------------------
 
+	// The store samples the pair's error histogram like any other series, so
+	// its _sum and _count over a window are the pair's recent mean error.
+	tick()
+	const pair = `{left="roads",right="streams"}`
 	metrics := fetchMetrics(t, ts.URL)
-	p90 := metricValue(t, metrics, `sdbd_estimate_rel_error_p90{left="roads",right="streams"}`)
-	if p90 <= 1e-9 {
-		t.Errorf("drift gauge p90 = %g, want past the 1e-9 test threshold", p90)
+	var errSeries telemetry.TimeseriesResult
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/debug/timeseries?series=sdbd_estimate_rel_error&window=1h", nil, &errSeries); code != http.StatusOK {
+		t.Fatalf("timeseries status %d", code)
 	}
-	metricValue(t, metrics, `sdbd_estimate_rel_error_p50{left="roads",right="streams"}`)
-	if n := metricValue(t, metrics, "sdbd_estimate_drift_pairs"); n != 1 {
-		t.Errorf("drift pair count %g, want 1", n)
+	last := map[string]float64{}
+	for _, series := range errSeries.Series {
+		if n := len(series.Points); n > 0 {
+			last[series.Name] = series.Points[n-1].Value
+		}
 	}
-	if flagged := s.Telemetry().Watchdog().Flagged(); fmt.Sprint(flagged) != "[roads⋈streams]" {
-		t.Errorf("flagged pairs = %v, want [roads⋈streams]", flagged)
+	count, sum := last["sdbd_estimate_rel_error_count"+pair], last["sdbd_estimate_rel_error_sum"+pair]
+	if want := metricValue(t, metrics, "sdbd_estimate_rel_error_count"+pair); count != want || count == 0 {
+		t.Errorf("windowed error count %g, want the exposition's %g (> 0); series %v", count, want, last)
+	}
+	if !(sum > 0) || sum != metricValue(t, metrics, "sdbd_estimate_rel_error_sum"+pair) {
+		t.Errorf("windowed error sum %g does not match the exposition", sum)
 	}
 }

@@ -45,9 +45,10 @@ func (s *Server) handleDebugTimeseries(w http.ResponseWriter, r *http.Request) {
 	}
 	var window time.Duration
 	if raw := r.URL.Query().Get("window"); raw != "" {
+		// A negative window would select the whole history, as 0 does.
 		d, err := time.ParseDuration(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad window %q: %v", raw, err)
+		if err != nil || d < 0 {
+			writeError(w, http.StatusBadRequest, "bad window %q: want a non-negative duration such as 5m", raw)
 			return
 		}
 		window = d

@@ -87,3 +87,39 @@ func TestWorkersValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryPagingValidation: a negative offset or limit is a client error on
+// the query endpoint, as an out-of-range workers is. Both used to be clamped:
+// offset -5 served page 0 and limit -1 served the server's row cap. 0 keeps
+// its meaning of "default", and an offset past the end is an empty page.
+func TestQueryPagingValidation(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 4, MaxResultRows: 7})
+	createTable(t, ts.URL, "pa", "polyline", 3000, 7, false)
+	createTable(t, ts.URL, "pb", "polyline", 800, 8, false)
+
+	for _, tc := range []struct {
+		offset, limit int
+		want, rows    int
+	}{
+		{-5, 0, http.StatusBadRequest, 0},
+		{0, -1, http.StatusBadRequest, 0},
+		{-1, -1, http.StatusBadRequest, 0},
+		{0, 0, http.StatusOK, 7},
+		{0, 3, http.StatusOK, 3},
+		{1 << 30, 3, http.StatusOK, 0},
+	} {
+		var qr QueryResponse
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", QueryRequest{
+			Tables:     []string{"pa", "pb"},
+			Predicates: [][2]string{{"pa", "pb"}},
+			Offset:     tc.offset,
+			Limit:      tc.limit,
+		}, &qr)
+		if code != tc.want || len(qr.Rows) != tc.rows {
+			t.Errorf("offset %d limit %d: status %d with %d rows, want %d with %d", tc.offset, tc.limit, code, len(qr.Rows), tc.want, tc.rows)
+		}
+		if code == http.StatusOK && qr.TotalRows < 7 {
+			t.Fatalf("join of %d rows is too small to page", qr.TotalRows)
+		}
+	}
+}

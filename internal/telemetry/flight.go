@@ -13,13 +13,13 @@ import (
 // Event is one request's "wide event" and its only record: the server's
 // middleware creates one per request, the handler writes what only it knows
 // (tables, rows, estimate, relative error, admission verdict) straight into
-// the fields, and one consumer derives the route metrics, the estimate-error
-// histogram, the drift watchdog's sample, the flight ring entry and the
-// request log line from the finished value — so no two of them can disagree.
-// The handler runs on the middleware's goroutine; nothing here is locked.
+// the fields, and one consumer derives the route metrics, the per-pair
+// estimate-error histogram, the flight ring entry and the request log line
+// from the finished value — so no two of them can disagree. The handler runs
+// on the middleware's goroutine; nothing here is locked.
 //
 // Tables of an executed query are in plan order, base table first: the first
-// two name the join the watchdog attributes RelError to.
+// two name the pair whose error series RelError is added to.
 //
 // CacheHit is set by a pairwise estimate only: whether the table memo answered
 // it (sdb.Table.Estimate). Estimator and EstBuildMicros are set when the

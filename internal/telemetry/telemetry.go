@@ -1,8 +1,7 @@
 // Package telemetry is the continuous-evidence layer on top of internal/obs:
 // where obs answers "what are the counters now?", telemetry answers "what
-// were they over the last hour, what happened to that one slow request, and
-// is the estimator still honest?". It has three cooperating pieces, all
-// stdlib-only and bounded-memory:
+// were they over the last hour, and what happened to that one slow request?".
+// It has two cooperating pieces, both stdlib-only and bounded-memory:
 //
 //   - Store, an in-process time-series database: a scraper samples a metric
 //     snapshot on a fixed interval into per-series fixed-size ring buffers,
@@ -11,15 +10,13 @@
 //   - FlightRecorder, a bounded ring of per-request "wide events" with
 //     tail-sampling retention: errors, panics, and slow requests are always
 //     kept (with their span trees); the fast bulk is kept 1-in-N.
-//   - Watchdog, the estimator-drift monitor: windowed P² quantile sketches
-//     over per-table-pair relative error, exported as gauges and raising a
-//     drift flag the server logs. The flag triggers nothing: the statistics
-//     are maintained incrementally and exactly, so a rebuild cannot move
-//     them — a flagged pair is one the estimator itself gets wrong.
+//
+// How wrong the estimator has been lately is not a third piece: the server's
+// per-pair sdbd_estimate_rel_error histogram is scraped like any other
+// series, so a window of its _sum and _count is a per-pair mean error.
 //
 // The pieces share one obs.Registry so the subsystem's own health
-// (scrape counts, retained events, drift flags) shows up in /metrics like
-// everything else.
+// (scrape counts, retained events) shows up in /metrics like everything else.
 package telemetry
 
 import (
@@ -51,24 +48,27 @@ type Options struct {
 	FlightRing int
 	// SampleN keeps one in N fast, successful requests (default 16).
 	SampleN int
-	// Drift tunes the estimator-drift watchdog.
+	// Drift is ignored (see DriftConfig).
 	Drift DriftConfig
-	// OnDrift is invoked from Tick, once per window, for every table pair
-	// whose p90 relative error newly crossed the drift threshold — the hook
-	// the server uses to log the offending pair.
-	OnDrift func(Pair, float64)
 }
 
-// Telemetry bundles the three subsystems behind one lifecycle: New wires
-// them to a shared registry, Tick advances the scraper and the drift
-// evaluation together, Run tickers Tick until cancelled.
+// DriftConfig is ignored: estimator error is watched through the server's
+// per-pair sdbd_estimate_rel_error histogram, which has no threshold. It stays
+// only because the benchmark (bench/run.go) still sets Threshold; ROADMAP
+// item 1, the PR that updates bench/, removes it.
+type DriftConfig struct {
+	// Threshold is read by nothing.
+	Threshold float64
+}
+
+// Telemetry bundles the two subsystems behind one lifecycle: New wires them
+// to a shared registry, Tick advances the scraper, Run tickers Tick until
+// cancelled.
 type Telemetry struct {
 	reg      *obs.Registry
 	store    *Store
 	flight   *FlightRecorder
-	watchdog *Watchdog
 	interval time.Duration
-	onDrift  func(Pair, float64)
 	scrapes  *obs.Counter
 }
 
@@ -83,9 +83,7 @@ func New(o Options) *Telemetry {
 		reg:      reg,
 		store:    NewStore(o.Snapshot, o.RingSize, o.MaxSeries, reg),
 		flight:   NewFlightRecorder(o.SlowQuery, o.FlightRing, o.SampleN, reg),
-		watchdog: NewWatchdog(o.Drift, reg),
 		interval: o.Interval,
-		onDrift:  o.OnDrift,
 		scrapes: reg.Counter("sdbd_telemetry_scrapes_total",
 			"Completed telemetry scrape ticks."),
 	}
@@ -93,7 +91,7 @@ func New(o Options) *Telemetry {
 }
 
 // Registry returns the subsystem's own instrument registry (scrape counts,
-// retained-event counts, drift gauges) for merging into /metrics.
+// retained-event counts) for merging into /metrics.
 func (t *Telemetry) Registry() *obs.Registry { return t.reg }
 
 // Store returns the time-series store.
@@ -101,9 +99,6 @@ func (t *Telemetry) Store() *Store { return t.store }
 
 // Flight returns the request flight recorder.
 func (t *Telemetry) Flight() *FlightRecorder { return t.flight }
-
-// Watchdog returns the estimator-drift watchdog.
-func (t *Telemetry) Watchdog() *Watchdog { return t.watchdog }
 
 // Interval returns the scrape cadence Run uses.
 func (t *Telemetry) Interval() time.Duration { return t.interval }
@@ -117,18 +112,11 @@ func (t *Telemetry) Ready() bool {
 	return t.store.Ticks() > 0
 }
 
-// Tick runs one scrape pass at the given instant and evaluates the drift
-// watchdog, invoking the configured drift callback for every pair that newly
-// crossed the threshold. Exposed so tests and operators drive deterministic
-// ticks instead of waiting for the ticker.
+// Tick runs one scrape pass at the given instant. Exposed so tests and
+// operators drive deterministic ticks instead of waiting for the ticker.
 func (t *Telemetry) Tick(now time.Time) {
 	t.store.Tick(now)
 	t.scrapes.Inc()
-	for _, d := range t.watchdog.Evaluate() {
-		if t.onDrift != nil {
-			t.onDrift(d.Pair, d.P90)
-		}
-	}
 }
 
 // Run scrapes on the configured interval until ctx is cancelled. Nil-safe:

@@ -116,13 +116,13 @@ func TestStoreWindowAndRateAcrossCutoff(t *testing.T) {
 
 func TestStoreSeriesKind(t *testing.T) {
 	cases := map[string]string{
-		"sdbd_requests_total":                     "counter",
-		"sdbd_requests_total{route=\"GET /x\"}":   "counter",
-		"sdbd_request_duration_seconds_sum":       "counter",
-		"sdbd_request_duration_seconds_count":     "counter",
-		"sdbd_inflight_requests":                  "gauge",
-		"sdbd_estimate_rel_error_p90{left=\"a\"}": "gauge",
-		"sdbd_telemetry_series":                   "gauge",
+		"sdbd_requests_total":                   "counter",
+		"sdbd_requests_total{route=\"GET /x\"}": "counter",
+		"sdbd_request_duration_seconds_sum":     "counter",
+		"sdbd_request_duration_seconds_count":   "counter",
+		"sdbd_inflight_requests":                "gauge",
+		"sdbd_ingest_delta_items{table=\"a\"}":  "gauge",
+		"sdbd_telemetry_series":                 "gauge",
 	}
 	for name, want := range cases {
 		if got := seriesKind(name); got != want {
