@@ -39,10 +39,11 @@ race-all:
 
 # Fault-injection suite under the race detector: mixed query+ingest traffic
 # over a faulty filesystem (fsync failures, torn writes, ENOSPC), the WAL
-# failure-path tests, degraded read-only mode, and the HTTP-level admission
-# and degraded-mode contracts.
+# failure-path tests, degraded read-only mode, the HTTP-level admission
+# and degraded-mode contracts, and the table lifecycle (a dropped or
+# replaced table's old mutation front publishes nothing).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Degraded|Admission|WAL' ./internal/ingest/... ./internal/faultfs/... ./internal/resilience/... ./internal/server/...
+	$(GO) test -race -run 'Chaos|Fault|Degraded|Admission|WAL|Lifecycle' ./internal/ingest/... ./internal/faultfs/... ./internal/resilience/... ./internal/server/...
 
 # Every native fuzz target in the tree (found by name, so a new one is
 # picked up without editing this file) for five seconds each, two workers: the
@@ -57,13 +58,14 @@ fuzz-smoke:
 
 # Stock go vet, then the project's own analyzer suite (sdbvet: ctxpoll,
 # floateq, maporder syntactically, plus the flow-sensitive lockorder and
-# unlockpath on internal/lint/cfg). -stale-ignores makes a //lint:ignore that
-# no longer suppresses anything a finding too, so dead suppressions cannot
-# accumulate. Deliberate violations are annotated in source with
+# unlockpath on internal/lint/cfg) over every package, bench/'s module
+# included, type-checked against the go tool's export data. A //lint:ignore
+# that no longer suppresses anything is a finding too, so dead suppressions
+# cannot accumulate. Deliberate violations are annotated in source with
 # //lint:ignore <analyzer> <reason>.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/sdbvet -stale-ignores ./...
+	$(GO) run ./cmd/sdbvet ./...
 
 # Full lint gate: vet, and a gofmt check that fails on any unformatted file.
 lint: build vet

@@ -329,21 +329,21 @@ func BenchmarkRangeEstimate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			est = gh.EstimateRange(q)
 		}
-		b.ReportMetric(core.RelativeError(est, actual), "err%")
+		b.ReportMetric(100*core.RelError(est, actual), "err%")
 	})
 	b.Run("PH", func(b *testing.B) {
 		var est float64
 		for i := 0; i < b.N; i++ {
 			est = ph.EstimateRange(q)
 		}
-		b.ReportMetric(core.RelativeError(est, actual), "err%")
+		b.ReportMetric(100*core.RelError(est, actual), "err%")
 	})
 	b.Run("Parametric", func(b *testing.B) {
 		var est float64
 		for i := 0; i < b.N; i++ {
 			est = par.EstimateRange(q)
 		}
-		b.ReportMetric(core.RelativeError(est, actual), "err%")
+		b.ReportMetric(100*core.RelError(est, actual), "err%")
 	})
 	b.Run("RTreeExact", func(b *testing.B) {
 		var out []int

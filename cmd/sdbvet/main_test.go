@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
+// Patterns resolve against the working directory, the package directory
+// under go test.
 const (
-	floateqCorpus = "./internal/lint/testdata/src/floateq"
-	cleanCorpus   = "./internal/lint/testdata/src/clean"
+	floateqCorpus = "../../internal/lint/testdata/src/floateq"
+	cleanCorpus   = "../../internal/lint/testdata/src/clean"
 )
 
-// runVet invokes run with captured streams. Corpus paths are resolved against
-// the module root by the loader, so the test's working directory is
-// irrelevant.
+// runVet invokes run with captured streams.
 func runVet(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errw bytes.Buffer
@@ -62,33 +62,18 @@ func TestSeededViolationsExitNonZero(t *testing.T) {
 	}
 }
 
-func TestDisableSkipsAnalyzer(t *testing.T) {
-	code, stdout, _ := runVet(t, "-disable", "floateq", floateqCorpus)
-	if code != 0 {
-		t.Fatalf("-disable floateq still exited %d:\n%s", code, stdout)
-	}
-}
-
-func TestEnableRestrictsSuite(t *testing.T) {
-	// Only ctxpoll enabled: the floateq corpus has no ctxpoll violations.
-	code, stdout, _ := runVet(t, "-enable", "ctxpoll", floateqCorpus)
-	if code != 0 {
-		t.Fatalf("-enable ctxpoll on floateq corpus exited %d:\n%s", code, stdout)
-	}
-	// Enabling the matching analyzer still finds the seeded violations.
-	code, _, _ = runVet(t, "-enable", "floateq", floateqCorpus)
-	if code != 1 {
-		t.Fatalf("-enable floateq on floateq corpus exited %d, want 1", code)
-	}
-}
-
-func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	code, _, stderr := runVet(t, "-enable", "nosuch", cleanCorpus)
-	if code != 2 {
-		t.Fatalf("unknown analyzer exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "nosuch") {
-		t.Errorf("stderr should name the unknown analyzer:\n%s", stderr)
+// TestRemovedFlagsAreUsageErrors: -list is sdbvet's only flag. The suite
+// always runs whole and always reports stale suppressions, so the flags that
+// selected analyzers or opted into that report are unknown.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-enable", "floateq", cleanCorpus},
+		{"-disable", "floateq", cleanCorpus},
+		{"-stale-ignores", cleanCorpus},
+	} {
+		if code, _, stderr := runVet(t, args...); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Errorf("%v exited %d, want 2 with an unknown-flag error:\n%s", args, code, stderr)
+		}
 	}
 }
 
@@ -99,24 +84,14 @@ func TestBadPatternIsUsageError(t *testing.T) {
 	}
 }
 
+// TestStaleIgnoresFlag: a directive that suppresses nothing is a finding
+// and fails the run; no flag turns the report on or off.
 func TestStaleIgnoresFlag(t *testing.T) {
-	const staleCorpus = "./internal/lint/testdata/src/staleignore"
-	// Without the flag the stale directive is invisible.
-	code, stdout, _ := runVet(t, staleCorpus)
-	if code != 0 || stdout != "" {
-		t.Fatalf("without -stale-ignores: code=%d stdout=%q", code, stdout)
-	}
-	// With it, the dead suppression is a finding and fails the run.
-	code, stdout, _ = runVet(t, "-stale-ignores", staleCorpus)
+	code, stdout, _ := runVet(t, "../../internal/lint/testdata/src/staleignore")
 	if code != 1 {
-		t.Fatalf("-stale-ignores exited %d, want 1\n%s", code, stdout)
+		t.Fatalf("stale directive exited %d, want 1\n%s", code, stdout)
 	}
 	if !strings.Contains(stdout, "stale //lint:ignore floateq") {
 		t.Errorf("stdout missing stale-directive report:\n%s", stdout)
-	}
-	// A directive whose analyzer did not run is not judged stale.
-	code, stdout, _ = runVet(t, "-stale-ignores", "-enable", "maporder", staleCorpus)
-	if code != 0 || stdout != "" {
-		t.Errorf("partial suite judged a directive it could not vindicate: code=%d stdout=%q", code, stdout)
 	}
 }

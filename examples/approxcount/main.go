@@ -85,7 +85,7 @@ func main() {
 
 		fmt.Printf("%-20s %14.0f %14d %9.1f%% %14s %14s\n",
 			q.name, est.PairCount, actual,
-			core.RelativeError(est.PairCount, float64(actual)),
+			100*core.RelError(est.PairCount, float64(actual)),
 			estTime, joinTime)
 	}
 	fmt.Println("\n(bridge counts are filter-step approximations: intersecting MBRs of road and river segments)")

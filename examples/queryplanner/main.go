@@ -85,7 +85,7 @@ func main() {
 			correctOrder = false
 		}
 		prevActual = actual
-		errPct := core.RelativeError(p.est.PairCount, float64(actual))
+		errPct := 100 * core.RelError(p.est.PairCount, float64(actual))
 		fmt.Printf("%-16s %16.0f %16d %11.1f%%\n",
 			p.left+" ⋈ "+p.right, p.est.PairCount, actual, errPct)
 	}

@@ -44,7 +44,7 @@ func main() {
 
 	fmt.Printf("estimated pairs: %10.0f   selectivity %.3e\n", est.PairCount, est.Selectivity)
 	fmt.Printf("actual pairs:    %10d   selectivity %.3e\n", truth.PairCount, truth.Selectivity)
-	fmt.Printf("error:           %9.2f%%\n", core.RelativeError(est.Selectivity, truth.Selectivity))
+	fmt.Printf("error:           %9.2f%%\n", 100*core.RelError(est.Selectivity, truth.Selectivity))
 	fmt.Printf("exact join took %s; estimation reads %d histogram bytes\n",
 		truth.JoinTime, hb.SizeBytes()+hs.SizeBytes())
 }

@@ -89,22 +89,21 @@ func ComputeGroundTruth(a, b *dataset.Dataset) GroundTruth {
 	return gt
 }
 
-// RelativeError returns the paper's Estimation Error metric: the absolute
-// difference between estimate and truth as a percentage of the truth. A zero
-// truth with a nonzero estimate yields +Inf-free sentinel 100·estimate
-// (a practical convention: every estimated pair is pure error).
-func RelativeError(estimated, actual float64) float64 {
-	if actual == 0 {
-		if estimated == 0 {
-			return 0
-		}
-		return 100 * estimated
+// RelError is the paper's Estimation Error, |est − actual| / actual, as a
+// ratio; an actual of zero reports the estimate itself (the error against
+// 1), keeping the value finite for empty joins. It is the one definition:
+// the operator spans of EXPLAIN ANALYZE, the server's per-request record and,
+// times 100, the percentages of the evaluation tables all compute it here.
+func RelError(est, actual float64) float64 {
+	den := actual
+	if den <= 0 {
+		den = 1
 	}
-	d := estimated - actual
-	if d < 0 {
-		d = -d
+	e := est - actual
+	if e < 0 {
+		e = -e
 	}
-	return 100 * d / actual
+	return e / den
 }
 
 // Result bundles one technique's performance on one workload, in the paper's
@@ -145,6 +144,6 @@ func Run(t Technique, a, b *dataset.Dataset, truth GroundTruth) (Result, error) 
 	}
 	res.EstimateTime = time.Since(start)
 	res.Estimate = est
-	res.ErrorPct = RelativeError(est.Selectivity, truth.Selectivity)
+	res.ErrorPct = 100 * RelError(est.Selectivity, truth.Selectivity)
 	return res, nil
 }

@@ -27,20 +27,28 @@ func TestNewEstimate(t *testing.T) {
 	}
 }
 
+// TestRelativeError: RelError is the paper's Estimation Error as a ratio, a
+// zero truth scored against 1; the evaluation tables print it times 100.
 func TestRelativeError(t *testing.T) {
-	tests := []struct {
-		est, actual, want float64
-	}{
+	for _, tt := range []struct{ est, actual, want float64 }{
+		{110, 100, 0.1},
+		{90, 100, 0.1},
+		{5, 0, 5}, // the denominator clamps to 1
+		{0, 0, 0},
+	} {
+		if got := RelError(tt.est, tt.actual); got != tt.want {
+			t.Errorf("RelError(%g,%g) = %g, want exactly %g", tt.est, tt.actual, got, tt.want)
+		}
+	}
+	for _, tt := range []struct{ est, actual, wantPct float64 }{
 		{0.05, 0.05, 0},
 		{0.055, 0.05, 10},
 		{0.045, 0.05, 10},
-		{0, 0, 0},
-		{0.02, 0, 2}, // sentinel 100·estimate
+		{0.02, 0, 2},
 		{0, 0.05, 100},
-	}
-	for _, tt := range tests {
-		if got := RelativeError(tt.est, tt.actual); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("RelativeError(%g,%g) = %g, want %g", tt.est, tt.actual, got, tt.want)
+	} {
+		if got := 100 * RelError(tt.est, tt.actual); math.Abs(got-tt.wantPct) > 1e-9 {
+			t.Errorf("100·RelError(%g,%g) = %g, want %g", tt.est, tt.actual, got, tt.wantPct)
 		}
 	}
 }

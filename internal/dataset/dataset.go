@@ -141,14 +141,24 @@ func (d *Dataset) Normalize() *Dataset {
 	}
 	items := make([]geom.Rect, len(d.Items))
 	for i, r := range d.Items {
-		items[i] = geom.Rect{
-			MinX: (r.MinX - d.Extent.MinX) / w,
-			MinY: (r.MinY - d.Extent.MinY) / h,
-			MaxX: (r.MaxX - d.Extent.MinX) / w,
-			MaxY: (r.MaxY - d.Extent.MinY) / h,
-		}
+		items[i] = NormalizeRect(d.Extent, r)
 	}
 	return &Dataset{Name: d.Name, Extent: geom.UnitSquare, Items: items}
+}
+
+// NormalizeRect maps r from the coordinate space of extent onto the unit
+// square extent spans, extent having positive width and height. It is the
+// one spelling of the map: Normalize applies it to a registered dataset and
+// the ingest path to every rectangle inserted later, so the two land on
+// bit-identical coordinates.
+func NormalizeRect(extent, r geom.Rect) geom.Rect {
+	w, h := extent.Width(), extent.Height()
+	return geom.Rect{
+		MinX: (r.MinX - extent.MinX) / w,
+		MinY: (r.MinY - extent.MinY) / h,
+		MaxX: (r.MaxX - extent.MinX) / w,
+		MaxY: (r.MaxY - extent.MinY) / h,
+	}
 }
 
 // Stats holds the whole-dataset summary statistics used by the parametric

@@ -159,7 +159,7 @@ func RunFigure6(w *Workload, seed int64) ([]SamplingResult, error) {
 				Workload:    w.Name,
 				Combo:       combo.Label(),
 				Method:      m.String(),
-				ErrorPct:    core.RelativeError(est.Selectivity, w.Truth.Selectivity),
+				ErrorPct:    100 * core.RelError(est.Selectivity, w.Truth.Selectivity),
 				EstTime1Pct: pct(float64(elapsed), float64(w.TotalJoinTime())),
 				EstTime2Pct: pct(float64(elapsed), float64(w.RTreeJoinTime)),
 				SpacePct:    pct(float64(sa.SizeBytes()+sb.SizeBytes()), float64(w.RTreeBytes)),
@@ -229,7 +229,7 @@ func RunFigure7(w *Workload, maxLevel int) ([]HistogramResult, error) {
 				Workload:     w.Name,
 				Technique:    tc.name,
 				Level:        level,
-				ErrorPct:     core.RelativeError(est.Selectivity, w.Truth.Selectivity),
+				ErrorPct:     100 * core.RelError(est.Selectivity, w.Truth.Selectivity),
 				EstTimePct:   pct(float64(estTime), float64(w.RTreeJoinTime)),
 				BuildTimePct: pct(float64(buildTime), float64(w.RTreeBuildTime)),
 				SpacePct:     pct(float64(sa.SizeBytes()+sb.SizeBytes()), float64(w.RTreeBytes)),

@@ -186,7 +186,7 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 	// every acknowledged insert survived, and that totals agree with a
 	// fault-free application of the acknowledged history.
 	tbl.Close()
-	rec, err := RecoverTable("chaos", 6, walPath, store.publish)
+	rec, err := RecoverTableOpts("chaos", 6, TableOptions{WALPath: walPath}, store.publish)
 	if err != nil {
 		t.Fatalf("post-chaos recovery: %v", err)
 	}

@@ -59,7 +59,7 @@ func (t *Table) enterDegraded(cause error) *DegradedError {
 // recoverLocked is the half-open probe's repair step: it discards the
 // write-side in-memory state (which may include batches that were applied
 // but never acknowledged — exactly what a crash would lose) and rebuilds it
-// from the WAL's durable prefix, the same path RecoverTable takes after a
+// from the WAL's durable prefix, the same path RecoverTableOpts takes after a
 // real restart. It waits for in-flight committers and any re-pack to drain
 // first so no goroutine holds references into the state being replaced.
 // Callers hold t.mu; the wait releases it.
@@ -86,7 +86,7 @@ func (t *Table) recoverLocked() error {
 }
 
 // rebuildState reconstructs a table's write-side state from a checkpoint
-// plus replayed batches — shared by restart recovery (RecoverTable) and
+// plus replayed batches — shared by restart recovery (RecoverTableOpts) and
 // degraded-mode recovery (recoverLocked). Replay touches only the item log
 // and the statistics; the image is packed once, from the items that survive
 // it, so what comes back is a clean base under an empty overlay — a fold —

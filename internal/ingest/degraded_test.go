@@ -112,7 +112,7 @@ func TestDegradedModeEntryServesReadsAndRecovers(t *testing.T) {
 
 	// Durable state agrees after a clean restart-style recovery.
 	tbl.Close()
-	rec, err := RecoverTable("ft", 6, walPath, store.publish)
+	rec, err := RecoverTableOpts("ft", 6, TableOptions{WALPath: walPath}, store.publish)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

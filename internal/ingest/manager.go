@@ -57,7 +57,7 @@ type Manager struct {
 	tables map[string]*Table
 	// opening latches in-flight lazy opens so the heavy open work (and the
 	// caller-provided Lookup callback) runs outside mu while still being paid
-	// once per table.
+	// once per table. Forget claims the same latch while it retires a name.
 	opening map[string]*tableOpen
 }
 
@@ -88,7 +88,8 @@ func NewManager(opts Options) *Manager {
 // an in-flight latch, and the open itself — including the caller-provided
 // Lookup callback — runs outside m.mu so unknown code never executes inside
 // the manager's critical section. A failed open is not cached; the next
-// caller retries.
+// caller retries. A caller that waited on Forget's latch gets ErrClosed: the
+// table it meant was dropped or replaced.
 func (m *Manager) Table(name string) (*Table, error) {
 	m.mu.Lock()
 	if t, ok := m.tables[name]; ok {
@@ -151,29 +152,50 @@ func (m *Manager) DegradedTables() []string {
 	return names
 }
 
-// Forget closes a table's mutation front and deletes its WAL through the
-// manager's filesystem — the drop-table path. Missing state is not an error:
-// most tables are never mutated and have nothing to forget. A WAL that cannot
-// be removed is: Recover would bring the table back at the next start.
-func (m *Manager) Forget(name string) error {
+// Forget retires name's mutation front around change, the store edit that
+// drops or replaces the table, so that nothing the old front does can bring
+// back the table or its old data. It claims the name's opening latch — a
+// mutation that asks for the front meanwhile waits, then gets ErrClosed —
+// closes the front, runs change, and, when change reports that the store
+// changed, deletes the WAL through the manager's filesystem (when it did
+// not, the next mutation opens a fresh front on the table the store still
+// holds, and that front's new WAL replaces the old one). Missing state is
+// not an error: most tables are never mutated and have nothing to forget. A
+// WAL that cannot be removed is: Recover would bring the table back at the
+// next start.
+func (m *Manager) Forget(name string, change func() bool) error {
+	fl := &tableOpen{done: make(chan struct{}), err: fmt.Errorf("ingest: %s: %w", name, ErrClosed)}
 	m.mu.Lock()
+	for m.opening[name] != nil {
+		open := m.opening[name]
+		m.mu.Unlock()
+		<-open.done
+		m.mu.Lock()
+	}
+	m.opening[name] = fl
 	t := m.tables[name]
 	delete(m.tables, name)
 	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		delete(m.opening, name)
+		m.mu.Unlock()
+		close(fl.done)
+	}()
+
 	var err error
+	walPath := ""
 	if t != nil {
 		err = t.Close()
-		if t.WALPath() != "" {
-			if rmErr := m.opts.FS.Remove(t.WALPath()); rmErr != nil && err == nil {
-				err = rmErr
-			}
-		}
+		walPath = t.WALPath()
+	} else if p, pathErr := m.walPath(name); pathErr == nil {
+		walPath = p
+	}
+	if !change() || walPath == "" {
 		return err
 	}
-	if p, pathErr := m.walPath(name); pathErr == nil && p != "" {
-		if rmErr := m.opts.FS.Remove(p); rmErr != nil && !os.IsNotExist(rmErr) {
-			err = rmErr
-		}
+	if rmErr := m.opts.FS.Remove(walPath); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
+		err = rmErr
 	}
 	return err
 }

@@ -40,6 +40,9 @@ func newManagerFixture(t *testing.T, dir string, level int, policy RepackPolicy)
 	return fx
 }
 
+// storeChanged is a Forget change that reports the store edit landed.
+func storeChanged() bool { return true }
+
 func TestManagerLazyOpenAndForget(t *testing.T) {
 	const level = 4
 	dir := t.TempDir()
@@ -67,7 +70,7 @@ func TestManagerLazyOpenAndForget(t *testing.T) {
 		t.Fatalf("Names = %v", got)
 	}
 
-	if err := fx.m.Forget("a"); err != nil {
+	if err := fx.m.Forget("a", storeChanged); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
@@ -77,7 +80,7 @@ func TestManagerLazyOpenAndForget(t *testing.T) {
 		t.Fatal("Forget left the table open")
 	}
 	// Forgetting a never-opened table is a no-op.
-	if err := fx.m.Forget("never"); err != nil {
+	if err := fx.m.Forget("never", storeChanged); err != nil {
 		t.Fatal(err)
 	}
 }

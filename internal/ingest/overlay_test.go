@@ -262,7 +262,7 @@ func TestFoldCheckpointFaultStillPublishes(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, cp, batches, err := OpenWAL(walPath)
+	w, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestRecoveryIsAFold(t *testing.T) {
 	if err := fx2.m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, cp, batches, err := OpenWAL(filepath.Join(dir, "r.wal"))
+	w, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, filepath.Join(dir, "r.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -14,6 +15,10 @@ import (
 	"spatialsel/internal/rtree"
 	"spatialsel/internal/sdb"
 )
+
+// ErrClosed is what a closed mutation front answers: its table was dropped
+// or replaced, and nothing it does reaches the store any more.
+var ErrClosed = errors.New("mutation front closed: the table was dropped or replaced")
 
 // PublishFunc installs a table snapshot into the serving store and returns
 // the new generation. The ingest layer depends on this closure rather than on
@@ -95,7 +100,8 @@ type Table struct {
 	cond *sync.Cond // signaled when inflight drains or a fold ends
 	state
 	repacking bool // a fold is between its two critical sections
-	inflight  int  // committers between apply and acknowledgment
+	inflight  int  // publishers between building a snapshot and publishing it
+	closed    bool // Close ran: nothing commits or publishes any more
 	catchUp   []catchUpOp
 
 	degraded      bool  // read-only mode: WAL failed, breaker gating probes
@@ -223,17 +229,11 @@ func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish Publish
 	return t, nil
 }
 
-// RecoverTable rebuilds a table's write-side state from its WAL alone on
-// the real disk with default policies: the checkpoint restores the item
-// log, every intact batch record is replayed into it and the histogram, and
-// the live items that remain are packed into a fresh base with an empty
-// overlay. The caller publishes the returned table's first
-// snapshot (Snapshot) to make it readable.
-func RecoverTable(name string, level int, walPath string, publish PublishFunc) (*Table, error) {
-	return RecoverTableOpts(name, level, TableOptions{WALPath: walPath}, publish)
-}
-
-// RecoverTableOpts is RecoverTable with explicit durability options.
+// RecoverTableOpts rebuilds a table's write-side state from its WAL alone:
+// the checkpoint restores the item log, every intact batch record is
+// replayed into it and the histogram, and the live items that remain are
+// packed into a fresh base with an empty overlay. The caller publishes the
+// returned table's first snapshot (Snapshot) to make it readable.
 func RecoverTableOpts(name string, level int, opts TableOptions, publish PublishFunc) (*Table, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -306,6 +306,10 @@ func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 	}
 
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return ApplyResult{}, t.closedErr()
+	}
 	probing := false
 	if t.degraded {
 		if !t.breaker.Allow() {
@@ -423,10 +427,17 @@ func (t *Table) commitDone() {
 // store generation. Used after recovery to make the replayed state readable.
 func (t *Table) Snapshot() (uint64, error) {
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return 0, t.closedErr()
+	}
 	seq := t.seq
 	snap := t.snapshotLocked()
+	t.inflight++
 	t.mu.Unlock()
-	return t.publishSnap(seq, false, snap)
+	gen, err := t.publishSnap(seq, false, snap)
+	t.commitDone()
+	return gen, err
 }
 
 // Degradation samples the fold trigger signal.
@@ -456,9 +467,14 @@ func (t *Table) Degradation() Degradation {
 // generation bump. Queries never block (they read published snapshots, whose planes a
 // fold leaves alone); writers block only for the two short critical sections.
 // With a WAL, the swap also rewrites the log to a single checkpoint record —
-// the truncate-on-fold step. Returns false when a fold was already running.
+// the truncate-on-fold step. Returns false when a fold was already running,
+// and ErrClosed when Close ran before the fold could publish.
 func (t *Table) Repack() (bool, error) {
 	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return false, t.closedErr()
+	}
 	if t.repacking || t.degraded {
 		// Degraded tables skip folds: the WAL checkpoint rewrite would need
 		// the very disk that just failed, and the probe path owns recovery.
@@ -484,6 +500,12 @@ func (t *Table) Repack() (bool, error) {
 	ov := newOverlay(rtree.PackItems(live), nIDs)
 
 	t.mu.Lock()
+	if t.closed {
+		t.repacking = false
+		t.cond.Broadcast()
+		t.mu.Unlock()
+		return false, t.closedErr()
+	}
 	for _, op := range t.catchUp {
 		if op.insert {
 			tree.Insert(op.rect, op.id)
@@ -505,11 +527,14 @@ func (t *Table) Repack() (bool, error) {
 	// owed until a later pass gets it through.
 	werr := t.checkpointLocked()
 	snap := t.snapshotLocked()
+	t.inflight++
 	t.mu.Unlock()
 
 	mRepacks.Inc()
 	mRepackSeconds.Add(time.Since(start).Seconds())
-	if _, err := t.publishSnap(seq, true, snap); err != nil {
+	_, err = t.publishSnap(seq, true, snap)
+	t.commitDone()
+	if err != nil {
 		return true, err
 	}
 	return true, werr
@@ -568,16 +593,33 @@ func (s *state) liveItemsLocked() []rtree.Item {
 	return live
 }
 
-// Close releases the WAL handle. Unsynced batches were never acknowledged,
-// so there is nothing to flush. The overlay gauges go to zero with the front:
-// a dropped table must not keep reporting a distance to its next fold.
+// Close retires the front: once it returns, nothing the front does reaches
+// the store, so a dropped or replaced table stays gone. Every publisher —
+// Apply, Repack, Snapshot — checks closed in the critical section that builds
+// its snapshot and counts in inflight until its publish returns, so Close
+// waits out the publishes already under way and refuses the rest with
+// ErrClosed; a fold in flight drops its new base. Then it releases the WAL
+// handle: unsynced batches were never acknowledged, so there is nothing to
+// flush. The overlay gauges go to zero with the front: a dropped table must
+// not keep reporting a distance to its next fold.
 func (t *Table) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	for t.inflight > 0 {
+		t.cond.Wait()
+	}
 	t.gDeltaItems.Set(0)
 	t.gTombstones.Set(0)
 	if t.wal == nil {
 		return nil
 	}
 	return t.wal.Close()
+}
+
+// closedErr is the error a closed front answers with.
+func (t *Table) closedErr() error {
+	return fmt.Errorf("ingest: %s: %w", t.name, ErrClosed)
 }
 
 // normalizeLocked maps a rectangle from the table's original coordinate
@@ -598,13 +640,7 @@ func (t *Table) normalizeLocked(r geom.Rect) (geom.Rect, error) {
 	if !e.Contains(r) {
 		return geom.Rect{}, fmt.Errorf("ingest: %s: %v outside table extent %v (the extent is fixed at creation)", t.name, r, e)
 	}
-	w, h := e.Width(), e.Height()
-	return geom.Rect{
-		MinX: (r.MinX - e.MinX) / w,
-		MinY: (r.MinY - e.MinY) / h,
-		MaxX: (r.MaxX - e.MinX) / w,
-		MaxY: (r.MaxY - e.MinY) / h,
-	}, nil
+	return dataset.NormalizeRect(e, r), nil
 }
 
 // validateDeletesLocked checks every delete targets a live, distinct ID.

@@ -12,6 +12,7 @@ import (
 
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/dataset"
+	"spatialsel/internal/faultfs"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
 	"spatialsel/internal/rtree"
@@ -290,7 +291,7 @@ func TestTableCrashRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	rec, err := RecoverTable("t", level, walPath, store.publish)
+	rec, err := RecoverTableOpts("t", level, TableOptions{WALPath: walPath}, store.publish)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestTableRepack(t *testing.T) {
 	if err := tab.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, cp, batches, err := OpenWAL(walPath)
+	w2, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,5 +547,36 @@ func TestTableNameAccessors(t *testing.T) {
 	}
 	if got := fmt.Sprint(tab.Live()); got != "10" {
 		t.Fatalf("Live = %s", got)
+	}
+}
+
+// TestInsertNormalizesLikeRegistration: a rectangle inserted in raw
+// coordinates lands on the same bits as the same rectangle registered with
+// the table, because both go through dataset.NormalizeRect.
+func TestInsertNormalizesLikeRegistration(t *testing.T) {
+	extent := geom.NewRect(-50.3, 10.7, 149.9, 90.1)
+	raw := []geom.Rect{geom.NewRect(-12.34, 33.3, 7.77, 41.9), geom.NewRect(100.1, 80.2, 149.9, 90.1)}
+	c, err := sdb.NewCatalogAtLevel(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := c.BuildTable(dataset.New("norm", extent, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &fakeStore{}
+	tab, err := OpenTableOpts(tbl, 4, TableOptions{}, store.publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tab.Apply(Mutation{Inserts: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := store.snapshot()
+	for i, id := range res.IDs {
+		if got, want := snap.Data.Items[id], tbl.Data.Items[i]; got != want {
+			t.Errorf("inserted %v normalized to %v, registered to %v", raw[i], got, want)
+		}
 	}
 }

@@ -107,16 +107,10 @@ type WAL struct {
 	fsyncObs func(time.Duration)
 }
 
-// CreateWAL writes a fresh WAL at path containing only the checkpoint and
-// returns it open for appends, using the real disk and default retry
-// policy. The file is built in a temp sibling and renamed into place after
-// an fsync, so a crash mid-create never leaves a half-written log behind.
-func CreateWAL(path string, cp Checkpoint) (*WAL, error) {
-	return CreateWALFS(faultfs.Disk(), nil, path, cp)
-}
-
-// CreateWALFS is CreateWAL over an injectable filesystem and retry policy
-// (nil retry = defaults).
+// CreateWALFS writes a fresh WAL at path on fs containing only the
+// checkpoint and returns it open for appends (nil retry = default policy).
+// The file is built in a temp sibling and renamed into place after an fsync,
+// so a crash mid-create never leaves a half-written log behind.
 func CreateWALFS(fs faultfs.FS, retry *resilience.Retryer, path string, cp Checkpoint) (*WAL, error) {
 	if retry == nil {
 		retry = resilience.NewRetryer(resilience.RetryPolicy{}, 0)
@@ -128,17 +122,11 @@ func CreateWALFS(fs faultfs.FS, retry *resilience.Retryer, path string, cp Check
 	return &WAL{path: path, fs: fs, retry: retry, f: f, durable: n, appended: cp.Seq, synced: cp.Seq}, nil
 }
 
-// OpenWAL replays an existing WAL on the real disk with the default retry
-// policy. It returns the checkpoint, every intact batch record after it,
-// and the log opened for appends. A torn or corrupt tail (crash mid-write)
-// is truncated away; corruption anywhere before the tail is an error, since
-// silently dropping acknowledged batches would lose committed data.
-func OpenWAL(path string) (*WAL, Checkpoint, []Batch, error) {
-	return OpenWALFS(faultfs.Disk(), nil, path)
-}
-
-// OpenWALFS is OpenWAL over an injectable filesystem and retry policy (nil
-// retry = defaults).
+// OpenWALFS replays an existing WAL on fs (nil retry = default policy). It
+// returns the checkpoint, every intact batch record after it, and the log
+// opened for appends. A torn or corrupt tail (crash mid-write) is truncated
+// away; corruption anywhere before the tail is an error, since silently
+// dropping acknowledged batches would lose committed data.
 func OpenWALFS(fs faultfs.FS, retry *resilience.Retryer, path string) (*WAL, Checkpoint, []Batch, error) {
 	if retry == nil {
 		retry = resilience.NewRetryer(resilience.RetryPolicy{}, 0)

@@ -53,7 +53,7 @@ func TestWALSyncRetriesTransientFault(t *testing.T) {
 		t.Fatalf("Sync should succeed via retry: %v", err)
 	}
 	w.Close()
-	_, cp, batches, err := OpenWAL(path)
+	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestWALGroupCommitFsyncErrorHitsAllCommitters(t *testing.T) {
 		t.Fatalf("Sync after fault cleared: %v", err)
 	}
 	w.Close()
-	_, cp, batches, err := OpenWAL(path)
+	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestWALAppendENOSPC(t *testing.T) {
 		t.Fatalf("Sync after ENOSPC cleared: %v", err)
 	}
 	w.Close()
-	_, cp, batches, err := OpenWAL(path)
+	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil || cp.Seq != 3 || len(batches) != 1 {
 		t.Fatalf("reopen = cp %d, %d batches, %v; want batch durable", cp.Seq, len(batches), err)
 	}
@@ -175,7 +175,7 @@ func TestWALCheckpointRenameCrash(t *testing.T) {
 		t.Fatalf("Checkpoint = %v, want injected rename failure", err)
 	}
 	// Old log intact: checkpoint at seq 3 plus the batch.
-	_, cp, batches, err := OpenWAL(path)
+	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil || cp.Seq != 3 || len(batches) != 1 {
 		t.Fatalf("reopen after failed checkpoint = cp %d, %d batches, %v", cp.Seq, len(batches), err)
 	}
@@ -188,7 +188,7 @@ func TestWALCheckpointRenameCrash(t *testing.T) {
 		t.Fatalf("Sync after failed checkpoint: %v", err)
 	}
 	w.Close()
-	_, cp, batches, err = OpenWAL(path)
+	_, cp, batches, err = OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil || cp.Seq != 3 || len(batches) != 2 {
 		t.Fatalf("final replay = cp %d, %d batches, %v; want cp 3 + 2 batches", cp.Seq, len(batches), err)
 	}
@@ -209,7 +209,7 @@ func TestWALCheckpointRetriesRename(t *testing.T) {
 		t.Fatalf("Checkpoint should succeed via retry: %v", err)
 	}
 	w.Close()
-	_, got, batches, err := OpenWAL(path)
+	_, got, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil || got.Seq != 4 || len(batches) != 0 {
 		t.Fatalf("reopen = cp %d, %d batches, %v; want truncated to cp 4", got.Seq, len(batches), err)
 	}

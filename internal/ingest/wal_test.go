@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"spatialsel/internal/faultfs"
 	"spatialsel/internal/geom"
 )
 
@@ -41,7 +42,7 @@ func sameBatch(a, b Batch) bool {
 func TestWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	cp := testCheckpoint()
-	w, err := CreateWAL(path, cp)
+	w, err := CreateWALFS(faultfs.Disk(), nil, path, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, cp2, got, err := OpenWAL(path)
+	w2, cp2, got, err := OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.wal")
-	w, err := CreateWAL(path, testCheckpoint())
+	w, err := CreateWALFS(faultfs.Disk(), nil, path, testCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, _, batches, err := OpenWAL(torn)
+		w2, _, batches, err := OpenWALFS(faultfs.Disk(), nil, torn)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -148,7 +149,7 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		w2.Close()
-		w3, _, batches, err := OpenWAL(torn)
+		w3, _, batches, err := OpenWALFS(faultfs.Disk(), nil, torn)
 		if err != nil || len(batches) != 2 {
 			t.Fatalf("cut %d: reopen after heal: %d batches, %v", cut, len(batches), err)
 		}
@@ -161,7 +162,7 @@ func TestWALTornTail(t *testing.T) {
 func TestWALCorruptMiddle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.wal")
-	w, err := CreateWAL(path, testCheckpoint())
+	w, err := CreateWALFS(faultfs.Disk(), nil, path, testCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +185,14 @@ func TestWALCorruptMiddle(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenWAL(path); err == nil {
+	if _, _, _, err := OpenWALFS(faultfs.Disk(), nil, path); err == nil {
 		t.Fatal("mid-log corruption accepted")
 	}
 }
 
 func TestWALCheckpointTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
-	w, err := CreateWAL(path, testCheckpoint())
+	w, err := CreateWALFS(faultfs.Disk(), nil, path, testCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, cp3, batches, err := OpenWAL(path)
+	_, cp3, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestWALRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("definitely not a wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenWAL(path); err == nil {
+	if _, _, _, err := OpenWALFS(faultfs.Disk(), nil, path); err == nil {
 		t.Fatal("garbage file accepted")
 	}
 }

@@ -8,8 +8,10 @@
 // have; invariants a type, the compiler or one test can hold are held there
 // instead. DESIGN.md "Static analysis" lists which mechanism holds what.
 //
-// The cmd/sdbvet command is the CLI front end; `make lint` runs it over the
-// whole repository on every check.
+// Load asks the go tool which packages a pattern names and where their
+// imports' compiled export data is; only the named packages are parsed and
+// type-checked here. The cmd/sdbvet command is the CLI front end; `make lint`
+// runs it over the whole repository on every check.
 package lint
 
 import (
@@ -20,7 +22,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -55,7 +56,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one named invariant checker.
 type Analyzer struct {
-	Name string // short lowercase identifier, used in flags and ignore comments
+	Name string // short lowercase identifier, used in ignore comments and -list
 	Doc  string // one-line description of the enforced invariant
 	Run  func(*Pass)
 }
@@ -120,27 +121,12 @@ type Result struct {
 	Suppressed  int
 }
 
-// Options tunes one Run.
-type Options struct {
-	// StaleIgnores additionally reports //lint:ignore directives that
-	// suppressed nothing — dead suppressions outlive the code they excused
-	// and silently blind the analyzer they name.
-	StaleIgnores bool
-	// Workers bounds package-level analysis parallelism; values below 2 run
-	// serially. Output is deterministic regardless: per-package results merge
-	// in input order and the final list is position-sorted.
-	Workers int
-}
-
-// Run executes the enabled analyzers over the packages and applies ignore
-// directives. Paths in the returned diagnostics are left absolute; callers
-// that want root-relative output use Relativize.
-func Run(pkgs []*Package, analyzers []*Analyzer) Result {
-	return RunOpts(pkgs, analyzers, Options{})
-}
-
-// RunOpts is Run with explicit Options.
-func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
+// Run executes the full analyzer suite over the packages and applies ignore
+// directives. A directive that suppressed nothing is itself a finding: dead
+// suppressions outlive the code they excused and silently blind the analyzer
+// they name. Paths in the returned diagnostics are left absolute; callers
+// that want relative output use Relativize.
+func Run(pkgs []*Package) Result {
 	var res Result
 	var all []Diagnostic
 	var ignores []*ignoreDirective
@@ -154,8 +140,10 @@ func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 			byFile[name] = append(byFile[name], ds...)
 			ignores = append(ignores, ds...)
 		}
+		for _, a := range Analyzers() {
+			a.Run(&Pass{Package: pkg, analyzer: a, diags: &all})
+		}
 	}
-	all = append(all, analyze(pkgs, analyzers, opts.Workers)...)
 	for _, d := range all {
 		if d.Analyzer != "ignore" && suppressed(byFile[d.Pos.Filename], d) {
 			res.Suppressed++
@@ -163,9 +151,7 @@ func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 		}
 		res.Diagnostics = append(res.Diagnostics, d)
 	}
-	if opts.StaleIgnores {
-		res.Diagnostics = append(res.Diagnostics, staleIgnores(ignores, analyzers)...)
-	}
+	res.Diagnostics = append(res.Diagnostics, staleIgnores(ignores)...)
 	sort.Slice(res.Diagnostics, func(i, j int) bool {
 		a, b := res.Diagnostics[i], res.Diagnostics[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -182,80 +168,11 @@ func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 	return res
 }
 
-// analyze runs every analyzer over every package, fanning packages out over
-// workers goroutines. Each package gets its own diagnostic slice, and the
-// slices merge in input order, so the result is identical to a serial run.
-// Analyzers carry no cross-package state (each Run reads only its Pass), and
-// the shared token.FileSet is safe for concurrent position lookups.
-func analyze(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
-	perPkg := make([][]Diagnostic, len(pkgs))
-	runPkg := func(i int) {
-		var ds []Diagnostic
-		for _, a := range analyzers {
-			pass := &Pass{Package: pkgs[i], analyzer: a, diags: &ds}
-			a.Run(pass)
-		}
-		perPkg[i] = ds
-	}
-	if workers < 2 || len(pkgs) < 2 {
-		for i := range pkgs {
-			runPkg(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runPkg(i)
-				}
-			}()
-		}
-		for i := range pkgs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	var all []Diagnostic
-	for _, ds := range perPkg {
-		all = append(all, ds...)
-	}
-	return all
-}
-
-// staleIgnores reports directives that suppressed nothing. A directive is
-// only judged when this run could have vindicated it: every analyzer it
-// names ran (a "*" directive needs the full suite), otherwise the diagnostic
-// it suppresses might simply not have been looked for.
-func staleIgnores(ignores []*ignoreDirective, analyzers []*Analyzer) []Diagnostic {
-	running := map[string]bool{}
-	for _, a := range analyzers {
-		running[a.Name] = true
-	}
-	fullSuite := true
-	for _, a := range Analyzers() {
-		if !running[a.Name] {
-			fullSuite = false
-			break
-		}
-	}
+// staleIgnores reports the directives that suppressed nothing.
+func staleIgnores(ignores []*ignoreDirective) []Diagnostic {
 	var out []Diagnostic
 	for _, ig := range ignores {
 		if ig.used {
-			continue
-		}
-		judged := true
-		for name := range ig.analyzers {
-			if name == "*" {
-				judged = judged && fullSuite
-			} else {
-				judged = judged && running[name]
-			}
-		}
-		if !judged {
 			continue
 		}
 		names := make([]string, 0, len(ig.analyzers))

@@ -6,55 +6,51 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from current analyzer output")
 
-// sharedLoader is the one loader every test in the package uses, so the
-// standard library and the repository are parsed and type-checked once per
-// test run rather than once per test.
-var sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
+// moduleRoot is the repository root the goldens' paths are relative to.
+const moduleRoot = "../.."
 
-// sharedRepo loads every package of the repository through sharedLoader over
-// 8 workers: the loader's concurrent path is the one sdbvet runs, so it is
-// the one the tests load with.
-var sharedRepo = sync.OnceValues(func() (repo struct {
-	dirs []string
-	pkgs []*Package
-}, err error) {
-	loader, err := sharedLoader()
-	if err != nil {
-		return repo, err
+// sharedCorpus loads every corpus package in one go list run, keyed by its
+// directory name, so the corpus tests share one type-check.
+var sharedCorpus = sync.OnceValues(func() (map[string]*Package, error) {
+	pkgs, err := Load(".", "./testdata/src/...")
+	byName := map[string]*Package{}
+	for _, p := range pkgs {
+		byName[path.Base(p.Path)] = p
 	}
-	if repo.dirs, err = loader.Expand([]string{"./..."}); err != nil {
-		return repo, err
-	}
-	repo.pkgs, err = loader.LoadDirs(repo.dirs, 8)
-	return repo, err
+	return byName, err
 })
 
-// corpusLoader returns the shared loader, rooted at the module.
-func corpusLoader(t *testing.T) *Loader {
+// corpusPackage returns the corpus package in testdata/src/<name>.
+func corpusPackage(t *testing.T, name string) *Package {
 	t.Helper()
-	l, err := sharedLoader()
+	corpus, err := sharedCorpus()
 	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+		t.Fatalf("load corpus: %v", err)
 	}
-	return l
+	p := corpus[name]
+	if p == nil {
+		t.Fatalf("no corpus package %s", name)
+	}
+	return p
 }
 
-// repoPackages returns the repository's package directories and the packages
-// loaded from them, in the same order.
-func repoPackages(t *testing.T) (dirs []string, pkgs []*Package) {
+// relativeTo returns the absolute form of dir, for Relativize.
+func relativeTo(t *testing.T, dir string) string {
 	t.Helper()
-	repo, err := sharedRepo()
+	abs, err := filepath.Abs(dir)
 	if err != nil {
-		t.Fatalf("load ./...: %v", err)
+		t.Fatal(err)
 	}
-	return repo.dirs, repo.pkgs
+	return abs
 }
 
 // TestCorpusGolden runs the full suite over each seeded-violation package and
@@ -69,19 +65,16 @@ func TestCorpusGolden(t *testing.T) {
 		{"ctxpoll", 2, 1},
 		{"maporder", 5, 1},
 		{"floateq", 5, 1},
+		{"geomeq", 2, 1},
 		{"lockorder", 3, 1},
 		{"unlockpath", 3, 1},
 		{"clean", 0, 0},
 	}
-	loader := corpusLoader(t)
+	root := relativeTo(t, moduleRoot)
 	for _, tc := range cases {
 		t.Run(tc.pkg, func(t *testing.T) {
-			pkg, err := loader.LoadDir(filepath.Join("testdata", "src", tc.pkg))
-			if err != nil {
-				t.Fatalf("LoadDir: %v", err)
-			}
-			res := Run([]*Package{pkg}, Analyzers())
-			res.Relativize(loader.Root)
+			res := Run([]*Package{corpusPackage(t, tc.pkg)})
+			res.Relativize(root)
 			var buf bytes.Buffer
 			res.Write(&buf)
 
@@ -108,37 +101,36 @@ func TestCorpusGolden(t *testing.T) {
 	}
 }
 
-// TestPerAnalyzerSelection checks that running a single analyzer over a
-// corpus package seeded for a different one reports nothing, i.e. analyzers
-// do not bleed into each other's domains.
+// TestPerAnalyzerSelection checks that each analyzer other than floateq,
+// run alone over the floateq corpus, reports nothing, i.e. analyzers do not
+// bleed into each other's domains.
 func TestPerAnalyzerSelection(t *testing.T) {
-	loader := corpusLoader(t)
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "floateq"))
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
+	pkg := corpusPackage(t, "floateq")
 	for _, a := range Analyzers() {
 		if a.Name == "floateq" {
 			continue
 		}
-		res := Run([]*Package{pkg}, []*Analyzer{a})
-		if len(res.Diagnostics) != 0 {
-			t.Errorf("analyzer %s reported %d diagnostics on the floateq corpus: %v",
-				a.Name, len(res.Diagnostics), res.Diagnostics)
+		var diags []Diagnostic
+		a.Run(&Pass{Package: pkg, analyzer: a, diags: &diags})
+		if len(diags) != 0 {
+			t.Errorf("analyzer %s reported %d diagnostics on the floateq corpus: %v", a.Name, len(diags), diags)
 		}
 	}
 }
 
 // TestRepoClean is the meta-test: the analyzer suite must pass over the real
-// repository (testdata is excluded by Expand, deliberate sentinels carry
-// //lint:ignore directives).
+// repository (./... skips testdata, deliberate sentinels carry //lint:ignore
+// directives), and bench/, a module of its own, is part of the run.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped with -short")
+		t.Skip("type-checks the whole repository; skipped with -short")
 	}
-	_, pkgs := repoPackages(t)
-	res := Run(pkgs, Analyzers())
-	res.Relativize(corpusLoader(t).Root)
+	pkgs, err := Load(moduleRoot, "./...")
+	if err != nil {
+		t.Fatalf("load ./...: %v", err)
+	}
+	res := Run(pkgs)
+	res.Relativize(relativeTo(t, moduleRoot))
 	if len(res.Diagnostics) != 0 {
 		var buf bytes.Buffer
 		res.Write(&buf)
@@ -147,55 +139,38 @@ func TestRepoClean(t *testing.T) {
 	if res.Packages == 0 || res.Files == 0 {
 		t.Errorf("suspiciously empty run: %s", res.Summary())
 	}
+	bench := false
+	for _, p := range pkgs {
+		bench = bench || p.Path == "spatialsel/bench"
+		if strings.Contains(p.Path, "/testdata/") {
+			t.Errorf("./... loaded testdata package %s", p.Path)
+		}
+	}
+	if !bench {
+		t.Error("./... did not load the nested bench module")
+	}
 }
 
-// TestParallelRunMatchesSerial pins the determinism contract of Options.
-// Workers: fanning packages out over goroutines must yield byte-identical
-// output and identical suppression accounting.
-func TestParallelRunMatchesSerial(t *testing.T) {
-	loader := corpusLoader(t)
-	var pkgs []*Package
-	for _, name := range []string{
-		"ctxpoll", "maporder", "floateq", "lockorder", "unlockpath", "clean",
+// TestLoadRejectsBrokenPackage pins the load's failure contract: a package
+// the go tool cannot list, or the type checker rejects, fails the load; it is
+// never skipped.
+func TestLoadRejectsBrokenPackage(t *testing.T) {
+	for name, src := range map[string]string{
+		"type error":     "package broken\n\nvar x int = \"s\"\n",
+		"missing import": "package broken\n\nimport _ \"nosuch/pkg\"\n",
+		"syntax error":   "package broken\n\nfunc {\n",
 	} {
-		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", name))
-		if err != nil {
-			t.Fatalf("LoadDir %s: %v", name, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	render := func(res Result) string {
-		var buf bytes.Buffer
-		res.Write(&buf)
-		return buf.String()
-	}
-	serial := RunOpts(pkgs, Analyzers(), Options{})
-	parallel := RunOpts(pkgs, Analyzers(), Options{Workers: 8})
-	if got, want := render(parallel), render(serial); got != want {
-		t.Errorf("parallel output differs from serial\n--- parallel ---\n%s--- serial ---\n%s", got, want)
-	}
-	if parallel.Suppressed != serial.Suppressed || parallel.Packages != serial.Packages || parallel.Files != serial.Files {
-		t.Errorf("parallel accounting differs: %s vs %s", parallel.Summary(), serial.Summary())
-	}
-}
-
-// TestLoadDirsParallel exercises the loader's concurrency path over the real
-// repository: many workers over the module's packages (cold for every one of
-// them; only the corpus's handful of stdlib imports may be cached) must load
-// each package whole. Run under -race this doubles as the loader's data-race
-// test.
-func TestLoadDirsParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped with -short")
-	}
-	dirs, pkgs := repoPackages(t)
-	if len(pkgs) != len(dirs) {
-		t.Fatalf("got %d packages for %d dirs", len(pkgs), len(dirs))
-	}
-	for i, p := range pkgs {
-		if p == nil || len(p.Files) == 0 {
-			t.Errorf("package %d (%s) loaded empty", i, dirs[i])
-		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, body := range map[string]string{"go.mod": "module broken\n\ngo 1.22\n", "broken.go": src} {
+				if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pkgs, err := Load(dir, "./..."); err == nil {
+				t.Errorf("Load succeeded with %d packages, want an error", len(pkgs))
+			}
+		})
 	}
 }
 
@@ -255,27 +230,20 @@ func TestIgnorePlacement(t *testing.T) {
 	}
 }
 
-// TestExpandSkipsTestdata guards the property the corpus depends on: a ./...
-// pattern never descends into testdata, so seeded violations cannot fail the
-// repository run.
+// TestExpandSkipsTestdata guards the property the corpus depends on: ./...
+// expands to no package under testdata, so seeded violations cannot fail the
+// repository run, while a pattern rooted in testdata still reaches them.
 func TestExpandSkipsTestdata(t *testing.T) {
-	loader := corpusLoader(t)
-	dirs, err := loader.Expand([]string{"./..."})
+	pkgs, err := Load(".", "./...")
 	if err != nil {
-		t.Fatalf("Expand: %v", err)
+		t.Fatalf("load ./...: %v", err)
 	}
-	for _, d := range dirs {
-		if filepath.Base(filepath.Dir(d)) == "testdata" || filepath.Base(d) == "testdata" {
-			t.Errorf("Expand(./...) included testdata directory %s", d)
-		}
-		rel, err := filepath.Rel(loader.Root, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seg := range filepath.SplitList(rel) {
-			if seg == "testdata" {
-				t.Errorf("Expand(./...) included %s", d)
-			}
-		}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
 	}
+	if got, want := strings.Join(paths, " "), "spatialsel/internal/lint spatialsel/internal/lint/cfg"; got != want {
+		t.Errorf("./... in internal/lint loaded %s, want %s", got, want)
+	}
+	corpusPackage(t, "floateq")
 }

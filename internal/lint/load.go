@@ -1,17 +1,22 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed, and type-checked package: the unit the
@@ -20,255 +25,147 @@ import (
 // things like compare floats exactly.
 type Package struct {
 	Path  string // import path, e.g. spatialsel/internal/rtree
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
 
-// Loader parses and type-checks packages of a single module using only the
-// standard library: module-internal imports are resolved against the module
-// root, everything else falls back to the stdlib source importer.
+// listedPackage is the part of one `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string // compiled export data in the build cache
+	DepOnly    bool   // listed only because a named package imports it
+	Error      *struct{ Err string }
+}
+
+// Load returns the packages that patterns name, parsed and type-checked, in
+// import-path order. The go tool does the finding: patterns are resolved
+// against dir by `go list`, which owns the pattern syntax and what "..."
+// skips (testdata, vendor, names starting with "." or "_"). Only the named
+// packages are type-checked from source, because the analyzers need their
+// syntax trees; every import resolves through the export data the same
+// `go list -export` run reports, which the build cache already holds.
 //
-// The loader is safe for concurrent LoadDir/LoadDirs calls: the memoization
-// caches are mutex-guarded with per-package in-flight latches (two
-// goroutines importing the same package rendezvous instead of checking it
-// twice), the shared token.FileSet is concurrency-safe by contract, and the
-// stdlib fallback importer — which is not — is serialized separately.
-type Loader struct {
-	Root    string // module root (directory containing go.mod)
-	ModPath string // module path from go.mod
-
-	fset *token.FileSet
-
-	mu       sync.Mutex
-	cache    map[string]*Package // by import path
-	loading  map[string]*loadLatch
-	typCache map[string]*types.Package
-
-	fbMu     sync.Mutex // serializes the stdlib source importer
-	fallback types.ImporterFrom
-}
-
-// loadLatch is one in-flight package load; waiters block on done, then read
-// p and err (written before done closes).
-type loadLatch struct {
-	done chan struct{}
-	p    *Package
-	err  error
-}
-
-// NewLoader locates the enclosing module of dir and returns a loader for it.
-func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
-	if err != nil {
-		return nil, err
-	}
+// A "..." pattern stops at a nested module's go.mod, so each module found
+// below the pattern's root is listed in a run of its own. Any package the go
+// tool or the type checker rejects fails the whole load.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
-	return &Loader{
-		Root:     root,
-		ModPath:  modPath,
-		fset:     fset,
-		cache:    make(map[string]*Package),
-		loading:  make(map[string]*loadLatch),
-		typCache: make(map[string]*types.Package),
-		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-	}, nil
-}
-
-// findModule walks up from dir to the first go.mod and reads its module path.
-func findModule(dir string) (root, modPath string, err error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for d := abs; ; d = filepath.Dir(d) {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", d)
-		}
-		if parent := filepath.Dir(d); parent == d {
-			return "", "", fmt.Errorf("lint: no go.mod found above %s", abs)
-		}
-	}
-}
-
-// Expand resolves command-line package patterns into package directories,
-// relative to the loader's module root. Supported forms are "./..."-style
-// recursive patterns and plain (relative or absolute) directories. testdata,
-// hidden, and vendor directories are never matched by "...".
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	var dirs []string
 	seen := map[string]bool{}
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
+	var pkgs []*Package
 	for _, pat := range patterns {
-		if strings.HasSuffix(pat, "...") {
-			base := filepath.Join(l.Root, strings.TrimSuffix(strings.TrimSuffix(pat, "..."), "/"))
-			err := filepath.WalkDir(base, func(path string, de os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if de.IsDir() {
-					name := de.Name()
-					if path != base && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-						return filepath.SkipDir
-					}
-					return nil
-				}
-				if strings.HasSuffix(de.Name(), ".go") && !strings.HasSuffix(de.Name(), "_test.go") {
-					add(filepath.Dir(path))
-				}
-				return nil
-			})
+		if !filepath.IsAbs(pat) {
+			pat = filepath.Join(dir, pat)
+		}
+		root, recursive := strings.CutSuffix(pat, "...")
+		root = filepath.Clean(root)
+		runs, arg := []string{root}, "."
+		if recursive {
+			nested, err := nestedModules(root)
 			if err != nil {
 				return nil, err
 			}
-			continue
+			runs, arg = append(runs, nested...), "./..."
 		}
-		d := pat
-		if !filepath.IsAbs(d) {
-			d = filepath.Join(l.Root, d)
-		}
-		fi, err := os.Stat(d)
-		if err != nil || !fi.IsDir() {
-			return nil, fmt.Errorf("lint: %q is not a package directory", pat)
-		}
-		add(d)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// importPath maps an absolute package directory to its module import path.
-func (l *Loader) importPath(dir string) (string, error) {
-	rel, err := filepath.Rel(l.Root, dir)
-	if err != nil {
-		return "", err
-	}
-	if rel == "." {
-		return l.ModPath, nil
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: %s is outside module %s", dir, l.Root)
-	}
-	return l.ModPath + "/" + filepath.ToSlash(rel), nil
-}
-
-// LoadDirs loads every directory as one package each, in order, fanning the
-// loads out over workers goroutines when workers > 1. The returned slice is
-// in input order either way; on failure the error of the earliest failing
-// directory is returned.
-func (l *Loader) LoadDirs(dirs []string, workers int) ([]*Package, error) {
-	pkgs := make([]*Package, len(dirs))
-	errs := make([]error, len(dirs))
-	if workers < 2 || len(dirs) < 2 {
-		for i, dir := range dirs {
-			pkgs[i], errs[i] = l.LoadDir(dir)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					pkgs[i], errs[i] = l.LoadDir(dirs[i])
+		for _, runDir := range runs {
+			listed, err := goList(runDir, arg)
+			if err != nil {
+				return nil, err
+			}
+			imp := exportImporter(fset, listed)
+			for _, lp := range listed {
+				if lp.DepOnly || seen[lp.ImportPath] {
+					continue
 				}
-			}()
-		}
-		for i := range dirs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+				seen[lp.ImportPath] = true
+				p, err := check(fset, imp, lp)
+				if err != nil {
+					return nil, err
+				}
+				pkgs = append(pkgs, p)
+			}
 		}
 	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir (memoized by
-// import path).
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	path, err := l.importPath(abs)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(path, abs)
-}
-
-// load is the memoized parse+check core shared by LoadDir and the importer.
-// Concurrent loads of the same package rendezvous on an in-flight latch; the
-// loser blocks until the winner's result lands in the cache. Waiting holds no
-// lock, and the module import graph is acyclic, so latch waits cannot cycle.
-func (l *Loader) load(path, dir string) (*Package, error) {
-	l.mu.Lock()
-	if p, ok := l.cache[path]; ok {
-		l.mu.Unlock()
-		return p, nil
-	}
-	if fl, ok := l.loading[path]; ok {
-		l.mu.Unlock()
-		<-fl.done
-		return fl.p, fl.err
-	}
-	fl := &loadLatch{done: make(chan struct{})}
-	l.loading[path] = fl
-	l.mu.Unlock()
-
-	fl.p, fl.err = l.loadUncached(path, dir)
-
-	l.mu.Lock()
-	delete(l.loading, path)
-	if fl.err == nil {
-		l.cache[path] = fl.p
-	}
-	l.mu.Unlock()
-	close(fl.done)
-	return fl.p, fl.err
-}
-
-// loadUncached parses and type-checks one package. Called without l.mu held:
-// type-checking recurses into load for module-internal imports.
-func (l *Loader) loadUncached(path, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+// nestedModules lists the directories strictly below root that hold a
+// go.mod, skipping the directories the go tool's "..." skips.
+func nestedModules(root string) ([]string, error) {
+	var mods []string
+	err := filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || !de.IsDir() || path == root {
+			return err
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if name := de.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			mods = append(mods, path)
+		}
+		return nil
+	})
+	return mods, err
+}
+
+// goList runs `go list -e -json -export -deps pattern` in dir: the packages
+// pattern names plus everything they import, each dependency with the path
+// of its compiled export data. A package the go tool could not list or build
+// is an error.
+func goList(dir, pattern string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", "list", "-e", "-json", "-export", "-deps", pattern)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		if msg := bytes.TrimSpace(stderr.Bytes()); len(msg) > 0 {
+			err = errors.New(string(msg))
+		}
+		return nil, fmt.Errorf("lint: go list %s in %s: %v", pattern, dir, err)
+	}
+	var listed []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("lint: go list %s in %s: %w", pattern, dir, err)
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+		}
+		listed = append(listed, lp)
+	}
+	return listed, nil
+}
+
+// exportImporter resolves import paths through the export files of one
+// go list run.
+func exportImporter(fset *token.FileSet, listed []*listedPackage) types.Importer {
+	exports := make(map[string]string, len(listed))
+	for _, lp := range listed {
+		exports[lp.ImportPath] = lp.Export
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("lint: no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+}
+
+// check parses one listed package's Go files and type-checks them.
+func check(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package, error) {
+	files := make([]*ast.File, 0, len(lp.GoFiles))
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -276,59 +173,10 @@ func (l *Loader) loadUncached(path, dir string) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: (*moduleImporter)(l)}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", lp.ImportPath, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// moduleImporter adapts the loader into a types.Importer: module-internal
-// paths load from source under the module root, everything else (the standard
-// library) goes through the stdlib source importer.
-type moduleImporter Loader
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	return m.ImportFrom(path, "", 0)
-}
-
-func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	l := (*Loader)(m)
-	l.mu.Lock()
-	tp, ok := l.typCache[path]
-	l.mu.Unlock()
-	if ok {
-		return tp, nil
-	}
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-		p, err := l.load(path, filepath.Join(l.Root, filepath.FromSlash(rel)))
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		l.typCache[path] = p.Types
-		l.mu.Unlock()
-		return p.Types, nil
-	}
-	// The stdlib source importer is not concurrency-safe; serialize it and
-	// re-check the cache once inside so a contended package imports once.
-	l.fbMu.Lock()
-	l.mu.Lock()
-	tp, ok = l.typCache[path]
-	l.mu.Unlock()
-	if ok {
-		l.fbMu.Unlock()
-		return tp, nil
-	}
-	tp, err := l.fallback.ImportFrom(path, dir, mode)
-	l.fbMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.typCache[path] = tp
-	l.mu.Unlock()
-	return tp, nil
+	return &Package{Path: lp.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

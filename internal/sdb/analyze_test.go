@@ -74,14 +74,18 @@ func TestExecuteWithoutTraceRecordsCounters(t *testing.T) {
 	}
 }
 
+// TestRelError: an operator span's rel_error is core.RelError of its
+// estimate and its rows, the one definition, an empty result scored against 1.
 func TestRelError(t *testing.T) {
-	if got := RelError(110, 100); got != 0.1 {
-		t.Fatalf("RelError(110,100) = %g, want 0.1", got)
-	}
-	if got := RelError(90, 100); got != 0.1 {
-		t.Fatalf("RelError(90,100) = %g, want 0.1", got)
-	}
-	if got := RelError(5, 0); got != 5 {
-		t.Fatalf("RelError(5,0) = %g, want 5 (denominator clamps to 1)", got)
+	for _, tc := range []struct {
+		est  float64
+		rows int
+		want float64
+	}{{110, 100, 0.1}, {90, 100, 0.1}, {5, 0, 5}} {
+		_, sp := obs.NewTrace(context.Background(), "op")
+		annotateOperator(sp, tc.est, tc.rows)
+		if got := sp.Report().Attrs["rel_error"]; got != tc.want {
+			t.Errorf("rel_error of est %g over %d rows = %v, want %g", tc.est, tc.rows, got, tc.want)
+		}
 	}
 }

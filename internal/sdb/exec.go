@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spatialsel/internal/core"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/obs"
 	"spatialsel/internal/rtree"
@@ -19,22 +20,6 @@ var (
 		"Result rows materialized by the executor, summed over operators.")
 )
 
-// RelError is the paper's estimation error |est − actual| / actual; an
-// actual of zero reports the estimate itself (the error against 1), keeping
-// the value finite for empty joins. It is the one definition: the operator
-// spans of EXPLAIN ANALYZE and the server's per-request record both write it.
-func RelError(est, actual float64) float64 {
-	den := actual
-	if den <= 0 {
-		den = 1
-	}
-	e := est - actual
-	if e < 0 {
-		e = -e
-	}
-	return e / den
-}
-
 // annotateOperator stamps an operator span with its cardinalities: the
 // planner's estimate, the observed row count, and the resulting relative
 // error — the per-operator numbers EXPLAIN ANALYZE reports.
@@ -44,7 +29,7 @@ func annotateOperator(sp *obs.Span, estRows float64, rows int) {
 	}
 	sp.Set("est_rows", estRows)
 	sp.Set("rows", float64(rows))
-	sp.Set("rel_error", RelError(estRows, float64(rows)))
+	sp.Set("rel_error", core.RelError(estRows, float64(rows)))
 }
 
 // Result is a materialized join result: one column of item indices per

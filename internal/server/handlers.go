@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"spatialsel/internal/core"
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
@@ -170,7 +171,20 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	t, _, err := s.store.Register(d, req.Replace)
+	// A replace retires the old table's mutation front around the swap: its
+	// WAL describes state that no longer exists, and nothing it still does
+	// may reach the store. The next mutation opens a front on the new table.
+	var t *sdb.Table
+	register := func() bool {
+		t, _, err = s.store.Register(d, req.Replace)
+		return err == nil
+	}
+	var forgetErr error
+	if req.Replace {
+		forgetErr = s.ingest.Forget(req.Name, register)
+	} else {
+		register()
+	}
 	if err != nil {
 		// Only a taken name is a conflict; a name no WAL file can carry or a
 		// dataset that does not build (e.g. a zero-area extent) is the
@@ -182,12 +196,10 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	if req.Replace {
-		// The old table's mutation front (and its WAL) describes state that
-		// no longer exists; the next mutation reopens against the new table.
-		if err := s.ingest.Forget(req.Name); err != nil {
-			s.logger.Warn("forget mutation front", "table", req.Name, "error", err)
-		}
+	if forgetErr != nil {
+		writeError(w, http.StatusInternalServerError,
+			"table %q is replaced but the old table's write-ahead log could not be removed (%v): the old table returns on restart", req.Name, forgetErr)
+		return
 	}
 	writeJSON(w, http.StatusCreated, s.tableInfo(s.store.Snapshot(), t))
 }
@@ -218,21 +230,23 @@ func (s *Server) handleGetTable(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDropTable(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	ok, err := s.store.Drop(name)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if !ok {
+	var dropped bool
+	var dropErr error
+	err := s.ingest.Forget(name, func() bool {
+		dropped, dropErr = s.store.Drop(name)
+		return dropped
+	})
+	switch {
+	case dropErr != nil:
+		writeError(w, http.StatusInternalServerError, "%v", dropErr)
+	case !dropped:
 		writeError(w, http.StatusNotFound, "unknown table %q", name)
-		return
-	}
-	if err := s.ingest.Forget(name); err != nil {
+	case err != nil:
 		writeError(w, http.StatusInternalServerError,
 			"table %q is dropped but its write-ahead log could not be removed (%v): the table returns on restart", name, err)
-		return
+	default:
+		writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
 }
 
 // ---- query parsing shared by estimate/explain/query -------------------
@@ -610,7 +624,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the plan's base⋈first pair in the error histogram.
 	total := res.Len()
 	ev.Rows = total
-	rel := sdb.RelError(estRows, float64(total))
+	rel := core.RelError(estRows, float64(total))
 	ev.RelError = &rel
 
 	offset := min(req.Offset, total)

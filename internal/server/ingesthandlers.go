@@ -75,6 +75,11 @@ func (s *Server) applyMutation(w http.ResponseWriter, r *http.Request, m ingest.
 		return
 	}
 	tab, err := s.ingest.Table(name)
+	if errors.Is(err, ingest.ErrClosed) {
+		// A drop or replace of this table won the race.
+		writeError(w, http.StatusNotFound, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -85,12 +90,15 @@ func (s *Server) applyMutation(w http.ResponseWriter, r *http.Request, m ingest.
 		// client gets 503 with the breaker's probe backoff as Retry-After,
 		// while reads keep serving the last durable snapshot.
 		var derr *ingest.DegradedError
-		if errors.As(err, &derr) {
+		switch {
+		case errors.As(err, &derr):
 			w.Header().Set("Retry-After", retryAfterSeconds(derr.RetryAfter))
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
+		case errors.Is(err, ingest.ErrClosed):
+			writeError(w, http.StatusNotFound, "%v", err)
+		default:
+			writeError(w, http.StatusBadRequest, "%v", err)
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ev.Rows = m.Records()
