@@ -117,12 +117,6 @@ func rebuildState(name string, level int, cp Checkpoint, batches []Batch) (*stat
 			return nil, fmt.Errorf("ingest: recover %s: replay seq %d: %w", name, b.Seq, err)
 		}
 	}
-	live := s.liveItemsLocked()
-	// The STR load fills only the write tree, for bench/ (ROADMAP item 1).
-	var err error
-	if s.tree, err = rtree.BulkLoadSTR(live); err != nil {
-		return nil, fmt.Errorf("ingest: recover %s: %w", name, err)
-	}
-	s.ov = newOverlay(rtree.PackItems(live), len(s.items))
+	s.ov = newOverlay(rtree.PackItems(s.liveItemsLocked()), len(s.items))
 	return s, nil
 }

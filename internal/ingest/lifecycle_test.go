@@ -3,10 +3,13 @@ package ingest
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"spatialsel/internal/faultfs"
 	"spatialsel/internal/geom"
+	"spatialsel/internal/sdb"
 )
 
 // TestLifecycleClosedFrontPublishesNothing: once Forget returns, the front it
@@ -121,4 +124,93 @@ func TestLifecycleForgetDuringFold(t *testing.T) {
 			t.Fatalf("round %d: %d publications after Forget returned", i, after-pubs)
 		}
 	}
+}
+
+// requireIndexCutFromImage holds a published table's pointer tree to its
+// packed image: the same number of items, and a search over a window holding
+// the whole unit square returns exactly the image's live ids, each once.
+func requireIndexCutFromImage(t *testing.T, step string, tab *sdb.Table) {
+	t.Helper()
+	var want []int
+	tab.Packed.VisitItems(func(id int, _ geom.Rect) { want = append(want, id) })
+	got := tab.Index.Search(geom.NewRect(-1, -1, 2, 2), nil)
+	slices.Sort(want)
+	slices.Sort(got)
+	if tab.Index.Len() != tab.Packed.Len() || !slices.Equal(got, want) {
+		t.Fatalf("%s: index holds %d items (search %d), the image %d live", step, tab.Index.Len(), len(got), len(want))
+	}
+}
+
+// TestLifecycleIndexIsCutFromImage: the pointer tree every table carries
+// (sdb.Table.Index) is cut from that table's own image and never kept beside
+// it, so after registration, inserts, deletes — of base and of delta items —
+// a fold, a degraded-mode recovery and a restart, the published Index holds
+// exactly the published Packed's live items.
+func TestLifecycleIndexIsCutFromImage(t *testing.T) {
+	requireIndexCutFromImage(t, "registration", buildTable(t, "ft", 300, 6, 11))
+	tbl, inj, store, walPath := faultTable(t)
+	defer tbl.Close()
+	requireIndexCutFromImage(t, "open", store.snapshot())
+
+	rng := rand.New(rand.NewSource(63))
+	res, err := tbl.Apply(Mutation{Inserts: []geom.Rect{rawRect(rng), rawRect(rng), rawRect(rng)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIndexCutFromImage(t, "inserts", store.snapshot())
+	if _, err := tbl.Apply(Mutation{Inserts: []geom.Rect{rawRect(rng)}, Deletes: []int{0, 7, res.IDs[1]}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := store.snapshot()
+	if d, ts := snap.Packed.Overlay(); d != 3 || ts != 2 {
+		t.Fatalf("overlay holds %d delta items and %d tombstones, want 3 and 2", d, ts)
+	}
+	requireIndexCutFromImage(t, "deletes", snap)
+
+	if folded, err := tbl.Repack(); !folded || err != nil {
+		t.Fatalf("fold: %v, %v", folded, err)
+	}
+	requireIndexCutFromImage(t, "fold", store.snapshot())
+	if _, err := tbl.Apply(Mutation{Inserts: []geom.Rect{rawRect(rng)}, Deletes: []int{3}}); err != nil {
+		t.Fatal(err)
+	}
+	requireIndexCutFromImage(t, "write after the fold", store.snapshot())
+
+	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
+	var derr *DegradedError
+	if _, err := tbl.Apply(Mutation{Deletes: []int{4}}); !errors.As(err, &derr) {
+		t.Fatalf("apply under fault = %v, want DegradedError", err)
+	}
+	inj.Clear()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, err := tbl.Apply(Mutation{Inserts: []geom.Rect{rawRect(rng)}, Deletes: []int{5}})
+		if err == nil {
+			break
+		}
+		if !errors.As(err, &derr) || time.Now().After(deadline) {
+			t.Fatalf("recovery apply = %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	snap = store.snapshot()
+	requireIndexCutFromImage(t, "degraded-mode recovery", snap)
+	live := snap.Packed.Len()
+	if live != 300+3+1-3+1-1+1-1 {
+		t.Fatalf("recovered image holds %d items", live)
+	}
+
+	tbl.Close()
+	rec, err := RecoverTableOpts("ft", 6, TableOptions{WALPath: walPath}, store.publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if _, err := rec.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if snap = store.snapshot(); snap.Packed.Len() != live {
+		t.Fatalf("restart holds %d items, before it %d", snap.Packed.Len(), live)
+	}
+	requireIndexCutFromImage(t, "restart", snap)
 }

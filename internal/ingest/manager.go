@@ -47,7 +47,7 @@ func (o *Options) tableOptions(walPath string) TableOptions {
 }
 
 // Manager owns the mutation fronts of all live tables. Tables are opened
-// lazily on their first mutation (building the write tree and statistics
+// lazily on their first mutation (building the overlay and statistics
 // builder from the registered read-only table) and recovered eagerly from
 // their WALs at startup.
 type Manager struct {
@@ -83,7 +83,7 @@ func NewManager(opts Options) *Manager {
 }
 
 // Table returns the mutation front for name, opening it on first use. The
-// open cost (clone index, seed histogram builder, write the WAL checkpoint)
+// open cost (copy the item log, seed histogram builder, write the WAL checkpoint)
 // is paid once per table per process: concurrent first callers rendezvous on
 // an in-flight latch, and the open itself — including the caller-provided
 // Lookup callback — runs outside m.mu so unknown code never executes inside

@@ -44,14 +44,15 @@ func sameIDs(a, b []int) bool {
 
 // requireSnapshotMirrors holds a published snapshot's read image to the two
 // other descriptions of the same table state: the item log minus the ids in
-// live's complement, and a fresh Pack of the snapshot's cloned write tree —
+// live's complement, and a fresh Pack of the snapshot's Index, the tree cut
+// from the image —
 // for Len, VisitItems (as sets), Search over the probes and the join count
 // against partner.
 func requireSnapshotMirrors(t *testing.T, snap *sdb.Table, live map[int]bool, partner *rtree.Packed, probes []geom.Rect) {
 	t.Helper()
 	img, ref := snap.Packed, rtree.Pack(snap.Index)
 	if img.Len() != len(live) || ref.Len() != len(live) {
-		t.Fatalf("image holds %d items, Pack of the write tree %d, the log %d live", img.Len(), ref.Len(), len(live))
+		t.Fatalf("image holds %d items, Pack of the index %d, the log %d live", img.Len(), ref.Len(), len(live))
 	}
 	seen := make(map[int]bool, len(live))
 	img.VisitItems(func(id int, r geom.Rect) {
@@ -72,12 +73,12 @@ func requireSnapshotMirrors(t *testing.T, snap *sdb.Table, live map[int]bool, pa
 		}
 		got := img.Search(q, nil)
 		if !sameIDs(got, brute) || !sameIDs(got, ref.Search(q, nil)) {
-			t.Fatalf("probe %v: image %d hits, Pack of the write tree %d, the log %d",
+			t.Fatalf("probe %v: image %d hits, Pack of the index %d, the log %d",
 				q, len(got), len(ref.Search(q, nil)), len(brute))
 		}
 	}
 	if got, want := rtree.PackedJoinCount(img, partner), rtree.PackedJoinCount(ref, partner); got != want {
-		t.Fatalf("join against the partner: image %d pairs, Pack of the write tree %d", got, want)
+		t.Fatalf("join against the partner: image %d pairs, Pack of the index %d", got, want)
 	}
 }
 
@@ -85,7 +86,7 @@ func requireSnapshotMirrors(t *testing.T, snap *sdb.Table, live map[int]bool, pa
 // insert/delete batches and folds through a Table and checks, after every
 // publish, that the image readers get — base planes, tombstones, packed delta
 // — is the table: equal to the item log minus its tombstones and to a Pack of
-// the cloned write tree. Deletes favour recent ids, so items die in the delta
+// the tree cut from it. Deletes favour recent ids, so items die in the delta
 // as well as in the base, and a long delete-only stretch empties most of a
 // base before the next fold.
 func TestOverlayImageUnderRandomInterleavings(t *testing.T) {

@@ -66,16 +66,16 @@ type Degradation struct {
 type catchUpOp struct {
 	insert bool
 	id     int
-	rect   geom.Rect
+	rect   geom.Rect // the inserted item's; zero for a delete
 }
 
 // Table is the mutation front for one spatial table. It owns the write-side
-// state — the overlay on the packed base readers join against, a Guttman
-// R-tree that absorbs the same inserts and deletes for bench/ (state.tree),
-// an incrementally maintained GH statistics builder, and the append-only item
+// state — the overlay on the packed base readers join against, an
+// incrementally maintained GH statistics builder, and the append-only item
 // log that assigns IDs — and publishes an immutable snapshot (shared items
-// view, base planes under the current overlay, cloned index, statistics
-// summary) through its PublishFunc after every committed batch.
+// view, base planes under the current overlay, the pointer tree cut from that
+// image, statistics summary) through its PublishFunc after every committed
+// batch.
 //
 // Item IDs are indices into the append-only items slice and are never reused
 // or renumbered: deletes tombstone their slot, and both re-pack and restart
@@ -113,7 +113,7 @@ type Table struct {
 }
 
 // state is what a table's WAL determines: the item log, the statistics, and
-// the two indexes over the live items. Recovery rebuilds it whole.
+// the overlay over the live items. Recovery rebuilds it whole.
 type state struct {
 	rawExtent geom.Rect
 	items     []geom.Rect // by ID; append-only
@@ -127,11 +127,6 @@ type state struct {
 	// that led to it — a fold whose checkpoint rewrite failed, or a recovery
 	// that replayed them. The next RepackPass retries the rewrite alone.
 	checkpointOwed bool
-	// tree holds the live items a second time, and every publish deep-clones
-	// it into sdb.Table.Index, because bench/ still reads Index on published
-	// live tables. ROADMAP item 1 (the [benchmark] PR) removes the field, this
-	// tree and the clone; until then nothing on the read path touches them.
-	tree *rtree.Tree
 }
 
 // TableOptions configures a table's durability and failure handling. The
@@ -165,10 +160,11 @@ func (t *Table) arm(o TableOptions) {
 // OpenTable wraps an existing read-only table (as registered in the serving
 // store) with a mutation front on the real disk with default policies. The
 // table's packed image becomes the base (re-packed first if it already
-// carries an overlay: a snapshot another front published), the write tree
-// starts as a deep clone of its index, the GH builder is seeded from its data,
-// and — when walPath is non-empty — a fresh WAL is created whose checkpoint
-// captures the starting state, making the table durable from this moment on.
+// carries an overlay: a snapshot another front published), the GH builder is
+// seeded from its data, and — when walPath is non-empty — a fresh WAL is
+// created whose checkpoint captures the starting state, making the table
+// durable from this moment on. The table's Index is not read: every snapshot
+// the front publishes cuts its own from the image.
 func OpenTable(tbl *sdb.Table, level int, walPath string, publish PublishFunc) (*Table, error) {
 	return OpenTableOpts(tbl, level, TableOptions{WALPath: walPath}, publish)
 }
@@ -195,9 +191,7 @@ func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish Publish
 	if stray != -1 {
 		return nil, fmt.Errorf("ingest: open %s: index holds item %d, the data %d items", tbl.Name, stray, n)
 	}
-	// The write tree is a clone of Index only for bench/, its last reader
-	// (ROADMAP item 1); the base is packed from the image's own items.
-	tree, base := tbl.Index.Clone(), tbl.Packed
+	base := tbl.Packed
 	if d, ts := base.Overlay(); d+ts > 0 {
 		live := make([]rtree.Item, 0, base.Len())
 		base.VisitItems(func(id int, r geom.Rect) { live = append(live, rtree.Item{Rect: r, ID: id}) })
@@ -212,7 +206,6 @@ func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish Publish
 			items:     items,
 			deleted:   deleted,
 			ov:        newOverlay(base, n),
-			tree:      tree,
 		},
 	}
 	if err := t.seedStats(tbl.Name, level); err != nil {
@@ -290,7 +283,7 @@ func (t *Table) SetFsyncObserver(fn func(time.Duration)) {
 }
 
 // Apply commits one mutation batch: validate, assign IDs, append to the WAL,
-// apply to the write tree and the statistics builder inside one critical
+// apply to the overlay and the statistics builder inside one critical
 // section, group-commit fsync, then publish the new snapshot. The snapshot is
 // a new table value with new statistics, so no estimate remembered against
 // the old one (sdb.Table.Estimate) is answered for it.
@@ -459,13 +452,13 @@ func (t *Table) Degradation() Degradation {
 }
 
 // Repack is the fold: it builds a new packed base from the live items off the
-// hot path and starts a fresh overlay on it. The pack (and the write tree's
-// STR load) run outside the apply lock against a frozen view of the live
-// items; mutations that land meanwhile go to the current overlay as usual and
-// are also logged, and the log is replayed onto the new base — as its first
-// tombstones and delta items — before the swap, which publishes with a single
-// generation bump. Queries never block (they read published snapshots, whose planes a
-// fold leaves alone); writers block only for the two short critical sections.
+// hot path and starts a fresh overlay on it. The pack runs outside the apply
+// lock against a frozen view of the live items; mutations that land meanwhile
+// go to the current overlay as usual and are also logged, and the log is
+// replayed onto the new base — as its first tombstones and delta items —
+// before the swap, which publishes with a single generation bump. Queries
+// never block (they read published snapshots, whose planes a fold leaves
+// alone); writers block only for the two short critical sections.
 // With a WAL, the swap also rewrites the log to a single checkpoint record —
 // the truncate-on-fold step. Returns false when a fold was already running,
 // and ErrClosed when Close ran before the fold could publish.
@@ -488,15 +481,6 @@ func (t *Table) Repack() (bool, error) {
 	t.mu.Unlock()
 
 	start := time.Now()
-	// The STR load fills only the write tree, for bench/ (ROADMAP item 1).
-	tree, err := rtree.BulkLoadSTR(live)
-	if err != nil {
-		t.mu.Lock()
-		t.repacking = false
-		t.cond.Broadcast()
-		t.mu.Unlock()
-		return false, fmt.Errorf("ingest: repack %s: %w", t.name, err)
-	}
 	ov := newOverlay(rtree.PackItems(live), nIDs)
 
 	t.mu.Lock()
@@ -508,10 +492,8 @@ func (t *Table) Repack() (bool, error) {
 	}
 	for _, op := range t.catchUp {
 		if op.insert {
-			tree.Insert(op.rect, op.id)
 			ov.insert(op.id, op.rect)
 		} else {
-			tree.Delete(op.rect, op.id)
 			ov.remove(op.id)
 		}
 	}
@@ -519,7 +501,7 @@ func (t *Table) Repack() (bool, error) {
 	t.catchUp = nil
 	t.repacking = false
 	t.cond.Broadcast()
-	t.tree, t.ov = tree, ov
+	t.ov = ov
 	seq := t.seq
 	// A failed checkpoint rewrite is non-destructive: the old log (its
 	// checkpoint plus the full batch history) still covers the folded state,
@@ -532,7 +514,7 @@ func (t *Table) Repack() (bool, error) {
 
 	mRepacks.Inc()
 	mRepackSeconds.Add(time.Since(start).Seconds())
-	_, err = t.publishSnap(seq, true, snap)
+	_, err := t.publishSnap(seq, true, snap)
 	t.commitDone()
 	if err != nil {
 		return true, err
@@ -694,26 +676,23 @@ func (s *state) logLocked(b Batch) error {
 }
 
 // applyLocked folds one batch into the whole write-side state: the log and
-// statistics, then the overlay and the write tree, and the catch-up log of a
-// fold in flight.
+// statistics, then the overlay, and the catch-up log of a fold in flight.
 func (t *Table) applyLocked(b Batch) error {
 	if err := t.logLocked(b); err != nil {
 		return err
 	}
 	for _, in := range b.Inserts {
 		t.ov.insert(in.ID, in.Rect)
-		t.tree.Insert(in.Rect, in.ID)
 		if t.repacking {
 			t.catchUp = append(t.catchUp, catchUpOp{insert: true, id: in.ID, rect: in.Rect})
 		}
 	}
 	for _, id := range b.Deletes {
-		r := t.items[id]
-		if !t.ov.remove(id) || !t.tree.Delete(r, id) {
+		if !t.ov.remove(id) {
 			return fmt.Errorf("index lost item %d", id)
 		}
 		if t.repacking {
-			t.catchUp = append(t.catchUp, catchUpOp{id: id, rect: r})
+			t.catchUp = append(t.catchUp, catchUpOp{id: id})
 		}
 	}
 	return nil
@@ -723,8 +702,9 @@ func (t *Table) applyLocked(b Batch) error {
 // from: a length-capped view of the append-only items slice (the writer only
 // ever appends past this length, never mutates below it, so sharing the
 // backing array is safe), the base planes under the overlay's current image,
-// a deep clone of the write tree, and a copied statistics summary. Tombstoned
-// slots stay in the items view — the executor only reads Items[id] for IDs the
+// the pointer tree cut from that image (rtree.TreeOf: sdb.Table.Index, which
+// only the benchmark reads), and a copied statistics summary. Tombstoned slots
+// stay in the items view — the executor only reads Items[id] for IDs the
 // index returns, and the index holds live IDs only; the table's cardinality
 // and what estimators summarize come from the image (sdb.Table.Len, LiveData).
 func (t *Table) snapshotLocked() *sdb.Table {
@@ -732,11 +712,12 @@ func (t *Table) snapshotLocked() *sdb.Table {
 	view := t.items[:n:n]
 	t.gDeltaItems.Set(int64(len(t.ov.delta)))
 	t.gTombstones.Set(int64(t.ov.nDead))
+	packed := t.ov.image()
 	return &sdb.Table{
 		Name:      t.name,
 		Data:      dataset.New(t.name, geom.UnitSquare, view),
-		Index:     t.tree.Clone(),
-		Packed:    t.ov.image(),
+		Index:     rtree.TreeOf(packed),
+		Packed:    packed,
 		Stats:     t.builder.Summary(),
 		RawExtent: t.rawExtent,
 	}

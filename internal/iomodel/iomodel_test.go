@@ -38,7 +38,7 @@ func TestLevelStatsShape(t *testing.T) {
 		}
 	}
 	// Empty tree.
-	empty := rtree.MustNew()
+	empty := rtree.TreeOf(rtree.PackItems(nil))
 	if got := empty.LevelStats(); got != nil {
 		t.Fatalf("empty LevelStats = %v", got)
 	}

@@ -27,34 +27,32 @@ func ItemsFromRects(rects []geom.Rect) []Item {
 // by center y, and pack leaves; repeat upward. STR yields near-100% fill and
 // well-shaped nodes for static data.
 func BulkLoadSTR(items []Item, opts ...Option) (*Tree, error) {
-	t, err := New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	if len(items) == 0 {
-		return t, nil
+	t := &Tree{maxEntries: DefaultMaxEntries}
+	for _, o := range opts {
+		if err := o(t); err != nil {
+			return nil, err
+		}
 	}
 	entries := make([]entry, len(items))
 	for i, it := range items {
 		entries[i] = entry{rect: it.Rect, id: it.ID}
 	}
+	strOrder(entries, t.maxEntries)
 	t.buildPacked(entries)
-	t.size = len(items)
 	return t, nil
 }
 
-// BulkLoadInsert builds a tree by repeated insertion — the slow path the
-// paper's "R-trees not available" scenario pays for; kept as an explicit
-// constructor so experiments can compare build strategies.
-func BulkLoadInsert(items []Item, opts ...Option) (*Tree, error) {
-	t, err := New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, it := range items {
-		t.Insert(it.Rect, it.ID)
-	}
-	return t, nil
+// TreeOf cuts p's live items, in slot order — the planes' Hilbert order, then
+// the delta's items — into a tree of the default fanout: leaves of
+// DefaultMaxEntries consecutive items, parents of DefaultMaxEntries
+// consecutive nodes. Nothing is sorted, so the cost is one pass over the items
+// and one per level; the tree holds exactly the items p.VisitItems reports.
+func TreeOf(p *Packed) *Tree {
+	t := &Tree{maxEntries: DefaultMaxEntries}
+	entries := make([]entry, 0, p.Len())
+	p.VisitItems(func(id int, r geom.Rect) { entries = append(entries, entry{rect: r, id: id}) })
+	t.buildPacked(entries)
+	return t
 }
 
 // strOrder implements the STR tile ordering.
@@ -81,10 +79,15 @@ func strOrder(entries []entry, nodeCap int) {
 	}
 }
 
-// buildPacked packs entries in STR order into leaves and repeats upward
-// until a single root remains.
+// buildPacked packs entries, in their order, into leaves and repeats upward
+// until a single root remains; no entries leave the tree empty. The nodes keep
+// slices of entries and of each level's fresh parent entries, so the caller
+// must not reuse entries.
 func (t *Tree) buildPacked(entries []entry) {
-	strOrder(entries, t.maxEntries)
+	t.size = len(entries)
+	if t.size == 0 {
+		return
+	}
 	level, isLeaf := entries, true
 	t.height = 0
 	for {
@@ -105,7 +108,8 @@ func (t *Tree) buildPacked(entries []entry) {
 
 // packLevel chunks ordered entries into nodes of up to cap entries, ensuring
 // the final node is not left with fewer than 2 entries (it borrows from its
-// neighbour if it would be).
+// neighbour if it would be). A node's entries are a capacity-capped slice of
+// entries, not a copy.
 func packLevel(entries []entry, nodeCap int, leaf bool) []*node {
 	n := len(entries)
 	count := (n + nodeCap - 1) / nodeCap
@@ -124,9 +128,7 @@ func packLevel(entries []entry, nodeCap int, leaf bool) []*node {
 			nodes = append(nodes, &node{leaf: leaf, entries: []entry{last, entries[start]}})
 			continue
 		}
-		chunk := make([]entry, end-start)
-		copy(chunk, entries[start:end])
-		nodes = append(nodes, &node{leaf: leaf, entries: chunk})
+		nodes = append(nodes, &node{leaf: leaf, entries: entries[start:end:end]})
 	}
 	return nodes
 }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"testing"
 
 	"spatialsel/internal/geom"
@@ -16,18 +17,24 @@ func TestItemsFromRects(t *testing.T) {
 	}
 }
 
+// cutOf is TreeOf over the packed image of items, with BulkLoadSTR's
+// signature so the tests can run both builds; TreeOf takes no options.
+func cutOf(items []Item, _ ...Option) (*Tree, error) {
+	return TreeOf(PackItems(items)), nil
+}
+
 func testBulkLoader(t *testing.T, name string, load func([]Item, ...Option) (*Tree, error)) {
 	t.Run(name, func(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 5, 49, 50, 51, 1000, 2500} {
 			rects := randRects(n, int64(n)+30)
-			tr, err := load(ItemsFromRects(rects), WithFanout(2, 8))
+			tr, err := load(ItemsFromRects(rects), WithFanout(8))
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 			if tr.Len() != n {
 				t.Fatalf("n=%d: Len = %d", n, tr.Len())
 			}
-			if err := tr.checkInvariantsPacked(); err != nil {
+			if err := tr.checkInvariants(); err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 			for _, q := range randRects(10, int64(n)+31) {
@@ -39,59 +46,89 @@ func testBulkLoader(t *testing.T, name string, load func([]Item, ...Option) (*Tr
 	})
 }
 
-// checkInvariantsPacked relaxes the minimum-fill invariant: packed trees may
-// have one underfull node per level (the remainder chunk), which is standard
-// for bulk loading.
-func (t *Tree) checkInvariantsPacked() error {
+// checkInvariants validates a built tree's structure: every entry's MBR is
+// exactly its child's, leaves share a depth equal to the height, the items
+// number Len, and every node holds at most the fanout's entries and — but the
+// root — at least 2: packing leaves one underfull node per level at most, the
+// remainder chunk, and never a single entry.
+func (t *Tree) checkInvariants() error {
 	if t.root == nil {
+		if t.size != 0 || t.height != 0 {
+			return fmt.Errorf("empty tree with size=%d height=%d", t.size, t.height)
+		}
 		return nil
 	}
-	saveMin := t.minEntries
-	t.minEntries = 2
-	err := t.checkInvariants()
-	t.minEntries = saveMin
-	return err
+	leafDepth, count := -1, 0
+	var walk func(n *node, depth int) error
+	walk = func(n *node, depth int) error {
+		if len(n.entries) == 0 || len(n.entries) > t.maxEntries || n != t.root && len(n.entries) < 2 {
+			return fmt.Errorf("fill violation at depth %d: %d entries", depth, len(n.entries))
+		}
+		if n.leaf {
+			if leafDepth == -1 {
+				leafDepth = depth
+			} else if leafDepth != depth {
+				return fmt.Errorf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			count += len(n.entries)
+			return nil
+		}
+		for _, e := range n.entries {
+			if e.rect != e.child.mbr() {
+				return fmt.Errorf("entry MBR %v is not its child's MBR %v", e.rect, e.child.mbr())
+			}
+			if err := walk(e.child, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, 1); err != nil {
+		return err
+	}
+	if count != t.size {
+		return fmt.Errorf("leaf count %d != size %d", count, t.size)
+	}
+	if leafDepth != t.height {
+		return fmt.Errorf("leaf depth %d != height %d", leafDepth, t.height)
+	}
+	return nil
 }
 
 func TestBulkLoaders(t *testing.T) {
 	testBulkLoader(t, "STR", BulkLoadSTR)
-	testBulkLoader(t, "Insert", BulkLoadInsert)
+	testBulkLoader(t, "TreeOf", cutOf)
 }
 
 func TestBulkLoadInvalidOptions(t *testing.T) {
 	items := ItemsFromRects(randRects(10, 40))
-	if _, err := BulkLoadSTR(items, WithFanout(0, 0)); err == nil {
+	if _, err := BulkLoadSTR(items, WithFanout(0)); err == nil {
 		t.Error("STR accepted bad fanout")
-	}
-	if _, err := BulkLoadInsert(items, WithFanout(0, 0)); err == nil {
-		t.Error("Insert accepted bad fanout")
 	}
 }
 
+// TestBulkLoadFillFactor: both packers fill their nodes — every node but the
+// last of a level is full.
 func TestBulkLoadFillFactor(t *testing.T) {
-	// STR packing should produce nearly full leaves — substantially fuller
-	// than insertion builds.
 	items := ItemsFromRects(randRects(5000, 41))
 	str, _ := BulkLoadSTR(items)
-	ins, _ := BulkLoadInsert(items)
-	sStr, sIns := str.ComputeStats(), ins.ComputeStats()
-	if sStr.AvgFill < 0.9 {
-		t.Errorf("STR fill = %.2f, want ≥0.9", sStr.AvgFill)
-	}
-	if sStr.AvgFill <= sIns.AvgFill {
-		t.Errorf("STR fill %.2f not better than insert fill %.2f", sStr.AvgFill, sIns.AvgFill)
+	cut, _ := cutOf(items)
+	for name, tr := range map[string]*Tree{"STR": str, "TreeOf": cut} {
+		if s := tr.ComputeStats(); s.AvgFill < 0.9 {
+			t.Errorf("%s fill = %.2f, want ≥0.9", name, s.AvgFill)
+		}
 	}
 }
 
 func TestBulkLoadDegenerateAllSamePoint(t *testing.T) {
 	// All items identical (zero-area universe): STR's center sorts and the
-	// quadratic split's area ties must still build a searchable tree.
+	// image's curve, which gets slack, must still build a searchable tree.
 	items := make([]Item, 100)
 	for i := range items {
 		items[i] = Item{Rect: geom.NewRect(0.5, 0.5, 0.5, 0.5), ID: i}
 	}
 	for name, load := range map[string]func([]Item, ...Option) (*Tree, error){
-		"STR": BulkLoadSTR, "Insert": BulkLoadInsert,
+		"STR": BulkLoadSTR, "TreeOf": cutOf,
 	} {
 		tr, err := load(items)
 		if err != nil {
@@ -103,31 +140,52 @@ func TestBulkLoadDegenerateAllSamePoint(t *testing.T) {
 	}
 }
 
-func TestPackedTreeSupportsMutation(t *testing.T) {
-	// A bulk-loaded tree must accept subsequent inserts and deletes.
-	rects := randRects(500, 42)
-	tr, err := BulkLoadSTR(ItemsFromRects(rects), WithFanout(2, 8))
-	if err != nil {
+// TestTreeOfCutsSlotOrder pins TreeOf's shape: its leaves, left to right, hold
+// the image's live items in VisitItems order — planes by slot, tombstones
+// skipped, then the delta — DefaultMaxEntries to a leaf.
+func TestTreeOfCutsSlotOrder(t *testing.T) {
+	rects := randRects(2600, 43)
+	base := PackItems(ItemsFromRects(rects[:2000]))
+	dead := make([]uint64, (2000+63)/64)
+	for s := 0; s < 2000; s += 7 {
+		dead[s>>6] |= 1 << (uint(s) & 63)
+	}
+	delta := make([]Item, 0, 600)
+	for id := 2000; id < 2600; id++ {
+		delta = append(delta, Item{Rect: rects[id], ID: id})
+	}
+	img := base.WithOverlay(dead, PackItems(delta))
+	var want []entry
+	img.VisitItems(func(id int, r geom.Rect) { want = append(want, entry{rect: r, id: id}) })
+	tr := TreeOf(img)
+	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	extra := geom.NewRect(0.45, 0.45, 0.55, 0.55)
-	tr.Insert(extra, 9999)
-	if tr.Len() != 501 {
-		t.Fatalf("Len after insert = %d", tr.Len())
-	}
-	found := false
-	for _, id := range tr.Search(extra, nil) {
-		if id == 9999 {
-			found = true
+	var got []entry
+	var sizes []int
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.leaf {
+			got = append(got, n.entries...)
+			sizes = append(sizes, len(n.entries))
+			return
+		}
+		for _, e := range n.entries {
+			walk(e.child)
 		}
 	}
-	if !found {
-		t.Fatal("inserted item not found")
+	walk(tr.root)
+	for i, n := range sizes[:len(sizes)-2] {
+		if n != DefaultMaxEntries {
+			t.Fatalf("leaf %d of %d holds %d items", i, len(sizes), n)
+		}
 	}
-	if !tr.Delete(extra, 9999) {
-		t.Fatal("delete of inserted item failed")
+	if len(got) != len(want) || tr.Len() != img.Len() {
+		t.Fatalf("tree holds %d items (Len %d), the image %d", len(got), tr.Len(), img.Len())
 	}
-	if err := tr.checkInvariantsPacked(); err != nil {
-		t.Fatal(err)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("leaf item %d = %+v, image item %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"spatialsel/internal/geom"
 )
 
-// drainItems builds a deterministic item set exercising splits and condense.
+// drainItems builds a deterministic item set.
 func drainItems(n int, seed int64) []Item {
 	rng := rand.New(rand.NewSource(seed))
 	items := make([]Item, n)
@@ -40,64 +40,59 @@ func requireSameJoin(t *testing.T, label string, got, want *Tree, probe *Tree) {
 	}
 }
 
-// TestDeleteDrainThenRefill is the regression test for the condense path:
-// deleting every item — including the last entry in the root leaf — must
-// leave the tree in a state where subsequent Insert, Search and Join behave
-// identically to a fresh tree, with structural invariants intact after every
-// single mutation.
+// tombstone returns a bitmap over p's slots with the slots of the given ids
+// set.
+func tombstone(p *Packed, ids map[int]bool) []uint64 {
+	dead := make([]uint64, (p.Len()+63)/64)
+	slot := 0
+	p.VisitItems(func(id int, _ geom.Rect) {
+		if ids[id] {
+			dead[slot>>6] |= 1 << (uint(slot) & 63)
+		}
+		slot++
+	})
+	return dead
+}
+
+// TestDeleteDrainThenRefill: an image whose every slot is deleted — the last
+// live item included — cuts to an empty tree, and refilling it through its
+// delta cuts to a tree that searches and joins like the tree of a fresh pack of
+// the same items.
 func TestDeleteDrainThenRefill(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 60, 400} {
-		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			items := drainItems(n, int64(n))
-			tr := MustNew(WithFanout(2, 5))
+			base := PackItems(items)
+			all := make(map[int]bool, n)
 			for _, it := range items {
-				tr.Insert(it.Rect, it.ID)
+				all[it.ID] = true
 			}
-			if err := tr.checkInvariants(); err != nil {
-				t.Fatalf("after build: %v", err)
+			drained := TreeOf(base.WithOverlay(tombstone(base, all), nil))
+			if err := drained.checkInvariants(); err != nil {
+				t.Fatalf("drained: %v", err)
 			}
-
-			// Drain in a shuffled order so condense sees leaves empty in the
-			// middle of the tree, not just at the edges.
-			order := rand.New(rand.NewSource(int64(n) * 7)).Perm(n)
-			for k, idx := range order {
-				it := items[idx]
-				if !tr.Delete(it.Rect, it.ID) {
-					t.Fatalf("delete %d: item %d not found", k, it.ID)
-				}
-				if err := tr.checkInvariants(); err != nil {
-					t.Fatalf("after delete %d (item %d): %v", k, it.ID, err)
-				}
+			if drained.Len() != 0 || drained.Height() != 0 {
+				t.Fatalf("drained tree: len=%d height=%d, want 0/0", drained.Len(), drained.Height())
 			}
-			if tr.Len() != 0 || tr.Height() != 0 {
-				t.Fatalf("drained tree: len=%d height=%d, want 0/0", tr.Len(), tr.Height())
-			}
-			if got := tr.Search(geom.UnitSquare, nil); len(got) != 0 {
+			if got := drained.Search(geom.UnitSquare, nil); len(got) != 0 {
 				t.Fatalf("drained tree still finds %d items", len(got))
 			}
 
-			// Refill through the same tree and compare against a fresh tree
-			// built from scratch with identical insertion order.
-			fresh := MustNew(WithFanout(2, 5))
-			for _, it := range items {
-				tr.Insert(it.Rect, it.ID)
-				fresh.Insert(it.Rect, it.ID)
-			}
-			if err := tr.checkInvariants(); err != nil {
+			refilled := TreeOf(base.WithOverlay(tombstone(base, all), PackItems(items)))
+			fresh := TreeOf(PackItems(items))
+			if err := refilled.checkInvariants(); err != nil {
 				t.Fatalf("after refill: %v", err)
 			}
-			if tr.Len() != fresh.Len() || tr.Height() != fresh.Height() {
+			if refilled.Len() != fresh.Len() || refilled.Height() != fresh.Height() {
 				t.Fatalf("refilled len=%d height=%d, fresh len=%d height=%d",
-					tr.Len(), tr.Height(), fresh.Len(), fresh.Height())
+					refilled.Len(), refilled.Height(), fresh.Len(), fresh.Height())
 			}
-
-			got := tr.Search(geom.UnitSquare, nil)
+			got := refilled.Search(geom.UnitSquare, nil)
 			want := fresh.Search(geom.UnitSquare, nil)
 			sort.Ints(got)
 			sort.Ints(want)
-			if len(got) != len(want) {
-				t.Fatalf("refilled search returns %d items, fresh %d", len(got), len(want))
+			if len(got) != len(want) || len(got) != n {
+				t.Fatalf("refilled search returns %d items, fresh %d, want %d", len(got), len(want), n)
 			}
 			for i := range got {
 				if got[i] != want[i] {
@@ -105,82 +100,85 @@ func TestDeleteDrainThenRefill(t *testing.T) {
 				}
 			}
 
-			probe, err := BulkLoadSTR(drainItems(n, int64(n)+99), WithFanout(2, 5))
+			probe, err := BulkLoadSTR(drainItems(n, int64(n)+99), WithFanout(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameJoin(t, "refilled", tr, fresh, probe)
+			requireSameJoin(t, "refilled", refilled, fresh, probe)
 		})
 	}
 }
 
 // TestInsertDeleteChurn interleaves inserts and deletes — the live-ingest
-// write pattern — and validates structural invariants and size accounting
-// after every mutation, across fanouts small enough to force frequent splits
-// and condenses.
+// write pattern — on a packed base the way the ingest front does (tombstones
+// over the base's slots, inserts into a delta, a delta item deleted out of the
+// delta) and holds the tree cut from every image to the live set: Len, the
+// structural invariants and a full-window search.
 func TestInsertDeleteChurn(t *testing.T) {
-	for _, fan := range [][2]int{{2, 4}, {4, 10}, {20, 50}} {
-		rng := rand.New(rand.NewSource(1))
-		tr := MustNew(WithFanout(fan[0], fan[1]))
-		live := map[int]geom.Rect{}
-		order := []int{} // deletion candidates in insertion order, deterministic
-		next := 0
-		for step := 0; step < 2000; step++ {
-			if len(order) == 0 || rng.Float64() < 0.55 {
-				x, y := rng.Float64(), rng.Float64()
-				r := geom.NewRect(x, y, x+0.03*rng.Float64(), y+0.03*rng.Float64())
-				tr.Insert(r, next)
-				live[next] = r
-				order = append(order, next)
-				next++
-			} else {
-				k := rng.Intn(len(order))
-				id := order[k]
-				order = append(order[:k], order[k+1:]...)
-				if !tr.Delete(live[id], id) {
-					t.Fatalf("fan=%v step=%d: delete %d failed", fan, step, id)
-				}
+	rng := rand.New(rand.NewSource(1))
+	items := drainItems(500, 5)
+	base := PackItems(items)
+	live := make(map[int]geom.Rect, len(items))
+	for _, it := range items {
+		live[it.ID] = it.Rect
+	}
+	deleted := map[int]bool{}
+	var delta []Item
+	for step := 0; step < 600; step++ {
+		if rng.Float64() < 0.55 {
+			x, y := rng.Float64(), rng.Float64()
+			it := Item{Rect: geom.NewRect(x, y, x+0.03*rng.Float64(), y+0.03*rng.Float64()), ID: 500 + step}
+			delta = append(delta, it)
+			live[it.ID] = it.Rect
+		} else if k := rng.Intn(len(items) + len(delta)); k < len(items) {
+			if id := items[k].ID; !deleted[id] {
+				deleted[id] = true
 				delete(live, id)
 			}
-			if err := tr.checkInvariants(); err != nil {
-				t.Fatalf("fan=%v step=%d: %v", fan, step, err)
-			}
-			if tr.Len() != len(live) {
-				t.Fatalf("fan=%v step=%d: len=%d live=%d", fan, step, tr.Len(), len(live))
+		} else {
+			k -= len(items)
+			delete(live, delta[k].ID)
+			delta = append(delta[:k], delta[k+1:]...)
+		}
+		tr := TreeOf(base.WithOverlay(tombstone(base, deleted), PackItems(delta)))
+		if err := tr.checkInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		got := tr.Search(geom.NewRect(-1, -1, 2, 2), nil)
+		if tr.Len() != len(live) || len(got) != len(live) {
+			t.Fatalf("step %d: len=%d search=%d live=%d", step, tr.Len(), len(got), len(live))
+		}
+		for _, id := range got {
+			if _, ok := live[id]; !ok {
+				t.Fatalf("step %d: tree holds item %d, which is not live", step, id)
 			}
 		}
 	}
 }
 
-// TestDeleteLastRootLeafEntry pins the exact scenario from the issue: a tree
-// whose root is a leaf with one entry, drained to empty, then reused.
+// TestDeleteLastRootLeafEntry: an image of one item, deleted, cuts to an empty
+// tree; the same base with a new item in its delta cuts to a one-leaf tree
+// that finds and joins it.
 func TestDeleteLastRootLeafEntry(t *testing.T) {
-	tr := MustNew(WithFanout(2, 5))
 	r := geom.NewRect(0.2, 0.2, 0.4, 0.4)
-	tr.Insert(r, 42)
-	if !tr.Delete(r, 42) {
-		t.Fatal("delete of only entry failed")
-	}
+	base := PackItems([]Item{{Rect: r, ID: 42}})
+	gone := base.WithOverlay(tombstone(base, map[int]bool{42: true}), nil)
+	tr := TreeOf(gone)
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatalf("after drain: %v", err)
 	}
 	if tr.Len() != 0 || tr.Height() != 0 {
 		t.Fatalf("after drain: len=%d height=%d", tr.Len(), tr.Height())
 	}
-	// Deleting again must report absence, not corrupt state.
-	if tr.Delete(r, 42) {
-		t.Fatal("second delete of same entry reported success")
-	}
 
-	tr.Insert(r, 7)
+	tr = TreeOf(base.WithOverlay(tombstone(base, map[int]bool{42: true}), PackItems([]Item{{Rect: r, ID: 7}})))
 	if tr.Len() != 1 || tr.Height() != 1 {
 		t.Fatalf("after refill: len=%d height=%d", tr.Len(), tr.Height())
 	}
 	if got := tr.Search(geom.UnitSquare, nil); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("after refill search = %v, want [7]", got)
 	}
-	other := MustNew(WithFanout(2, 5))
-	other.Insert(r, 1)
+	other, _ := BulkLoadSTR([]Item{{Rect: r, ID: 1}})
 	if n := JoinCount(tr, other); n != 1 {
 		t.Fatalf("join after refill = %d pairs, want 1", n)
 	}

@@ -247,7 +247,7 @@ func TestExactJoinsAgree(t *testing.T) {
 		}
 		return out
 	}
-	narrow := []Option{WithFanout(2, 8)}
+	narrow := []Option{WithFanout(8)}
 	for _, tc := range []struct {
 		name   string
 		as, bs []geom.Rect
@@ -259,8 +259,8 @@ func TestExactJoinsAgree(t *testing.T) {
 		{"asymmetric", randRects(8000, 230), randRects(300, 231), BulkLoadSTR, narrow},
 		{"all-overlapping", allOverlap(120, 300), allOverlap(80, 301), BulkLoadSTR, narrow},
 		{"single-item", randRects(1, 300), randRects(500, 301), BulkLoadSTR, narrow},
-		{"insert-built", randRects(3000, 232), randRects(2500, 233), BulkLoadInsert, []Option{WithFanout(2, 6)}},
-		{"wide-fanout", randRects(900, 35), randRects(800, 36), BulkLoadSTR, []Option{WithFanout(30, 100)}},
+		{"cut-from-image", randRects(3000, 232), randRects(2500, 233), cutOf, nil},
+		{"wide-fanout", randRects(900, 35), randRects(800, 36), BulkLoadSTR, []Option{WithFanout(100)}},
 		{"tall-short", randRects(2000, 110), randRects(5, 111), BulkLoadSTR, narrow},
 		{"short-tall", randRects(5, 111), randRects(2000, 110), BulkLoadSTR, narrow},
 		{"empty-full", nil, randRects(200, 302), BulkLoadSTR, nil},

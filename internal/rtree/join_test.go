@@ -57,8 +57,8 @@ func TestJoinAgainstBrute(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			as := randRects(tc.na, tc.seedA)
 			bs := randRects(tc.nb, tc.seedA+50)
-			ta, _ := BulkLoadSTR(ItemsFromRects(as), WithFanout(2, 8))
-			tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(2, 8))
+			ta, _ := BulkLoadSTR(ItemsFromRects(as), WithFanout(8))
+			tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(8))
 			got := Join(ta, tb)
 			want := bruteJoin(as, bs)
 			if !pairsEqual(got, want) {
@@ -76,8 +76,8 @@ func TestJoinDifferentHeights(t *testing.T) {
 	// both orientations.
 	as := randRects(2000, 110)
 	bs := randRects(5, 111)
-	ta, _ := BulkLoadSTR(ItemsFromRects(as), WithFanout(2, 8))
-	tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(2, 8))
+	ta, _ := BulkLoadSTR(ItemsFromRects(as), WithFanout(8))
+	tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(8))
 	if ta.Height() <= tb.Height() {
 		t.Fatalf("test setup: heights %d vs %d not different", ta.Height(), tb.Height())
 	}
@@ -93,19 +93,31 @@ func TestJoinDifferentHeights(t *testing.T) {
 	}
 }
 
-func TestJoinInsertBuiltTrees(t *testing.T) {
-	// The join must be correct for insertion-built (less tidy) trees too.
+// TestJoinCutTrees: the join is correct over trees cut from images in Hilbert
+// order, whose nodes overlap more than STR's, tombstones and deltas included.
+func TestJoinCutTrees(t *testing.T) {
 	as := randRects(600, 112)
 	bs := randRects(500, 113)
-	ta, _ := BulkLoadInsert(ItemsFromRects(as), WithFanout(2, 6))
-	tb, _ := BulkLoadInsert(ItemsFromRects(bs), WithFanout(2, 6))
-	if got, want := Join(ta, tb), bruteJoin(as, bs); !pairsEqual(got, want) {
-		t.Fatalf("insert-built join: got %d, want %d", len(got), len(want))
+	pb := PackItems(ItemsFromRects(bs[:400]))
+	deadB := map[int]bool{}
+	for id := 0; id < 400; id += 3 {
+		deadB[id] = true
+	}
+	ta := TreeOf(PackItems(ItemsFromRects(as)))
+	tb := TreeOf(pb.WithOverlay(tombstone(pb, deadB), PackItems(ItemsFromRects(bs)[400:])))
+	var want []JoinPair
+	for _, p := range bruteJoin(as, bs) {
+		if !deadB[p.B] {
+			want = append(want, p)
+		}
+	}
+	if got := Join(ta, tb); !pairsEqual(got, want) {
+		t.Fatalf("cut-tree join: got %d, want %d", len(got), len(want))
 	}
 }
 
 func TestJoinEmptyAndDisjoint(t *testing.T) {
-	empty := MustNew()
+	empty := TreeOf(PackItems(nil))
 	full, _ := BulkLoadSTR(ItemsFromRects(randRects(100, 120)))
 	if got := Join(empty, full); got != nil {
 		t.Fatalf("empty join = %v", got)
@@ -114,13 +126,12 @@ func TestJoinEmptyAndDisjoint(t *testing.T) {
 		t.Fatalf("join empty = %v", got)
 	}
 	// Two spatially disjoint trees join to nothing (root clip rejects).
-	left := MustNew()
-	right := MustNew()
+	var left, right []Item
 	for i := 0; i < 50; i++ {
-		left.Insert(geom.NewRect(float64(i)*0.001, 0, float64(i)*0.001+0.0005, 0.4), i)
-		right.Insert(geom.NewRect(float64(i)*0.001, 0.6, float64(i)*0.001+0.0005, 1), i)
+		left = append(left, Item{Rect: geom.NewRect(float64(i)*0.001, 0, float64(i)*0.001+0.0005, 0.4), ID: i})
+		right = append(right, Item{Rect: geom.NewRect(float64(i)*0.001, 0.6, float64(i)*0.001+0.0005, 1), ID: i})
 	}
-	if got := JoinCount(left, right); got != 0 {
+	if got := JoinCount(TreeOf(PackItems(left)), TreeOf(PackItems(right))); got != 0 {
 		t.Fatalf("disjoint JoinCount = %d", got)
 	}
 }
@@ -139,8 +150,8 @@ func TestJoinCountsAccesses(t *testing.T) {
 }
 
 // TestPropJoinMatchesBrute fuzzes clustered layouts (heavier overlap than
-// uniform) against the reference join, over two differently shaped trees: an
-// insertion-built one at fanout 4 and an STR-packed one at fanout 6.
+// uniform) against the reference join, over two differently shaped trees: one
+// cut from a packed image (TreeOf) and an STR-packed one at fanout 6.
 func TestPropJoinMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(150))
 	f := func() bool {
@@ -156,8 +167,8 @@ func TestPropJoinMatchesBrute(t *testing.T) {
 			return out
 		}
 		as, bs := mk(), mk()
-		ta, _ := BulkLoadInsert(ItemsFromRects(as), WithFanout(2, 4))
-		tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(2, 6))
+		ta := TreeOf(PackItems(ItemsFromRects(as)))
+		tb, _ := BulkLoadSTR(ItemsFromRects(bs), WithFanout(6))
 		return pairsEqual(Join(ta, tb), bruteJoin(as, bs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

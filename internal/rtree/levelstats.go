@@ -14,10 +14,11 @@ type LevelStat struct {
 }
 
 // LevelStats returns one entry per level, root first, nil for an empty tree.
-// The first call after a mutation walks the whole tree; the result is kept
-// until the next Insert or Delete. The slice is shared between callers and
-// must not be modified. No served path reads it: its readers are the I/O
-// model (iomodel) and the benchmark's layer replay (bench/).
+// The first call walks the whole tree and the result is kept with it (a tree
+// never changes), because the benchmark's layer replay (bench/) asks once per
+// operation. The slice is shared between callers and must not be modified. No
+// served path reads it: its readers are the I/O model (iomodel) and that
+// replay.
 func (t *Tree) LevelStats() []LevelStat {
 	if t.root == nil {
 		return nil

@@ -16,7 +16,7 @@ import (
 // image.
 func packOf(t *testing.T, rects []geom.Rect) (*Tree, *Packed) {
 	t.Helper()
-	tr, err := BulkLoadSTR(ItemsFromRects(rects), WithFanout(2, 8))
+	tr, err := BulkLoadSTR(ItemsFromRects(rects), WithFanout(8))
 	if err != nil {
 		t.Fatalf("BulkLoadSTR: %v", err)
 	}
@@ -34,27 +34,19 @@ func requireSamePlanes(t *testing.T, got, want *Packed) {
 }
 
 // TestPackMirrorsTree: Pack, the adapter over a tree, holds exactly the tree's
-// items with their exact rects, whatever the tree's build, fanout and history
-// — and is PackItems over those items, slot for slot.
+// items with their exact rects, whatever the tree's build, fanout and the
+// overlay of the image it was cut from — and is PackItems over those items,
+// slot for slot.
 func TestPackMirrorsTree(t *testing.T) {
-	load := func(rects []geom.Rect, build func([]Item, ...Option) (*Tree, error), opts ...Option) *Tree {
-		tr, err := build(ItemsFromRects(rects), opts...)
+	load := func(rects []geom.Rect, opts ...Option) *Tree {
+		tr, err := BulkLoadSTR(ItemsFromRects(rects), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tr
 	}
-	// Inputs differ in build, fanout and therefore height (4, 5, 5 and 2).
-	bulk, inserted := randRects(2000, 7), randRects(1500, 8)
-	thinned := load(inserted, BulkLoadInsert, WithFanout(2, 6))
-	live := make(map[int]geom.Rect, len(inserted))
-	for id, r := range inserted {
-		if id%3 == 0 {
-			live[id] = r
-		} else if !thinned.Delete(r, id) {
-			t.Fatalf("delete of item %d failed", id)
-		}
-	}
+	// Inputs differ in build, fanout and overlay; heights are 4, 2, 2 and 2.
+	bulk, cut := randRects(2000, 7), randRects(1500, 8)
 	all := func(rects []geom.Rect) map[int]geom.Rect {
 		m := make(map[int]geom.Rect, len(rects))
 		for id, r := range rects {
@@ -62,15 +54,27 @@ func TestPackMirrorsTree(t *testing.T) {
 		}
 		return m
 	}
+	// The cut image keeps every third of its first 1 200 items and gains the
+	// last 300 as a delta.
+	base := PackItems(ItemsFromRects(cut[:1200]))
+	dead, live := map[int]bool{}, map[int]geom.Rect{}
+	for id, r := range cut {
+		if id < 1200 && id%3 != 0 {
+			dead[id] = true
+		} else {
+			live[id] = r
+		}
+	}
+	overlaid := base.WithOverlay(tombstone(base, dead), PackItems(ItemsFromRects(cut)[1200:]))
 	for _, tc := range []struct {
 		name  string
 		tr    *Tree
 		items map[int]geom.Rect
 	}{
-		{"bulk-loaded", load(bulk, BulkLoadSTR, WithFanout(2, 8)), all(bulk)},
-		{"insert-built", load(inserted, BulkLoadInsert, WithFanout(2, 6)), all(inserted)},
-		{"post-delete", thinned, live},
-		{"wide-fanout", load(bulk[:900], BulkLoadSTR, WithFanout(30, 100)), all(bulk[:900])},
+		{"bulk-loaded", load(bulk, WithFanout(8)), all(bulk)},
+		{"cut", TreeOf(PackItems(ItemsFromRects(cut))), all(cut)},
+		{"cut-overlaid", TreeOf(overlaid), live},
+		{"wide-fanout", load(bulk[:900], WithFanout(100)), all(bulk[:900])},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, p := tc.tr, Pack(tc.tr)
@@ -107,7 +111,7 @@ func TestPackMirrorsTree(t *testing.T) {
 }
 
 func TestPackEmptyAndSingle(t *testing.T) {
-	for _, p := range []*Packed{PackItems(nil), Pack(MustNew())} {
+	for _, p := range []*Packed{PackItems(nil), Pack(TreeOf(PackItems(nil)))} {
 		if p.Len() != 0 || p.RootMBR() != (geom.Rect{}) {
 			t.Fatalf("empty pack: len=%d root MBR %v", p.Len(), p.RootMBR())
 		}
@@ -216,14 +220,14 @@ func TestPackedSearchMatchesTree(t *testing.T) {
 		opts  []Option
 		wide  bool
 	}{
-		{"uniform", randRects(1500, 9), []Option{WithFanout(2, 8)}, false},
-		{"zero-area", latticeRects(1500, 305), []Option{WithFanout(2, 8)}, false},
-		{"wide-fanout", randRects(9000, 35), []Option{WithFanout(30, 100)}, false},
+		{"uniform", randRects(1500, 9), []Option{WithFanout(8)}, false},
+		{"zero-area", latticeRects(1500, 305), []Option{WithFanout(8)}, false},
+		{"wide-fanout", randRects(9000, 35), []Option{WithFanout(100)}, false},
 		{"single-leaf", randRects(5, 27), nil, false},
-		{"tile-lines", tileLineRects(1500, 307), []Option{WithFanout(2, 8)}, false},
-		{"spanning", spanningRects(250, 311), []Option{WithFanout(2, 8)}, true},
-		{"outside-unit", scaled(randRects(900, 316), -2, 3), []Option{WithFanout(2, 8)}, false},
-		{"extent-1000", scaled(randRects(700, 318), 0, 1000), []Option{WithFanout(2, 8)}, false},
+		{"tile-lines", tileLineRects(1500, 307), []Option{WithFanout(8)}, false},
+		{"spanning", spanningRects(250, 311), []Option{WithFanout(8)}, true},
+		{"outside-unit", scaled(randRects(900, 316), -2, 3), []Option{WithFanout(8)}, false},
+		{"extent-1000", scaled(randRects(700, 318), 0, 1000), []Option{WithFanout(8)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, err := BulkLoadSTR(ItemsFromRects(tc.rects), tc.opts...)

@@ -85,11 +85,11 @@ func TestPackedJoinEmptyAndDisjoint(t *testing.T) {
 func TestPackedJoinWideFanout(t *testing.T) {
 	as := randRects(900, 35)
 	bs := randRects(800, 36)
-	ta, err := BulkLoadSTR(ItemsFromRects(as), WithFanout(30, 100))
+	ta, err := BulkLoadSTR(ItemsFromRects(as), WithFanout(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := BulkLoadSTR(ItemsFromRects(bs), WithFanout(30, 100))
+	tb, err := BulkLoadSTR(ItemsFromRects(bs), WithFanout(100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,81 +55,61 @@ func sortedEqual(a, b []int) bool {
 	return true
 }
 
+// TestNewOptions: a new tree's one option, the node capacity, is refused
+// below 4 and applied otherwise.
 func TestNewOptions(t *testing.T) {
-	if _, err := New(WithFanout(2, 3)); err == nil {
-		t.Error("max<4 accepted")
+	items := ItemsFromRects(randRects(10, 40))
+	for _, max := range []int{3, 1, -8} {
+		if _, err := BulkLoadSTR(items, WithFanout(max)); err == nil {
+			t.Errorf("fanout %d accepted", max)
+		}
 	}
-	if _, err := New(WithFanout(1, 8)); err == nil {
-		t.Error("min<2 accepted")
-	}
-	if _, err := New(WithFanout(5, 8)); err == nil {
-		t.Error("min>max/2 accepted")
-	}
-	tr, err := New(WithFanout(2, 4))
+	tr, err := BulkLoadSTR(items, WithFanout(4))
 	if err != nil {
 		t.Fatalf("valid fanout rejected: %v", err)
 	}
-	if tr.maxEntries != 4 || tr.minEntries != 2 {
-		t.Fatalf("fanout not applied: %d/%d", tr.minEntries, tr.maxEntries)
+	if tr.maxEntries != 4 || tr.Height() != 2 {
+		t.Fatalf("fanout not applied: capacity %d, height %d", tr.maxEntries, tr.Height())
 	}
-}
-
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic")
-		}
-	}()
-	MustNew(WithFanout(0, 0))
+	if tr, _ := BulkLoadSTR(items); tr.maxEntries != DefaultMaxEntries {
+		t.Fatalf("default capacity %d, want %d", tr.maxEntries, DefaultMaxEntries)
+	}
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := MustNew()
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Fatalf("empty tree Len/Height = %d/%d", tr.Len(), tr.Height())
-	}
-	if got := tr.Search(geom.UnitSquare, nil); got != nil {
-		t.Fatalf("Search on empty tree = %v", got)
-	}
-	if tr.Delete(geom.UnitSquare, 0) {
-		t.Fatal("Delete on empty tree returned true")
-	}
-	if err := tr.checkInvariants(); err != nil {
+	str, err := BulkLoadSTR(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestInsertSearchSmallFanout(t *testing.T) {
-	// Small fanout forces many splits, stressing split/adjust paths.
-	tr := MustNew(WithFanout(2, 4))
-	rects := randRects(500, 1)
-	for i, r := range rects {
-		tr.Insert(r, i)
+	for name, tr := range map[string]*Tree{"STR": str, "TreeOf": TreeOf(PackItems(nil))} {
+		if tr.Len() != 0 || tr.Height() != 0 {
+			t.Fatalf("%s: empty tree Len/Height = %d/%d", name, tr.Len(), tr.Height())
+		}
+		if got := tr.Search(geom.UnitSquare, nil); got != nil {
+			t.Fatalf("%s: Search on empty tree = %v", name, got)
+		}
 		if err := tr.checkInvariants(); err != nil {
-			t.Fatalf("after insert %d: %v", i, err)
-		}
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	queries := randRects(50, 2)
-	for _, q := range queries {
-		got := tr.Search(q, nil)
-		want := bruteSearch(rects, q)
-		if !sortedEqual(got, want) {
-			t.Fatalf("Search(%v): got %d results, want %d", q, len(got), len(want))
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
+// TestInsertSearchDefaultFanout: items inserted after the pack — the image's
+// delta — are found, beside the planes', by the tree TreeOf cuts at the
+// default fanout.
 func TestInsertSearchDefaultFanout(t *testing.T) {
-	tr := MustNew()
 	rects := randRects(3000, 3)
-	for i, r := range rects {
-		tr.Insert(r, i)
+	base := PackItems(ItemsFromRects(rects[:2000]))
+	var inserted []Item
+	for id := 2000; id < len(rects); id++ {
+		inserted = append(inserted, Item{Rect: rects[id], ID: id})
 	}
+	tr := TreeOf(base.WithOverlay(nil, PackItems(inserted)))
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if tr.Len() != 3000 || tr.Height() != 3 {
+		t.Fatalf("Len/Height = %d/%d, want 3000/3", tr.Len(), tr.Height())
 	}
 	for _, q := range randRects(30, 4) {
 		if !sortedEqual(tr.Search(q, nil), bruteSearch(rects, q)) {
@@ -139,8 +119,7 @@ func TestInsertSearchDefaultFanout(t *testing.T) {
 }
 
 func TestSearchAppendsToOut(t *testing.T) {
-	tr := MustNew()
-	tr.Insert(geom.NewRect(0, 0, 1, 1), 7)
+	tr, _ := BulkLoadSTR([]Item{{Rect: geom.NewRect(0, 0, 1, 1), ID: 7}})
 	out := []int{99}
 	out = tr.Search(geom.UnitSquare, out)
 	if len(out) != 2 || out[0] != 99 || out[1] != 7 {
@@ -148,82 +127,25 @@ func TestSearchAppendsToOut(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := MustNew(WithFanout(2, 4))
-	rects := randRects(300, 5)
-	for i, r := range rects {
-		tr.Insert(r, i)
-	}
-	// Delete in random order, verifying invariants and queries as we go.
-	rng := rand.New(rand.NewSource(6))
-	order := rng.Perm(300)
-	deleted := make(map[int]bool)
-	for step, idx := range order {
-		if !tr.Delete(rects[idx], idx) {
-			t.Fatalf("Delete(%d) not found", idx)
-		}
-		deleted[idx] = true
-		if err := tr.checkInvariants(); err != nil {
-			t.Fatalf("after delete %d (step %d): %v", idx, step, err)
-		}
-		if step%50 == 0 {
-			q := geom.NewRect(0.2, 0.2, 0.8, 0.8)
-			got := tr.Search(q, nil)
-			var want []int
-			for i, r := range rects {
-				if !deleted[i] && r.Intersects(q) {
-					want = append(want, i)
-				}
-			}
-			if !sortedEqual(got, want) {
-				t.Fatalf("post-delete Search mismatch at step %d", step)
-			}
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after deleting all = %d", tr.Len())
-	}
-	// Deleting again fails cleanly.
-	if tr.Delete(rects[0], 0) {
-		t.Fatal("double delete returned true")
-	}
-}
-
-func TestDeleteWrongRectOrID(t *testing.T) {
-	tr := MustNew()
-	r := geom.NewRect(0.1, 0.1, 0.2, 0.2)
-	tr.Insert(r, 1)
-	if tr.Delete(r, 2) {
-		t.Fatal("Delete with wrong ID succeeded")
-	}
-	if tr.Delete(geom.NewRect(0.1, 0.1, 0.3, 0.3), 1) {
-		t.Fatal("Delete with wrong rect succeeded")
-	}
-	if !tr.Delete(r, 1) {
-		t.Fatal("Delete with exact match failed")
-	}
-}
-
 func TestDuplicateRects(t *testing.T) {
-	tr := MustNew(WithFanout(2, 4))
 	r := geom.NewRect(0.5, 0.5, 0.6, 0.6)
-	for i := 0; i < 100; i++ {
-		tr.Insert(r, i)
+	items := make([]Item, 100)
+	for i := range items {
+		items[i] = Item{Rect: r, ID: i}
 	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	got := tr.Search(r, nil)
-	if len(got) != 100 {
-		t.Fatalf("Search over duplicates = %d, want 100", len(got))
+	for name, load := range map[string]func([]Item, ...Option) (*Tree, error){"STR": BulkLoadSTR, "TreeOf": cutOf} {
+		tr, _ := load(items, WithFanout(4))
+		if err := tr.checkInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := tr.Search(r, nil); len(got) != 100 {
+			t.Fatalf("%s: Search over duplicates = %d, want 100", name, len(got))
+		}
 	}
 }
 
 func TestAccessesCounter(t *testing.T) {
-	tr := MustNew(WithFanout(2, 4))
-	for i, r := range randRects(200, 7) {
-		tr.Insert(r, i)
-	}
+	tr, _ := BulkLoadSTR(ItemsFromRects(randRects(200, 7)), WithFanout(4))
 	tr.ResetAccesses()
 	if tr.Accesses() != 0 {
 		t.Fatal("ResetAccesses did not zero")
@@ -235,11 +157,8 @@ func TestAccessesCounter(t *testing.T) {
 }
 
 func TestComputeStats(t *testing.T) {
-	tr := MustNew(WithFanout(2, 4))
 	rects := randRects(500, 8)
-	for i, r := range rects {
-		tr.Insert(r, i)
-	}
+	tr, _ := BulkLoadSTR(ItemsFromRects(rects), WithFanout(4))
 	s := tr.ComputeStats()
 	if s.Items != 500 {
 		t.Errorf("Items = %d", s.Items)
@@ -264,47 +183,44 @@ func TestComputeStats(t *testing.T) {
 		t.Errorf("RootMBR = %v, want %v", s.RootMBR, want)
 	}
 	// Empty tree stats.
-	if s := MustNew().ComputeStats(); s.Nodes != 0 || s.Items != 0 {
+	if s := TreeOf(PackItems(nil)).ComputeStats(); s.Nodes != 0 || s.Items != 0 {
 		t.Errorf("empty stats = %+v", s)
 	}
 }
 
-// TestLevelStatsFollowMutations: LevelStats is memoized between mutations, so
-// after every Insert and Delete it must again equal a fresh walk — here the
-// walk of a clone, which starts without a memo.
+// TestLevelStatsFollowMutations: a table's write publishes a new image and a
+// new tree cut from it, so the memoized LevelStats of each tree in a run of
+// writes equals a fresh walk of that tree — here of a tree sharing its nodes,
+// which starts without a memo — and a second call returns the memo.
 func TestLevelStatsFollowMutations(t *testing.T) {
-	rects := randRects(600, 77)
-	tr, err := BulkLoadSTR(ItemsFromRects(rects[:200]), WithFanout(2, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(when string) {
-		t.Helper()
-		got, want := tr.LevelStats(), tr.Clone().LevelStats()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d levels, fresh walk %d", when, len(got), len(want))
+	rects := randRects(3000, 77)
+	base := PackItems(ItemsFromRects(rects[:1000]))
+	dead := make([]uint64, (1000+63)/64)
+	var delta []Item
+	var prev []LevelStat
+	for step, id := 0, 1000; id < len(rects); step, id = step+1, id+250 {
+		for s := step; s < 1000; s += 9 {
+			dead[s>>6] |= 1 << (uint(s) & 63)
+		}
+		for k := id; k < id+250; k++ {
+			delta = append(delta, Item{Rect: rects[k], ID: k})
+		}
+		tr := TreeOf(base.WithOverlay(append([]uint64(nil), dead...), PackItems(delta)))
+		got, want := tr.LevelStats(), (&Tree{root: tr.root, height: tr.height}).LevelStats()
+		if len(got) != len(want) || len(got) != tr.Height() {
+			t.Fatalf("step %d: %d levels, fresh walk %d, height %d", step, len(got), len(want), tr.Height())
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: level %d = %+v, fresh walk %+v", when, i, got[i], want[i])
+				t.Fatalf("step %d: level %d = %+v, fresh walk %+v", step, i, got[i], want[i])
 			}
 		}
-	}
-	check("after bulk load")
-	for id := 200; id < 600; id++ {
-		tr.Insert(rects[id], id)
-		if id%97 == 0 {
-			check("after inserts")
+		if again := tr.LevelStats(); &again[0] != &got[0] {
+			t.Fatalf("step %d: second LevelStats call walked the tree again", step)
 		}
-	}
-	check("after all inserts")
-	for id := 0; id < 500; id++ {
-		if !tr.Delete(rects[id], id) {
-			t.Fatalf("delete of item %d failed", id)
+		if prev != nil && prev[len(prev)-1] == got[len(got)-1] {
+			t.Fatalf("step %d: leaf level unchanged by the write: %+v", step, got[len(got)-1])
 		}
-		if id%89 == 0 {
-			check("after deletes")
-		}
+		prev = got
 	}
-	check("after all deletes")
 }

@@ -79,7 +79,9 @@ func (in fuzzJoinInput) image(side int) *Packed {
 // live pairs that meet their windows — each once — in one order. The probe
 // reads the same runs, so the same images hold it too: side b's image searched
 // with every side-a rectangle and both windows returns exactly the live
-// b-items meeting the query, no id twice.
+// b-items meeting the query, no id twice. The pointer trees cut from the two
+// images (TreeOf) are held to the same oracles: their join, filtered by the
+// windows, is the pair set, and the b-side tree's search the hit set.
 func FuzzTileJoin(f *testing.F) {
 	rec := func(x0, y0, x1, y1 [2]byte, flags byte) []byte {
 		return []byte{x0[0], x0[1], y0[0], y0[1], x1[0], x1[1], y1[0], y1[1], flags}
@@ -116,6 +118,17 @@ func FuzzTileJoin(f *testing.F) {
 				}
 			}
 		}
+		ta, tb := TreeOf(ia), TreeOf(ib)
+		var cut []JoinPair
+		JoinFunc(ta, tb, func(a, b int) {
+			if (in.winA == nil || in.rects[0][a].Intersects(*in.winA)) && (in.winB == nil || in.rects[1][b].Intersects(*in.winB)) {
+				cut = append(cut, JoinPair{A: a, B: b})
+			}
+		})
+		if !pairsEqual(cut, want) {
+			t.Fatalf("join of the cut trees returned %d pairs, brute force %d (a=%v b=%v winA=%v winB=%v)",
+				len(cut), len(want), in.rects[0], in.rects[1], in.winA, in.winB)
+		}
 		queries := slices.Clone(in.rects[0])
 		for _, win := range []*geom.Rect{in.winA, in.winB} {
 			if win != nil {
@@ -132,6 +145,9 @@ func FuzzTileJoin(f *testing.F) {
 			// Equal lengths and equal sorted sequences: a duplicate fails.
 			if got := ib.Search(q, nil); !sortedEqual(got, hits) {
 				t.Fatalf("Search(%v) returned %v, brute force over the live items %v (b=%v)", q, got, hits, in.rects[1])
+			}
+			if got := tb.Search(q, nil); !sortedEqual(got, hits) {
+				t.Fatalf("cut tree's Search(%v) returned %v, brute force over the live items %v (b=%v)", q, got, hits, in.rects[1])
 			}
 		}
 		var serial []JoinPair

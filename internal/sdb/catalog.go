@@ -47,19 +47,20 @@ const (
 type Table struct {
 	Name string
 	Data *dataset.Dataset
-	// Index holds Packed's items a second time, as a pointer R-tree. Nothing in
-	// this repository's served path reads it: it is filled only because the
-	// benchmark (bench/) still reads it, and ROADMAP item 1 removes it.
+	// Index is the pointer R-tree cut from Packed (rtree.TreeOf): Packed's live
+	// items in slot order, 50 to a leaf. Nothing in this repository's served
+	// path reads it; it is set because the benchmark (bench/) still reads it,
+	// and ROADMAP item 1 (c) removes it. Every producer sets it from the Packed
+	// it publishes, so it is never built, updated or copied on its own.
 	Index *rtree.Tree
 	Stats *histogram.GHSummary
 	// Packed is the read-optimized image of the table's items — Hilbert-ordered
 	// planes under one grid, packed from the items themselves (rtree.PackItems)
 	// — and the only index the read path (plan pricing, first join, extension
-	// probes) touches: Attach rejects a table without one. It must hold exactly
-	// Index's items. Producers build both before the table is attached —
-	// BuildTable packs the items it normalizes; the ingest front derives the
-	// image from its base and overlay — and the server's Store.Publish only
-	// swaps the finished table in.
+	// probes) touches: Attach rejects a table without one. Producers build it
+	// before the table is attached — BuildTable packs the items it normalizes;
+	// the ingest front derives the image from its base and overlay — and the
+	// server's Store.Publish only swaps the finished table in.
 	Packed *rtree.Packed
 	// RawExtent is the dataset's extent before normalization to the unit
 	// square. The live-ingest path uses it to map incoming rectangles (given
@@ -110,14 +111,9 @@ func (c *Catalog) BuildTable(d *dataset.Dataset) (*Table, error) {
 		return nil, fmt.Errorf("sdb: %w", err)
 	}
 	nd := d.Normalize()
-	items := rtree.ItemsFromRects(nd.Items)
-	// Only bench/ reads the pointer tree (Table.Index); ROADMAP item 1 drops
-	// this STR load with it.
-	index, err := rtree.BulkLoadSTR(items)
-	if err != nil {
-		return nil, fmt.Errorf("sdb: index %s: %w", d.Name, err)
-	}
+	packed := rtree.PackItems(rtree.ItemsFromRects(nd.Items))
 	var statsRaw core.Summary
+	var err error
 	if nd.Len() >= ghParallelMinItems && c.level >= ghParallelMinLevel {
 		statsRaw, err = histogram.BuildGHParallel(nd, c.level, 0)
 	} else {
@@ -130,7 +126,7 @@ func (c *Catalog) BuildTable(d *dataset.Dataset) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sdb: statistics %s: %w", d.Name, err)
 	}
-	return &Table{Name: d.Name, Data: nd, Index: index, Packed: rtree.PackItems(items),
+	return &Table{Name: d.Name, Data: nd, Index: rtree.TreeOf(packed), Packed: packed,
 		Stats: statsRaw.(*histogram.GHSummary), RawExtent: d.Extent}, nil
 }
 

@@ -80,6 +80,13 @@ var fuzzSeeds = []string{
 	// A negative offset or limit was clamped to a page the body did not ask for.
 	`{"tables":["roads","streams"],"predicates":[["roads","streams"]],"offset":-5}`,
 	`{"tables":["roads","streams"],"predicates":[["roads","streams"]],"limit":-1}`,
+	// A body was answered from its first JSON value, whatever followed it;
+	// trailing whitespace is still accepted.
+	`{"left":"roads","right":"streams"}{"method":"rs"}`,
+	`{"left":"roads","right":"streams"} garbage`,
+	`{"tables":["roads","streams"],"predicates":[["roads","streams"]]}]`,
+	`{"ids":[3]}{"ids":[4]}`,
+	"{\"items\":[[0.1,0.1,0.12,0.12]]}\n",
 }
 
 // heavyCreate reports whether body, posted to /v1/tables, would build a table

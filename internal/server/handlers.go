@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -37,14 +38,19 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // decodeJSON reads a request body into v, rejecting unknown fields so typos
-// in client payloads fail loudly instead of being ignored. The ResponseWriter
-// must be the real one: MaxBytesReader uses it to disable keep-alive on the
+// in client payloads fail loudly instead of being ignored. The body is one
+// JSON value: anything after it but whitespace is refused too, rather than
+// answering the first value and dropping the rest. The ResponseWriter must be
+// the real one: MaxBytesReader uses it to disable keep-alive on the
 // connection once the limit is blown.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("bad request body: data after the JSON value")
 	}
 	return nil
 }

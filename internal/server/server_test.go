@@ -408,6 +408,53 @@ func TestRequestValidation(t *testing.T) {
 	createTable(t, ts.URL, "a", "uniform", 300, 9, true)
 }
 
+// TestTrailingBytesRejected: a request body is one JSON value. Anything after
+// it but whitespace — a second object, a stray bracket, a word — is a 400 on
+// every POST route, and nothing the first value asked for happens: the same
+// body followed only by whitespace is then answered as if it came first.
+func TestTrailingBytesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 4})
+	for _, name := range []string{"a", "b"} {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables", CreateTableRequest{Name: name, Items: gridItems(6)}, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", name, code)
+		}
+	}
+	join := `{"tables":["a","b"],"predicates":[["a","b"]]}`
+	for _, tc := range []struct {
+		route, body string
+		want        int
+	}{
+		{"/v1/tables", `{"name":"c","items":[[0,0,1,1],[0.5,0.5,2,2]]}`, http.StatusCreated},
+		{"/v1/tables/a/insert", `{"items":[[5,5,9,9]]}`, http.StatusOK},
+		{"/v1/tables/a/delete", `{"ids":[0]}`, http.StatusOK},
+		{"/v1/tables/b/batch", `{"insert":[[5,5,9,9]],"delete":[1]}`, http.StatusOK},
+		{"/v1/estimate", `{"left":"a","right":"b"}`, http.StatusOK},
+		{"/v1/explain", join, http.StatusOK},
+		{"/v1/query", join, http.StatusOK},
+	} {
+		for _, trailer := range []string{`{"method":"rs"}`, ` garbage`, `]`, `{}`, `"x"`, `0`} {
+			resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body+trailer))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e errorResponse
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || e.Error == "" {
+				t.Errorf("POST %s %s%s: status %d error %q, want 400", tc.route, tc.body, trailer, resp.StatusCode, e.Error)
+			}
+		}
+		resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body+"\n\t \r\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %s %s and whitespace: status %d, want %d", tc.route, tc.body, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestGeneratorNBounded: a generator spec's n sizes an allocation, so it is
 // accepted only in [1, maxGeneratorItems]. The accepted bound is probed with
 // an unknown kind, which is rejected after n is checked and before anything
