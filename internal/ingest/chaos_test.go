@@ -204,9 +204,9 @@ func TestChaosMixedTrafficUnderFaults(t *testing.T) {
 	}
 	rec.mu.Unlock()
 	// Fault-free reference: base items + exactly the acknowledged inserts.
-	// (Recovered state may also hold unacknowledged batches that a later
-	// group commit made durable — those are at-least-once ambiguity, but
-	// never count *below* the acknowledged set.)
+	// (A failed commit leaves nothing behind unless its rewind failed too,
+	// which can leave its record on disk — at-least-once ambiguity, but
+	// never *below* the acknowledged set.)
 	if rec.Live() < 400+len(ackedIDs) {
 		t.Fatalf("recovered live=%d < base 400 + %d acknowledged", rec.Live(), len(ackedIDs))
 	}

@@ -38,15 +38,13 @@ func (t *Table) degradedErrLocked() *DegradedError {
 	return &DegradedError{Table: t.name, RetryAfter: t.breaker.RetryAfter(), Err: t.degradedCause}
 }
 
-// enterDegraded records a persistent WAL commit failure: it trips the
+// enterDegradedLocked records a persistent WAL commit failure: it trips the
 // circuit breaker and flips the table read-only, returning the DegradedError
 // the failed committer answers with. Queries and estimates keep serving the
-// last published snapshot (publication only ever happens after a successful
-// fsync, so nothing half-applied is ever visible), while mutations fail fast
-// until a half-open probe commits a batch end to end.
-func (t *Table) enterDegraded(cause error) *DegradedError {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// last published snapshot (a batch is applied and published only after its
+// commit, so nothing half-applied is ever visible), while mutations fail fast
+// until a half-open probe commits a batch end to end. Callers hold t.mu.
+func (t *Table) enterDegradedLocked(cause error) *DegradedError {
 	t.breaker.Failure()
 	t.degradedCause = cause
 	if !t.degraded {
@@ -56,16 +54,19 @@ func (t *Table) enterDegraded(cause error) *DegradedError {
 	return t.degradedErrLocked()
 }
 
-// recoverLocked is the half-open probe's repair step: it discards the
-// write-side in-memory state (which may include batches that were applied
-// but never acknowledged — exactly what a crash would lose) and rebuilds it
-// from the WAL's durable prefix, the same path RecoverTableOpts takes after a
-// real restart. It waits for in-flight committers and any re-pack to drain
-// first so no goroutine holds references into the state being replaced.
-// Callers hold t.mu; the wait releases it.
+// recoverLocked is the half-open probe's repair step: it reopens the WAL and
+// rebuilds the write-side in-memory state from the log's durable prefix, the
+// same path RecoverTableOpts takes after a real restart, so the probe commits
+// onto what the reopened file proves durable. It waits for a re-pack in
+// flight to finish first so no fold holds references into the state being
+// replaced, and refuses with ErrClosed when Close ran meanwhile. Callers hold
+// t.mu; the wait releases it.
 func (t *Table) recoverLocked() error {
-	for t.inflight > 0 || t.repacking {
+	for t.repacking {
 		t.cond.Wait()
+	}
+	if t.closed {
+		return t.closedErr()
 	}
 	t.wal.Close()
 	w, cp, batches, err := OpenWALFS(t.fs, t.retryer, t.walPath)

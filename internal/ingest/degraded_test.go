@@ -183,3 +183,50 @@ func TestManagerDegradedTables(t *testing.T) {
 		t.Fatalf("DegradedTables = %v, want [dt]", got)
 	}
 }
+
+// TestWALPathDuringDegradedRecovery: WALPath is read after every mutation
+// (the server's durable flag, Manager.Forget) while a degraded-mode probe may
+// be reopening the WAL, so it must not read the handle the probe replaces.
+func TestWALPathDuringDegradedRecovery(t *testing.T) {
+	tbl, inj, _, walPath := faultTable(t)
+	defer tbl.Close()
+	stop := make(chan struct{})
+	bad := make(chan string, 1)
+	go func() {
+		defer close(bad)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if p := tbl.WALPath(); p != walPath {
+				bad <- p
+				return
+			}
+		}
+	}()
+	var derr *DegradedError
+	for round := 0; round < 3; round++ {
+		inj.Add(faultfs.Fault{Op: faultfs.OpSync})
+		if _, err := tbl.Apply(oneInsert()); !errors.As(err, &derr) {
+			t.Fatalf("round %d: apply under fault = %v, want DegradedError", round, err)
+		}
+		inj.Clear()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			_, err := tbl.Apply(oneInsert())
+			if err == nil {
+				break
+			}
+			if !errors.As(err, &derr) || time.Now().After(deadline) {
+				t.Fatalf("round %d: recovery apply = %v", round, err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(stop)
+	if p, ok := <-bad; ok {
+		t.Fatalf("WALPath = %q during recovery, want %q", p, walPath)
+	}
+}

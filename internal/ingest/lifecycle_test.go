@@ -3,7 +3,10 @@ package ingest
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,4 +216,125 @@ func TestLifecycleIndexIsCutFromImage(t *testing.T) {
 		t.Fatalf("restart holds %d items, before it %d", snap.Packed.Len(), live)
 	}
 	requireIndexCutFromImage(t, "restart", snap)
+}
+
+// pubLog is a store that keeps every publication: generation g is pubs[g-1].
+type pubLog struct {
+	mu   sync.Mutex
+	pubs []*sdb.Table
+}
+
+func (l *pubLog) publish(t *sdb.Table) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.pubs = append(l.pubs, t)
+	return uint64(len(l.pubs)), nil
+}
+
+// TestLifecycleConcurrentCommits pins the commit contract: a commit is one
+// critical section, so with several writers on one WAL-backed table every
+// batch pays its own fsync and makes its own publication, publications arrive
+// in sequence order, and each batch's Gen is the publication that carries it.
+// Every batch inserts one item, so publication k of batch seq k holds
+// base+k items, the last of which is the batch's.
+func TestLifecycleConcurrentCommits(t *testing.T) {
+	const (
+		writers = 6
+		batches = 20
+		n0      = 200
+	)
+	store := &pubLog{}
+	tab, err := OpenTable(buildTable(t, "lc_commit", n0, 4, 64), 4, filepath.Join(t.TempDir(), "lc_commit.wal"), store.publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	var fsyncs atomic.Int64
+	tab.SetFsyncObserver(func(time.Duration) { fsyncs.Add(1) })
+
+	results := make([][]ApplyResult, writers)
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for b := 0; b < batches; b++ {
+				res, err := tab.Apply(Mutation{Inserts: []geom.Rect{rawRect(rng)}})
+				if err != nil {
+					errs <- err
+					return
+				}
+				results[w] = append(results[w], res)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	const total = writers * batches
+	if len(store.pubs) != total {
+		t.Fatalf("%d publications for %d batches", len(store.pubs), total)
+	}
+	for k, pub := range store.pubs {
+		if got, want := pub.Data.Len(), n0+k+1; got != want || pub.Packed.Len() != want {
+			t.Fatalf("publication %d holds %d items (%d live), want %d: not batch seq %d", k+1, got, pub.Packed.Len(), want, k+1)
+		}
+	}
+	for w, rs := range results {
+		for i, res := range rs {
+			if i > 0 && res.Seq <= rs[i-1].Seq {
+				t.Fatalf("writer %d: seq %d after %d", w, res.Seq, rs[i-1].Seq)
+			}
+			if res.Gen != res.Seq || res.IDs[0] != n0+int(res.Seq)-1 {
+				t.Fatalf("writer %d: batch seq %d (item %d) reported gen %d, want its own publication %d", w, res.Seq, res.IDs[0], res.Gen, res.Seq)
+			}
+		}
+	}
+	if got := fsyncs.Load(); got != total {
+		t.Fatalf("%d fsyncs for %d batches, want one each", got, total)
+	}
+}
+
+// TestLifecycleCloseDuringDegradedProbe: a degraded-mode probe waits for a
+// fold in flight before it rebuilds the state, releasing the apply lock; a
+// Close that lands in that wait must still stop the probe from reopening the
+// WAL, committing and publishing.
+func TestLifecycleCloseDuringDegradedProbe(t *testing.T) {
+	tbl, inj, store, _ := faultTable(t)
+	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
+	var derr *DegradedError
+	if _, err := tbl.Apply(oneInsert()); !errors.As(err, &derr) {
+		t.Fatalf("apply under fault = %v, want DegradedError", err)
+	}
+	inj.Clear()
+	tbl.mu.Lock()
+	tbl.repacking = true // a fold between its two critical sections
+	tbl.mu.Unlock()
+	time.Sleep(10 * time.Millisecond) // past the breaker's cooldown
+
+	probed := make(chan error, 1)
+	go func() {
+		_, err := tbl.Apply(oneInsert())
+		probed <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // the probe is waiting for the fold
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, pubs := store.current()
+	tbl.mu.Lock()
+	tbl.repacking = false
+	tbl.cond.Broadcast()
+	tbl.mu.Unlock()
+	if err := <-probed; !errors.Is(err, ErrClosed) {
+		t.Fatalf("probe after Close = %v, want ErrClosed", err)
+	}
+	if _, after := store.current(); after != pubs {
+		t.Fatalf("the probe published %d snapshots after Close returned", after-pubs)
+	}
 }

@@ -5,9 +5,9 @@ import (
 )
 
 // fsyncBuckets are the upper bounds (seconds) of the WAL fsync duration
-// histogram. Group commit keeps fsyncs off the per-record path, so the
-// interesting range is one device flush (sub-millisecond on NVMe, a few
-// milliseconds on spinning disks) up to pathological stalls.
+// histogram. Every committed batch pays one fsync, so the interesting range
+// is one device flush (sub-millisecond on NVMe, a few milliseconds on
+// spinning disks) up to pathological stalls.
 var fsyncBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}
 
 // Ingest subsystem instruments. Created once at init; the hot path pays only
@@ -20,13 +20,12 @@ var (
 		"delete": obs.Default.Counter("sdbd_ingest_records_total", "Mutation records committed by operation.", obs.L("op", "delete")),
 	}
 	mWALFsync = obs.Default.Histogram("sdbd_ingest_wal_fsync_seconds",
-		"WAL group-commit fsync duration.", fsyncBuckets)
+		"WAL commit fsync duration: one per committed batch.", fsyncBuckets)
 	mRepacks = obs.Default.Counter("sdbd_ingest_repacks_total",
 		"Background read-tree re-packs completed.")
 	mRepackSeconds = obs.Default.FloatCounter("sdbd_ingest_repack_seconds_total",
 		"Cumulative time spent re-packing read trees.")
 	mWALRetry = map[string]*obs.Counter{
-		"write":      obs.Default.Counter("sdbd_wal_retry_total", "WAL operation retries after transient failures, by operation.", obs.L("op", "write")),
 		"sync":       obs.Default.Counter("sdbd_wal_retry_total", "WAL operation retries after transient failures, by operation.", obs.L("op", "sync")),
 		"checkpoint": obs.Default.Counter("sdbd_wal_retry_total", "WAL operation retries after transient failures, by operation.", obs.L("op", "checkpoint")),
 	}

@@ -37,10 +37,8 @@ type Mutation struct {
 func (m *Mutation) Records() int { return len(m.Inserts) + len(m.Deletes) }
 
 // ApplyResult reports a committed batch: the IDs assigned to the inserts (in
-// input order), the table's WAL sequence, and the store generation whose
-// snapshot contains the batch. When a later batch's snapshot was published
-// first (group publication), Gen is that later generation — the batch is
-// visible in it all the same.
+// input order), the table's WAL sequence, and the store generation of the
+// snapshot the batch published.
 type ApplyResult struct {
 	IDs []int
 	Seq uint64
@@ -92,24 +90,23 @@ type Table struct {
 	fs      faultfs.FS
 	retryer *resilience.Retryer
 	breaker *resilience.Breaker
-	fsyncFn func(time.Duration)
+	fsyncFn func(time.Duration) // the exception: set by SetFsyncObserver, under mu
 
 	gDeltaItems, gTombstones *obs.Gauge // the published overlay's size
 
-	mu   sync.Mutex // the apply critical section
-	cond *sync.Cond // signaled when inflight drains or a fold ends
+	// mu is the apply lock: a commit — validation, WAL write and fsync,
+	// apply, publication — is one critical section under it, as are a fold's
+	// swap, Snapshot and Close. Lock order: mu, then the store's lock (taken
+	// inside publish).
+	mu   sync.Mutex
+	cond *sync.Cond // signaled when a fold ends
 	state
 	repacking bool // a fold is between its two critical sections
-	inflight  int  // publishers between building a snapshot and publishing it
 	closed    bool // Close ran: nothing commits or publishes any more
 	catchUp   []catchUpOp
 
 	degraded      bool  // read-only mode: WAL failed, breaker gating probes
 	degradedCause error // what tripped it
-
-	pubMu  sync.Mutex // serializes snapshot publication
-	pubSeq uint64     // highest sequence published
-	pubGen uint64     // generation of that publication
 }
 
 // state is what a table's WAL determines: the item log, the statistics, and
@@ -266,120 +263,101 @@ func (t *Table) Live() int {
 }
 
 // WALPath returns the table's WAL file path, or "" when durability is off.
-func (t *Table) WALPath() string {
-	if t.wal == nil {
-		return ""
-	}
-	return t.wal.Path()
-}
+// The path is fixed at construction; the WAL handle behind it is not (a
+// degraded-mode recovery reopens it).
+func (t *Table) WALPath() string { return t.walPath }
 
 // SetFsyncObserver forwards to the table's WAL (no-op without one). The
 // callback survives degraded-mode recovery, which swaps the WAL handle.
 func (t *Table) SetFsyncObserver(fn func(time.Duration)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.fsyncFn = fn
 	if t.wal != nil {
 		t.wal.SetFsyncObserver(fn)
 	}
 }
 
-// Apply commits one mutation batch: validate, assign IDs, append to the WAL,
-// apply to the overlay and the statistics builder inside one critical
-// section, group-commit fsync, then publish the new snapshot. The snapshot is
-// a new table value with new statistics, so no estimate remembered against
-// the old one (sdb.Table.Estimate) is answered for it.
+// Apply commits one mutation batch in one critical section under the apply
+// lock: validate, assign IDs, write and fsync the batch's WAL record, apply it
+// to the overlay and the statistics builder, and publish the new snapshot. A
+// commit that fails leaves the in-memory state untouched, so what is applied
+// and published is always durable. The snapshot is a new table value with new
+// statistics, so no estimate remembered against the old one
+// (sdb.Table.Estimate) is answered for it.
 //
 // When the table is in degraded mode, Apply either fails fast with
 // DegradedError (breaker closed to probes) or — when the breaker grants the
 // half-open probe — repairs the write-side state from the WAL's durable
-// prefix and carries this batch as the probe: only a full append+fsync
-// re-arms the table.
+// prefix and carries this batch as the probe: only a full commit re-arms the
+// table.
 func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 	if m.Records() == 0 {
 		return ApplyResult{}, fmt.Errorf("ingest: %s: empty batch", t.name)
 	}
 
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return ApplyResult{}, t.closedErr()
 	}
 	probing := false
 	if t.degraded {
 		if !t.breaker.Allow() {
-			err := t.degradedErrLocked()
-			t.mu.Unlock()
-			return ApplyResult{}, err
+			return ApplyResult{}, t.degradedErrLocked()
 		}
 		if err := t.recoverLocked(); err != nil {
+			if t.closed {
+				return ApplyResult{}, err
+			}
 			t.breaker.Failure()
 			t.degradedCause = err
-			derr := t.degradedErrLocked()
-			t.mu.Unlock()
-			return ApplyResult{}, derr
+			return ApplyResult{}, t.degradedErrLocked()
 		}
 		// State repaired; this batch is the probe. degraded stays set until
-		// the commit lands so concurrent writers keep failing fast.
+		// the commit lands.
 		probing = true
 	}
-	norm := make([]geom.Rect, len(m.Inserts))
+	batch := Batch{Seq: t.seq + 1, Deletes: m.Deletes}
+	ids := make([]int, len(m.Inserts))
 	for i, r := range m.Inserts {
 		nr, err := t.normalizeLocked(r)
 		if err != nil {
 			t.failProbeLocked(probing)
-			t.mu.Unlock()
 			return ApplyResult{}, err
 		}
-		norm[i] = nr
+		ids[i] = len(t.items) + i
+		batch.Inserts = append(batch.Inserts, Insert{ID: ids[i], Rect: nr})
 	}
 	if err := t.validateDeletesLocked(m.Deletes); err != nil {
 		t.failProbeLocked(probing)
-		t.mu.Unlock()
 		return ApplyResult{}, err
 	}
 
-	t.seq++
-	batch := Batch{Seq: t.seq, Deletes: m.Deletes}
-	ids := make([]int, len(norm))
-	for i, r := range norm {
-		ids[i] = len(t.items) + i
-		batch.Inserts = append(batch.Inserts, Insert{ID: ids[i], Rect: r})
-	}
 	if t.wal != nil {
-		if err := t.wal.Append(batch); err != nil {
-			t.seq--
-			t.failProbeLocked(probing)
-			t.mu.Unlock()
-			return ApplyResult{}, err
+		if err := t.wal.Commit(batch); err != nil {
+			return ApplyResult{}, t.enterDegradedLocked(err)
+		}
+		t.breaker.Success()
+		if probing {
+			t.degraded = false
+			t.degradedCause = nil
+			mWALRecovered.Inc()
 		}
 	}
+	t.seq = batch.Seq
 	if err := t.applyLocked(batch); err != nil {
 		// Only reachable through a broken internal invariant (the validation
 		// above vouches for every operation); surface it rather than mask it.
-		t.mu.Unlock()
 		return ApplyResult{}, fmt.Errorf("ingest: %s: %w", t.name, err)
 	}
 	t.churn += batch.Records()
-	seq := t.seq
-	snap := t.snapshotLocked()
-	t.inflight++
-	t.mu.Unlock()
-
-	if t.wal != nil {
-		if err := t.wal.Sync(seq); err != nil {
-			t.commitDone()
-			return ApplyResult{}, t.enterDegraded(err)
-		}
-	}
-	if probing || t.wal != nil {
-		t.commitLanded(probing)
-	}
-	gen, err := t.publishSnap(seq, false, snap)
-	t.commitDone()
+	gen, err := t.publishLocked()
 	if err != nil {
 		return ApplyResult{}, err
 	}
 	recordBatch(len(m.Inserts), len(m.Deletes))
-	return ApplyResult{IDs: ids, Seq: seq, Gen: gen}, nil
+	return ApplyResult{IDs: ids, Seq: batch.Seq, Gen: gen}, nil
 }
 
 // failProbeLocked re-trips the breaker when a half-open probe dies on
@@ -392,45 +370,15 @@ func (t *Table) failProbeLocked(probing bool) {
 	}
 }
 
-// commitLanded records a successful append+fsync: the breaker's failure
-// streak resets, and a probe commit re-arms the table for writes.
-func (t *Table) commitLanded(probing bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.breaker.Success()
-	if probing && t.degraded {
-		t.degraded = false
-		t.degradedCause = nil
-		mWALRecovered.Inc()
-	}
-}
-
-// commitDone retires an in-flight committer and wakes anyone waiting for
-// the commit pipeline to drain (degraded-mode recovery).
-func (t *Table) commitDone() {
-	t.mu.Lock()
-	t.inflight--
-	if t.inflight == 0 {
-		t.cond.Broadcast()
-	}
-	t.mu.Unlock()
-}
-
 // Snapshot builds and publishes the table's current snapshot, returning the
 // store generation. Used after recovery to make the replayed state readable.
 func (t *Table) Snapshot() (uint64, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return 0, t.closedErr()
 	}
-	seq := t.seq
-	snap := t.snapshotLocked()
-	t.inflight++
-	t.mu.Unlock()
-	gen, err := t.publishSnap(seq, false, snap)
-	t.commitDone()
-	return gen, err
+	return t.publishLocked()
 }
 
 // Degradation samples the fold trigger signal.
@@ -456,9 +404,10 @@ func (t *Table) Degradation() Degradation {
 // lock against a frozen view of the live items; mutations that land meanwhile
 // go to the current overlay as usual and are also logged, and the log is
 // replayed onto the new base — as its first tombstones and delta items —
-// before the swap, which publishes with a single generation bump. Queries
-// never block (they read published snapshots, whose planes a fold leaves
-// alone); writers block only for the two short critical sections.
+// before the swap, which publishes with a single generation bump under the
+// apply lock. Queries never block (they read published snapshots, whose
+// planes a fold leaves alone); writers block only for the two short critical
+// sections.
 // With a WAL, the swap also rewrites the log to a single checkpoint record —
 // the truncate-on-fold step. Returns false when a fold was already running,
 // and ErrClosed when Close ran before the fold could publish.
@@ -502,20 +451,18 @@ func (t *Table) Repack() (bool, error) {
 	t.repacking = false
 	t.cond.Broadcast()
 	t.ov = ov
-	seq := t.seq
 	// A failed checkpoint rewrite is non-destructive: the old log (its
 	// checkpoint plus the full batch history) still covers the folded state,
 	// so the fold stands, its snapshot is published, and the truncation stays
-	// owed until a later pass gets it through.
+	// owed until a later pass gets it through. The fold's snapshot holds the
+	// same items as the last batch's on a new base, and replaces it: readers
+	// stop paying for the overlay when the fold ends, not at the next write.
 	werr := t.checkpointLocked()
-	snap := t.snapshotLocked()
-	t.inflight++
+	_, err := t.publishLocked()
 	t.mu.Unlock()
 
 	mRepacks.Inc()
 	mRepackSeconds.Add(time.Since(start).Seconds())
-	_, err := t.publishSnap(seq, true, snap)
-	t.commitDone()
 	if err != nil {
 		return true, err
 	}
@@ -577,20 +524,17 @@ func (s *state) liveItemsLocked() []rtree.Item {
 
 // Close retires the front: once it returns, nothing the front does reaches
 // the store, so a dropped or replaced table stays gone. Every publisher —
-// Apply, Repack, Snapshot — checks closed in the critical section that builds
-// its snapshot and counts in inflight until its publish returns, so Close
-// waits out the publishes already under way and refuses the rest with
-// ErrClosed; a fold in flight drops its new base. Then it releases the WAL
-// handle: unsynced batches were never acknowledged, so there is nothing to
-// flush. The overlay gauges go to zero with the front: a dropped table must
-// not keep reporting a distance to its next fold.
+// Apply, Repack, Snapshot — checks closed and publishes in one critical
+// section under the apply lock, so a publication either finished before Close
+// took the lock or is refused with ErrClosed; a fold in flight drops its new
+// base. Then it releases the WAL handle: every committed batch is already
+// durable, so there is nothing to flush. The overlay gauges go to zero with
+// the front: a dropped table must not keep reporting a distance to its next
+// fold.
 func (t *Table) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
-	for t.inflight > 0 {
-		t.cond.Wait()
-	}
 	t.gDeltaItems.Set(0)
 	t.gTombstones.Set(0)
 	if t.wal == nil {
@@ -698,8 +642,9 @@ func (t *Table) applyLocked(b Batch) error {
 	return nil
 }
 
-// snapshotLocked assembles the immutable table snapshot readers will serve
-// from: a length-capped view of the append-only items slice (the writer only
+// publishLocked assembles the immutable table snapshot readers will serve
+// from and installs it through the PublishFunc, returning its generation: a
+// length-capped view of the append-only items slice (the writer only
 // ever appends past this length, never mutates below it, so sharing the
 // backing array is safe), the base planes under the overlay's current image,
 // the pointer tree cut from that image (rtree.TreeOf: sdb.Table.Index, which
@@ -707,13 +652,15 @@ func (t *Table) applyLocked(b Batch) error {
 // stay in the items view — the executor only reads Items[id] for IDs the
 // index returns, and the index holds live IDs only; the table's cardinality
 // and what estimators summarize come from the image (sdb.Table.Len, LiveData).
-func (t *Table) snapshotLocked() *sdb.Table {
+// Callers hold the apply lock, so publications land in commit order and none
+// after Close.
+func (t *Table) publishLocked() (uint64, error) {
 	n := len(t.items)
 	view := t.items[:n:n]
 	t.gDeltaItems.Set(int64(len(t.ov.delta)))
 	t.gTombstones.Set(int64(t.ov.nDead))
 	packed := t.ov.image()
-	return &sdb.Table{
+	snap := &sdb.Table{
 		Name:      t.name,
 		Data:      dataset.New(t.name, geom.UnitSquare, view),
 		Index:     rtree.TreeOf(packed),
@@ -721,6 +668,8 @@ func (t *Table) snapshotLocked() *sdb.Table {
 		Stats:     t.builder.Summary(),
 		RawExtent: t.rawExtent,
 	}
+	//lint:ignore lockorder the apply lock orders publications with commits and Close; the callee is the store's snapshot installer, which takes only Store.mu and never re-enters the ingest layer
+	return t.publish(snap)
 }
 
 // checkpointRecordLocked captures the full table state for a WAL checkpoint.
@@ -734,28 +683,4 @@ func (t *Table) checkpointRecordLocked() Checkpoint {
 		}
 	}
 	return Checkpoint{Seq: t.seq, RawExtent: t.rawExtent, Items: items, Deleted: del}
-}
-
-// publishSnap installs a snapshot unless a later one is already live. Two
-// committers can finish out of order; whichever published last carries the
-// earlier batch's changes too (snapshots are built inside the apply critical
-// section, so snapshot content order matches sequence order), so the stale
-// publisher just reports the newer generation. A fold's snapshot holds the
-// same items as the batch snapshot of its sequence on a new base, and
-// replaces it: readers stop paying for the overlay when the fold ends, not at
-// the next write.
-func (t *Table) publishSnap(seq uint64, folded bool, tbl *sdb.Table) (uint64, error) {
-	t.pubMu.Lock()
-	defer t.pubMu.Unlock()
-	if t.pubSeq > 0 && (seq < t.pubSeq || seq == t.pubSeq && !folded) {
-		return t.pubGen, nil
-	}
-	//lint:ignore lockorder pubMu exists to order publish handoffs by WAL seq; the callee is the store's snapshot installer, which takes only Store.mu and never re-enters the ingest layer
-	gen, err := t.publish(tbl)
-	if err != nil {
-		return 0, err
-	}
-	t.pubSeq = seq
-	t.pubGen = gen
-	return gen, nil
 }

@@ -505,33 +505,6 @@ func TestTableRepackDeltaReplay(t *testing.T) {
 	}
 }
 
-// TestPublishSnapOrdering pins the out-of-order publication contract: a
-// stale snapshot never overwrites a newer one.
-func TestPublishSnapOrdering(t *testing.T) {
-	store := &fakeStore{}
-	base := buildTable(t, "t", 50, 4, 12)
-	tab, err := OpenTable(base, 4, "", store.publish)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Packed: base.Packed, Stats: base.Stats}
-	s2 := &sdb.Table{Name: "t", Data: base.Data, Index: base.Index, Packed: base.Packed, Stats: base.Stats}
-	g2, err := tab.publishSnap(2, false, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, err := tab.publishSnap(1, false, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1 != g2 {
-		t.Fatalf("stale publisher got gen %d, want %d", g1, g2)
-	}
-	if store.pubs != 1 || store.snapshot() != s2 {
-		t.Fatalf("stale snapshot published (%d publications)", store.pubs)
-	}
-}
-
 func TestTableNameAccessors(t *testing.T) {
 	store := &fakeStore{}
 	base := buildTable(t, "acc", 10, 4, 13)

@@ -11,10 +11,13 @@
 //
 // Durability comes from a per-table write-ahead log: length-prefixed,
 // CRC-checked records holding one checkpoint (the table's full state) at the
-// head and one record per committed batch after it. Batches are acknowledged
-// only after a group-commit fsync, so replay after a crash reconstructs
-// exactly the acknowledged state; a torn tail record — the signature of a
-// crash mid-write — is discarded and truncated away.
+// head and one record per committed batch after it. A commit — the record's
+// write and fsync, the apply, the publish — is one critical section under the
+// table's apply lock, so a table's batches commit one at a time, each pays
+// its own fsync, and only a durable batch is ever applied or published.
+// Replay after a crash reconstructs exactly the acknowledged state; a torn
+// tail record — the signature of a crash mid-write — is discarded and
+// truncated away.
 package ingest
 
 import (
@@ -24,7 +27,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 	"time"
 
 	"spatialsel/internal/faultfs"
@@ -72,34 +74,28 @@ type Checkpoint struct {
 	Deleted   []int
 }
 
-// WAL is a per-table append-only write-ahead log. Append buffers a batch
-// record; Sync performs the group-commit fsync that makes every buffered
-// record up to the given sequence durable. Concurrent committers share one
-// fsync: whoever acquires the sync lock first flushes everything buffered so
-// far, and the rest observe their sequence already durable and return
-// immediately.
+// WAL is a per-table append-only write-ahead log. Commit writes one batch
+// record and fsyncs it before returning, so a batch is durable exactly when
+// Commit succeeds. A WAL is not safe for concurrent use: its owner, the
+// table mutation front, calls it only under its apply lock, which also makes
+// the record order the apply order.
 //
 // Failure handling: transient write/fsync errors are retried with backoff
 // after rewinding the file to its durable prefix, so a torn or short write
-// never leaves half a record where replay would find it. A failed Sync (all
-// retries exhausted) leaves the buffered records in place — the batch is
-// unacknowledged but the log stays usable, and a later Sync retries the
-// whole pending suffix. Only a failed rewind — the file offset is then
-// unknown — poisons the log.
+// never leaves half a record where replay would find it. A failed Commit (all
+// retries exhausted) leaves the file at that prefix — the batch is
+// unacknowledged, but the log stays usable and the next Commit starts on a
+// record boundary. Only a failed rewind — the file offset is then unknown —
+// poisons the log.
 type WAL struct {
 	path  string
 	fs    faultfs.FS
 	retry *resilience.Retryer
 
-	mu       sync.Mutex // guards f, buf, appended, synced, err
-	f        faultfs.File
-	buf      []byte
-	appended uint64 // highest seq encoded into buf or file
-	synced   uint64 // highest seq known durable
-	err      error  // fatal-only: set when the file state is unknowable
-
-	smu     sync.Mutex // serializes fsyncs (the group-commit critical section)
-	durable int64      // intact-prefix length of the file; guarded by smu
+	f       faultfs.File
+	seq     uint64 // highest seq durable in the file
+	durable int64  // intact-prefix length of the file
+	err     error  // fatal-only: set when the file state is unknowable
 
 	// fsyncObs, when set, receives the duration of every real fsync — the
 	// benchmark harness uses it to report fsync percentiles. The obs
@@ -119,7 +115,7 @@ func CreateWALFS(fs faultfs.FS, retry *resilience.Retryer, path string, cp Check
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{path: path, fs: fs, retry: retry, f: f, durable: n, appended: cp.Seq, synced: cp.Seq}, nil
+	return &WAL{path: path, fs: fs, retry: retry, f: f, durable: n, seq: cp.Seq}, nil
 }
 
 // OpenWALFS replays an existing WAL on fs (nil retry = default policy). It
@@ -159,76 +155,31 @@ func OpenWALFS(fs faultfs.FS, retry *resilience.Retryer, path string) (*WAL, Che
 	if n := len(batches); n > 0 {
 		top = batches[n-1].Seq
 	}
-	return &WAL{path: path, fs: fs, retry: retry, f: f, durable: goodLen, appended: top, synced: top}, cp, batches, nil
+	return &WAL{path: path, fs: fs, retry: retry, f: f, durable: goodLen, seq: top}, cp, batches, nil
 }
 
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
 // SetFsyncObserver installs a callback receiving each real fsync's duration.
-// Must be called before the first Append.
 func (w *WAL) SetFsyncObserver(fn func(time.Duration)) { w.fsyncObs = fn }
 
-// Append encodes the batch into the log's buffer. The record order is the
-// append order, which the table mutation front makes identical to the apply
-// order by appending inside its critical section. Durability requires a
-// subsequent Sync.
-func (w *WAL) Append(b Batch) error {
-	rec := encodeBatch(b)
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// Commit appends the batch's record and fsyncs it: when Commit returns nil
+// the batch is durable. Each write+fsync attempt that fails rewinds the file
+// to the durable prefix before backing off, so a retry rewrites the record
+// from a record boundary; when retries are exhausted the file is left at that
+// prefix and the batch is not in the log.
+func (w *WAL) Commit(b Batch) error {
 	if w.err != nil {
 		return w.err
 	}
-	if b.Seq <= w.appended {
-		return fmt.Errorf("ingest: wal %s: batch seq %d not after %d", w.path, b.Seq, w.appended)
+	if b.Seq <= w.seq {
+		return fmt.Errorf("ingest: wal %s: batch seq %d not after %d", w.path, b.Seq, w.seq)
 	}
-	w.buf = appendRecord(w.buf, rec)
-	w.appended = b.Seq
-	return nil
-}
-
-// Sync makes every record with sequence ≤ seq durable. This is the group
-// commit: one fsync covers all batches buffered at the time it runs, and
-// committers whose sequence that fsync already covered return without
-// touching the disk at all.
-//
-// Each write+fsync attempt that fails rewinds the file to the durable
-// prefix before backing off, so retries rewrite the pending suffix from a
-// record boundary. When retries are exhausted the pending records stay
-// buffered: the commit is unacknowledged, but the next Sync (the circuit
-// breaker's half-open probe, typically) picks them up again.
-func (w *WAL) Sync(seq uint64) error {
-	w.smu.Lock()
-	defer w.smu.Unlock()
-
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if w.synced >= seq {
-		w.mu.Unlock()
-		return nil
-	}
-	// Full-capacity slice: concurrent Appends growing w.buf reallocate
-	// instead of clobbering the bytes being written.
-	buf := w.buf[:len(w.buf):len(w.buf)]
-	top := w.appended
-	f := w.f
-	w.mu.Unlock()
-
-	// File writes happen outside mu so appends keep flowing, but inside smu
-	// so the write order matches the buffer order.
-	attempt := func() error {
-		if len(buf) > 0 {
-			if _, err := f.Write(buf); err != nil {
-				return err
-			}
+	rec := appendRecord(nil, encodeBatch(b))
+	err := w.retry.Do(func() error {
+		if _, err := w.f.Write(rec); err != nil {
+			return err
 		}
 		start := time.Now()
-		if err := f.Sync(); err != nil {
+		if err := w.f.Sync(); err != nil {
 			return err
 		}
 		d := time.Since(start)
@@ -237,64 +188,48 @@ func (w *WAL) Sync(seq uint64) error {
 			w.fsyncObs(d)
 		}
 		return nil
-	}
-	err := w.retry.Do(attempt, func(error) error {
+	}, func(error) error {
 		mWALRetry["sync"].Inc()
-		return w.rewind(f)
+		return w.rewind()
 	})
 	if err != nil {
-		if w.fatal() == nil {
+		if w.err == nil {
 			// Retries exhausted on a transient error: leave the file rewound
-			// to its durable prefix so a later probe starts clean.
-			if rerr := w.rewind(f); rerr != nil {
+			// to its durable prefix so the next commit starts clean.
+			if rerr := w.rewind(); rerr != nil {
 				return rerr
 			}
 		}
 		return err
 	}
-
-	w.mu.Lock()
-	w.synced = top
-	w.buf = w.buf[len(buf):]
-	w.mu.Unlock()
-	w.durable += int64(len(buf))
+	w.seq = b.Seq
+	w.durable += int64(len(rec))
 	return nil
 }
 
 // rewind truncates the file back to its durable prefix after a failed
 // write or fsync, restoring the invariant that the file ends on a record
 // boundary. A rewind failure leaves the on-disk state unknowable and
-// poisons the log. Callers hold smu.
-func (w *WAL) rewind(f faultfs.File) error {
-	if err := f.Truncate(w.durable); err != nil {
+// poisons the log.
+func (w *WAL) rewind() error {
+	if err := w.f.Truncate(w.durable); err != nil {
 		return w.poison(fmt.Errorf("ingest: wal %s: rewind truncate: %w", w.path, err))
 	}
-	if _, err := f.Seek(w.durable, io.SeekStart); err != nil {
+	if _, err := w.f.Seek(w.durable, io.SeekStart); err != nil {
 		return w.poison(fmt.Errorf("ingest: wal %s: rewind seek: %w", w.path, err))
 	}
 	return nil
 }
 
-// fatal reports the sticky fatal error, if any.
-func (w *WAL) fatal() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // Checkpoint atomically replaces the log with a single checkpoint record —
 // the truncate-on-repack step. The caller must guarantee cp reflects every
-// batch appended so far (the table mutation front calls this under its
+// batch committed so far (the table mutation front calls this under its
 // apply lock). The new file is durable before the old one is replaced.
 //
 // Failure is non-destructive: each attempt builds a temp sibling, so until
 // the rename lands the old log — checkpoint plus full batch history — keeps
 // serving, and the caller may simply try again on the next re-pack.
 func (w *WAL) Checkpoint(cp Checkpoint) error {
-	w.smu.Lock()
-	defer w.smu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
@@ -313,18 +248,14 @@ func (w *WAL) Checkpoint(cp Checkpoint) error {
 	}
 	w.f.Close()
 	w.f = f
-	w.buf = nil
-	w.appended = cp.Seq
-	w.synced = cp.Seq
+	w.seq = cp.Seq
 	w.durable = n
 	return nil
 }
 
-// Close flushes nothing (unsynced batches were never acknowledged) and
+// Close flushes nothing (every committed batch is already durable) and
 // releases the file handle.
 func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
@@ -337,8 +268,6 @@ func (w *WAL) Close() error {
 }
 
 func (w *WAL) poison(err error) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err == nil {
 		w.err = err
 	}

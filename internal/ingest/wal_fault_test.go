@@ -46,11 +46,8 @@ func mkBatch(seq uint64) Batch {
 func TestWALSyncRetriesTransientFault(t *testing.T) {
 	inj, w, path := faultWAL(t, fastRetry())
 	inj.Add(faultfs.Fault{Op: faultfs.OpSync, Nth: 1, Count: 1})
-	if err := w.Append(mkBatch(4)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if err := w.Sync(4); err != nil {
-		t.Fatalf("Sync should succeed via retry: %v", err)
+	if err := w.Commit(mkBatch(4)); err != nil {
+		t.Fatalf("Commit should succeed via retry: %v", err)
 	}
 	w.Close()
 	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
@@ -67,11 +64,8 @@ func TestWALSyncRetriesTransientFault(t *testing.T) {
 func TestWALTornWriteRewound(t *testing.T) {
 	inj, w, path := faultWAL(t, fastRetry())
 	inj.Add(faultfs.Fault{Op: faultfs.OpWrite, Nth: 1, Torn: 5, Count: 1})
-	if err := w.Append(mkBatch(4)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if err := w.Sync(4); err != nil {
-		t.Fatalf("Sync should succeed after rewind+retry: %v", err)
+	if err := w.Commit(mkBatch(4)); err != nil {
+		t.Fatalf("Commit should succeed after rewind+retry: %v", err)
 	}
 	w.Close()
 	data, err := faultfs.Disk().ReadFile(path)
@@ -87,69 +81,50 @@ func TestWALTornWriteRewound(t *testing.T) {
 	}
 }
 
-// Satellite: a persistent fsync error mid-group-commit must surface to
-// every waiting committer — both goroutines piggybacking on the same fsync
-// get the error, neither batch is acknowledged, and the file keeps only
-// the durable prefix.
-func TestWALGroupCommitFsyncErrorHitsAllCommitters(t *testing.T) {
+// A commit whose fsync fails for good must return the error and leave the
+// file at its durable prefix — only the checkpoint — with the log still
+// usable: once the fault clears, the same batch commits, once.
+func TestWALCommitFsyncFaultLeavesDurablePrefix(t *testing.T) {
 	inj, w, path := faultWAL(t, noRetry())
+	cpLen := fileSize(t, path)
 	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
-	if err := w.Append(mkBatch(4)); err != nil {
-		t.Fatal(err)
+	if err := w.Commit(mkBatch(4)); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Commit = %v, want injected fsync failure", err)
 	}
-	if err := w.Append(mkBatch(5)); err != nil {
-		t.Fatal(err)
+	if got := fileSize(t, path); got != cpLen {
+		t.Fatalf("file holds %d bytes after the failed commit, want the checkpoint's %d", got, cpLen)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, seq := range []uint64{4, 5} {
-		wg.Add(1)
-		go func(i int, seq uint64) {
-			defer wg.Done()
-			errs[i] = w.Sync(seq)
-		}(i, seq)
+	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
+	if err != nil || cp.Seq != 3 || len(batches) != 0 {
+		t.Fatalf("reopen after failed commit = cp %d + %d batches, %v; want the checkpoint alone", cp.Seq, len(batches), err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, faultfs.ErrInjected) {
-			t.Fatalf("committer %d: err = %v, want injected fsync failure", i, err)
-		}
-	}
-	// The failed suffix must have been rewound: reopening sees only the
-	// checkpoint, and the log is still usable once the fault clears.
 	inj.Clear()
-	if err := w.Sync(5); err != nil {
-		t.Fatalf("Sync after fault cleared: %v", err)
+	if err := w.Commit(mkBatch(4)); err != nil {
+		t.Fatalf("Commit after fault cleared: %v", err)
 	}
 	w.Close()
-	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if cp.Seq != 3 || len(batches) != 2 {
-		t.Fatalf("after recovery sync: cp %d + %d batches, want cp 3 + 2", cp.Seq, len(batches))
+	_, cp, batches, err = OpenWALFS(faultfs.Disk(), nil, path)
+	if err != nil || cp.Seq != 3 || len(batches) != 1 || !sameBatch(batches[0], mkBatch(4)) {
+		t.Fatalf("after the retried commit: cp %d + %d batches, %v; want cp 3 + batch 4", cp.Seq, len(batches), err)
 	}
 }
 
-// Satellite: ENOSPC during a batch append must fail the commit with an
-// error that unwraps to syscall.ENOSPC, leave the log unpoisoned, and
-// commit cleanly once space frees up.
-func TestWALAppendENOSPC(t *testing.T) {
+// Satellite: ENOSPC during a batch write must fail the commit with an error
+// that unwraps to syscall.ENOSPC, leave the log unpoisoned, and commit
+// cleanly once space frees up.
+func TestWALCommitENOSPC(t *testing.T) {
 	inj, w, path := faultWAL(t, fastRetry())
 	inj.Add(faultfs.Fault{Op: faultfs.OpWrite, Err: faultfs.ErrNoSpace})
-	if err := w.Append(mkBatch(4)); err != nil {
-		t.Fatal(err)
-	}
-	err := w.Sync(4)
+	err := w.Commit(mkBatch(4))
 	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("Sync = %v, want ENOSPC", err)
+		t.Fatalf("Commit = %v, want ENOSPC", err)
 	}
 	if got := inj.Injected(faultfs.OpWrite); got != 3 {
 		t.Fatalf("write attempts = %d, want 3 (1 + 2 retries)", got)
 	}
 	inj.Clear() // space freed
-	if err := w.Sync(4); err != nil {
-		t.Fatalf("Sync after ENOSPC cleared: %v", err)
+	if err := w.Commit(mkBatch(4)); err != nil {
+		t.Fatalf("Commit after ENOSPC cleared: %v", err)
 	}
 	w.Close()
 	_, cp, batches, err := OpenWALFS(faultfs.Disk(), nil, path)
@@ -163,10 +138,7 @@ func TestWALAppendENOSPC(t *testing.T) {
 // checkpoint plus every batch, and the WAL object itself stays usable.
 func TestWALCheckpointRenameCrash(t *testing.T) {
 	inj, w, path := faultWAL(t, noRetry())
-	if err := w.Append(mkBatch(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(4); err != nil {
+	if err := w.Commit(mkBatch(4)); err != nil {
 		t.Fatal(err)
 	}
 	inj.Add(faultfs.Fault{Op: faultfs.OpRename})
@@ -179,13 +151,10 @@ func TestWALCheckpointRenameCrash(t *testing.T) {
 	if err != nil || cp.Seq != 3 || len(batches) != 1 {
 		t.Fatalf("reopen after failed checkpoint = cp %d, %d batches, %v", cp.Seq, len(batches), err)
 	}
-	// And the handle is not poisoned: appends keep committing.
+	// And the handle is not poisoned: batches keep committing.
 	inj.Clear()
-	if err := w.Append(mkBatch(5)); err != nil {
-		t.Fatalf("Append after failed checkpoint: %v", err)
-	}
-	if err := w.Sync(5); err != nil {
-		t.Fatalf("Sync after failed checkpoint: %v", err)
+	if err := w.Commit(mkBatch(5)); err != nil {
+		t.Fatalf("Commit after failed checkpoint: %v", err)
 	}
 	w.Close()
 	_, cp, batches, err = OpenWALFS(faultfs.Disk(), nil, path)
@@ -197,10 +166,7 @@ func TestWALCheckpointRenameCrash(t *testing.T) {
 // A transient rename failure must be absorbed by checkpoint retry.
 func TestWALCheckpointRetriesRename(t *testing.T) {
 	inj, w, path := faultWAL(t, fastRetry())
-	if err := w.Append(mkBatch(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(4); err != nil {
+	if err := w.Commit(mkBatch(4)); err != nil {
 		t.Fatal(err)
 	}
 	inj.Add(faultfs.Fault{Op: faultfs.OpRename, Nth: 1, Count: 1})

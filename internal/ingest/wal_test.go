@@ -52,12 +52,9 @@ func TestWALRoundTrip(t *testing.T) {
 		{Seq: 6, Inserts: []Insert{{ID: 4, Rect: geom.NewRect(0, 0, 1, 1)}}, Deletes: []int{3}},
 	}
 	for _, b := range batches {
-		if err := w.Append(b); err != nil {
+		if err := w.Commit(b); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Sync(6); err != nil {
-		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -86,14 +83,11 @@ func TestWALRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Appends continue after replay with the next sequence.
-	if err := w2.Append(Batch{Seq: 6}); err == nil {
+	// Commits continue after replay with the next sequence.
+	if err := w2.Commit(Batch{Seq: 6}); err == nil {
 		t.Fatal("stale sequence accepted after replay")
 	}
-	if err := w2.Append(Batch{Seq: 7, Deletes: []int{4}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Sync(7); err != nil {
+	if err := w2.Commit(Batch{Seq: 7, Deletes: []int{4}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,17 +101,11 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(Batch{Seq: 4, Deletes: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(4); err != nil {
+	if err := w.Commit(Batch{Seq: 4, Deletes: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
 	fullAt := fileSize(t, path)
-	if err := w.Append(Batch{Seq: 5, Inserts: []Insert{{ID: 3, Rect: geom.NewRect(0.1, 0.1, 0.9, 0.9)}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(5); err != nil {
+	if err := w.Commit(Batch{Seq: 5, Inserts: []Insert{{ID: 3, Rect: geom.NewRect(0.1, 0.1, 0.9, 0.9)}}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -138,14 +126,11 @@ func TestWALTornTail(t *testing.T) {
 		if len(batches) != 1 || batches[0].Seq != 4 {
 			t.Fatalf("cut %d: replayed %d batches", cut, len(batches))
 		}
-		// The torn bytes must be gone so new appends land on a boundary.
+		// The torn bytes must be gone so new commits land on a boundary.
 		if got := fileSize(t, torn); got != fullAt {
 			t.Fatalf("cut %d: file %d bytes after open, want %d", cut, got, fullAt)
 		}
-		if err := w2.Append(Batch{Seq: 5, Deletes: []int{1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.Sync(5); err != nil {
+		if err := w2.Commit(Batch{Seq: 5, Deletes: []int{1}}); err != nil {
 			t.Fatal(err)
 		}
 		w2.Close()
@@ -168,12 +153,9 @@ func TestWALCorruptMiddle(t *testing.T) {
 	}
 	cpLen := fileSize(t, path)
 	for seq := uint64(4); seq <= 6; seq++ {
-		if err := w.Append(Batch{Seq: seq, Inserts: []Insert{{ID: int(seq - 1), Rect: geom.NewRect(0.2, 0.2, 0.3, 0.3)}}}); err != nil {
+		if err := w.Commit(Batch{Seq: seq, Inserts: []Insert{{ID: int(seq - 1), Rect: geom.NewRect(0.2, 0.2, 0.3, 0.3)}}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Sync(6); err != nil {
-		t.Fatal(err)
 	}
 	w.Close()
 	data, err := os.ReadFile(path)
@@ -197,12 +179,9 @@ func TestWALCheckpointTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(4); seq <= 20; seq++ {
-		if err := w.Append(Batch{Seq: seq, Deletes: []int{int(seq)}}); err != nil {
+		if err := w.Commit(Batch{Seq: seq, Deletes: []int{int(seq)}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Sync(20); err != nil {
-		t.Fatal(err)
 	}
 	before := fileSize(t, path)
 	cp2 := Checkpoint{Seq: 20, RawExtent: geom.UnitSquare, Items: []geom.Rect{geom.NewRect(0, 0, 0.5, 0.5)}}
@@ -212,11 +191,8 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	if after := fileSize(t, path); after >= before {
 		t.Fatalf("checkpoint did not shrink the log: %d -> %d", before, after)
 	}
-	// Appends continue into the new file.
-	if err := w.Append(Batch{Seq: 21, Deletes: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(21); err != nil {
+	// Commits continue into the new file.
+	if err := w.Commit(Batch{Seq: 21, Deletes: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

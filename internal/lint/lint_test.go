@@ -66,7 +66,7 @@ func TestCorpusGolden(t *testing.T) {
 		{"maporder", 5, 1},
 		{"floateq", 5, 1},
 		{"geomeq", 2, 1},
-		{"lockorder", 3, 1},
+		{"lockorder", 4, 1},
 		{"unlockpath", 3, 1},
 		{"clean", 0, 0},
 	}

@@ -38,6 +38,10 @@ import (
 // not reentrant, and instance-order locking needs an explicit, documented
 // tie-break.
 //
+// A method named ...Locked is checked as running with its receiver's mutex
+// already held (heldOnEntry), so moving a call out of a critical section into
+// such a helper does not move it out of the analysis.
+//
 // Same-package static callees contribute their transitively-acquired locks
 // (a fixpoint over the package call graph); cross-package calls are trusted
 // to manage their own, coarser-grained locks. Function literals' bodies are
@@ -132,7 +136,7 @@ func scanFunctionLocks(pass *Pass, fn fnBody, summaries map[*types.Func]map[stri
 		return f
 	}
 	lat := lockSetLattice()
-	in := cfg.Forward(g, lat, map[string]token.Pos{}, transfer)
+	in := cfg.Forward(g, lat, heldOnEntry(pass, fn), transfer)
 	addEdge := func(from, to string, pos token.Pos) {
 		key := [2]string{from, to}
 		if e, ok := edges[key]; !ok || pos < e.pos {
@@ -195,6 +199,50 @@ func scanFunctionLocks(pass *Pass, fn fnBody, summaries map[*types.Func]map[stri
 			}
 		}
 	}
+}
+
+// heldOnEntry is the lock set a function starts with. A method named
+// ...Locked runs, by this code base's convention, with its receiver's mutex
+// held by the caller, so a call or an acquisition factored out of a critical
+// section into such a helper is still checked as inside it. The receiver's
+// struct must declare exactly one sync.Mutex or sync.RWMutex field for the
+// lock to be known, and a method that locks it itself is not following the
+// convention; anything else starts empty.
+func heldOnEntry(pass *Pass, fn fnBody) map[string]token.Pos {
+	held := map[string]token.Pos{}
+	if fn.decl == nil || fn.decl.Recv == nil || !strings.HasSuffix(fn.decl.Name.Name, "Locked") {
+		return held
+	}
+	recv := pass.Info.TypeOf(fn.decl.Recv.List[0].Type)
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return held
+	}
+	st, _ := named.Underlying().(*types.Struct)
+	var ids []string
+	for i := 0; st != nil && i < st.NumFields(); i++ {
+		if t := st.Field(i).Type().String(); t == "sync.Mutex" || t == "sync.RWMutex" {
+			ids = append(ids, named.Obj().Name()+"."+st.Field(i).Name())
+		}
+	}
+	if len(ids) != 1 {
+		return held
+	}
+	self := false
+	walkShallow(fn.body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			op, isOp := classifyMutexOp(pass, fn.name, call)
+			self = self || isOp && op.id == ids[0]
+		}
+		return !self
+	})
+	if !self {
+		held[ids[0]] = fn.decl.Pos()
+	}
+	return held
 }
 
 // lockBase strips the read-mode suffix: for ordering purposes RLock and Lock

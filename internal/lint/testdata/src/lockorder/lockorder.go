@@ -81,3 +81,17 @@ func (r *Registry) SuppressedCallback() {
 	r.sample()
 	r.mu.Unlock()
 }
+
+// notifyLocked runs with Registry.mu held by its caller, as its name says,
+// so the callback it invokes is under the lock although the Lock call is in
+// another function. (violation: dynamic call in a ...Locked helper)
+func (r *Registry) notifyLocked() {
+	r.sample() // want lockorder (function value under the caller's lock)
+}
+
+// Notify is notifyLocked's caller. (clean)
+func (r *Registry) Notify() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.notifyLocked()
+}

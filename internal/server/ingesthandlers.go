@@ -32,9 +32,10 @@ type BatchRequest struct {
 }
 
 // MutateResponse reports a committed batch. Generation is the store
-// generation whose snapshot contains the batch: the table value it published
-// holds no estimate computed from an earlier one, so the next estimate naming
-// the table is computed afresh.
+// generation of the snapshot the batch published — batches of one table
+// publish one at a time, in Seq order: the table value it published holds no
+// estimate computed from an earlier one, so the next estimate naming the
+// table is computed afresh.
 type MutateResponse struct {
 	Table      string `json:"table"`
 	IDs        []int  `json:"ids,omitempty"`
