@@ -30,9 +30,10 @@ test:
 # the WAL-backed ingest path, the catalog/executor underneath it, the
 # pooled packed join kernel, the shared
 # metric/span registry — plus the read-mostly data structures they share
-# across goroutines (geometry, curves, datasets, samples).
+# across goroutines (geometry, curves, datasets, samples) and the sweep that
+# concurrent estimates join their samples with.
 race:
-	$(GO) test -race ./internal/server/... ./internal/ingest/... ./internal/resilience/... ./internal/faultfs/... ./internal/telemetry/... ./internal/sdb/... ./internal/obs/... ./internal/rtree/... ./internal/histogram/... ./internal/geom/... ./internal/hilbert/... ./internal/dataset/... ./internal/sample/...
+	$(GO) test -race ./internal/server/... ./internal/ingest/... ./internal/resilience/... ./internal/faultfs/... ./internal/telemetry/... ./internal/sdb/... ./internal/obs/... ./internal/rtree/... ./internal/histogram/... ./internal/geom/... ./internal/hilbert/... ./internal/dataset/... ./internal/sample/... ./internal/sweep/...
 
 race-all:
 	$(GO) test -race ./...

@@ -12,7 +12,9 @@
 // samples with R-trees, built per sample, because on disk the sweep lost; in
 // memory the sweep needs no index, counts the same pairs and wins at every
 // fraction (EXPERIMENTS.md "Packed from items"), so a sample is only a draw.
-// This is a served path: /v1/estimate's rs, rswr and ss methods run it.
+// The sweep orders each sample with a radix sort on MinX, a few linear passes
+// (EXPERIMENTS.md "The sweep sorts by radix"). This is a served path:
+// /v1/estimate's rs, rswr and ss methods run it.
 package sample
 
 import (
@@ -198,10 +200,10 @@ func (t *Technique) Estimate(a, b core.Summary) (core.Estimate, error) {
 	if !ok {
 		return core.Estimate{}, core.ErrSummaryMismatch
 	}
-	count := sweep.Count(sa.sample, sb.sample)
 	if sa.achieved == 0 || sb.achieved == 0 {
 		return core.Estimate{}, fmt.Errorf("sample: zero achieved fraction")
 	}
+	count := sweep.Count(sa.sample, sb.sample)
 	pairs := float64(count) / (sa.achieved * sb.achieved)
 	return core.NewEstimate(pairs, sa.items, sb.items), nil
 }

@@ -221,6 +221,10 @@ func TestEstimateRejectsForeignSummaries(t *testing.T) {
 	if _, err := tech.Estimate(own, fakeSummary{}); err != core.ErrSummaryMismatch {
 		t.Fatalf("half-foreign pair err = %v", err)
 	}
+	// A summary that sampled nothing cannot be scaled up.
+	if _, err := tech.Estimate(own, &Summary{name: "e"}); err == nil {
+		t.Fatal("estimate over an empty sample accepted")
+	}
 }
 
 type fakeSummary struct{}
@@ -449,4 +453,35 @@ func BenchmarkEstimateSS(b *testing.B) {
 			estimate(da, db)
 		}
 	})
+}
+
+// BenchmarkSampleEstimate is Technique.Estimate alone, the join of two drawn
+// samples and its scaling, over the paper's four pairs at full cardinality,
+// for RS and SS at 1 % and 10 %: the part of every served rs/ss estimate
+// that grows with the sample rather than with the table.
+func BenchmarkSampleEstimate(b *testing.B) {
+	for _, p := range datagen.PaperPairs(1) {
+		for _, m := range []Method{RS, SS} {
+			for _, frac := range []float64{0.01, 0.1} {
+				p, tech := p, MustNew(m, frac)
+				b.Run(fmt.Sprintf("%s/%v/%g%%", p.Name, m, frac*100), func(b *testing.B) {
+					sa, err := tech.Build(p.A)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sb, err := tech.Build(p.B)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := tech.Estimate(sa, sb); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
 }

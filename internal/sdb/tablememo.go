@@ -136,6 +136,9 @@ var samplingMethods = map[string]sample.Method{"rs": sample.RS, "rswr": sample.R
 type estimator struct {
 	tech    core.Technique
 	summary func(*Table) (core.Summary, error)
+	// sampling marks rs, rswr and ss, which cannot draw from a table with no
+	// live items.
+	sampling bool
 }
 
 // estimatorFor resolves a method. What an estimator reads of a table is a
@@ -144,7 +147,9 @@ type estimator struct {
 // by the first estimate that wants it), and the sampling methods draw from the
 // table's live data with seed 1 — fresh per estimate, since their summaries
 // are keyed by a real-valued fraction, but striding a Hilbert order the
-// dataset computes once — and build no index.
+// dataset computes once — and build no index. A sampling estimate against a
+// table with no live items draws nothing: the join is empty, so it answers
+// the exact 0.
 func estimatorFor(method string, level int, fraction float64) (x estimator, err error) {
 	switch method {
 	case "gh":
@@ -164,6 +169,7 @@ func estimatorFor(method string, level int, fraction float64) (x estimator, err 
 			d, _ := t.LiveData()
 			return x.tech.Build(d)
 		}
+		x.sampling = true
 		return x, err
 	default:
 		return x, fmt.Errorf("unknown estimation method %q (want gh, basicgh, ph, rs, rswr, ss)", method)
@@ -175,6 +181,9 @@ func estimatorFor(method string, level int, fraction float64) (x estimator, err 
 }
 
 func (x estimator) estimate(a, b *Table) (core.Estimate, error) {
+	if la, lb := a.Len(), b.Len(); x.sampling && (la == 0 || lb == 0) {
+		return core.NewEstimate(0, la, lb), nil
+	}
 	sa, err := x.summary(a)
 	if err != nil {
 		return core.Estimate{}, err

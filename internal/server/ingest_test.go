@@ -33,6 +33,35 @@ func gridItems(n int) [][4]float64 {
 	return items
 }
 
+// TestEstimateEmptiedTable: once a batch deletes a table's only item, every
+// estimator answers that the join is empty. The sampling methods have nothing
+// to draw, so they answer the exact 0 instead of a 400.
+func TestEstimateEmptiedTable(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 5})
+	if code := doJSON(t, "POST", ts.URL+"/v1/tables", CreateTableRequest{Name: "a", Items: gridItems(3)}, nil); code != http.StatusCreated {
+		t.Fatalf("create a: %d", code)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/tables", CreateTableRequest{Name: "b", Items: [][4]float64{{0, 0, 10, 10}}}, nil); code != http.StatusCreated {
+		t.Fatalf("create b: %d", code)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/tables/b/batch", BatchRequest{Delete: []int{0}}, nil); code != http.StatusOK {
+		t.Fatalf("batch: %d", code)
+	}
+	for _, method := range []string{"gh", "ph", "basicgh", "rs", "rswr", "ss"} {
+		for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}} {
+			var est EstimateResponse
+			code := doJSON(t, "POST", ts.URL+"/v1/estimate", EstimateRequest{Left: pair[0], Right: pair[1], Method: method}, &est)
+			if code != http.StatusOK || est.PairCount != 0 {
+				t.Errorf("%s %s ⋈ %s: status %d, pair_count %g; want 200 and 0", method, pair[0], pair[1], code, est.PairCount)
+			}
+		}
+	}
+	var q QueryResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/query", QueryRequest{Tables: []string{"a", "b"}, Predicates: [][2]string{{"a", "b"}}}, &q); code != http.StatusOK || q.TotalRows != 0 {
+		t.Fatalf("query: status %d, total_rows %d; want 200 and 0", code, q.TotalRows)
+	}
+}
+
 // TestMutationEndpoints drives the write path over HTTP: insert, delete, and
 // batch against a created table, with each write's new table value
 // computing its estimates afresh.

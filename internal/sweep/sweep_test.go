@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -145,11 +147,44 @@ func TestPropSweepMatchesBruteClustered(t *testing.T) {
 	}
 }
 
+// TestCountConcurrent: Count keeps no state between calls, so goroutines
+// joining one shared input all see the serial answer. Run under -race, this
+// holds any buffer reuse to the same rule.
+func TestCountConcurrent(t *testing.T) {
+	as := randRects(3000, 9, 0.02)
+	bs := randRects(2000, 10, 0.02)
+	want := Count(as, bs)
+	const G = 8
+	got := make([]int, G)
+	var wg sync.WaitGroup
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = Count(as, bs)
+		}(g)
+	}
+	wg.Wait()
+	for g, n := range got {
+		if n != want {
+			t.Errorf("goroutine %d counted %d pairs, serial %d", g, n, want)
+		}
+	}
+}
+
+// BenchmarkSweepJoin counts a join of two uniform inputs of n small
+// rectangles each: the 1 000 lane is the size of a 1 % sample of a
+// 100 000-item table, where sorting dominates, and the 20 000 lane a join
+// whose scan is a larger share.
 func BenchmarkSweepJoin(b *testing.B) {
-	as := randRects(20000, 7, 0.005)
-	bs := randRects(20000, 8, 0.005)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Count(as, bs)
+	for _, n := range []int{1000, 20000} {
+		as := randRects(n, 7, 0.005)
+		bs := randRects(n, 8, 0.005)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Count(as, bs)
+			}
+		})
 	}
 }
