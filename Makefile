@@ -42,9 +42,11 @@ race-all:
 # over a faulty filesystem (fsync failures, torn writes, ENOSPC), the WAL
 # failure-path tests, degraded read-only mode, the HTTP-level admission
 # and degraded-mode contracts, and the table lifecycle (a dropped or
-# replaced table's old mutation front publishes nothing).
+# replaced table's old mutation front publishes nothing). -count=1: these
+# tests race goroutines, so a second run must replay the interleavings, not
+# print a cached pass.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Degraded|Admission|WAL|Lifecycle' ./internal/ingest/... ./internal/faultfs/... ./internal/resilience/... ./internal/server/...
+	$(GO) test -race -count=1 -run 'Chaos|Fault|Degraded|Admission|WAL|Lifecycle' ./internal/ingest/... ./internal/faultfs/... ./internal/resilience/... ./internal/server/...
 
 # Every native fuzz target in the tree (found by name, so a new one is
 # picked up without editing this file) for five seconds each, two workers: the

@@ -3,8 +3,6 @@ package ingest
 import (
 	"fmt"
 	"time"
-
-	"spatialsel/internal/rtree"
 )
 
 // DegradedError reports a mutation rejected because the table is in
@@ -57,17 +55,8 @@ func (t *Table) enterDegradedLocked(cause error) *DegradedError {
 // recoverLocked is the half-open probe's repair step: it reopens the WAL and
 // rebuilds the write-side in-memory state from the log's durable prefix, the
 // same path RecoverTableOpts takes after a real restart, so the probe commits
-// onto what the reopened file proves durable. It waits for a re-pack in
-// flight to finish first so no fold holds references into the state being
-// replaced, and refuses with ErrClosed when Close ran meanwhile. Callers hold
-// t.mu; the wait releases it.
+// onto what the reopened file proves durable. Callers hold t.mu.
 func (t *Table) recoverLocked() error {
-	for t.repacking {
-		t.cond.Wait()
-	}
-	if t.closed {
-		return t.closedErr()
-	}
 	t.wal.Close()
 	w, cp, batches, err := OpenWALFS(t.fs, t.retryer, t.walPath)
 	if err != nil {
@@ -82,7 +71,6 @@ func (t *Table) recoverLocked() error {
 	w.SetFsyncObserver(t.fsyncFn)
 	t.wal = w
 	t.state = *st
-	t.catchUp = nil
 	return nil
 }
 
@@ -118,6 +106,6 @@ func rebuildState(name string, level int, cp Checkpoint, batches []Batch) (*stat
 			return nil, fmt.Errorf("ingest: recover %s: replay seq %d: %w", name, b.Seq, err)
 		}
 	}
-	s.ov = newOverlay(rtree.PackItems(s.liveItemsLocked()), len(s.items))
+	s.fold()
 	return s, nil
 }

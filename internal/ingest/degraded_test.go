@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,6 +151,70 @@ func TestDegradedTableSkipsRepack(t *testing.T) {
 	ran, err := tbl.Repack()
 	if ran || err != nil {
 		t.Fatalf("Repack on degraded table = (%v, %v), want (false, nil)", ran, err)
+	}
+}
+
+// TestDegradedTableWritesNothingUntilProbe: once a commit fails and the table
+// goes degraded, no file operation reaches its WAL — a fold's checkpoint
+// rewrite included — until a probe recovers it. The failing commit is raced
+// against a fold of a table large enough to pack for tens of milliseconds.
+func TestDegradedTableWritesNothingUntilProbe(t *testing.T) {
+	base := buildTable(t, "big", 100_000, 6, 21)
+	store := &fakeStore{}
+	inj := faultfs.NewInjector(faultfs.Disk(), 23)
+	disk := &opLog{FS: inj}
+	walPath := filepath.Join(t.TempDir(), "big.wal")
+	tbl, err := OpenTableOpts(base, 6, TableOptions{
+		WALPath: walPath,
+		FS:      disk,
+		Retry:   resilience.RetryPolicy{Max: 1, Base: time.Microsecond, Cap: 10 * time.Microsecond},
+		Breaker: resilience.BreakerPolicy{Failures: 1, Cooldown: time.Millisecond, MaxCooldown: 4 * time.Millisecond},
+	}, store.publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	if _, err := tbl.Apply(Mutation{Inserts: oneInsert().Inserts, Deletes: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+
+	folded := make(chan struct{})
+	go func() {
+		defer close(folded)
+		// A fold whose checkpoint rewrite runs after the fault is armed
+		// fails it; that leaves the truncation owed and is not what this
+		// test is about.
+		_, _ = tbl.Repack()
+	}()
+	time.Sleep(5 * time.Millisecond) // the fold is packing
+	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
+	var derr *DegradedError
+	if _, err := tbl.Apply(oneInsert()); !errors.As(err, &derr) {
+		t.Fatalf("apply under fault = %v, want DegradedError", err)
+	}
+	<-folded
+	if ran, err := tbl.Repack(); ran || err != nil {
+		t.Fatalf("Repack on degraded table = (%v, %v), want (false, nil)", ran, err)
+	}
+	if err := tbl.retryCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A checkpoint rewrite ends on the rename or the removal of its temp
+	// file, a commit attempt on its record's write and fsync. The failed
+	// commit's last attempt must be the last operation on the disk.
+	ops := strings.Split(disk.take(), ", ")
+	if n := len(ops); n < 2 || !strings.HasPrefix(ops[n-2], "write ") || !strings.HasPrefix(ops[n-1], "sync ") {
+		t.Fatalf("degraded table kept using its disk after the commit failed: %s", strings.Join(ops, ", "))
+	}
+
+	inj.Clear()
+	time.Sleep(10 * time.Millisecond) // past the breaker's cooldown
+	if _, err := tbl.Apply(oneInsert()); err != nil {
+		t.Fatalf("probe after the fault cleared = %v", err)
+	}
+	if down, _ := tbl.Degraded(); down {
+		t.Fatal("table still degraded after its probe committed")
 	}
 }
 

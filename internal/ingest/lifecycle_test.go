@@ -76,9 +76,10 @@ func TestLifecycleClosedFrontPublishesNothing(t *testing.T) {
 }
 
 // TestLifecycleForgetDuringFold: a fold and a writer in flight when Forget
-// closes their front publish nothing once Forget has returned, whichever
-// critical section the close lands next to; the writer's batches after the
-// close fail with ErrClosed.
+// closes their front publish nothing once Forget has returned. The fold and
+// each batch are critical sections under the apply lock, and the writer waits
+// out the fold, so Close lands before, between or after them; whatever ran
+// after it fails with ErrClosed, the writer's next batch included.
 func TestLifecycleForgetDuringFold(t *testing.T) {
 	const level = 4
 	for i := 0; i < 8; i++ {
@@ -300,10 +301,9 @@ func TestLifecycleConcurrentCommits(t *testing.T) {
 	}
 }
 
-// TestLifecycleCloseDuringDegradedProbe: a degraded-mode probe waits for a
-// fold in flight before it rebuilds the state, releasing the apply lock; a
-// Close that lands in that wait must still stop the probe from reopening the
-// WAL, committing and publishing.
+// TestLifecycleCloseDuringDegradedProbe: a degraded table closed while its
+// breaker would grant a probe stays closed — the batch that would have been
+// the probe answers ErrClosed and reopens, commits and publishes nothing.
 func TestLifecycleCloseDuringDegradedProbe(t *testing.T) {
 	tbl, inj, store, _ := faultTable(t)
 	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
@@ -312,26 +312,12 @@ func TestLifecycleCloseDuringDegradedProbe(t *testing.T) {
 		t.Fatalf("apply under fault = %v, want DegradedError", err)
 	}
 	inj.Clear()
-	tbl.mu.Lock()
-	tbl.repacking = true // a fold between its two critical sections
-	tbl.mu.Unlock()
-	time.Sleep(10 * time.Millisecond) // past the breaker's cooldown
-
-	probed := make(chan error, 1)
-	go func() {
-		_, err := tbl.Apply(oneInsert())
-		probed <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // the probe is waiting for the fold
 	if err := tbl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, pubs := store.current()
-	tbl.mu.Lock()
-	tbl.repacking = false
-	tbl.cond.Broadcast()
-	tbl.mu.Unlock()
-	if err := <-probed; !errors.Is(err, ErrClosed) {
+	time.Sleep(10 * time.Millisecond) // past the breaker's cooldown
+	if _, err := tbl.Apply(oneInsert()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("probe after Close = %v, want ErrClosed", err)
 	}
 	if _, after := store.current(); after != pubs {

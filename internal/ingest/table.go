@@ -56,15 +56,6 @@ type Degradation struct {
 	DeltaItems int     // items in the overlay's delta
 	Tombstones int     // base slots the overlay marks deleted
 	Live       int     // live (non-tombstoned) items
-	Deadwood   int     // tombstoned ID slots
-}
-
-// catchUpOp records one mutation applied while a fold is in flight, so the
-// freshly packed base can be caught up before it is swapped in.
-type catchUpOp struct {
-	insert bool
-	id     int
-	rect   geom.Rect // the inserted item's; zero for a delete
 }
 
 // Table is the mutation front for one spatial table. It owns the write-side
@@ -73,7 +64,8 @@ type catchUpOp struct {
 // log that assigns IDs — and publishes an immutable snapshot (shared items
 // view, base planes under the current overlay, the pointer tree cut from that
 // image, statistics summary) through its PublishFunc after every committed
-// batch.
+// batch. Commits and folds (Repack) serialize on the apply lock, so a base is
+// always packed from a state no writer is changing.
 //
 // Item IDs are indices into the append-only items slice and are never reused
 // or renumbered: deletes tombstone their slot, and both re-pack and restart
@@ -95,15 +87,12 @@ type Table struct {
 	gDeltaItems, gTombstones *obs.Gauge // the published overlay's size
 
 	// mu is the apply lock: a commit — validation, WAL write and fsync,
-	// apply, publication — is one critical section under it, as are a fold's
-	// swap, Snapshot and Close. Lock order: mu, then the store's lock (taken
-	// inside publish).
-	mu   sync.Mutex
-	cond *sync.Cond // signaled when a fold ends
+	// apply, publication — is one critical section under it, as are a fold,
+	// Snapshot and Close. Lock order: mu, then the store's lock (taken inside
+	// publish).
+	mu sync.Mutex
 	state
-	repacking bool // a fold is between its two critical sections
-	closed    bool // Close ran: nothing commits or publishes any more
-	catchUp   []catchUpOp
+	closed bool // Close ran: nothing commits or publishes any more
 
 	degraded      bool  // read-only mode: WAL failed, breaker gating probes
 	degradedCause error // what tripped it
@@ -143,7 +132,6 @@ func (t *Table) arm(o TableOptions) {
 	if o.FS == nil {
 		o.FS = faultfs.Disk()
 	}
-	t.cond = sync.NewCond(&t.mu)
 	t.gDeltaItems = obs.Default.Gauge("sdbd_ingest_delta_items",
 		"Items in the table's published delta image: inserts since the last fold.", obs.L("table", t.name))
 	t.gTombstones = obs.Default.Gauge("sdbd_ingest_tombstones",
@@ -188,12 +176,6 @@ func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish Publish
 	if stray != -1 {
 		return nil, fmt.Errorf("ingest: open %s: index holds item %d, the data %d items", tbl.Name, stray, n)
 	}
-	base := tbl.Packed
-	if d, ts := base.Overlay(); d+ts > 0 {
-		live := make([]rtree.Item, 0, base.Len())
-		base.VisitItems(func(id int, r geom.Rect) { live = append(live, rtree.Item{Rect: r, ID: id}) })
-		base = rtree.PackItems(live)
-	}
 	t := &Table{
 		name:    tbl.Name,
 		level:   level,
@@ -202,11 +184,15 @@ func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish Publish
 			rawExtent: tbl.RawExtent,
 			items:     items,
 			deleted:   deleted,
-			ov:        newOverlay(base, n),
 		},
 	}
 	if err := t.seedStats(tbl.Name, level); err != nil {
 		return nil, fmt.Errorf("ingest: open %s: %w", tbl.Name, err)
+	}
+	if d, ts := tbl.Packed.Overlay(); d+ts > 0 {
+		t.fold()
+	} else {
+		t.ov = newOverlay(tbl.Packed, n)
 	}
 	t.arm(opts)
 	if opts.WALPath != "" {
@@ -307,9 +293,6 @@ func (t *Table) Apply(m Mutation) (ApplyResult, error) {
 			return ApplyResult{}, t.degradedErrLocked()
 		}
 		if err := t.recoverLocked(); err != nil {
-			if t.closed {
-				return ApplyResult{}, err
-			}
 			t.breaker.Failure()
 			t.degradedCause = err
 			return ApplyResult{}, t.degradedErrLocked()
@@ -395,62 +378,30 @@ func (t *Table) Degradation() Degradation {
 		DeltaItems: len(t.ov.delta),
 		Tombstones: t.ov.nDead,
 		Live:       t.nLive,
-		Deadwood:   len(t.items) - t.nLive,
 	}
 }
 
-// Repack is the fold: it builds a new packed base from the live items off the
-// hot path and starts a fresh overlay on it. The pack runs outside the apply
-// lock against a frozen view of the live items; mutations that land meanwhile
-// go to the current overlay as usual and are also logged, and the log is
-// replayed onto the new base — as its first tombstones and delta items —
-// before the swap, which publishes with a single generation bump under the
-// apply lock. Queries never block (they read published snapshots, whose
-// planes a fold leaves alone); writers block only for the two short critical
-// sections.
-// With a WAL, the swap also rewrites the log to a single checkpoint record —
-// the truncate-on-fold step. Returns false when a fold was already running,
-// and ErrClosed when Close ran before the fold could publish.
+// Repack is the fold: in one critical section under the apply lock it packs
+// the live items into a new base, starts an empty overlay on it, rewrites the
+// WAL to a single checkpoint record (the truncate-on-fold step) and publishes
+// the folded snapshot with a single generation bump. Queries never block (they
+// read published snapshots, whose planes a fold leaves alone); a write that
+// arrives meanwhile waits the fold out, as does a concurrent Repack. Returns
+// false when the table is degraded and nothing was folded, and ErrClosed after
+// Close.
 func (t *Table) Repack() (bool, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return false, t.closedErr()
 	}
-	if t.repacking || t.degraded {
+	if t.degraded {
 		// Degraded tables skip folds: the WAL checkpoint rewrite would need
 		// the very disk that just failed, and the probe path owns recovery.
-		t.mu.Unlock()
 		return false, nil
 	}
-	t.repacking = true
-	t.catchUp = t.catchUp[:0]
-	nIDs := len(t.items)
-	live := t.liveItemsLocked()
-	t.mu.Unlock()
-
 	start := time.Now()
-	ov := newOverlay(rtree.PackItems(live), nIDs)
-
-	t.mu.Lock()
-	if t.closed {
-		t.repacking = false
-		t.cond.Broadcast()
-		t.mu.Unlock()
-		return false, t.closedErr()
-	}
-	for _, op := range t.catchUp {
-		if op.insert {
-			ov.insert(op.id, op.rect)
-		} else {
-			ov.remove(op.id)
-		}
-	}
-	t.churn = len(t.catchUp)
-	t.catchUp = nil
-	t.repacking = false
-	t.cond.Broadcast()
-	t.ov = ov
+	t.fold()
 	// A failed checkpoint rewrite is non-destructive: the old log (its
 	// checkpoint plus the full batch history) still covers the folded state,
 	// so the fold stands, its snapshot is published, and the truncation stays
@@ -459,8 +410,6 @@ func (t *Table) Repack() (bool, error) {
 	// stop paying for the overlay when the fold ends, not at the next write.
 	werr := t.checkpointLocked()
 	_, err := t.publishLocked()
-	t.mu.Unlock()
-
 	mRepacks.Inc()
 	mRepackSeconds.Add(time.Since(start).Seconds())
 	if err != nil {
@@ -511,6 +460,14 @@ func (s *state) seedStats(name string, level int) error {
 	return nil
 }
 
+// fold packs the live items into a new base under an empty overlay and zeroes
+// the churn. It is the only code that builds a base: Repack, recovery
+// (rebuildState) and OpenTable of a snapshot that carries an overlay.
+func (s *state) fold() {
+	s.ov = newOverlay(rtree.PackItems(s.liveItemsLocked()), len(s.items))
+	s.churn = 0
+}
+
 // liveItemsLocked lists the live items by id.
 func (s *state) liveItemsLocked() []rtree.Item {
 	live := make([]rtree.Item, 0, s.nLive)
@@ -526,11 +483,10 @@ func (s *state) liveItemsLocked() []rtree.Item {
 // the store, so a dropped or replaced table stays gone. Every publisher —
 // Apply, Repack, Snapshot — checks closed and publishes in one critical
 // section under the apply lock, so a publication either finished before Close
-// took the lock or is refused with ErrClosed; a fold in flight drops its new
-// base. Then it releases the WAL handle: every committed batch is already
-// durable, so there is nothing to flush. The overlay gauges go to zero with
-// the front: a dropped table must not keep reporting a distance to its next
-// fold.
+// took the lock or is refused with ErrClosed. Then it releases the WAL
+// handle: every committed batch is already durable, so there is nothing to
+// flush. The overlay gauges go to zero with the front: a dropped table must
+// not keep reporting a distance to its next fold.
 func (t *Table) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -620,23 +576,18 @@ func (s *state) logLocked(b Batch) error {
 }
 
 // applyLocked folds one batch into the whole write-side state: the log and
-// statistics, then the overlay, and the catch-up log of a fold in flight.
+// statistics, then the overlay. No fold runs beside it: both hold the apply
+// lock.
 func (t *Table) applyLocked(b Batch) error {
 	if err := t.logLocked(b); err != nil {
 		return err
 	}
 	for _, in := range b.Inserts {
 		t.ov.insert(in.ID, in.Rect)
-		if t.repacking {
-			t.catchUp = append(t.catchUp, catchUpOp{insert: true, id: in.ID, rect: in.Rect})
-		}
 	}
 	for _, id := range b.Deletes {
 		if !t.ov.remove(id) {
 			return fmt.Errorf("index lost item %d", id)
-		}
-		if t.repacking {
-			t.catchUp = append(t.catchUp, catchUpOp{id: id})
 		}
 	}
 	return nil

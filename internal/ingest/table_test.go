@@ -455,8 +455,9 @@ func TestTableRepack(t *testing.T) {
 	}
 }
 
-// TestTableRepackDeltaReplay pins the delta path: mutations landing between
-// the re-pack's freeze and swap must appear in the packed tree.
+// TestTableRepackDeltaReplay pins the delta path: mutations a writer issues
+// while a fold runs wait it out and land in the overlay of the new base, so
+// every one appears in the published image.
 func TestTableRepackDeltaReplay(t *testing.T) {
 	const level = 4
 	store := &fakeStore{}
@@ -467,7 +468,7 @@ func TestTableRepackDeltaReplay(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 
-	// Freeze happens inside Repack; race a writer against it repeatedly.
+	// Race a writer against the fold repeatedly.
 	for round := 0; round < 10; round++ {
 		done := make(chan error, 1)
 		go func() {

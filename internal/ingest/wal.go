@@ -7,7 +7,9 @@
 // snapshot that shares the base and carries the overlay, so a write costs its
 // batch, not the table; in the background a fold builds a new base (a pack
 // of the live items) and starts an empty overlay once the churn
-// since the last fold passes a share of the base (RepackPolicy).
+// since the last fold passes a share of the base (RepackPolicy). The fold is
+// one critical section under the table's apply lock, like a commit: a write
+// that arrives during it waits it out.
 //
 // Durability comes from a per-table write-ahead log: length-prefixed,
 // CRC-checked records holding one checkpoint (the table's full state) at the

@@ -48,9 +48,6 @@ type Config struct {
 	// disables durability: mutation endpoints still work, but mutated tables
 	// do not survive a restart.
 	WALDir string
-	// Repack tunes the background re-pack policy for mutated tables; zero
-	// values take the ingest package defaults.
-	Repack ingest.RepackPolicy
 	// Admission enables the estimate-driven admission gate on /v1/query: an
 	// adaptive concurrency limit plus a cost gate that prices each query with
 	// the calibrated GH-estimate cost model and sheds (503 + Retry-After) or
@@ -131,7 +128,6 @@ func New(cfg Config) (*Server, error) {
 			return store.Snapshot().Catalog.Table(name)
 		},
 		Publish: store.Publish,
-		Repack:  cfg.Repack,
 		FS:      cfg.WALFS,
 		Retry:   cfg.WALRetry,
 		Breaker: cfg.WALBreaker,

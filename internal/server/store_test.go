@@ -260,7 +260,7 @@ func TestStorePublishRepackRace(t *testing.T) {
 	var folds, rechecked atomic.Int64
 
 	// Two mutators plus a dedicated fold loop: publications from Apply's
-	// commits and from Repack's swap interleave freely. Every third
+	// commits and from Repack's folds interleave freely. Every third
 	// batch also deletes one of the registered items (each writer its own),
 	// so images carry tombstones as well as a delta.
 	for w := 0; w < 2; w++ {
