@@ -15,11 +15,14 @@ type RepackPolicy struct {
 	// Interval is the poll period of the background loop. Default 5s.
 	Interval time.Duration
 	// MaxChurnRatio triggers a fold once mutations since the last one reach
-	// this fraction of the base's item slots. Default 1/16: on the measured
-	// curve (EXPERIMENTS.md "O(batch) publish") that is where what every join
-	// and publish pays for a larger overlay meets a ~100 ms fold amortized
-	// over the writes between two folds. 1/8 is within noise of it; 1/32
-	// folds too often and 1/4 carries too much per publish.
+	// this fraction of the base's item slots. Default 1/16, fitted on the
+	// measured curve (EXPERIMENTS.md "O(batch) publish") against the fold of
+	// its day, about 100 ms: there what every join and publish pays for a
+	// larger overlay met that fold amortized over the writes between two
+	// folds. 1/8 was within noise of it; 1/32 folded too often and 1/4
+	// carried too much per publish. Folds at 100 k items now take 48–66 ms
+	// (EXPERIMENTS.md "A fold is one critical section"), so the fit is stale;
+	// ROADMAP item 19 (c) owns the re-fit.
 	MaxChurnRatio float64
 	// MinChurn is the churn floor below which no fold fires, so small or
 	// quiet tables don't thrash. Default 64.

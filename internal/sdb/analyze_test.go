@@ -11,7 +11,7 @@ import (
 // TestExecuteContextSpans: under an installed trace, the executor must emit
 // one operator span per plan step — the first R-tree join (with its nested
 // rtree.join span) and each extension probe — each carrying rows, est_rows,
-// and rel_error.
+// and rel_error, a probe also the rows it extended and the searches it made.
 func TestExecuteContextSpans(t *testing.T) {
 	plan := planFixture(t, 1500)
 	ctx, root := obs.NewTrace(context.Background(), "query")
@@ -55,6 +55,10 @@ func TestExecuteContextSpans(t *testing.T) {
 	}
 	if probeSpan.Attrs["probe_rows"].(float64) <= 0 {
 		t.Fatalf("probe span missing probe_rows: %+v", probeSpan.Attrs)
+	}
+	// One search per distinct connecting item, never more than one per row.
+	if s := probeSpan.Attrs["probe_searches"].(float64); s <= 0 || s > probeSpan.Attrs["probe_rows"].(float64) {
+		t.Fatalf("probe span probe_searches = %v, want in (0, probe_rows]: %+v", s, probeSpan.Attrs)
 	}
 }
 

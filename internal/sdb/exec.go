@@ -2,6 +2,7 @@ package sdb
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -52,8 +53,8 @@ func (p *Plan) Execute() (*Result, error) {
 	return p.ExecuteContext(context.Background())
 }
 
-// cancelRowBatch is how many probe rows the executor processes between
-// context polls in the extension steps.
+// cancelRowBatch is the most input rows one piece of an extension step holds;
+// the context is polled once per piece.
 const cancelRowBatch = 256
 
 // Crossover sizes below which the auto (Workers == 0) executor stays serial:
@@ -64,10 +65,14 @@ const cancelRowBatch = 256
 // a pool of two costs 20–50 µs to start and collect, which an unwindowed
 // SCRC ⋈ SURA earns back from 16 384 items on and a windowed one by 32 768.
 // The extension steps' was re-measured on the tile probe and kept
-// (BenchmarkProbeStepCrossover, EXPERIMENTS.md "Tile probes"): a row costs
-// 110–125 ns to extend, the same pool is a loss at 512 rows (+60 %), a wash at
-// 1 024 and ahead in every run from 2 048 on (−15 %, −22 % at 4 096); raised to
-// 4 096, multiway-window lost 3 % ops/s in 7 of 8 pairs.
+// (BenchmarkProbeStepCrossover, EXPERIMENTS.md "Tile probes"): the same pool
+// was a loss at 512 rows (+60 %), a wash at 1 024 and ahead in every run from
+// 2 048 on; raised to 4 096, multiway-window lost 3 % ops/s in 7 of 8 pairs.
+// With the probe memo a row costs less (at 33 290 rows 136 ns serially against
+// 231 ns per-row probing, one busy 2-core series), and the crossover did not
+// move: the pool loses at 500 rows (+20 %), is inside the noise at 1 001 and
+// ahead from 2 053 on (−25 %, −24 % at 4 173; EXPERIMENTS.md "A probe per
+// connecting item").
 const (
 	parallelJoinMinItems = 16384 // summed table cardinalities, first join
 	parallelProbeMinRows = 2048  // intermediate rows, extension steps
@@ -91,19 +96,23 @@ func resolveWorkers(workers, size, crossover int) int {
 
 // ExecuteContext is Execute with cancellation: the context is threaded into
 // the first join's sweep (polled per batch of swept tiles and between its
-// tasks) and polled per row batch during the index-probe steps, so a cancelled
-// or timed-out context aborts a large join promptly with the context's error.
+// tasks), polled per piece of rows during the index-probe steps and per
+// segment while the result's rows are laid out, so a cancelled or timed-out
+// context aborts a large join promptly with the context's error.
 //
-// Rows are carved from slabs, never allocated one by one: a two-table result's
-// are the kernel's batches themselves, a longer query's first join's come out
-// of one slab sized from them, each extension step's out of per-goroutine
-// arenas. Every row is a full-capacity slice, so appending to one reallocates
-// it instead of running into its neighbour.
+// Rows are carved from slabs, never allocated one by one. A two-table result's
+// are the kernel's batches themselves. A longer query's rows between steps
+// are runs in slabs, never given headers: the first extension step reads the
+// kernel's pairs in place, and each step writes its k-wide rows back to back
+// into per-goroutine arena chunks, handing the next step the list of segments
+// it wrote. The headers of Result.Rows are made once, at the end. Every row is
+// a full-capacity slice, so appending to one reallocates it instead of running
+// into its neighbour.
 //
 // Row order is a function of the plan, the tables' images and the windows:
-// the kernel's task list and the probe steps' chunk order do not depend on
-// Workers, so a pooled and a serial execution of one plan over one snapshot
-// return the same rows at the same positions.
+// the kernel's task list and the probe steps' pieces do not depend on Workers,
+// so a pooled and a serial execution of one plan over one snapshot return the
+// same rows at the same positions.
 func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	mExecQueries.Inc()
 
@@ -123,113 +132,84 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 
 	// First join: the tile sweep of the two packed images; every catalogued
 	// table carries one (Catalog.Attach enforces it). The kernel applies both
-	// tables' windows itself and hands back pair batches, which the join's
-	// pool turns into rows.
+	// tables' windows itself and hands back pair batches: the rows of a
+	// two-table result, and the first extension step's input otherwise.
 	first := p.Steps[0]
 	baseTab, stepTab := p.tables[p.Base], p.tables[first.Table]
 	jctx, joinSp := obs.StartSpan(ctx, "join "+p.Base+" ⋈ "+first.Table)
 	joinWorkers := resolveWorkers(p.Workers, baseTab.Len()+stepTab.Len(), parallelJoinMinItems)
 	batches, jerr := rtree.PackedJoinBatches(jctx, baseTab.Packed, stepTab.Packed, joinWorkers,
 		p.window(p.Base), p.window(first.Table))
-	var rows [][]int
-	if jerr == nil {
-		rows = rowsFromBatches(batches, k, joinWorkers)
+	n := 0
+	for _, batch := range batches {
+		n += len(batch) / 2
 	}
-	annotateOperator(joinSp, first.EstRows, len(rows))
+	annotateOperator(joinSp, first.EstRows, n)
 	joinSp.End()
-	mExecRows.Add(uint64(len(rows)))
+	mExecRows.Add(uint64(n))
 	if jerr != nil {
 		return nil, jerr
 	}
+	if k == 2 {
+		return &Result{Columns: cols, Rows: rowsFromBatches(batches, joinWorkers)}, nil
+	}
 
-	// Extension steps: index probes per row, sharded across a worker pool
-	// when the intermediate result is large enough.
+	// Extension steps: each probes the step's table with every row's
+	// connecting item, sharded across a worker pool when the intermediate
+	// result is large enough.
+	segs, stride := batches, 2
 	for _, s := range p.Steps[1:] {
-		tab := p.tables[s.Table]
-		win := p.window(s.Table)
 		_, stepSp := obs.StartSpan(ctx, "probe "+s.Table)
-		col := colOf[s.Table]
-
+		x := extension{tab: p.tables[s.Table], win: p.window(s.Table), col: colOf[s.Table], k: k}
 		// The step's predicates, each resolved once to the joined column and
 		// table whose item a candidate must intersect. The first drives the
-		// index probe; the others are verified directly.
-		against := make([]joinedSide, len(s.Against))
+		// index probe; the others are verified per row.
+		x.against = make([]joinedSide, len(s.Against))
 		for i, pred := range s.Against {
 			other := pred.Left
 			if other == s.Table {
 				other = pred.Right
 			}
-			against[i] = joinedSide{col: colOf[other], items: p.tables[other].Data.Items}
+			x.against[i] = joinedSide{col: colOf[other], items: p.tables[other].Data.Items}
 		}
-
-		// extendRow probes the step's packed image with one row's connecting
-		// item and appends every verified extension to dst, carving the new
-		// rows from the caller's arena. Each goroutine owns its scratch, so
-		// the shared image is only ever read.
-		extendRow := func(row []int, sc *probeScratch, dst [][]int) [][]int {
-			sc.probe = tab.Packed.Search(against[0].rect(row), sc.probe[:0])
-		candidates:
-			for _, cand := range sc.probe {
-				if win != nil && !tab.Data.Items[cand].Intersects(*win) {
-					continue
-				}
-				for _, side := range against[1:] {
-					if !tab.Data.Items[cand].Intersects(side.rect(row)) {
-						continue candidates
-					}
-				}
-				out := sc.newRow(k)
-				copy(out, row)
-				out[col] = cand
-				dst = append(dst, out)
-			}
-			return dst
-		}
-
-		var next [][]int
-		probes := len(rows)
-		if w := resolveWorkers(p.Workers, len(rows), parallelProbeMinRows); w > 1 {
-			var err error
-			if next, err = probeRowsParallel(ctx, rows, w, extendRow); err != nil {
-				return nil, err
-			}
-		} else {
-			var sc probeScratch
-			for ri, row := range rows {
-				if ri%cancelRowBatch == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				next = extendRow(row, &sc, next)
-			}
-		}
-		rows = next
-		annotateOperator(stepSp, s.EstRows, len(rows))
-		stepSp.Set("probe_rows", float64(probes))
+		probes := n
+		var searches int
+		var err error
+		segs, n, searches, err = x.run(ctx, segs, stride, n, resolveWorkers(p.Workers, n, parallelProbeMinRows))
 		stepSp.End()
-		mExecRows.Add(uint64(len(rows)))
+		if err != nil {
+			return nil, err
+		}
+		stride = k
+		annotateOperator(stepSp, s.EstRows, n)
+		stepSp.Set("probe_rows", float64(probes))
+		stepSp.Set("probe_searches", float64(searches))
+		mExecRows.Add(uint64(n))
+	}
+
+	// The result's row headers, made once and exactly sized.
+	rows := make([][]int, 0, n)
+	for _, seg := range segs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(seg); i += k {
+			rows = append(rows, seg[i:i+k:i+k])
+		}
 	}
 	return &Result{Columns: cols, Rows: rows}, nil
 }
 
-// rowsFromBatches materializes the first join: one k-wide row per pair, in
-// batch order. With two tables a row is its pair where the kernel wrote it —
-// the batches are the result's slab, and only the row headers are new; with
-// more, rows are carved from one slab sized from the batch lengths, the pair in
-// columns 0 and 1 and -1 in the columns later steps fill. Either way the
-// batches are filled in by a pool of workers, each batch's rows landing at the
-// positions the batches before it leave.
-func rowsFromBatches(batches [][]int, k, workers int) [][]int {
+// rowsFromBatches makes a two-table result's rows: one header per pair, in
+// batch order, each aliasing the pair where the kernel wrote it — the batches
+// are the result's slab. The headers are filled in by a pool of workers, each
+// batch's rows landing at the positions the batches before it leave.
+func rowsFromBatches(batches [][]int, workers int) [][]int {
 	starts := make([]int, len(batches)+1)
 	for i, batch := range batches {
 		starts[i+1] = starts[i] + len(batch)/2
 	}
 	rows := make([][]int, starts[len(batches)])
-	var slab []int
-	if k > 2 {
-		slab = make([]int, len(rows)*k)
-	}
 	var cursor atomic.Int64
 	fill := func() {
 		for {
@@ -238,20 +218,8 @@ func rowsFromBatches(batches [][]int, k, workers int) [][]int {
 				return
 			}
 			batch, out := batches[bi], rows[starts[bi]:starts[bi+1]]
-			if k == 2 {
-				for i := range out {
-					out[i] = batch[2*i : 2*i+2 : 2*i+2]
-				}
-				continue
-			}
-			rowSlab := slab[starts[bi]*k : starts[bi+1]*k]
 			for i := range out {
-				row := rowSlab[i*k : (i+1)*k : (i+1)*k]
-				row[0], row[1] = batch[2*i], batch[2*i+1]
-				for c := 2; c < k; c++ {
-					row[c] = -1
-				}
-				out[i] = row
+				out[i] = batch[2*i : 2*i+2 : 2*i+2]
 			}
 		}
 	}
@@ -277,86 +245,216 @@ type joinedSide struct {
 
 func (j joinedSide) rect(row []int) geom.Rect { return j.items[row[j.col]] }
 
+// extension is one extension step, resolved against the plan: the probed
+// table and its window, the column it fills in k-wide rows, and its
+// predicates' joined sides, against[0] the connecting item it probes with.
+type extension struct {
+	tab     *Table
+	win     *geom.Rect
+	col, k  int
+	against []joinedSide
+}
+
 // arenaChunkRows is how many rows one arena chunk holds: large enough that a
 // step's allocations count chunks, not rows; small enough that the unused
 // tail of each goroutine's last chunk stays a few tens of kilobytes.
 const arenaChunkRows = 1024
 
-// probeScratch is what one goroutine reuses across the rows it extends: the
-// index-probe buffer and the arena chunk its output rows are carved from.
-type probeScratch struct {
-	probe []int
-	arena []int
-}
+// piece is the unit of an extension step's work: input rows [lo, hi) of one
+// segment, at most cancelRowBatch of them.
+type piece struct{ seg, lo, hi int }
 
-// newRow carves a k-wide, full-capacity row from the arena, starting a fresh
-// chunk when the current one is used up. Chunks are never reused: the rows
-// carved from them belong to the result.
-func (sc *probeScratch) newRow(k int) []int {
-	if len(sc.arena) < k {
-		sc.arena = make([]int, arenaChunkRows*k)
-	}
-	row := sc.arena[:k:k]
-	sc.arena = sc.arena[k:]
-	return row
-}
+// pieceOut locates a piece's output: segments [lo, hi) of worker w's list.
+type pieceOut struct{ w, lo, hi int }
 
-// probeRowsParallel runs extendRow over every row using w workers. Rows are
-// split into contiguous chunks claimed through an atomic cursor; each worker
-// extends its chunk into a private buffer, and the chunk buffers are
-// concatenated in chunk order, so the output is the rows' extensions in row
-// order — what the serial loop produces, whatever w is. The context is polled
-// per row batch inside every chunk; a done context aborts the pool with the
-// context's error.
-func probeRowsParallel(ctx context.Context, rows [][]int, w int,
-	extendRow func(row []int, sc *probeScratch, dst [][]int) [][]int) ([][]int, error) {
-	chunk := (len(rows) + w*4 - 1) / (w * 4) // ~4 chunks per worker for balance
-	if chunk < cancelRowBatch {
-		chunk = cancelRowBatch
+// run extends n input rows, stored stride ints apiece back to back in segs,
+// by the step's table on a pool of workers (one runs on the caller's
+// goroutine). It returns the k-wide output rows as segments in input order —
+// each piece's extensions after the previous piece's, whoever ran it — with
+// their count and the Search calls made. The context is polled per piece; a
+// done context stops the pool and returns the context's error.
+func (x *extension) run(ctx context.Context, segs [][]int, stride, n, workers int) ([][]int, int, int, error) {
+	pieces := make([]piece, 0, n/cancelRowBatch+len(segs))
+	for si, seg := range segs {
+		rows := len(seg) / stride
+		for lo := 0; lo < rows; lo += cancelRowBatch {
+			pieces = append(pieces, piece{si, lo, min(lo+cancelRowBatch, rows)})
+		}
 	}
-	nChunks := (len(rows) + chunk - 1) / chunk
-	res := make([][][]int, nChunks)
+	workers = max(1, min(workers, len(pieces)))
+	probers := make([]prober, workers)
+	// A worker meets at most the connecting table's items, and about its
+	// share of the rows; past that its memo grows.
+	hint := min((n+workers-1)/workers, len(x.against[0].items))
+	done := make([]pieceOut, len(pieces))
 	var cursor atomic.Int64
+	work := func(w int) {
+		pr := &probers[w]
+		pr.memo = newProbeMemo(hint)
+		for {
+			pi := int(cursor.Add(1) - 1)
+			if pi >= len(pieces) || ctx.Err() != nil {
+				return
+			}
+			pc := pieces[pi]
+			lo := len(pr.segs)
+			x.extend(pr, segs[pc.seg][pc.lo*stride:pc.hi*stride], stride)
+			done[pi] = pieceOut{w, lo, len(pr.segs)}
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc probeScratch
-			for {
-				ci := cursor.Add(1) - 1
-				if ci >= int64(nChunks) {
-					return
-				}
-				lo := int(ci) * chunk
-				hi := lo + chunk
-				if hi > len(rows) {
-					hi = len(rows)
-				}
-				var out [][]int
-				for ri := lo; ri < hi; ri++ {
-					if (ri-lo)%cancelRowBatch == 0 && ctx.Err() != nil {
-						return
-					}
-					out = extendRow(rows[ri], &sc, out)
-				}
-				res[ci] = out
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	total := 0
-	for _, chunkRows := range res {
-		total += len(chunkRows)
+	nSegs, searches := 0, 0
+	for _, pr := range probers {
+		nSegs += len(pr.segs)
+		searches += pr.memo.live // one entry per Search call
 	}
-	out := make([][]int, 0, total)
-	for _, chunkRows := range res {
-		out = append(out, chunkRows...)
+	out, rows := make([][]int, 0, nSegs), 0
+	for _, d := range done {
+		for _, seg := range probers[d.w].segs[d.lo:d.hi] {
+			out = append(out, seg)
+			rows += len(seg) / x.k
+		}
 	}
-	return out, nil
+	return out, rows, searches, nil
+}
+
+// prober is one worker's state in one extension step: its probe memo, the
+// arena chunk it carves output rows from, and the segments it has written.
+type prober struct {
+	memo probeMemo
+	// chunk is the arena chunk being filled: chunk[:used] is written, and
+	// chunk[from:used] is the current piece's part, not yet in segs. Chunks
+	// are never reused: the rows carved from them belong to the result.
+	chunk      []int
+	used, from int
+	segs       [][]int
+}
+
+// extend appends the extensions of the rows in in (stride ints apiece) to the
+// prober's arena, in row order and, within a row, in the order Search returns
+// the candidates, then seals them as the piece's segments.
+func (x *extension) extend(pr *prober, in []int, stride int) {
+	conn := x.against[0]
+	for i := 0; i < len(in); i += stride {
+		row := in[i : i+stride]
+	candidates:
+		for _, cand := range pr.memo.candidates(x, row[conn.col]) {
+			for _, side := range x.against[1:] {
+				if !x.tab.Data.Items[cand].Intersects(side.rect(row)) {
+					continue candidates
+				}
+			}
+			if pr.used == len(pr.chunk) {
+				pr.seal()
+				pr.chunk = make([]int, arenaChunkRows*x.k)
+				pr.used, pr.from = 0, 0
+			}
+			out := pr.chunk[pr.used : pr.used+x.k]
+			pr.used += x.k
+			copy(out, row)
+			out[x.col] = cand
+		}
+	}
+	pr.seal()
+}
+
+// seal appends the rows written since the last seal as one segment.
+func (pr *prober) seal() {
+	if pr.used > pr.from {
+		pr.segs = append(pr.segs, pr.chunk[pr.from:pr.used:pr.used])
+		pr.from = pr.used
+	}
+}
+
+// candidates returns the connecting item's candidates: the step's table items
+// its rectangle meets, in Search order, minus those outside the step's
+// window. Only the first call for an id searches; the memo answers the rest.
+// The slice is valid until the next call.
+func (m *probeMemo) candidates(x *extension, id int) []int {
+	s := m.slot(id)
+	if s.key != 0 {
+		return m.cands[s.off : s.off+int(s.n)]
+	}
+	start := len(m.cands)
+	m.cands = x.tab.Packed.Search(x.against[0].items[id], m.cands)
+	if x.win != nil {
+		kept := start
+		for _, cand := range m.cands[start:] {
+			if x.tab.Data.Items[cand].Intersects(*x.win) {
+				m.cands[kept] = cand
+				kept++
+			}
+		}
+		m.cands = m.cands[:kept]
+	}
+	*s = memoSlot{key: int32(id + 1), n: int32(len(m.cands) - start), off: start}
+	m.added()
+	return m.cands[start:]
+}
+
+// probeMemo maps a connecting item's id to its candidates, a run of cands: an
+// open-addressed, linearly probed table kept at most half full. A Go map in
+// its place made the serial step of BenchmarkProbeStepCrossover 20–45 %
+// slower.
+type probeMemo struct {
+	slots []memoSlot
+	shift uint // 64 - log2(len(slots))
+	live  int
+	cands []int
+}
+
+// memoSlot is one memo entry: key is the id plus one (0 marks an empty
+// slot; an id fits, as 2³¹ items would be 64 GiB of rectangles), the
+// candidates cands[off : off+n].
+type memoSlot struct {
+	key, n int32
+	off    int
+}
+
+// newProbeMemo returns an empty memo sized for hint distinct ids.
+func newProbeMemo(hint int) probeMemo {
+	size := 16
+	for size < 2*hint {
+		size *= 2
+	}
+	return probeMemo{slots: make([]memoSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// slot returns id's slot, or the empty slot where id belongs.
+func (m *probeMemo) slot(id int) *memoSlot {
+	mask := uint64(len(m.slots) - 1)
+	for h := (uint64(id) * 0x9E3779B97F4A7C15) >> m.shift; ; h = (h + 1) & mask {
+		if s := &m.slots[h]; s.key == 0 || s.key == int32(id+1) {
+			return s
+		}
+	}
+}
+
+// added counts an entry just filled in, doubling the table past half full.
+func (m *probeMemo) added() {
+	if m.live++; 2*m.live <= len(m.slots) {
+		return
+	}
+	old := m.slots
+	m.slots = make([]memoSlot, 2*len(old))
+	m.shift--
+	for _, s := range old {
+		if s.key != 0 {
+			*m.slot(int(s.key - 1)) = s
+		}
+	}
 }
 
 // Count plans and executes in one call, returning only the result

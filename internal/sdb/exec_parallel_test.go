@@ -167,7 +167,8 @@ func TestExecuteRunsOnPlannedTables(t *testing.T) {
 // BenchmarkProbeStepCrossover is the measurement behind parallelProbeMinRows:
 // multiway-window's chain SCRC – SURA – SPG, the first two tables scaled so
 // that their join hands the extension step from about 512 to about 32 768
-// rows (reported as probe_rows) and SPG at the workload's scale 0.2, serial
+// rows (reported as probe_rows, the Search calls they cost as probe_searches)
+// and SPG at the workload's scale 0.2, serial
 // against a pool of two. The probe step alone is read off its operator span
 // (probe-ns/op): Workers sizes the first join's pool too, and that has its own
 // crossover. Run with -cpu 2; EXPERIMENTS.md "Tile probes" has the table.
@@ -191,7 +192,7 @@ func BenchmarkProbeStepCrossover(b *testing.B) {
 		for _, workers := range []int{1, 2} {
 			plan.Workers = workers
 			b.Run(fmt.Sprintf("items=%d/workers=%d", n, workers), func(b *testing.B) {
-				var probeMicros, probeRows float64
+				var probeMicros, probeRows, probeSearches float64
 				for i := 0; i < b.N; i++ {
 					ctx, root := obs.NewTrace(context.Background(), "bench")
 					if _, err := plan.ExecuteContext(ctx); err != nil {
@@ -200,9 +201,11 @@ func BenchmarkProbeStepCrossover(b *testing.B) {
 					probe := root.Report().Children[0].Children[1]
 					probeMicros += float64(probe.ElapsedMicros)
 					probeRows = probe.Attrs["probe_rows"].(float64)
+					probeSearches = probe.Attrs["probe_searches"].(float64)
 				}
 				b.ReportMetric(probeMicros*1e3/float64(b.N), "probe-ns/op")
 				b.ReportMetric(probeRows, "probe_rows")
+				b.ReportMetric(probeSearches, "probe_searches")
 			})
 		}
 	}

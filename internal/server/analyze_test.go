@@ -88,6 +88,43 @@ func TestQueryAnalyze(t *testing.T) {
 	}
 }
 
+// TestQueryAnalyzeProbeStep: a three-table query's probe operator reports
+// the rows it extended (probe_rows) and the index searches they cost
+// (probe_searches) — one per distinct connecting item per worker, so never
+// more than the rows — in the span tree and in analyze_text.
+func TestQueryAnalyzeProbeStep(t *testing.T) {
+	_, ts := newTestServer(t, Config{Level: 5})
+	createTable(t, ts.URL, "roads", "polyline", 1500, 7, false)
+	createTable(t, ts.URL, "streams", "polyline", 500, 8, false)
+	createTable(t, ts.URL, "parcels", "polyline", 800, 9, false)
+
+	var qr QueryResponse
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/query?analyze=1", QueryRequest{
+		Tables:     []string{"roads", "streams", "parcels"},
+		Predicates: [][2]string{{"roads", "streams"}, {"streams", "parcels"}},
+	}, &qr)
+	if code != 200 || qr.Analyze == nil {
+		t.Fatalf("query: status %d, analyze %+v", code, qr.Analyze)
+	}
+	var probe *obs.SpanReport
+	for _, c := range qr.Analyze.Children {
+		if c.Name == "execute" && len(c.Children) == 2 {
+			probe = c.Children[1]
+		}
+	}
+	if probe == nil || !strings.HasPrefix(probe.Name, "probe ") {
+		t.Fatalf("want execute > [join, probe], got %+v", qr.Analyze.Children)
+	}
+	rows, _ := probe.Attrs["probe_rows"].(float64)
+	searches, _ := probe.Attrs["probe_searches"].(float64)
+	if rows <= 0 || searches <= 0 || searches > rows {
+		t.Fatalf("probe span: probe_rows %v, probe_searches %v; want 0 < searches <= rows", rows, searches)
+	}
+	if !strings.Contains(qr.AnalyzeText, "probe_searches=") {
+		t.Fatalf("analyze_text should show probe_searches:\n%s", qr.AnalyzeText)
+	}
+}
+
 // TestMetricsIncludeEngineSeries: /metrics must merge the engine-level
 // obs.Default registry — R-tree traversal counters, histogram estimator
 // counters, executor row counters — with the server's request series, and the
