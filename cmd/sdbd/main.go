@@ -56,7 +56,7 @@ func parseFlags(args []string) (*options, error) {
 	load := fs.String("load", "", "directory of .sds dataset files to preload as tables")
 	walDir := fs.String("wal-dir", "", "directory for per-table write-ahead logs (empty disables durable ingest)")
 	walRetry := fs.Int("wal-retry", 4, "max retries for transient WAL write/fsync failures (-1 disables retry)")
-	admission := fs.Bool("admission", true, "enable the estimate-driven admission gate on /v1/query (adaptive concurrency limit + cost gate)")
+	admission := fs.Bool("admission", true, "enable the admission gate on /v1/query (adaptive concurrency limit: 503 + Retry-After when every slot is taken)")
 	maxInflight := fs.Int("max-inflight", 0, "cap on the adaptive query concurrency limit (0 = 4x GOMAXPROCS)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	enableTelemetry := fs.Bool("telemetry", true, "run the telemetry layer (time-series scraper, request flight recorder) and mount /v1/debug/{timeseries,requests}")

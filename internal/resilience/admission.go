@@ -16,8 +16,8 @@ type AdmissionPolicy struct {
 	// Default 1.
 	MinInflight int
 	// Target is the latency the limiter steers admitted queries toward —
-	// the server wires -slow-query here. Queries predicted (or observed)
-	// to exceed it push the limit down. Default 250ms.
+	// the server wires -slow-query here. Queries observed to exceed it push
+	// the limit down. Default 250ms.
 	Target time.Duration
 	// DecreaseFactor is the multiplicative cut applied to the limit when
 	// an admitted query finishes over Target. Default 0.5.
@@ -51,27 +51,18 @@ func (p AdmissionPolicy) WithDefaults() AdmissionPolicy {
 	return p
 }
 
-// ewmaAlpha weights the newest per-unit cost observation. 0.2 ≈ a ~10-query
-// memory: stable enough to ride out one outlier, fresh enough to track a
-// cache going cold.
-const ewmaAlpha = 0.2
-
-// Controller is the server's admission gate. It combines an AIMD adaptive
-// concurrency limit (additive increase when admitted queries finish under
-// Target, multiplicative decrease when they don't — the TCP congestion
-// window applied to query slots) with a cost model calibrated online: every
-// completed query reports its cost in abstract units (estimated result rows
-// + the tile-run entries the first join sweeps) and its wall time, and the controller keeps an EWMA
-// of nanoseconds per unit. PredictCost then prices a candidate query before
-// execution, which is what lets the handler reject doomed work at arrival
-// instead of timing it out thirty seconds later. Safe for concurrent use.
+// Controller is the server's admission gate: an AIMD adaptive concurrency
+// limit (additive increase when admitted queries finish under Target,
+// multiplicative decrease when they don't — the TCP congestion window
+// applied to query slots). A query that finds every slot taken is refused at
+// arrival with 503 + Retry-After instead of queueing behind work the server
+// is already too slow to finish. Safe for concurrent use.
 type Controller struct {
 	policy AdmissionPolicy
 
 	mu           sync.Mutex
 	limit        float64 // fractional so +1/limit additive increases accumulate
 	inflight     int
-	nsPerUnit    float64 // EWMA; 0 until first calibration
 	lastDecrease time.Time
 	admitted     uint64
 	shed         uint64
@@ -91,7 +82,7 @@ func (c *Controller) Policy() AdmissionPolicy { return c.policy }
 
 // TryAcquire claims an execution slot. A refusal is recorded as a shed;
 // the caller should answer 503 with Retry-After. A granted slot must be
-// released with exactly one of ReleaseShed or ReleaseDone.
+// released with exactly one ReleaseDone.
 func (c *Controller) TryAcquire() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -103,19 +94,10 @@ func (c *Controller) TryAcquire() bool {
 	return true
 }
 
-// ReleaseShed returns a slot whose query was rejected by the cost gate
-// after acquisition. It counts as a shed, not an admission, and carries no
-// latency signal (the query never ran).
-func (c *Controller) ReleaseShed() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inflight--
-	c.shed++
-}
-
-// ReleaseDone returns a slot whose query executed. elapsed and units
-// calibrate the cost model; elapsed vs Target drives the AIMD limit;
-// degraded marks queries the cost gate forced to serial execution.
+// ReleaseDone returns a slot whose query executed; elapsed vs Target drives
+// the AIMD limit. units is ignored and degraded only feeds the Degraded
+// counter: both stay for bench/trace.go's gate replay, which passes them,
+// until ROADMAP 1 (a) deletes them with it.
 func (c *Controller) ReleaseDone(elapsed time.Duration, units float64, degraded bool) {
 	now := c.now() // sampled outside the critical section: the clock is an injected callee
 	c.mu.Lock()
@@ -124,14 +106,6 @@ func (c *Controller) ReleaseDone(elapsed time.Duration, units float64, degraded 
 	c.admitted++
 	if degraded {
 		c.degraded++
-	}
-	if units > 0 && elapsed > 0 {
-		obs := float64(elapsed.Nanoseconds()) / units
-		if c.nsPerUnit == 0 {
-			c.nsPerUnit = obs
-		} else {
-			c.nsPerUnit = ewmaAlpha*obs + (1-ewmaAlpha)*c.nsPerUnit
-		}
 	}
 	if elapsed > c.policy.Target {
 		if now.Sub(c.lastDecrease) >= c.policy.DecreaseEvery {
@@ -149,34 +123,10 @@ func (c *Controller) ReleaseDone(elapsed time.Duration, units float64, degraded 
 	}
 }
 
-// PredictCost prices a query of the given cost units with the calibrated
-// model. Zero until the first completed query calibrates it — an
-// uncalibrated gate admits everything rather than guessing.
-func (c *Controller) PredictCost(units float64) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.nsPerUnit == 0 || units <= 0 {
-		return 0
-	}
-	return time.Duration(c.nsPerUnit * units)
-}
-
-// Calibrate force-sets the cost model (tests and warm restarts).
-func (c *Controller) Calibrate(nsPerUnit float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nsPerUnit = nsPerUnit
-}
-
-// UnderPressure reports whether at least half the concurrency limit is in
-// use — the threshold past which the cost gate starts downgrading
-// expensive-but-feasible queries to serial execution instead of letting
-// them fan out across the worker pool.
-func (c *Controller) UnderPressure() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return 2*c.inflight >= c.intLimit()
-}
+// PredictCost returns 0: the controller prices no query. It is kept for
+// bench/trace.go, its one caller, until ROADMAP 1 (a) deletes it with that
+// replay.
+func (c *Controller) PredictCost(units float64) time.Duration { return 0 }
 
 // RetryAfter is the backoff the server advertises on a shed: one Target
 // period, by which time the queue has turned over if the limiter is doing
@@ -213,15 +163,15 @@ func (c *Controller) Admitted() uint64 {
 	return c.admitted
 }
 
-// Shed returns the count of queries refused (at acquire or by the cost
-// gate).
+// Shed returns the count of queries refused at the concurrency limit.
 func (c *Controller) Shed() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.shed
 }
 
-// Degraded returns the count of queries forced to serial execution.
+// Degraded returns the count of releases that passed degraded. Nothing
+// served does, so it stays 0 on a server.
 func (c *Controller) Degraded() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -93,50 +93,6 @@ func TestLimitNeverBelowFloor(t *testing.T) {
 	}
 }
 
-func TestCostModelCalibration(t *testing.T) {
-	c := NewController(AdmissionPolicy{MaxInflight: 4, Target: time.Hour})
-	if c.PredictCost(1000) != 0 {
-		t.Fatal("uncalibrated model must predict 0")
-	}
-	// 1000 units took 1ms → 1000 ns/unit.
-	c.TryAcquire()
-	c.ReleaseDone(time.Millisecond, 1000, false)
-	if got := c.PredictCost(2000); got != 2*time.Millisecond {
-		t.Fatalf("PredictCost(2000) = %v, want 2ms", got)
-	}
-	// EWMA: a 10× slower observation moves the estimate by α=0.2.
-	c.TryAcquire()
-	c.ReleaseDone(10*time.Millisecond, 1000, false)
-	want := time.Duration(0.2*10000 + 0.8*1000)
-	if got := c.PredictCost(1); got != want {
-		t.Fatalf("PredictCost(1) = %v, want %v", got, want)
-	}
-}
-
-func TestReleaseShedCountsAndFreesSlot(t *testing.T) {
-	c := NewController(AdmissionPolicy{MaxInflight: 1, Target: time.Second})
-	c.TryAcquire()
-	c.ReleaseShed()
-	if c.Shed() != 1 || c.Inflight() != 0 || c.Admitted() != 0 {
-		t.Fatalf("shed=%d inflight=%d admitted=%d, want 1/0/0", c.Shed(), c.Inflight(), c.Admitted())
-	}
-	if !c.TryAcquire() {
-		t.Fatal("slot not freed by ReleaseShed")
-	}
-}
-
-func TestUnderPressure(t *testing.T) {
-	c := NewController(AdmissionPolicy{MaxInflight: 4, Target: time.Second})
-	if c.UnderPressure() {
-		t.Fatal("idle controller must not report pressure")
-	}
-	c.TryAcquire()
-	c.TryAcquire()
-	if !c.UnderPressure() {
-		t.Fatal("2/4 slots held must report pressure")
-	}
-}
-
 func TestDegradedCounter(t *testing.T) {
 	c := NewController(AdmissionPolicy{MaxInflight: 4, Target: time.Hour})
 	c.TryAcquire()
@@ -147,31 +103,37 @@ func TestDegradedCounter(t *testing.T) {
 }
 
 func TestControllerConcurrent(t *testing.T) {
-	c := NewController(AdmissionPolicy{MaxInflight: 8, Target: time.Hour})
+	const slots, goroutines, rounds = 8, 16, 50
+	c := NewController(AdmissionPolicy{MaxInflight: slots, Target: time.Hour})
 	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if c.TryAcquire() {
-					if i%7 == 0 {
-						c.ReleaseShed()
-					} else {
-						c.ReleaseDone(time.Microsecond, 5, i%11 == 0)
-					}
-				}
-				c.PredictCost(100)
-				c.UnderPressure()
+	for r := 0; r < rounds; r++ {
+		// A winner holds its slot until every goroutine of the round has
+		// asked for one, so each round 16 ask for 8 slots and 8 are refused
+		// at the limit.
+		var attempted sync.WaitGroup
+		attempted.Add(goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ok := c.TryAcquire()
+				attempted.Done()
 				c.Limit()
-			}
-		}()
+				if ok {
+					attempted.Wait()
+					c.ReleaseDone(time.Microsecond, 5, false)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if c.Inflight() != 0 {
 		t.Fatalf("inflight = %d after all releases, want 0", c.Inflight())
 	}
 	if c.Admitted() == 0 || c.Shed() == 0 {
 		t.Fatalf("admitted=%d shed=%d, want both nonzero", c.Admitted(), c.Shed())
+	}
+	if want := uint64((goroutines - slots) * rounds); c.Admitted() != slots*rounds || c.Shed() != want {
+		t.Fatalf("admitted=%d shed=%d, want %d/%d", c.Admitted(), c.Shed(), slots*rounds, want)
 	}
 }

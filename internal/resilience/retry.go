@@ -1,7 +1,7 @@
 // Package resilience holds the small, dependency-free building blocks the
 // server and ingest path use to stay up under stress: bounded retry with
 // exponential backoff and jitter, a circuit breaker for the WAL write path,
-// and an estimate-driven admission controller for the query path.
+// and an adaptive concurrency limit for the query path.
 package resilience
 
 import (

@@ -60,8 +60,7 @@ type Plan struct {
 
 // JoinWork prices the plan's first join as the executor runs it: the entries
 // of the two packed images' tile runs over the tiles the sweep visits under
-// the two tables' windows (rtree.JoinWork). EXPLAIN reports it and the
-// admission gate adds it to the estimated result size.
+// the two tables' windows (rtree.JoinWork). EXPLAIN reports it.
 func (p *Plan) JoinWork() int {
 	first := p.Steps[0].Table
 	return rtree.JoinWork(p.tables[p.Base].Packed, p.tables[first].Packed, p.window(p.Base), p.window(first))

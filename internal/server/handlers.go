@@ -55,15 +55,6 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// writeOverloaded answers a shed query: 503 with the admission controller's
-// suggested backoff in the Retry-After header. Callers hold a non-nil
-// s.admission.
-func (s *Server) writeOverloaded(w http.ResponseWriter, reason string) {
-	ra := s.admission.RetryAfter()
-	w.Header().Set("Retry-After", retryAfterSeconds(ra))
-	writeError(w, http.StatusServiceUnavailable, "query shed: %s; retry after %s", reason, ra)
-}
-
 // maxGeneratorItems bounds a generator spec's n — the generators allocate n
 // rectangles up front, so an unbounded value would let one request exhaust
 // memory. It is sized to the paper's largest table with room to spare.
@@ -560,59 +551,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// selectivities): a request that cannot be planned answered 400 above
 	// without touching the controller, so a slot is only ever held — and
 	// ReleaseDone's latency signal only ever fed — by a query that executes.
-	//
-	// Stage 1 is the adaptive concurrency limit; a refusal is pure
-	// backpressure. Stage 2 is the cost gate. The query's abstract cost is
-	// the GH estimate of the result size plus the plan's own price for its
-	// driving join, the tile-run entries its sweep visits (Plan.JoinWork) —
-	// the same numbers EXPLAIN reports — priced with the calibrated ns/unit
-	// model. Work that cannot finish
-	// inside its deadline is shed at arrival instead of timing out after
-	// burning a worker pool; feasible-but-expensive work under pressure is
-	// downgraded to serial execution so it cannot monopolize the pool.
-	var degradedExec bool
+	// A refusal at the concurrency limit is pure backpressure.
 	if s.admission != nil {
 		if !s.admission.TryAcquire() {
 			ev.Admission = telemetry.AdmissionShed
-			s.writeOverloaded(w, "server at its concurrency limit")
+			ra := s.admission.RetryAfter()
+			w.Header().Set("Retry-After", retryAfterSeconds(ra))
+			writeError(w, http.StatusServiceUnavailable, "query shed: server at its concurrency limit; retry after %s", ra)
 			return
 		}
-		var (
-			shedByCost bool
-			costUnits  float64
-		)
-		defer func() {
-			if shedByCost {
-				s.admission.ReleaseShed()
-			} else {
-				s.admission.ReleaseDone(time.Since(start), costUnits, degradedExec)
-			}
-		}()
-		costUnits = estRows + float64(plan.JoinWork())
-		pred := s.admission.PredictCost(costUnits)
-		if dl, ok := ctx.Deadline(); ok && pred > time.Until(dl) {
-			shedByCost = true
-			ev.Admission = telemetry.AdmissionShed
-			s.writeOverloaded(w, fmt.Sprintf(
-				"predicted cost %s exceeds the request deadline", pred.Round(time.Millisecond)))
-			return
-		}
-		switch {
-		case pred > s.admission.Policy().Target && s.admission.UnderPressure():
-			degradedExec = true
-			ev.Admission = telemetry.AdmissionDegraded
-		default:
-			ev.Admission = telemetry.AdmissionAdmitted
-		}
+		defer func() { s.admission.ReleaseDone(time.Since(start), 0, false) }()
+		ev.Admission = telemetry.AdmissionAdmitted
 	}
 
 	// 0 defers to the server default (sdbd -workers, itself 0 = auto).
 	plan.Workers = req.Workers
 	if plan.Workers == 0 {
 		plan.Workers = s.workers
-	}
-	if degradedExec {
-		plan.Workers = 1
 	}
 	ev.Workers = plan.Workers
 	res, err := plan.ExecuteContext(ctx)

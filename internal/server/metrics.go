@@ -108,10 +108,10 @@ func (m *Metrics) registerAdmission(c *resilience.Controller) {
 		"Queries admitted and executed to completion.",
 		func() float64 { return float64(c.Admitted()) })
 	m.reg.CounterFunc("sdbd_admission_shed_total",
-		"Queries refused with 503 by the concurrency limit or the cost gate.",
+		"Queries refused with 503 at the concurrency limit.",
 		func() float64 { return float64(c.Shed()) })
 	m.reg.CounterFunc("sdbd_admission_degraded_total",
-		"Queries the cost gate forced to serial execution under pressure.",
+		"Queries forced to serial execution; stays 0 (kept for bench/trace.go until ROADMAP 1 (a)).",
 		func() float64 { return float64(c.Degraded()) })
 	m.reg.GaugeFunc("sdbd_admission_limit",
 		"Current adaptive concurrency limit (AIMD).",

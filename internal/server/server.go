@@ -48,10 +48,9 @@ type Config struct {
 	// disables durability: mutation endpoints still work, but mutated tables
 	// do not survive a restart.
 	WALDir string
-	// Admission enables the estimate-driven admission gate on /v1/query: an
-	// adaptive concurrency limit plus a cost gate that prices each query with
-	// the calibrated GH-estimate cost model and sheds (503 + Retry-After) or
-	// downgrades-to-serial work that cannot finish inside its deadline.
+	// Admission enables the admission gate on /v1/query: an adaptive (AIMD)
+	// concurrency limit that answers a query arriving with every slot taken
+	// 503 + Retry-After.
 	Admission bool
 	// MaxInflight caps the adaptive concurrency limit (0 = 4×GOMAXPROCS).
 	MaxInflight int
@@ -220,7 +219,7 @@ func (s *Server) Ingest() *ingest.Manager { return s.ingest }
 func (s *Server) Telemetry() *telemetry.Telemetry { return s.telemetry }
 
 // Admission exposes the query admission controller, nil when disabled.
-// bench/ reads its policy to replay the gate; tests calibrate it and assert
+// bench/ reads its policy to replay the gate; tests hold its slots and assert
 // its counters.
 func (s *Server) Admission() *resilience.Controller { return s.admission }
 

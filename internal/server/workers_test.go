@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -49,6 +50,46 @@ func TestQueryWorkersMatchesSerial(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: row set diverges at %d: %s vs %s", workers, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestPagesDoNotDependOnWorkers pages a two- and a three-table result twice
+// over one snapshot — once on the server's pool, once serial — and must read
+// the same pages: the row order is a function of the plan and the tables'
+// images, not of the worker count, so offset/limit neither skip nor repeat
+// rows when a client's requests run at different parallelism.
+func TestPagesDoNotDependOnWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 4})
+	createTable(t, ts.URL, "qa", "uniform", 12000, 1, false)
+	createTable(t, ts.URL, "qb", "uniform", 12000, 2, false)
+	createTable(t, ts.URL, "qc", "uniform", 12000, 3, false)
+
+	pages := func(q QueryRequest, workers int) [][][]int {
+		var out [][][]int
+		q.Workers = workers
+		for q.Offset, q.Limit = 0, 250; ; q.Offset += q.Limit {
+			var qr QueryResponse
+			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", q, &qr); code != http.StatusOK {
+				t.Fatalf("query at offset %d: status %d", q.Offset, code)
+			}
+			out = append(out, qr.Rows)
+			if !qr.Truncated {
+				return out
+			}
+		}
+	}
+	for _, q := range []QueryRequest{
+		pairQuery(),
+		{Tables: []string{"qa", "qb", "qc"}, Predicates: [][2]string{{"qa", "qb"}, {"qb", "qc"}}},
+	} {
+		pooled := pages(q, 0)
+		serial := pages(q, 1)
+		if len(pooled) < 3 {
+			t.Fatalf("%d tables: result fits %d pages; the test wants several", len(q.Tables), len(pooled))
+		}
+		if !reflect.DeepEqual(pooled, serial) {
+			t.Fatalf("%d tables: pages read serially differ from the pooled ones", len(q.Tables))
 		}
 	}
 }

@@ -39,7 +39,7 @@ type Event struct {
 	Reason         string          `json:"reason"` // why it was retained
 	Panic          bool            `json:"panic,omitempty"`
 	Workers        int             `json:"workers,omitempty"`
-	Admission      string          `json:"admission,omitempty"` // admitted, degraded, shed
+	Admission      string          `json:"admission,omitempty"` // admitted or shed
 	Tables         []string        `json:"tables,omitempty"`
 	Rows           int             `json:"rows,omitempty"`
 	EstRows        *float64        `json:"est_rows,omitempty"`
@@ -61,7 +61,6 @@ const (
 // Admission verdicts recorded on query events.
 const (
 	AdmissionAdmitted = "admitted"
-	AdmissionDegraded = "degraded"
 	AdmissionShed     = "shed"
 )
 
