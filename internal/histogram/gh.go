@@ -51,12 +51,38 @@ func (g *GH) Name() string { return fmt.Sprintf("GH(h=%d)", g.grid.Level()) }
 // Level returns the gridding level.
 func (g *GH) Level() int { return g.grid.Level() }
 
-// ghCell carries the Table-2 parameters.
+// ghCell carries the Table-2 parameters of a summary.
 type ghCell struct {
 	C float64 // corner points in the cell
 	O float64 // Σ intersection-area ratios
 	H float64 // Σ horizontal-edge length ratios
 	V float64 // Σ vertical-edge length ratios
+}
+
+// ghSums carries one cell's Table-2 parameters as exact sums while a
+// histogram is built or maintained: C counts corners, and O, H and V count
+// multiples of 2⁻³² of a cell, each item's contribution rounded once (fixed).
+// Integer addition associates and +1/−1 are exact inverses, so the sums
+// depend only on the multiset of items added — not on their order, on how
+// the items were sharded across workers, or on the adds and removes that led
+// there. One item adds at most 4 to C, 2³² to O and 2·2³² to H or V (two
+// edges in one cell), so every sum stays below 2⁶¹ for fewer than 2²⁸ items,
+// the count at which rtree.PackItems (buildTileIndex) panics.
+type ghSums struct{ C, O, H, V int64 }
+
+// ghScale is the number of units O, H and V count per cell.
+const ghScale = 1 << 32
+
+// fixed rounds a non-negative ratio to a whole number of 2⁻³² units.
+func fixed(x float64) int64 { return int64(x*ghScale + 0.5) }
+
+// summaryOf converts exact cell sums into a summary's float64 cells.
+func summaryOf(name string, n, level int, sums []ghSums) *GHSummary {
+	cells := make([]ghCell, len(sums))
+	for i, s := range sums {
+		cells[i] = ghCell{C: float64(s.C), O: float64(s.O) / ghScale, H: float64(s.H) / ghScale, V: float64(s.V) / ghScale}
+	}
+	return &GHSummary{name: name, n: n, level: level, cells: cells}
 }
 
 // GHSummary is the GH histogram file for one dataset.
@@ -81,28 +107,20 @@ func (s *GHSummary) SizeBytes() int64 { return int64(len(s.cells))*32 + 24 }
 func (s *GHSummary) Level() int { return s.level }
 
 // Build implements core.Technique: one pass over the (normalized) dataset
-// accumulating C, O, H and V.
+// accumulating C, O, H and V, sharded across GOMAXPROCS workers from
+// ghShardMinItems items on (the sums are exact, so the split cannot change
+// a bit of the result).
 func (g *GH) Build(d *dataset.Dataset) (core.Summary, error) {
-	start := time.Now()
-	nd := d.Normalize()
-	grid := g.grid
-	cells := make([]ghCell, grid.Cells())
-	accumulateGH(grid, nd.Items, cells)
-	recordBuild("gh", start)
-	return &GHSummary{name: d.Name, n: d.Len(), level: grid.Level(), cells: cells}, nil
+	return buildGH(d, g.grid, shardWorkers(d.Len())), nil
 }
 
-// accumulateGH adds every item's contributions to cells. Corner points each
-// land in exactly one cell (degenerate rectangles contribute coincident
-// corners — the correct limit behaviour, since a point "intersecting" a
-// rectangle is all four of its corners doing so); area ratios accumulate per
-// overlapped cell; each horizontal edge lives in one cell row with its
-// x-extent possibly spanning many columns, and symmetrically for vertical
-// edges. The per-item arithmetic is shared with the incremental GHBuilder.
-func accumulateGH(grid Grid, items []geom.Rect, cells []ghCell) {
-	for _, r := range items {
-		applyGHItem(grid, r, cells, +1)
-	}
+// buildGH is the one GH build: Build and BuildGHParallel differ only in how
+// many workers they ask for.
+func buildGH(d *dataset.Dataset, grid Grid, workers int) *GHSummary {
+	start := time.Now()
+	s := summaryOf(d.Name, d.Len(), grid.Level(), sumGH(grid, d.Normalize().Items, workers))
+	recordBuild("gh", start)
+	return s
 }
 
 func maxf(a, b float64) float64 {
@@ -135,8 +153,10 @@ func (g *GH) Estimate(a, b core.Summary) (core.Estimate, error) {
 	}
 	var ip float64
 	for idx := range sa.cells {
+		// Each pair of terms is added before the two pairs are, so swapping
+		// a and b swaps the operands of every addition: the same bits.
 		ca, cb := &sa.cells[idx], &sb.cells[idx]
-		ip += ca.C*cb.O + cb.C*ca.O + ca.H*cb.V + cb.H*ca.V
+		ip += (ca.C*cb.O + cb.C*ca.O) + (ca.H*cb.V + cb.H*ca.V)
 	}
 	recordEstimate("gh")
 	return core.NewEstimate(ip/4, sa.n, sb.n), nil

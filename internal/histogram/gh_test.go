@@ -96,39 +96,19 @@ func TestGHAggregateInvariants(t *testing.T) {
 // algebraic facts the served path leans on. Every Table-2 parameter is a sum
 // of per-item contributions, so a histogram of a union is the cell-wise sum of
 // its parts' — what lets the ingest front maintain GH per record — with ΣC =
-// 4·n throughout: C holds whole corners, so it adds exactly, while O, H and V
-// hold ratios whose sums round differently when re-associated (1e-9
-// relative). And Eqn. 5 is symmetric in its two datasets — the planner keys a
-// pair's selectivity from either side — though not bit for bit: per cell,
-// Estimate(a, b) adds ...+H1·V2+V1·H2 and Estimate(b, a) ...+V1·H2+H1·V2 onto
-// the same prefix, and floating-point addition does not associate.
+// 4·n throughout. The cell sums are exact, so the union equals the parts' sum
+// bit for bit. And Eqn. 5 is symmetric in its two datasets — the planner keys
+// a pair's selectivity from either side — bit for bit too: Estimate adds each
+// cell's terms as (C·O + C·O) + (H·V + H·V), so swapping its arguments swaps
+// the operands of every addition.
 func TestGHUnionAdditiveAndSymmetric(t *testing.T) {
-	// Points, sub-cell boxes and boxes spanning many cells, some on the
-	// extent's edge: every branch of the per-item accumulation.
-	randomItems := func(rng *rand.Rand, n int) []geom.Rect {
-		items := make([]geom.Rect, n)
-		for i := range items {
-			x, y := rng.Float64(), rng.Float64()
-			var w, h float64
-			switch rng.Intn(3) {
-			case 1:
-				w, h = rng.Float64()*0.01, rng.Float64()*0.01
-			case 2:
-				w, h = rng.Float64()*0.5, rng.Float64()*0.5
-			}
-			items[i] = geom.NewRect(x, y, math.Min(x+w, 1), math.Min(y+h, 1))
-		}
-		return items
-	}
-	relClose := func(got, want, tol float64) bool {
-		return math.Abs(got-want) <= tol*math.Max(math.Abs(got), math.Abs(want))
-	}
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		level := 1 + rng.Intn(7)
 		gh := MustGH(level)
-		a := randomItems(rng, 50+rng.Intn(300))
-		b := randomItems(rng, 50+rng.Intn(300))
+		// Every kind historyItem draws: every branch of the accumulation.
+		a := historyItems(rng, 50+rng.Intn(300))
+		b := historyItems(rng, 50+rng.Intn(300))
 		build := func(name string, items []geom.Rect) *GHSummary {
 			s, err := gh.Build(dataset.New(name, geom.UnitSquare, items))
 			if err != nil {
@@ -148,11 +128,8 @@ func TestGHUnionAdditiveAndSymmetric(t *testing.T) {
 		union := build("a∪b", append(append([]geom.Rect(nil), a...), b...))
 		for i, u := range union.cells {
 			ca, cb := sa.cells[i], sb.cells[i]
-			if u.C != ca.C+cb.C {
-				t.Fatalf("seed %d level %d cell %d: C of the union %g, of the parts %g + %g", seed, level, i, u.C, ca.C, cb.C)
-			}
-			if !relClose(u.O, ca.O+cb.O, 1e-9) || !relClose(u.H, ca.H+cb.H, 1e-9) || !relClose(u.V, ca.V+cb.V, 1e-9) {
-				t.Fatalf("seed %d level %d cell %d: O/H/V of the union %+v, of the parts %+v + %+v", seed, level, i, u, ca, cb)
+			if sum := (ghCell{C: ca.C + cb.C, O: ca.O + cb.O, H: ca.H + cb.H, V: ca.V + cb.V}); u != sum {
+				t.Fatalf("seed %d level %d cell %d: the union %+v, the parts %+v + %+v", seed, level, i, u, ca, cb)
 			}
 		}
 		ab, err := gh.Estimate(sa, sb)
@@ -163,7 +140,7 @@ func TestGHUnionAdditiveAndSymmetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !relClose(ab.PairCount, ba.PairCount, 1e-12) || !relClose(ab.Selectivity, ba.Selectivity, 1e-12) {
+		if ab != ba {
 			t.Errorf("seed %d level %d: Estimate(a, b) = %+v, Estimate(b, a) = %+v", seed, level, ab, ba)
 		}
 	}

@@ -2,7 +2,6 @@ package histogram
 
 import (
 	"fmt"
-	"sort"
 
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
@@ -21,7 +20,7 @@ type GHBuilder struct {
 	grid  Grid
 	name  string
 	n     int
-	cells []ghCell
+	cells []ghSums
 }
 
 // NewGHBuilder returns an empty builder for the named dataset at gridding
@@ -32,21 +31,26 @@ func NewGHBuilder(name string, level int) (*GHBuilder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GHBuilder{grid: g, name: name, cells: make([]ghCell, g.Cells())}, nil
+	return &GHBuilder{grid: g, name: name, cells: make([]ghSums, g.Cells())}, nil
 }
 
 // GHBuilderFrom seeds a builder with an existing dataset (normalized
-// first), equivalent to adding every item individually.
+// first). It runs GH.Build's accumulation, sharded the same way, so the
+// builder holds the cells GH.Build computes and Add of every item would
+// reach.
 func GHBuilderFrom(d *dataset.Dataset, level int) (*GHBuilder, error) {
-	b, err := NewGHBuilder(d.Name, level)
+	grid, err := NewGrid(level)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range d.Normalize().Items {
-		if err := b.Add(r); err != nil {
+	b := &GHBuilder{grid: grid, name: d.Name}
+	items := d.Normalize().Items
+	for _, r := range items {
+		if err := b.check(r); err != nil {
 			return nil, err
 		}
 	}
+	b.cells, b.n = sumGH(grid, items, shardWorkers(len(items))), len(items)
 	return b, nil
 }
 
@@ -67,76 +71,27 @@ func (b *GHBuilder) Add(r geom.Rect) error {
 }
 
 // Remove subtracts one rectangle's contributions. The caller must pass a
-// rectangle previously Added; the builder cannot verify full membership, but
-// it does detect the common corruption: removing a rectangle whose corner
-// cells hold fewer corner counts than the removal would subtract. Corner
-// counts are sums of exact 1.0 contributions, so the check is exact — when
-// it fails, Remove returns an error and leaves the histogram untouched
-// instead of silently driving cell sums negative.
-//
-// The fractional parameters (O, H, V) cannot be membership-checked the same
-// way; after a structurally valid removal any negative floating-point dust
-// they carry is clamped to zero, keeping every cell sum non-negative — the
-// invariant Estimate relies on.
+// rectangle previously Added. The builder cannot verify membership, but every
+// cell sum is exact, so a removal that drives any of a cell's C, O, H or V
+// below zero proves the rectangle was never added: Remove then adds it back,
+// which restores every cell exactly, and returns an error. This also refuses
+// any Remove on an empty builder.
 func (b *GHBuilder) Remove(r geom.Rect) error {
 	if err := b.check(r); err != nil {
 		return err
 	}
-	if b.n == 0 {
-		return fmt.Errorf("histogram: Remove on empty builder")
-	}
-	if err := b.checkCornerCounts(r); err != nil {
-		return err
-	}
 	applyGHItem(b.grid, r, b.cells, -1)
-	b.clampCells(r)
+	i0, i1, j0, j1 := b.grid.CellRange(r) // every cell r contributes to
+	for j := j0; j <= j1; j++ {
+		for i := i0; i <= i1; i++ {
+			if c := b.cells[b.grid.CellIndex(i, j)]; c.C < 0 || c.O < 0 || c.H < 0 || c.V < 0 {
+				applyGHItem(b.grid, r, b.cells, +1)
+				return fmt.Errorf("histogram: Remove of %v would leave cell (%d,%d) negative; rectangle was never added", r, i, j)
+			}
+		}
+	}
 	b.n--
 	return nil
-}
-
-// checkCornerCounts verifies every corner cell of r holds at least as many
-// corner contributions as removing r would subtract (degenerate rectangles
-// land several corners in one cell). C values are integral by construction,
-// so a strict < is an exact underflow test; the 0.5 slack only guards
-// against pathological accumulated dust ever shifting an integer sum.
-func (b *GHBuilder) checkCornerCounts(r geom.Rect) error {
-	var idxs [4]int
-	for k, p := range r.Corners() {
-		i, j := b.grid.CellOf(p.X, p.Y)
-		idxs[k] = b.grid.CellIndex(i, j)
-	}
-	sort.Ints(idxs[:])
-	for k := 0; k < len(idxs); {
-		idx, want := idxs[k], 0.0
-		for k < len(idxs) && idxs[k] == idx {
-			want++
-			k++
-		}
-		if b.cells[idx].C < want-0.5 {
-			return fmt.Errorf("histogram: Remove of %v would underflow cell %d corner count (%g < %g); rectangle was never added",
-				r, idx, b.cells[idx].C, want)
-		}
-	}
-	return nil
-}
-
-// clampCells zeroes negative floating-point residue in the cells r touched.
-func (b *GHBuilder) clampCells(r geom.Rect) {
-	b.grid.VisitCells(r, func(i, j int, _ geom.Rect) {
-		c := &b.cells[b.grid.CellIndex(i, j)]
-		if c.C < 0 {
-			c.C = 0
-		}
-		if c.O < 0 {
-			c.O = 0
-		}
-		if c.H < 0 {
-			c.H = 0
-		}
-		if c.V < 0 {
-			c.V = 0
-		}
-	})
 }
 
 func (b *GHBuilder) check(r geom.Rect) error {
@@ -147,16 +102,21 @@ func (b *GHBuilder) check(r geom.Rect) error {
 }
 
 // Summary snapshots the current state as an immutable GHSummary usable with
-// GH.Estimate at the same level. The cell table is copied, so later updates
-// to the builder do not affect the snapshot.
+// GH.Estimate at the same level. The cells are converted into a new table,
+// so later updates to the builder do not affect the snapshot.
 func (b *GHBuilder) Summary() *GHSummary {
-	cells := make([]ghCell, len(b.cells))
-	copy(cells, b.cells)
-	return &GHSummary{name: b.name, n: b.n, level: b.grid.Level(), cells: cells}
+	return summaryOf(b.name, b.n, b.grid.Level(), b.cells)
 }
 
-// applyGHItem adds (sign=+1) or removes (sign=−1) one item's contributions.
-func applyGHItem(grid Grid, r geom.Rect, cells []ghCell, sign float64) {
+// applyGHItem adds (sign=+1) or removes (sign=−1) one item's contributions,
+// each rounded once to a whole number of units (fixed). Corner points each
+// land in exactly one cell (degenerate rectangles contribute coincident
+// corners — the correct limit behaviour, since a point "intersecting" a
+// rectangle is all four of its corners doing so); area ratios accumulate per
+// overlapped cell; each horizontal edge lives in one cell row with its
+// x-extent possibly spanning many columns, and symmetrically for vertical
+// edges.
+func applyGHItem(grid Grid, r geom.Rect, cells []ghSums, sign int64) {
 	cellArea := grid.CellArea()
 	cw, ch := grid.CellWidth(), grid.CellHeight()
 	for _, p := range r.Corners() {
@@ -164,7 +124,7 @@ func applyGHItem(grid Grid, r geom.Rect, cells []ghCell, sign float64) {
 		cells[grid.CellIndex(i, j)].C += sign
 	}
 	grid.VisitCells(r, func(i, j int, inter geom.Rect) {
-		cells[grid.CellIndex(i, j)].O += sign * inter.Area() / cellArea
+		cells[grid.CellIndex(i, j)].O += sign * fixed(inter.Area()/cellArea)
 	})
 	for _, y := range [2]float64{r.MinY, r.MaxY} {
 		i0, j := grid.CellOf(r.MinX, y)
@@ -174,7 +134,7 @@ func applyGHItem(grid Grid, r geom.Rect, cells []ghCell, sign float64) {
 			lo := maxf(r.MinX, cell.MinX)
 			hi := minf(r.MaxX, cell.MaxX)
 			if hi > lo {
-				cells[grid.CellIndex(i, j)].H += sign * (hi - lo) / cw
+				cells[grid.CellIndex(i, j)].H += sign * fixed((hi-lo)/cw)
 			}
 		}
 	}
@@ -186,7 +146,7 @@ func applyGHItem(grid Grid, r geom.Rect, cells []ghCell, sign float64) {
 			lo := maxf(r.MinY, cell.MinY)
 			hi := minf(r.MaxY, cell.MaxY)
 			if hi > lo {
-				cells[grid.CellIndex(i, j)].V += sign * (hi - lo) / ch
+				cells[grid.CellIndex(i, j)].V += sign * fixed((hi-lo)/ch)
 			}
 		}
 	}

@@ -3,25 +3,13 @@ package histogram
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialsel/internal/datagen"
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
 )
-
-func ghCellsEqual(a, b []ghCell, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i].C-b[i].C) > tol || math.Abs(a[i].O-b[i].O) > tol ||
-			math.Abs(a[i].H-b[i].H) > tol || math.Abs(a[i].V-b[i].V) > tol {
-			return false
-		}
-	}
-	return true
-}
 
 func TestGHBuilderValidation(t *testing.T) {
 	if _, err := NewGHBuilder("x", -1); err == nil {
@@ -66,14 +54,13 @@ func TestGHBuilderMatchesBatchBuild(t *testing.T) {
 		t.Fatalf("identity mismatch: %d/%d vs %d/%d",
 			inc.ItemCount(), inc.Level(), batch.ItemCount(), batch.Level())
 	}
-	if !ghCellsEqual(inc.cells, batch.cells, 1e-12) {
+	if !slices.Equal(inc.cells, batch.cells) {
 		t.Fatal("incremental cells differ from batch build")
 	}
 }
 
 // TestGHBuilderRemoveRestores verifies Add followed by Remove is an exact
-// no-op (contributions are sums, so cancellation is bitwise up to float
-// rounding).
+// no-op: the cell sums are integers, so the cancellation is bit for bit.
 func TestGHBuilderRemoveRestores(t *testing.T) {
 	d := datagen.Uniform("d", 500, 0.05, 111)
 	b, err := GHBuilderFrom(d, 4)
@@ -105,7 +92,7 @@ func TestGHBuilderRemoveRestores(t *testing.T) {
 	if after.ItemCount() != before.ItemCount() {
 		t.Fatalf("ItemCount %d != %d", after.ItemCount(), before.ItemCount())
 	}
-	if !ghCellsEqual(after.cells, before.cells, 1e-9) {
+	if !slices.Equal(after.cells, before.cells) {
 		t.Fatal("add+remove did not restore the histogram")
 	}
 }
@@ -115,46 +102,21 @@ func TestGHBuilderRemoveRestores(t *testing.T) {
 // builder holds the histogram GH.Build computes from the survivors. Per seed
 // (levels 3–7) a builder starts from a random dataset, then 600 steps
 // interleave Adds of fresh items with Removes drawn from the live set —
-// starting items included — over points, sub-cell boxes and boxes spanning
-// many cells, checked every 150 steps.
+// starting items included — over every kind historyItem draws, checked every
+// 150 steps.
 //
-// C and the item count must match exactly: corners are whole ±1 steps. O, H
-// and V cannot be bit-for-bit, because x + a − a ≠ x in float64: adding a
-// rounds away low bits of the cell sum x that subtracting a does not restore,
-// and the batch build never saw a at all. They, and Estimate against a fixed
-// partner histogram, must agree to 1e-9 relative (to at least one cell's
-// worth, so a cell the batch leaves at 0 may carry the builder's dust).
+// Every cell, the item count and Estimate against a fixed partner histogram
+// must match bit for bit: the cell sums are exact, so x + a − a = x.
 func TestGHBuilderRandomInterleavings(t *testing.T) {
-	randomItem := func(rng *rand.Rand) geom.Rect {
-		x, y := rng.Float64(), rng.Float64()
-		var w, h float64
-		switch rng.Intn(3) {
-		case 1:
-			w, h = rng.Float64()*0.01, rng.Float64()*0.01
-		case 2:
-			w, h = rng.Float64()*0.5, rng.Float64()*0.5
-		}
-		return geom.NewRect(x, y, math.Min(x+w, 1), math.Min(y+h, 1))
-	}
-	randomItems := func(rng *rand.Rand, n int) []geom.Rect {
-		items := make([]geom.Rect, n)
-		for i := range items {
-			items[i] = randomItem(rng)
-		}
-		return items
-	}
-	agree := func(got, want float64) bool {
-		return math.Abs(got-want) <= 1e-9*math.Max(1, math.Max(math.Abs(got), math.Abs(want)))
-	}
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		level := 3 + int(seed%5)
 		gh := MustGH(level)
-		partner, err := gh.Build(dataset.New("partner", geom.UnitSquare, randomItems(rng, 400)))
+		partner, err := gh.Build(dataset.New("partner", geom.UnitSquare, historyItems(rng, 400)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := randomItems(rng, 100+rng.Intn(200))
+		live := historyItems(rng, 100+rng.Intn(200))
 		b, err := GHBuilderFrom(dataset.New("live", geom.UnitSquare, live), level)
 		if err != nil {
 			t.Fatal(err)
@@ -171,11 +133,7 @@ func TestGHBuilderRandomInterleavings(t *testing.T) {
 					seed, level, step, inc.ItemCount(), batch.ItemCount(), len(live))
 			}
 			for i, c := range inc.cells {
-				want := batch.cells[i]
-				if c.C != want.C {
-					t.Fatalf("seed %d level %d step %d cell %d: C = %g, batch %g", seed, level, step, i, c.C, want.C)
-				}
-				if !agree(c.O, want.O) || !agree(c.H, want.H) || !agree(c.V, want.V) {
+				if want := batch.cells[i]; c != want {
 					t.Fatalf("seed %d level %d step %d cell %d: builder %+v, batch %+v", seed, level, step, i, c, want)
 				}
 			}
@@ -187,13 +145,13 @@ func TestGHBuilderRandomInterleavings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !agree(got.PairCount, want.PairCount) || !agree(got.Selectivity, want.Selectivity) {
+			if got != want {
 				t.Fatalf("seed %d level %d step %d: builder estimate %+v, batch %+v", seed, level, step, got, want)
 			}
 		}
 		for step := 1; step <= 600; step++ {
 			if len(live) == 0 || rng.Intn(2) == 0 {
-				r := randomItem(rng)
+				r := historyItem(rng, byte(rng.Intn(4)))
 				if err := b.Add(r); err != nil {
 					t.Fatal(err)
 				}
@@ -214,8 +172,9 @@ func TestGHBuilderRandomInterleavings(t *testing.T) {
 }
 
 // TestGHBuilderRemoveUnderflow verifies the Remove contract: removing a
-// rectangle that was never added is detected via its corner counts and
-// rejected without mutating the histogram.
+// rectangle that was never added is detected by a cell going negative and
+// rejected without mutating the histogram — on its corner counts, and on its
+// area and edge sums where the corner counts would pass.
 func TestGHBuilderRemoveUnderflow(t *testing.T) {
 	b, err := NewGHBuilder("d", 4)
 	if err != nil {
@@ -234,8 +193,30 @@ func TestGHBuilderRemoveUnderflow(t *testing.T) {
 	if b.Len() != 1 {
 		t.Fatalf("Len after rejected Remove = %d, want 1", b.Len())
 	}
-	if !ghCellsEqual(b.Summary().cells, before.cells, 0) {
+	if !slices.Equal(b.Summary().cells, before.cells) {
 		t.Fatal("rejected Remove mutated the histogram")
+	}
+
+	// Points on the four corners of a never-added rectangle give each of its
+	// corner cells the count its removal subtracts, but none of its area or
+	// edge length: O, H and V refuse it.
+	box := geom.NewRect(0.6, 0.6, 0.8, 0.8)
+	for _, p := range box.Corners() {
+		if err := b.Add(geom.NewRect(p.X, p.Y, p.X, p.Y)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = b.Summary()
+	if err := b.Remove(box); err == nil {
+		t.Fatal("Remove of a never-added rectangle over added corner points accepted")
+	}
+	if b.Len() != 5 || !slices.Equal(b.Summary().cells, before.cells) {
+		t.Fatal("rejected Remove mutated the histogram")
+	}
+	for _, p := range box.Corners() {
+		if err := b.Remove(geom.NewRect(p.X, p.Y, p.X, p.Y)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// A degenerate (point) rectangle stacks all four corners in one cell:
@@ -303,7 +284,7 @@ func TestGHBuilderEstimatesTrackUpdates(t *testing.T) {
 	}
 	// Grow to 3000 items, then churn: each step removes one random item and
 	// inserts a new one. Periodically compare the maintained estimate with a
-	// freshly built histogram's estimate — they must agree exactly.
+	// freshly built histogram's estimate — they must agree bit for bit.
 	for i := 0; i < 3000; i++ {
 		r := mk()
 		live = append(live, r)
@@ -337,7 +318,7 @@ func TestGHBuilderEstimatesTrackUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel := math.Abs(liveEst.PairCount-freshEst.PairCount) / math.Max(1, freshEst.PairCount); rel > 1e-6 {
+		if liveEst != freshEst {
 			t.Fatalf("step %d: maintained estimate %g deviates from fresh %g",
 				step, liveEst.PairCount, freshEst.PairCount)
 		}

@@ -6,17 +6,33 @@ import (
 
 	"spatialsel/internal/core"
 	"spatialsel/internal/dataset"
+	"spatialsel/internal/geom"
 )
 
-// BuildGHParallel builds a GH summary using several goroutines. Because
-// every GH parameter is a sum of independent per-item contributions, the
-// items can be sharded across workers that accumulate into private cell
-// tables, merged by addition at the end — the result is numerically
-// identical to the serial build up to floating-point addition order.
-//
-// workers ≤ 0 selects GOMAXPROCS. For small datasets or coarse grids the
-// serial build is faster; the crossover is around 10⁵ items at level ≥ 6
-// (see BenchmarkGHBuildParallel).
+// ghShardMinItems is the input size from which GH.Build and GHBuilderFrom
+// shard the accumulation across GOMAXPROCS workers. Each worker pays for a
+// whole cell table of its own and its merge, so the crossover grows with the
+// level. Measured with BenchmarkGHBuildParallel and ad-hoc lanes on the
+// integer build (uniform items of side ≤ 0.005, two workers against one,
+// 2-core VM): at level 7 the two break even near 6 000 items and two take
+// 0.62× the serial time at 25 000 and 0.68× at 100 000; at level 9 they
+// still break even at 25 000 and take 0.63× at 100 000. 100 000 pays at
+// every level the paper evaluates.
+const ghShardMinItems = 100_000
+
+// shardWorkers is the worker count GH.Build and GHBuilderFrom use for n items.
+func shardWorkers(n int) int {
+	if n < ghShardMinItems {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// BuildGHParallel builds a GH summary with its items sharded across workers
+// goroutines, each accumulating into a private cell table; the tables are
+// merged by addition. The sums are exact (ghSums), so the result is
+// bit-identical to GH.Build's at every worker count. workers ≤ 0 selects
+// GOMAXPROCS.
 func BuildGHParallel(d *dataset.Dataset, level, workers int) (core.Summary, error) {
 	grid, err := NewGrid(level)
 	if err != nil {
@@ -25,42 +41,36 @@ func BuildGHParallel(d *dataset.Dataset, level, workers int) (core.Summary, erro
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nd := d.Normalize()
-	items := nd.Items
+	return buildGH(d, grid, workers), nil
+}
+
+// sumGH returns the exact cell sums of items (normalized to the unit square),
+// accumulated by up to workers goroutines over contiguous shards.
+func sumGH(grid Grid, items []geom.Rect, workers int) []ghSums {
 	if workers > len(items) {
 		workers = len(items)
 	}
 	if workers <= 1 {
-		return MustGH(level).Build(d)
+		cells := make([]ghSums, grid.Cells())
+		for _, r := range items {
+			applyGHItem(grid, r, cells, +1)
+		}
+		return cells
 	}
-
-	shards := make([][]ghCell, workers)
+	shards := make([][]ghSums, workers)
 	var wg sync.WaitGroup
 	chunk := (len(items) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if lo >= hi {
-			continue
-		}
+	for w := range shards {
+		lo, hi := min(w*chunk, len(items)), min((w+1)*chunk, len(items))
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			cells := make([]ghCell, grid.Cells())
-			accumulateGH(grid, items[lo:hi], cells)
-			shards[w] = cells
-		}(w, lo, hi)
+			shards[w] = sumGH(grid, items[lo:hi], 1)
+		}()
 	}
 	wg.Wait()
-
-	merged := make([]ghCell, grid.Cells())
-	for _, cells := range shards {
-		if cells == nil {
-			continue
-		}
+	merged := shards[0]
+	for _, cells := range shards[1:] {
 		for i := range merged {
 			merged[i].C += cells[i].C
 			merged[i].O += cells[i].O
@@ -68,5 +78,5 @@ func BuildGHParallel(d *dataset.Dataset, level, workers int) (core.Summary, erro
 			merged[i].V += cells[i].V
 		}
 	}
-	return &GHSummary{name: d.Name, n: d.Len(), level: level, cells: merged}, nil
+	return merged
 }

@@ -1,7 +1,7 @@
 package histogram
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"spatialsel/internal/datagen"
@@ -25,9 +25,7 @@ func TestBuildGHParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: identity mismatch", workers)
 		}
 		for i := range serial.cells {
-			s, p := serial.cells[i], par.cells[i]
-			if math.Abs(s.C-p.C) > 1e-9 || math.Abs(s.O-p.O) > 1e-9 ||
-				math.Abs(s.H-p.H) > 1e-9 || math.Abs(s.V-p.V) > 1e-9 {
+			if s, p := serial.cells[i], par.cells[i]; s != p {
 				t.Fatalf("workers=%d: cell %d differs: %+v vs %+v", workers, i, s, p)
 			}
 		}
@@ -46,15 +44,21 @@ func TestBuildGHParallelValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkGHBuildParallel times the level-7 build at 1, 2 and 4 workers on
+// 25 k, 100 k and 200 k uniform items: where the serial and the sharded lanes
+// cross is what ghShardMinItems is set from.
 func BenchmarkGHBuildParallel(b *testing.B) {
-	d := datagen.Uniform("d", 200000, 0.005, 135)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "serial", 2: "x2", 4: "x4"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := BuildGHParallel(d, 7, workers); err != nil {
-					b.Fatal(err)
+	for _, n := range []int{25_000, 100_000, 200_000} {
+		d := datagen.Uniform("d", n, 0.005, 135)
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("n=%d/%s", n, map[int]string{1: "serial", 2: "x2", 4: "x4"}[workers])
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := BuildGHParallel(d, 7, workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -170,31 +170,44 @@ func TestRangeWindowEdgeCases(t *testing.T) {
 	}
 }
 
-// ghCellParamsOf computes one rectangle's exact Table-2 contributions to a
-// single cell (i, j), with inter = r ∩ cell already known. It mirrors
-// applyGHItem restricted to one cell.
-func ghCellParamsOf(grid Grid, r geom.Rect, i, j int, inter geom.Rect) ghCell {
-	var c ghCell
+// ghCellTermsOf lists one rectangle's Table-2 contributions to a single cell
+// (i, j), with inter = r ∩ cell already known: its corners there, its area
+// ratio, and the length ratio of each of its horizontal and of its vertical
+// edges there. It mirrors applyGHItem restricted to one cell.
+func ghCellTermsOf(grid Grid, r geom.Rect, i, j int, inter geom.Rect) (corners int, area float64, h, v []float64) {
 	for _, p := range r.Corners() {
 		if pi, pj := grid.CellOf(p.X, p.Y); pi == i && pj == j {
-			c.C++
+			corners++
 		}
 	}
-	c.O = inter.Area() / grid.CellArea()
 	cell := grid.CellRect(i, j)
 	for _, y := range [2]float64{r.MinY, r.MaxY} {
 		if _, ej := grid.CellOf(r.MinX, y); ej == j {
 			if l := minf(r.MaxX, cell.MaxX) - maxf(r.MinX, cell.MinX); l > 0 {
-				c.H += l / grid.CellWidth()
+				h = append(h, l/grid.CellWidth())
 			}
 		}
 	}
 	for _, x := range [2]float64{r.MinX, r.MaxX} {
 		if ei, _ := grid.CellOf(x, r.MinY); ei == i {
 			if l := minf(r.MaxY, cell.MaxY) - maxf(r.MinY, cell.MinY); l > 0 {
-				c.V += l / grid.CellHeight()
+				v = append(v, l/grid.CellHeight())
 			}
 		}
+	}
+	return corners, inter.Area() / grid.CellArea(), h, v
+}
+
+// ghCellParamsOf is one rectangle's Table-2 parameters in cell (i, j) as
+// float64 sums, what a window contributes in EstimateRange.
+func ghCellParamsOf(grid Grid, r geom.Rect, i, j int, inter geom.Rect) ghCell {
+	corners, area, h, v := ghCellTermsOf(grid, r, i, j, inter)
+	c := ghCell{C: float64(corners), O: area}
+	for _, x := range h {
+		c.H += x
+	}
+	for _, x := range v {
+		c.V += x
 	}
 	return c
 }
@@ -363,21 +376,28 @@ func BenchmarkGHEstimateRange(b *testing.B) {
 }
 
 // TestGHCellParamsMatchApply verifies the one-cell derivation the
-// EstimateRange reference uses agrees exactly with the batch accumulation
-// path.
+// EstimateRange reference uses is the batch accumulation's: rounding each of
+// its corner, area and edge contributions once, the way applyGHItem does,
+// gives exactly the sums applyGHItem writes. Two edges in one cell round
+// separately, so this is not fixed() of ghCellParamsOf's float sum.
 func TestGHCellParamsMatchApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	g := MustGrid(4)
 	for trial := 0; trial < 200; trial++ {
 		x, y := rng.Float64()*0.9, rng.Float64()*0.9
 		r := geom.NewRect(x, y, math.Min(1, x+rng.Float64()*0.3), math.Min(1, y+rng.Float64()*0.3))
-		batch := make([]ghCell, g.Cells())
+		batch := make([]ghSums, g.Cells())
 		applyGHItem(g, r, batch, +1)
 		g.VisitCells(r, func(i, j int, inter geom.Rect) {
-			got := ghCellParamsOf(g, r, i, j, inter)
-			want := batch[g.CellIndex(i, j)]
-			if math.Abs(got.C-want.C) > 1e-12 || math.Abs(got.O-want.O) > 1e-12 ||
-				math.Abs(got.H-want.H) > 1e-12 || math.Abs(got.V-want.V) > 1e-12 {
+			corners, area, h, v := ghCellTermsOf(g, r, i, j, inter)
+			got := ghSums{C: int64(corners), O: fixed(area)}
+			for _, x := range h {
+				got.H += fixed(x)
+			}
+			for _, x := range v {
+				got.V += fixed(x)
+			}
+			if want := batch[g.CellIndex(i, j)]; got != want {
 				t.Fatalf("cell (%d,%d) of %v: on-the-fly %+v != batch %+v", i, j, r, got, want)
 			}
 		})

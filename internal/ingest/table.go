@@ -441,23 +441,19 @@ func (t *Table) checkpointLocked() error {
 }
 
 // seedStats counts the live items of the log and builds the statistics over
-// them, in id order.
+// them the way a registration builds them (histogram.GHBuilderFrom runs
+// GH.Build's accumulation), so they are bit-identical to it.
 func (s *state) seedStats(name string, level int) error {
-	var err error
-	if s.builder, err = histogram.NewGHBuilder(name, level); err != nil {
-		return err
-	}
-	s.nLive = 0
+	live := make([]geom.Rect, 0, len(s.items))
 	for id, r := range s.items {
-		if s.deleted[id] {
-			continue
-		}
-		s.nLive++
-		if err := s.builder.Add(r); err != nil {
-			return err
+		if !s.deleted[id] {
+			live = append(live, r)
 		}
 	}
-	return nil
+	var err error
+	s.builder, err = histogram.GHBuilderFrom(dataset.New(name, geom.UnitSquare, live), level)
+	s.nLive = len(live)
+	return err
 }
 
 // fold packs the live items into a new base under an empty overlay and zeroes

@@ -1,8 +1,8 @@
 package ingest
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -166,9 +166,9 @@ func TestTableApplyPublishes(t *testing.T) {
 }
 
 // TestTableStatsExactUnderChurn drives sustained mutations and verifies the
-// incrementally-maintained statistics stay exactly equal (to float rounding)
-// to a histogram rebuilt from scratch over the live items — the property
-// that makes GH estimates trustworthy under churn.
+// incrementally-maintained statistics stay equal, bit for bit, to a histogram
+// rebuilt from scratch over the live items — the property that makes GH
+// estimates trustworthy under churn.
 func TestTableStatsExactUnderChurn(t *testing.T) {
 	const level = 5
 	store := &fakeStore{}
@@ -223,10 +223,54 @@ func TestTableStatsExactUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel := math.Abs(maintained.PairCount-fresh.PairCount) / math.Max(1, fresh.PairCount); rel > 1e-9 {
-			t.Fatalf("round %d: maintained estimate %g vs fresh %g (rel %g)",
-				round, maintained.PairCount, fresh.PairCount, rel)
+		if maintained != fresh {
+			t.Fatalf("round %d: maintained estimate %+v vs fresh %+v", round, maintained, fresh)
 		}
+	}
+}
+
+// TestInsertDeleteRestoresRegisteredStats opens a registered table large
+// enough for its statistics to be built sharded, commits a batch that inserts
+// one item and then one that deletes it: the published statistics must be the
+// registration's, bit for bit — the front seeds them the way the registration
+// built them, and the delete undoes the insert exactly.
+func TestInsertDeleteRestoresRegisteredStats(t *testing.T) {
+	const level = sdb.StatisticsLevel
+	store := &fakeStore{}
+	base := buildTable(t, "registered", 100_000, level, 21)
+	tab, err := OpenTable(base, level, "", store.publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An item over about 3 000 cells (raw extent (-50, 10)–(150, 90)).
+	res, err := tab.Apply(Mutation{Inserts: []geom.Rect{geom.NewRect(0, 20, 60, 70)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Apply(Mutation{Deletes: res.IDs}); err != nil {
+		t.Fatal(err)
+	}
+	file := func(s *histogram.GHSummary) []byte {
+		var buf bytes.Buffer
+		if err := histogram.WriteSummary(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	got, want := file(store.snapshot().Stats), file(base.Stats)
+	if len(got) != len(want) {
+		t.Fatalf("published statistics file is %d bytes, the registration's %d", len(got), len(want))
+	}
+	cells := 1 << (2 * level) // a GH file ends in its cells, 32 bytes each
+	got, want = got[len(got)-32*cells:], want[len(want)-32*cells:]
+	differ := 0
+	for k := 0; k < cells; k++ {
+		if !bytes.Equal(got[32*k:32*k+32], want[32*k:32*k+32]) {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d statistics cells differ from the registration's after an insert and its delete", differ, cells)
 	}
 }
 
@@ -326,8 +370,8 @@ func TestTableCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(est1.PairCount-est2.PairCount) / math.Max(1, est2.PairCount); rel > 1e-9 {
-		t.Fatalf("recovered estimate %g vs reference %g", est1.PairCount, est2.PairCount)
+	if est1 != est2 {
+		t.Fatalf("recovered estimate %+v vs reference %+v", est1, est2)
 	}
 
 	// And the recovered table keeps accepting mutations with fresh IDs.

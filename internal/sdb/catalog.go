@@ -20,7 +20,6 @@ import (
 	"sort"
 	"sync"
 
-	"spatialsel/internal/core"
 	"spatialsel/internal/dataset"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/histogram"
@@ -30,16 +29,6 @@ import (
 // StatisticsLevel is the GH gridding level used for optimizer statistics —
 // the paper's recommended level 7.
 const StatisticsLevel = 7
-
-// The parallel GH build pays off only when there is enough per-item work to
-// amortize the goroutine fan-out and the per-worker cell-table merge: the
-// measured crossover is around 10⁵ items on grids of level ≥ 6 (see
-// histogram.BenchmarkGHBuildParallel). Below either bound the serial build
-// wins and BuildTable uses it.
-const (
-	ghParallelMinItems = 100_000
-	ghParallelMinLevel = 6
-)
 
 // Table is one spatial relation: its data, its packed image, and its
 // optimizer statistics. It is immutable once built and handled by pointer
@@ -112,17 +101,8 @@ func (c *Catalog) BuildTable(d *dataset.Dataset) (*Table, error) {
 	}
 	nd := d.Normalize()
 	packed := rtree.PackItems(rtree.ItemsFromRects(nd.Items))
-	var statsRaw core.Summary
-	var err error
-	if nd.Len() >= ghParallelMinItems && c.level >= ghParallelMinLevel {
-		statsRaw, err = histogram.BuildGHParallel(nd, c.level, 0)
-	} else {
-		var gh *histogram.GH
-		if gh, err = histogram.NewGH(c.level); err != nil {
-			return nil, err
-		}
-		statsRaw, err = gh.Build(nd)
-	}
+	// The catalog's level was checked when it was made.
+	statsRaw, err := histogram.MustGH(c.level).Build(nd)
 	if err != nil {
 		return nil, fmt.Errorf("sdb: statistics %s: %w", d.Name, err)
 	}

@@ -218,19 +218,16 @@ func TestEstimatorsSeeLiveRowsOnly(t *testing.T) {
 					stage, method, got.PairCount, got.Selectivity, want.PairCount, want.Selectivity)
 			}
 		}
-		// The planner's statistics are maintained incrementally, so they match
-		// a rebuild to rounding, not to the bit; a dead row counted in the
-		// cardinality would be off by a factor of two.
+		// The planner's statistics are maintained incrementally and match a
+		// rebuild bit for bit; a dead row counted in the cardinality would be
+		// off by a factor of two.
 		multi := func(name string) EstimateResponse {
 			return estimateOver(t, ts.URL, EstimateRequest{Tables: []string{name, "static"},
 				Predicates: [][2]string{{name, "static"}}, Windows: map[string][4]float64{name: {0.1, 0.2, 0.7, 0.9}}})
 		}
 		got, want := multi("live"), multi("fresh")
-		for _, v := range [][2]float64{{got.PairCount, want.PairCount}, {got.Selectivity, want.Selectivity}, {got.EstCost, want.EstCost}} {
-			if math.Abs(v[0]-v[1]) > 1e-9*math.Abs(v[1]) {
-				t.Errorf("%s: windowed multi-way estimate %+v, over the survivors %+v", stage, got, want)
-				break
-			}
+		if got.PairCount != want.PairCount || got.Selectivity != want.Selectivity || got.EstCost != want.EstCost {
+			t.Errorf("%s: windowed multi-way estimate %+v, over the survivors %+v", stage, got, want)
 		}
 	}
 	check("tombstoned")
