@@ -125,7 +125,7 @@ func cmdGenerate(args []string, out io.Writer) error {
 	n := fs.Int("n", 100000, "number of items (ignored for named paper datasets)")
 	seed := fs.Int64("seed", 1, "PRNG seed")
 	scale := fs.Float64("scale", 1, "scale factor for named paper datasets")
-	size := fs.Float64("size", 0.004, "maximum item size (generators that take one)")
+	size := fs.Float64("size", datagen.ItemSize, "maximum item size (generators that take one)")
 	outPath := fs.String("out", "", "output file (SDS1 format)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spatialsel/internal/datagen"
+	"spatialsel/internal/dataset"
 )
 
 // runOK executes a subcommand and returns its output, failing on error.
@@ -95,6 +98,30 @@ func TestGenerateAllKinds(t *testing.T) {
 	}
 	runErr(t, "generate", "-kind", "nope", "-out", filepath.Join(dir, "x.sds"))
 	runErr(t, "generate", "-kind", "uniform") // missing -out
+}
+
+// TestGenerateDefaultsMatchServedTables pins that a generated file and an
+// sdbd generator spec of the same kind, n and seed make the same table: the
+// -size default is datagen.ItemSize, the size sdbd generates with.
+func TestGenerateDefaultsMatchServedTables(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "u.sds")
+	runOK(t, "generate", "-kind", "uniform", "-n", "500", "-seed", "3", "-out", path)
+	got, err := dataset.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := datagen.Generate("uniform", "uniform", 500, datagen.ItemSize, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Items) != len(want.Items) {
+		t.Fatalf("generated %d items, want %d", len(got.Items), len(want.Items))
+	}
+	for i := range want.Items {
+		if got.Items[i] != want.Items[i] {
+			t.Fatalf("item %d = %v, want %v", i, got.Items[i], want.Items[i])
+		}
+	}
 }
 
 func TestEstimateTechniqueValidation(t *testing.T) {

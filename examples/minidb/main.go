@@ -71,10 +71,18 @@ func main() {
 	// Pairwise estimates the optimizer consulted, for the curious.
 	fmt.Println("\npairwise join-size estimates from GH statistics:")
 	for _, p := range query.Predicates {
-		est, err := catalog.EstimateJoinSize(p.Left, p.Right)
+		left, err := catalog.Table(p.Left)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-22s ≈ %.0f pairs\n", p.String(), est)
+		right, err := catalog.Table(p.Right)
+		if err != nil {
+			log.Fatal(err)
+		}
+		est, _, _, err := left.Estimate("gh", right, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-22s ≈ %.0f pairs\n", p.String(), est.PairCount)
 	}
 }

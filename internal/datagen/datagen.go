@@ -327,11 +327,12 @@ func HeavyTailedPolygons(name string, n, landmarks int, sigma, minSize, alpha fl
 	return dataset.New(name, geom.UnitSquare, items)
 }
 
-// ItemSize is the maximum item extent sdbd and sdbsh generate tables with.
+// ItemSize is the maximum item extent sdbd generates tables with, and
+// `spatialsel generate`'s default -size.
 const ItemSize = 0.005
 
 // Generate builds the synthetic dataset of the named kind — the one dispatch
-// behind sdbd's generator specs, sdbsh's create and `spatialsel generate`.
+// behind sdbd's generator specs and `spatialsel generate`.
 // maxSize bounds item extents for the kinds that take one (uniform, cluster,
 // multicluster, diagonal); the others fix their own shape. n is not bounded
 // here: callers facing untrusted input validate it first.

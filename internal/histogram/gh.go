@@ -118,9 +118,20 @@ func (g *GH) Build(d *dataset.Dataset) (core.Summary, error) {
 // many workers they ask for.
 func buildGH(d *dataset.Dataset, grid Grid, workers int) *GHSummary {
 	start := time.Now()
-	s := summaryOf(d.Name, d.Len(), grid.Level(), sumGH(grid, d.Normalize().Items, workers))
+	s := summaryOf(d.Name, d.Len(), grid.Level(), sumGH(grid, unitItems(d), workers))
 	recordBuild("gh", start)
 	return s
+}
+
+// unitItems returns d's items normalized to the unit square. Items whose
+// extent already is the unit square are read in place: there NormalizeRect
+// is the identity bit for bit, so Normalize's copy would change nothing.
+func unitItems(d *dataset.Dataset) []geom.Rect {
+	//lint:ignore floateq only the exact unit square makes NormalizeRect the identity
+	if d.Extent == geom.UnitSquare {
+		return d.Items
+	}
+	return d.Normalize().Items
 }
 
 func maxf(a, b float64) float64 {

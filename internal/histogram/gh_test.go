@@ -3,7 +3,9 @@ package histogram
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"spatialsel/internal/core"
 	"spatialsel/internal/datagen"
@@ -439,5 +441,31 @@ func TestGHSpaceLessThanPH(t *testing.T) {
 	ph, _ := MustPH(5).Build(d)
 	if gh.SizeBytes() >= ph.SizeBytes() {
 		t.Fatalf("GH bytes %d not below PH bytes %d", gh.SizeBytes(), ph.SizeBytes())
+	}
+}
+
+// TestGHBuildReadsNormalizedItemsInPlace pins that a build over a dataset
+// already on the unit square does not copy its items: GH.Build (the serial
+// path at 50 000 items) and GHBuilderFrom allocate their 512 KB cell tables,
+// less than the 1.6 MB a copy of the items takes.
+func TestGHBuildReadsNormalizedItemsInPlace(t *testing.T) {
+	d := datagen.Uniform("u", 50_000, 0.01, 7)
+	if d.Extent != geom.UnitSquare || shardWorkers(d.Len()) != 1 {
+		t.Fatalf("fixture: extent %v, %d workers", d.Extent, shardWorkers(d.Len()))
+	}
+	itemBytes := uint64(d.Len()) * uint64(unsafe.Sizeof(geom.Rect{}))
+	g := MustGH(7)
+	for name, build := range map[string]func(){
+		"GH.Build":      func() { _, _ = g.Build(d) },
+		"GHBuilderFrom": func() { _, _ = GHBuilderFrom(d, 7) },
+	} {
+		build()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= itemBytes {
+			t.Errorf("%s allocated %d B, want under the items' %d B", name, got, itemBytes)
+		}
 	}
 }

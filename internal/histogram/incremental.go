@@ -35,16 +35,16 @@ func NewGHBuilder(name string, level int) (*GHBuilder, error) {
 }
 
 // GHBuilderFrom seeds a builder with an existing dataset (normalized
-// first). It runs GH.Build's accumulation, sharded the same way, so the
-// builder holds the cells GH.Build computes and Add of every item would
-// reach.
+// first, unless its extent already is the unit square). It runs GH.Build's
+// accumulation, sharded the same way, so the builder holds the cells
+// GH.Build computes and Add of every item would reach.
 func GHBuilderFrom(d *dataset.Dataset, level int) (*GHBuilder, error) {
 	grid, err := NewGrid(level)
 	if err != nil {
 		return nil, err
 	}
 	b := &GHBuilder{grid: grid, name: d.Name}
-	items := d.Normalize().Items
+	items := unitItems(d)
 	for _, r := range items {
 		if err := b.check(r); err != nil {
 			return nil, err

@@ -157,8 +157,10 @@ func OpenTable(tbl *sdb.Table, level int, walPath string, publish PublishFunc) (
 // OpenTableOpts is OpenTable with explicit durability options.
 func OpenTableOpts(tbl *sdb.Table, level int, opts TableOptions, publish PublishFunc) (*Table, error) {
 	n := tbl.Data.Len()
-	items := make([]geom.Rect, n)
-	copy(items, tbl.Data.Items)
+	// The item log only appends, and every snapshot holds an items[:n:n]
+	// view, so the registered items start the log as they are: the first
+	// insert copies them, as any growth past a published view does.
+	items := tbl.Data.Items[:n:n]
 	// The image says which slots of the item log are live: all of them in a
 	// registered table, not in a snapshot an ingest front published.
 	deleted := make([]bool, n)

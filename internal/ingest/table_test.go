@@ -102,6 +102,11 @@ func TestTableApplyPublishes(t *testing.T) {
 	const level = 5
 	store := &fakeStore{}
 	base := buildTable(t, "live", 300, level, 1)
+	// A front's item log starts on the registered items without copying
+	// them; nothing a front does may change what the registered table holds.
+	registered := append([]geom.Rect(nil), base.Data.Items...)
+	window := geom.NewRect(0.2, 0.2, 0.7, 0.7)
+	registeredHits := base.Packed.Search(window, nil)
 	tab, err := OpenTable(base, level, "", store.publish)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +167,41 @@ func TestTableApplyPublishes(t *testing.T) {
 	// Failed batches must not have published or mutated anything.
 	if got := store.snapshot().Index.Len(); got != 300 {
 		t.Fatalf("failed batches leaked state: %d", got)
+	}
+
+	if ran, err := tab.Repack(); err != nil || !ran {
+		t.Fatalf("Repack = %v, %v", ran, err)
+	}
+	// A second front on the registered table, whose first write deletes.
+	tab2, err := OpenTable(base, level, "", (&fakeStore{}).publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab2.Close()
+	for _, m := range []Mutation{{Deletes: []int{7}}, {Inserts: []geom.Rect{geom.NewRect(0, 50, 10, 55)}}} {
+		if _, err := tab2.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ran, err := tab2.Repack(); err != nil || !ran {
+		t.Fatalf("Repack = %v, %v", ran, err)
+	}
+	if len(base.Data.Items) != len(registered) {
+		t.Fatalf("registered table holds %d items, had %d", len(base.Data.Items), len(registered))
+	}
+	for id, r := range registered {
+		if base.Data.Items[id] != r {
+			t.Fatalf("registered item %d changed: %v, was %v", id, base.Data.Items[id], r)
+		}
+	}
+	hits := base.Packed.Search(window, nil)
+	if !sameIDs(hits, registeredHits) {
+		t.Fatalf("registered image answers %d ids, answered %d", len(hits), len(registeredHits))
+	}
+	for _, id := range hits {
+		if !base.Data.Items[id].Intersects(window) {
+			t.Fatalf("registered image answers item %d, which misses the window", id)
+		}
 	}
 }
 

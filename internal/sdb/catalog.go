@@ -15,8 +15,6 @@ package sdb
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -67,7 +65,8 @@ type Table struct {
 func (t *Table) Len() int { return t.Packed.Len() }
 
 // Catalog is a named collection of tables. It is safe for concurrent reads;
-// table creation and removal take an exclusive lock.
+// table creation takes an exclusive lock. A catalog only grows: the server's
+// store replaces or drops a table by publishing a new catalog.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -147,17 +146,6 @@ func (c *Catalog) Create(d *dataset.Dataset) (*Table, error) {
 	return t, nil
 }
 
-// Drop removes a table, reporting whether it existed.
-func (c *Catalog) Drop(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return false
-	}
-	delete(c.tables, name)
-	return true
-}
-
 // Table returns the named table.
 func (c *Catalog) Table(name string) (*Table, error) {
 	c.mu.RLock()
@@ -183,78 +171,4 @@ func (c *Catalog) namesLocked() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// StatisticsLevelUsed returns the GH level this catalog builds statistics
-// at.
-func (c *Catalog) StatisticsLevelUsed() int { return c.level }
-
-// Save persists every table (dataset + histogram) under dir, one pair of
-// files per table. Indexes are rebuilt on load rather than stored, like most
-// database bulk-load paths.
-func (c *Catalog) Save(dir string) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for name, t := range c.tables {
-		if err := dataset.SaveFile(filepath.Join(dir, name+".sds"), t.Data); err != nil {
-			return fmt.Errorf("sdb: save %s: %w", name, err)
-		}
-		if err := histogram.SaveSummary(filepath.Join(dir, name+".shf"), t.Stats); err != nil {
-			return fmt.Errorf("sdb: save %s stats: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// Load restores a catalog saved with Save, rebuilding indexes.
-func Load(dir string, level int) (*Catalog, error) {
-	c, err := NewCatalogAtLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".sds" {
-			continue
-		}
-		d, err := dataset.LoadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("sdb: load %s: %w", e.Name(), err)
-		}
-		if _, err := c.Create(d); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// EstimateJoinSize predicts the result cardinality of tableA ⋈ tableB from
-// statistics alone: gh's Table.Estimate, remembered on tableA.
-func (c *Catalog) EstimateJoinSize(a, b string) (float64, error) {
-	ta, err := c.Table(a)
-	if err != nil {
-		return 0, err
-	}
-	tb, err := c.Table(b)
-	if err != nil {
-		return 0, err
-	}
-	est, _, _, err := ta.Estimate("gh", tb, 0)
-	return est.PairCount, err
-}
-
-// EstimateRangeCount predicts how many of a table's items intersect the
-// window.
-func (c *Catalog) EstimateRangeCount(table string, window geom.Rect) (float64, error) {
-	t, err := c.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	return t.Stats.EstimateRange(window), nil
 }

@@ -456,17 +456,3 @@ func (m *probeMemo) added() {
 		}
 	}
 }
-
-// Count plans and executes in one call, returning only the result
-// cardinality — the number selectivity estimation approximates.
-func (c *Catalog) Count(q Query) (int, error) {
-	plan, err := c.Plan(q)
-	if err != nil {
-		return 0, err
-	}
-	res, err := plan.Execute()
-	if err != nil {
-		return 0, err
-	}
-	return res.Len(), nil
-}

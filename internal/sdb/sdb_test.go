@@ -1,7 +1,6 @@
 package sdb
 
 import (
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -39,8 +38,8 @@ func TestCatalogBasics(t *testing.T) {
 	if err != nil || tab.Len() != 3000 || tab.Index.Len() != 3000 {
 		t.Fatalf("Table(hot) = %v, %v", tab, err)
 	}
-	if c.StatisticsLevelUsed() != 6 {
-		t.Fatalf("level = %d", c.StatisticsLevelUsed())
+	if c.level != 6 {
+		t.Fatalf("level = %d", c.level)
 	}
 	if _, err := c.Table("missing"); err == nil {
 		t.Fatal("missing table found")
@@ -48,10 +47,6 @@ func TestCatalogBasics(t *testing.T) {
 	// Duplicate creation fails.
 	if _, err := c.Create(datagen.Uniform("hot", 10, 0.01, 1)); err == nil {
 		t.Fatal("duplicate table accepted")
-	}
-	// Drop works once.
-	if !c.Drop("cold") || c.Drop("cold") {
-		t.Fatal("Drop semantics wrong")
 	}
 	// Invalid datasets rejected.
 	if _, err := c.Create(dataset.New("", geom.UnitSquare, nil)); err == nil {
@@ -96,29 +91,8 @@ func TestNewCatalogAtLevelValidation(t *testing.T) {
 	if _, err := NewCatalogAtLevel(-1); err == nil {
 		t.Fatal("negative level accepted")
 	}
-	if NewCatalog().StatisticsLevelUsed() != StatisticsLevel {
+	if NewCatalog().level != StatisticsLevel {
 		t.Fatal("default level wrong")
-	}
-}
-
-func TestEstimateHelpers(t *testing.T) {
-	c := testCatalog(t)
-	size, err := c.EstimateJoinSize("hot", "warm")
-	if err != nil || size <= 0 {
-		t.Fatalf("EstimateJoinSize = %g, %v", size, err)
-	}
-	if _, err := c.EstimateJoinSize("hot", "missing"); err == nil {
-		t.Fatal("missing table accepted")
-	}
-	if _, err := c.EstimateJoinSize("missing", "hot"); err == nil {
-		t.Fatal("missing table accepted")
-	}
-	cnt, err := c.EstimateRangeCount("hot", geom.NewRect(0.2, 0.2, 0.4, 0.4))
-	if err != nil || cnt <= 0 {
-		t.Fatalf("EstimateRangeCount = %g, %v", cnt, err)
-	}
-	if _, err := c.EstimateRangeCount("missing", geom.UnitSquare); err == nil {
-		t.Fatal("missing table accepted")
 	}
 }
 
@@ -400,19 +374,6 @@ func TestThreeWayJoinWindowOnProbedTable(t *testing.T) {
 	}
 }
 
-func TestCatalogSaveFailure(t *testing.T) {
-	c := testCatalog(t)
-	// Saving into a path that exists as a file must fail.
-	dir := t.TempDir()
-	blocker := dir + "/blocked"
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Save(blocker + "/sub"); err == nil {
-		t.Fatal("Save into file path succeeded")
-	}
-}
-
 func TestPlanPrefersCheapFirstJoin(t *testing.T) {
 	// hot⋈warm (co-located clusters) is far larger than cold joins; the
 	// planner must not start with it when an alternative path exists.
@@ -450,60 +411,5 @@ func TestExplainOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-func TestCountHelper(t *testing.T) {
-	c := testCatalog(t)
-	q := Query{Tables: []string{"hot", "warm"}, Predicates: []Predicate{{"hot", "warm"}}}
-	got, err := c.Count(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(bruteTwoWay(c, q)); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-	if _, err := c.Count(Query{}); err == nil {
-		t.Fatal("empty query accepted")
-	}
-}
-
-func TestCatalogSaveLoad(t *testing.T) {
-	c := testCatalog(t)
-	dir := t.TempDir()
-	if err := c.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(dir, 6)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if got, want := loaded.Names(), c.Names(); len(got) != len(want) {
-		t.Fatalf("loaded names %v, want %v", got, want)
-	}
-	// Estimates agree between original and reloaded catalogs.
-	a, err := c.EstimateJoinSize("hot", "warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.EstimateJoinSize("hot", "warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("estimates diverge after reload: %g vs %g", a, b)
-	}
-	// Queries still run.
-	q := Query{Tables: []string{"hot", "cold"}, Predicates: []Predicate{{"hot", "cold"}}}
-	n1, _ := c.Count(q)
-	n2, err := loaded.Count(q)
-	if err != nil || n1 != n2 {
-		t.Fatalf("counts diverge after reload: %d vs %d (%v)", n1, n2, err)
-	}
-	if _, err := Load(t.TempDir()+"/missing", 6); err == nil {
-		t.Fatal("Load of missing dir succeeded")
-	}
-	if _, err := Load(dir, -3); err == nil {
-		t.Fatal("Load with bad level succeeded")
 	}
 }

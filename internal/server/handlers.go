@@ -80,8 +80,8 @@ func statusForError(err error) int {
 
 // ---- tables -----------------------------------------------------------
 
-// GeneratorSpec names one of the synthetic dataset generators (the same
-// kinds the sdbsh shell offers).
+// GeneratorSpec names one of the synthetic dataset generators (the kinds
+// datagen.Generate dispatches, as `spatialsel generate` offers them).
 type GeneratorSpec struct {
 	Kind string `json:"kind"`
 	N    int    `json:"n"`

@@ -425,12 +425,17 @@ func TestStoreHammer(t *testing.T) {
 					return
 				}
 				prev = g
-				if _, err := snap.Catalog.EstimateJoinSize("x", "y"); err != nil {
+				tx, err := snap.Catalog.Table("x")
+				if err != nil {
 					t.Errorf("reader %d: %v", slot, err)
 					return
 				}
-				tx, err := snap.Catalog.Table("x")
+				ty, err := snap.Catalog.Table("y")
 				if err != nil {
+					t.Errorf("reader %d: %v", slot, err)
+					return
+				}
+				if _, _, _, err := tx.Estimate("gh", ty, 0); err != nil {
 					t.Errorf("reader %d: %v", slot, err)
 					return
 				}
@@ -458,11 +463,11 @@ func TestStoreHammer(t *testing.T) {
 	if lastGen.Load() == 0 {
 		t.Fatal("no generations observed")
 	}
-	est, err := snap.Catalog.EstimateJoinSize("x", "y")
+	est, _, _, err := tx.Estimate("gh", ty, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(est) || est < 0 {
-		t.Fatalf("estimate %g", est)
+	if math.IsNaN(est.PairCount) || est.PairCount < 0 {
+		t.Fatalf("estimate %g", est.PairCount)
 	}
 }
