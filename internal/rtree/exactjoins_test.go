@@ -389,6 +389,16 @@ func TestExactJoinsAgree(t *testing.T) {
 				}
 			}
 			checkKernel("packed", pa, pb, func(JoinPair) bool { return true }, nil)
+			// The count pass and the pages, pooled, on inputs of many tasks;
+			// FuzzTileJoin holds them on overlays.
+			for _, w := range joinWindows(tc.as, tc.bs) {
+				batches, err := PackedJoinBatches(ctx, pa, pb, 1, w.winA, w.winB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq := pairsOf(batches)
+				checkCountAndPages(t, pa, pb, 4, w.winA, w.winB, seq, len(seq)/3)
+			}
 
 			fewWindows := map[string]bool{"none": true, "both": true}
 			for _, sh := range []struct {

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -234,12 +235,22 @@ type tileJoinRun struct {
 	buf              []int
 	n, from, counted int
 	sealed           [][]int
-	// drain, when set, is handed every full batch in place of sealing it, and
-	// the batch is refilled: the serial callback entry point streams a join of
-	// any size through one small buffer.
-	drain        func([]int)
+	// drain, when set, is handed each batch in place of sealing it — every
+	// full one, and a task's last, partial one when the task ends — and the
+	// batch is refilled: a run streams a join of any size through one small
+	// buffer. task is the index of the task being swept, and drained the pairs
+	// of it handed over before this batch. A drain that returns false ends
+	// the task (errStopped).
+	drain         func(j *tileJoinRun, batch []int) bool
+	task, drained int
+	// countOnly makes the run count its pairs (tally) instead of writing them.
+	countOnly    bool
 	keepA, keepB tileScratch
 }
+
+// errStopped is the error a run latches when its drain ends the task; the
+// run goes on with its next task.
+var errStopped = errors.New("rtree: task stopped by its consumer")
 
 // tileScratch holds the entries of a run that survive its side's tombstones
 // and window.
@@ -259,7 +270,10 @@ func (j *tileJoinRun) count() {
 func (j *tileJoinRun) spill() {
 	j.count()
 	if j.drain != nil && j.buf != nil {
-		j.drain(j.buf[:j.n])
+		if !j.drain(j, j.buf[:j.n]) {
+			j.err = errStopped
+		}
+		j.drained += j.n / 2
 	} else {
 		if j.n > j.from {
 			j.sealed = append(j.sealed, j.buf[j.from:j.n:j.n])
@@ -316,7 +330,11 @@ func (j *tileJoinRun) sweepTask(tk *tileTask) {
 		}
 		ak, ar = j.keepA.keep(p.pa, j.winA, ak, ar)
 		bk, br = j.keepB.keep(p.pb, j.winB, bk, br)
-		j.sweep(p.pa, p.pb, ak, ar, bk, br, force)
+		if j.countOnly {
+			j.tally(p.pa, p.pb, ak, ar, bk, br, force)
+		} else {
+			j.sweep(p.pa, p.pb, ak, ar, bk, br, force)
+		}
 		return true
 	})
 	j.count()
@@ -332,7 +350,8 @@ func (j *tileJoinRun) sweepTask(tk *tileTask) {
 // never recomputed from coordinates, so the test cannot disagree with the tile
 // assignment on a boundary. The candidate pair is stored unconditionally and
 // the cursor advanced by the predicate: the y-test is a coin flip on real data,
-// and a branch on it costs more than the rest of the loop.
+// and a branch on it costs more than the rest of the loop. A drain that ends
+// the task ends the sweep at the batch it was handed.
 func (j *tileJoinRun) sweep(pa, pb *Packed, ak []float64, ar []uint32, bk []float64, br []uint32, force uint32) {
 	out, n := j.buf, j.n
 	tests := 0
@@ -346,7 +365,9 @@ func (j *tileJoinRun) sweep(pa, pb *Packed, ak []float64, ar []uint32, bk []floa
 			for ; c < len(bk) && bk[c] <= xmax; c++ {
 				if n+2 > len(out) {
 					j.n = n
-					j.spill()
+					if j.spill(); j.err != nil {
+						return
+					}
 					out, n = j.buf, 0
 				}
 				rc := r | br[c]
@@ -364,7 +385,9 @@ func (j *tileJoinRun) sweep(pa, pb *Packed, ak []float64, ar []uint32, bk []floa
 			for ; c < len(ak) && ak[c] <= xmax; c++ {
 				if n+2 > len(out) {
 					j.n = n
-					j.spill()
+					if j.spill(); j.err != nil {
+						return
+					}
 					out, n = j.buf, 0
 				}
 				rc := r | ar[c]
@@ -380,16 +403,55 @@ func (j *tileJoinRun) sweep(pa, pb *Packed, ak []float64, ar []uint32, bk []floa
 	j.compares += tests
 }
 
-// PackedJoinBatches is the packed kernel's one entry point: it computes the
-// intersection join of two packed images — restricted, when winA or winB is
-// non-nil, to a-items meeting winA and b-items meeting winB, exactly the pairs
-// a filter after the full join would keep — and returns the pairs as batches
-// of interleaved ids: batch[2i] from a, batch[2i+1] from b. Concatenated in
-// slice order the batches are the join's emission sequence, a function of the
-// two images and the windows alone: the same for every worker count and every
-// scheduling. Each batch is capped at its length, and a consumer that wants
-// the pairs as rows reads them in place (batch[2i:2i+2:2i+2]), with no
-// per-pair call or copy in between.
+// tally is sweep without the stores: the same merge, the same y-tests and the
+// same reference-corner rule, each reported pair added to the run's count
+// instead of written to its batch. FuzzTileJoin holds the two bodies to the
+// same pairs, task by task.
+func (j *tileJoinRun) tally(pa, pb *Packed, ak []float64, ar []uint32, bk []float64, br []uint32, force uint32) {
+	n, tests := 0, 0
+	i, k := 0, 0
+	for i < len(ak) && k < len(bk) {
+		if ak[i] <= bk[k] {
+			r := ar[i] | force
+			s := r >> refShift
+			xmax, ymin, ymax := pa.itemXMax[s], pa.itemYMin[s], pa.itemYMax[s]
+			c := k
+			for ; c < len(bk) && bk[c] <= xmax; c++ {
+				rc := r | br[c]
+				sc := br[c] >> refShift
+				n += int(btou(pb.itemYMin[sc] <= ymax) & btou(ymin <= pb.itemYMax[sc]) & uint64(rc>>1&rc&1))
+			}
+			tests += c - k
+			i++
+		} else {
+			r := br[k] | force
+			s := r >> refShift
+			xmax, ymin, ymax := pb.itemXMax[s], pb.itemYMin[s], pb.itemYMax[s]
+			c := i
+			for ; c < len(ak) && ak[c] <= xmax; c++ {
+				rc := r | ar[c]
+				sc := ar[c] >> refShift
+				n += int(btou(pa.itemYMin[sc] <= ymax) & btou(ymin <= pa.itemYMax[sc]) & uint64(rc>>1&rc&1))
+			}
+			tests += c - i
+			k++
+		}
+	}
+	j.pairs += n
+	j.compares += tests
+}
+
+// PackedJoinBatches computes the intersection join of two packed images —
+// restricted, when winA or winB is non-nil, to a-items meeting winA and
+// b-items meeting winB, exactly the pairs a filter after the full join would
+// keep — and returns the pairs as batches of interleaved ids: batch[2i] from
+// a, batch[2i+1] from b. Concatenated in slice order the batches are the
+// join's emission sequence, a function of the two images and the windows
+// alone: the same for every worker count and every scheduling. Each batch is
+// capped at its length, and a consumer that wants the pairs as rows reads them
+// in place (batch[2i:2i+2:2i+2]), with no per-pair call or copy in between.
+// CountPackedJoin counts the same sequence without making it, and its Page
+// sweeps out any range of it.
 //
 // The join is a plane sweep per tile of the grid both images were indexed on
 // at PackItems (tileIndex). An image that carries an overlay joins as its planes,
@@ -408,34 +470,47 @@ func (j *tileJoinRun) sweep(pa, pb *Packed, ak []float64, ar []uint32, bk []floa
 // with the sum of all workers' work.
 // Both images may be shared with concurrent readers.
 func PackedJoinBatches(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.Rect) ([][]int, error) {
-	return tileJoin(ctx, a, b, workers, winA, winB, nil)
-}
-
-// tileJoin runs the join's tasks on a pool. With a drain (and a pool of one:
-// the drain is called from the sweeping goroutine) every batch is handed over
-// — each full one as it fills, then the last, partial one — and none returned.
-func tileJoin(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.Rect, drain func([]int)) ([][]int, error) {
 	packedJoinCounters.joins.Inc()
 	tasks := tileJoinTasks(a, b, winA, winB)
-	if len(tasks) == 0 {
-		return nil, nil
+	// Per-task segments, indexed by task. A goroutine writes only the slots it
+	// claimed, so the slice needs no lock; it is read after runTasks returns.
+	perTask := make([][][]int, len(tasks))
+	err := runTasks(ctx, "rtree.packed_join", tasks, workers, tileJoinRun{winA: winA, winB: winB},
+		func(j *tileJoinRun, i, _ int) { perTask[i] = j.take() })
+	if err != nil {
+		return nil, err
 	}
-	name := "rtree.packed_join"
+	var batches [][]int
+	for _, segs := range perTask {
+		batches = append(batches, segs...)
+	}
+	return batches, nil
+}
+
+// runTasks sweeps the tasks on a pool of workers — one or less sweeps on the
+// caller's goroutine — each goroutine in its own copy of run, claiming tasks
+// through an atomic cursor. done, if set, is called on the sweeping goroutine
+// with each finished task's index and its pairs. A run that drains hands its
+// drain each task's last, partial batch when the task ends, unless the drain
+// ended the task. The runs' totals are added to the packed join counters and
+// to a span named name, and the first error a run met, the context's, is
+// returned.
+func runTasks(ctx context.Context, name string, tasks []tileTask, workers int, run tileJoinRun, done func(j *tileJoinRun, i, pairs int)) error {
+	if len(tasks) == 0 {
+		return nil
+	}
 	if workers > 1 {
-		name = "rtree.packed_join_parallel"
+		name += "_parallel"
 	}
 	sp := obs.SpanFrom(ctx).Child(name)
-
-	// Per-task segments, indexed by task. A goroutine writes only the slots it
-	// claimed, so the slice needs no lock; it is read after Wait.
-	perTask := make([][][]int, len(tasks))
 	var cursor atomic.Int64
 	// Whole-join totals: each goroutine accumulates in its own run across all
 	// the tasks it claims and adds that in once at exit.
 	var total joinState
 	var mu sync.Mutex
 	work := func() {
-		j := &tileJoinRun{joinState: joinState{ctx: ctx}, winA: winA, winB: winB, drain: drain}
+		j := run
+		j.ctx = ctx
 		for {
 			if j.err = ctx.Err(); j.err != nil {
 				break
@@ -444,16 +519,21 @@ func tileJoin(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.R
 			if i >= int64(len(tasks)) {
 				break
 			}
+			before := j.pairs
+			j.task, j.drained = int(i), 0
 			j.sweepTask(&tasks[i])
+			if j.drain != nil && j.err == nil {
+				j.spill()
+			}
+			if errors.Is(j.err, errStopped) {
+				j.err = nil
+			}
 			if j.err != nil {
 				break
 			}
-			if drain == nil {
-				perTask[i] = j.take()
+			if done != nil {
+				done(&j, int(i), j.pairs-before)
 			}
-		}
-		if drain != nil && j.err == nil {
-			drain(j.buf[:j.n])
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -481,14 +561,88 @@ func tileJoin(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.R
 	}
 	sp.Set("tasks", float64(len(tasks)))
 	total.flush(&packedJoinCounters, sp)
-	if total.err != nil {
-		return nil, total.err
+	return total.err
+}
+
+// CountedJoin is a join counted and not made: its tasks, in emission order,
+// and the pairs each task emits. Len is the join's size, and Page sweeps any
+// range of its emission sequence out of the images without making the pairs
+// before it. It keeps the images it was counted on, which must not change
+// (a Packed never does), and the pool size it was counted with.
+type CountedJoin struct {
+	winA, winB *geom.Rect
+	workers    int
+	tasks      []tileTask
+	counts     []int
+	total      int
+}
+
+// CountPackedJoin counts the pairs of a ⋈ b under the windows (nil = none):
+// the sweep of PackedJoinBatches, on a pool of workers the way it runs, with
+// each pair counted where that sweep would write it. Each task's count is its
+// own, so the counts add up to the exact total: the reference-corner rule
+// reports every pair in exactly one tile. The context is polled as
+// PackedJoinBatches polls it; when it is done the count returns nil and the
+// context's error.
+func CountPackedJoin(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.Rect) (*CountedJoin, error) {
+	packedJoinCounters.joins.Inc()
+	c := &CountedJoin{winA: winA, winB: winB, workers: workers, tasks: tileJoinTasks(a, b, winA, winB)}
+	c.counts = make([]int, len(c.tasks))
+	err := runTasks(ctx, "rtree.packed_join", c.tasks, workers, tileJoinRun{winA: winA, winB: winB, countOnly: true},
+		func(_ *tileJoinRun, i, pairs int) { c.counts[i] = pairs })
+	if err != nil {
+		return nil, err
 	}
-	var batches [][]int
-	for _, segs := range perTask {
-		batches = append(batches, segs...)
+	for _, n := range c.counts {
+		c.total += n
 	}
-	return batches, nil
+	return c, nil
+}
+
+// Len returns the number of pairs in the join.
+func (c *CountedJoin) Len() int { return c.total }
+
+// Page returns pairs [offset, offset+limit) of the join's emission sequence,
+// clipped to its end, as interleaved ids (page[2i] from a, page[2i+1] from b);
+// past the end it is empty and non-nil. Only the tasks the page overlaps are
+// swept — their counts say which, and where each one's pairs land in the
+// page — on the pool the join was counted with, each goroutine through one
+// drained batch, and a task stops once its share of the page is written: the
+// memory a page takes is the task list, a batch per goroutine and the page,
+// whatever the join's size. The context is polled as PackedJoinBatches polls
+// it; when it is done Page returns nil and the context's error.
+func (c *CountedJoin) Page(ctx context.Context, offset, limit int) ([]int, error) {
+	offset = min(max(offset, 0), c.total)
+	end := offset + min(max(limit, 0), c.total-offset)
+	page := make([]int, 2*(end-offset))
+	if end == offset {
+		return page, nil
+	}
+	// Task first is the first to end after offset; starts[k] is the position
+	// of task first+k's first pair, up to the task that holds end-1.
+	first, start := 0, 0
+	for start+c.counts[first] <= offset {
+		start += c.counts[first]
+		first++
+	}
+	starts := []int{start}
+	for k := first; start+c.counts[k] < end; k++ {
+		start += c.counts[k]
+		starts = append(starts, start)
+	}
+	drain := func(j *tileJoinRun, batch []int) bool {
+		at := starts[j.task] + j.drained
+		if lo, hi := max(offset, at), min(end, at+len(batch)/2); lo < hi {
+			copy(page[2*(lo-offset):], batch[2*(lo-at):2*(hi-at)])
+		}
+		return at+len(batch)/2 < end
+	}
+	err := runTasks(ctx, "rtree.packed_page", c.tasks[first:first+len(starts)], min(c.workers, len(starts)),
+		tileJoinRun{winA: c.winA, winB: c.winB, drain: drain}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return page, nil
 }
 
 // PackedJoinFuncContext streams each intersecting (aID, bID) pair between two
@@ -496,20 +650,20 @@ func tileJoin(ctx context.Context, a, b *Packed, workers int, winA, winB *geom.R
 // drained as it fills: a done context stops the sweep with some pairs already
 // emitted and returns its error. Emission order is that of PackedJoinBatches.
 func PackedJoinFuncContext(ctx context.Context, a, b *Packed, emit func(aID, bID int)) error {
-	_, err := tileJoin(ctx, a, b, 1, nil, nil, func(batch []int) {
+	packedJoinCounters.joins.Inc()
+	return runTasks(ctx, "rtree.packed_join", tileJoinTasks(a, b, nil, nil), 1, tileJoinRun{drain: func(_ *tileJoinRun, batch []int) bool {
 		for i := 0; i < len(batch); i += 2 {
 			emit(batch[i], batch[i+1])
 		}
-	})
-	return err
+		return true
+	}}, nil)
 }
 
 // PackedJoinCount returns the number of intersecting pairs between two packed
-// images.
+// images: CountPackedJoin's serial count.
 func PackedJoinCount(a, b *Packed) int {
-	n := 0
-	_ = PackedJoinFuncContext(context.Background(), a, b, func(int, int) { n++ })
-	return n
+	c, _ := CountPackedJoin(context.Background(), a, b, 1, nil, nil) // a background count cannot fail
+	return c.Len()
 }
 
 // PackedJoinFuncParallelContext is the callback form of PackedJoinBatches for

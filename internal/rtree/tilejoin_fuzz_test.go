@@ -74,9 +74,60 @@ func (in fuzzJoinInput) image(side int) *Packed {
 	return img.WithOverlay(dead, PackItems(added))
 }
 
+// checkCountAndPages holds the count pass and the page sweep of ia ⋈ ib under
+// the windows to seq, the emission sequence PackedJoinBatches returned for
+// it: each task's count, on a pool of workers, is what the emitting sweep
+// writes for that task alone, the counts add up to len(seq), and Page(offset,
+// limit) is seq[offset:offset+limit] clipped to its end, never nil — short
+// pages at 0, at every task boundary and one before it, at the end and past
+// it, and at extra; pages running to the end from 0 and from extra.
+func checkCountAndPages(t *testing.T, ia, ib *Packed, workers int, winA, winB *geom.Rect, seq []JoinPair, extra int) {
+	t.Helper()
+	ctx := context.Background()
+	c, err := CountPackedJoin(ctx, ia, ib, workers, winA, winB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != len(seq) {
+		t.Fatalf("workers=%d: counted %d pairs, the emitting join %d", workers, c.Len(), len(seq))
+	}
+	offsets := []int{0, extra, len(seq) - 1, len(seq), len(seq) + 3}
+	end := 0
+	for i := range c.tasks {
+		j := &tileJoinRun{joinState: joinState{ctx: ctx}, winA: winA, winB: winB}
+		j.sweepTask(&c.tasks[i])
+		if j.pairs != c.counts[i] {
+			t.Fatalf("workers=%d: task %d counted %d pairs, its sweep writes %d", workers, i, c.counts[i], j.pairs)
+		}
+		end += c.counts[i]
+		offsets = append(offsets, end-1, end)
+	}
+	pages := [][2]int{{0, len(seq) + 1}, {extra, len(seq)}}
+	for _, off := range offsets {
+		for _, lim := range []int{0, 1, 7} {
+			if off >= 0 {
+				pages = append(pages, [2]int{off, lim})
+			}
+		}
+	}
+	for _, pg := range pages {
+		off, lim := pg[0], pg[1]
+		page, err := c.Page(ctx, off, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := min(off, len(seq))
+		if want := seq[lo:min(lo+lim, len(seq))]; page == nil || !slices.Equal(pairsOf([][]int{page}), want) {
+			t.Fatalf("workers=%d: Page(%d, %d) = %v, the emission sequence has %v", workers, off, lim, page, want)
+		}
+	}
+}
+
 // FuzzTileJoin holds the tile sweep to brute force on inputs aimed at the
 // grid: the kernel's pairs, serial and pooled, are exactly the intersecting
-// live pairs that meet their windows — each once — in one order. The probe
+// live pairs that meet their windows — each once — in one order; the count
+// pass counts each task's pairs as the sweep writes them, and a page at any
+// offset is that order's slice (checkCountAndPages). The probe
 // reads the same runs, so the same images hold it too: side b's image searched
 // with every side-a rectangle and both windows returns exactly the live
 // b-items meeting the query, no id twice. The pointer trees cut from the two
@@ -168,6 +219,13 @@ func FuzzTileJoin(f *testing.F) {
 				t.Fatalf("workers=%d: kernel returned %d pairs, brute force %d (a=%v b=%v winA=%v winB=%v)",
 					workers, len(got), len(want), in.rects[0], in.rects[1], in.winA, in.winB)
 			}
+		}
+		extra := 0
+		if len(data) > 0 {
+			extra = int(data[len(data)-1])
+		}
+		for _, workers := range []int{1, 3} {
+			checkCountAndPages(t, ia, ib, workers, in.winA, in.winB, serial, extra)
 		}
 	})
 }

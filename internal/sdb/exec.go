@@ -18,7 +18,7 @@ var (
 	mExecQueries = obs.Default.Counter("sdb_exec_queries_total",
 		"Plans executed.")
 	mExecRows = obs.Default.Counter("sdb_exec_rows_total",
-		"Result rows materialized by the executor, summed over operators.")
+		"Result rows produced (counted for a two-table plan), summed over operators.")
 )
 
 // annotateOperator stamps an operator span with its cardinalities: the
@@ -33,22 +33,58 @@ func annotateOperator(sp *obs.Span, estRows float64, rows int) {
 	sp.Set("rel_error", core.RelError(estRows, float64(rows)))
 }
 
-// Result is a materialized join result: one column of item indices per
-// table, in Columns order; Rows[i][j] indexes into the Columns[j] table's
-// Data.Items.
+// Result is a join result: one column of item indices per table, in Columns
+// order; a row's j-th id indexes into the Columns[j] table's Data.Items. Its
+// rows are read through Page.
 type Result struct {
 	Columns []string
-	Rows    [][]int
+	// Rows holds a multi-table result's rows, materialized. It is nil for a
+	// two-table result, which is counted and sweeps each page from its join;
+	// only bench/'s replay of multi-way plans reads it.
+	Rows [][]int
+	// pairs is a two-table result's counted join.
+	pairs *rtree.CountedJoin
 }
 
 // Len returns the number of result rows.
-func (r *Result) Len() int { return len(r.Rows) }
+func (r *Result) Len() int {
+	if r.pairs != nil {
+		return r.pairs.Len()
+	}
+	return len(r.Rows)
+}
 
-// Execute runs the plan, against the tables it was planned on, and
-// materializes the result. The first join is a sweep of the two packed images'
-// tile runs; every subsequent table is joined in by probing its packed image —
-// the same runs, in the few tiles the rectangle meets — with the rectangle of
-// each row's connecting item, verifying any additional predicates directly.
+// Page returns rows [offset, offset+limit) of the result, clipped to its end:
+// past it, an empty and non-nil slice. A two-table result sweeps them out of
+// its join under a "page" span, the pairs before offset skipped by count, so
+// a page costs memory for its own rows whatever the result's size; the
+// context stops that sweep. Every row is a full-capacity slice, and a
+// multi-table result's alias its Rows.
+func (r *Result) Page(ctx context.Context, offset, limit int) ([][]int, error) {
+	if r.pairs == nil {
+		offset = min(max(offset, 0), len(r.Rows))
+		return r.Rows[offset : offset+min(max(limit, 0), len(r.Rows)-offset)], nil
+	}
+	ctx, sp := obs.StartSpan(ctx, "page")
+	defer sp.End()
+	pairs, err := r.pairs.Page(ctx, offset, limit)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]int, len(pairs)/2)
+	for i := range rows {
+		rows[i] = pairs[2*i : 2*i+2 : 2*i+2]
+	}
+	sp.Set("rows", float64(len(rows)))
+	return rows, nil
+}
+
+// Execute runs the plan, against the tables it was planned on: it counts a
+// two-table result and materializes a longer one. The first join is a sweep
+// of the two packed images' tile runs; every subsequent table is joined in by
+// probing its packed image — the same runs, in the few tiles the rectangle
+// meets — with the rectangle of each row's connecting item, verifying any
+// additional predicates directly.
 func (p *Plan) Execute() (*Result, error) {
 	return p.ExecuteContext(context.Background())
 }
@@ -100,9 +136,10 @@ func resolveWorkers(workers, size, crossover int) int {
 // segment while the result's rows are laid out, so a cancelled or timed-out
 // context aborts a large join promptly with the context's error.
 //
-// Rows are carved from slabs, never allocated one by one. A two-table result's
-// are the kernel's batches themselves. A longer query's rows between steps
-// are runs in slabs, never given headers: the first extension step reads the
+// A two-table result is the first join counted, task by task, and none of its
+// rows is made here: Page sweeps the ones it returns. A longer query's rows
+// are carved from slabs, never allocated one by one. Between steps they are
+// runs in slabs, never given headers: the first extension step reads the
 // kernel's pairs in place, and each step writes its k-wide rows back to back
 // into per-goroutine arena chunks, handing the next step the list of segments
 // it wrote. The headers of Result.Rows are made once, at the end. Every row is
@@ -132,17 +169,26 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 
 	// First join: the tile sweep of the two packed images; every catalogued
 	// table carries one (Catalog.Attach enforces it). The kernel applies both
-	// tables' windows itself and hands back pair batches: the rows of a
-	// two-table result, and the first extension step's input otherwise.
+	// tables' windows itself. A two-table result is the join counted; a longer
+	// query's first extension step reads the join's pair batches.
 	first := p.Steps[0]
 	baseTab, stepTab := p.tables[p.Base], p.tables[first.Table]
 	jctx, joinSp := obs.StartSpan(ctx, "join "+p.Base+" ⋈ "+first.Table)
 	joinWorkers := resolveWorkers(p.Workers, baseTab.Len()+stepTab.Len(), parallelJoinMinItems)
-	batches, jerr := rtree.PackedJoinBatches(jctx, baseTab.Packed, stepTab.Packed, joinWorkers,
-		p.window(p.Base), p.window(first.Table))
+	winBase, winFirst := p.window(p.Base), p.window(first.Table)
+	var pairs *rtree.CountedJoin
+	var batches [][]int
+	var jerr error
 	n := 0
-	for _, batch := range batches {
-		n += len(batch) / 2
+	if k == 2 {
+		if pairs, jerr = rtree.CountPackedJoin(jctx, baseTab.Packed, stepTab.Packed, joinWorkers, winBase, winFirst); jerr == nil {
+			n = pairs.Len()
+		}
+	} else {
+		batches, jerr = rtree.PackedJoinBatches(jctx, baseTab.Packed, stepTab.Packed, joinWorkers, winBase, winFirst)
+		for _, batch := range batches {
+			n += len(batch) / 2
+		}
 	}
 	annotateOperator(joinSp, first.EstRows, n)
 	joinSp.End()
@@ -151,7 +197,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		return nil, jerr
 	}
 	if k == 2 {
-		return &Result{Columns: cols, Rows: rowsFromBatches(batches, joinWorkers)}, nil
+		return &Result{Columns: cols, pairs: pairs}, nil
 	}
 
 	// Extension steps: each probes the step's table with every row's
@@ -198,42 +244,6 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 		}
 	}
 	return &Result{Columns: cols, Rows: rows}, nil
-}
-
-// rowsFromBatches makes a two-table result's rows: one header per pair, in
-// batch order, each aliasing the pair where the kernel wrote it — the batches
-// are the result's slab. The headers are filled in by a pool of workers, each
-// batch's rows landing at the positions the batches before it leave.
-func rowsFromBatches(batches [][]int, workers int) [][]int {
-	starts := make([]int, len(batches)+1)
-	for i, batch := range batches {
-		starts[i+1] = starts[i] + len(batch)/2
-	}
-	rows := make([][]int, starts[len(batches)])
-	var cursor atomic.Int64
-	fill := func() {
-		for {
-			bi := int(cursor.Add(1) - 1)
-			if bi >= len(batches) {
-				return
-			}
-			batch, out := batches[bi], rows[starts[bi]:starts[bi+1]]
-			for i := range out {
-				out[i] = batch[2*i : 2*i+2 : 2*i+2]
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill()
-		}()
-	}
-	fill()
-	wg.Wait()
-	return rows
 }
 
 // joinedSide is one side of an extension step's predicate that is already in

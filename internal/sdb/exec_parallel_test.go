@@ -13,11 +13,21 @@ import (
 	"spatialsel/internal/obs"
 )
 
+// pageAll reads every row of res through Page.
+func pageAll(t testing.TB, res *Result) [][]int {
+	t.Helper()
+	rows, err := res.Page(context.Background(), 0, res.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // rowKeys flattens result rows into sortable strings so executions over
 // different snapshots can be compared as sets.
-func rowKeys(res *Result) []string {
+func rowKeys(t *testing.T, res *Result) []string {
 	keys := make([]string, 0, res.Len())
-	for _, row := range res.Rows {
+	for _, row := range pageAll(t, res) {
 		keys = append(keys, fmt.Sprint(row))
 	}
 	sort.Strings(keys)
@@ -53,9 +63,10 @@ func TestExecuteContextParallelMatchesSerial(t *testing.T) {
 			if got.Len() != serial.Len() {
 				t.Fatalf("%d tables, workers=%d: %d rows, serial %d", len(q.Tables), workers, got.Len(), serial.Len())
 			}
-			for i, row := range serial.Rows {
-				if !slices.Equal(got.Rows[i], row) {
-					t.Fatalf("%d tables, workers=%d: row %d is %v, serial has %v", len(q.Tables), workers, i, got.Rows[i], row)
+			gotRows := pageAll(t, got)
+			for i, row := range pageAll(t, serial) {
+				if !slices.Equal(gotRows[i], row) {
+					t.Fatalf("%d tables, workers=%d: row %d is %v, serial has %v", len(q.Tables), workers, i, gotRows[i], row)
 				}
 			}
 		}
@@ -133,7 +144,7 @@ func TestExecuteRunsOnPlannedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rowKeys(before)
+	want := rowKeys(t, before)
 	if len(want) == 0 {
 		t.Fatal("fixture produced no rows; test is vacuous")
 	}
@@ -152,7 +163,7 @@ func TestExecuteRunsOnPlannedTables(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got := rowKeys(after)
+		got := rowKeys(t, after)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d rows after drop and re-create, %d before", workers, len(got), len(want))
 		}

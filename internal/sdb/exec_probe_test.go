@@ -216,10 +216,10 @@ func TestExtensionStepMatchesPerRowProbe(t *testing.T) {
 	}
 }
 
-// TestEmptyResultRowsAreEmpty: an empty result's Rows is an empty slice, not
-// nil, for every table count and pool size, so a served empty page encodes as
-// "rows":[] however the query ran. (Per-row probing left a serially extended
-// empty result nil and a pooled one empty.)
+// TestEmptyResultRowsAreEmpty: an empty result's page is an empty slice, not
+// nil, for every table count and pool size, at offset 0 and past the end, so
+// a served empty page encodes as "rows":[] however the query ran. (Per-row
+// probing left a serially extended empty result nil and a pooled one empty.)
 func TestEmptyResultRowsAreEmpty(t *testing.T) {
 	c := probeFixture(t, 300, 5, false)
 	for _, shape := range probeShapes {
@@ -231,19 +231,32 @@ func TestEmptyResultRowsAreEmpty(t *testing.T) {
 			q.Tables[len(q.Tables)-1]: geom.NewRect(0.9, 0.9, 1, 1),
 		}
 		for _, workers := range []int{1, 2} {
-			res, err := mustPlan(t, c, q, workers).Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rows == nil || res.Len() != 0 {
-				t.Fatalf("%s workers=%d: rows %v (nil %v), want empty and non-nil", shape.name, workers, res.Rows, res.Rows == nil)
-			}
+			checkEmptyPages(t, shape.name, mustPlan(t, c, q, workers))
 		}
 	}
 	two := Query{Tables: []string{"a", "b"}, Predicates: []Predicate{{"a", "b"}},
 		Windows: map[string]geom.Rect{"a": geom.NewRect(0, 0, 0.1, 0.1), "b": geom.NewRect(0.9, 0.9, 1, 1)}}
-	if res, err := mustPlan(t, c, two, 1).Execute(); err != nil || res.Rows == nil || res.Len() != 0 {
-		t.Fatalf("two tables: rows %v (nil %v), err %v; want empty and non-nil", res.Rows, res.Rows == nil, err)
+	for _, workers := range []int{1, 2} {
+		checkEmptyPages(t, "two tables", mustPlan(t, c, two, workers))
+	}
+}
+
+// checkEmptyPages fails unless plan's result is empty and its pages at offset
+// 0 and past the end are empty and non-nil.
+func checkEmptyPages(t *testing.T, label string, plan *Plan) {
+	t.Helper()
+	res, err := plan.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 0 {
+		t.Fatalf("%s workers=%d: %d rows, want none", label, plan.Workers, res.Len())
+	}
+	for _, offset := range []int{0, 5} {
+		if rows, err := res.Page(context.Background(), offset, 10); err != nil || rows == nil || len(rows) != 0 {
+			t.Fatalf("%s workers=%d: page at %d is %v (nil %v), err %v; want empty and non-nil",
+				label, plan.Workers, offset, rows, rows == nil, err)
+		}
 	}
 }
 

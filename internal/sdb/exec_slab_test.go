@@ -41,9 +41,9 @@ var (
 	threeWay = Query{Tables: []string{"a", "b", "c"}, Predicates: []Predicate{{"a", "b"}, {"b", "c"}}}
 )
 
-// TestResultRowsAreIndependent: rows share a slab, but each is a full-capacity
-// slice of its own cells — writing a row touches no other, and appending to
-// one reallocates instead of running into its neighbour.
+// TestResultRowsAreIndependent: a page's rows share a slab, but each is a
+// full-capacity slice of its own cells — writing a row touches no other, and
+// appending to one reallocates instead of running into its neighbour.
 func TestResultRowsAreIndependent(t *testing.T) {
 	c := uniformCatalog(t, 3000, "a", "b", "c")
 	for _, q := range []Query{twoWay, threeWay} {
@@ -52,23 +52,24 @@ func TestResultRowsAreIndependent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Len() < 2 {
+			rows := pageAll(t, res)
+			if len(rows) < 2 {
 				t.Fatal("fixture produced fewer than two rows; test is vacuous")
 			}
-			want := make([][]int, res.Len())
-			for i, row := range res.Rows {
+			want := make([][]int, len(rows))
+			for i, row := range rows {
 				if len(row) != len(q.Tables) || cap(row) != len(row) {
 					t.Fatalf("%d tables, workers=%d: row %d has len %d cap %d, want both %d",
 						len(q.Tables), workers, i, len(row), cap(row), len(q.Tables))
 				}
 				want[i] = append([]int(nil), row...)
 			}
-			for i := range res.Rows {
-				for j := range res.Rows[i] {
-					res.Rows[i][j] = -7
+			for i := range rows {
+				for j := range rows[i] {
+					rows[i][j] = -7
 				}
-				_ = append(res.Rows[i], -8, -9)
-				for o, row := range res.Rows {
+				_ = append(rows[i], -8, -9)
+				for o, row := range rows {
 					if o == i {
 						continue
 					}
@@ -79,7 +80,7 @@ func TestResultRowsAreIndependent(t *testing.T) {
 						}
 					}
 				}
-				copy(res.Rows[i], want[i])
+				copy(rows[i], want[i])
 			}
 		}
 	}
@@ -122,33 +123,37 @@ func TestExecuteAllocationsDoNotScaleWithRows(t *testing.T) {
 	}
 }
 
-// TestTwoTableResultIsTheKernelsBatches: a two-table result's rows alias the
-// kernel's pair batches — 16 B of batch and a 24 B header per row — instead
-// of being copied into a second slab (16 B more, what the executor did before
-// the batches were flat). Measured on this fixture, 1.2 M rows: 40.2 B per row
-// at one worker and at two — the 40 B plus the batches' unused tails, the task
-// list and the kernel's scratch. The ceiling is taken from that run: a tenth
-// above it, and well under the copying executor's 56 B, so the aliasing cannot
-// silently regress.
-func TestTwoTableResultIsTheKernelsBatches(t *testing.T) {
-	const ceiling = 44.0
-	c := uniformCatalog(t, 110000, "a", "b")
+// TestTwoTablePageBytesDoNotScaleWithRows: a two-table result is counted,
+// and a page sweeps out its own rows only, so executing the plan and reading
+// its first 1 000 rows allocates the same bytes — the task list, one drained
+// batch and the page — at two fixture sizes 4× apart (16× in rows), within a
+// tenth. Making every row, as the executor did before it counted, allocated
+// about 40 B per row: 1.2 M rows cost 48 MB.
+func TestTwoTablePageBytesDoNotScaleWithRows(t *testing.T) {
+	const pageRows = 1000
 	for _, workers := range []int{1, 2} {
-		plan := mustPlan(t, c, twoWay, workers)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := plan.Execute()
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		var bytes [2]float64
+		for i, n := range []int{40000, 160000} {
+			plan := mustPlan(t, uniformCatalog(t, n, "a", "b"), twoWay, workers)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := plan.ExecuteContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := res.Page(context.Background(), 0, pageRows)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != pageRows || res.Len() < 100*pageRows {
+				t.Fatalf("n=%d: %d rows of %d on the page; the fixture must fill it many times over", n, len(rows), res.Len())
+			}
+			bytes[i] = float64(after.TotalAlloc - before.TotalAlloc)
+			t.Logf("workers=%d n=%d: %d rows, %.0f B allocated for the count and a page of %d", workers, n, res.Len(), bytes[i], pageRows)
 		}
-		if res.Len() < 1_000_000 {
-			t.Fatalf("fixture produced %d rows, want a million", res.Len())
-		}
-		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Len())
-		t.Logf("workers=%d: %d rows, %.1f B allocated per row", workers, res.Len(), perRow)
-		if perRow > ceiling {
-			t.Fatalf("workers=%d: %.1f B allocated per row, ceiling %.0f", workers, perRow, ceiling)
+		if r := bytes[1] / bytes[0]; r > 1.1 || r < 1/1.1 {
+			t.Fatalf("workers=%d: %.0f B at 4× the items against %.0f B; want the same within 10%%", workers, bytes[1], bytes[0])
 		}
 	}
 }
@@ -276,7 +281,7 @@ func TestJoinWindowOnEveryTable(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatal("test setup: empty result")
 		}
-		if got := normalizeRows(res, []string{"hot", "warm", "cold"}); !rowsEqual(got, want) {
+		if got := normalizeRows(t, res, []string{"hot", "warm", "cold"}); !rowsEqual(got, want) {
 			t.Fatalf("workers=%d: got %d rows, filter-after-join keeps %d", workers, len(got), len(want))
 		}
 	}

@@ -1,6 +1,7 @@
 package sdb
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -191,15 +192,25 @@ func TestTwoWayJoinMatchesBrute(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bruteTwoWay(c, q)
+	if len(want) == 0 {
+		t.Fatal("test setup: join empty")
+	}
 	// Columns may be (hot, warm) or (warm, hot) depending on the greedy
 	// start; normalize to query order.
-	got := normalizeRows(res, []string{"hot", "warm"})
+	got := normalizeRows(t, res, []string{"hot", "warm"})
 	if !rowsEqual(got, want) {
 		t.Fatalf("2-way join: got %d rows, want %d", len(got), len(want))
 	}
 }
 
-func normalizeRows(res *Result, order []string) [][]int {
+// normalizeRows reads every row of res through Page and reorders its columns
+// to order.
+func normalizeRows(t *testing.T, res *Result, order []string) [][]int {
+	t.Helper()
+	rows, err := res.Page(context.Background(), 0, res.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	idx := make([]int, len(order))
 	for i, name := range order {
 		for j, col := range res.Columns {
@@ -208,8 +219,8 @@ func normalizeRows(res *Result, order []string) [][]int {
 			}
 		}
 	}
-	out := make([][]int, len(res.Rows))
-	for i, row := range res.Rows {
+	out := make([][]int, len(rows))
+	for i, row := range rows {
 		n := make([]int, len(order))
 		for j, k := range idx {
 			n[j] = row[k]
@@ -237,13 +248,13 @@ func TestTwoWayJoinWithWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := normalizeRows(res, []string{"hot", "warm"})
 	want := bruteTwoWay(c, q)
-	if !rowsEqual(got, want) {
-		t.Fatalf("windowed join: got %d rows, want %d", len(got), len(want))
-	}
 	if len(want) == 0 {
 		t.Fatal("test setup: windowed join empty")
+	}
+	got := normalizeRows(t, res, []string{"hot", "warm"})
+	if !rowsEqual(got, want) {
+		t.Fatalf("windowed join: got %d rows, want %d", len(got), len(want))
 	}
 }
 
@@ -282,7 +293,7 @@ func TestThreeWayJoinMatchesBrute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := normalizeRows(res, []string{"hot", "warm", "cold"})
+	got := normalizeRows(t, res, []string{"hot", "warm", "cold"})
 	want := bruteThreeWay(c, "hot", "warm", "cold")
 	if !rowsEqual(got, want) {
 		t.Fatalf("3-way join: got %d rows, want %d", len(got), len(want))
@@ -325,7 +336,7 @@ func TestThreeWayCycleJoin(t *testing.T) {
 			}
 		}
 	}
-	got := normalizeRows(res, []string{"hot", "warm", "cold"})
+	got := normalizeRows(t, res, []string{"hot", "warm", "cold"})
 	if !rowsEqual(got, want) {
 		t.Fatalf("cycle join: got %d rows, want %d", len(got), len(want))
 	}
@@ -365,7 +376,7 @@ func TestThreeWayJoinWindowOnProbedTable(t *testing.T) {
 			}
 		}
 	}
-	got := normalizeRows(res, []string{"hot", "warm", "cold"})
+	got := normalizeRows(t, res, []string{"hot", "warm", "cold"})
 	if !rowsEqual(got, want) {
 		t.Fatalf("windowed 3-way: got %d rows, want %d", len(got), len(want))
 	}

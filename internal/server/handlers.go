@@ -459,10 +459,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // ---- query ------------------------------------------------------------
 
-// QueryRequest executes a join query with pagination over the materialized
-// result. Limit and Offset must not be negative; a Limit of 0 or above the
-// server's cap (sdbd -max-rows) serves the cap, and an Offset past the end
-// serves an empty page.
+// QueryRequest executes a join query and returns one page of its rows, with
+// the total. Only the page's rows are made: a two-table result is counted and
+// the page swept out of the join, a longer one materialized and sliced. Limit
+// and Offset must not be negative; a Limit of 0 or above the server's cap
+// (sdbd -max-rows) serves the cap, and an Offset past the end serves an empty
+// page.
 type QueryRequest struct {
 	Tables     []string              `json:"tables"`
 	Predicates [][2]string           `json:"predicates"`
@@ -575,14 +577,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForError(err), "%v", err)
 		return
 	}
-	analyze.End()
 
 	// Close the estimation loop: every executed join — one that returned
 	// nothing included, the estimate scored against 1 — writes the paper's
 	// Estimation Error, the planner's final cardinality estimate (which
-	// already accounts for windows) against the materialized row count, into
-	// its record, once, as the last operator's span has it; finish adds it to
-	// the plan's base⋈first pair in the error histogram.
+	// already accounts for windows) against the result's row count, into its
+	// record, once, as the last operator's span has it; finish adds it to the
+	// plan's base⋈first pair in the error histogram.
 	total := res.Len()
 	ev.Rows = total
 	rel := core.RelError(estRows, float64(total))
@@ -593,16 +594,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 || limit > s.maxResultRows {
 		limit = s.maxResultRows
 	}
-	end := offset + limit
-	if end > total {
-		end = total
+	rows, err := res.Page(ctx, offset, limit)
+	if err != nil {
+		writeError(w, statusForError(err), "%v", err)
+		return
 	}
+	analyze.End()
 	resp := QueryResponse{
 		Columns:       res.Columns,
-		Rows:          res.Rows[offset:end],
+		Rows:          rows,
 		TotalRows:     total,
 		Offset:        offset,
-		Truncated:     end < total,
+		Truncated:     offset+len(rows) < total,
 		EstRows:       estRows,
 		ElapsedMicros: time.Since(start).Microseconds(),
 	}

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -54,43 +59,107 @@ func TestQueryWorkersMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPagesDoNotDependOnWorkers pages a two- and a three-table result twice
-// over one snapshot — once on the server's pool, once serial — and must read
-// the same pages: the row order is a function of the plan and the tables'
-// images, not of the worker count, so offset/limit neither skip nor repeat
-// rows when a client's requests run at different parallelism.
+// TestPagesDoNotDependOnWorkers pages a two- and a three-table result over
+// one snapshot at every pool size and must read the same pages: the row order
+// is a function of the plan and the tables' images, not of the worker count,
+// so offset/limit neither skip nor repeat rows when a client's requests run at
+// different parallelism. The result is read whole in pages of 250 at each
+// workers value, then a grid of offsets — around the page boundaries, the
+// middle, the end and past it — and limits must return its slices.
 func TestPagesDoNotDependOnWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 	createTable(t, ts.URL, "qa", "uniform", 12000, 1, false)
 	createTable(t, ts.URL, "qb", "uniform", 12000, 2, false)
 	createTable(t, ts.URL, "qc", "uniform", 12000, 3, false)
 
-	pages := func(q QueryRequest, workers int) [][][]int {
-		var out [][][]int
-		q.Workers = workers
-		for q.Offset, q.Limit = 0, 250; ; q.Offset += q.Limit {
-			var qr QueryResponse
-			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", q, &qr); code != http.StatusOK {
-				t.Fatalf("query at offset %d: status %d", q.Offset, code)
-			}
-			out = append(out, qr.Rows)
-			if !qr.Truncated {
-				return out
-			}
+	page := func(q QueryRequest, workers, offset, limit int) QueryResponse {
+		q.Workers, q.Offset, q.Limit = workers, offset, limit
+		var qr QueryResponse
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/query", q, &qr); code != http.StatusOK {
+			t.Fatalf("query at offset %d limit %d workers %d: status %d", offset, limit, workers, code)
 		}
+		return qr
 	}
 	for _, q := range []QueryRequest{
 		pairQuery(),
 		{Tables: []string{"qa", "qb", "qc"}, Predicates: [][2]string{{"qa", "qb"}, {"qb", "qc"}}},
 	} {
-		pooled := pages(q, 0)
-		serial := pages(q, 1)
-		if len(pooled) < 3 {
-			t.Fatalf("%d tables: result fits %d pages; the test wants several", len(q.Tables), len(pooled))
+		var all [][]int
+		for offset := 0; ; offset += 250 {
+			qr := page(q, 1, offset, 250)
+			all = append(all, qr.Rows...)
+			if !qr.Truncated {
+				break
+			}
 		}
-		if !reflect.DeepEqual(pooled, serial) {
-			t.Fatalf("%d tables: pages read serially differ from the pooled ones", len(q.Tables))
+		if len(all) < 750 {
+			t.Fatalf("%d tables: result of %d rows fits fewer than three pages; the test wants several", len(q.Tables), len(all))
 		}
+		n := len(all)
+		for _, workers := range []int{0, 1, 2, 4} {
+			var whole [][]int
+			for offset := 0; offset < n; offset += 250 {
+				whole = append(whole, page(q, workers, offset, 250).Rows...)
+			}
+			if !reflect.DeepEqual(whole, all) {
+				t.Fatalf("%d tables, workers=%d: pages differ from the serial ones", len(q.Tables), workers)
+			}
+			for _, offset := range []int{0, 1, 249, 250, 251, n / 2, n - 1, n, n + 10} {
+				for _, limit := range []int{1, 7, 250} {
+					qr := page(q, workers, offset, limit)
+					lo := min(offset, n)
+					want := all[lo:min(lo+limit, n)]
+					if qr.TotalRows != n || qr.Offset != lo || qr.Truncated != (lo+len(want) < n) || len(qr.Rows) != len(want) ||
+						len(want) > 0 && !reflect.DeepEqual(qr.Rows, want) {
+						t.Fatalf("%d tables, workers=%d, offset %d limit %d: total %d offset %d truncated %v, %d rows; want %d, %d, %v and rows %v",
+							len(q.Tables), workers, offset, limit, qr.TotalRows, qr.Offset, qr.Truncated, len(qr.Rows), n, lo, lo+len(want) < n, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTwoWayQueryMemoryIsBounded: a two-way query's memory is its page, not
+// its result. Two tables of 4 000 items, each about [0.1, 0.9]², join in
+// 16 M rows; /v1/query with limit 1 must answer that total with one row and
+// allocate under 1 MB for the whole request. Making every row allocated
+// about 640 MB.
+func TestTwoWayQueryMemoryIsBounded(t *testing.T) {
+	const n = 4000
+	// Level 4 keeps the GH build of 4 000 extent-sized items quick.
+	s, ts := newTestServer(t, Config{Level: 4})
+	rng := rand.New(rand.NewSource(1))
+	for _, name := range []string{"big1", "big2"} {
+		items := make([][4]float64, n)
+		for i := range items {
+			j := func() float64 { return 0.02 * rng.Float64() }
+			items[i] = [4]float64{0.1 + j(), 0.1 + j(), 0.9 - j(), 0.9 - j()}
+		}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables", CreateTableRequest{Name: name, Items: items}, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", name, code)
+		}
+	}
+	body, err := json.Marshal(QueryRequest{Tables: []string{"big1", "big2"}, Predicates: [][2]string{{"big1", "big2"}}, Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	var qr QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("query: status %d, %v: %s", rec.Code, err, rec.Body.Bytes())
+	}
+	if qr.TotalRows != n*n || len(qr.Rows) != 1 || !qr.Truncated {
+		t.Fatalf("total_rows %d with %d rows (truncated %v), want %d with 1", qr.TotalRows, len(qr.Rows), qr.Truncated, n*n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("the query allocated %d B; want under 1 MB", alloc)
+	} else {
+		t.Logf("the query allocated %d B", alloc)
 	}
 }
 

@@ -7,8 +7,8 @@
 // R-trees to beat. It is also a served path: every rs, rswr and ss estimate
 // /v1/estimate computes joins its two samples here
 // (sample.Technique.Estimate), with no index built for them. No query's rows
-// come from it — the executor's join is rtree.PackedJoinBatches, a sweep per
-// grid tile over a prebuilt index. With brute force and the pointer R-tree
+// come from it — the executor's join is rtree's tile sweep (CountPackedJoin,
+// PackedJoinBatches), a sweep per grid tile over a prebuilt index. With brute force and the pointer R-tree
 // join it is one of three independent oracles; keep it index-free and simple.
 // It keeps no package-level state, so concurrent calls share nothing.
 //
