@@ -21,7 +21,7 @@ var packedJoinCounters = joinCounters{
 	leafCompares: obs.Default.Counter("rtree_packed_leaf_compares_total",
 		"Y-overlap tests evaluated by packed joins' tile sweeps."),
 	outputPairs: obs.Default.Counter("rtree_packed_output_pairs_total",
-		"Intersecting pairs emitted by packed joins."),
+		"Intersecting pairs swept by packed joins; a two-table query's count and its page sweep each add theirs."),
 	cancelPolls: obs.Default.Counter("rtree_packed_cancel_polls_total",
 		"Context cancellation polls performed by packed joins."),
 }
@@ -406,7 +406,9 @@ func (j *tileJoinRun) sweep(pa, pb *Packed, ak []float64, ar []uint32, bk []floa
 // tally is sweep without the stores: the same merge, the same y-tests and the
 // same reference-corner rule, each reported pair added to the run's count
 // instead of written to its batch. FuzzTileJoin holds the two bodies to the
-// same pairs, task by task.
+// same pairs, task by task. It is a second body because it reads no item ids:
+// counting by draining sweep's batches and dropping them made join-paper
+// 21 % slower end to end (EXPERIMENTS.md "One body or two").
 func (j *tileJoinRun) tally(pa, pb *Packed, ak []float64, ar []uint32, bk []float64, br []uint32, force uint32) {
 	n, tests := 0, 0
 	i, k := 0, 0
