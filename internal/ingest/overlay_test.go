@@ -383,11 +383,12 @@ func TestRecoveryIsAFold(t *testing.T) {
 // BenchmarkApplyPublish is what one 64-record batch (32 inserts, 32 deletes)
 // into a 100k-item table costs to apply and publish, with no WAL, at three
 // overlay sizes: the bytes and the time must follow the overlay, not the
-// table. Each iteration ends on a fold-free table of the same overlay size
-// only approximately — the overlay grows by one batch per iteration — so run
-// it with a small fixed -benchtime (20x).
+// table. overlay=N carries N entries (N/2 tombstones, N/2 delta items) plus
+// the 32 items one batch inserts, at every iteration: each batch deletes the
+// items the batch before it inserted, so nothing folds and nothing grows, and
+// the figure per op does not depend on b.N.
 func BenchmarkApplyPublish(b *testing.B) {
-	const level, n = 7, 100_000
+	const level, n, half = 7, 100_000, 32
 	c, err := sdb.NewCatalogAtLevel(level)
 	if err != nil {
 		b.Fatal(err)
@@ -404,28 +405,37 @@ func BenchmarkApplyPublish(b *testing.B) {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(2))
-			next := 0
-			batch := func(records int) Mutation {
-				var m Mutation
-				for i := 0; i < records/2; i++ {
+			inserts := func(k int) []geom.Rect {
+				out := make([]geom.Rect, k)
+				for i := range out {
 					x, y := rng.Float64()*0.99, rng.Float64()*0.99
-					m.Inserts = append(m.Inserts, geom.NewRect(x, y, x+0.004, y+0.004))
-					m.Deletes = append(m.Deletes, next)
-					next++
+					out[i] = geom.NewRect(x, y, x+0.004, y+0.004)
 				}
-				return m
+				return out
 			}
-			if overlay > 0 {
-				if _, err := tab.Apply(batch(overlay)); err != nil {
-					b.Fatal(err)
-				}
+			var setup Mutation
+			setup.Inserts = inserts(overlay/2 + half)
+			for id := 0; id < overlay/2; id++ {
+				setup.Deletes = append(setup.Deletes, id)
 			}
+			res, err := tab.Apply(setup)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prev := res.IDs[overlay/2:]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tab.Apply(batch(64)); err != nil {
+				res, err := tab.Apply(Mutation{Inserts: inserts(half), Deletes: prev})
+				if err != nil {
 					b.Fatal(err)
 				}
+				prev = res.IDs
+			}
+			b.StopTimer()
+			if d := tab.Degradation(); d.DeltaItems != overlay/2+half || d.Tombstones != overlay/2 {
+				b.Fatalf("after %d batches the overlay holds %d delta items and %d tombstones, want %d and %d",
+					b.N, d.DeltaItems, d.Tombstones, overlay/2+half, overlay/2)
 			}
 		})
 	}

@@ -149,7 +149,7 @@ func (t *Table) arm(o TableOptions) {
 // seeded from its data, and — when walPath is non-empty — a fresh WAL is
 // created whose checkpoint captures the starting state, making the table
 // durable from this moment on. The table's Index is not read: every snapshot
-// the front publishes cuts its own from the image.
+// the front publishes carries its own tree over its image.
 func OpenTable(tbl *sdb.Table, level int, walPath string, publish PublishFunc) (*Table, error) {
 	return OpenTableOpts(tbl, level, TableOptions{WALPath: walPath}, publish)
 }
@@ -596,8 +596,9 @@ func (t *Table) applyLocked(b Batch) error {
 // length-capped view of the append-only items slice (the writer only
 // ever appends past this length, never mutates below it, so sharing the
 // backing array is safe), the base planes under the overlay's current image,
-// the pointer tree cut from that image (rtree.TreeOf: sdb.Table.Index, which
-// only the benchmark reads), and a copied statistics summary. Tombstoned slots
+// the pointer tree over that image (rtree.TreeOf: sdb.Table.Index, which only
+// the benchmark reads, so its nodes are cut only when that reads them, never
+// here), and a copied statistics summary. Tombstoned slots
 // stay in the items view — the executor only reads Items[id] for IDs the
 // index returns, and the index holds live IDs only; the table's cardinality
 // and what estimators summarize come from the image (sdb.Table.Len, LiveData).

@@ -42,17 +42,18 @@ func BulkLoadSTR(items []Item, opts ...Option) (*Tree, error) {
 	return t, nil
 }
 
-// TreeOf cuts p's live items, in slot order — the planes' Hilbert order, then
-// the delta's items — into a tree of the default fanout: leaves of
-// DefaultMaxEntries consecutive items, parents of DefaultMaxEntries
-// consecutive nodes. Nothing is sorted, so the cost is one pass over the items
+// TreeOf returns the tree cut from p's live items, in slot order — the
+// planes' Hilbert order, then the delta's items — at the default fanout:
+// leaves of DefaultMaxEntries consecutive items, parents of DefaultMaxEntries
+// consecutive nodes. Nothing is sorted, so the cut is one pass over the items
 // and one per level; the tree holds exactly the items p.VisitItems reports.
+// The cut waits for the first call that reads nodes (Search, Height,
+// LevelStats, RootMBR, ComputeStats, JoinFuncContext, Pack) and runs once,
+// however many goroutines make that call; until then the tree holds p and
+// nothing more, and Len answers from p. p must not change, which a Packed
+// never does.
 func TreeOf(p *Packed) *Tree {
-	t := &Tree{maxEntries: DefaultMaxEntries}
-	entries := make([]entry, 0, p.Len())
-	p.VisitItems(func(id int, r geom.Rect) { entries = append(entries, entry{rect: r, id: id}) })
-	t.buildPacked(entries)
-	return t
+	return &Tree{maxEntries: DefaultMaxEntries, size: p.Len(), image: p}
 }
 
 // strOrder implements the STR tile ordering.

@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"spatialsel/internal/geom"
@@ -50,9 +52,9 @@ func testBulkLoader(t *testing.T, name string, load func([]Item, ...Option) (*Tr
 // exactly its child's, leaves share a depth equal to the height, the items
 // number Len, and every node holds at most the fanout's entries and — but the
 // root — at least 2: packing leaves one underfull node per level at most, the
-// remainder chunk, and never a single entry.
+// remainder chunk, and never a single entry. A TreeOf tree is cut first.
 func (t *Tree) checkInvariants() error {
-	if t.root == nil {
+	if t.nodes() == nil {
 		if t.size != 0 || t.height != 0 {
 			return fmt.Errorf("empty tree with size=%d height=%d", t.size, t.height)
 		}
@@ -174,7 +176,7 @@ func TestTreeOfCutsSlotOrder(t *testing.T) {
 			walk(e.child)
 		}
 	}
-	walk(tr.root)
+	walk(tr.nodes())
 	for i, n := range sizes[:len(sizes)-2] {
 		if n != DefaultMaxEntries {
 			t.Fatalf("leaf %d of %d holds %d items", i, len(sizes), n)
@@ -187,5 +189,114 @@ func TestTreeOfCutsSlotOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("leaf item %d = %+v, image item %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestTreeOfConcurrentFirstReads: a TreeOf tree is cut on its first read, once,
+// however many goroutines make that read at the same moment (run it under
+// -race). Each goroutine starts on a different method, and every answer must
+// equal an eagerly cut tree's over the same image: the same Search ids in the
+// same order, the same level statistics, root, height and shape, and the same
+// join pairs in the same order with the tree on either side. Holding the tree
+// and Len cut nothing; the reads together cut each tree's items exactly once.
+func TestTreeOfConcurrentFirstReads(t *testing.T) {
+	rects := randRects(3000, 91)
+	base := PackItems(ItemsFromRects(rects[:2400]))
+	deleted := map[int]bool{}
+	for id := 0; id < 2400; id += 5 {
+		deleted[id] = true
+	}
+	img := base.WithOverlay(tombstone(base, deleted), PackItems(ItemsFromRects(rects)[2400:]))
+	other := PackItems(ItemsFromRects(randRects(1500, 92)))
+	eager, eagerOther := TreeOf(img), TreeOf(other)
+	eager.nodes()
+	eagerOther.nodes()
+	queries := randRects(16, 93)
+	wantSearch := make([][]int, len(queries))
+	for i, q := range queries {
+		wantSearch[i] = eager.Search(q, nil)
+	}
+	wantPairs, wantSwapped := Join(eager, eagerOther), Join(eagerOther, eager)
+	wantLevels, wantStats := eager.LevelStats(), eager.ComputeStats()
+	wantRoot, _ := eager.RootMBR()
+
+	before := mTreeCutItems.Value()
+	lazy, lazyOther := TreeOf(img), TreeOf(other)
+	if lazy.Len() != img.Len() || lazyOther.Len() != other.Len() {
+		t.Fatalf("Len = %d/%d, want the images' %d/%d", lazy.Len(), lazyOther.Len(), img.Len(), other.Len())
+	}
+	if got := mTreeCutItems.Value() - before; got != 0 {
+		t.Fatalf("TreeOf and Len cut %d items, want none", got)
+	}
+	reads := []func() error{
+		func() error {
+			for i, q := range queries {
+				if got := lazy.Search(q, nil); !slices.Equal(got, wantSearch[i]) {
+					return fmt.Errorf("Search %v = %d ids, eager %d", q, len(got), len(wantSearch[i]))
+				}
+			}
+			return nil
+		},
+		func() error {
+			if got := lazy.LevelStats(); !slices.Equal(got, wantLevels) {
+				return fmt.Errorf("LevelStats = %+v, eager %+v", got, wantLevels)
+			}
+			return nil
+		},
+		func() error {
+			if got, ok := lazy.RootMBR(); !ok || got != wantRoot {
+				return fmt.Errorf("RootMBR = %v %v, eager %v", got, ok, wantRoot)
+			}
+			return nil
+		},
+		func() error {
+			if got := lazy.Height(); got != eager.Height() {
+				return fmt.Errorf("Height = %d, eager %d", got, eager.Height())
+			}
+			return nil
+		},
+		func() error {
+			if got := lazy.ComputeStats(); got != wantStats {
+				return fmt.Errorf("ComputeStats = %+v, eager %+v", got, wantStats)
+			}
+			return nil
+		},
+		func() error {
+			if got := Join(lazy, lazyOther); !slices.Equal(got, wantPairs) {
+				return fmt.Errorf("join = %d pairs, eager %d", len(got), len(wantPairs))
+			}
+			return nil
+		},
+		func() error {
+			if got := Join(lazyOther, lazy); !slices.Equal(got, wantSwapped) {
+				return fmt.Errorf("swapped join = %d pairs, eager %d", len(got), len(wantSwapped))
+			}
+			return nil
+		},
+	}
+	const goroutines = 16
+	errs := make(chan error, goroutines*len(reads))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for k := range reads {
+				if err := reads[(g+k)%len(reads)](); err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got, want := mTreeCutItems.Value()-before, uint64(img.Len()+other.Len()); got != want {
+		t.Fatalf("the reads cut %d items, want each tree's once: %d", got, want)
 	}
 }

@@ -72,10 +72,11 @@ const cancelCheckInterval = 32
 // context's error is returned. A nil error means the join ran to completion.
 func JoinFuncContext(ctx context.Context, a, b *Tree, emit func(aID, bID int)) error {
 	pointerJoinCounters.joins.Inc()
-	if a.root == nil || b.root == nil {
+	rootA, rootB := a.nodes(), b.nodes()
+	if rootA == nil || rootB == nil {
 		return nil
 	}
-	ra, rb := a.root.mbr(), b.root.mbr()
+	ra, rb := rootA.mbr(), rootB.mbr()
 	clip, ok := ra.Intersection(rb)
 	if !ok {
 		return nil
@@ -86,7 +87,7 @@ func JoinFuncContext(ctx context.Context, a, b *Tree, emit func(aID, bID int)) e
 		j.pairs++
 		emit(pa, pb)
 	}
-	j.joinNodes(a.root, b.root, clip)
+	j.joinNodes(rootA, rootB, clip)
 	j.flush(&pointerJoinCounters, sp)
 	return j.err
 }

@@ -16,11 +16,13 @@ type LevelStat struct {
 // LevelStats returns one entry per level, root first, nil for an empty tree.
 // The first call walks the whole tree and the result is kept with it (a tree
 // never changes), because the benchmark's layer replay (bench/) asks once per
-// operation. The slice is shared between callers and must not be modified. No
+// operation; on a TreeOf tree that nothing has read yet, the first call cuts
+// it too. The slice is shared between callers and must not be modified. No
 // served path reads it: its readers are the I/O model (iomodel) and that
 // replay.
 func (t *Tree) LevelStats() []LevelStat {
-	if t.root == nil {
+	root := t.nodes()
+	if root == nil {
 		return nil
 	}
 	if cached := t.levels.Load(); cached != nil {
@@ -41,7 +43,7 @@ func (t *Tree) LevelStats() []LevelStat {
 			walk(e.child, depth+1)
 		}
 	}
-	walk(t.root, 1)
+	walk(root, 1)
 	for i := range out {
 		ls, n := &out[i], float64(out[i].Nodes)
 		ls.Level = i + 1
@@ -58,8 +60,9 @@ func (t *Tree) LevelStats() []LevelStat {
 // RootMBR returns the root's bounding rectangle and false for an empty
 // tree.
 func (t *Tree) RootMBR() (geom.Rect, bool) {
-	if t.root == nil {
+	root := t.nodes()
+	if root == nil {
 		return geom.Rect{}, false
 	}
-	return t.root.mbr(), true
+	return root.mbr(), true
 }

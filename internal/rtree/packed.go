@@ -166,11 +166,13 @@ func PackItems(items []Item) *Packed {
 	return p
 }
 
-// Pack is PackItems over t's items. Nothing in the repository's own packages
-// packs a tree; the adapter stays only because the benchmark's layer replay
-// (bench/) still times it beside an STR load, and goes when ROADMAP item 1
-// retires that replay.
+// Pack is PackItems over t's items, read off its nodes, so it cuts a TreeOf
+// tree nothing has read yet. Nothing in the repository's own packages packs a
+// tree; the adapter stays only because the benchmark's layer replay (bench/)
+// still times it beside an STR load, and goes when ROADMAP item 1 retires that
+// replay.
 func Pack(t *Tree) *Packed {
+	root := t.nodes()
 	items := make([]Item, 0, t.size)
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -182,8 +184,8 @@ func Pack(t *Tree) *Packed {
 			}
 		}
 	}
-	if t.root != nil {
-		walk(t.root)
+	if root != nil {
+		walk(root)
 	}
 	return PackItems(items)
 }

@@ -81,7 +81,7 @@ func TestPackMirrorsTree(t *testing.T) {
 			if p.Len() != tr.Len() {
 				t.Fatalf("Len = %d, want %d", p.Len(), tr.Len())
 			}
-			if got, want := p.RootMBR(), tr.root.mbr(); got != want {
+			if got, want := p.RootMBR(), tr.nodes().mbr(); got != want {
 				t.Fatalf("RootMBR = %v, want %v", got, want)
 			}
 			var items []Item

@@ -7,7 +7,9 @@
 // and the synchronized-traversal spatial join of Brinkhoff, Kriegel and Seeger
 // (SIGMOD 1993) — the oracle the tests hold the served kernel to. A tree is
 // never updated once built: a table that changes gets a new image, and a new
-// tree cut from it.
+// tree over it. A TreeOf tree holds only its image until something first reads
+// its nodes, and is cut then, once, so a table that publishes a tree nobody
+// reads pays nothing for it.
 //
 // The tree stores opaque integer item IDs alongside their MBRs; callers keep
 // the actual objects. Node accesses are counted so experiments can report
@@ -16,9 +18,11 @@ package rtree
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"spatialsel/internal/geom"
+	"spatialsel/internal/obs"
 )
 
 // DefaultMaxEntries is the node capacity: 50 entries/node models a 4 KiB page
@@ -63,17 +67,44 @@ func (n *node) mbr() geom.Rect {
 	return m
 }
 
-// Tree is a static R-tree, built whole by BulkLoadSTR or TreeOf and never
-// changed after. Concurrent use is safe, including the access counter, which
-// is maintained atomically so concurrent joins and probes can share a tree.
+// mTreeCutItems counts items cut into pointer trees from packed images: what
+// TreeOf trees cost when something first reads their nodes.
+var mTreeCutItems = obs.Default.Counter("rtree_tree_cut_items_total",
+	"Items cut into pointer R-trees from packed images (a TreeOf tree's first read).")
+
+// Tree is a static R-tree, built whole by BulkLoadSTR, or by TreeOf on first
+// read, and never changed after. Concurrent use is safe, the first read of a
+// TreeOf tree included, and so is the access counter, which is maintained
+// atomically so concurrent joins and probes can share a tree.
 type Tree struct {
 	root       *node
 	size       int
 	height     int // number of levels; 0 for empty tree
 	maxEntries int
-	accesses   atomic.Int64 // node touches since last ResetAccesses
+	// image is the packed image a TreeOf tree is cut from, nil once cut and on
+	// a BulkLoadSTR tree; cut guards the cut. Only nodes reads either.
+	image    *Packed
+	cut      sync.Once
+	accesses atomic.Int64 // node touches since last ResetAccesses
 	// levels memoizes LevelStats (nil = not computed yet).
 	levels atomic.Pointer[[]LevelStat]
+}
+
+// nodes returns the root, nil for an empty tree, first cutting a TreeOf tree's
+// nodes from its image if nothing has yet: every reader of root, height or the
+// nodes goes through it.
+func (t *Tree) nodes() *node {
+	t.cut.Do(func() {
+		if t.image == nil {
+			return
+		}
+		entries := make([]entry, 0, t.size)
+		t.image.VisitItems(func(id int, r geom.Rect) { entries = append(entries, entry{rect: r, id: id}) })
+		t.image = nil
+		t.buildPacked(entries)
+		mTreeCutItems.Add(uint64(len(entries)))
+	})
+	return t.root
 }
 
 // Option configures a Tree.
@@ -90,12 +121,16 @@ func WithFanout(max int) Option {
 	}
 }
 
-// Len returns the number of stored items.
+// Len returns the number of stored items. It reads no node, so it cuts no
+// TreeOf tree.
 func (t *Tree) Len() int { return t.size }
 
 // Height returns the number of levels (0 when empty, 1 when the root is a
 // leaf).
-func (t *Tree) Height() int { return t.height }
+func (t *Tree) Height() int {
+	t.nodes()
+	return t.height
+}
 
 // Accesses returns the number of node touches since construction or the last
 // ResetAccesses. One touch approximates one page read.
@@ -112,10 +147,11 @@ func (t *Tree) touch(n *node) *node {
 // Search appends to out the IDs of all items whose rectangles intersect q,
 // and returns the extended slice.
 func (t *Tree) Search(q geom.Rect, out []int) []int {
-	if t.root == nil {
+	root := t.nodes()
+	if root == nil {
 		return out
 	}
-	return t.search(t.root, q, out)
+	return t.search(root, q, out)
 }
 
 func (t *Tree) search(n *node, q geom.Rect, out []int) []int {
@@ -148,11 +184,12 @@ type Stats struct {
 // estimate (40 bytes per entry, 16 per node header) stands in for on-disk
 // page accounting.
 func (t *Tree) ComputeStats() Stats {
+	root := t.nodes()
 	s := Stats{Items: t.size, Height: t.height}
-	if t.root == nil {
+	if root == nil {
 		return s
 	}
-	s.RootMBR = t.root.mbr()
+	s.RootMBR = root.mbr()
 	var walk func(n *node)
 	totalEntries := 0
 	walk = func(n *node) {
@@ -166,7 +203,7 @@ func (t *Tree) ComputeStats() Stats {
 			walk(e.child)
 		}
 	}
-	walk(t.root)
+	walk(root)
 	s.Bytes = int64(totalEntries)*40 + int64(s.Nodes)*16
 	if s.Nodes > 0 {
 		s.AvgFill = float64(totalEntries) / float64(s.Nodes) / float64(t.maxEntries)

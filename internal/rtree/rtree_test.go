@@ -206,7 +206,8 @@ func TestLevelStatsFollowMutations(t *testing.T) {
 			delta = append(delta, Item{Rect: rects[k], ID: k})
 		}
 		tr := TreeOf(base.WithOverlay(append([]uint64(nil), dead...), PackItems(delta)))
-		got, want := tr.LevelStats(), (&Tree{root: tr.root, height: tr.height}).LevelStats()
+		root := tr.nodes()
+		got, want := tr.LevelStats(), (&Tree{root: root, height: tr.height}).LevelStats()
 		if len(got) != len(want) || len(got) != tr.Height() {
 			t.Fatalf("step %d: %d levels, fresh walk %d, height %d", step, len(got), len(want), tr.Height())
 		}

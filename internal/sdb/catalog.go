@@ -34,11 +34,13 @@ const StatisticsLevel = 7
 type Table struct {
 	Name string
 	Data *dataset.Dataset
-	// Index is the pointer R-tree cut from Packed (rtree.TreeOf): Packed's live
-	// items in slot order, 50 to a leaf. Nothing in this repository's served
-	// path reads it; it is set because the benchmark (bench/) still reads it,
-	// and ROADMAP item 1 (c) removes it. Every producer sets it from the Packed
-	// it publishes, so it is never built, updated or copied on its own.
+	// Index is the pointer R-tree over Packed (rtree.TreeOf): Packed's live
+	// items in slot order, 50 to a leaf, cut on its first read — Len reads
+	// none. Nothing in this repository's served path reads it, so no served
+	// path cuts it (TestLifecycleServedPathCutsNoTree); it is set because the
+	// benchmark (bench/) still reads it, and ROADMAP item 1 (c) removes it.
+	// Every producer sets it from the Packed it publishes, so it is never
+	// built, updated or copied on its own.
 	Index *rtree.Tree
 	Stats *histogram.GHSummary
 	// Packed is the read-optimized image of the table's items — Hilbert-ordered

@@ -88,6 +88,24 @@ func TestAttachRequiresPackedImage(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildTable is one registration of the paper's SURA at scale 1
+// (100 k items) at the statistics level, 7: normalize, pack, build GH, and
+// hand back a table whose pointer tree is not cut until something reads it.
+// The dataset is made once, outside the timer.
+//
+//	go test ./internal/sdb -run '^$' -bench BenchmarkBuildTable -benchtime 20x
+func BenchmarkBuildTable(b *testing.B) {
+	c := NewCatalog()
+	d := datagen.SURA(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.BuildTable(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestNewCatalogAtLevelValidation(t *testing.T) {
 	if _, err := NewCatalogAtLevel(-1); err == nil {
 		t.Fatal("negative level accepted")

@@ -1,16 +1,20 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"spatialsel/internal/faultfs"
 	"spatialsel/internal/geom"
 	"spatialsel/internal/ingest"
+	"spatialsel/internal/obs"
+	"spatialsel/internal/resilience"
 )
 
 // openFront mutates name once over HTTP, which opens its mutation front, and
@@ -112,5 +116,126 @@ func TestLifecycleReplaceWALRemoveFault(t *testing.T) {
 	}
 	if inj.Injected(faultfs.OpRemove) != 1 {
 		t.Fatalf("the remove fault fired %d times, want 1", inj.Injected(faultfs.OpRemove))
+	}
+}
+
+// TestLifecycleServedPathCutsNoTree: every table the server publishes carries
+// a pointer tree (sdb.Table.Index, rtree.TreeOf over its image) that only the
+// benchmark reads, so no served path may cut one. It drives registration,
+// batches, reads of every kind, a fold, a degraded-mode recovery and a restart
+// from the WAL through the server, and holds rtree_tree_cut_items_total — the
+// items cut into trees, which Len and holding a tree never move — still across
+// all of them. Reading one published tree at the end must then move it by that
+// tree's items, so the counter is seen to count.
+func TestLifecycleServedPathCutsNoTree(t *testing.T) {
+	cut := func() float64 { return obs.Default.Snapshot()["rtree_tree_cut_items_total"] }
+	before := cut()
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.Disk(), 11)
+	s, ts := newTestServer(t, Config{
+		WALDir:     dir,
+		WALFS:      inj,
+		WALRetry:   resilience.RetryPolicy{Max: -1},
+		WALBreaker: resilience.BreakerPolicy{Failures: 1, Cooldown: time.Millisecond, MaxCooldown: 4 * time.Millisecond},
+	})
+	read := func(base string) {
+		t.Helper()
+		for _, r := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/estimate", EstimateRequest{Left: "ca", Right: "cb"}},
+			{"/v1/estimate", EstimateRequest{Left: "ca", Right: "cb", Method: "ss"}},
+			{"/v1/explain", QueryRequest{Tables: []string{"ca", "cb", "cc"}, Predicates: [][2]string{{"ca", "cb"}, {"cb", "cc"}}}},
+			{"/v1/query?analyze=1", QueryRequest{Tables: []string{"ca", "cb"}, Predicates: [][2]string{{"ca", "cb"}}, Limit: 5}},
+			{"/v1/query", QueryRequest{Tables: []string{"ca", "cb", "cc"}, Predicates: [][2]string{{"ca", "cb"}, {"cb", "cc"}},
+				Windows: map[string][4]float64{"cc": {0.2, 0.2, 0.8, 0.8}}}},
+		} {
+			if code := doJSON(t, http.MethodPost, base+r.path, r.body, nil); code != http.StatusOK {
+				t.Fatalf("POST %s = %d, want 200", r.path, code)
+			}
+		}
+		for _, name := range []string{"ca", "cb", "cc"} {
+			if code := doJSON(t, http.MethodGet, base+"/v1/tables/"+name, nil, nil); code != http.StatusOK {
+				t.Fatalf("GET %s = %d, want 200", name, code)
+			}
+		}
+	}
+
+	// Registration.
+	for i, name := range []string{"ca", "cb", "cc"} {
+		createTable(t, ts.URL, name, "uniform", 300, int64(20+i), false)
+	}
+	read(ts.URL)
+
+	// Batches, enough churn that the policy folds on the next pass.
+	var batch BatchRequest
+	for i := 0; i < 80; i++ {
+		x := 0.1 + float64(i)/100
+		batch.Insert = append(batch.Insert, [4]float64{x, 0.3, x + 0.01, 0.31})
+	}
+	batch.Delete = []int{1, 2, 3}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tables/ca/batch", batch, nil); code != http.StatusOK {
+		t.Fatalf("batch = %d, want 200", code)
+	}
+	read(ts.URL)
+
+	// A fold.
+	s.Ingest().RepackPass(context.Background())
+	tab, err := s.Store().Snapshot().Catalog.Table("ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta, dead := tab.Packed.Overlay(); delta != 0 || dead != 0 {
+		t.Fatalf("after the repack pass the image still carries %d delta items and %d tombstones: no fold ran", delta, dead)
+	}
+	read(ts.URL)
+
+	// Degraded mode: a failing fsync, then the probe that recovers the table.
+	ins := InsertRequest{Items: [][4]float64{{0.5, 0.5, 0.52, 0.52}}}
+	inj.Add(faultfs.Fault{Op: faultfs.OpSync})
+	if resp := postJSON(t, ts.URL+"/v1/tables/ca/insert", ins); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("insert on a failing disk = %d, want 503", resp.StatusCode)
+	}
+	read(ts.URL)
+	inj.Clear()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		code := postJSON(t, ts.URL+"/v1/tables/ca/insert", ins).StatusCode
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("insert after the fault cleared = %d, want 503 until the probe recovers the table, then 200", code)
+		}
+	}
+	read(ts.URL)
+	if err := s.Ingest().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A restart from the WAL; the never-written tables are registered again.
+	s2, ts2 := newTestServer(t, Config{WALDir: dir})
+	if names, err := s2.Ingest().Recover(); err != nil || len(names) != 1 || names[0] != "ca" {
+		t.Fatalf("Recover = %v, %v; want [ca]", names, err)
+	}
+	for i, name := range []string{"cb", "cc"} {
+		createTable(t, ts2.URL, name, "uniform", 300, int64(21+i), false)
+	}
+	read(ts2.URL)
+	if code := doJSON(t, http.MethodPost, ts2.URL+"/v1/tables/ca/batch", BatchRequest{Delete: []int{7}}, nil); code != http.StatusOK {
+		t.Fatalf("batch after restart = %d, want 200", code)
+	}
+	read(ts2.URL)
+
+	if got := cut() - before; got != 0 {
+		t.Fatalf("the served path cut %g items into pointer trees, want 0", got)
+	}
+	last, err := s2.Store().Snapshot().Catalog.Table("ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last.Index.Search(geom.NewRect(0, 0, 1, 1), nil)
+	if got, want := cut()-before, float64(last.Index.Len()); got != want {
+		t.Fatalf("reading one published tree cut %g items, want its %g", got, want)
 	}
 }
